@@ -53,23 +53,6 @@ def test_round_latency_vs_providers(benchmark, bench_keystore, k):
     assert report.accuracy_ok
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_round_latency_vs_backend(benchmark, bench_keystore, backend):
-    """The k=16 round on each execution backend (identical transcripts;
-    only wall time may differ)."""
-    spec = spec_for(16)
-    routes = make_routes(16)
-
-    def round_once():
-        session = VerificationSession(
-            bench_keystore, spec, round=1, backend=backend
-        )
-        return session.run(routes)
-
-    report = benchmark(round_once)
-    assert report.accuracy_ok
-
-
 def test_detection_matrix(benchmark, bench_keystore):
     """The executable version of the adversary table."""
     adversaries = [

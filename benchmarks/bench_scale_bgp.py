@@ -149,17 +149,11 @@ def test_honest_convergence_statistics(benchmark):
 
 
 def test_registry_experiments(benchmark):
-    """This file's registry twins, including the serial-vs-parallel
-    scaling scenario (`python -m repro.bench`)."""
+    """This file's registry twin (`python -m repro.bench`)."""
     from repro.bench import get, run_experiment
 
     def experiment():
-        sweep = run_experiment(get("scale-bgp-sweep"), quick=True)
-        scaling = run_experiment(
-            get("scale-parallel"), quick=True, overrides={"ks": [4, 16]}
-        )
-        return sweep, scaling
+        return run_experiment(get("scale-bgp-sweep"), quick=True)
 
-    sweep, scaling = run_once(benchmark, experiment)
+    sweep = run_once(benchmark, experiment)
     assert sweep["metrics"]["violation_free"]
-    assert scaling["speedup_vs_serial"] is not None

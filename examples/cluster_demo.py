@@ -77,7 +77,7 @@ def main() -> None:
         # 1. churn through the admission plane
         for request in requests:
             outcome = cluster.request(request).payload
-            print(f"  churn served: {outcome.event_count} events across "
+            print(f"  churn served: {len(outcome.events)} events across "
                   f"{len(outcome.reports)} epoch(s)")
 
         # 2. reshard online: grow to three workers, migrate ownership
@@ -122,7 +122,7 @@ def main() -> None:
               f"{'BYTE-IDENTICAL' if not mismatches else mismatches}")
 
         snapshot = cluster.snapshot()
-        per_worker = snapshot["placement"]["events_per_worker"]
+        per_worker = snapshot["placement"]["load"]
         parity = snapshot["parity"]
         print("\n== metrics ==")
         print(f"  fresh verifications per worker: {per_worker}")

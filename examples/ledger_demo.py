@@ -33,8 +33,6 @@ from repro.ledger import (
     TrustLedger,
     TrustLevel,
     VerificationIntensity,
-    probe_budget,
-    strictness,
 )
 from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import LongerRouteProver
@@ -128,12 +126,7 @@ def main() -> None:
                 f"citing adjudicated seqs "
                 f"{','.join(str(s) for s in t.evidence_seqs)}"
             )
-    quarantined = ledger.trust_level("A")
-    print(
-        f"  A now {quarantined.name}: next registration would carry "
-        f"{strictness(quarantined)} and "
-        f"{probe_budget(quarantined, policy)} extra probe(s) per cycle"
-    )
+    print(f"  A now {ledger.trust_level('A').name}")
 
     print("== 5. the history is append-only and tamper-evident ==")
     for record in ledger.history.records():

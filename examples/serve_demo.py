@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The serving layer end to end: admit → shard → verify → merge.
 
-PRs 1-3 built the verification engine, the parallel crypto backends and
-the continuous audit Monitor; this walkthrough puts the new
+Earlier PRs built the verification engine and the continuous audit
+Monitor; this walkthrough puts the new
 :mod:`repro.serve` layer in front of them.  A
 :class:`~repro.serve.service.VerificationService` with two shards
 fronts the multi-prefix Figure 1 scenario, and we drive it the way a
@@ -25,7 +25,6 @@ import asyncio
 
 from repro.promises.spec import ExistentialPromise, ShortestRoute
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.execution import shutdown_backends
 from repro.pvr.scenarios import flap_session, restore_session, serve_network
 from repro.serve import (
     AdjudicateRequest,
@@ -60,7 +59,7 @@ async def main() -> None:
     # 1. the initial converged state, audited through the shards
     first = await service.request(ChurnRequest())
     outcome = first.payload
-    print(f"  initial audit: {outcome.event_count} events across "
+    print(f"  initial audit: {len(outcome.events)} events across "
           f"{len(outcome.reports)} epoch(s), "
           f"{sum(r.verified for r in outcome.reports)} verified")
 
@@ -106,13 +105,10 @@ async def main() -> None:
     parity = snapshot["parity"]
     print(f"  parity self-checks: {parity['checked']} run, "
           f"{parity['failed']} failed")
-    shard_load = snapshot["sharding"]["events_per_shard"]
+    shard_load = snapshot["placement"]["load"]
     print(f"  fresh verifications per shard: {shard_load}")
     assert parity["failed"] == 0
 
 
 if __name__ == "__main__":
-    try:
-        asyncio.run(main())
-    finally:
-        shutdown_backends()
+    asyncio.run(main())

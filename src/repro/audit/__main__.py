@@ -24,7 +24,6 @@ import sys
 from repro.audit.churn import run_churn
 from repro.bench.tables import print_table
 from repro.obs import log as obs_log
-from repro.pvr.execution import shutdown_backends
 from repro.util.cli import (
     EXIT_OK,
     add_common_arguments,
@@ -45,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="registered churn scenario (default: churn-fig1)")
     parser.add_argument("--list", action="store_true", dest="list_scenarios",
                         help="list registered churn scenarios and exit")
-    parser.add_argument("--backend", default=None, metavar="SPEC",
-                        help='execution backend passthrough ("thread", '
-                        '"process:4", ...)')
     parser.add_argument("--max-work", type=int, default=None, metavar="N",
                         help="bound fresh verifications per epoch")
     parser.add_argument("--adjudicate", action="store_true",
@@ -83,16 +79,12 @@ def main(argv=None) -> int:
     except KeyError as exc:
         return usage_error(exc.args[0])
 
-    try:
-        result = run_churn(
-            scenario,
-            key_bits=args.key_bits,
-            rng_seed=args.seed,
-            backend=args.backend,
-            max_work=args.max_work,
-        )
-    finally:
-        shutdown_backends()
+    result = run_churn(
+        scenario,
+        key_bits=args.key_bits,
+        rng_seed=args.seed,
+        max_work=args.max_work,
+    )
 
     print_table(
         f"audit epochs — {scenario.name}",

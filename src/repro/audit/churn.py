@@ -76,7 +76,6 @@ def run_churn(
     *,
     key_bits: int = 512,
     rng_seed: object = 2011,
-    backend: object = None,
     max_work: Optional[int] = None,
 ) -> ChurnRunResult:
     """Run a churn scenario (by name or object) end to end.
@@ -94,7 +93,6 @@ def run_churn(
         keystore if keystore is not None else KeyStore(
             seed=rng_seed, key_bits=key_bits
         ),
-        backend=backend,
         max_work_per_epoch=max_work,
         rng_seed=rng_seed,
     ).attach(network)

@@ -156,10 +156,7 @@ class EpochOutcome:
     ``verified``, ``reused``, ``deferred``, ``signatures``,
     ``verifications``, ``wall_seconds``, ``violations()``,
     ``violation_free()``), so a single-epoch outcome reads exactly like
-    the report it wraps.  The legacy shapes remain as deprecated
-    properties: ``report`` (the old ``Monitor.run_epoch`` return) and
-    ``event_count``/``violation_count`` (the old cluster/serve outcome's
-    integer ``events``/``violations``).
+    the report it wraps.
     """
 
     reports: List[EpochReport] = field(default_factory=list)
@@ -232,29 +229,6 @@ class EpochOutcome:
 
     def violation_free(self) -> bool:
         return not self.violations()
-
-    # -- deprecated legacy shapes --------------------------------------------
-
-    @property
-    def report(self) -> EpochReport:
-        """Deprecated: the old single-report ``Monitor.run_epoch`` shape.
-        Valid only for single-epoch outcomes."""
-        if len(self.reports) != 1:
-            raise ValueError(
-                f"outcome spans {len(self.reports)} epochs; "
-                f"use .reports"
-            )
-        return self.reports[0]
-
-    @property
-    def event_count(self) -> int:
-        """Deprecated: the old cluster outcome's integer ``events``."""
-        return sum(len(r.events) for r in self.reports)
-
-    @property
-    def violation_count(self) -> int:
-        """Deprecated: the old cluster outcome's integer ``violations``."""
-        return len(self.violations())
 
     @classmethod
     def single(cls, report: EpochReport) -> "EpochOutcome":

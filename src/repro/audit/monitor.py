@@ -123,9 +123,6 @@ def _check_work_bound(max_work: Optional[int]) -> Optional[int]:
 class Monitor:
     """A long-lived, policy-driven verification monitor.
 
-    ``backend`` is passed through to every
-    :class:`~repro.pvr.engine.VerificationSession` (the PR-2 execution
-    layer: ``"thread"``, ``"process:4"``, or a backend instance);
     ``max_work_per_epoch`` bounds fresh verifications per epoch
     (``None`` = unbounded); ``rng_seed`` roots the deterministic
     commitment-nonce stream.
@@ -146,7 +143,6 @@ class Monitor:
         self,
         keystore: Optional[KeyStore] = None,
         *,
-        backend: object = None,
         max_work_per_epoch: Optional[int] = None,
         rng_seed: object = 2011,
         store: Optional[EvidenceStore] = None,
@@ -157,7 +153,6 @@ class Monitor:
         self.keystore = keystore if keystore is not None else KeyStore(
             seed=rng_seed, key_bits=512
         )
-        self.backend = backend
         self.max_work_per_epoch = _check_work_bound(max_work_per_epoch)
         self.rng_seed = rng_seed
         # shard-aware construction: a monitor given a pair_filter owns
@@ -592,7 +587,6 @@ class Monitor:
             entry.item.routes,
             round=entry.round,
             chooser=resolve_chooser(entry.chooser),
-            backend=self.backend,
             random_bytes=round_randomness(self.rng_seed, entry.round),
         )
 
@@ -614,7 +608,6 @@ class Monitor:
             round=round_no,
             prover=prover,
             chooser=resolve_chooser(chooser),
-            backend=self.backend,
             random_bytes=round_randomness(self.rng_seed, round_no),
         )
         event = VerdictEvent(

@@ -147,7 +147,6 @@ def run_wire_round(
     round: int,
     prover: object = None,
     chooser: object = None,
-    backend: object = None,
     random_bytes: Callable[[int], bytes] | None = None,
 ) -> Tuple[SessionReport, RoundStats]:
     """One verification round with every protocol message on the wire.
@@ -179,7 +178,6 @@ def run_wire_round(
             round=round,
             prover=prover,
             chooser=chooser,
-            backend=backend,
             random_bytes=random_bytes,
         )
     finally:
@@ -196,7 +194,6 @@ def _run_wire_round(
     round: int,
     prover: object,
     chooser: object,
-    backend: object,
     random_bytes: Callable[[int], bytes] | None,
 ) -> Tuple[SessionReport, RoundStats]:
     transport = network.transport
@@ -206,7 +203,6 @@ def _run_wire_round(
         round=round,
         prover=prover,
         chooser=chooser,
-        backend=backend,
         random_bytes=random_bytes,
     )
 

@@ -15,7 +15,7 @@ parameterized, machine-checkable* specs:
   pytest benchmarks under ``benchmarks/`` draw from;
 * :mod:`repro.bench.experiments` — the registered experiment catalogue
   (the eight ``bench_*.py`` series, the internet-scale audit, and the
-  serial-vs-parallel scaling scenario);
+  audit / serve / cluster experiments);
 * ``python -m repro.bench`` — the CLI: ``--quick --out bench.json``
   produces the report CI gates on (``--baseline``/``--gate``).
 """

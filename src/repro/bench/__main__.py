@@ -19,7 +19,6 @@ import sys
 
 from repro.bench import registry, runner
 from repro.bench.tables import print_table
-from repro.pvr.execution import shutdown_backends
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,15 +77,12 @@ def main(argv=None) -> int:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
 
-    try:
-        report = runner.run_suite(
-            args.only,
-            quick=args.quick,
-            tables_path=args.tables,
-            progress=lambda name: print(f"[bench] running {name} ..."),
-        )
-    finally:
-        shutdown_backends()
+    report = runner.run_suite(
+        args.only,
+        quick=args.quick,
+        tables_path=args.tables,
+        progress=lambda name: print(f"[bench] running {name} ..."),
+    )
 
     print_table(
         "results",

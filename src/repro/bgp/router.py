@@ -18,8 +18,7 @@ Two hooks exist for the PVR layer and the adversary library:
   decision — the audit plane uses them to drive verification epochs.
   Any number of hooks may be registered via :meth:`BGPRouter.add_decision_hook`
   (the audit plane, a logger and a test probe can all observe the same
-  router); the legacy ``decision_hook`` attribute remains as a single
-  assignable slot for existing callers;
+  router);
 * ``select_override(prefix, candidates) -> Route | None`` replaces the
   honest decision function — adversarial routers use it to break their
   promises (e.g. export a longer-than-best route).
@@ -57,7 +56,6 @@ class BGPRouter(Node):
         self.export_policies: Dict[str, Policy] = {}
         self.originated: Dict[Prefix, Route] = {}
         self._decision_hooks: List[DecisionHook] = []
-        self._legacy_decision_hook: Optional[DecisionHook] = None
         self._resync_hooks: List[ResyncHook] = []
         self.select_override: Optional[SelectOverride] = None
         self.updates_received = 0
@@ -95,17 +93,6 @@ class BGPRouter(Node):
 
     # -- decision hooks ------------------------------------------------------
 
-    @property
-    def decision_hook(self) -> Optional[DecisionHook]:
-        """The legacy single-hook slot.  Assigning it replaces only this
-        slot; hooks added via :meth:`add_decision_hook` are unaffected, so
-        a caller using the old attribute cannot clobber the audit plane."""
-        return self._legacy_decision_hook
-
-    @decision_hook.setter
-    def decision_hook(self, hook: Optional[DecisionHook]) -> None:
-        self._legacy_decision_hook = hook
-
     def add_decision_hook(self, hook: DecisionHook) -> DecisionHook:
         """Register ``hook`` to fire after every decision (alongside any
         previously registered hooks).  Returns the hook for convenience."""
@@ -117,12 +104,8 @@ class BGPRouter(Node):
         self._decision_hooks.remove(hook)
 
     def decision_hooks(self) -> tuple:
-        """Every active hook, legacy slot first."""
-        hooks = []
-        if self._legacy_decision_hook is not None:
-            hooks.append(self._legacy_decision_hook)
-        hooks.extend(self._decision_hooks)
-        return tuple(hooks)
+        """Every active hook, in registration order."""
+        return tuple(self._decision_hooks)
 
     def add_resync_hook(self, hook: ResyncHook) -> ResyncHook:
         """Register ``hook(peer, prefixes)`` to fire when this router
@@ -252,8 +235,6 @@ class BGPRouter(Node):
             best = self.select_override(prefix, candidates)
         else:
             best = decide(candidates)
-        if self._legacy_decision_hook is not None:
-            self._legacy_decision_hook(prefix, candidates, best)
         for hook in self._decision_hooks:
             hook(prefix, candidates, best)
         if self.loc_rib.set_best(prefix, best):

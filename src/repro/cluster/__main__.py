@@ -298,7 +298,7 @@ def run(args) -> int:
           snapshot["probes"]["violations"])],
     )
     worker_rows = sorted(
-        placement["events_per_worker"].items(), key=lambda kv: int(kv[0])
+        placement["load"].items(), key=lambda kv: int(kv[0])
     )
     if worker_rows:
         print_table(

@@ -32,19 +32,20 @@ __all__ = [
 ]
 
 SCHEMA = "repro.cluster/metrics"
-#: version 4 added the durability records: ``replacements`` (rolling
-#: worker replacement) and ``recoveries`` (journal replay on restart)
-#: in the extra section, plus the Cluster-level ``journal`` section
-#: when a write-ahead journal is configured.  Version 3 moved onto the
-#: unified envelope (``repro.control``): the ``requests`` records
-#: gained ``dropped``/``throughput_rps``/``queue_delay``/
-#: ``service_time``, ``epochs`` gained per-epoch ``wall`` and
-#: ``coalesced_batches`` stats, ``placement`` gained the canonical
-#: ``load`` map (``events_per_worker`` stays as a deprecated alias),
-#: and a ``control`` section carries the controller snapshot when the
-#: control plane is enabled.  Version 2 added the per-worker
+#: version 5 dropped ``placement.events_per_worker``, the deprecated
+#: alias of ``placement.load``.  Version 4 added the durability
+#: records: ``replacements`` (rolling worker replacement) and
+#: ``recoveries`` (journal replay on restart) in the extra section,
+#: plus the Cluster-level ``journal`` section when a write-ahead
+#: journal is configured.  Version 3 moved onto the unified envelope
+#: (``repro.control``): the ``requests`` records gained ``dropped``/
+#: ``throughput_rps``/``queue_delay``/``service_time``, ``epochs``
+#: gained per-epoch ``wall`` and ``coalesced_batches`` stats,
+#: ``placement`` gained the canonical ``load`` map, and a ``control``
+#: section carries the controller snapshot when the control plane is
+#: enabled.  Version 2 added the per-worker
 #: ``workers`` section and ``respawns``.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # kept importable under the old private name for callers that reached in
 _TypeMetrics = TypeMetrics
@@ -235,11 +236,6 @@ class ClusterMetrics:
         """The schema-versioned, JSON-serializable metrics document."""
         window = time.perf_counter() - self.started
         spec = placement.describe() if placement is not None else None
-        placed = placement_section(
-            spec=spec, load=self.worker_events, reshards=self.reshards
-        )
-        # deprecated alias of placement.load, kept one schema version
-        placed["events_per_worker"] = placed["load"]
         return envelope(
             schema=SCHEMA,
             schema_version=SCHEMA_VERSION,
@@ -250,7 +246,9 @@ class ClusterMetrics:
                 "count": self.probes,
                 "violations": self.probe_violations,
             },
-            placement=placed,
+            placement=placement_section(
+                spec=spec, load=self.worker_events, reshards=self.reshards
+            ),
             admission=(
                 admission.describe() if admission is not None else None
             ),

@@ -6,17 +6,8 @@ parity tallies — different field names for placement).  This module
 unifies them: :class:`TypeMetrics` is the shared per-request-type
 record, :func:`request_record` its shared JSON shape, and
 :func:`envelope` assembles the common document skeleton.  Each ledger
-keeps its own schema name and version, and keeps its legacy field
-names alive as deprecated aliases:
-
-* serve's ``sharding`` section (``shards``/``events_per_shard``/
-  ``rebalances``) now mirrors the canonical ``placement`` section
-  (``spec``/``load``/``reshards``);
-* cluster's ``placement.events_per_worker`` is a deprecated alias of
-  ``placement.load``.
-
-New consumers should read ``placement.load``/``placement.reshards``;
-the aliases will be dropped at the next schema-version bump.
+keeps its own schema name and version; placement is the canonical
+``placement`` section (``spec``/``load``/``reshards``) in both.
 """
 
 from __future__ import annotations
@@ -93,8 +84,8 @@ def envelope(
 ) -> Dict[str, object]:
     """Assemble and validate the shared snapshot skeleton.
 
-    ``extra`` carries the ledger-specific sections (serve's ``sharding``
-    shim, cluster's ``workers``/``respawns``).  The document is
+    ``extra`` carries the ledger-specific sections (cluster's
+    ``workers``/``respawns``).  The document is
     round-tripped through :func:`json.dumps` so a non-serializable
     value fails loudly at the producer, not in a CI artifact step.
     """

@@ -28,12 +28,12 @@ class KeyStore:
     1024 bits to match the paper's "RSA-1024" overhead discussion, while
     unit tests use smaller keys for speed.
 
-    The store is safe to hand to execution-backend workers: key
+    The store is safe to hand to shard and cluster workers: key
     derivation depends only on the seed material (a lazily-generated key
-    is identical wherever it is generated), registration is locked for
-    thread workers, pickling carries the key table to process workers,
-    and :meth:`worker_view` gives each worker its own operation counters
-    to merge back via :meth:`add_counts`.
+    is identical wherever it is generated), registration is locked,
+    pickling carries the key table to process workers, and
+    :meth:`worker_view` gives each unit of work its own operation
+    counters to merge back via :meth:`add_counts`.
     """
 
     def __init__(self, seed=0, key_bits: int = 1024) -> None:
@@ -101,7 +101,7 @@ class KeyStore:
             return False
         return rsa.verify(key, message, signature)
 
-    # -- execution-backend support ------------------------------------------
+    # -- worker support -----------------------------------------------------
 
     def worker_view(self) -> "KeyStore":
         """A keystore sharing this store's key table but with fresh

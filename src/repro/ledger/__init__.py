@@ -16,10 +16,8 @@ trust ladder per AS (:class:`TrustLevel`:
 * trust feeds back (:mod:`repro.ledger.feedback`): high-trust ASes get
   deterministically *sampled* verification
   (:class:`VerificationIntensity`, rate 1.0 = byte-identical to no
-  ledger at all), low-trust ASes get denser Byzantine probing and
-  stricter promise options, and the serve/cluster admission plane can
-  prioritize the traffic that resolves distrust
-  (:class:`TrustTieredAdmission`).
+  ledger at all), and the serve/cluster admission plane can prioritize
+  the traffic that resolves distrust (:class:`TrustTieredAdmission`).
 
 ``python -m repro.ledger`` runs a churn scenario under a ledger-enabled
 monitor and prints the ladder's life: promotions, challenges, slashes,
@@ -30,8 +28,6 @@ from repro.ledger.challenge import ChallengeOutcome, run_challenge
 from repro.ledger.feedback import (
     TrustTieredAdmission,
     VerificationIntensity,
-    probe_budget,
-    strictness,
 )
 from repro.ledger.history import (
     GENESIS,
@@ -52,7 +48,5 @@ __all__ = [
     "TrustLevel",
     "TrustTieredAdmission",
     "VerificationIntensity",
-    "probe_budget",
     "run_challenge",
-    "strictness",
 ]

@@ -16,10 +16,6 @@ stack:
   Byzantine probes, and adjudications while any AS sits below the
   threshold) bypass the graduated priority door and may fill the whole
   queue — the traffic that resolves distrust is admitted first.
-* :func:`probe_budget` / :func:`strictness` — denser out-of-epoch
-  Byzantine probing and stricter promise-policy options for low-trust
-  ASes, expressed through the existing policy/chooser registry
-  vocabulary (named choosers and plain options pickle to workers).
 """
 
 from __future__ import annotations
@@ -35,8 +31,6 @@ from repro.ledger.levels import LedgerPolicy, TrustLevel
 __all__ = [
     "TrustTieredAdmission",
     "VerificationIntensity",
-    "probe_budget",
-    "strictness",
 ]
 
 _SAMPLE_DOMAIN = "ledger-sample"
@@ -193,25 +187,3 @@ class TrustTieredAdmission(PriorityAdmission):
             asn for asn in self.trust if self._low_trust(asn)
         )
         return summary
-
-
-def probe_budget(level: TrustLevel, policy: Optional[LedgerPolicy] = None) -> int:
-    """How many out-of-epoch Byzantine probes an AS at ``level`` earns
-    per audit cycle — the lower the trust, the denser the probing."""
-    return (policy if policy is not None else LedgerPolicy()).probes_for(
-        level
-    )
-
-
-def strictness(level: TrustLevel) -> Dict[str, object]:
-    """Promise-policy option overrides for an AS at ``level``, in the
-    registry vocabulary ``monitor.policy(...)`` accepts (everything
-    pickles: plain options plus *named* choosers).  Low-trust ASes get
-    strictly tighter path-length promises and an explicit named export
-    chooser; trusted ASes keep the defaults."""
-    level = TrustLevel(level)
-    if level <= TrustLevel.QUARANTINED:
-        return {"max_length": 4, "chooser": "honest"}
-    if level <= TrustLevel.PROBATIONARY:
-        return {"max_length": 6, "chooser": "honest"}
-    return {"max_length": 8}

@@ -22,8 +22,8 @@ under two rules, both evidence-gated:
 :class:`LedgerPolicy` also carries the feedback knobs: per-level
 verification sampling rates (``sampling_rates``, consumed by
 :class:`~repro.ledger.feedback.VerificationIntensity`) and per-level
-Byzantine probe budgets (``probe_density``, consumed by
-:func:`~repro.ledger.feedback.probe_budget`).  The policy is a frozen,
+Byzantine probe budgets (``probe_density``, read through
+:meth:`LedgerPolicy.probes_for`).  The policy is a frozen,
 picklable value — cluster workers receive it inside the
 :class:`~repro.cluster.spec.ClusterSpec`.
 """

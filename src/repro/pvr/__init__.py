@@ -114,14 +114,6 @@ from repro.pvr.session import (
     SessionTranscript,
 )
 from repro.pvr.engine import VerificationSession, derive_skeleton
-from repro.pvr.execution import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    resolve_backend,
-    shutdown_backends,
-)
 from repro.pvr import scenarios
 from repro.pvr.vertex_info import VertexRecord, make_vertex_record
 
@@ -206,13 +198,6 @@ __all__ = [
     "GraphProver",
     "GraphRoundConfig",
     "RecordResponse",
-    # execution backends
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "resolve_backend",
-    "shutdown_backends",
     # unified engine
     "Adjudication",
     "CryptoCounters",

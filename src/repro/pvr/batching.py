@@ -154,13 +154,8 @@ class BatchingProver(HonestProver):
 
     One round needs one commitment-statement signature, one attestation
     signature, one batch-root signature and one receipt per announcement
-    — instead of an additional signature per disclosed bit.  Under a
-    parallel execution backend the remaining per-provider work — the
-    receipt signatures and the Merkle extraction of each batched
-    disclosure — fans out across workers.
+    — instead of an additional signature per disclosed bit.
     """
-
-    _FAN_OUT_HOOKS = ("issue_receipt", "_batched_recipient_view")
 
     def run(self, config: RoundConfig, announcements):
         accepted = self.accept_announcements(config, announcements)
@@ -180,31 +175,25 @@ class BatchingProver(HonestProver):
             openings, range(1, config.max_length + 1),
         )
 
-        backend = self._fan_out_backend()
-        if backend is not None:
-            provider_views, recipient_view = self._run_fanned_out_batched(
-                backend, config, accepted, winner, vector, batch
+        receipts = {
+            provider: self.issue_receipt(config, ann)
+            for provider, ann in accepted.items()
+        }
+        provider_views = {}
+        for provider in config.providers:
+            ann = accepted.get(provider)
+            if ann is None:
+                provider_views[provider] = ProviderView(vector=vector)
+                continue
+            index = len(ann.route.as_path)
+            provider_views[provider] = ProviderView(
+                receipt=receipts.get(provider),
+                vector=vector,
+                disclosure=batch.extract(index),
             )
-        else:
-            receipts = {
-                provider: self.issue_receipt(config, ann)
-                for provider, ann in accepted.items()
-            }
-            provider_views = {}
-            for provider in config.providers:
-                ann = accepted.get(provider)
-                if ann is None:
-                    provider_views[provider] = ProviderView(vector=vector)
-                    continue
-                index = len(ann.route.as_path)
-                provider_views[provider] = ProviderView(
-                    receipt=receipts.get(provider),
-                    vector=vector,
-                    disclosure=batch.extract(index),
-                )
-            recipient_view = self._batched_recipient_view(
-                config, winner, vector, batch
-            )
+        recipient_view = self._batched_recipient_view(
+            config, winner, vector, batch
+        )
         from repro.pvr.minimum import RoundTranscript
 
         return RoundTranscript(
@@ -213,33 +202,6 @@ class BatchingProver(HonestProver):
             provider_views=provider_views,
             recipient_view=recipient_view,
         )
-
-    def _run_fanned_out_batched(
-        self, backend, config, accepted, winner, vector, batch
-    ):
-        """The batched round's per-provider and per-index work as
-        parallel tasks (the batch itself was already signed once); the
-        merge and recipient-view assembly are the shared
-        :meth:`HonestProver._collect_fanned_out` path."""
-        from repro.pvr import execution
-
-        tasks = [
-            execution.CryptoTask(
-                key=("provider", provider),
-                fn=_batched_provider_task,
-                args=(config, accepted.get(provider), vector, batch),
-            )
-            for provider in config.providers
-        ]
-        tasks.extend(
-            execution.CryptoTask(
-                key=("disclosure", index),
-                fn=_batched_extract_task,
-                args=(batch, index),
-            )
-            for index in range(1, config.max_length + 1)
-        )
-        return self._collect_fanned_out(backend, config, winner, vector, tasks)
 
     def _batched_recipient_view(self, config, winner, vector, batch):
         disclosures = tuple(
@@ -252,24 +214,3 @@ class BatchingProver(HonestProver):
             disclosures=disclosures,
         )
 
-
-BatchingProver._FAN_OUT_BASE = BatchingProver
-
-
-def _batched_provider_task(
-    keystore: KeyStore, config, announcement, vector, batch
-) -> ProviderView:
-    """Receipt + batched-disclosure view for one provider, on a worker."""
-    if announcement is None:
-        return ProviderView(vector=vector)
-    helper = BatchingProver(keystore)
-    return ProviderView(
-        receipt=helper.issue_receipt(config, announcement),
-        vector=vector,
-        disclosure=batch.extract(len(announcement.route.as_path)),
-    )
-
-
-def _batched_extract_task(keystore: KeyStore, batch, index: int):
-    """One batched disclosure with its Merkle membership proof."""
-    return batch.extract(index)

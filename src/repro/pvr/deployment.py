@@ -53,7 +53,6 @@ class PVRDeployment:
     paper's promise 2, :class:`~repro.promises.spec.ShortestRoute`); any
     :class:`~repro.promises.spec.Promise` template works — the audit
     plane resolves it to the protocol variant that covers it.
-    ``backend`` is passed to the execution layer.
     """
 
     def __init__(
@@ -62,13 +61,12 @@ class PVRDeployment:
         keystore: KeyStore,
         max_length: int = 16,
         promise: Optional[Promise] = None,
-        backend: object = None,
     ) -> None:
         self.network = network
         self.keystore = keystore
         self.max_length = max_length
         self.promise = promise if promise is not None else ShortestRoute()
-        self.monitor = Monitor(keystore, backend=backend).attach(network)
+        self.monitor = Monitor(keystore).attach(network)
         self._watched: Dict[str, object] = {}
 
     @property

@@ -31,12 +31,6 @@ interleaves them with wire transport) or all at once via :meth:`run`.
 ``verify`` accepts the views that actually *arrived* so dropped or
 tampered messages surface in the verdicts, and may be re-run (e.g. for a
 different subset of parties) without repeating the earlier phases.
-
-``backend`` selects an :mod:`execution <repro.pvr.execution>` strategy
-for the crypto hot path — per-provider prove/verify work and the
-cross-check fan out across thread or process workers, with results
-merged in deterministic order so transcripts, verdicts and crypto
-counters are identical to serial runs.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from repro.bgp.route import Route
 from repro.crypto.keystore import KeyStore
 from repro.net.gossip import GossipLayer, exchange
 from repro.pvr import existential as existential_mod
-from repro.pvr import execution
 from repro.pvr import leakage
 from repro.pvr import minimum as minimum_mod
 from repro.pvr.announcements import SignedAnnouncement, make_announcement
@@ -145,9 +138,7 @@ class VerificationSession:
     policy; ``batching=True`` swaps in the Section 3.8
     :class:`~repro.pvr.batching.BatchingProver`; ``gossip=False`` is the
     D4 ablation; ``alpha`` overrides the access policy for the graph
-    variant (default: the paper's α); ``backend`` is an execution
-    backend (or spec string such as ``"thread"`` / ``"process:4"``) that
-    fans the per-provider crypto work out across workers.
+    variant (default: the paper's α).
     """
 
     def __init__(
@@ -161,7 +152,6 @@ class VerificationSession:
         batching: bool = False,
         gossip: bool = True,
         alpha: object = None,
-        backend: execution.BackendSpec = None,
         random_bytes: Callable[[int], bytes] | None = None,
     ) -> None:
         self.keystore = keystore
@@ -171,7 +161,6 @@ class VerificationSession:
         self.batching = batching
         self.chooser = chooser
         self.alpha = alpha
-        self.backend = execution.resolve_backend(backend)
         self.random_bytes = random_bytes
         self.variant = spec.resolve_variant()
         self.plan = spec.compile_plan()
@@ -326,8 +315,7 @@ class _SingleRecipientDriver:
 
     # variant-specific hooks ------------------------------------------------
 
-    #: module-level ``fn(keystore, config, provider, announcement, view)``
-    #: — picklable, so provider verification can fan out across workers
+    #: ``fn(keystore, config, provider, announcement, view) -> Verdict``
     _provider_verify_fn: Callable = None
 
     def _resolve_prover(self):
@@ -380,24 +368,15 @@ class _SingleRecipientDriver:
             config.providers + (config.recipient,)
         )
         verdicts: Dict[str, Verdict] = {}
-        tasks = [
-            execution.CryptoTask(
-                key=provider,
-                fn=type(self)._provider_verify_fn,
-                args=(
+        for provider in config.providers:
+            if provider in check:
+                verdicts[provider] = self._provider_verify_fn(
+                    self.s.keystore,
                     config,
                     provider,
                     self.announcements.get(provider),
                     used.get(provider, self._empty_provider_view()),
-                ),
-            )
-            for provider in config.providers
-            if provider in check
-        ]
-        for result in execution.run_tasks(
-            self.s.backend, self.s.keystore, tasks
-        ):
-            verdicts[result.key] = result.value
+                )
         if config.recipient in check:
             verdicts[config.recipient] = self._verify_recipient(
                 used.get(config.recipient, self._empty_recipient_view())
@@ -445,7 +424,6 @@ class _MinimumDriver(_SingleRecipientDriver):
         if self.s.prover is None:
             cls = BatchingProver if self.s.batching else HonestProver
             self.s.prover = cls(self.s.keystore, self.s.random_bytes)
-            self.s.prover.backend = self.s.backend
         return self.s.prover
 
     def _verify_recipient(self, view) -> Verdict:
@@ -495,7 +473,6 @@ class _ExistentialDriver(_SingleRecipientDriver):
             self.s.prover = existential_mod.ExistentialProver(
                 self.s.keystore, self.s.random_bytes
             )
-            self.s.prover.backend = self.s.backend
         return self.s.prover
 
     def _verify_recipient(self, view) -> Verdict:
@@ -759,18 +736,13 @@ class _CrossCheckDriver:
         )
         check = tuple(parties) if parties is not None else spec.recipients
         everyone = list(used.values())
-        verdicts: Dict[str, Verdict] = {}
-        tasks = [
-            execution.CryptoTask(
-                key=recipient,
-                fn=cross_check,
-                args=(recipient, used[recipient], everyone),
+        verdicts: Dict[str, Verdict] = {
+            recipient: cross_check(
+                keystore, recipient, used[recipient], everyone
             )
             for recipient in spec.recipients
             if recipient in check and recipient in used
-        ]
-        for result in execution.run_tasks(self.s.backend, keystore, tasks):
-            verdicts[result.key] = result.value
+        }
         transcript = SessionTranscript(
             variant=self.s.variant,
             round=self.s.round,

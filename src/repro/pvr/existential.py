@@ -73,15 +73,7 @@ class ExistentialTranscript:
 
 
 class ExistentialProver:
-    """A's honest behaviour for one existential-protocol round.
-
-    ``backend`` (injected by the engine) fans the per-provider receipt
-    and disclosure signatures out across execution workers; subclasses
-    always run the serial path so behavioural deviations are preserved.
-    """
-
-    #: execution backend for the signing hot path; ``None`` means serial
-    backend = None
+    """A's honest behaviour for one existential-protocol round."""
 
     def __init__(
         self,
@@ -90,14 +82,6 @@ class ExistentialProver:
     ) -> None:
         self.keystore = keystore
         self.random_bytes = random_bytes
-
-    def _fan_out_backend(self):
-        backend = self.backend
-        if backend is None or not getattr(backend, "parallel", False):
-            return None
-        if type(self) is not ExistentialProver:
-            return None
-        return backend
 
     def accept_announcements(
         self,
@@ -146,38 +130,19 @@ class ExistentialProver:
             self.random_bytes,
         )
         winner = self.choose_export(config, accepted)
-        backend = self._fan_out_backend()
-        if backend is not None:
-            from repro.pvr import execution
-
-            tasks = [
-                execution.CryptoTask(
-                    key=provider,
-                    fn=_existential_provider_task,
-                    args=(config, accepted.get(provider), vector, openings),
-                )
-                for provider in config.providers
-            ]
-            provider_views = {
-                result.key: result.value
-                for result in execution.run_tasks(
-                    backend, self.keystore, tasks
-                )
-            }
-        else:
-            provider_views = {}
-            for provider in config.providers:
-                ann = accepted.get(provider)
-                if ann is None:
-                    provider_views[provider] = ExistentialProviderView(
-                        vector=vector
-                    )
-                    continue
+        provider_views = {}
+        for provider in config.providers:
+            ann = accepted.get(provider)
+            if ann is None:
                 provider_views[provider] = ExistentialProviderView(
-                    receipt=make_receipt(self.keystore, config.prover, ann),
-                    vector=vector,
-                    disclosure=self._disclose(config, openings),
+                    vector=vector
                 )
+                continue
+            provider_views[provider] = ExistentialProviderView(
+                receipt=make_receipt(self.keystore, config.prover, ann),
+                vector=vector,
+                disclosure=self._disclose(config, openings),
+            )
         recipient_view = self._build_recipient_view(config, winner, vector, openings)
         return ExistentialTranscript(
             config=config,
@@ -216,27 +181,6 @@ class ExistentialProver:
             attestation=attestation,
             disclosure=self._disclose(config, openings),
         )
-
-
-def _existential_provider_task(
-    keystore: KeyStore,
-    config: RoundConfig,
-    announcement: Optional[SignedAnnouncement],
-    vector: CommittedBitVector,
-    openings: BitVectorOpenings,
-) -> ExistentialProviderView:
-    """One provider's receipt + single-bit disclosure, on a worker
-    (module-level so the process backend can pickle it)."""
-    if announcement is None:
-        return ExistentialProviderView(vector=vector)
-    return ExistentialProviderView(
-        receipt=make_receipt(keystore, config.prover, announcement),
-        vector=vector,
-        disclosure=make_disclosure(
-            keystore, config.prover, TOPIC, config.round,
-            BIT_INDEX, openings.opening(BIT_INDEX),
-        ),
-    )
 
 
 def verify_as_provider(

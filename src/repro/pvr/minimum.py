@@ -153,19 +153,7 @@ class HonestProver:
     ``build_provider_view`` …) are override points for the adversary
     library — a Byzantine prover is an ``HonestProver`` subclass that
     deviates in exactly one documented way.
-
-    ``backend`` (injected by the engine) fans the per-provider signing
-    work out across execution workers; a subclass that overrides any
-    per-item build hook automatically falls back to the serial path so
-    Byzantine deviations are never bypassed.
     """
-
-    #: execution backend for the signing hot path; ``None`` means serial
-    backend = None
-
-    #: the per-item hooks that must be unmodified for fan-out to be safe
-    _FAN_OUT_HOOKS = ("issue_receipt", "build_provider_view",
-                      "build_recipient_view")
 
     def __init__(
         self,
@@ -174,20 +162,6 @@ class HonestProver:
     ) -> None:
         self.keystore = keystore
         self.random_bytes = random_bytes
-
-    def _fan_out_backend(self):
-        """The backend to fan out over, or ``None`` to run serially —
-        either no parallel backend is configured, or a subclass overrode
-        a per-item hook (its deviation must see every call)."""
-        backend = self.backend
-        if backend is None or not getattr(backend, "parallel", False):
-            return None
-        cls = type(self)
-        base = self._FAN_OUT_BASE
-        for name in self._FAN_OUT_HOOKS:
-            if getattr(cls, name) is not getattr(base, name):
-                return None
-        return backend
 
     # -- decision-relevant inputs ------------------------------------------
 
@@ -293,106 +267,30 @@ class HonestProver:
             self.random_bytes,
         )
         winner = self.choose_winner(config, accepted)
-        backend = self._fan_out_backend()
-        if backend is not None:
-            provider_views, recipient_view = self._run_fanned_out(
-                backend, config, accepted, winner, vector, openings
+        receipts = {
+            provider: self.issue_receipt(config, ann)
+            for provider, ann in accepted.items()
+        }
+        provider_views = {
+            provider: self.build_provider_view(
+                config,
+                provider,
+                accepted.get(provider),
+                receipts.get(provider),
+                vector,
+                openings,
             )
-        else:
-            receipts = {
-                provider: self.issue_receipt(config, ann)
-                for provider, ann in accepted.items()
-            }
-            provider_views = {
-                provider: self.build_provider_view(
-                    config,
-                    provider,
-                    accepted.get(provider),
-                    receipts.get(provider),
-                    vector,
-                    openings,
-                )
-                for provider in config.providers
-            }
-            recipient_view = self.build_recipient_view(
-                config, winner, vector, openings
-            )
+            for provider in config.providers
+        }
+        recipient_view = self.build_recipient_view(
+            config, winner, vector, openings
+        )
         return RoundTranscript(
             config=config,
             announcements=dict(announcements),
             provider_views=provider_views,
             recipient_view=recipient_view,
         )
-
-    def _run_fanned_out(
-        self,
-        backend,
-        config: RoundConfig,
-        accepted: Mapping[str, SignedAnnouncement],
-        winner: Optional[SignedAnnouncement],
-        vector: CommittedBitVector,
-        openings: BitVectorOpenings,
-    ):
-        """The honest round's signing work as parallel tasks.
-
-        One task per provider (receipt + disclosure signature) and one
-        per recipient-disclosure index; FDH-RSA determinism makes the
-        resulting views byte-identical to the serial path, and
-        :func:`repro.pvr.execution.run_tasks` merges operation counts in
-        task order so the crypto counters match too.
-        """
-        from repro.pvr import execution
-
-        tasks = [
-            execution.CryptoTask(
-                key=("provider", provider),
-                fn=_provider_round_task,
-                args=(config, provider, accepted.get(provider), vector,
-                      openings),
-            )
-            for provider in config.providers
-        ]
-        tasks.extend(
-            execution.CryptoTask(
-                key=("disclosure", index),
-                fn=_recipient_disclosure_task,
-                args=(config, index, openings.opening(index)),
-            )
-            for index in range(1, config.max_length + 1)
-        )
-        return self._collect_fanned_out(backend, config, winner, vector, tasks)
-
-    def _collect_fanned_out(
-        self,
-        backend,
-        config: RoundConfig,
-        winner: Optional[SignedAnnouncement],
-        vector: CommittedBitVector,
-        tasks,
-    ):
-        """Run ``("provider", name)`` / ``("disclosure", index)`` tasks,
-        merge their results in task order, and assemble the recipient
-        view — shared by the plain and batched fanned-out rounds so
-        serial/parallel parity has exactly one merge path."""
-        from repro.pvr import execution
-
-        provider_views: Dict[str, ProviderView] = {}
-        disclosures: Dict[int, SignedDisclosure] = {}
-        for result in execution.run_tasks(backend, self.keystore, tasks):
-            kind, key = result.key
-            if kind == "provider":
-                provider_views[key] = result.value
-            else:
-                disclosures[key] = result.value
-        recipient_view = RecipientView(
-            vector=vector,
-            attestation=self._attest(config, winner),
-            disclosures=tuple(
-                disclosures[index]
-                for index in range(1, config.max_length + 1)
-            ),
-        )
-        return provider_views, recipient_view
 
     def _attest(
         self, config: RoundConfig, winner: Optional[SignedAnnouncement]
@@ -407,50 +305,6 @@ class HonestProver:
             self.keystore, config.prover, config.recipient, config.round,
             winner.route.exported_by(config.prover), winner,
         )
-
-
-#: the class whose hook implementations count as "unmodified" for fan-out
-HonestProver._FAN_OUT_BASE = HonestProver
-
-
-# -- execution-backend tasks ---------------------------------------------------
-#
-# Module-level (hence picklable) units of the honest prover's signing
-# work.  Each rebuilds a throwaway ``HonestProver`` around the worker's
-# keystore view and calls the *base* hooks, so a fanned-out round
-# produces exactly the views the serial honest path would.
-
-
-def _provider_round_task(
-    keystore: KeyStore,
-    config: RoundConfig,
-    provider: str,
-    announcement: Optional[SignedAnnouncement],
-    vector: CommittedBitVector,
-    openings: BitVectorOpenings,
-) -> ProviderView:
-    """Receipt + provider view for one provider, on a worker."""
-    helper = HonestProver(keystore)
-    receipt = (
-        None
-        if announcement is None
-        else helper.issue_receipt(config, announcement)
-    )
-    return helper.build_provider_view(
-        config, provider, announcement, receipt, vector, openings
-    )
-
-
-def _recipient_disclosure_task(
-    keystore: KeyStore,
-    config: RoundConfig,
-    index: int,
-    opening,
-) -> SignedDisclosure:
-    """One of the recipient's L signed bit disclosures, on a worker."""
-    return make_disclosure(
-        keystore, config.prover, config.topic, config.round, index, opening
-    )
 
 
 # -- verifier side --------------------------------------------------------------

@@ -334,15 +334,12 @@ def _promise4_cheat() -> Scenario:
 # -- the Section 3.8 scaling scenarios -----------------------------------------
 #
 # Per-round cost is linear in the provider count k; these scenarios are
-# the measurement points for that line (k ∈ {4, 16, 64}), each in a
-# serial and a parallel (process-backend) flavour so the execution
-# backends can be compared on identical inputs.  The parallel runs are
-# transcript-identical to the serial ones — only wall time differs.
+# the measurement points for that line (k ∈ {4, 16, 64}).
 
 SCALING_KS = (4, 16, 64)
 
 
-def _scale_scenario(k: int, backend: Optional[str]) -> Scenario:
+def _scale_scenario(k: int) -> Scenario:
     routes = {
         f"N{i}": _route(f"N{i}", 1 + (i * 7) % 12)
         for i in range(1, k + 1)
@@ -356,7 +353,6 @@ def _scale_scenario(k: int, backend: Optional[str]) -> Scenario:
             max_length=12,
         ),
         routes=routes,
-        session_options={"backend": backend} if backend else {},
     )
 
 
@@ -365,11 +361,7 @@ def _register_scaling() -> None:
         register(
             f"scale-k{k}",
             f"Section 3.8 scaling: one honest round with k={k} providers",
-        )(lambda k=k: _scale_scenario(k, None))
-        register(
-            f"scale-k{k}-parallel",
-            f"Section 3.8 scaling: k={k} providers on the process backend",
-        )(lambda k=k: _scale_scenario(k, "process"))
+        )(lambda k=k: _scale_scenario(k))
 
 
 _register_scaling()

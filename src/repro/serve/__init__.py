@@ -17,7 +17,7 @@ working.  The request lifecycle is **admit → shard → verify → merge**:
 * :mod:`~repro.serve.sharding` — the (AS, prefix) shard key,
   :class:`~repro.serve.sharding.ShardExecutor` fanning each epoch's
   fresh verifications across worker processes
-  (:class:`repro.pvr.execution.ProcessPoolBackend`), and
+  (:class:`~repro.serve.sharding.ShardPool`), and
   :func:`~repro.serve.sharding.shard_filter` for distributed
   pair-filtered monitors;
 * :mod:`~repro.serve.merge` — folds per-shard outcome streams back into

@@ -43,7 +43,6 @@ import sys
 from repro.bench.tables import print_table
 from repro.obs import log as obs_log
 from repro.promises.spec import ShortestRoute
-from repro.pvr.execution import shutdown_backends
 from repro.util.cli import (
     EXIT_OK,
     add_common_arguments,
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "parity self-check; 0 disables (default: 4)")
     parser.add_argument("--backend", default=None, metavar="SPEC",
                         help='shard executor backend override '
-                        '("process:4", "thread", "serial")')
+                        '("process:4", "serial")')
     parser.add_argument("--ramp", default=None, metavar="R1,R2,...",
                         help="overload ramp: comma-separated open-loop "
                         "stage rates (rps), no drain between stages")
@@ -343,10 +342,7 @@ def main(argv=None) -> int:
     elif args.gate_p99 is not None:
         return usage_error("--gate-p99 requires --ramp")
 
-    try:
-        service, report = asyncio.run(serve_and_load(args))
-    finally:
-        shutdown_backends()
+    service, report = asyncio.run(serve_and_load(args))
     metrics = service.metrics
     snapshot = metrics.snapshot()
     if isinstance(report, RampReport):

@@ -12,10 +12,7 @@ series, per-shard event counts (hot-shard skew), epoch/coalescing
 counters with per-epoch wall-clock and batch sizes, and the
 verdict-parity self-check tallies the CI smoke job gates on.
 ``snapshot()`` emits the schema-versioned unified envelope
-(:mod:`repro.control.envelope`) the CLI writes and CI uploads; the
-legacy ``sharding`` section (``shards``/``events_per_shard``/
-``rebalances``) is kept as a deprecated alias of the canonical
-``placement`` section.
+(:mod:`repro.control.envelope`) the CLI writes and CI uploads.
 """
 
 from __future__ import annotations
@@ -29,12 +26,12 @@ from repro.control.signals import LatencySeries
 __all__ = ["LatencySeries", "ServeMetrics", "SCHEMA", "SCHEMA_VERSION"]
 
 SCHEMA = "repro.serve/metrics"
-#: version 2 moved onto the unified envelope (``repro.control``):
-#: canonical ``placement`` section (the old ``sharding`` names remain
-#: as a deprecated alias), ``epochs.wall``/``epochs.coalesced_batches``
-#: stats, and a ``control`` section carrying the controller snapshot
-#: when the control plane is enabled
-SCHEMA_VERSION = 2
+#: version 3 dropped the pre-v2 ``sharding`` alias of the canonical
+#: ``placement`` section.  Version 2 moved onto the unified envelope
+#: (``repro.control``): ``placement`` section, ``epochs.wall``/
+#: ``epochs.coalesced_batches`` stats, and a ``control`` section
+#: carrying the controller snapshot when the control plane is enabled
+SCHEMA_VERSION = 3
 
 # kept importable under the old private name for callers that reached in
 _TypeMetrics = TypeMetrics
@@ -142,11 +139,6 @@ class ServeMetrics:
         """The schema-versioned, JSON-serializable metrics document."""
         window = self.window_seconds()
         sizes = self.batch_sizes
-        placed = placement_section(
-            spec={"shards": self.shards},
-            load=self.shard_events,
-            reshards=self.rebalances,
-        )
         return envelope(
             schema=SCHEMA,
             schema_version=SCHEMA_VERSION,
@@ -173,22 +165,17 @@ class ServeMetrics:
                 "count": self.probes,
                 "violations": self.probe_violations,
             },
-            placement=placed,
+            placement=placement_section(
+                spec={"shards": self.shards},
+                load=self.shard_events,
+                reshards=self.rebalances,
+            ),
             control=(
                 self.control.snapshot() if self.control is not None else None
             ),
             parity={
                 "checked": self.parity_checked,
                 "failed": self.parity_failed,
-            },
-            extra={
-                # deprecated alias of the placement section, kept one
-                # schema version for pre-v2 consumers
-                "sharding": {
-                    "shards": self.shards,
-                    "events_per_shard": placed["load"],
-                    "rebalances": list(self.rebalances),
-                },
             },
         )
 

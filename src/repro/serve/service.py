@@ -59,7 +59,6 @@ from repro.crypto.keystore import KeyStore
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
 from repro.pvr.engine import VerificationSession
-from repro.pvr.execution import BackendSpec
 from repro.pvr.scenarios import apply_step
 
 from repro.serve import merge
@@ -119,7 +118,7 @@ class VerificationService:
         batch_max: int = 16,
         max_work: Optional[int] = None,
         max_events: Optional[int] = None,
-        backend: BackendSpec = None,
+        backend: Optional[str] = None,
         parity_sample: int = 0,
         rebalance_every: int = 0,
         metrics: Optional[ServeMetrics] = None,
@@ -249,6 +248,8 @@ class VerificationService:
             pass
         self._dispatcher = None
         self._queue = None
+        # the service owns its worker pool; a later start() re-warms it
+        self.executor.backend.close()
 
     async def drain(self) -> None:
         """Wait until every admitted request has been served."""

@@ -27,9 +27,9 @@ Two consumers:
   takes the *fresh* entries of a centrally planned epoch
   (:meth:`repro.audit.monitor.Monitor.plan_epoch`), groups them by
   placement owner, and runs each shard's batch as one serial unit
-  inside a worker of a :class:`repro.pvr.execution.ProcessPoolBackend`
-  pool.  Because rounds and nonces were pre-allocated by the planner,
-  the outcome is byte-identical to serial execution, whatever the
+  inside a worker process of its :class:`ShardPool`.  Because rounds
+  and nonces were pre-allocated by the planner, the outcome is
+  byte-identical to serial execution, whatever the
   interleaving — and each worker *replays the wire cost model*
   (:func:`repro.audit.wire.modeled_wire_stats`), so a sharded round
   reports the same byte/message counts as the serial wire path.
@@ -43,6 +43,7 @@ Two consumers:
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,12 +53,12 @@ from repro.audit.wire import modeled_wire_stats, round_randomness
 from repro.cluster.placement import Placement, StaticHash, pair_key
 from repro.crypto.keystore import KeyStore
 from repro.obs.trace import Stopwatch
-from repro.pvr.execution import BackendSpec, resolve_backend
 from repro.pvr.session import PromiseSpec, SessionReport
 
 __all__ = [
     "ShardExecutor",
     "ShardOutcome",
+    "ShardPool",
     "ShardTask",
     "shard_filter",
     "shard_key",
@@ -129,7 +130,7 @@ class ShardOutcome:
 def _run_shard_batch(payload) -> Tuple[ShardOutcome, ...]:
     """Execute one shard's batch serially against one keystore snapshot.
 
-    Module-level so the process backend can pickle it by reference.
+    Module-level so the process pool can pickle it by reference.
     Each task runs a one-shot in-memory
     :class:`~repro.pvr.engine.VerificationSession` — the audit plane's
     replay property (same spec, round, inputs, nonce stream ⇒ same
@@ -175,6 +176,41 @@ def _run_shard_batch(payload) -> Tuple[ShardOutcome, ...]:
     return tuple(outcomes)
 
 
+class ShardPool:
+    """Where shard batches run: inline (``"serial"``) or on a lazily
+    started pool of worker processes (``"process"`` / ``"process:N"``).
+
+    ``map`` returns results **in input order**, so the executor can
+    merge worker output deterministically; ``close`` is idempotent and
+    a closed pool restarts on the next ``map``.
+    """
+
+    def __init__(self, spec: str) -> None:
+        kind, _, workers = spec.partition(":")
+        if kind not in ("serial", "process"):
+            raise ValueError(
+                f"unknown backend {spec!r}; expected serial or process[:N]"
+            )
+        self._workers = int(workers) if workers else None
+        if self._workers is not None and self._workers < 1:
+            raise ValueError(f"backend spec {spec!r} needs >= 1 worker")
+        self._process = kind == "process"
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn: Callable, items: Sequence) -> List:
+        if not self._process:
+            return [fn(item) for item in items]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self._workers)
+        # Executor.map preserves input order by contract.
+        return list(self._executor.map(fn, items))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+
 class ShardExecutor:
     """Fan an epoch plan's fresh entries out across shard workers.
 
@@ -193,7 +229,7 @@ class ShardExecutor:
         self,
         shards: int,
         *,
-        backend: BackendSpec = None,
+        backend: Optional[str] = None,
         placement: Optional[Placement] = None,
     ) -> None:
         if shards < 1:
@@ -208,7 +244,7 @@ class ShardExecutor:
             )
         if backend is None:
             backend = "serial" if shards == 1 else f"process:{shards}"
-        self.backend = resolve_backend(backend)
+        self.backend = ShardPool(backend)
 
     @property
     def shards(self) -> int:

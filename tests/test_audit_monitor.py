@@ -475,12 +475,12 @@ class TestMultipleDecisionHooks:
     def test_hooks_stack(self):
         net = figure1_network()
         router = net.router("A")
-        legacy_calls, added_calls = [], []
-        router.decision_hook = lambda *a: legacy_calls.append(a)
-        router.add_decision_hook(lambda *a: added_calls.append(a))
+        first_calls, second_calls = [], []
+        router.add_decision_hook(lambda *a: first_calls.append(a))
+        router.add_decision_hook(lambda *a: second_calls.append(a))
         net.withdraw("O", PFX)
         net.run_to_quiescence()
-        assert legacy_calls and added_calls
+        assert first_calls and second_calls
 
     def test_legacy_assignment_does_not_clobber_audit_plane(self):
         net = figure1_network()
@@ -488,10 +488,10 @@ class TestMultipleDecisionHooks:
         deployment = PVRDeployment(net, keystore, max_length=8)
         deployment.watch("A")
         probe = []
-        net.router("A").decision_hook = lambda *a: probe.append(a)
+        net.router("A").add_decision_hook(lambda *a: probe.append(a))
         scenarios.flap_session("O", "N2")(net)
         net.run_to_quiescence()
-        assert probe  # the legacy hook fired...
+        assert probe  # the added hook fired...
         report = deployment.run_pending()  # ...and so did the audit plane
         assert report.rounds
         assert report.violation_free()
@@ -561,25 +561,6 @@ class TestDeploymentFacade:
         )
         assert all(v.ok for v in verdicts.values())
         assert deployment.monitor.events[-1].report.variant == "graph"
-
-
-class TestBackendPassthrough:
-    def test_thread_backend_identical_to_serial(self):
-        """backend= reaches the PR-2 execution layer; parallel epochs
-        are observably identical to serial ones."""
-        results = {}
-        for backend in (None, "thread"):
-            net = figure1_network()
-            monitor = make_monitor(net, backend=backend)
-            monitor.policy("A", ShortestRoute(), recipients=("B",),
-                           max_length=8)
-            epoch = monitor.run_epoch()
-            results[backend] = (
-                epoch.events[0].report.verdicts,
-                epoch.signatures,
-                epoch.verifications,
-            )
-        assert results[None] == results["thread"]
 
 
 class TestLongLivedHygiene:

@@ -302,14 +302,13 @@ class TestCoalescing:
 
 
 class TestEpochOutcomeParity:
-    """The new unified shape reads exactly like the legacy ones."""
+    """The unified shape reads exactly like the reports it wraps."""
 
     def test_monitor_outcome_forwards_the_single_report(self):
         spec = make_spec("minimum")
         monitor = spec.build_monitor()
         outcome = monitor.run_epoch()
-        report = outcome.report  # legacy single-report shape
-        assert outcome.reports == [report]
+        (report,) = outcome.reports
         assert outcome.epoch == report.epoch
         assert outcome.events == report.events
         assert outcome.verified == report.verified
@@ -318,7 +317,6 @@ class TestEpochOutcomeParity:
         assert outcome.verifications == report.verifications
         assert outcome.violations() == report.violations()
         assert outcome.violation_free() == report.violation_free()
-        assert outcome.event_count == len(report.events)
 
     def test_cluster_outcome_matches_legacy_integers(self):
         spec = make_spec("minimum")
@@ -328,13 +326,6 @@ class TestEpochOutcomeParity:
         try:
             for request in requests:
                 outcome = cluster.request(request).payload
-                # the legacy cluster shape carried plain integers
-                assert outcome.event_count == sum(
-                    len(r.events) for r in outcome.reports
-                )
-                assert outcome.violation_count == len(
-                    outcome.violations()
-                )
                 assert len(outcome.probe_events) == len(request.probes)
                 assert outcome.slices  # per-worker execution stats
         finally:
@@ -347,8 +338,7 @@ class TestEpochOutcomeParity:
             reports=[EpochReport(epoch=1), EpochReport(epoch=2)]
         )
         assert outcome.epochs == (1, 2)
-        with pytest.raises(ValueError):
-            outcome.report
+        assert outcome.epoch == 1
 
 
 # -- the SliceFold reorder buffer ---------------------------------------------

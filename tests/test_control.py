@@ -536,11 +536,7 @@ class TestControllerReshardParity:
         batches = epochs["coalesced_batches"]
         assert batches["count"] > 0
         assert batches["max_size"] > 1, "no churn burst ever coalesced"
-        # the deprecated alias still mirrors the canonical section
-        assert (
-            snapshot["placement"]["events_per_worker"]
-            == snapshot["placement"]["load"]
-        )
+        assert sum(snapshot["placement"]["load"].values()) > 0
         json.dumps(snapshot)
 
 

@@ -1,5 +1,7 @@
 """Tests for the per-AS key directory."""
 
+import pickle
+
 import pytest
 
 from repro.crypto.keystore import KeyStore, UnknownKeyError
@@ -62,3 +64,44 @@ class TestKeyStore:
         store.register_all(["AS1", "AS2"])
         sig = store.sign("AS1", b"announce")
         assert not store.verify("AS2", b"announce", sig)
+
+
+class TestWorkerSafety:
+    """The contract the shard batch runner and the serve/cluster parity
+    samplers rely on when they hand a keystore to a worker."""
+
+    def test_worker_view_shares_keys_but_counts_from_zero(self, store):
+        store.register("AS1")
+        store.sign("AS1", b"before")
+        view = store.worker_view()
+        assert (view.sign_count, view.verify_count) == (0, 0)
+        sig = view.sign("AS1", b"announce")
+        assert view.verify("AS1", b"announce", sig)
+        assert sig == store.sign("AS1", b"announce")
+        assert (view.sign_count, view.verify_count) == (1, 1)
+        # a key the view generates lazily lands in the shared table
+        view.register("AS2")
+        assert "AS2" in store
+
+    def test_add_counts_folds_a_view_back(self, store):
+        store.register("AS1")
+        view = store.worker_view()
+        sig = view.sign("AS1", b"announce")
+        view.verify("AS1", b"announce", sig)
+        view.verify("AS1", b"other", sig)
+        assert (store.sign_count, store.verify_count) == (0, 0)
+        store.add_counts(view.sign_count, view.verify_count)
+        assert (store.sign_count, store.verify_count) == (1, 2)
+
+    def test_pickled_store_signs_byte_identically(self, store):
+        store.register("AS1")
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.known() == store.known()
+        assert clone.sign("AS1", b"announce") == store.sign(
+            "AS1", b"announce"
+        )
+
+    def test_pickled_store_lazily_generates_the_parents_key(self, store):
+        clone = pickle.loads(pickle.dumps(store))
+        assert "AS9" not in clone
+        assert clone.register("AS9").n == store.register("AS9").n

@@ -51,8 +51,6 @@ from repro.ledger import (
     TrustLevel,
     TrustTieredAdmission,
     VerificationIntensity,
-    probe_budget,
-    strictness,
 )
 from repro.ledger.ledger import RULE_PROMOTE, RULE_SLASH
 from repro.promises.spec import (
@@ -469,7 +467,7 @@ class TestLedgerProperties:
         assert ledger.history.verify()
 
 
-# -- feedback: intensity, admission, strictness ------------------------------
+# -- feedback: intensity, admission -------------------------------------------
 
 
 class TestVerificationIntensity:
@@ -561,18 +559,6 @@ class TestTrustTieredAdmission:
         )
         clone = pickle.loads(pickle.dumps(admission))
         assert clone.trust == admission.trust
-
-
-class TestStrictness:
-    def test_low_trust_gets_tighter_promises_and_denser_probes(self):
-        assert strictness(TrustLevel.QUARANTINED)["max_length"] < (
-            strictness(TrustLevel.PROBATIONARY)["max_length"]
-        ) < strictness(TrustLevel.TRUSTED)["max_length"]
-        assert "chooser" in strictness(TrustLevel.QUARANTINED)
-        assert "chooser" not in strictness(TrustLevel.TRUSTED)
-        assert probe_budget(TrustLevel.QUARANTINED) > probe_budget(
-            TrustLevel.TRUSTED
-        )
 
 
 # -- evidence-store satellites ------------------------------------------------

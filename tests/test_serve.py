@@ -51,6 +51,7 @@ from repro.serve import (
 )
 from repro.serve.bench import run_workload
 from repro.serve.merge import MergeError, fold_plan
+from repro.serve.sharding import ShardPool
 from repro.util.rng import DeterministicRandom
 
 SEED = 2011
@@ -244,6 +245,30 @@ def assert_byte_identical(sharded_store, serial_store):
         # as the serial wire path (instead of zero)
         assert ours.stats.messages == theirs.stats.messages
         assert ours.stats.bytes == theirs.stats.bytes
+
+
+class TestShardPool:
+    """The executor's worker pool: inline or one process per shard."""
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_map_preserves_order_and_close_is_idempotent(self, spec):
+        pool = ShardPool(spec)
+        try:
+            assert pool.map(abs, range(-9, 0)) == list(range(9, 0, -1))
+            pool.close()
+            # a closed pool restarts on demand
+            assert pool.map(abs, [-1]) == [1]
+        finally:
+            pool.close()
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "spec", ["thread", "thread:2", "quantum", "process:lots",
+                 "process:0"],
+    )
+    def test_bad_specs_rejected(self, spec):
+        with pytest.raises(ValueError):
+            ShardPool(spec)
 
 
 class TestShardedParity:
@@ -447,21 +472,13 @@ class TestLatencySeries:
                          service=0.08)
         snapshot = metrics.snapshot()
         assert snapshot["schema"] == "repro.serve/metrics"
-        assert snapshot["schema_version"] == 2
+        assert snapshot["schema_version"] == 3
         churn = snapshot["requests"]["churn"]
         assert churn["admitted"] == 1
         assert churn["latency"]["p99_s"] == 0.1
         for section in ("epochs", "placement", "parity", "probes"):
             assert section in snapshot
-        # the pre-v2 sharding section survives as a deprecated alias
-        # of the canonical placement section
-        sharding = snapshot["sharding"]
-        assert sharding["events_per_shard"] == (
-            snapshot["placement"]["load"]
-        )
-        assert sharding["rebalances"] == (
-            snapshot["placement"]["reshards"]
-        )
+        assert set(snapshot["placement"]) == {"spec", "load", "reshards"}
 
 
 # -- the load generator --------------------------------------------------------
