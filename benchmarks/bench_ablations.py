@@ -187,15 +187,3 @@ class TestD5BatchedDisclosures:
         print_table("D5: signatures per round, k=3, L=16",
                     ["prover", "signatures"], rows)
         assert rows[1][1] < rows[0][1]
-
-
-def test_registry_detection_matrix(benchmark):
-    """D1-D5 roll up into the registry's detection matrix: every
-    adversary class caught, evidence judge-valid."""
-    from repro.bench import get, run_experiment
-
-    record = run_once(
-        benchmark,
-        lambda: run_experiment(get("fig1-detection-matrix"), quick=True),
-    )
-    assert record["metrics"]["detected"] == record["metrics"]["adversaries"]

@@ -16,8 +16,7 @@ from repro.pvr.existential import ring_announce, verify_ring_provenance
 
 from conftest import print_table, run_once
 
-# workload definitions shared with the registry experiment
-# "sec32-existential-round" (python -m repro.bench)
+# workload definitions live in repro.bench.workloads
 route = workloads.route
 spec_for = workloads.existential_spec
 
@@ -38,17 +37,6 @@ def test_existential_round(benchmark, bench_keystore, k):
     report = benchmark(round_once)
     assert report.variant == "existential"
     assert all(v.ok for v in report.verdicts.values())
-
-
-def test_registry_experiment(benchmark):
-    """The registry twin of this series runs clean."""
-    from repro.bench import get, run_experiment
-
-    record = run_once(
-        benchmark,
-        lambda: run_experiment(get("sec32-existential-round"), quick=True),
-    )
-    assert record["metrics"]["signatures"] > 0
 
 
 @pytest.mark.parametrize("ring_size", [2, 4, 8, 16])

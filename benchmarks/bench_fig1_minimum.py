@@ -33,8 +33,7 @@ from conftest import print_table, run_once
 
 MAX_LEN = workloads.MAX_LEN
 
-# the workload definitions live in repro.bench.workloads, shared with
-# the `python -m repro.bench` registry experiment "fig1-minimum-round"
+# the workload definitions live in repro.bench.workloads
 make_routes = workloads.fig1_routes
 spec_for = workloads.minimum_spec
 
@@ -172,20 +171,3 @@ def test_batching_halves_signatures(benchmark, bench_keystore):
     print_table("FIG1 batching option (k=6, L=12)",
                 ["prover", "signatures"], rows)
     assert rows[1][1] < rows[0][1]
-
-
-def test_registry_experiments(benchmark):
-    """This file's registry twins (`python -m repro.bench`) run clean and
-    report the same cost shape."""
-    from repro.bench import get, run_experiment
-
-    def experiment():
-        round_record = run_experiment(get("fig1-minimum-round"), quick=True)
-        matrix_record = run_experiment(get("fig1-detection-matrix"),
-                                       quick=True)
-        return round_record, matrix_record
-
-    round_record, matrix_record = run_once(benchmark, experiment)
-    assert round_record["metrics"]["accuracy_ok"]
-    assert round_record["metrics"]["signatures"] > 0
-    assert matrix_record["metrics"]["detection_rate"] == 1.0

@@ -26,7 +26,7 @@ from conftest import print_table, run_once
 
 MAX_LEN = workloads.MAX_LEN
 
-# spec construction shared with the registry experiment "fig2-graph-round"
+# spec construction lives in repro.bench.workloads
 route = workloads.route
 spec_for = workloads.figure2_spec
 
@@ -135,14 +135,3 @@ def test_merkle_tree_size_constant_per_query(benchmark, bench_keystore):
     print_table("FIG2 proof depth vs k", ["k", "proof siblings"], sizes)
     # depth is the prefix-free address length, constant in k for 'ro'
     assert sizes[0][1] == sizes[-1][1]
-
-
-def test_registry_experiment(benchmark):
-    """The registry twin of this series runs clean."""
-    from repro.bench import get, run_experiment
-
-    record = run_once(
-        benchmark,
-        lambda: run_experiment(get("fig2-graph-round"), quick=True),
-    )
-    assert record["metrics"]["signatures"] > 0

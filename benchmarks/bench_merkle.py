@@ -86,14 +86,3 @@ def test_all_proofs_verify_at_scale(benchmark):
         return True
 
     assert run_once(benchmark, experiment)
-
-
-def test_registry_experiment(benchmark):
-    """The registry twin of this series (`python -m repro.bench`)."""
-    from repro.bench import get, run_experiment
-
-    record = run_once(
-        benchmark, lambda: run_experiment(get("sec36-merkle"), quick=True)
-    )
-    assert record["metrics"]["proof_siblings"] > 0
-    assert record["ops"]["hashes"] > 0

@@ -144,20 +144,3 @@ def test_batch_proof_depth_logarithmic(benchmark):
     rows = run_once(benchmark, experiment)
     print_table("OVH batch proof depth", ["burst", "siblings"], rows)
     assert rows[-1][1] <= 8  # log2(256)
-
-
-def test_registry_experiments(benchmark):
-    """This file's registry twins (`python -m repro.bench`)."""
-    from repro.bench import get, run_experiment
-
-    def experiment():
-        primitives = run_experiment(get("sec38-crypto-primitives"),
-                                    quick=True)
-        batching = run_experiment(get("sec38-batching"), quick=True)
-        return primitives, batching
-
-    primitives, batching = run_once(benchmark, experiment)
-    timing = primitives["metrics"]["timing"]
-    assert timing["sign_hash_ratio"] > 10
-    assert (batching["metrics"]["signatures_batched"]
-            < batching["metrics"]["signatures_plain"])

@@ -146,14 +146,3 @@ def test_honest_convergence_statistics(benchmark):
         return True
 
     assert run_once(benchmark, experiment)
-
-
-def test_registry_experiments(benchmark):
-    """This file's registry twin (`python -m repro.bench`)."""
-    from repro.bench import get, run_experiment
-
-    def experiment():
-        return run_experiment(get("scale-bgp-sweep"), quick=True)
-
-    sweep = run_once(benchmark, experiment)
-    assert sweep["metrics"]["violation_free"]

@@ -131,14 +131,3 @@ def test_smc_per_update_infeasibility(benchmark):
     # a busy BGP speaker sees bursts of hundreds of updates per second;
     # the strawman sustains ~1/s or less
     assert updates_per_second_budget < 10
-
-
-def test_registry_experiment(benchmark):
-    """The registry twin of this series (`python -m repro.bench`)."""
-    from repro.bench import get, run_experiment
-
-    record = run_once(
-        benchmark, lambda: run_experiment(get("strawman-gap"), quick=True)
-    )
-    gates = record["metrics"]["and_gates"]
-    assert all(count > 0 for count in gates.values())

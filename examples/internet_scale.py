@@ -3,36 +3,40 @@
 
 Generates a synthetic AS graph with Gao-Rexford business relationships
 (tier-1 clique, transit customers, lateral peering), writes it out in
-CAIDA serial-1 format, runs BGP to convergence for a stub-originated
-prefix, and then audits every exporting AS with PVR — reporting the
-transport and crypto cost of the whole sweep.
-
-The topology build, convergence and audit all happen inside the
-registered benchmark experiment ``internet-scale-audit`` (see ``python
--m repro.bench --list``); this script drives it once through
-:mod:`repro.bench` and prints its narrative from the returned record,
-so the numbers shown here are exactly the ones the benchmark JSON
-reports track over time.
+CAIDA serial-1 format, runs BGP to convergence for a prefix originated
+at a true stub (providers, no customers), and then audits every
+exporting AS with PVR — reporting the transport and crypto cost of the
+whole sweep.
 
 Run:  python examples/internet_scale.py [--quick] [--json PATH]
 """
 
 import argparse
+import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-from repro.bench import get, run_experiment, write_report
-from repro.bench.experiments import AUDIT_PREFIX
-from repro.bench.runner import make_report
+from repro.bgp.prefix import Prefix
+from repro.crypto import hashing
+from repro.crypto.keystore import KeyStore
+from repro.pvr.deployment import PVRDeployment
 from repro.topology.caida import parse_file, write_file
-from repro.topology.generate import TopologyParams, generate
+from repro.topology.generate import TopologyParams, generate, true_stub
+from repro.topology.internet import build_bgp_network
+
+AUDIT_PREFIX = "203.0.113.0/24"
+SEED = 2011
+
+# (topology, RSA key bits, cap on audited rounds) per profile
+FULL = (TopologyParams(tier1=3, tier2=8, stubs=20, seed=SEED), 1024, 20)
+QUICK = (TopologyParams(tier1=2, tier2=4, stubs=6, seed=SEED), 512, 8)
 
 
-def caida_round_trip(params: TopologyParams) -> None:
+def caida_round_trip(graph) -> None:
     """The serialization demo: write the graph in CAIDA serial-1 format
     and read it back, as a real measurement pipeline would."""
-    graph = generate(params)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "as-rel.txt"
         write_file(graph, path)
@@ -43,47 +47,76 @@ def caida_round_trip(params: TopologyParams) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="use the experiment's quick profile")
+                        help="smaller topology, 512-bit keys, fewer rounds")
     parser.add_argument("--json", metavar="PATH",
-                        help="also write the audit as a bench JSON report")
+                        help="also write the numbers shown as JSON")
     args = parser.parse_args(argv)
+    params, key_bits, max_rounds = QUICK if args.quick else FULL
+    hashes_before = hashing.hash_count()
 
-    spec = get("internet-scale-audit")
-    params = spec.resolved_params(quick=args.quick)
+    graph = generate(params)
+    prefix = Prefix.parse(AUDIT_PREFIX)
+    net = build_bgp_network(graph)
+    origin = true_stub(graph)
+    net.originate(origin, prefix)
+    events = net.run_to_quiescence()
+    reach = net.reachability(prefix)
+    tier1_core = list(graph.tier1_core())
 
-    # one experiment run; every number below comes from this record
-    record = run_experiment(spec, quick=args.quick)
-    metrics = record["metrics"]
+    keystore = KeyStore(seed=SEED, key_bits=key_bits)
+    deployment = PVRDeployment(net, keystore, max_length=16)
+    started = time.perf_counter()
+    report = deployment.verify_prefix_everywhere(prefix, max_rounds=max_rounds)
+    sweep_seconds = time.perf_counter() - started
+    if not report.rounds or not report.violation_free():
+        sys.exit("PVR audit of an honest network was not clean")
 
-    print(f"Generated topology: {metrics['ases']} ASes, "
-          f"{metrics['edges']} relationships, "
-          f"tier-1 core = {', '.join(metrics['tier1_core'])}")
-    caida_round_trip(TopologyParams(
-        tier1=int(params["tier1"]), tier2=int(params["tier2"]),
-        stubs=int(params["stubs"]), seed=int(params["seed"]),
-    ))
-    print(f"\nBGP converged in {metrics['events']} events, "
-          f"{metrics['updates']} updates; "
-          f"{metrics['reached']}/{metrics['ases']} ASes reach "
-          f"{AUDIT_PREFIX} (origin {metrics['origin']})")
-    path = metrics["forwarding_path"]
+    # every number in the narrative below (and in --json) comes from here
+    audit = {
+        "quick": args.quick,
+        "ases": len(graph.ases()),
+        "edges": graph.edge_count(),
+        "tier1_core": tier1_core,
+        "origin": origin,
+        "events": events,
+        "updates": net.total_updates(),
+        "reached": sum(1 for r in reach.values() if r is not None),
+        "forwarding_path": list(net.forwarding_path(tier1_core[0], prefix)),
+        "rounds": len(report.rounds),
+        "messages": int(report.total("messages")),
+        "bytes": int(report.total("bytes")),
+        "signatures": keystore.sign_count,
+        "verifications": keystore.verify_count,
+        "hashes": hashing.hash_count() - hashes_before,
+        "sweep_seconds": sweep_seconds,
+    }
+
+    print(f"Generated topology: {audit['ases']} ASes, "
+          f"{audit['edges']} relationships, "
+          f"tier-1 core = {', '.join(tier1_core)}")
+    caida_round_trip(graph)
+    print(f"\nBGP converged in {events} events, "
+          f"{audit['updates']} updates; "
+          f"{audit['reached']}/{audit['ases']} ASes reach "
+          f"{AUDIT_PREFIX} (origin {origin})")
+    path = audit["forwarding_path"]
     print(f"Forwarding path {path[0]} -> origin: {' -> '.join(path)}")
 
-    n = metrics["rounds"]
-    clean = metrics["violation_free"]
-    print(f"\nPVR audit: {n} verification rounds, all "
-          f"{'clean' if clean else 'NOT CLEAN'}")
-    print(f"  transport: {metrics['messages']} messages, "
-          f"{metrics['bytes'] / 1024:.1f} KiB")
-    print(f"  crypto:    {record['ops']['signatures']} signatures, "
-          f"{record['ops']['verifications']} verifications, "
-          f"{record['ops']['hashes']} hashes")
-    print(f"  wall time: {metrics['timing']['sweep_seconds'] * 1000:.0f} ms "
-          f"({metrics['timing']['sweep_seconds'] / n * 1000:.1f} ms/round)")
+    n = audit["rounds"]
+    print(f"\nPVR audit: {n} verification rounds, all clean")
+    print(f"  transport: {audit['messages']} messages, "
+          f"{audit['bytes'] / 1024:.1f} KiB")
+    print(f"  crypto:    {audit['signatures']} signatures, "
+          f"{audit['verifications']} verifications, "
+          f"{audit['hashes']} hashes")
+    print(f"  wall time: {sweep_seconds * 1000:.0f} ms "
+          f"({sweep_seconds / n * 1000:.1f} ms/round)")
 
     if args.json:
-        write_report(make_report([record], quick=args.quick), args.json)
-        print(f"\nBench report written to {args.json}")
+        Path(args.json).write_text(
+            json.dumps(audit, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"\nAudit numbers written to {args.json}")
 
 
 if __name__ == "__main__":

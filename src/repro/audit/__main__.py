@@ -125,8 +125,8 @@ def main(argv=None) -> int:
         )
 
     if args.json:
-        # schema-versioned like the repro.bench reports, so downstream
-        # tooling can detect incompatible summary layouts
+        # schema-versioned, so downstream tooling can detect
+        # incompatible summary layouts
         write_json(
             args.json,
             envelope("repro.audit/summary", 1, summary),

@@ -3,8 +3,8 @@
 Churn scenarios are registered in :mod:`repro.pvr.scenarios`
 (``register_churn``) as pure data — a network builder, promise
 policies, a script of churn steps.  :func:`run_churn` is the execution
-engine shared by the ``python -m repro.audit`` CLI, the ``audit-churn``
-benchmark experiments and the tests: it attaches a monitor, audits the
+engine shared by the ``python -m repro.audit`` CLI and the tests: it
+attaches a monitor, audits the
 converged initial state, then replays the churn script with one
 verification epoch after each step (and a final full-resync sweep that
 measures steady-state cache reuse).

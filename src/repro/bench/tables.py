@@ -1,9 +1,8 @@
-"""Paper-style text tables for benchmark output.
+"""Paper-style text tables for benchmark and CLI output.
 
-The JSON report (:mod:`repro.bench.runner`) is the machine-readable
-artifact; these tables are the human-readable rendering the original
-``benchmarks/`` scripts printed, kept byte-compatible so existing series
-remain comparable.
+The human-readable rendering the ``benchmarks/`` series and the serve /
+cluster / audit / ledger CLIs print, kept byte-compatible so existing
+series remain comparable.
 """
 
 from __future__ import annotations

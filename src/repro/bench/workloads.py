@@ -1,9 +1,7 @@
-"""Shared workload builders for benchmarks and registry experiments.
+"""Shared workload builders for the ``benchmarks/bench_*.py`` series.
 
-The ``benchmarks/bench_*.py`` pytest series and the
-:mod:`repro.bench.experiments` catalogue measure the *same* workloads;
-this module is the single definition of those specs and route sets so
-the two stay comparable.  Route generation is seeded through
+The single definition of the Figure 1, Figure 2 and Section 3.2 specs
+and route sets.  Route generation is seeded through
 :class:`repro.util.rng.DeterministicRandom` forks, preserving the exact
 streams the original benchmark scripts used.
 """

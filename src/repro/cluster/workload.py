@@ -7,8 +7,8 @@ resync sweep — with every churn step in the picklable ``(builder,
 args)`` form, so the same script drives a process-transport
 :class:`~repro.cluster.cluster.Cluster` and, via :func:`drive_monitor`,
 the unsharded reference :class:`~repro.audit.monitor.Monitor`.
-:func:`trail_mismatches` is the byte-parity oracle the CLI, the bench
-experiment and the tests all gate on.
+:func:`trail_mismatches` is the byte-parity oracle the CLI and the
+tests gate on.
 """
 
 from __future__ import annotations

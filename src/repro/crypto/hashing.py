@@ -18,9 +18,9 @@ from repro.util.encoding import canonical_encode
 DIGEST_SIZE = 32
 
 #: Running total of domain-separated digests computed in this process.
-#: The bench runner (:mod:`repro.bench`) reports per-experiment deltas of
-#: this counter; it is a plain int, so under thread workers the total is
-#: best-effort (process workers do not report back at all).
+#: ``benchmarks/e2e`` reports per-workload deltas of this counter
+#: (``crypto.hashes``); it is a plain int counting this process only —
+#: shard and cluster worker processes do not report back.
 _hash_count = 0
 
 

@@ -112,7 +112,7 @@ class Journal:
         self.segment_max_records = segment_max_records
         #: validated (seq, type, data) replay suffix, last checkpoint on
         self.records: List[Tuple[int, str, object]] = []
-        # write-side counters, surfaced in the recovery bench
+        # write-side counters, surfaced in the cluster metrics snapshot
         self.appended = 0
         self.fsyncs = 0
         self.bytes_written = 0

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
-from repro.cluster.requests import AdjudicateRequest, answer_adjudicate
 from repro.journal.journal import Journal, JournalError, unpack
 
 __all__ = [
@@ -236,6 +235,10 @@ class JournalReplayer:
         self.committed += data["requests"]
 
     def _on_adjudicate(self, seq: int, data: object) -> None:
+        # imported here: repro.cluster's package init imports this module
+        # back, so a module-level import fails when repro.journal loads first
+        from repro.cluster.requests import AdjudicateRequest, answer_adjudicate
+
         rulings = answer_adjudicate(
             self.store, AdjudicateRequest(seq=data["seq"])
         )

@@ -19,12 +19,10 @@ under two rules, both evidence-gated:
   failed verification — which may be a dropped wire message — resets
   the clean streak but never demotes; attribution is the judge's job.
 
-:class:`LedgerPolicy` also carries the feedback knobs: per-level
+:class:`LedgerPolicy` also carries the feedback knob: per-level
 verification sampling rates (``sampling_rates``, consumed by
-:class:`~repro.ledger.feedback.VerificationIntensity`) and per-level
-Byzantine probe budgets (``probe_density``, read through
-:meth:`LedgerPolicy.probes_for`).  The policy is a frozen,
-picklable value — cluster workers receive it inside the
+:class:`~repro.ledger.feedback.VerificationIntensity`).  The policy is
+a frozen, picklable value — cluster workers receive it inside the
 :class:`~repro.cluster.spec.ClusterSpec`.
 """
 
@@ -51,16 +49,6 @@ class TrustLevel(enum.IntEnum):
         return TrustLevel(min(self.value + 1, TrustLevel.TRUSTED.value))
 
 
-#: probe budgets when the policy does not override them: the less an AS
-#: has earned, the more out-of-epoch Byzantine probing it gets
-DEFAULT_PROBE_DENSITY: Dict[TrustLevel, int] = {
-    TrustLevel.QUARANTINED: 2,
-    TrustLevel.PROBATIONARY: 1,
-    TrustLevel.STANDARD: 0,
-    TrustLevel.TRUSTED: 0,
-}
-
-
 @dataclass(frozen=True)
 class LedgerPolicy:
     """The ledger's promotion/slashing/feedback parameters, as data.
@@ -77,7 +65,6 @@ class LedgerPolicy:
     min_coverage: int = 1
     slash_to: TrustLevel = TrustLevel.QUARANTINED
     sampling_rates: Mapping[TrustLevel, float] = field(default_factory=dict)
-    probe_density: Mapping[TrustLevel, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.clean_epochs_to_promote < 1:
@@ -99,25 +86,11 @@ class LedgerPolicy:
                     f"sampling rate for {level.name} must be in [0, 1], "
                     f"got {rate}"
                 )
-        density = {
-            TrustLevel(level): int(count)
-            for level, count in self.probe_density.items()
-        }
-        if any(count < 0 for count in density.values()):
-            raise ValueError("probe_density counts must be >= 0")
         object.__setattr__(self, "sampling_rates", rates)
-        object.__setattr__(self, "probe_density", density)
 
     def rate_for(self, level: TrustLevel) -> float:
         """The verification sampling rate at ``level`` (default 1.0)."""
         return self.sampling_rates.get(TrustLevel(level), 1.0)
-
-    def probes_for(self, level: TrustLevel) -> int:
-        """The out-of-epoch Byzantine probe budget at ``level``."""
-        level = TrustLevel(level)
-        if level in self.probe_density:
-            return self.probe_density[level]
-        return DEFAULT_PROBE_DENSITY[level]
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -128,8 +101,5 @@ class LedgerPolicy:
             "sampling_rates": {
                 level.name: rate
                 for level, rate in sorted(self.sampling_rates.items())
-            },
-            "probe_density": {
-                level.name: self.probes_for(level) for level in TrustLevel
             },
         }

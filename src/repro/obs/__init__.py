@@ -27,17 +27,8 @@ diffs from dumped records.
 
 from repro.obs.log import configure_logging, emit
 from repro.obs.recorder import FlightRecorder
-from repro.obs.timeline import (
-    critical_path,
-    load_records,
-    stage_shares,
-)
-from repro.obs.trace import (
-    Span,
-    Stopwatch,
-    TraceContext,
-    record_collector,
-)
+from repro.obs.timeline import critical_path, load_records
+from repro.obs.trace import Span, Stopwatch, TraceContext
 
 __all__ = [
     "FlightRecorder",
@@ -48,6 +39,4 @@ __all__ = [
     "critical_path",
     "emit",
     "load_records",
-    "record_collector",
-    "stage_shares",
 ]

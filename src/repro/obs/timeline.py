@@ -18,7 +18,6 @@ __all__ = [
     "diff_traces",
     "load_records",
     "render_timeline",
-    "stage_shares",
 ]
 
 #: span names that frame other spans rather than doing work themselves
@@ -63,27 +62,13 @@ def _duration(record: Dict[str, object]) -> float:
     return float(record["end"]) - float(record["start"])
 
 
-def stage_shares(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
-    """Fraction of total stage time per stage name, across the whole
-    trace — the bench report's attribution summary."""
+def _seconds_by_stage(records: Iterable[Dict[str, object]]) -> Dict[str, float]:
+    """Summed wall per stage name, across the whole trace."""
     totals: Dict[str, float] = {}
-    count = 0
     for record in _closed_stages(records):
-        totals[str(record["name"])] = (
-            totals.get(str(record["name"]), 0.0) + _duration(record)
-        )
-        count += 1
-    total = sum(totals.values())
-    shares = {
-        name: (seconds / total if total > 0 else 0.0)
-        for name, seconds in sorted(totals.items())
-    }
-    return {
-        "spans": count,
-        "total_seconds": total,
-        "by_stage": shares,
-        "seconds_by_stage": dict(sorted(totals.items())),
-    }
+        name = str(record["name"])
+        totals[name] = totals.get(name, 0.0) + _duration(record)
+    return totals
 
 
 def critical_path(
@@ -141,8 +126,8 @@ def diff_traces(
     b: Iterable[Dict[str, object]],
 ) -> List[Dict[str, object]]:
     """Per-stage wall totals of trace ``b`` against trace ``a``."""
-    totals_a = stage_shares(a)["seconds_by_stage"]
-    totals_b = stage_shares(b)["seconds_by_stage"]
+    totals_a = _seconds_by_stage(a)
+    totals_b = _seconds_by_stage(b)
     rows = []
     for name in sorted(set(totals_a) | set(totals_b)):
         sec_a = totals_a.get(name, 0.0)

@@ -11,9 +11,8 @@ value that reaches the evidence trail (it never could: the trail hashes
 no wall-clock data) nor any report field.
 
 Closed spans become plain dict **records** (JSON-ready) appended to the
-context's bounded ``records`` deque, forwarded to an attached
-:class:`~repro.obs.recorder.FlightRecorder`, and offered to any global
-sinks installed via :func:`record_collector` (the bench summary seam).
+context's bounded ``records`` deque and forwarded to an attached
+:class:`~repro.obs.recorder.FlightRecorder`.
 
 Worker processes drain their records with :meth:`TraceContext.take_records`
 and ship them inside ``EpochSummary.spans``; the coordinator merges
@@ -28,9 +27,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Span", "Stopwatch", "TraceContext", "record_collector"]
+__all__ = ["Span", "Stopwatch", "TraceContext"]
 
 #: the one obs clock — every stage wall in the system reads this
 CLOCK = time.perf_counter
@@ -120,9 +119,6 @@ class TraceContext:
     closed, ``duration`` works) but records nothing — the cheap path
     every host uses when tracing is off.
     """
-
-    #: process-wide extra sinks (see :func:`record_collector`)
-    _global_sinks: List[Callable[[Dict[str, object]], None]] = []
 
     def __init__(
         self,
@@ -251,8 +247,6 @@ class TraceContext:
         self.records.append(record)
         if self.recorder is not None:
             self.recorder.record(record)
-        for sink in TraceContext._global_sinks:
-            sink(record)
 
     def take_records(self) -> Tuple[Dict[str, object], ...]:
         """Drain and return the closed records (the worker → coordinator
@@ -298,17 +292,3 @@ class TraceContext:
 def _id_sort_key(span_id: str) -> Tuple[str, int]:
     label, _, count = span_id.rpartition(":")
     return (label, int(count) if count.isdigit() else 0)
-
-
-@contextmanager
-def record_collector():
-    """Collect every record closed by *any* TraceContext in this
-    process while the block runs — the bench harness wraps an
-    experiment body in this to summarize stage shares without knowing
-    which hosts the experiment builds."""
-    records: List[Dict[str, object]] = []
-    TraceContext._global_sinks.append(records.append)
-    try:
-        yield records
-    finally:
-        TraceContext._global_sinks.remove(records.append)

@@ -1,14 +1,14 @@
-"""Benchmark drivers for the serving layer.
+"""Workload driver for the serving layer.
 
 One synchronous entry point, :func:`run_workload`, builds the serving
 scenario (:func:`repro.pvr.scenarios.serve_network`), starts a
 :class:`~repro.serve.service.VerificationService`, drives a
-deterministic generated workload, and returns everything the
-``serve-throughput`` / ``serve-tail-latency`` experiments (and tests)
-measure.  Scripted (bursted) mode keeps epoch boundaries — hence event
-and reuse counts — a pure function of the schedule, which is what the
-bench determinism convention requires; open-loop mode trades that for
-real arrival-time behaviour and meaningful tail latency.
+deterministic generated workload, and returns the service, the load
+report and the drive's wall time — what ``tests/test_serve.py`` and
+``tests/test_control.py`` assert on.  Scripted (bursted) mode keeps
+epoch boundaries — hence event and reuse counts — a pure function of
+the schedule; open-loop mode trades that for real arrival-time
+behaviour and meaningful tail latency.
 """
 
 from __future__ import annotations
@@ -23,18 +23,15 @@ from repro.promises.spec import ShortestRoute
 from repro.serve.loadgen import (
     LoadProfile,
     LoadReport,
-    RampReport,
     ServeWorkload,
     SimnetGateway,
     build_schedule,
-    ramp_schedule,
     run_open_loop,
-    run_ramp,
     run_scripted,
 )
 from repro.serve.service import VerificationService
 
-__all__ = ["BenchRun", "OverloadRun", "run_overload_ramp", "run_workload"]
+__all__ = ["BenchRun", "run_workload"]
 
 
 @dataclass
@@ -147,106 +144,3 @@ def run_workload(
     wall = time.perf_counter() - started
     return BenchRun(service=service, report=report, wall_seconds=wall)
 
-
-@dataclass
-class OverloadRun:
-    """One overload-ramp drive: the service, the per-stage ramp report
-    (the p99-under-overload curve) and the drive's wall time."""
-
-    service: VerificationService
-    report: RampReport
-    wall_seconds: float
-
-    @property
-    def snapshot(self) -> dict:
-        return self.service.metrics.snapshot()
-
-    def curve(self) -> list:
-        return self.report.curve()
-
-
-def run_overload_ramp(
-    *,
-    shards: int = 1,
-    prefixes: int = 6,
-    rates: tuple = (40.0, 160.0, 640.0),
-    per_stage: int = 10,
-    seed: int = 7,
-    key_bits: int = 512,
-    queue_depth: int = 256,
-    batch_max: int = 16,
-    controller: bool = False,
-    stale_after: float = 0.1,
-    latency_bound: float = 0.05,
-    violation_every: int = 0,
-    backend: object = None,
-    time_scale: float = 1.0,
-) -> OverloadRun:
-    """Ramp an open-loop overload against one service, synchronously.
-
-    With ``controller=False`` the service admits everything the queue
-    will hold and queries wait behind the growing churn backlog — the
-    collapse curve.  With ``controller=True`` the control plane runs
-    with an :class:`~repro.control.policies.AdaptiveAdmission` policy
-    (seeded from ``seed``): once the epoch pipeline's windowed wall
-    percentile passes ``latency_bound``, queries are shed at the door
-    and stale queries (> ``stale_after`` queued) at dispatch, so the
-    completed-query latency plateaus while churn and adjudication are
-    still served in full.
-    """
-    from repro.pvr.scenarios import serve_network
-
-    network, prefix_list = serve_network(prefixes)
-    admission = None
-    control_policy = None
-    if controller:
-        from repro.control.controller import ControlPolicy
-        from repro.control.policies import AdaptiveAdmission
-
-        admission = AdaptiveAdmission(seed=seed, stale_after=stale_after)
-        control_policy = ControlPolicy(
-            window=12,
-            latency_bound=latency_bound,
-            stale_after=stale_after,
-            queue_high=0.125,
-        )
-    service = VerificationService(
-        network,
-        shards=shards,
-        admission=admission,
-        key_bits=key_bits,
-        rng_seed=seed,
-        queue_depth=queue_depth,
-        batch_max=batch_max,
-        backend=backend,
-        controller=control_policy,
-    )
-    service.policy(
-        "A", ShortestRoute(), recipients=("B",),
-        name="A/min->B", max_length=8,
-    )
-    workload = ServeWorkload(
-        prefixes=prefix_list,
-        flappable=(("O", "N2"), ("X", "N1")),
-        violator=("A", "B") if violation_every else None,
-    )
-    schedule = ramp_schedule(
-        workload, rates=tuple(rates), per_stage=per_stage, seed=seed,
-        violation_every=violation_every,
-    )
-
-    async def drive() -> RampReport:
-        await service.start()
-        try:
-            return await run_ramp(
-                service, schedule, rates=tuple(rates),
-                time_scale=time_scale,
-            )
-        finally:
-            await service.stop()
-
-    service.executor.warm()
-    started = time.perf_counter()
-    report = asyncio.run(drive())
-    wall = time.perf_counter() - started
-    return OverloadRun(service=service, report=report, wall_seconds=wall)

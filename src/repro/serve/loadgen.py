@@ -16,13 +16,13 @@ monitored AS *honestly* prefer a longer route, violating its
 shortest-route promise on the wire, no Byzantine prover object needed).
 Two drivers share the schedule:
 
-* :func:`run_open_loop` — the real-time asyncio driver (the CLI and the
-  tail-latency experiment), optionally pushing every request through a
+* :func:`run_open_loop` — the real-time asyncio driver (the CLI),
+  optionally pushing every request through a
   :class:`SimnetGateway` first so link latency and drops perturb
   admission;
 * :func:`run_scripted` — a paced driver that awaits completion between
   fixed-size bursts, trading open-loop realism for run-to-run
-  determinism (the bench throughput experiment and the parity tests).
+  determinism (the parity tests).
 """
 
 from __future__ import annotations
@@ -619,8 +619,8 @@ async def run_scripted(
     """Fire the schedule in fixed-size bursts, awaiting each burst.
 
     Coalescing (hence epoch boundaries, event counts and reuse) becomes
-    a pure function of the schedule — the determinism the bench
-    experiments need.
+    a pure function of the schedule — the determinism the parity
+    tests need.
     """
     if burst < 1:
         raise ValueError(f"burst must be >= 1, got {burst}")

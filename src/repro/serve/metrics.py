@@ -5,8 +5,8 @@ audit plane in front of BGP churn is judged by what its slowest
 requests see.  :class:`LatencySeries` (the shared implementation from
 :mod:`repro.control.signals`, re-exported here) keeps raw samples and
 answers nearest-rank percentiles exactly (no streaming sketch — sample
-counts here are bounded by the workload, and exactness keeps the bench
-experiments reproducible to the sample).  :class:`ServeMetrics` is the
+counts here are bounded by the workload, and exactness keeps reported
+percentiles reproducible to the sample).  :class:`ServeMetrics` is the
 service-wide ledger: per-request-type admission counters and latency
 series, per-shard event counts (hot-shard skew), epoch/coalescing
 counters with per-epoch wall-clock and batch sizes, and the

@@ -13,6 +13,9 @@ byte-level tears and arbitrary replay splits.
 
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,20 @@ def script(rounds=5, violation_every=0):
     return churn_script(
         prefixes, rounds=rounds, violation_every=violation_every
     )
+
+
+@pytest.mark.parametrize("module", ["repro.journal", "repro.journal.recovery"])
+def test_imports_first_in_a_clean_interpreter(module):
+    """Regression: recovery imported ``repro.cluster.requests`` at module
+    level, whose package init imports recovery back — so importing
+    ``repro.journal`` before ``repro.cluster`` raised ImportError."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # -- the journal file format ---------------------------------------------------

@@ -105,15 +105,11 @@ class TestLevels:
             LedgerPolicy(min_coverage=0)
         with pytest.raises(ValueError):
             LedgerPolicy(sampling_rates={TrustLevel.TRUSTED: 1.5})
-        with pytest.raises(ValueError):
-            LedgerPolicy(probe_density={TrustLevel.TRUSTED: -1})
 
     def test_policy_normalizes_and_defaults(self):
         policy = LedgerPolicy(sampling_rates={3: 0.25})
         assert policy.rate_for(TrustLevel.TRUSTED) == 0.25
         assert policy.rate_for(TrustLevel.STANDARD) == 1.0
-        assert policy.probes_for(TrustLevel.QUARANTINED) == 2
-        assert policy.probes_for(TrustLevel.TRUSTED) == 0
 
 
 class TestPromotion:

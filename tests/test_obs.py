@@ -18,8 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import registry
-from repro.bench.runner import run_experiment
 from repro.cluster.spec import ChaosSpec
 from repro.cluster.workload import churn_script, trail_mismatches
 from repro.obs import __main__ as obs_cli
@@ -31,9 +29,8 @@ from repro.obs.timeline import (
     load_records,
     open_spans,
     render_timeline,
-    stage_shares,
 )
-from repro.obs.trace import Stopwatch, TraceContext, record_collector
+from repro.obs.trace import Stopwatch, TraceContext
 from repro.pvr.scenarios import serve_network
 from repro.serve import ChurnRequest as ServeChurnRequest
 from repro.serve import VerificationService
@@ -142,16 +139,6 @@ class TestTraceContext:
         tracer.finish(tracer.begin("stage"))
         assert len(tracer.take_records()) == 1
         assert tracer.take_records() == ()
-
-    def test_record_collector_sees_every_context(self):
-        with record_collector() as records:
-            a, b = TraceContext("a"), TraceContext("b")
-            a.finish(a.begin("one"))
-            b.finish(b.begin("two"))
-        assert {r["id"] for r in records} == {"a:1", "b:1"}
-        # sink uninstalled on exit
-        a.finish(a.begin("three"))
-        assert len(records) == 2
 
     def test_stopwatch_measures(self):
         with Stopwatch() as watch:
@@ -282,25 +269,6 @@ SYNTHETIC = [
 
 
 class TestTimelineAnalysis:
-    def test_stage_shares_exclude_containers_and_open_spans(self):
-        shares = stage_shares(SYNTHETIC)
-        # c:1/c:6 are containers, c:8 never closed: 5 stage spans
-        assert shares["spans"] == 5
-        assert shares["total_seconds"] == pytest.approx(0.1 + 0.6 + 0.3
-                                                        + 0.1 + 1.9)
-        assert set(shares["by_stage"]) == {"plan", "slice", "merge"}
-        assert sum(shares["by_stage"].values()) == pytest.approx(1.0)
-        assert shares["by_stage"]["slice"] == pytest.approx(
-            2.8 / 3.0
-        )
-
-    def test_stage_shares_of_nothing(self):
-        shares = stage_shares([])
-        assert shares == {
-            "spans": 0, "total_seconds": 0.0,
-            "by_stage": {}, "seconds_by_stage": {},
-        }
-
     def test_critical_path_names_dominant_stage_and_worker(self):
         path = critical_path(SYNTHETIC)
         assert sorted(path) == [1, 2]
@@ -324,6 +292,11 @@ class TestTimelineAnalysis:
         assert rows["plan"]["delta_seconds"] == pytest.approx(-0.1)
         assert rows["merge"]["a_seconds"] == 0.0
         assert rows["merge"]["b_seconds"] == pytest.approx(0.3)
+        # c:1/c:6 are containers, c:8 never closed: neither is a stage
+        rows = {row["stage"]: row for row in diff_traces([], SYNTHETIC)}
+        assert set(rows) == {"plan", "slice", "merge"}
+        assert rows["slice"]["b_seconds"] == pytest.approx(0.6 + 0.3 + 1.9)
+        assert diff_traces([], []) == []
 
     def test_open_spans_filter_by_worker(self):
         assert [r["id"] for r in open_spans(SYNTHETIC)] == ["c:8"]
@@ -483,36 +456,6 @@ class TestTraceParity:
         assert trail_mismatches(traced, untraced) == []
         # and both match the unsharded reference
         assert trail_mismatches(traced, reference_trail(spec, requests)) == []
-
-
-# -- the bench seam -----------------------------------------------------------
-
-
-class TestBenchTraceSummary:
-    def test_run_experiment_attributes_stage_shares_under_timing(self):
-        def fn(ctx):
-            tracer = TraceContext("x")
-            with tracer.span("epoch", epoch=1):
-                with tracer.span("plan", epoch=1):
-                    pass
-            return {"events": 1}
-
-        spec = registry.ExperimentSpec(
-            name="obs-probe", description="trace summary seam",
-            fn=fn, params={}, quick={},
-        )
-        record = run_experiment(spec, quick=True)
-        trace = record["metrics"]["timing"]["trace"]
-        assert trace["spans"] == 1  # "epoch" is a container
-        assert set(trace["by_stage"]) == {"plan"}
-
-    def test_traceless_experiments_gain_no_timing_key(self):
-        spec = registry.ExperimentSpec(
-            name="obs-empty", description="no spans",
-            fn=lambda ctx: {"events": 0}, params={}, quick={},
-        )
-        record = run_experiment(spec, quick=True)
-        assert "timing" not in record["metrics"]
 
 
 # -- the forest property across chaos kills -----------------------------------
