@@ -23,16 +23,16 @@ Run:  python examples/serve_demo.py
 
 import asyncio
 
-from repro.promises.spec import ExistentialPromise, ShortestRoute
-from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.scenarios import flap_session, restore_session, serve_network
-from repro.serve import (
+from repro.cluster import (
     AdjudicateRequest,
     AuditProbe,
     ChurnRequest,
     QueryRequest,
-    VerificationService,
 )
+from repro.promises.spec import ExistentialPromise, ShortestRoute
+from repro.pvr.adversary import LongerRouteProver
+from repro.pvr.scenarios import flap_session, restore_session, serve_network
+from repro.serve import VerificationService
 
 SHARDS = 2
 PREFIXES = 6

@@ -146,7 +146,6 @@ class Monitor:
         max_work_per_epoch: Optional[int] = None,
         rng_seed: object = 2011,
         store: Optional[EvidenceStore] = None,
-        pair_filter: Optional[Callable[[str, Prefix], bool]] = None,
         intensity: object = None,
         tracer: Optional[TraceContext] = None,
     ) -> None:
@@ -155,12 +154,6 @@ class Monitor:
         )
         self.max_work_per_epoch = _check_work_bound(max_work_per_epoch)
         self.rng_seed = rng_seed
-        # shard-aware construction: a monitor given a pair_filter owns
-        # only the (AS, prefix) pairs its filter accepts — churn outside
-        # its shard of the policy space is ignored at mark() time, so N
-        # filtered monitors over one network partition the audit load
-        # (see repro.serve.sharding.shard_filter)
-        self.pair_filter = pair_filter
         self.intensity = intensity
         # the obs seam: hosts (serve service, cluster worker) hand the
         # monitor their own context so plan/epoch spans share one trace
@@ -316,10 +309,7 @@ class Monitor:
     def mark(self, asn: str, prefix: Prefix) -> None:
         """Mark (``asn``, ``prefix``) dirty for the next epoch.  Fresh
         churn resets any resume state a deferred pair carried: every
-        tuple of the pair is audited again.  A pair outside the
-        monitor's ``pair_filter`` (its shard) is silently ignored."""
-        if self.pair_filter is not None and not self.pair_filter(asn, prefix):
-            return
+        tuple of the pair is audited again."""
         self._dirty[(asn, prefix)] = None
 
     def resync(self) -> int:

@@ -21,7 +21,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -104,9 +103,8 @@ class EvidenceStore:
         """Fold foreign events (another store's stream) into this one.
 
         Each event is re-recorded under a fresh local sequence number,
-        in the order given — the caller owns the merge order.  This is
-        the primitive behind :meth:`merged` and the sharded service's
-        per-shard stream folding.
+        in the order given — the caller owns the merge order (the
+        cluster coordinator folds its workers' slices in plan order).
         """
         return [
             self.record(dataclasses.replace(event, seq=self.next_seq()))
@@ -148,47 +146,6 @@ class EvidenceStore:
         self._tail = deque(events[pinned:])
         self.evicted = int(state["evicted"])
         self._seq = int(state["seq"])
-
-    @classmethod
-    def merged(
-        cls,
-        stores: Sequence["EvidenceStore"],
-        *,
-        keystore: Optional[KeyStore] = None,
-        key: Optional[Callable[[VerdictEvent], tuple]] = None,
-        max_events: Optional[int] = None,
-    ) -> "EvidenceStore":
-        """One queryable view over several stores' trails.
-
-        Events are interleaved in a deterministic canonical order —
-        by default ``(epoch, asn, prefix, policy, round)``, which is
-        independent of which shard recorded what first — and re-seq'd
-        into the merged store.  Out-of-epoch audits (``epoch=None``:
-        probes, :meth:`~repro.audit.monitor.Monitor.audit_once`) sort
-        *after* all epoch work at their round position, matching when
-        they actually ran.  Used to fold the per-shard stores of
-        pair-filtered monitors (see
-        :func:`repro.serve.sharding.shard_filter`) and the per-worker
-        trails of a :class:`repro.cluster.cluster.Cluster` into a
-        single view.
-        """
-        if key is None:
-            key = lambda e: (
-                e.epoch if e.epoch is not None else float("inf"),
-                e.asn,
-                str(e.prefix),
-                e.policy,
-                e.round,
-            )
-        merged = cls(
-            keystore if keystore is not None else next(
-                (s.keystore for s in stores if s.keystore is not None), None
-            ),
-            max_events=max_events,
-        )
-        events = [e for store in stores for e in store.events()]
-        merged.absorb(sorted(events, key=key))
-        return merged
 
     def subscribe(self, callback: Callable[[VerdictEvent], None]) -> None:
         """Call ``callback`` with every subsequently recorded event."""

@@ -33,8 +33,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
 
+from repro.audit.choosers import ChooserRef, resolve as resolve_chooser
 from repro.bgp.network import BGPNetwork
 from repro.crypto.keystore import KeyStore
+from repro.obs.trace import Stopwatch
 from repro.pvr.engine import VerificationSession
 from repro.pvr.session import PromiseSpec, SessionReport
 from repro.util.rng import DeterministicRandom
@@ -236,20 +238,27 @@ def _run_wire_round(
     _drain_round(network, spec.prover)
     report = session.verify(received=received)
 
-    stats = RoundStats(
-        prover=spec.prover,
-        recipient=spec.recipient,
-        providers=spec.providers,
-        recipients=spec.recipients,
+    return report, _round_stats(
+        report,
         messages=transport.delivered - messages_before,
         bytes=transport.bytes_sent - bytes_before,
         signatures=keystore.sign_count - sign_before,
         verifications=keystore.verify_count - verify_before,
         wall_seconds=time.perf_counter() - started,
+    )
+
+
+def _round_stats(report: SessionReport, **costs) -> RoundStats:
+    spec = report.spec
+    return RoundStats(
+        prover=spec.prover,
+        recipient=spec.recipient,
+        providers=spec.providers,
+        recipients=spec.recipients,
         violations=sum(len(v.violations) for v in report.verdicts.values()),
         equivocations=len(report.equivocations),
+        **costs,
     )
-    return report, stats
 
 
 def modeled_wire_stats(
@@ -262,10 +271,10 @@ def modeled_wire_stats(
     """The (messages, bytes) a :func:`run_wire_round` of this session
     would have recorded, computed without a network.
 
-    Shard and cluster workers verify off-wire; replaying the transport
-    cost model here is what makes a sharded round report the *same*
-    byte/message counts as the serial wire path instead of zero.  The
-    model mirrors the wire round exactly — one message per signed
+    :func:`run_offwire_round` verifies in memory; replaying the
+    transport cost model here is what makes a sharded round report the
+    *same* byte/message counts as the serial wire path instead of zero.
+    The model mirrors the wire round exactly — one message per signed
     announcement, one view per party, the commitment statement broadcast
     to every neighbor of the prover — and prices each payload with
     :func:`repro.net.simnet.estimate_size`, the same function the
@@ -288,6 +297,67 @@ def modeled_wire_stats(
         messages += neighbor_count
         total += neighbor_count * estimate_size(CommitPayload(statement))
     return messages, total
+
+
+def run_offwire_round(
+    keystore: KeyStore,
+    spec: PromiseSpec,
+    routes: Mapping[str, object],
+    *,
+    round: int,
+    rng_seed: object,
+    chooser: ChooserRef = None,
+    neighbor_count: int = 0,
+) -> Tuple[SessionReport, RoundStats]:
+    """Replay one planned round in memory: the same pair
+    :func:`run_wire_round` returns, computed without a network.
+
+    Same spec, round, inputs and ``round_randomness(rng_seed, round)``
+    nonce stream ⇒ same bytes as the monitor's wire round, which is why
+    shard workers execute fresh plan entries through this and the serve
+    and cluster parity self-checks re-prove sampled verdicts through it.
+    The session is driven phase by phase so its artifacts feed
+    :func:`modeled_wire_stats`.  Crypto runs on a fresh worker view of
+    ``keystore``: the round's counts land in the returned stats and the
+    caller's counters do not move (fold them in with
+    :meth:`~repro.crypto.keystore.KeyStore.add_counts`).
+    """
+    view = keystore.worker_view()
+    with Stopwatch() as watch:
+        session = VerificationSession(
+            view,
+            spec,
+            round=round,
+            chooser=resolve_chooser(chooser),
+            random_bytes=round_randomness(rng_seed, round),
+        )
+        announcements = session.announce(routes)
+        statement = session.commit()
+        views = session.disclose()
+        report = session.verify()
+        messages, wire_bytes = modeled_wire_stats(
+            session, announcements, views, statement, neighbor_count
+        )
+    return report, _round_stats(
+        report,
+        messages=messages,
+        bytes=wire_bytes,
+        signatures=view.sign_count,
+        verifications=view.verify_count,
+        wall_seconds=watch.seconds,
+    )
+
+
+def reports_match(replay: SessionReport, report: SessionReport) -> bool:
+    """Whether a replayed round proved exactly what the recorded one
+    did: verdicts, equivocations, evidence and complaints — the
+    comparison the online parity self-checks count failures of."""
+    return (
+        replay.verdicts == report.verdicts
+        and replay.equivocations == report.equivocations
+        and replay.all_evidence() == report.all_evidence()
+        and replay.all_complaints() == report.all_complaints()
+    )
 
 
 def _collect_views(

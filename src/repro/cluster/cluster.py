@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.audit.choosers import resolve as resolve_chooser
 from repro.audit.events import (
     EpochOutcome,
     EpochReport,
@@ -69,8 +68,7 @@ from repro.audit.events import (
     reused_event,
 )
 from repro.audit.store import EvidenceStore
-from repro.audit.wire import round_randomness
-from repro.pvr.engine import VerificationSession
+from repro.audit.wire import reports_match, run_offwire_round
 
 from repro.cluster.admission import ShedError
 from repro.cluster.fold import FoldError, SliceFold
@@ -1549,23 +1547,16 @@ class Cluster:
             chooser = self._choosers.get(event.policy)
             if callable(chooser) and not isinstance(chooser, str):
                 continue  # a live chooser cannot be replayed here
-            replay = VerificationSession(
-                self.keystore.worker_view(),
+            replay, _ = run_offwire_round(
+                self.keystore,
                 event.spec,
+                event.routes,
                 round=event.round,
-                chooser=resolve_chooser(chooser),
-                random_bytes=round_randomness(
-                    self.spec.rng_seed, event.round
-                ),
-            ).run(dict(event.routes))
+                rng_seed=self.spec.rng_seed,
+                chooser=chooser,
+            )
             checked += 1
-            report = event.report
-            if (
-                replay.verdicts != report.verdicts
-                or replay.equivocations != report.equivocations
-                or replay.all_evidence() != report.all_evidence()
-                or replay.all_complaints() != report.all_complaints()
-            ):
+            if not reports_match(replay, event.report):
                 failed += 1
         self.metrics.note_parity(checked, failed)
         if failed:
@@ -1576,20 +1567,6 @@ class Cluster:
             self._dump_flight(
                 f"{failed} of {checked} parity self-checks failed"
             )
-
-    def merged_view(self) -> EvidenceStore:
-        """One queryable store folded from every worker's *own* trail
-        via :meth:`~repro.audit.store.EvidenceStore.merged` — the
-        distributed-query path.  (The authoritative plan-ordered trail
-        is :attr:`evidence`, folded incrementally as epochs land.)"""
-        stores = []
-        for events in self._broadcast(("events",)):
-            if events is None:
-                continue
-            store = EvidenceStore()
-            store.absorb(events)
-            stores.append(store)
-        return EvidenceStore.merged(stores, keystore=self.keystore)
 
     def worker_counts(self) -> List[Dict[str, int]]:
         """Each worker's crypto/transport counters (debug/metrics)."""

@@ -47,9 +47,6 @@ SCHEMA = "repro.cluster/metrics"
 #: ``workers`` section and ``respawns``.
 SCHEMA_VERSION = 5
 
-# kept importable under the old private name for callers that reached in
-_TypeMetrics = TypeMetrics
-
 
 class ClusterMetrics:
     """The cluster coordinator's service-wide ledger."""

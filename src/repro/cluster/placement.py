@@ -1,14 +1,14 @@
 """Placement: who owns which slice of the (AS, prefix) policy space.
 
-The serve layer's original partition was a fixed ``sha256 % N`` — baked
-into the executor, impossible to change without restarting, and blind
-to skew.  A :class:`Placement` turns the partition into a *value*: an
-immutable, picklable object mapping every (AS, prefix) pair to a shard,
-shippable to workers and swappable online.  Three strategies:
+A :class:`Placement` is the partition as a *value*: an immutable,
+picklable object mapping every (AS, prefix) pair to a shard, shippable
+to workers and swappable online.  It matters where a worker owns
+per-region state (the cluster's commitment caches); the serve layer's
+stateless pool has none and takes no placement.  Three strategies:
 
-* :class:`StaticHash` — the classic modulo partition (and the exact
-  semantics the PR-4 serve layer shipped with: ``StaticHash(n).owner``
-  equals the old ``shard_of(asn, prefix, n)`` bit for bit);
+* :class:`StaticHash` — the classic modulo partition
+  (``pair_key(asn, prefix) % n``, pinned bit for bit by
+  ``tests/test_cluster.py``);
 * :class:`ConsistentHash` — a virtual-node hash ring.  Adding or
   removing a shard moves only the keys whose ring segment changed
   (expected K/N of K keys), and every key that moves lands on the
@@ -16,7 +16,7 @@ shippable to workers and swappable online.  Three strategies:
   cheap, because only the migrated slice's commitment-cache entries
   travel;
 * :class:`HotSplit` — a slot-mapped partition driven by the observed
-  per-shard load (the metrics the serve layer already exports):
+  per-shard load (the cluster metrics' ``placement.load`` map):
   :meth:`HotSplit.rebalance` splits the hottest shard's slots with the
   coldest shard, deterministically, between epochs.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "ConsistentHash",
@@ -64,19 +64,6 @@ class Placement:
 
     def owner(self, asn: str, prefix: object) -> int:
         raise NotImplementedError
-
-    def pair_filter(self, index: int) -> Callable[[str, object], bool]:
-        """A ``Monitor(pair_filter=...)`` predicate selecting one shard."""
-        if not 0 <= index < self.shards:
-            raise ValueError(
-                f"shard index {index} outside 0..{self.shards - 1}"
-            )
-
-        def accepts(asn: str, prefix: object) -> bool:
-            return self.owner(asn, prefix) == index
-
-        accepts.__name__ = f"shard_{index}_of_{self.shards}"
-        return accepts
 
     def describe(self) -> Dict[str, object]:
         """A JSON-able summary for metrics snapshots."""

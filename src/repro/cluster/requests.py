@@ -4,9 +4,6 @@ One set of request types serves both front-ends — the single-process
 asyncio :class:`~repro.serve.service.VerificationService` and the
 multi-process :class:`~repro.cluster.cluster.Cluster` — so a workload
 schedule built once (:mod:`repro.serve.loadgen`) drives either.
-Historically these lived in ``repro.serve.service``; they moved here
-when the cluster API subsumed the serve-layer seams (``repro.serve``
-re-exports them, so existing imports keep working).
 
 Churn *steps* may be live callables (``step(network)``) or picklable
 ``(builder, args)`` pairs resolved through

@@ -253,7 +253,7 @@ class ClusterSpec:
         from the shared seed)."""
         return KeyStore(seed=self.rng_seed, key_bits=self.key_bits)
 
-    def build_monitor(self, *, pair_filter=None) -> Monitor:
+    def build_monitor(self) -> Monitor:
         """The unsharded reference: one plain monitor, same network,
         same policies, same seeds — the parity oracle.  With a
         ``ledger`` configured, the monitor gets its own
@@ -279,7 +279,6 @@ class ClusterSpec:
             rng_seed=self.rng_seed,
             max_work_per_epoch=self.max_work,
             store=store,
-            pair_filter=pair_filter,
             intensity=intensity,
         ).attach(self.network())
         monitor.ledger = ledger

@@ -89,7 +89,6 @@ COMMANDS = (
                     #       "chunks", "size", "digest"} for a bootstrap
                     #       spawn (the coordinator reassembles)
     "describe",     # () -> planning-state summary (recovery adoption)
-    "events",       # () -> this worker's own evidence trail
     "counts",       # () -> crypto/transport counters
     "stop",         # () -> None (the worker exits)
 )
@@ -132,10 +131,10 @@ class ClusterWorkerMonitor(Monitor):
     """A monitor that plans globally but executes only its placement's
     share.
 
-    No ``pair_filter`` is installed: *marks are global*, so the plan —
-    and with it round allocation — is identical on every worker and on
-    the unsharded reference.  Ownership is enforced at execution time
-    instead, against the current (swappable) placement.
+    *Marks are global*, so the plan — and with it round allocation —
+    is identical on every worker and on the unsharded reference.
+    Ownership is enforced at execution time instead, against the
+    current (swappable) placement.
     """
 
     def __init__(
@@ -641,9 +640,6 @@ class WorkerState:
                 router = self.network.router(asn)
                 router.add_decision_hook(on_decision)
                 router.add_resync_hook(on_resync)
-
-    def _do_events(self):
-        return self.monitor.evidence.events()
 
     def _do_counts(self):
         return {

@@ -551,10 +551,11 @@ def serve_network(prefix_count: int = 8):
     The Figure 1 topology plus a second customer ``B2`` at A (so the
     promise-4 cross-check has two comparable recipients), with
     ``prefix_count`` prefixes all originated at O — every (A, prefix)
-    pair is a distinct shard key, which is what makes the sharded
-    service's partition (and the load generator's hot-prefix Zipf skew)
-    observable.  Returns ``(network, prefixes)`` with ``prefixes`` in
-    rank order (index 0 is the load generator's hot head).
+    pair is a distinct audited tuple, which is what gives the sharded
+    service rounds to fan out (and makes the load generator's
+    hot-prefix Zipf skew observable).  Returns ``(network, prefixes)``
+    with ``prefixes`` in rank order (index 0 is the load generator's
+    hot head).
     """
     if prefix_count < 1:
         raise ValueError(f"prefix_count must be >= 1, got {prefix_count}")

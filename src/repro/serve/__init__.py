@@ -1,28 +1,27 @@
-"""``repro.serve``: the sharded, asynchronous verification service.
+"""``repro.serve``: the asynchronous verification service.
 
 The audit plane (:mod:`repro.audit`) verifies; this package *serves* —
-the layer that turns one monitor into something that fronts heavy
-traffic.  Its seams are the cluster API's (:mod:`repro.cluster`): the
-request vocabulary, :class:`~repro.cluster.placement.Placement` and
-:class:`~repro.cluster.admission.AdmissionPolicy` are shared with the
-multi-process :class:`~repro.cluster.cluster.Cluster`, and this module
-re-exports them, so ``from repro.serve import ChurnRequest`` keeps
-working.  The request lifecycle is **admit → shard → verify → merge**:
+an admission queue over a stateless pool of round workers, turning one
+monitor into something that fronts heavy traffic.  The request
+vocabulary and the :class:`~repro.cluster.admission.AdmissionPolicy`
+seam are the cluster API's — import them from :mod:`repro.cluster`;
+this package exports what it defines.  The request lifecycle is
+**admit → shard → verify → merge**:
 
 * :class:`~repro.serve.service.VerificationService` — an asyncio
-  front-end with a bounded admission queue and churn coalescing; three
-  request types (:class:`~repro.serve.service.ChurnRequest`,
-  :class:`~repro.serve.service.QueryRequest`,
-  :class:`~repro.serve.service.AdjudicateRequest`);
-* :mod:`~repro.serve.sharding` — the (AS, prefix) shard key,
-  :class:`~repro.serve.sharding.ShardExecutor` fanning each epoch's
-  fresh verifications across worker processes
-  (:class:`~repro.serve.sharding.ShardPool`), and
-  :func:`~repro.serve.sharding.shard_filter` for distributed
-  pair-filtered monitors;
-* :mod:`~repro.serve.merge` — folds per-shard outcome streams back into
-  the evidence store in plan order, byte-identical to an unsharded
-  monitor run;
+  front-end with a bounded admission queue and churn coalescing over
+  the three request types (:class:`~repro.cluster.requests.ChurnRequest`,
+  :class:`~repro.cluster.requests.QueryRequest`,
+  :class:`~repro.cluster.requests.AdjudicateRequest`);
+* :mod:`~repro.serve.sharding` —
+  :class:`~repro.serve.sharding.ShardExecutor` dealing each epoch's
+  fresh verifications evenly across worker processes
+  (:class:`~repro.serve.sharding.ShardPool`), each one an off-wire
+  replay of its planned round
+  (:func:`repro.audit.wire.run_offwire_round`);
+* :mod:`~repro.serve.merge` — folds the executed rounds back into the
+  evidence store in plan order, byte-identical to an unsharded monitor
+  run;
 * :mod:`~repro.serve.loadgen` — deterministic open-loop workloads
   (churn bursts, query storms, violation injection, Zipf hot-prefix
   skew), optionally routed over :mod:`repro.net.simnet` links;
@@ -33,19 +32,6 @@ working.  The request lifecycle is **admit → shard → verify → merge**:
 Run ``python -m repro.serve`` for the service + load-generator CLI.
 """
 
-from repro.cluster.admission import (
-    AdmissionPolicy,
-    DeadlineShed,
-    PriorityAdmission,
-    RejectAtDoor,
-    ShedError,
-)
-from repro.cluster.placement import (
-    ConsistentHash,
-    HotSplit,
-    Placement,
-    StaticHash,
-)
 from repro.serve.loadgen import (
     LoadProfile,
     LoadReport,
@@ -59,55 +45,22 @@ from repro.serve.loadgen import (
     run_scripted,
     table_reset,
 )
-from repro.serve.merge import MergeError, fold_plan, shard_streams
+from repro.serve.merge import MergeError, fold_plan
 from repro.serve.metrics import LatencySeries, ServeMetrics
-from repro.serve.service import (
-    AdjudicateRequest,
-    AdmissionError,
-    AuditProbe,
-    ChurnRequest,
-    Completion,
-    EpochOutcome,
-    QueryRequest,
-    VerificationService,
-)
-from repro.serve.sharding import (
-    ShardExecutor,
-    ShardOutcome,
-    ShardTask,
-    shard_filter,
-    shard_key,
-    shard_of,
-)
+from repro.serve.service import VerificationService
+from repro.serve.sharding import ShardExecutor, ShardTask
 
 __all__ = [
-    "AdjudicateRequest",
-    "AdmissionError",
-    "AdmissionPolicy",
-    "AuditProbe",
-    "ChurnRequest",
-    "Completion",
-    "ConsistentHash",
-    "DeadlineShed",
-    "EpochOutcome",
-    "HotSplit",
     "LatencySeries",
     "LoadProfile",
     "LoadReport",
     "MergeError",
     "Op",
-    "Placement",
-    "PriorityAdmission",
-    "QueryRequest",
-    "RejectAtDoor",
     "ServeMetrics",
     "ServeWorkload",
     "ShardExecutor",
-    "ShardOutcome",
     "ShardTask",
-    "ShedError",
     "SimnetGateway",
-    "StaticHash",
     "VerificationService",
     "ZipfSampler",
     "build_schedule",
@@ -115,9 +68,5 @@ __all__ = [
     "fold_plan",
     "run_open_loop",
     "run_scripted",
-    "shard_filter",
-    "shard_key",
-    "shard_of",
-    "shard_streams",
     "table_reset",
 ]

@@ -72,16 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--shards", type=int, default=2, metavar="N",
                         help="worker shards (default: 2)")
-    parser.add_argument("--placement", default="static",
-                        choices=["static", "consistent", "hotsplit"],
-                        help="shard placement strategy (default: static)")
     parser.add_argument("--admission", default="reject", metavar="SPEC",
                         help='admission policy: "reject", "deadline[:S]", '
                         '"priority", "trust" or "adaptive[:S]" '
                         '(default: reject; --controller implies adaptive)')
-    parser.add_argument("--rebalance-every", type=int, default=0,
-                        metavar="N", help="hot-split rebalance every N "
-                        "epochs (hotsplit placement; default: off)")
     parser.add_argument("--prefixes", type=int, default=8, metavar="P",
                         help="prefixes originated in the scenario "
                         "(default: 8)")
@@ -144,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def serve_and_load(args) -> tuple:
-    from repro.cluster.placement import make_placement
     from repro.pvr.scenarios import serve_network
 
     admission = args.admission
@@ -168,7 +161,6 @@ async def serve_and_load(args) -> tuple:
     service = VerificationService(
         network,
         shards=args.shards,
-        placement=make_placement(args.placement, args.shards),
         admission=admission,
         key_bits=args.key_bits,
         rng_seed=args.seed,
@@ -177,7 +169,6 @@ async def serve_and_load(args) -> tuple:
         max_events=args.max_events,
         backend=args.backend,
         parity_sample=args.parity_sample,
-        rebalance_every=args.rebalance_every,
         controller=control_policy,
     )
     service.policy("A", ShortestRoute(), recipients=("B",), max_length=8)
@@ -371,8 +362,8 @@ def main(argv=None) -> int:
     )
     if shard_rows:
         print_table(
-            "events per shard (hot-prefix skew)",
-            ["shard", "fresh verifications"],
+            "fresh verifications per shard batch",
+            ["shard", "rounds"],
             shard_rows,
         )
 

@@ -64,29 +64,20 @@ def run_workload(
     simnet_latency: Optional[float] = None,
     drop_rate: float = 0.0,
     backend: object = None,
-    placement: object = None,
     admission: object = None,
-    rebalance_every: int = 0,
 ) -> BenchRun:
     """Drive one generated workload end to end, synchronously.
 
     ``burst`` selects the scripted (deterministic) driver; otherwise the
     open-loop driver runs, honoring ``rate`` on the wall clock.
-    ``placement``/``admission`` pass through to the service (placement
-    may be a strategy name, resolved over ``shards``).
+    ``admission`` passes through to the service.
     """
-    from repro.cluster.placement import make_placement
     from repro.pvr.scenarios import serve_network
 
     network, prefix_list = serve_network(prefixes)
     service = VerificationService(
         network,
         shards=shards,
-        placement=(
-            make_placement(placement, shards)
-            if placement is not None
-            else None
-        ),
         admission=admission,
         key_bits=key_bits,
         rng_seed=seed,
@@ -94,7 +85,6 @@ def run_workload(
         batch_max=batch_max,
         parity_sample=parity_sample,
         backend=backend,
-        rebalance_every=rebalance_every,
     )
     service.policy(
         "A", ShortestRoute(), recipients=("B",),

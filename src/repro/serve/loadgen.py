@@ -34,20 +34,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp.prefix import Prefix
 from repro.cluster.admission import ShedError
+from repro.cluster.requests import (
+    AdjudicateRequest,
+    AdmissionError,
+    AuditProbe,
+    ChurnRequest,
+    QueryRequest,
+)
 from repro.control.signals import LatencySeries
 from repro.net import simnet
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import bounce_session, reoriginate_origin
 from repro.util.rng import DeterministicRandom
 
-from repro.serve.service import (
-    AdmissionError,
-    AuditProbe,
-    ChurnRequest,
-    QueryRequest,
-    AdjudicateRequest,
-    VerificationService,
-)
+from repro.serve.service import VerificationService
 
 __all__ = [
     "LoadProfile",

@@ -1,11 +1,12 @@
-"""The merger: folding per-shard outcome streams back into one trail.
+"""The merger: folding executed rounds back into one trail.
 
 Shard workers finish out of order; the evidence store is append-only
 and its sequence numbers are the audit trail's spine.  The merger walks
 the epoch *plan* — the canonical order — and records each entry from
-whichever stream produced it: the reuse cache, a shard worker's
-outcome, or the monitor's own wire round (entries a sharded executor
-could not take, e.g. custom-chooser policies).  Recording goes through
+whichever source produced it: the reuse cache, or the ``(report,
+stats)`` result of its round — run off-wire on a shard worker, or on
+the monitor's own wire path (entries a sharded executor could not take,
+e.g. custom-chooser policies).  Recording goes through
 :meth:`~repro.audit.monitor.Monitor.record_planned` /
 :meth:`~repro.audit.monitor.Monitor.emit_reused`, so the merged store
 is *byte-identical* to what a serial, unsharded
@@ -17,83 +18,53 @@ four protocol variants.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping
 
 from repro.audit.events import EpochReport
-from repro.audit.monitor import EpochPlan, Monitor, PlannedItem
-from repro.audit.wire import RoundStats
-from repro.pvr.session import SessionReport
+from repro.audit.monitor import EpochPlan, Monitor
 
-from repro.serve.sharding import ShardOutcome
+from repro.serve.sharding import RoundResult
 
-__all__ = ["MergeError", "fold_plan", "shard_streams", "stats_from_outcome"]
+__all__ = ["MergeError", "fold_plan"]
 
 
 class MergeError(RuntimeError):
     """A plan entry has no outcome, or an outcome contradicts its plan."""
 
 
-def stats_from_outcome(
-    entry: PlannedItem, outcome: ShardOutcome
-) -> RoundStats:
-    """Wire-round-shaped cost accounting for a shard-executed session.
-
-    Shard workers verify in memory but *replay the wire cost model*
-    (:func:`repro.audit.wire.modeled_wire_stats`), so the byte/message
-    counters here match what the serial wire path records for the same
-    round; crypto counts and wall time are the worker's own.
-    """
-    spec = entry.item.spec
-    report = outcome.report
-    return RoundStats(
-        prover=spec.prover,
-        recipient=spec.recipient,
-        providers=spec.providers,
-        recipients=spec.recipients,
-        messages=outcome.messages,
-        bytes=outcome.bytes,
-        signatures=outcome.signatures,
-        verifications=outcome.verifications,
-        wall_seconds=outcome.wall_seconds,
-        violations=sum(len(v.violations) for v in report.verdicts.values()),
-        equivocations=len(report.equivocations),
-    )
-
-
 def fold_plan(
     monitor: Monitor,
     plan: EpochPlan,
-    outcomes: Mapping[int, ShardOutcome],
-    local: Optional[Mapping[int, Tuple[SessionReport, RoundStats]]] = None,
+    outcomes: Mapping[int, RoundResult],
 ) -> EpochReport:
     """Record one executed plan into the monitor's evidence store.
 
-    ``outcomes`` maps plan positions to shard results; ``local`` to
-    results the service executed on the monitor's own wire path.  Every
-    fresh entry must appear in exactly one of the two — a hole or an
-    outcome whose round/spec disagrees with the plan raises
-    :class:`MergeError` (and counts as a parity failure upstream) rather
-    than silently corrupting the trail.
+    ``outcomes`` maps plan positions to executed rounds — shard results
+    and the monitor's local wire rounds alike.  Every fresh entry must
+    appear in it: a hole, or an outcome whose round/spec disagrees with
+    the plan, raises :class:`MergeError` (and counts as a parity failure
+    upstream) rather than silently corrupting the trail.
     """
-    if local is None:
-        local = {}
     report = EpochReport(epoch=plan.epoch)
     report.deferred.extend(plan.deferred)
     for position, entry in enumerate(plan.entries):
         if not entry.fresh:
             event = monitor.emit_reused(entry, epoch=plan.epoch)
         else:
-            if position in outcomes:
-                outcome = outcomes[position]
-                _check_outcome(entry, outcome)
-                session_report = outcome.report
-                stats = stats_from_outcome(entry, outcome)
-            elif position in local:
-                session_report, stats = local[position]
-            else:
+            if position not in outcomes:
                 raise MergeError(
                     f"plan position {position} "
                     f"({entry.item.asn}, {entry.item.prefix}) has no outcome"
+                )
+            session_report, stats = outcomes[position]
+            if session_report.round != entry.round:
+                raise MergeError(
+                    f"outcome round {session_report.round} != "
+                    f"planned {entry.round}"
+                )
+            if session_report.spec != entry.item.spec:
+                raise MergeError(
+                    f"outcome spec diverged from plan at position {position}"
                 )
             event = monitor.record_planned(
                 entry, session_report, stats, epoch=plan.epoch
@@ -102,25 +73,3 @@ def fold_plan(
     report.signatures = sum(e.stats.signatures for e in report.events)
     report.verifications = sum(e.stats.verifications for e in report.events)
     return report
-
-
-def _check_outcome(entry: PlannedItem, outcome: ShardOutcome) -> None:
-    if outcome.report.round != entry.round:
-        raise MergeError(
-            f"outcome round {outcome.report.round} != planned {entry.round}"
-        )
-    if outcome.report.spec != entry.item.spec:
-        raise MergeError(
-            f"outcome spec diverged from plan at position {outcome.position}"
-        )
-
-
-def shard_streams(
-    outcomes: Mapping[int, ShardOutcome],
-) -> Dict[int, List[ShardOutcome]]:
-    """Group outcomes back into their per-shard streams (metrics/debug)."""
-    streams: Dict[int, List[ShardOutcome]] = {}
-    for position in sorted(outcomes):
-        outcome = outcomes[position]
-        streams.setdefault(outcome.shard, []).append(outcome)
-    return streams

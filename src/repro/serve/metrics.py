@@ -8,7 +8,7 @@ answers nearest-rank percentiles exactly (no streaming sketch — sample
 counts here are bounded by the workload, and exactness keeps reported
 percentiles reproducible to the sample).  :class:`ServeMetrics` is the
 service-wide ledger: per-request-type admission counters and latency
-series, per-shard event counts (hot-shard skew), epoch/coalescing
+series, per-shard event counts, epoch/coalescing
 counters with per-epoch wall-clock and batch sizes, and the
 verdict-parity self-check tallies the CI smoke job gates on.
 ``snapshot()`` emits the schema-versioned unified envelope
@@ -33,9 +33,6 @@ SCHEMA = "repro.serve/metrics"
 #: carrying the controller snapshot when the control plane is enabled
 SCHEMA_VERSION = 3
 
-# kept importable under the old private name for callers that reached in
-_TypeMetrics = TypeMetrics
-
 
 class ServeMetrics:
     """The service-wide ledger, shared by service, loadgen and CLI."""
@@ -59,7 +56,6 @@ class ServeMetrics:
         # sharding
         self.shards = 0
         self.shard_events: Dict[int, int] = {}
-        self.rebalances: List[Dict[str, object]] = []
         # verdict-parity self-checks (CI gates on failed == 0)
         self.parity_checked = 0
         self.parity_failed = 0
@@ -122,10 +118,6 @@ class ServeMetrics:
     def note_shard(self, shard: int, events: int) -> None:
         self.shard_events[shard] = self.shard_events.get(shard, 0) + events
 
-    def note_rebalance(self, placement: Dict[str, object]) -> None:
-        """A hot-split placement swap between epochs."""
-        self.rebalances.append(placement)
-
     def note_parity(self, checked: int, failed: int) -> None:
         self.parity_checked += checked
         self.parity_failed += failed
@@ -168,7 +160,7 @@ class ServeMetrics:
             placement=placement_section(
                 spec={"shards": self.shards},
                 load=self.shard_events,
-                reshards=self.rebalances,
+                reshards=[],
             ),
             control=(
                 self.control.snapshot() if self.control is not None else None

@@ -11,12 +11,12 @@ lifecycle is **admit → shard → verify → merge**:
   exactly this behaviour;
 * **shard** — the dispatcher coalesces adjacent churn requests into one
   verification epoch (:meth:`~repro.audit.monitor.Monitor.plan_epoch`),
-  and the plan's fresh entries are partitioned by (AS, prefix) shard
-  key across the worker pool;
-* **verify** — each shard's batch runs serially inside its worker
-  process with the rounds and nonce streams the planner pre-allocated;
-* **merge** — the merger folds the per-shard outcome streams back into
-  the single evidence store in plan order, byte-identical to an
+  and the plan's fresh entries are dealt evenly across the stateless
+  worker pool;
+* **verify** — each batch runs serially inside its worker process with
+  the rounds and nonce streams the planner pre-allocated;
+* **merge** — the merger folds the executed rounds back into the
+  single evidence store in plan order, byte-identical to an
   unsharded monitor run (optionally re-proving a sample of fresh
   verdicts as an online parity self-check).
 
@@ -37,18 +37,15 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.audit.choosers import resolve as resolve_chooser
 from repro.audit.events import EpochOutcome, SliceStats
 from repro.audit.monitor import EpochPlan, Monitor
 from repro.audit.store import EvidenceStore
-from repro.audit.wire import round_randomness
+from repro.audit.wire import reports_match, run_offwire_round
 from repro.bgp.network import BGPNetwork
 from repro.cluster.admission import ShedError, make_admission
-from repro.cluster.placement import Placement
 from repro.cluster.requests import (
     AdjudicateRequest,
     AdmissionError,
-    AuditProbe,
     ChurnRequest,
     Completion,
     QueryRequest,
@@ -58,23 +55,13 @@ from repro.cluster.requests import (
 from repro.crypto.keystore import KeyStore
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
-from repro.pvr.engine import VerificationSession
 from repro.pvr.scenarios import apply_step
 
 from repro.serve import merge
 from repro.serve.metrics import ServeMetrics
 from repro.serve.sharding import ShardExecutor
 
-__all__ = [
-    "AdjudicateRequest",
-    "AdmissionError",
-    "AuditProbe",
-    "ChurnRequest",
-    "Completion",
-    "EpochOutcome",
-    "QueryRequest",
-    "VerificationService",
-]
+__all__ = ["VerificationService"]
 
 
 @dataclass
@@ -94,11 +81,8 @@ def _ships_to_shard(chooser) -> bool:
 class VerificationService:
     """The sharded, asynchronous serving layer over one audit monitor.
 
-    ``placement`` (a :class:`~repro.cluster.placement.Placement`)
-    selects the partition strategy — default the static hash over
-    ``shards`` shards; a :class:`~repro.cluster.placement.HotSplit`
-    placement combined with ``rebalance_every=N`` re-splits the hottest
-    shard from the observed load every N epochs.  ``admission`` (an
+    ``shards`` sizes the stateless worker pool each epoch's fresh
+    rounds are dealt across.  ``admission`` (an
     :class:`~repro.cluster.admission.AdmissionPolicy` or spec string)
     selects the overload behaviour — reject at the door (default),
     deadline-based shedding, or per-request-type priorities.
@@ -109,7 +93,6 @@ class VerificationService:
         network: BGPNetwork,
         *,
         shards: int = 1,
-        placement: Optional[Placement] = None,
         admission: object = None,
         keystore: Optional[KeyStore] = None,
         key_bits: int = 512,
@@ -120,7 +103,6 @@ class VerificationService:
         max_events: Optional[int] = None,
         backend: Optional[str] = None,
         parity_sample: int = 0,
-        rebalance_every: int = 0,
         metrics: Optional[ServeMetrics] = None,
         ledger: object = None,
         controller: object = None,
@@ -133,8 +115,6 @@ class VerificationService:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if parity_sample < 0:
             raise ValueError("parity_sample must be >= 0")
-        if rebalance_every < 0:
-            raise ValueError("rebalance_every must be >= 0")
         self.keystore = (
             keystore
             if keystore is not None
@@ -176,28 +156,18 @@ class VerificationService:
                 policy, seed=rng_seed, ledger=self.ledger
             )
         self.network = network
-        if placement is not None:
-            shards = placement.shards
-        self.shards = shards
-        self.executor = ShardExecutor(
-            shards, backend=backend, placement=placement
-        )
+        self.executor = ShardExecutor(shards, backend=backend)
         self.admission = make_admission(admission)
         self.queue_depth = queue_depth
         self.batch_max = batch_max
         self.parity_sample = parity_sample
-        self.rebalance_every = rebalance_every
-        self._epochs_since_rebalance = 0
-        self._shard_load_baseline: dict = {}
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.metrics.shards = shards
         #: the self-regulating control plane: ``None`` (off), ``True``
         #: (default :class:`~repro.control.controller.ControlPolicy`)
         #: or a ``ControlPolicy``.  Fed from epoch walls, per-shard
         #: loads and queue depth; ticked after every epoch — its
-        #: rebalance decisions swap the placement through the same
-        #: hot-split path ``rebalance_every`` uses, and its severity
-        #: feeds any admission policy exposing ``update_signals``
+        #: severity feeds any admission policy exposing ``update_signals``
         #: (:class:`~repro.control.policies.AdaptiveAdmission`).
         self.controller = None
         if controller is not None:
@@ -505,10 +475,15 @@ class VerificationService:
                 "shard-exec", component="serve", epoch=plan.epoch,
                 tasks=len(shardable),
             ):
-                outcomes = self.executor.execute(
+                batches = self.executor.execute(
                     self.keystore, shardable, self.rng_seed,
                     neighbor_counts,
                 )
+            sharded = {
+                position: result
+                for batch in batches
+                for position, result in batch.items()
+            }
             with self.tracer.span(
                 "local", component="serve", epoch=plan.epoch,
                 tasks=len(local_entries),
@@ -521,7 +496,7 @@ class VerificationService:
                 "merge", component="serve", epoch=plan.epoch
             ):
                 report = merge.fold_plan(
-                    self.monitor, plan, outcomes, local
+                    self.monitor, plan, {**sharded, **local}
                 )
         except Exception:
             # planning consumed the dirty marks; a failed execution must
@@ -537,23 +512,24 @@ class VerificationService:
         self.tracer.finish(epoch_span)
         report.wall_seconds = epoch_span.duration
         slices = []
-        for shard, stream in sorted(merge.shard_streams(outcomes).items()):
-            self.metrics.note_shard(shard, len(stream))
-            shard_wall = sum(o.wall_seconds for o in stream)
+        for shard, batch in enumerate(batches):
+            self.metrics.note_shard(shard, len(batch))
+            shard_wall = sum(
+                stats.wall_seconds for _, stats in batch.values()
+            )
             self.tracer.event(
                 "shard", component="serve", epoch=report.epoch,
-                worker=shard, events=len(stream), wall=shard_wall,
+                worker=shard, events=len(batch), wall=shard_wall,
             )
             slices.append(SliceStats(
                 worker=shard,
                 epoch=report.epoch,
-                events=len(stream),
-                fresh=len(stream),
+                events=len(batch),
+                fresh=len(batch),
                 reused=0,
                 wall_seconds=shard_wall,
             ))
-        self._parity_check(plan, outcomes)
-        self._maybe_rebalance()
+        self._parity_check(plan, sharded)
         if self.controller is not None:
             self.controller.observe_epoch(
                 wall_seconds=report.wall_seconds,
@@ -567,11 +543,7 @@ class VerificationService:
         return report, slices
 
     def _control_tick(self) -> None:
-        """One controller evaluation at the epoch boundary.  Rebalance
-        decisions execute through the same hot-split placement-swap
-        path ``rebalance_every`` drives, between epochs — plans, rounds
-        and verdicts stay the central monitor's, so parity is
-        untouched."""
+        """One controller evaluation at the epoch boundary."""
         decisions = self.controller.tick()
         if hasattr(self.admission, "update_signals"):
             self.admission.update_signals(
@@ -579,49 +551,10 @@ class VerificationService:
                 stale_after=self.controller.policy.stale_after,
             )
         for decision in decisions:
-            if decision.action == "rebalance":
-                decision.applied = self._rebalance_now()
-            else:
-                # the serve layer shards execution under one process;
-                # growing the pool is the cluster's move
+            if decision.action in self.controller.PLACEMENT_ACTIONS:
+                # a stateless pool under one process has no slices to
+                # move and no fleet to grow: the cluster's moves
                 decision.applied = False
-
-    def _maybe_rebalance(self) -> None:
-        """Hot-split rebalancing between epochs: feed the observed
-        per-shard load back into a placement that supports it.  Swapping
-        the placement only moves *where* future fresh work runs — plans,
-        rounds and verdicts are the central monitor's, so parity is
-        untouched."""
-        if not self.rebalance_every:
-            return
-        if not hasattr(self.executor.placement, "rebalance"):
-            return
-        self._epochs_since_rebalance += 1
-        if self._epochs_since_rebalance < self.rebalance_every:
-            return
-        self._epochs_since_rebalance = 0
-        self._rebalance_now()
-
-    def _rebalance_now(self) -> bool:
-        """Swap the placement from the load observed SINCE the last
-        decision — the all-time totals would keep a historically hot
-        shard "hottest" long after its slots were split away.  Returns
-        whether the placement actually changed."""
-        placement = self.executor.placement
-        if not hasattr(placement, "rebalance"):
-            return False
-        current = dict(self.metrics.shard_events)
-        window = {
-            shard: count - self._shard_load_baseline.get(shard, 0)
-            for shard, count in current.items()
-        }
-        self._shard_load_baseline = current
-        rebalanced = placement.rebalance(window)
-        if rebalanced == placement:
-            return False
-        self.executor.placement = rebalanced
-        self.metrics.note_rebalance(rebalanced.describe())
-        return True
 
     def _parity_check(self, plan: EpochPlan, outcomes) -> None:
         """Re-prove a sample of fresh verdicts in-process and compare.
@@ -637,24 +570,18 @@ class VerificationService:
         checked = failed = 0
         sampled = sorted(outcomes)[:: self.parity_sample]
         for position in sampled:
-            outcome = outcomes[position]
+            report, _ = outcomes[position]
             entry = plan.entries[position]
-            view = self.keystore.worker_view()
-            replay = VerificationSession(
-                view,
+            replay, _ = run_offwire_round(
+                self.keystore,
                 entry.item.spec,
+                entry.item.routes,
                 round=entry.round,
-                chooser=resolve_chooser(entry.chooser),
-                random_bytes=round_randomness(self.rng_seed, entry.round),
-            ).run(dict(entry.item.routes))
+                rng_seed=self.rng_seed,
+                chooser=entry.chooser,
+            )
             checked += 1
-            report = outcome.report
-            if (
-                replay.verdicts != report.verdicts
-                or replay.equivocations != report.equivocations
-                or replay.all_evidence() != report.all_evidence()
-                or replay.all_complaints() != report.all_complaints()
-            ):
+            if not reports_match(replay, report):
                 failed += 1
         self.metrics.note_parity(checked, failed)
         if failed:

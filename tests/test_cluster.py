@@ -29,6 +29,7 @@ from repro.cluster import (
     make_admission,
     make_placement,
     moved_pairs,
+    pair_key,
 )
 from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
 from repro.promises.spec import (
@@ -38,7 +39,6 @@ from repro.promises.spec import (
     ShortestRoute,
 )
 from repro.pvr.scenarios import serve_network
-from repro.serve.sharding import shard_of
 
 SEED = 2011
 
@@ -54,20 +54,11 @@ class TestStaticHash:
     def test_matches_the_legacy_modulo_partition(self):
         placement = StaticHash(4)
         for asn, prefix in PAIRS[:32]:
-            assert placement.owner(asn, prefix) == shard_of(asn, prefix, 4)
-
-    def test_pair_filter_partitions_exactly(self):
-        placement = StaticHash(3)
-        filters = [placement.pair_filter(i) for i in range(3)]
-        for asn, prefix in PAIRS[:32]:
-            owners = [accepts(asn, prefix) for accepts in filters]
-            assert owners.count(True) == 1
+            assert placement.owner(asn, prefix) == pair_key(asn, prefix) % 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StaticHash(0)
-        with pytest.raises(ValueError):
-            StaticHash(2).pair_filter(2)
 
 
 class TestConsistentHash:
@@ -471,19 +462,6 @@ class TestClusterAdmission:
                 QueryRequest(what="events", prefix=prefixes[0])
             ).payload
             assert all(e.prefix == prefixes[0] for e in events)
-        finally:
-            cluster.stop()
-
-    def test_merged_view_folds_worker_trails(self):
-        spec = make_spec("minimum")
-        cluster = spec.build()
-        try:
-            cluster.request(ChurnRequest())
-            merged = cluster.merged_view()
-            assert len(merged) == len(cluster.evidence)
-            assert sorted(
-                str(e.prefix) for e in merged.events()
-            ) == sorted(str(e.prefix) for e in cluster.evidence.events())
         finally:
             cluster.stop()
 

@@ -54,12 +54,10 @@ class TestNearestRank:
         cluster metrics ledgers use the exact class from
         repro.control.signals."""
         from repro.cluster import metrics as cluster_metrics
-        from repro.control import envelope
         from repro.serve import metrics as serve_metrics
 
         assert serve_metrics.LatencySeries is LatencySeries
         assert cluster_metrics.LatencySeries is LatencySeries
-        assert cluster_metrics._TypeMetrics is envelope.TypeMetrics
 
 
 class TestSignalWindow:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ChurnRequest
 from repro.cluster.spec import ChaosSpec
 from repro.cluster.workload import churn_script, trail_mismatches
 from repro.obs import __main__ as obs_cli
@@ -32,7 +33,6 @@ from repro.obs.timeline import (
 )
 from repro.obs.trace import Stopwatch, TraceContext
 from repro.pvr.scenarios import serve_network
-from repro.serve import ChurnRequest as ServeChurnRequest
 from repro.serve import VerificationService
 from repro.util.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
 
@@ -422,9 +422,9 @@ class TestTraceParity:
                 )
                 SERVE_POLICIES["minimum"](service)
                 await service.start()
-                await service.request(ServeChurnRequest())
+                await service.request(ChurnRequest())
                 for step in CHURN:
-                    await service.request(ServeChurnRequest(steps=(step,)))
+                    await service.request(ChurnRequest(steps=(step,)))
                 await service.stop()
                 assert service.metrics.parity_failed == 0
                 return service.evidence

@@ -11,12 +11,22 @@ bytes, same crypto counts — for all four protocol variants.
 
 import asyncio
 import dataclasses
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.audit import Monitor
+from repro.audit import Monitor, choosers
 from repro.audit.store import EvidenceStore
 from repro.bgp.prefix import Prefix
+from repro.cluster import (
+    AdjudicateRequest,
+    AdmissionError,
+    AuditProbe,
+    ChurnRequest,
+    QueryRequest,
+)
 from repro.crypto.keystore import KeyStore
 from repro.promises.spec import (
     ExistentialPromise,
@@ -31,13 +41,8 @@ from repro.pvr.scenarios import (
     serve_network,
 )
 from repro.serve import (
-    AdjudicateRequest,
-    AdmissionError,
-    AuditProbe,
-    ChurnRequest,
     LatencySeries,
     LoadProfile,
-    QueryRequest,
     ServeMetrics,
     ServeWorkload,
     SimnetGateway,
@@ -45,13 +50,10 @@ from repro.serve import (
     ZipfSampler,
     build_schedule,
     run_open_loop,
-    shard_filter,
-    shard_key,
-    shard_of,
 )
 from repro.serve.bench import run_workload
 from repro.serve.merge import MergeError, fold_plan
-from repro.serve.sharding import ShardPool
+from repro.serve.sharding import ShardExecutor, ShardPool
 from repro.util.rng import DeterministicRandom
 
 SEED = 2011
@@ -66,88 +68,6 @@ def make_service(net, **options):
 
 def run_async(coro):
     return asyncio.run(coro)
-
-
-# -- the shard key -------------------------------------------------------------
-
-
-class TestShardKey:
-    def test_stable_and_process_independent(self):
-        prefix = Prefix.parse("10.0.0.0/16")
-        assert shard_key("A", prefix) == shard_key("A", prefix)
-        # pinned value: the key is a content hash, not Python's
-        # randomized hash(), so assignments survive restarts
-        assert shard_of("A", prefix, 4) == shard_key("A", prefix) % 4
-
-    def test_distributes_pairs(self):
-        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(32)]
-        shards = {shard_of("A", p, 4) for p in prefixes}
-        assert shards == {0, 1, 2, 3}
-
-    def test_shard_filter_partitions_exactly(self):
-        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(16)]
-        filters = [shard_filter(i, 3) for i in range(3)]
-        for prefix in prefixes:
-            owners = [f("A", prefix) for f in filters]
-            assert owners.count(True) == 1
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            shard_of("A", Prefix.parse("10.0.0.0/8"), 0)
-        with pytest.raises(ValueError):
-            shard_filter(3, 3)
-
-
-class TestPairFilteredMonitors:
-    """Shard-aware Monitor construction: N pair-filtered monitors over
-    one network partition the audit load; their stores merge into one
-    deterministic view."""
-
-    def test_filtered_monitors_partition_the_policy_space(self):
-        net, prefixes = serve_network(6)
-        shards = 3
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        monitors = [
-            Monitor(
-                keystore,
-                rng_seed=SEED,
-                store=EvidenceStore(keystore),
-                pair_filter=shard_filter(i, shards),
-            ).attach(net)
-            for i in range(shards)
-        ]
-        for monitor in monitors:
-            monitor.policy("A", ShortestRoute(), recipients=("B",),
-                           name="A/min->B", max_length=8)
-        reports = [m.run_epoch() for m in monitors]
-        audited = [
-            (e.asn, e.prefix) for r in reports for e in r.events
-        ]
-        # every pair audited exactly once, across all shards
-        assert sorted(str(p) for _, p in audited) == sorted(
-            str(p) for p in prefixes
-        )
-        per_shard = [len(r.events) for r in reports]
-        assert sum(per_shard) == len(prefixes)
-
-        merged = EvidenceStore.merged([m.evidence for m in monitors])
-        assert len(merged) == len(prefixes)
-        # canonical order: prefix-sorted within the epoch
-        assert [str(e.prefix) for e in merged.events()] == sorted(
-            str(p) for p in prefixes
-        )
-
-    def test_out_of_shard_churn_is_ignored(self):
-        net, prefixes = serve_network(4)
-        target = prefixes[0]
-        index = shard_of("A", target, 2)
-        monitor = Monitor(
-            KeyStore(seed=SEED, key_bits=512),
-            rng_seed=SEED,
-            pair_filter=shard_filter(1 - index, 2),
-        ).attach(net)
-        monitor.mark("A", target)
-        assert monitor.pending() == ()
 
 
 # -- the acceptance criterion: sharded == unsharded, all four variants ---------
@@ -270,6 +190,16 @@ class TestShardPool:
         with pytest.raises(ValueError):
             ShardPool(spec)
 
+    def test_a_killed_worker_costs_one_map_not_the_pool(self):
+        pool = ShardPool("process:2")
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pool.map(signal.raise_signal, [signal.SIGKILL])
+            # the broken executor was dropped: the next map restarts it
+            assert pool.map(abs, range(-9, 0)) == list(range(9, 0, -1))
+        finally:
+            pool.close()
+
 
 class TestShardedParity:
     """The acceptance suite: evidence/verdict byte-parity per variant."""
@@ -279,6 +209,36 @@ class TestShardedParity:
         service = sharded_trail(variant)
         monitor = unsharded_trail(variant)
         assert_byte_identical(service.evidence, monitor.evidence)
+
+    @pytest.mark.parametrize("shards", [1, 2, 5])
+    @pytest.mark.parametrize("variant", sorted(VARIANT_POLICIES))
+    def test_parity_holds_at_any_shard_count(self, variant, shards):
+        """Who runs a planned round cannot matter — including one
+        inline shard, and more shards (5) than an epoch has fresh
+        entries (3)."""
+        service = sharded_trail(variant, shards=shards)
+        monitor = unsharded_trail(variant)
+        assert_byte_identical(service.evidence, monitor.evidence)
+
+    @pytest.mark.parametrize(
+        "prefixes,shards", [(7, 1), (7, 2), (7, 3), (7, 5), (3, 5)]
+    )
+    def test_fresh_entries_are_dealt_evenly(self, prefixes, shards):
+        net, _ = serve_network(prefixes)
+        monitor = Monitor(
+            KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
+        ).attach(net)
+        VARIANT_POLICIES["minimum"](monitor)
+        fresh = monitor.plan_epoch().fresh_entries()
+        assert len(fresh) == prefixes
+        batches = ShardExecutor(shards, backend="serial").plan_tasks(fresh)
+        assert len(batches) == shards
+        # every fresh position exactly once, contiguous in plan order
+        assert [t.position for batch in batches for t in batch] == [
+            position for position, _ in fresh
+        ]
+        sizes = [len(batch) for batch in batches]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_parity_holds_on_process_workers(self):
         """The real process pool: results cross a pickle boundary."""
@@ -631,6 +591,52 @@ class TestService:
 
         assert run_async(go())["events"] == 0
 
+    def test_losing_a_pool_worker_fails_one_epoch_not_the_service(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker SIGKILLed mid-batch: the churn request whose epoch
+        lost it resolves with the error and its pairs are re-marked;
+        the next request runs on a restarted pool and audits them."""
+        trigger = tmp_path / "kill-one-worker"
+        parent = os.getpid()
+
+        def die_once(_arg):
+            # resolved inside whichever process runs the round: the
+            # first *worker* to get here takes the trigger and dies
+            if os.getpid() != parent:
+                try:
+                    trigger.unlink()
+                except FileNotFoundError:
+                    pass
+                else:
+                    signal.raise_signal(signal.SIGKILL)
+            return choosers.get("honest")
+
+        monkeypatch.setitem(choosers._FACTORIES, "die-once", die_once)
+
+        async def go():
+            net, prefix_list = serve_network(4)
+            service = VerificationService(
+                net, shards=2, backend="process:2", rng_seed=SEED,
+            )
+            service.policy("A", NoLongerThanOthers(), name="A/p4",
+                           max_length=8, chooser="die-once:")
+            await service.start()
+            trigger.touch()
+            with pytest.raises(BrokenProcessPool):
+                await service.request(ChurnRequest())
+            lost = set(service.monitor.pending())
+            retry = (await service.request(ChurnRequest())).payload
+            await service.stop()
+            return prefix_list, lost, retry
+
+        prefix_list, lost, retry = run_async(go())
+        assert not trigger.exists()
+        assert lost == {("A", prefix) for prefix in prefix_list}
+        audited = {(e.asn, e.prefix) for e in retry.events}
+        assert audited == lost
+        assert all(not e.reused for e in retry.events)
+
     def test_gateway_latency_and_drops_perturb_admission(self):
         async def go():
             net, prefixes = serve_network(3)
@@ -661,7 +667,7 @@ class TestService:
         assert latency.percentile(50) >= 0.04
 
 
-# -- pluggable admission and placement (the cluster-API seams) -----------------
+# -- pluggable admission (the cluster-API seam) --------------------------------
 
 
 class TestServeAdmissionPolicies:
@@ -712,32 +718,6 @@ class TestServeAdmissionPolicies:
 
         service = run_async(go())
         assert service.metrics.type_metrics("adjudicate").rejected == 1
-
-    def test_hotsplit_rebalance_swaps_the_placement_between_epochs(self):
-        from repro.cluster.placement import HotSplit
-
-        async def go():
-            net, prefixes = serve_network(6)
-            service = make_service(
-                net, shards=2, placement=HotSplit(2, slots=16),
-                rebalance_every=1,
-            )
-            service.policy("A", ShortestRoute(), recipients=("B",),
-                           max_length=8)
-            before = service.executor.placement
-            await service.start()
-            await service.request(ChurnRequest())
-            await service.request(ChurnRequest(
-                steps=(flap_session("O", "N2"),),
-            ))
-            await service.stop()
-            return service, before
-
-        service, before = run_async(go())
-        # load was observed, the placement was re-split
-        assert service.metrics.rebalances
-        assert service.executor.placement != before
-        assert service.metrics.parity_failed == 0
 
 
 # -- burst schedules -----------------------------------------------------------
