@@ -15,7 +15,9 @@ plane, with three pluggable seams:
   :class:`~repro.cluster.placement.HotSplit` (splits hot shards from the
   observed load, between epochs);
 * :class:`~repro.cluster.admission.AdmissionPolicy` — reject at the
-  door, deadline-based shedding, or per-request-type priorities;
+  door, deadline-based shedding, or per-request-type priorities,
+  applied by the one :class:`~repro.cluster.admission.AdmissionQueue`
+  this coordinator and :mod:`repro.serve` both host;
 * transport — ``"process"`` workers over multiprocessing pipes, or
   ``"inline"`` workers speaking the identical protocol in-process.
 
@@ -44,10 +46,12 @@ parity against the unsharded reference).
 
 from repro.cluster.admission import (
     AdmissionPolicy,
+    AdmissionQueue,
     DeadlineShed,
     PriorityAdmission,
     RejectAtDoor,
     ShedError,
+    Ticket,
     make_admission,
 )
 from repro.cluster.cluster import Cluster, ClusterError, EpochOutcome
@@ -78,6 +82,7 @@ __all__ = [
     "ChaosSpec",
     "AdmissionError",
     "AdmissionPolicy",
+    "AdmissionQueue",
     "AuditProbe",
     "ChurnRequest",
     "Cluster",
@@ -99,6 +104,7 @@ __all__ = [
     "ShedError",
     "SnapshotChunk",
     "StaticHash",
+    "Ticket",
     "make_admission",
     "make_placement",
     "moved_pairs",

@@ -53,6 +53,7 @@ from repro.util.cli import (
     EXIT_OK,
     EXIT_FAILURE,
     add_common_arguments,
+    emit_decisions,
     fail,
     usage_error,
     write_json,
@@ -142,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     from repro.cluster import ClusterSpec, PolicySpec
+    from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
     from repro.cluster.spec import ChaosSpec
     from repro.cluster.workload import (
         churn_script,
@@ -306,39 +308,14 @@ def run(args) -> int:
             ["worker", "fresh"],
             worker_rows,
         )
-    latency_rows = [
-        (kind, record["completed"],
-         "-" if record["latency"]["p50_s"] is None
-         else f"{record['latency']['p50_s'] * 1000:.1f}",
-         "-" if record["latency"]["p99_s"] is None
-         else f"{record['latency']['p99_s'] * 1000:.1f}")
-        for kind, record in sorted(snapshot["requests"].items())
-    ]
+    latency_rows = request_rows(snapshot)
     if latency_rows:
-        print_table(
-            "request latency",
-            ["type", "completed", "p50 ms", "p99 ms"],
-            latency_rows,
-        )
+        print_table("request latency", REQUEST_COLUMNS, latency_rows)
 
     if args.json:
         write_json(args.json, snapshot, tag="cluster")
 
-    control = snapshot.get("control")
-    if control:
-        for decision in control["decisions"]:
-            applied = decision.get("applied")
-            suffix = "" if applied is None else (
-                " [applied]" if applied else " [not applied]"
-            )
-            obs_log.emit(
-                "control",
-                f"tick {decision['tick']}: "
-                f"{decision['action']}{suffix} — {decision['reason']}",
-                tick=decision["tick"],
-                action=decision["action"],
-                applied=applied,
-            )
+    emit_decisions(snapshot["control"])
 
     for respawn in snapshot["respawns"]:
         obs_log.emit(

@@ -25,23 +25,30 @@ Three policies:
   churn — the traffic that keeps the audit trail current — still has
   headroom.
 
-Policies are stateless values (picklable), shared by the asyncio serve
-layer and the cluster coordinator's IPC admission plane.
+Policies are picklable values.  :class:`AdmissionQueue` is the one
+state machine that applies them — door check, bounded FIFO, adjacent-
+churn coalescing, dispatch-time shedding, :class:`Completion` +
+metrics, controller tick — hosted by both the asyncio serve layer and
+the cluster coordinator.
 """
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Callable, Deque, Dict, List, Mapping, Optional
 
-from repro.cluster.requests import AdmissionError
+from repro.cluster.requests import AdmissionError, ChurnRequest, Completion
 
 __all__ = [
     "AdmissionPolicy",
+    "AdmissionQueue",
     "DeadlineShed",
     "PriorityAdmission",
     "RejectAtDoor",
     "ShedError",
+    "Ticket",
     "make_admission",
 ]
 
@@ -71,6 +78,17 @@ class AdmissionPolicy:
         """Serve a ``kind`` request that queued for ``waited`` seconds
         (``False`` = shed it)?"""
         return True
+
+    def update(self, trust: Mapping[str, object]) -> None:
+        """Adopt a settled trust snapshot (hosts with a ledger push one
+        per epoch and after each slashing); only a trust-aware door
+        keeps it."""
+
+    def update_signals(
+        self, *, severity: float, stale_after: Optional[float] = None
+    ) -> None:
+        """Adopt the controller's overload severity (pushed at every
+        control tick); only a severity-driven policy keeps it."""
 
     def describe(self) -> Dict[str, object]:
         return {"policy": type(self).__name__}
@@ -175,3 +193,174 @@ def make_admission(spec: object) -> AdmissionPolicy:
         f"expected reject, deadline[:SECONDS], priority, trust "
         f"or adaptive[:STALE_SECONDS]"
     )
+
+
+@dataclass
+class Ticket:
+    """One admitted request's claim check: settled exactly once, with a
+    :class:`Completion` or an error (then ``on_done`` fires)."""
+
+    request: object
+    enqueued: float
+    net_delay: float = 0.0
+    #: when the queue handed the request to its host (dispatch time)
+    started: float = 0.0
+    completion: Optional[Completion] = None
+    error: Optional[BaseException] = None
+    #: called with the settled ticket (the asyncio host resolves the
+    #: client's future here)
+    on_done: Optional[Callable[["Ticket"], None]] = None
+
+    def result(self) -> Completion:
+        if self.error is not None:
+            raise self.error
+        if self.completion is None:
+            raise RuntimeError("ticket has not been served yet")
+        return self.completion
+
+    def _settle(self) -> None:
+        if self.on_done is not None:
+            self.on_done(self)
+
+
+class AdmissionQueue:
+    """The admission plane both front-ends host: synchronous and
+    lock-free — every method runs on the host's one dispatching thread
+    (the coordinator's caller, or the service's event loop).
+
+    ``depth`` is the hard bound on queued requests; ``coalesce_max``
+    caps how many adjacent churn requests ride one epoch sequence.
+    The host loops ``next_group()`` → do the work → ``resolve()`` /
+    ``fail()``, and calls ``control_tick()`` at its request boundary.
+    """
+
+    def __init__(
+        self,
+        admission: AdmissionPolicy,
+        metrics,
+        *,
+        depth: int,
+        coalesce_max: int,
+        controller=None,
+    ) -> None:
+        self.admission = admission
+        self.metrics = metrics
+        self.depth = depth
+        self.coalesce_max = coalesce_max
+        self.controller = controller
+        self._pending: Deque[Ticket] = deque()
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def submit(
+        self,
+        request,
+        net_delay: float = 0.0,
+        on_done: Optional[Callable[[Ticket], None]] = None,
+    ) -> Ticket:
+        """Admit one request, or raise :class:`AdmissionError`."""
+        kind = request.kind
+        queued = len(self._pending)
+        if queued >= self.depth or not self.admission.at_door_request(
+            request, queued, self.depth
+        ):
+            self.metrics.reject(kind)
+            raise AdmissionError(
+                f"admission refused ({kind}, queue {queued}/{self.depth})"
+            )
+        ticket = Ticket(
+            request=request,
+            enqueued=time.perf_counter(),
+            net_delay=net_delay,
+            on_done=on_done,
+        )
+        self._pending.append(ticket)
+        self.metrics.admit(kind)
+        if self.controller is not None:
+            self.controller.observe_queue_depth(
+                len(self._pending), self.depth
+            )
+        return ticket
+
+    def next_group(self) -> List[Ticket]:
+        """Pop one unit of work in admission order: up to
+        ``coalesce_max`` adjacent churn requests (they share one epoch
+        sequence and one outcome), or a single read.  Tickets that
+        queued past the policy's dispatch bound are shed on the way
+        (settled with :class:`ShedError`, never applied); an empty list
+        means the queue is drained."""
+        pending = self._pending
+        while pending:
+            group = [pending.popleft()]
+            if isinstance(group[0].request, ChurnRequest):
+                while (
+                    pending
+                    and len(group) < self.coalesce_max
+                    and isinstance(pending[0].request, ChurnRequest)
+                ):
+                    group.append(pending.popleft())
+            now = time.perf_counter()
+            live = []
+            for ticket in group:
+                kind = ticket.request.kind
+                waited = now - ticket.enqueued
+                if self.admission.at_dispatch(kind, waited):
+                    ticket.started = now
+                    live.append(ticket)
+                else:
+                    self.metrics.shed(kind)
+                    ticket.error = ShedError(
+                        f"{kind} request shed after {waited:.3f}s in queue"
+                    )
+                    ticket._settle()
+            if live:
+                return live
+        return []
+
+    def resolve(self, tickets: List[Ticket], payload) -> None:
+        """Settle a served group with its (shared) payload."""
+        finished = time.perf_counter()
+        for ticket in tickets:
+            completion = ticket.completion = Completion(
+                request=ticket.request,
+                payload=payload,
+                enqueued=ticket.enqueued,
+                started=ticket.started,
+                finished=finished,
+                net_delay=ticket.net_delay,
+            )
+            self.metrics.complete(
+                ticket.request.kind,
+                latency=completion.latency,
+                queue_delay=completion.queue_delay,
+                service=completion.service_time,
+            )
+            ticket._settle()
+
+    def fail(self, tickets: List[Ticket], exc: BaseException) -> None:
+        """Settle a group whose work raised: clients see the error."""
+        for ticket in tickets:
+            ticket.error = exc
+            ticket._settle()
+
+    def control_tick(
+        self, apply_placement: Optional[Callable[[str], bool]] = None
+    ) -> None:
+        """One controller evaluation at the host's request boundary:
+        push the new severity into the admission policy, and hand each
+        placement decision (``"rebalance"``/``"grow"``) to
+        ``apply_placement``, which reports whether it moved anything —
+        a host with no placement to move passes none."""
+        if self.controller is None:
+            return
+        decisions = self.controller.tick()
+        self.admission.update_signals(
+            severity=self.controller.severity,
+            stale_after=self.controller.policy.stale_after,
+        )
+        for decision in decisions:
+            if decision.action in self.controller.PLACEMENT_ACTIONS:
+                decision.applied = apply_placement is not None and (
+                    apply_placement(decision.action)
+                )

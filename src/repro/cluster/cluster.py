@@ -8,7 +8,8 @@ the ``"inline"`` transport drives the same protocol in-process).
 
 The coordinator does five things, none of which is planning:
 
-* **admission** — requests queue behind the spec's
+* **admission** — requests queue in the shared
+  :class:`~repro.cluster.admission.AdmissionQueue` behind the spec's
   :class:`~repro.cluster.admission.AdmissionPolicy`; adjacent churn
   requests **coalesce**: up to ``spec.coalesce_max`` queued churn
   requests ride a single epoch sequence and share one
@@ -56,10 +57,8 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import time
-from collections import deque
-from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.audit.events import (
     EpochOutcome,
@@ -70,7 +69,7 @@ from repro.audit.events import (
 from repro.audit.store import EvidenceStore
 from repro.audit.wire import reports_match, run_offwire_round
 
-from repro.cluster.admission import ShedError
+from repro.cluster.admission import AdmissionQueue, Ticket
 from repro.cluster.fold import FoldError, SliceFold
 from repro.cluster.metrics import ClusterMetrics
 from repro.journal.journal import Journal, pack
@@ -85,7 +84,6 @@ from repro.obs.trace import TraceContext
 from repro.cluster.placement import make_placement, moved_pairs
 from repro.cluster.requests import (
     AdjudicateRequest,
-    AdmissionError,
     ChurnRequest,
     Completion,
     EpochSummary,
@@ -105,21 +103,6 @@ __all__ = ["Cluster", "ClusterError", "EpochOutcome"]
 
 class ClusterError(RuntimeError):
     """A worker failed unrecoverably, or shared state diverged."""
-
-
-@dataclass
-class _Ticket:
-    request: object
-    enqueued: float
-    completion: Optional[Completion] = None
-    error: Optional[BaseException] = None
-
-    def result(self) -> Completion:
-        if self.error is not None:
-            raise self.error
-        if self.completion is None:
-            raise RuntimeError("ticket has not been served yet")
-        return self.completion
 
 
 class _InlineWorker:
@@ -234,7 +217,6 @@ class Cluster:
         if spec.journal:
             self.journal = Journal(
                 spec.journal,
-                fsync_batch=spec.journal_fsync_batch,
                 segment_max_records=spec.journal_segment_records,
             )
             recovered = recover_state(
@@ -265,16 +247,23 @@ class Cluster:
                     self.evidence
                 )
         #: the self-regulating control plane (None when the spec leaves
-        #: it off): fed from epoch outcomes, heartbeat backlogs and
-        #: queue depth, ticked after every ``pump()`` — see
-        #: :meth:`_control_tick`
+        #: it off): fed from epoch outcomes and queue depth, ticked
+        #: after every ``pump()`` — see :meth:`_apply_placement`
         self.controller = None
         if spec.controller is not None:
             from repro.control.controller import Controller
 
             self.controller = Controller(spec.controller)
         self.metrics = ClusterMetrics()
+        self.metrics.admission = self.admission
         self.metrics.control = self.controller
+        self._queue = AdmissionQueue(
+            self.admission,
+            self.metrics,
+            depth=spec.queue_depth,
+            coalesce_max=spec.coalesce_max,
+            controller=self.controller,
+        )
         #: causal tracing + crash forensics (:mod:`repro.obs`): every
         #: closed record rings through the flight recorder, which dumps
         #: JSONL at the failure sites (worker reap, parity failure,
@@ -291,7 +280,6 @@ class Cluster:
             else None
         )
         self._churn_log: List[Tuple[object, ...]] = []
-        self._pending: Deque[_Ticket] = deque()
         self._invalidations: List[tuple] = []
         self._seen_pairs: set = set()
         self._load_at_rebalance: Dict[int, int] = {}
@@ -326,6 +314,7 @@ class Cluster:
                 genesis["placement"] = self.placement.describe()
                 self.journal.append("genesis", genesis)
                 self.journal.sync()
+        self.metrics.placement = self.placement
         self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -361,8 +350,8 @@ class Cluster:
     def _pull_snapshot(self, index: int) -> Dict[str, object]:
         """Collect one worker's *streamed* bootstrap snapshot: the
         donor frames its pickled replica into
-        :class:`~repro.cluster.requests.SnapshotChunk` pieces of
-        ``spec.snapshot_chunk_bytes`` each, and the final reply carries
+        :class:`~repro.cluster.requests.SnapshotChunk` pieces, and the
+        final reply carries
         the planning state plus a digest verified after reassembly."""
         span = self.tracer.begin(
             "snapshot", component="cluster", worker=index
@@ -598,8 +587,7 @@ class Cluster:
         over exactly; the replacement then gets its owned real cache
         entries re-installed from the mirror, and the folded trail is
         byte-identical to a run that never replaced anything."""
-        if self._pending:
-            self.pump()  # replace only between requests
+        self.pump()  # replace only between requests
         if not 0 <= index < len(self._workers) or index in self._dead:
             raise ClusterError(
                 f"worker {index} is not live; replacement needs a "
@@ -694,56 +682,28 @@ class Cluster:
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, request) -> _Ticket:
+    def submit(self, request) -> Ticket:
         """Admit one request into the pending queue, or raise
         :class:`~repro.cluster.requests.AdmissionError`."""
         if self._stopped:
             raise RuntimeError("cluster is stopped")
-        kind = request.kind
-        queued = len(self._pending)
-        if queued >= self.spec.queue_depth or not (
-            self.admission.at_door_request(
-                request, queued, self.spec.queue_depth
-            )
-        ):
-            self.metrics.reject(kind)
-            raise AdmissionError(
-                f"admission refused ({kind}, queue {queued}/"
-                f"{self.spec.queue_depth})"
-            )
-        ticket = _Ticket(request=request, enqueued=time.perf_counter())
-        self._pending.append(ticket)
-        self.metrics.admit(kind)
-        if self.controller is not None:
-            self.controller.observe_queue_depth(
-                len(self._pending), self.spec.queue_depth
-            )
-        return ticket
+        return self._queue.submit(request)
 
-    def pump(self) -> List[_Ticket]:
+    def pump(self) -> None:
         """Serve everything pending, in admission order.  Adjacent
         churn requests coalesce (up to ``spec.coalesce_max``): one
         epoch sequence serves the whole group and every ticket shares
         its :class:`~repro.audit.events.EpochOutcome`."""
-        served = []
-        while self._pending:
-            ticket = self._pending.popleft()
-            if isinstance(ticket.request, ChurnRequest):
-                group = [ticket]
-                while (
-                    self._pending
-                    and len(group) < self.spec.coalesce_max
-                    and isinstance(self._pending[0].request, ChurnRequest)
-                ):
-                    group.append(self._pending.popleft())
-                self._serve_churn_tickets(group)
-                served.extend(group)
+        if not len(self._queue):
+            return
+        while group := self._queue.next_group():
+            try:
+                payload = self._serve_group(group)
+            except Exception as exc:
+                self._queue.fail(group, exc)
             else:
-                self._serve(ticket)
-                served.append(ticket)
-        if served and self.controller is not None:
-            self._control_tick()
-        return served
+                self._queue.resolve(group, payload)
+        self._queue.control_tick(self._apply_placement)
 
     def request(self, request) -> Completion:
         """Admit one request, serve the queue, return its completion."""
@@ -754,116 +714,51 @@ class Cluster:
     def drain(self) -> None:
         self.pump()
 
-    def _control_tick(self) -> None:
-        """One controller evaluation at the request boundary (after
-        ``pump()`` drains the queue).  Placement decisions execute
-        through the very same :meth:`reshard`/:meth:`rebalance` seams
-        the CLI drives, at the same between-requests point — which is
-        why a controller-triggered reshard folds a byte-identical trail
-        to a CLI-triggered one."""
-        decisions = self.controller.tick()
-        if hasattr(self.admission, "update_signals"):
-            self.admission.update_signals(
-                severity=self.controller.severity,
-                stale_after=self.controller.policy.stale_after,
+    def _apply_placement(self, action: str) -> bool:
+        """Execute one controller placement decision at the request
+        boundary (after ``pump()`` drains the queue), through the very
+        same :meth:`reshard`/:meth:`rebalance` seams the CLI drives, at
+        the same between-requests point — which is why a
+        controller-triggered reshard folds a byte-identical trail to a
+        CLI-triggered one.  Returns whether anything moved."""
+        if action == "rebalance":
+            return (
+                hasattr(self.placement, "rebalance")
+                and self.rebalance() is not None
             )
-        for decision in decisions:
-            if decision.action == "rebalance":
-                if hasattr(self.placement, "rebalance"):
-                    decision.applied = self.rebalance() is not None
-                else:
-                    decision.applied = False
-            elif decision.action == "grow":
-                if self.workers < self.controller.policy.max_workers and (
-                    hasattr(self.placement, "with_shards")
-                ):
-                    self.reshard(workers=self.workers + 1)
-                    decision.applied = True
-                else:
-                    decision.applied = False
-
-    def _serve(self, ticket: _Ticket) -> None:
-        kind = ticket.request.kind
-        started = time.perf_counter()
-        if not self.admission.at_dispatch(
-            kind, started - ticket.enqueued
+        if self.workers < self.controller.policy.max_workers and hasattr(
+            self.placement, "with_shards"
         ):
-            self.metrics.shed(kind)
-            ticket.error = ShedError(
-                f"{kind} request shed after "
-                f"{started - ticket.enqueued:.3f}s in queue"
-            )
-            return
-        try:
-            if isinstance(ticket.request, QueryRequest):
-                payload = answer_query(self.evidence, ticket.request)
-            elif isinstance(ticket.request, AdjudicateRequest):
-                payload = answer_adjudicate(self.evidence, ticket.request)
-                if self.ledger is not None:
-                    self.ledger.fold_adjudications(payload)
-                self._committed += 1
-                if self.journal is not None:
-                    # a boundary record of its own: rulings and ledger
-                    # slashing re-derive deterministically from the seq
-                    self.journal.append(
-                        "adjudicate", {"seq": ticket.request.seq}
-                    )
-                    self.journal.sync()
-            else:
-                raise TypeError(
-                    f"unknown request type {type(ticket.request).__name__}"
-                )
-        except Exception as exc:
-            ticket.error = exc
-            return
-        ticket.completion = Completion(
-            request=ticket.request,
-            payload=payload,
-            enqueued=ticket.enqueued,
-            started=started,
-            finished=time.perf_counter(),
-        )
-        self.metrics.complete(kind, ticket.completion.latency)
+            self.reshard(workers=self.workers + 1)
+            return True
+        return False
+
+    def _serve_group(self, group: List[Ticket]):
+        """Do one unit of work the queue dispatched: a coalesced churn
+        group (one epoch sequence, one shared outcome) or one read."""
+        request = group[0].request
+        if isinstance(request, ChurnRequest):
+            return self._serve_churn_group([t.request for t in group])
+        if isinstance(request, QueryRequest):
+            return answer_query(self.evidence, request)
+        if isinstance(request, AdjudicateRequest):
+            return self._answer_adjudicate(request)
+        raise TypeError(f"unknown request type {type(request).__name__}")
+
+    def _answer_adjudicate(self, request: AdjudicateRequest):
+        payload = answer_adjudicate(self.evidence, request)
+        if self.ledger is not None:
+            self.ledger.fold_adjudications(payload)
+            self.admission.update(self.ledger.trust_map())
+        self._committed += 1
+        if self.journal is not None:
+            # a boundary record of its own: rulings and ledger
+            # slashing re-derive deterministically from the seq
+            self.journal.append("adjudicate", {"seq": request.seq})
+            self.journal.sync()
+        return payload
 
     # -- the churn pipeline --------------------------------------------------
-
-    def _serve_churn_tickets(self, group: List[_Ticket]) -> None:
-        """Serve one coalesced churn group: shed what queued too long,
-        run the rest through a single epoch sequence, and resolve every
-        surviving ticket with the shared outcome."""
-        started = time.perf_counter()
-        live: List[_Ticket] = []
-        for ticket in group:
-            if not self.admission.at_dispatch(
-                "churn", started - ticket.enqueued
-            ):
-                self.metrics.shed("churn")
-                ticket.error = ShedError(
-                    f"churn request shed after "
-                    f"{started - ticket.enqueued:.3f}s in queue"
-                )
-            else:
-                live.append(ticket)
-        if not live:
-            return
-        try:
-            outcome = self._serve_churn_group(
-                [ticket.request for ticket in live]
-            )
-        except Exception as exc:
-            for ticket in live:
-                ticket.error = exc
-            return
-        finished = time.perf_counter()
-        for ticket in live:
-            ticket.completion = Completion(
-                request=ticket.request,
-                payload=outcome,
-                enqueued=ticket.enqueued,
-                started=started,
-                finished=finished,
-            )
-            self.metrics.complete("churn", ticket.completion.latency)
 
     def _serve_churn_group(
         self, requests: Sequence[ChurnRequest]
@@ -998,8 +893,7 @@ class Cluster:
             with self.tracer.span("settle", component="cluster"):
                 self.ledger.settle()
                 trust = self.ledger.trust_map()
-            if hasattr(self.admission, "update"):
-                self.admission.update(trust)
+            self.admission.update(trust)
         command = ("epoch", tuple(self._invalidations), trust)
         self._invalidations = []
         live = self._live_indices()
@@ -1049,10 +943,6 @@ class Cluster:
                     worker=frame.worker, position=frame.position,
                     backlog=frame.backlog,
                 )
-                if self.controller is not None:
-                    self.controller.observe_backlog(
-                        frame.worker, frame.backlog
-                    )
             else:
                 errors.append(
                     f"worker {index}: unexpected stream frame "
@@ -1451,8 +1341,7 @@ class Cluster:
         stops the surplus.  Returns the reshard record appended to the
         metrics.
         """
-        if self._pending:
-            self.pump()  # reshard only between requests
+        self.pump()  # reshard only between requests
         if placement is None:
             if workers is None:
                 raise ValueError("reshard needs a placement or workers=")
@@ -1471,7 +1360,7 @@ class Cluster:
         incumbents = len(self._workers)
         # grow: spawn fast-forwarded workers before any ownership moves
         # (self.placement flips first so they adopt the new map directly)
-        self.placement = new
+        self.placement = self.metrics.placement = new
         if new.shards > incumbents:
             snapshot = self._bootstrap_snapshot()
             for index in range(incumbents, new.shards):
@@ -1586,9 +1475,7 @@ class Cluster:
         """The schema-versioned cluster metrics document (with the
         ledger's own schema-versioned snapshot under ``"ledger"`` when
         one is configured)."""
-        document = self.metrics.snapshot(
-            placement=self.placement, admission=self.admission
-        )
+        document = self.metrics.snapshot()
         if self.ledger is not None:
             document["ledger"] = self.ledger.snapshot()
         if self.journal is not None:

@@ -1,38 +1,49 @@
-"""Cluster metrics: the coordinator's ledger.
+"""The serving ledger: one metrics class for both front-ends.
 
-The latency primitives (:class:`LatencySeries`, the exact nearest-rank
-rule) live in :mod:`repro.control.signals` and are re-exported here for
-backward compatibility — this ledger and ``repro.serve.metrics`` both
-emit the unified envelope from :mod:`repro.control.envelope`, so there
-is exactly one percentile implementation and one snapshot shape.
+The serving layer's product is a latency distribution, not a mean, so
+the latency primitives (:class:`LatencySeries`, the exact nearest-rank
+rule — one percentile implementation) come from
+:mod:`repro.control.signals`.
 
-:class:`ClusterMetrics` is the coordinator-side ledger: per-request-type
-admission/latency accounting, per-worker fresh-verification load (the
-input :class:`~repro.cluster.placement.HotSplit` rebalances on),
+:class:`ClusterMetrics` is the ledger the
+:class:`~repro.cluster.admission.AdmissionQueue` writes and both hosts
+(:class:`~repro.cluster.cluster.Cluster`,
+:class:`~repro.serve.service.VerificationService`) feed:
+per-request-type admission/latency accounting, per-worker (or
+per-shard-batch) fresh-verification load (the input
+:class:`~repro.cluster.placement.HotSplit` rebalances on),
 epoch/reuse counters plus per-epoch wall-clock and coalesced-batch
 sizes, reshard history (keys moved, cache entries migrated), and the
-verdict-parity self-check tallies the CI cluster smoke job gates on.
-``snapshot()`` emits a schema-versioned JSON document.
+verdict-parity self-check tallies the CI smoke jobs gate on.
+``snapshot()`` emits the one schema-versioned JSON document; sections
+a host never feeds stay empty.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Dict, List
 
-from repro.control.envelope import TypeMetrics, envelope, placement_section
 from repro.control.signals import PERCENTILES, LatencySeries
 
 __all__ = [
     "ClusterMetrics",
     "LatencySeries",
     "PERCENTILES",
+    "REQUEST_COLUMNS",
     "SCHEMA",
     "SCHEMA_VERSION",
+    "TypeMetrics",
+    "request_rows",
 ]
 
 SCHEMA = "repro.cluster/metrics"
-#: version 5 dropped ``placement.events_per_worker``, the deprecated
+#: version 6 is the one document both hosts emit (``repro.serve/metrics``
+#: is retired): ``epochs.coalesced_requests`` counts only requests that
+#: shared an epoch sequence with another on either host, the cluster
+#: fills ``queue_delay``/``service_time``, and the serve host reports
+#: its ``admission`` policy.  Version 5 dropped ``placement.events_per_worker``, the deprecated
 #: alias of ``placement.load``.  Version 4 added the durability
 #: records: ``replacements`` (rolling worker replacement) and
 #: ``recoveries`` (journal replay on restart) in the extra section,
@@ -45,15 +56,52 @@ SCHEMA = "repro.cluster/metrics"
 #: section carries the controller snapshot when the control plane is
 #: enabled.  Version 2 added the per-worker
 #: ``workers`` section and ``respawns``.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
+
+
+class TypeMetrics:
+    """Admission counters and latency series for one request type:
+    door/dispatch admission outcomes plus the end-to-end latency split
+    into queue delay and service time."""
+
+    def __init__(self) -> None:
+        self.admitted = 0
+        self.rejected = 0
+        self.dropped = 0  # lost in transit (the simnet gateway's drops)
+        self.shed = 0  # shed at dispatch (deadline/adaptive admission)
+        self.completed = 0
+        self.latency = LatencySeries()  # enqueue (+ net delay) -> done
+        self.queue_delay = LatencySeries()  # enqueue -> dispatch
+        self.service = LatencySeries()  # dispatch -> done
+
+    def record(self, window: float) -> Dict[str, object]:
+        """The JSON record of this request type over ``window`` seconds."""
+        return {
+            "admitted": self.admitted,
+            "rejected": self.rejected,
+            "dropped": self.dropped,
+            "shed": self.shed,
+            "completed": self.completed,
+            "throughput_rps": (
+                self.completed / window if window > 0 else None
+            ),
+            "latency": self.latency.summary(),
+            "queue_delay": self.queue_delay.summary(),
+            "service_time": self.service.summary(),
+        }
 
 
 class ClusterMetrics:
-    """The cluster coordinator's service-wide ledger."""
+    """The service-wide ledger of one serving front-end."""
 
     def __init__(self) -> None:
         self.started = time.perf_counter()
         self._types: Dict[str, TypeMetrics] = {}
+        #: what ``snapshot()`` describes; the host keeps both current
+        #: (anything with ``describe()`` — a ``Placement``, the serve
+        #: layer's ``ShardExecutor``, an ``AdmissionPolicy``)
+        self.placement = None
+        self.admission = None
         # the epoch pipeline
         self.epochs = 0
         self.events = 0
@@ -87,7 +135,7 @@ class ClusterMetrics:
         self.parity_checked = 0
         self.parity_failed = 0
         #: the controller, when the control plane is enabled (set by
-        #: the Cluster so ``snapshot()`` can embed its decision log)
+        #: the host so ``snapshot()`` can embed its decision log)
         self.control = None
 
     def type_metrics(self, kind: str) -> TypeMetrics:
@@ -101,17 +149,27 @@ class ClusterMetrics:
     def reject(self, kind: str) -> None:
         self.type_metrics(kind).rejected += 1
 
+    def drop(self, kind: str) -> None:
+        """A request lost in transit (the simnet gateway's drops)."""
+        self.type_metrics(kind).dropped += 1
+
     def shed(self, kind: str) -> None:
+        """A request shed at dispatch (deadline/adaptive admission)."""
         self.type_metrics(kind).shed += 1
 
     def complete(
         self,
         kind: str,
+        *,
         latency: float,
-        queue_delay: "float | None" = None,
-        service: "float | None" = None,
+        queue_delay: float,
+        service: float,
     ) -> None:
-        self.type_metrics(kind).note_complete(latency, queue_delay, service)
+        tm = self.type_metrics(kind)
+        tm.completed += 1
+        tm.latency.add(latency)
+        tm.queue_delay.add(queue_delay)
+        tm.service.add(service)
 
     # -- the epoch pipeline -------------------------------------------------
 
@@ -211,62 +269,101 @@ class ClusterMetrics:
 
     # -- reporting ----------------------------------------------------------
 
-    def epochs_section(self) -> Dict[str, object]:
-        sizes = self.batch_sizes
-        return {
-            "count": self.epochs,
-            "events": self.events,
-            "verified": self.verified,
-            "reused": self.reused,
-            "violations": self.violations,
-            "deferred": self.deferred,
-            "coalesced_requests": self.coalesced_requests,
-            "wall": self.epoch_wall.summary(),
-            "coalesced_batches": {
-                "count": len(sizes),
-                "max_size": max(sizes) if sizes else None,
-                "mean_size": (sum(sizes) / len(sizes)) if sizes else None,
-            },
-        }
-
-    def snapshot(self, placement=None, admission=None) -> Dict[str, object]:
-        """The schema-versioned, JSON-serializable metrics document."""
+    def snapshot(self) -> Dict[str, object]:
+        """The schema-versioned, JSON-serializable metrics document.
+        Round-tripped through :func:`json.dumps` so a non-serializable
+        value fails loudly at the producer, not in a CI artifact step."""
         window = time.perf_counter() - self.started
-        spec = placement.describe() if placement is not None else None
-        return envelope(
-            schema=SCHEMA,
-            schema_version=SCHEMA_VERSION,
-            window_seconds=window,
-            types=self._types,
-            epochs=self.epochs_section(),
-            probes={
+        sizes = self.batch_sizes
+        placement, admission, control = (
+            self.placement, self.admission, self.control
+        )
+        document = {
+            "schema": SCHEMA,
+            "schema_version": SCHEMA_VERSION,
+            "window_seconds": window,
+            "requests": {
+                kind: self._types[kind].record(window)
+                for kind in sorted(self._types)
+            },
+            "epochs": {
+                "count": self.epochs,
+                "events": self.events,
+                "verified": self.verified,
+                "reused": self.reused,
+                "violations": self.violations,
+                "deferred": self.deferred,
+                "coalesced_requests": self.coalesced_requests,
+                "wall": self.epoch_wall.summary(),
+                "coalesced_batches": {
+                    "count": len(sizes),
+                    "max_size": max(sizes) if sizes else None,
+                    "mean_size": (
+                        (sum(sizes) / len(sizes)) if sizes else None
+                    ),
+                },
+            },
+            "probes": {
                 "count": self.probes,
                 "violations": self.probe_violations,
             },
-            placement=placement_section(
-                spec=spec, load=self.worker_events, reshards=self.reshards
-            ),
-            admission=(
-                admission.describe() if admission is not None else None
-            ),
-            control=(
-                self.control.snapshot() if self.control is not None else None
-            ),
-            parity={
+            # fresh verifications routed to each worker / shard batch
+            "placement": {
+                "spec": None if placement is None else placement.describe(),
+                "load": {
+                    str(worker): count
+                    for worker, count in sorted(self.worker_events.items())
+                },
+                "reshards": list(self.reshards),
+            },
+            "admission": None if admission is None else admission.describe(),
+            "control": None if control is None else control.snapshot(),
+            "parity": {
                 "checked": self.parity_checked,
                 "failed": self.parity_failed,
             },
-            extra={
-                "workers": {
-                    str(worker): {
-                        "slice_events": self.slice_events.get(worker, 0),
-                        "backfilled": self.backfilled.get(worker, 0),
-                        "slice_latency": series.summary(),
-                    }
-                    for worker, series in sorted(self.slice_latency.items())
-                },
-                "respawns": list(self.respawns),
-                "replacements": list(self.replacements),
-                "recoveries": list(self.recoveries),
+            # coordinator-only records (empty on the serve host)
+            "workers": {
+                str(worker): {
+                    "slice_events": self.slice_events.get(worker, 0),
+                    "backfilled": self.backfilled.get(worker, 0),
+                    "slice_latency": series.summary(),
+                }
+                for worker, series in sorted(self.slice_latency.items())
             },
+            "respawns": list(self.respawns),
+            "replacements": list(self.replacements),
+            "recoveries": list(self.recoveries),
+        }
+        json.dumps(document)
+        return document
+
+
+REQUEST_COLUMNS = [
+    "type", "admitted", "rejected", "dropped", "shed", "completed",
+    "p50 ms", "p90 ms", "p99 ms", "max ms",
+]
+
+
+def request_rows(snapshot: Dict[str, object]) -> List[tuple]:
+    """The CLIs' request-latency table (:data:`REQUEST_COLUMNS`): one
+    row per request type of a metrics ``snapshot()``."""
+
+    def ms(value):
+        return "-" if value is None else f"{value * 1000:.1f}"
+
+    return [
+        (
+            kind,
+            record["admitted"],
+            record["rejected"],
+            record["dropped"],
+            record["shed"],
+            record["completed"],
+            ms(record["latency"]["p50_s"]),
+            ms(record["latency"]["p90_s"]),
+            ms(record["latency"]["p99_s"]),
+            ms(record["latency"]["max_s"]),
         )
+        for kind, record in sorted(snapshot["requests"].items())
+    ]

@@ -167,8 +167,8 @@ class SliceChunk:
 @dataclass(frozen=True)
 class Heartbeat:
     """Liveness frame: ``position`` plan entries processed so far, and
-    ``backlog`` plan entries still ahead of this worker — the
-    queue-depth signal the control plane reads off the stream.  Emitted
+    ``backlog`` plan entries still ahead of this worker (a trace-event
+    attribute).  Emitted
     between chunks when ``ClusterSpec.heartbeat_interval`` > 0."""
 
     worker: int
@@ -197,8 +197,9 @@ class EpochSummary:
 @dataclass(frozen=True)
 class SnapshotChunk:
     """One streamed piece of a bootstrap snapshot.  The donor worker
-    frames its pickled replica into ``ClusterSpec.snapshot_chunk_bytes``
-    pieces (``index`` of ``total``) so a grow/respawn no longer ships
+    frames its pickled replica into fixed-size pieces (``index`` of
+    ``total``,
+    :data:`~repro.cluster.worker.SNAPSHOT_CHUNK_BYTES` each) so a grow/respawn no longer ships
     the table in one message; the final ``("ok", ...)`` reply carries
     the planning state plus a digest the coordinator verifies after
     reassembly."""

@@ -111,12 +111,9 @@ class ClusterSpec:
     rng_seed: object = 2011
     key_bits: int = 512
     max_work: Optional[int] = None
-    #: eviction bound of the coordinator's folded trail
+    #: eviction bound of the coordinator's folded trail, and of each
+    #: worker's own re-recorded slice (violations stay pinned)
     max_events: Optional[int] = None
-    #: eviction bound of each worker's *own* trail (workers re-record
-    #: their slice locally for the distributed-query path; a long-lived
-    #: worker should bound it — violations stay pinned either way)
-    worker_max_events: Optional[int] = None
     parity_sample: int = 0
     #: per-epoch wall-clock budget: a worker that has not returned its
     #: epoch summary this many seconds after the epoch command is posted
@@ -139,7 +136,7 @@ class ClusterSpec:
     #: (default :class:`~repro.control.controller.ControlPolicy`), or a
     #: ``ControlPolicy`` instance.  When set, the coordinator runs a
     #: :class:`~repro.control.controller.Controller` fed from epoch
-    #: outcomes, heartbeat backlogs and admission-queue depth, ticked
+    #: outcomes and admission-queue depth, ticked
     #: after every ``pump()`` — its decisions drive the same
     #: ``reshard``/``rebalance`` seams the CLI uses, so control stays
     #: inside the byte-parity oracle
@@ -167,18 +164,11 @@ class ClusterSpec:
     #: makes every fold seam durable and lets a restarted coordinator
     #: ``recover()`` to the last commit boundary
     journal: Optional[str] = None
-    #: journal appends between forced fsyncs (commit boundaries always
-    #: fsync regardless)
-    journal_fsync_batch: int = 64
     #: records per journal segment before rotation
     journal_segment_records: int = 4096
     #: checkpoint (full state capture + segment compaction) every N
     #: commits; 0 disables checkpointing
     journal_checkpoint_every: int = 0
-    #: bytes per streamed bootstrap-snapshot chunk (the pipe frames a
-    #: grow/respawn donor replica ships in, replacing the old
-    #: one-message pickle)
-    snapshot_chunk_bytes: int = 262144
 
     def __post_init__(self) -> None:
         if self.transport not in ("process", "inline"):
@@ -202,14 +192,10 @@ class ClusterSpec:
             raise ValueError("coalesce_max must be >= 1")
         if self.stream_batch < 1:
             raise ValueError("stream_batch must be >= 1")
-        if self.journal_fsync_batch < 1:
-            raise ValueError("journal_fsync_batch must be >= 1")
         if self.journal_segment_records < 2:
             raise ValueError("journal_segment_records must be >= 2")
         if self.journal_checkpoint_every < 0:
             raise ValueError("journal_checkpoint_every must be >= 0")
-        if self.snapshot_chunk_bytes < 1:
-            raise ValueError("snapshot_chunk_bytes must be >= 1")
         if (
             self.chaos is not None
             and self.chaos.mode == "hang"

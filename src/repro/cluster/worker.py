@@ -121,6 +121,10 @@ class _ShadowType:
 
 SHADOW = _ShadowType()
 
+#: bytes per streamed bootstrap-snapshot chunk (the pipe frames a
+#: grow/respawn donor replica ships in)
+SNAPSHOT_CHUNK_BYTES = 262144
+
 
 class ClusterStateError(RuntimeError):
     """A worker's shared-planning state diverged (e.g. it owns a tuple
@@ -397,11 +401,9 @@ class WorkerState:
         # the coordinator inside EpochSummary/BackfillSlice frames (the
         # coordinator re-ids them on adoption, so a respawn restarting
         # this counter cannot collide)
-        self.tracer = TraceContext(
-            f"w{index}", enabled=getattr(spec, "trace", True)
-        )
+        self.tracer = TraceContext(f"w{index}", enabled=spec.trace)
         intensity = None
-        if getattr(spec, "ledger", None) is not None:
+        if spec.ledger is not None:
             from repro.ledger import VerificationIntensity
 
             intensity = VerificationIntensity(
@@ -413,9 +415,7 @@ class WorkerState:
             index=index,
             rng_seed=spec.rng_seed,
             max_work_per_epoch=spec.max_work,
-            store=EvidenceStore(
-                keystore, max_events=spec.worker_max_events
-            ),
+            store=EvidenceStore(keystore, max_events=spec.max_events),
             intensity=intensity,
             tracer=self.tracer,
         ).attach(network)
@@ -457,9 +457,9 @@ class WorkerState:
         span = self.tracer.begin(
             "slice", component="worker", worker=self.index
         )
-        chaos = getattr(self.spec, "chaos", None)
-        batch = max(1, getattr(self.spec, "stream_batch", 8))
-        beat_every = getattr(self.spec, "heartbeat_interval", 0.0)
+        chaos = self.spec.chaos
+        batch = self.spec.stream_batch
+        beat_every = self.spec.heartbeat_interval
         chunk: List[Tuple[int, object]] = []
         counts = {"emitted": 0, "fresh": 0, "reused": 0}
         last_emit = [span.start]
@@ -583,13 +583,13 @@ class WorkerState:
     def _do_snapshot(self):
         """The streamed bootstrap donor: the pickled replica ships as
         ``("stream", SnapshotChunk)`` frames of
-        ``spec.snapshot_chunk_bytes`` each, so a grow/respawn of a large
+        :data:`SNAPSHOT_CHUNK_BYTES` each, so a grow/respawn of a large
         table never parks one giant message in the pipe; the final reply
         carries the planning state and a digest the coordinator checks
         after reassembly."""
         planning = self.monitor.planning_snapshot()
         blob = self._network_bytes()
-        size = max(1, getattr(self.spec, "snapshot_chunk_bytes", 262144))
+        size = SNAPSHOT_CHUNK_BYTES
         total = max(1, -(-len(blob) // size))
         for index in range(total):
             self.emit(

@@ -10,8 +10,6 @@ queued, and resharding happened only when a CLI told it to.
 * :mod:`repro.control.signals` — the shared exact nearest-rank
   percentile primitives (:func:`nearest_rank`, :class:`LatencySeries`)
   and a ring-buffered :class:`SignalBus` of sliding-window signals.
-* :mod:`repro.control.envelope` — the one schema-versioned snapshot
-  envelope both metrics ledgers emit.
 * :mod:`repro.control.policies` — :class:`AdaptiveAdmission`, the
   controller-driven admission policy (sheds queries under overload,
   never churn or adjudication).

@@ -13,8 +13,9 @@ Two loops per tick:
 
 * **admission** — the windowed epoch-wall percentile and queue-depth
   history are collapsed into an overload ``severity`` ∈ [0, 1]; the
-  host pushes it into any policy exposing ``update_signals`` (the
-  :class:`~repro.control.policies.AdaptiveAdmission` contract).
+  host's admission queue pushes it into the policy's
+  ``update_signals`` (a no-op except for
+  :class:`~repro.control.policies.AdaptiveAdmission`).
 * **placement** — sustained per-shard load imbalance (windowed
   ``max/mean`` ratio past ``imbalance_enter`` for ``sustain_epochs``
   consecutive ticks) emits a ``rebalance`` decision; sustained
@@ -190,9 +191,6 @@ class Controller:
 
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         self.bus.observe_queue_depth(depth, limit)
-
-    def observe_backlog(self, worker: int, backlog: int) -> None:
-        self.bus.observe_backlog(worker, backlog)
 
     # -- the tick ------------------------------------------------------------
 

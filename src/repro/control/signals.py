@@ -11,7 +11,7 @@ look like" forever without growing) both delegate to
 :class:`SignalBus` is the controller's blackboard: hosts
 (``Cluster``, ``VerificationService``) push named observations as they
 happen — epoch wall-clock, per-worker slice latency, admission-queue
-fraction, per-shard fresh-event load, heartbeat backlog — and
+fraction, per-shard fresh-event load — and
 ``Controller.tick()`` reads sliding-window summaries off it.  The bus
 holds plain floats only, so its snapshot is always JSON-serializable.
 """
@@ -175,7 +175,6 @@ class SignalBus:
 
     * ``epoch_wall`` — coordinator-side wall-clock per epoch drive
     * ``worker/<i>/epoch_wall`` — per-worker slice wall-clock
-    * ``worker/<i>/backlog`` — heartbeat-carried outstanding positions
     * ``queue_fraction`` — admission-queue depth / configured limit
     * ``shard/<i>/load`` — fresh verifications per shard per epoch
     """
@@ -218,9 +217,6 @@ class SignalBus:
 
     def observe_worker_wall(self, worker: int, seconds: float) -> None:
         self.observe(f"worker/{worker}/epoch_wall", seconds)
-
-    def observe_backlog(self, worker: int, backlog: int) -> None:
-        self.observe(f"worker/{worker}/backlog", backlog)
 
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         fraction = depth / limit if limit > 0 else 0.0

@@ -3,13 +3,16 @@
 The audit plane (:mod:`repro.audit`) verifies; this package *serves* —
 an admission queue over a stateless pool of round workers, turning one
 monitor into something that fronts heavy traffic.  The request
-vocabulary and the :class:`~repro.cluster.admission.AdmissionPolicy`
-seam are the cluster API's — import them from :mod:`repro.cluster`;
-this package exports what it defines.  The request lifecycle is
+vocabulary, the admission plane
+(:class:`~repro.cluster.admission.AdmissionQueue` and its
+:class:`~repro.cluster.admission.AdmissionPolicy` seam) and the
+metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`) are the
+cluster API's — import them from :mod:`repro.cluster`; this package
+exports what it defines.  The request lifecycle is
 **admit → shard → verify → merge**:
 
 * :class:`~repro.serve.service.VerificationService` — an asyncio
-  front-end with a bounded admission queue and churn coalescing over
+  host of the shared admission queue (bounded, churn-coalescing) over
   the three request types (:class:`~repro.cluster.requests.ChurnRequest`,
   :class:`~repro.cluster.requests.QueryRequest`,
   :class:`~repro.cluster.requests.AdjudicateRequest`);
@@ -24,10 +27,7 @@ this package exports what it defines.  The request lifecycle is
   run;
 * :mod:`~repro.serve.loadgen` — deterministic open-loop workloads
   (churn bursts, query storms, violation injection, Zipf hot-prefix
-  skew), optionally routed over :mod:`repro.net.simnet` links;
-* :mod:`~repro.serve.metrics` — throughput and p50/p90/p99 latency per
-  request type, per-shard load, and the verdict-parity self-check
-  counters CI gates on.
+  skew), optionally routed over :mod:`repro.net.simnet` links.
 
 Run ``python -m repro.serve`` for the service + load-generator CLI.
 """
@@ -46,17 +46,14 @@ from repro.serve.loadgen import (
     table_reset,
 )
 from repro.serve.merge import MergeError, fold_plan
-from repro.serve.metrics import LatencySeries, ServeMetrics
 from repro.serve.service import VerificationService
 from repro.serve.sharding import ShardExecutor, ShardTask
 
 __all__ = [
-    "LatencySeries",
     "LoadProfile",
     "LoadReport",
     "MergeError",
     "Op",
-    "ServeMetrics",
     "ServeWorkload",
     "ShardExecutor",
     "ShardTask",

@@ -41,11 +41,13 @@ import asyncio
 import sys
 
 from repro.bench.tables import print_table
+from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
 from repro.obs import log as obs_log
 from repro.promises.spec import ShortestRoute
 from repro.util.cli import (
     EXIT_OK,
     add_common_arguments,
+    emit_decisions,
     fail,
     usage_error,
     write_json,
@@ -250,20 +252,7 @@ def finish_ramp(args, service, report, snapshot) -> int:
             for record in curve
         ],
     )
-    control = snapshot.get("control")
-    if control:
-        for decision in control["decisions"]:
-            signals = ", ".join(
-                f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in sorted(decision["signals"].items())
-            )
-            obs_log.emit(
-                "control",
-                f"tick {decision['tick']}: {decision['action']} "
-                f"({decision['reason']}; {signals})",
-                tick=decision["tick"],
-                action=decision["action"],
-            )
+    emit_decisions(snapshot["control"])
 
     snapshot = dict(snapshot)
     snapshot["ramp"] = curve
@@ -334,16 +323,14 @@ def main(argv=None) -> int:
         return usage_error("--gate-p99 requires --ramp")
 
     service, report = asyncio.run(serve_and_load(args))
-    metrics = service.metrics
-    snapshot = metrics.snapshot()
+    snapshot = service.metrics.snapshot()
     if isinstance(report, RampReport):
         return finish_ramp(args, service, report, snapshot)
 
     print_table(
         f"request latency — {args.shards} shard(s)",
-        ["type", "admitted", "rejected", "dropped", "completed",
-         "p50 ms", "p90 ms", "p99 ms", "max ms"],
-        metrics.table_rows(),
+        REQUEST_COLUMNS,
+        request_rows(snapshot),
     )
     epochs = snapshot["epochs"]
     probes = snapshot["probes"]

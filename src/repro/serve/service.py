@@ -5,11 +5,12 @@ One long-lived :class:`VerificationService` fronts one
 lifecycle is **admit → shard → verify → merge**:
 
 * **admit** — requests (:class:`ChurnRequest`, :class:`QueryRequest`,
-  :class:`AdjudicateRequest`) enter a bounded admission queue; a full
-  queue rejects at the door (:class:`AdmissionError`) instead of
-  building unbounded backlog — the open-loop load generator measures
-  exactly this behaviour;
-* **shard** — the dispatcher coalesces adjacent churn requests into one
+  :class:`AdjudicateRequest`) enter the shared
+  :class:`~repro.cluster.admission.AdmissionQueue` (door, coalescing
+  cap, dispatch-time shedding, controller tick — the same plane the
+  cluster coordinator hosts); a full queue rejects at the door
+  (:class:`AdmissionError`) instead of building unbounded backlog;
+* **shard** — adjacent churn requests the queue coalesced ride one
   verification epoch (:meth:`~repro.audit.monitor.Monitor.plan_epoch`),
   and the plan's fresh entries are dealt evenly across the stateless
   worker pool;
@@ -33,8 +34,7 @@ quiescent network, exactly the constraint
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass
+import functools
 from typing import List, Optional
 
 from repro.audit.events import EpochOutcome, SliceStats
@@ -42,10 +42,10 @@ from repro.audit.monitor import EpochPlan, Monitor
 from repro.audit.store import EvidenceStore
 from repro.audit.wire import reports_match, run_offwire_round
 from repro.bgp.network import BGPNetwork
-from repro.cluster.admission import ShedError, make_admission
+from repro.cluster.admission import AdmissionQueue, Ticket, make_admission
+from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.requests import (
     AdjudicateRequest,
-    AdmissionError,
     ChurnRequest,
     Completion,
     QueryRequest,
@@ -58,18 +58,20 @@ from repro.obs.trace import TraceContext
 from repro.pvr.scenarios import apply_step
 
 from repro.serve import merge
-from repro.serve.metrics import ServeMetrics
 from repro.serve.sharding import ShardExecutor
 
 __all__ = ["VerificationService"]
 
 
-@dataclass
-class _Ticket:
-    request: object
-    future: "asyncio.Future[Completion]"
-    enqueued: float
-    net_delay: float = 0.0
+def _settle(future: "asyncio.Future[Completion]", ticket: Ticket) -> None:
+    """A ticket's done-callback: hand its outcome to the client's
+    future (unless the client already cancelled it)."""
+    if future.done():
+        return
+    if ticket.error is not None:
+        future.set_exception(ticket.error)
+    else:
+        future.set_result(ticket.completion)
 
 
 def _ships_to_shard(chooser) -> bool:
@@ -85,7 +87,10 @@ class VerificationService:
     rounds are dealt across.  ``admission`` (an
     :class:`~repro.cluster.admission.AdmissionPolicy` or spec string)
     selects the overload behaviour — reject at the door (default),
-    deadline-based shedding, or per-request-type priorities.
+    deadline-based shedding, or per-request-type priorities;
+    ``queue_depth`` and ``batch_max`` are the
+    :class:`~repro.cluster.admission.AdmissionQueue`'s hard bound and
+    coalescing cap (``ClusterSpec.queue_depth``/``coalesce_max``).
     """
 
     def __init__(
@@ -103,7 +108,7 @@ class VerificationService:
         max_events: Optional[int] = None,
         backend: Optional[str] = None,
         parity_sample: int = 0,
-        metrics: Optional[ServeMetrics] = None,
+        metrics: Optional[ClusterMetrics] = None,
         ledger: object = None,
         controller: object = None,
         trace: bool = True,
@@ -161,14 +166,17 @@ class VerificationService:
         self.queue_depth = queue_depth
         self.batch_max = batch_max
         self.parity_sample = parity_sample
-        self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.metrics.shards = shards
+        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        self.metrics.placement = self.executor
+        self.metrics.admission = self.admission
         #: the self-regulating control plane: ``None`` (off), ``True``
         #: (default :class:`~repro.control.controller.ControlPolicy`)
-        #: or a ``ControlPolicy``.  Fed from epoch walls, per-shard
-        #: loads and queue depth; ticked after every epoch — its
-        #: severity feeds any admission policy exposing ``update_signals``
-        #: (:class:`~repro.control.policies.AdaptiveAdmission`).
+        #: or a ``ControlPolicy``.  Fed from epoch walls and queue
+        #: depth; ticked after every epoch — its severity feeds the
+        #: admission policy
+        #: (:class:`~repro.control.policies.AdaptiveAdmission`).  A
+        #: stateless pool has no placement to move, so no shard loads
+        #: are fed and no placement decision is ever applied.
         self.controller = None
         if controller is not None:
             from repro.control.controller import ControlPolicy, Controller
@@ -179,7 +187,7 @@ class VerificationService:
             self.controller = Controller(policy)
             self.controller.tracer = self.tracer
         self.metrics.control = self.controller
-        self._queue: Optional[asyncio.Queue] = None
+        self._queue: Optional[AdmissionQueue] = None
         self._dispatcher: Optional[asyncio.Task] = None
 
     # -- configuration -------------------------------------------------------
@@ -200,7 +208,17 @@ class VerificationService:
         # warm the worker pool before the loop owns any helper threads,
         # so process workers fork from a single-threaded parent
         self.executor.warm()
-        self._queue = asyncio.Queue(maxsize=self.queue_depth)
+        self._queue = AdmissionQueue(
+            self.admission,
+            self.metrics,
+            depth=self.queue_depth,
+            coalesce_max=self.batch_max,
+            controller=self.controller,
+        )
+        #: set by ``submit_nowait`` (there is work) / by the dispatcher
+        #: (the queue is drained and nothing is in flight)
+        self._wakeup = asyncio.Event()
+        self._idle = asyncio.Event()
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
@@ -224,7 +242,7 @@ class VerificationService:
     async def drain(self) -> None:
         """Wait until every admitted request has been served."""
         if self._queue is not None:
-            await self._queue.join()
+            await self._idle.wait()
 
     # -- admission -----------------------------------------------------------
 
@@ -239,33 +257,13 @@ class VerificationService:
         """
         if self._queue is None:
             raise RuntimeError("service is not started")
-        if not self.admission.at_door_request(
-            request, self._queue.qsize(), self.queue_depth
-        ):
-            self.metrics.reject(request.kind)
-            raise AdmissionError(
-                f"admission refused ({request.kind}, queue "
-                f"{self._queue.qsize()}/{self.queue_depth})"
-            )
-        ticket = _Ticket(
-            request=request,
-            future=asyncio.get_running_loop().create_future(),
-            enqueued=time.perf_counter(),
-            net_delay=net_delay,
+        future = asyncio.get_running_loop().create_future()
+        self._queue.submit(
+            request, net_delay, functools.partial(_settle, future)
         )
-        try:
-            self._queue.put_nowait(ticket)
-        except asyncio.QueueFull:
-            self.metrics.reject(request.kind)
-            raise AdmissionError(
-                f"admission queue full (depth {self.queue_depth})"
-            ) from None
-        self.metrics.admit(request.kind)
-        if self.controller is not None:
-            self.controller.observe_queue_depth(
-                self._queue.qsize(), self.queue_depth
-            )
-        return ticket.future
+        self._idle.clear()
+        self._wakeup.set()
+        return future
 
     async def request(self, request, *, net_delay: float = 0.0) -> Completion:
         """Admit one request and await its completion."""
@@ -276,172 +274,87 @@ class VerificationService:
     async def _dispatch_loop(self) -> None:
         queue = self._queue
         while True:
-            batch = [await queue.get()]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            self._wakeup.clear()
+            group = queue.next_group()
+            if not group:
+                self._idle.set()
+                await self._wakeup.wait()
+                continue
             try:
-                await self._process_batch(batch)
-            finally:
-                for _ in batch:
-                    queue.task_done()
-
-    async def _process_batch(self, batch: List[_Ticket]) -> None:
-        index = 0
-        while index < len(batch):
-            ticket = batch[index]
-            if isinstance(ticket.request, ChurnRequest):
-                group = [ticket]
-                index += 1
-                while index < len(batch) and isinstance(
-                    batch[index].request, ChurnRequest
-                ):
-                    group.append(batch[index])
-                    index += 1
-                group = [t for t in group if not self._shed(t)]
-                if group:
-                    await self._serve_churn_group(group)
+                payload = await self._serve_group(group)
+            except Exception as exc:  # resolve, never hang the clients
+                queue.fail(group, exc)
             else:
-                if not self._shed(batch[index]):
-                    await self._serve_one(batch[index])
-                index += 1
+                queue.resolve(group, payload)
 
-    def _shed(self, ticket: _Ticket) -> bool:
-        """Apply the admission policy's dispatch-time decision: a shed
-        ticket resolves with :class:`~repro.cluster.admission.ShedError`
-        and its request is never applied."""
-        waited = time.perf_counter() - ticket.enqueued
-        if self.admission.at_dispatch(ticket.request.kind, waited):
-            return False
-        self.metrics.shed_one(ticket.request.kind)
-        if not ticket.future.done():
-            ticket.future.set_exception(
-                ShedError(
-                    f"{ticket.request.kind} request shed after "
-                    f"{waited:.3f}s in queue"
+    async def _serve_group(self, group: List[Ticket]):
+        """Do one unit of work: queries answer on the loop, epochs and
+        adjudication run in a worker thread."""
+        request = group[0].request
+        if isinstance(request, QueryRequest):
+            return answer_query(self.evidence, request)
+        if isinstance(request, AdjudicateRequest):
+            return await asyncio.to_thread(self._answer_adjudicate, request)
+        if isinstance(request, ChurnRequest):
+            with self.tracer.span(
+                "group", component="serve", coalesced=len(group)
+            ):
+                return await asyncio.to_thread(
+                    self._run_churn_group, [t.request for t in group]
                 )
+        raise TypeError(f"unknown request type {type(request).__name__}")
+
+    def _run_churn_group(
+        self, requests: List[ChurnRequest]
+    ) -> EpochOutcome:
+        for request in requests:
+            for step in request.steps:
+                apply_step(step, self.network)
+            for asn, prefix in request.marks:
+                self.monitor.mark(asn, prefix)
+        self.network.run_to_quiescence()
+        outcome = EpochOutcome(coalesced=len(requests))
+        # a work bound may defer pairs; drain within the group so
+        # every admitted churn request is fully audited when its
+        # future resolves.  Metrics absorb each epoch as it lands,
+        # so a failure later in the group cannot leave recorded
+        # evidence unaccounted for.
+        while True:
+            report, slices = self._run_epoch_sharded()
+            outcome.reports.append(report)
+            outcome.slices.extend(slices)
+            self.metrics.note_epoch(
+                report,
+                coalesced=len(requests) if len(outcome.reports) == 1 else 0,
             )
-        return True
-
-    async def _serve_churn_group(self, group: List[_Ticket]) -> None:
-        started = time.perf_counter()
-
-        def run() -> EpochOutcome:
-            for ticket in group:
-                request = ticket.request
-                for step in request.steps:
-                    apply_step(step, self.network)
-                for asn, prefix in request.marks:
-                    self.monitor.mark(asn, prefix)
-            self.network.run_to_quiescence()
-            outcome = EpochOutcome(coalesced=len(group))
-            # a work bound may defer pairs; drain within the group so
-            # every admitted churn request is fully audited when its
-            # future resolves.  Metrics absorb each epoch as it lands,
-            # so a failure later in the group cannot leave recorded
-            # evidence unaccounted for.
-            while True:
-                report, slices = self._run_epoch_sharded()
-                outcome.reports.append(report)
-                outcome.slices.extend(slices)
-                self.metrics.note_epoch(
-                    report,
-                    coalesced=len(group) if len(outcome.reports) == 1
-                    else 0,
-                )
-                if not self.monitor.pending():
-                    break
-            for ticket in group:
-                for probe in ticket.request.probes:
-                    outcome.probe_events.append(
-                        self.monitor.audit_once(
-                            probe.asn,
-                            probe.prefix,
-                            probe.recipient,
-                            prover=(
-                                probe.prover(self.keystore)
-                                if probe.prover is not None
-                                else None
-                            ),
-                            max_length=probe.max_length,
-                        )
+            if not self.monitor.pending():
+                break
+        for request in requests:
+            for probe in request.probes:
+                outcome.probe_events.append(
+                    self.monitor.audit_once(
+                        probe.asn,
+                        probe.prefix,
+                        probe.recipient,
+                        prover=(
+                            probe.prover(self.keystore)
+                            if probe.prover is not None
+                            else None
+                        ),
+                        max_length=probe.max_length,
                     )
-            if outcome.probe_events:
-                self.metrics.note_probes(outcome.probe_events)
-            return outcome
-
-        group_span = self.tracer.begin(
-            "group", component="serve", coalesced=len(group)
-        )
-        try:
-            outcome = await asyncio.to_thread(run)
-        except Exception as exc:  # resolve, never hang the clients
-            self.tracer.finish(group_span, status="error")
-            self._fail_group(group, exc)
-            return
-        self.tracer.finish(group_span)
-        finished = time.perf_counter()
-        for ticket in group:
-            self._resolve(ticket, outcome, started, finished)
-
-    def _fail_group(self, group: List[_Ticket], exc: Exception) -> None:
-        for ticket in group:
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
-
-    async def _serve_one(self, ticket: _Ticket) -> None:
-        started = time.perf_counter()
-        request = ticket.request
-        try:
-            if isinstance(request, QueryRequest):
-                payload = self._answer_query(request)
-            elif isinstance(request, AdjudicateRequest):
-                payload = await asyncio.to_thread(
-                    self._answer_adjudicate, request
                 )
-            else:
-                raise TypeError(
-                    f"unknown request type {type(request).__name__}"
-                )
-        except Exception as exc:
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
-            return
-        self._resolve(ticket, payload, started, time.perf_counter())
-
-    def _resolve(
-        self, ticket: _Ticket, payload, started: float, finished: float
-    ) -> None:
-        completion = Completion(
-            request=ticket.request,
-            payload=payload,
-            enqueued=ticket.enqueued,
-            started=started,
-            finished=finished,
-            net_delay=ticket.net_delay,
-        )
-        self.metrics.complete(
-            ticket.request.kind,
-            latency=completion.latency,
-            queue_delay=completion.queue_delay,
-            service=completion.service_time,
-        )
-        if not ticket.future.done():
-            ticket.future.set_result(completion)
+        if outcome.probe_events:
+            self.metrics.note_probes(outcome.probe_events)
+        return outcome
 
     # -- request handlers ----------------------------------------------------
-
-    def _answer_query(self, request: QueryRequest):
-        return answer_query(self.evidence, request)
 
     def _answer_adjudicate(self, request: AdjudicateRequest):
         payload = answer_adjudicate(self.evidence, request)
         if self.ledger is not None:
             self.ledger.fold_adjudications(payload)
-            if hasattr(self.admission, "update"):
-                self.admission.update(self.ledger.trust_map())
+            self.admission.update(self.ledger.trust_map())
         return payload
 
     # -- the sharded epoch pipeline ------------------------------------------
@@ -513,7 +426,7 @@ class VerificationService:
         report.wall_seconds = epoch_span.duration
         slices = []
         for shard, batch in enumerate(batches):
-            self.metrics.note_shard(shard, len(batch))
+            self.metrics.note_worker(shard, len(batch))
             shard_wall = sum(
                 stats.wall_seconds for _, stats in batch.values()
             )
@@ -534,27 +447,12 @@ class VerificationService:
             self.controller.observe_epoch(
                 wall_seconds=report.wall_seconds,
                 worker_walls={s.worker: s.wall_seconds for s in slices},
-                shard_loads={s.worker: s.fresh for s in slices},
             )
-            self._control_tick()
-        if self.ledger is not None and hasattr(self.admission, "update"):
+            self._queue.control_tick()
+        if self.ledger is not None:
             # refresh the trust-tiered door with trust as of this epoch
             self.admission.update(self.ledger.trust_map())
         return report, slices
-
-    def _control_tick(self) -> None:
-        """One controller evaluation at the epoch boundary."""
-        decisions = self.controller.tick()
-        if hasattr(self.admission, "update_signals"):
-            self.admission.update_signals(
-                severity=self.controller.severity,
-                stale_after=self.controller.policy.stale_after,
-            )
-        for decision in decisions:
-            if decision.action in self.controller.PLACEMENT_ACTIONS:
-                # a stateless pool under one process has no slices to
-                # move and no fleet to grow: the cluster's moves
-                decision.applied = False
 
     def _parity_check(self, plan: EpochPlan, outcomes) -> None:
         """Re-prove a sample of fresh verdicts in-process and compare.

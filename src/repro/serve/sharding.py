@@ -136,6 +136,10 @@ class ShardExecutor:
             backend = "serial" if shards == 1 else f"process:{shards}"
         self.backend = ShardPool(backend)
 
+    def describe(self) -> Dict[str, object]:
+        """The metrics snapshot's ``placement.spec``."""
+        return {"shards": self.shards}
+
     def warm(self) -> None:
         """Start the worker pool now, from the calling thread.
 

@@ -142,6 +142,28 @@ class TestProcessWorkerDeath:
         reference = reference_trail(spec, requests)
         assert trail_mismatches(evidence, reference) == []
 
+    def test_heartbeat_silence_is_reaped_without_a_deadline(self):
+        """No epoch deadline at all: a hung worker stops heart-beating,
+        and five silent intervals are enough to reap, backfill and
+        respawn it."""
+        spec = make_spec(
+            "minimum",
+            transport="process",
+            heartbeat_interval=0.2,
+            chaos=ChaosSpec(
+                worker=2, epoch=3, mode="hang", hang_seconds=60.0
+            ),
+        )
+        assert spec.epoch_deadline is None
+        _, prefixes = serve_network(PREFIX_COUNT)
+        requests = churn_script(prefixes, rounds=4)
+        cluster, evidence = run_script(spec, requests)
+        [respawn] = cluster.metrics.respawns
+        assert respawn["worker"] == 2
+        assert "heartbeat silent" in respawn["reason"]
+        reference = reference_trail(spec, requests)
+        assert trail_mismatches(evidence, reference) == []
+
     def test_death_found_at_churn_broadcast_is_survivable(self):
         """A worker whose process died *between* requests is discovered
         when the next churn broadcast hits its closed pipe: it is

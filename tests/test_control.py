@@ -50,13 +50,13 @@ class TestNearestRank:
             nearest_rank([1.0], p)
 
     def test_all_percentiles_route_through_one_implementation(self):
-        """Satellite: no duplicated nearest-rank code — the serve and
-        cluster metrics ledgers use the exact class from
+        """Satellite: no duplicated nearest-rank code — the one metrics
+        ledger and the load generator use the exact class from
         repro.control.signals."""
         from repro.cluster import metrics as cluster_metrics
-        from repro.serve import metrics as serve_metrics
+        from repro.serve import loadgen
 
-        assert serve_metrics.LatencySeries is LatencySeries
+        assert loadgen.LatencySeries is LatencySeries
         assert cluster_metrics.LatencySeries is LatencySeries
 
 
@@ -89,7 +89,6 @@ class TestSignalBus:
         bus = SignalBus(window=8)
         bus.observe_epoch_wall(0.5)
         bus.observe_worker_wall(1, 0.25)
-        bus.observe_backlog(1, 3)
         bus.observe_queue_depth(4, 16)
         bus.observe_shard_loads({0: 9, 1: 1})
         assert bus.names() == [
@@ -97,7 +96,6 @@ class TestSignalBus:
             "queue_fraction",
             "shard/0/load",
             "shard/1/load",
-            "worker/1/backlog",
             "worker/1/epoch_wall",
         ]
         assert bus.last("queue_fraction") == 0.25

@@ -754,6 +754,36 @@ class TestRateOneIdentity:
             cluster.stop()
 
 
+    def test_cluster_adjudication_refreshes_the_trust_door(self):
+        """Slashing folded in by a served ``AdjudicateRequest`` reaches
+        the trust-tiered door at once (as on the serve host), not at
+        the next epoch's settle."""
+        from repro.cluster.requests import AuditProbe
+
+        _, prefixes = serve_network(PREFIX_COUNT)
+        spec = make_spec(
+            ledger=LedgerPolicy(clean_epochs_to_promote=1),
+            admission="trust",
+        )
+        cluster = spec.build()
+        try:
+            for request in churn_script(prefixes, rounds=3):
+                cluster.request(request)
+            cluster.request(ChurnRequest(probes=(
+                AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
+                           prover=LongerRouteProver),
+            )))
+            before = cluster.admission.trust["A"]
+            cluster.request(AdjudicateRequest())
+            assert cluster.ledger.trust_level("A") is (
+                TrustLevel.QUARANTINED
+            )
+            assert before > TrustLevel.QUARANTINED
+            assert cluster.admission.trust == cluster.ledger.trust_map()
+        finally:
+            cluster.stop()
+
+
 class TestSteadyStateReduction:
     def test_trust_sampling_strictly_reduces_signatures(self):
         policy = LedgerPolicy(

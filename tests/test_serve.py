@@ -25,6 +25,11 @@ from repro.cluster import (
     AdmissionError,
     AuditProbe,
     ChurnRequest,
+    ClusterMetrics,
+    ClusterSpec,
+    DeadlineShed,
+    LatencySeries,
+    PolicySpec,
     QueryRequest,
 )
 from repro.crypto.keystore import KeyStore
@@ -41,9 +46,7 @@ from repro.pvr.scenarios import (
     serve_network,
 )
 from repro.serve import (
-    LatencySeries,
     LoadProfile,
-    ServeMetrics,
     ServeWorkload,
     SimnetGateway,
     VerificationService,
@@ -301,7 +304,7 @@ class TestNamedChooserSharding:
     def test_named_chooser_entries_run_on_shards_with_parity(self):
         service, monitor = self.build_trails()
         # the work actually went through the shard pool
-        assert sum(service.metrics.shard_events.values()) > 0
+        assert sum(service.metrics.worker_events.values()) > 0
         assert service.metrics.parity_failed == 0
         assert_byte_identical(service.evidence, monitor.evidence)
 
@@ -426,13 +429,13 @@ class TestLatencySeries:
             series.percentile(0)
 
     def test_snapshot_schema(self):
-        metrics = ServeMetrics()
+        metrics = ClusterMetrics()
         metrics.admit("churn")
         metrics.complete("churn", latency=0.1, queue_delay=0.02,
                          service=0.08)
         snapshot = metrics.snapshot()
-        assert snapshot["schema"] == "repro.serve/metrics"
-        assert snapshot["schema_version"] == 3
+        assert snapshot["schema"] == "repro.cluster/metrics"
+        assert snapshot["schema_version"] == 6
         churn = snapshot["requests"]["churn"]
         assert churn["admitted"] == 1
         assert churn["latency"]["p99_s"] == 0.1
@@ -667,6 +670,130 @@ class TestService:
         assert latency.percentile(50) >= 0.04
 
 
+# -- one admission plane under both front-ends ---------------------------------
+
+
+def _serve_network_only():
+    return serve_network(4)[0]
+
+
+class TestOneAdmissionPlane:
+    """`Cluster` and `VerificationService` host the same
+    :class:`~repro.cluster.admission.AdmissionQueue`: the same script
+    yields the same admission accounting on either."""
+
+    DEPTH = 8
+    COALESCE = 3
+    POLICY = dict(recipients=("B",), name="A/min->B", max_length=8)
+
+    #: every query sheds at dispatch; churn and adjudication never do
+    @staticmethod
+    def admission():
+        return DeadlineShed(1e-9, {"churn": None, "adjudicate": None})
+
+    @staticmethod
+    def script():
+        """Two waves, each submitted whole before anything is served:
+        a 4-churn burst (cap 3 -> groups of 3 + 1), a query that sheds,
+        a probing churn, an adjudication, a second shed query and a
+        ninth request that finds the queue at depth; then a 2-churn
+        burst and an adjudication."""
+        _, prefixes = serve_network(4)
+        marks = [
+            ChurnRequest(marks=(("A", prefix),)) for prefix in prefixes
+        ]
+        probe = ChurnRequest(
+            marks=(("A", prefixes[0]),),
+            probes=(
+                AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
+                           prover=LongerRouteProver),
+            ),
+        )
+        first = marks + [
+            QueryRequest(), probe, AdjudicateRequest(), QueryRequest(),
+            QueryRequest(),
+        ]
+        second = marks[:2] + [AdjudicateRequest()]
+        assert len(first) + len(second) == 12
+        return first, second
+
+    EXPECTED = {
+        "churn": {"admitted": 7, "rejected": 0, "shed": 0, "completed": 7},
+        "query": {"admitted": 2, "rejected": 1, "shed": 2, "completed": 0},
+        "adjudicate": {
+            "admitted": 2, "rejected": 0, "shed": 0, "completed": 2,
+        },
+        "coalesced_requests": 5,
+        "coalesced_batches": {"count": 4, "max_size": 3, "mean_size": 1.75},
+    }
+
+    def drive_cluster(self):
+        spec = ClusterSpec(
+            network=_serve_network_only,
+            policies=(PolicySpec("A", ShortestRoute(), self.POLICY),),
+            workers=2,
+            transport="inline",
+            rng_seed=SEED,
+            admission=self.admission(),
+            queue_depth=self.DEPTH,
+            coalesce_max=self.COALESCE,
+        )
+        with spec.build() as cluster:
+            for wave in self.script():
+                for request in wave:
+                    try:
+                        cluster.submit(request)
+                    except AdmissionError:
+                        pass
+                cluster.drain()
+            return cluster.snapshot()
+
+    def drive_service(self):
+        async def go():
+            service = make_service(
+                _serve_network_only(),
+                shards=2,
+                admission=self.admission(),
+                queue_depth=self.DEPTH,
+                batch_max=self.COALESCE,
+            )
+            service.policy("A", ShortestRoute(), **self.POLICY)
+            await service.start()
+            for wave in self.script():
+                futures = []
+                for request in wave:
+                    try:
+                        futures.append(service.submit_nowait(request))
+                    except AdmissionError:
+                        pass
+                await service.drain()
+                await asyncio.gather(*futures, return_exceptions=True)
+            await service.stop()
+            return service.metrics.snapshot()
+
+        return run_async(go())
+
+    @pytest.mark.parametrize("host", ["cluster", "service"])
+    def test_same_script_same_admission_accounting(self, host):
+        snapshot = getattr(self, f"drive_{host}")()
+        assert snapshot["schema"] == "repro.cluster/metrics"
+        observed = {
+            kind: {
+                key: record[key]
+                for key in ("admitted", "rejected", "shed", "completed")
+            }
+            for kind, record in snapshot["requests"].items()
+        }
+        epochs = snapshot["epochs"]
+        observed["coalesced_requests"] = epochs["coalesced_requests"]
+        observed["coalesced_batches"] = epochs["coalesced_batches"]
+        assert observed == self.EXPECTED
+        # both hosts fill the queue-delay / service-time split
+        churn = snapshot["requests"]["churn"]
+        assert churn["queue_delay"]["count"] == 7
+        assert churn["service_time"]["count"] == 7
+
+
 # -- pluggable admission (the cluster-API seam) --------------------------------
 
 
@@ -825,7 +952,7 @@ class TestBenchDriver:
             )
         assert four.wall_seconds > 0
         # the partition actually spread over multiple shards
-        assert len(four.service.metrics.shard_events) > 1
+        assert len(four.service.metrics.worker_events) > 1
 
     def test_open_loop_with_violations(self):
         run = run_workload(
