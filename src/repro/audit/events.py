@@ -8,12 +8,12 @@ verification it reuses).  An :class:`EpochReport` aggregates one epoch:
 what ran, what was reused, what was deferred by the work bound.
 
 :class:`EpochOutcome` is the **unified epoch-driving result**: the one
-shape :meth:`~repro.audit.monitor.Monitor.run_epoch`,
-:meth:`~repro.cluster.cluster.Cluster.run_epoch` and the serve layer's
-epoch path all return.  It aggregates one *driving step* — one or more
-epoch reports (a work bound or a coalesced churn group can span
-several), the out-of-epoch probe events that rode along, per-shard
-:class:`SliceStats`, and the cluster's respawn count — while forwarding
+shape :meth:`~repro.audit.monitor.Monitor.run_epoch` and the serving
+pipeline (:class:`~repro.cluster.pipeline.Pipeline`, on either host)
+return.  It aggregates one *driving step* — one or more epoch reports
+(a work bound or a coalesced churn group can span several), the
+out-of-epoch probe events that rode along, per-worker
+:class:`SliceStats`, and the pool's respawn count — while forwarding
 every :class:`EpochReport` accessor, so code written against the old
 single-report shape keeps working unchanged.
 """
@@ -101,10 +101,7 @@ def reused_event(
     previous: VerdictEvent, *, seq: int, epoch: int
 ) -> VerdictEvent:
     """Build the cache-served re-emission of ``previous`` for ``epoch``:
-    same report, same round, zero crypto operations.  Shared by
-    :meth:`~repro.audit.monitor.Monitor.emit_reused` and the cluster
-    coordinator (which re-emits from its cache mirror when the owning
-    worker died mid-epoch)."""
+    same report, same round, zero crypto operations."""
     return VerdictEvent(
         seq=seq,
         epoch=epoch,
@@ -137,7 +134,7 @@ class SliceStats:
     events: int
     fresh: int
     reused: int
-    #: positions this worker re-executed on behalf of a dead worker
+    #: rounds this worker re-ran on behalf of a dead worker
     backfilled: int = 0
     wall_seconds: float = 0.0
 
@@ -149,7 +146,7 @@ class EpochOutcome:
     ``reports`` are the epochs the step ran (a work bound or a coalesced
     churn group can span several); ``probe_events`` the out-of-epoch
     audits that rode along; ``slices`` the per-worker/shard execution
-    stats; ``respawns`` how many dead workers the cluster replaced while
+    stats; ``respawns`` how many dead workers the pool replaced while
     serving the step; ``coalesced`` how many churn requests shared it.
 
     Every :class:`EpochReport` accessor is forwarded (``events``,

@@ -37,6 +37,7 @@ inside the BGP event loop (the same constraint the legacy
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -107,6 +108,33 @@ class EpochPlan:
         return [(i, e) for i, e in enumerate(self.entries) if e.fresh]
 
 
+def tuple_key(item: WorkItem) -> TupleKey:
+    return (item.asn, item.prefix, item.policy, item.spec.recipients)
+
+
+def absorb_verdict(
+    cache: Dict[TupleKey, Tuple[Tuple, VerdictEvent]],
+    item: WorkItem,
+    fingerprint: Tuple,
+    event: VerdictEvent,
+) -> None:
+    """Fold one freshly verified tuple into a reuse cache: an ok
+    verdict caches (under ``fingerprint``, the planner's
+    ``(item.fingerprint(), chooser)``), a violation evicts.  The one
+    rule, applied live by the monitor and by journal replay rebuilding
+    a monitor's cache."""
+    key = tuple_key(item)
+    if event.ok():
+        cache[key] = (fingerprint, event)
+    else:
+        # never serve a violation from the cache: a verdict that
+        # failed (a cheat, or a dropped/tampered wire message) is not
+        # reusable — the next audit of this tuple (further churn, or
+        # an explicit resync()) re-proves it fresh, so a transient
+        # transport fault cannot poison the incremental path
+        cache.pop(key, None)
+
+
 class MonitorError(RuntimeError):
     """The monitor was used before :meth:`Monitor.attach`, or a policy
     could not be materialized."""
@@ -155,8 +183,8 @@ class Monitor:
         self.max_work_per_epoch = _check_work_bound(max_work_per_epoch)
         self.rng_seed = rng_seed
         self.intensity = intensity
-        # the obs seam: hosts (serve service, cluster worker) hand the
-        # monitor their own context so plan/epoch spans share one trace
+        # the obs seam: hosts (serve service, cluster coordinator) hand
+        # the monitor their own context so plan/epoch spans share one trace
         self.tracer = tracer if tracer is not None else TraceContext("m")
         self.network: Optional[BGPNetwork] = None
         self._detached = False
@@ -333,6 +361,45 @@ class Monitor:
         seen.update(dict.fromkeys(router.loc_rib.prefixes()))
         return tuple(seen)
 
+    # -- durability (what a host checkpoints beside the evidence store) ------
+
+    def planning_state(self) -> Tuple[int, int, Dict]:
+        """The scheduler's own state: epoch counter, round counter and
+        the reuse cache."""
+        return (self.epoch, self._round_counter, dict(self._cache))
+
+    def restore_planning(
+        self, epoch: int, round_counter: int, cache: Dict
+    ) -> None:
+        """Adopt a :meth:`planning_state` taken between requests.  Once
+        any epoch has run, every pair marked on the way here (policy
+        registration, replayed churn) was audited by the epochs being
+        restored, so the dirty queue empties; a monitor that never
+        planned keeps its registration marks for its first epoch."""
+        self.epoch = epoch
+        self._round_counter = round_counter
+        self._cache = dict(cache)
+        if epoch:
+            self._dirty.clear()
+
+    def pickled_network(self) -> bytes:
+        """Pickle the network with this monitor's churn hooks unhooked —
+        the hook closures capture the live monitor and must not travel;
+        they are re-armed before this returns, so the running monitor
+        keeps marking dirty pairs."""
+        network = self._require_network()
+        try:
+            for asn, (on_decision, on_resync) in self._hooked.items():
+                router = network.router(asn)
+                router.remove_decision_hook(on_decision)
+                router.remove_resync_hook(on_resync)
+            return pickle.dumps(network)
+        finally:
+            for asn, (on_decision, on_resync) in self._hooked.items():
+                router = network.router(asn)
+                router.add_decision_hook(on_decision)
+                router.add_resync_hook(on_resync)
+
     # -- the epoch scheduler -------------------------------------------------
 
     def run_epoch(self, max_work: Optional[int] = None) -> EpochOutcome:
@@ -362,9 +429,9 @@ class Monitor:
         round-number allocation for fresh work, and work-bound deferral
         — all state the scheduler owns is updated here.  The plan can
         then be executed serially (:meth:`execute_plan`) or fanned out
-        across shard workers (:mod:`repro.serve`): both record through
-        the same code path, so verdicts, rounds and sequence numbers
-        cannot depend on who executes.
+        across pool workers (:mod:`repro.cluster.pipeline`): both record
+        through the same code path, so verdicts, rounds and sequence
+        numbers cannot depend on who executes.
         """
         network = self._require_network()
         budget = (
@@ -378,8 +445,7 @@ class Monitor:
         )
         if self.intensity is not None:
             # epoch boundary: the intensity settles its ledger (when it
-            # owns one) so sampling sees trust as of epochs < this one —
-            # the same snapshot every co-planning cluster replica gets
+            # owns one) so sampling sees trust as of epochs < this one
             self.intensity.begin_epoch(self.epoch)
         plan = EpochPlan(epoch=self.epoch)
 
@@ -395,7 +461,7 @@ class Monitor:
                 if policy.asn != asn or not policy.covers(prefix):
                     continue
                 for item in policy.work_items(router, prefix):
-                    key = self._cache_key(item)
+                    key = tuple_key(item)
                     if key in done:
                         continue  # audited earlier in this churn burst
                     fingerprint = (item.fingerprint(), policy.chooser)
@@ -501,22 +567,6 @@ class Monitor:
         self._round_counter += 1
         return self._round_counter
 
-    def _cache_key(self, item: WorkItem) -> TupleKey:
-        return (item.asn, item.prefix, item.policy, item.spec.recipients)
-
-    def _absorb(self, entry: PlannedItem, event: VerdictEvent) -> None:
-        """Fold a freshly executed plan entry into the reuse cache."""
-        key = self._cache_key(entry.item)
-        if event.ok():
-            self._cache[key] = (entry.fingerprint, event)
-        else:
-            # never serve a violation from the cache: a verdict that
-            # failed (a cheat, or a dropped/tampered wire message) is not
-            # reusable — the next audit of this tuple (further churn, or
-            # an explicit resync()) re-proves it fresh, so a transient
-            # transport fault cannot poison the incremental path
-            self._cache.pop(key, None)
-
     def emit_reused(self, entry: PlannedItem, *, epoch: int) -> VerdictEvent:
         """Serve an unchanged plan entry from the cache: same report,
         same round, zero crypto operations."""
@@ -558,7 +608,7 @@ class Monitor:
             stats=stats,
         )
         self.evidence.record(event)
-        self._absorb(entry, event)
+        absorb_verdict(self._cache, item, entry.fingerprint, event)
         return event
 
     def run_planned_round(

@@ -11,13 +11,11 @@ something).
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from itertools import chain
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -99,23 +97,10 @@ class EvidenceStore:
     def _all(self) -> Iterator[VerdictEvent]:
         return chain(self._pinned, self._tail)
 
-    def absorb(self, events: Iterable[VerdictEvent]) -> List[VerdictEvent]:
-        """Fold foreign events (another store's stream) into this one.
-
-        Each event is re-recorded under a fresh local sequence number,
-        in the order given — the caller owns the merge order (the
-        cluster coordinator folds its workers' slices in plan order).
-        """
-        return [
-            self.record(dataclasses.replace(event, seq=self.next_seq()))
-            for event in events
-        ]
-
     def adopt(self, event: VerdictEvent) -> VerdictEvent:
         """Re-record ``event`` under its *existing* sequence number —
-        the journal-replay primitive.  Unlike :meth:`absorb` (which
-        re-seqs), adoption preserves the trail exactly as it was
-        recorded, advancing the seq allocator past it so post-recovery
+        the journal-replay primitive.  Adoption preserves the trail
+        exactly as it was recorded, advancing the seq allocator past it so post-recovery
         events continue the original numbering.  Subscribers fire and
         the eviction bound applies, so derived state (the ledger's
         counters, pinned violations, the evicted tally) re-folds to

@@ -162,8 +162,8 @@ def run_wire_round(
     # without a nonce source adopts the round's deterministic stream for
     # the duration of this round (restored afterwards, so a reused
     # instance gets each round's own stream): monitored Byzantine rounds
-    # are replayable — and a cluster worker's probe transcript is
-    # byte-identical to the unsharded monitor's
+    # are replayable — and a serving host's probe transcript is
+    # byte-identical to the reference monitor's
     seeded_prover = (
         prover is not None
         and random_bytes is not None

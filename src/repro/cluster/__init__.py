@@ -1,47 +1,37 @@
-"""``repro.cluster``: placement-driven multi-process verification.
+"""``repro.cluster``: the serving substrate, and its durable host.
 
-The serve layer (:mod:`repro.serve`) shards *execution* under one
-process; this package distributes the whole audit plane.  A declarative
-:class:`~repro.cluster.spec.ClusterSpec` builds a
-:class:`~repro.cluster.cluster.Cluster` of fully independent
-:class:`~repro.audit.monitor.Monitor` workers — one process, network
-replica, keystore and evidence store each — behind a real IPC admission
-plane, with three pluggable seams:
+One pipeline turns churn into verdicts, and it is written once, here:
+:class:`~repro.cluster.pipeline.Pipeline` applies a coalesced churn
+group to the one :class:`~repro.audit.monitor.Monitor`, plans each
+epoch centrally and deals the plan's fresh rounds to **one pool** of
+stateless workers (:mod:`repro.cluster.pool`,
+:mod:`repro.cluster.worker`) — a round is a pure function of what the
+plan fixed, so workers hold keys and nothing else — then folds the
+results back in plan order, byte-identical to an unsharded monitor.
+Two hosts run it:
 
-* :class:`~repro.cluster.placement.Placement` — who owns which slice of
-  the (AS, prefix) policy space: :class:`~repro.cluster.placement.StaticHash`
-  (the classic modulo), :class:`~repro.cluster.placement.ConsistentHash`
-  (virtual nodes, cheap online resharding) and
-  :class:`~repro.cluster.placement.HotSplit` (splits hot shards from the
-  observed load, between epochs);
-* :class:`~repro.cluster.admission.AdmissionPolicy` — reject at the
-  door, deadline-based shedding, or per-request-type priorities,
-  applied by the one :class:`~repro.cluster.admission.AdmissionQueue`
-  this coordinator and :mod:`repro.serve` both host;
-* transport — ``"process"`` workers over multiprocessing pipes, or
-  ``"inline"`` workers speaking the identical protocol in-process.
+* :class:`~repro.cluster.cluster.Cluster`, built from a declarative
+  :class:`~repro.cluster.spec.ClusterSpec` — synchronous, failure
+  injectable (:class:`~repro.cluster.spec.ChaosSpec`) and, with
+  ``ClusterSpec.journal`` set, durable: the coordinator
+  write-ahead-journals its state changes (:mod:`repro.journal`) and a
+  coordinator killed mid-run restarts at the last commit boundary with
+  a byte-identical trail;
+* :class:`~repro.serve.service.VerificationService` — the same
+  pipeline behind an asyncio front-end.
 
-Workers **co-plan** every epoch deterministically, execute only their
-slice, and *stream* completed positions back; the coordinator folds the
-streams into plan order (:mod:`repro.cluster.fold`), so the trail is
-byte-identical to an unsharded monitor — including across an online
-:meth:`~repro.cluster.cluster.Cluster.reshard` that migrates ownership
-and commitment-cache entries mid-run, and across **worker deaths**: a
-worker that crashes, closes its pipe or misses the epoch deadline is
-backfilled by a buddy and respawned from a live snapshot
-(:class:`~repro.cluster.spec.ChaosSpec` injects such deaths
-deterministically).  Adjacent queued churn requests coalesce into one
-epoch sequence (``coalesce_max``).
-
-With ``ClusterSpec.journal`` set, the coordinator write-ahead-journals
-every fold seam (:mod:`repro.journal`): a coordinator killed mid-run
-restarts at the last commit boundary with a byte-identical trail, and
-:class:`~repro.cluster.rolling.RollingReplacer` recycles live workers
-one per step through the same bootstrap path.
+Both sit behind the one admission plane
+(:class:`~repro.cluster.admission.AdmissionQueue`: reject at the door,
+deadline-based shedding, or per-request-type priorities; adjacent
+queued churn requests coalesce into one epoch sequence) and write the
+one metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`).
+A worker that crashes, closes its pipe, misses the epoch deadline or
+goes silent costs a retry of its unfinished rounds on a survivor and a
+fresh fork — never the epoch.
 
 Run ``python -m repro.cluster`` for the cluster CLI (drives a churn
-workload through N workers with an optional mid-run reshard and checks
-parity against the unsharded reference).
+workload through N workers, optionally killing one, and checks parity
+against the unsharded reference).
 """
 
 from repro.cluster.admission import (
@@ -56,15 +46,6 @@ from repro.cluster.admission import (
 )
 from repro.cluster.cluster import Cluster, ClusterError, EpochOutcome
 from repro.cluster.metrics import ClusterMetrics, LatencySeries
-from repro.cluster.placement import (
-    ConsistentHash,
-    HotSplit,
-    Placement,
-    StaticHash,
-    make_placement,
-    moved_pairs,
-    pair_key,
-)
 from repro.cluster.requests import (
     AdjudicateRequest,
     AdmissionError,
@@ -72,9 +53,7 @@ from repro.cluster.requests import (
     ChurnRequest,
     Completion,
     QueryRequest,
-    SnapshotChunk,
 )
-from repro.cluster.rolling import RollingReplacer
 from repro.cluster.spec import ChaosSpec, ClusterSpec, PolicySpec
 
 __all__ = [
@@ -90,23 +69,14 @@ __all__ = [
     "ClusterMetrics",
     "ClusterSpec",
     "Completion",
-    "ConsistentHash",
     "DeadlineShed",
     "EpochOutcome",
-    "HotSplit",
     "LatencySeries",
-    "Placement",
     "PolicySpec",
     "PriorityAdmission",
     "QueryRequest",
     "RejectAtDoor",
-    "RollingReplacer",
     "ShedError",
-    "SnapshotChunk",
-    "StaticHash",
     "Ticket",
     "make_admission",
-    "make_placement",
-    "moved_pairs",
-    "pair_key",
 ]

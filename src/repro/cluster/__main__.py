@@ -3,38 +3,34 @@
 Usage::
 
     python -m repro.cluster --workers 2 --churns 12
-    python -m repro.cluster --workers 2 --placement consistent \\
-        --reshard-at 6 --grow 1 --json cluster-metrics.json
-    python -m repro.cluster --placement hotsplit --rebalance-at 6
-    python -m repro.cluster --kill-worker 1 --kill-at-epoch 4
+    python -m repro.cluster --kill-worker 1 --kill-at-epoch 3
     python -m repro.cluster --transport inline --no-verify
-    python -m repro.cluster --controller --placement hotsplit
+    python -m repro.cluster --controller
     python -m repro.cluster --journal cluster-journal --checkpoint-every 4
-    python -m repro.cluster --journal cluster-journal --rolling-replace
 
 Builds the multi-prefix serving scenario, stands up a
-:class:`~repro.cluster.cluster.Cluster` of process-isolated Monitor
-workers from a :class:`~repro.cluster.spec.ClusterSpec`, and drives the
-deterministic churn script (:mod:`repro.cluster.workload`) through the
-IPC admission plane — with an optional **online reshard** (grow via
-``--reshard-at``/``--grow``, or a hot-split ``--rebalance-at``) midway,
-and an optional **deterministic chaos kill**
+:class:`~repro.cluster.cluster.Cluster` — one planning Monitor over a
+pool of stateless round workers — from a
+:class:`~repro.cluster.spec.ClusterSpec`, and drives the deterministic
+churn script (:mod:`repro.cluster.workload`) through the admission
+plane, with an optional **deterministic chaos kill**
 (``--kill-worker``/``--kill-at-epoch``): the chosen worker is SIGKILLed
-mid-slice at the chosen epoch, its unfinished positions are backfilled
-by a buddy, and it is respawned from a live snapshot.  Afterwards the
-folded evidence trail is checked byte-for-byte against a freshly
-driven unsharded Monitor (``--no-verify`` skips it) — so with a kill
-the gate is literally "the trail survives a worker death unchanged" —
-and ``--json`` writes the schema-versioned cluster metrics snapshot.
+mid-batch at the chosen epoch (one in which it has rounds to run — an
+epoch served wholly from the cache involves no worker), its unfinished
+rounds are re-run on a survivor, and a fresh worker is forked in its
+place.  Afterwards the evidence trail is checked byte-for-byte against
+a freshly driven unsharded Monitor (``--no-verify`` skips it) — so with
+a kill the gate is literally "the trail survives a worker death
+unchanged" — and ``--json`` writes the schema-versioned cluster metrics
+snapshot.
 
-With ``--journal DIR`` the coordinator write-ahead-journals every fold
-seam.  Re-running the *same* command after a crash (or a SIGKILL — the
-CI durability gate does exactly that) recovers to the last commit
+With ``--journal DIR`` the coordinator write-ahead-journals every state
+change.  Re-running the *same* command after a crash (or a SIGKILL —
+the CI durability gate does exactly that) recovers to the last commit
 boundary, logs how many requests were already committed, re-drives only
 the remainder, and still checks byte-parity over the *whole* trail —
-replayed prefix included.  ``--rolling-replace`` drains and respawns
-one worker per served request until the whole fleet has been recycled,
-under the same parity gate.
+replayed prefix included.  The worker count is not part of the
+journal: the re-run may use a different ``--workers``.
 
 Exit status (the shared :mod:`repro.util.cli` contract): 0 on success,
 1 on any parity mismatch or failed online parity self-check, 2 on bad
@@ -64,22 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
         description="Drive a churn workload through a multi-process "
-        "verification cluster, optionally resharding online, and check "
+        "verification cluster, optionally killing a worker, and check "
         "byte-parity against an unsharded monitor.",
     )
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes (default: 2)")
-    parser.add_argument("--placement", default="consistent",
-                        choices=["static", "consistent", "hotsplit"],
-                        help="placement strategy (default: consistent)")
     parser.add_argument("--admission", default="reject", metavar="SPEC",
                         help='admission policy: "reject", "deadline[:S]", '
                         '"priority", "trust" or "adaptive[:S]" '
                         '(default: reject; --controller implies adaptive)')
     parser.add_argument("--controller", action="store_true",
                         help="enable the repro.control plane: adaptive "
-                        "admission plus automatic rebalance/grow with "
-                        "hysteresis, decided at epoch boundaries")
+                        "admission, decided at epoch boundaries")
     parser.add_argument("--transport", default="process",
                         choices=["process", "inline"],
                         help="worker isolation (default: process)")
@@ -91,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--violations", type=int, default=0, metavar="N",
                         help="Byzantine probe every N churn rounds "
                         "(default: never)")
-    parser.add_argument("--reshard-at", type=int, default=None, metavar="K",
-                        help="reshard online after the Kth request")
-    parser.add_argument("--grow", type=int, default=1, metavar="N",
-                        help="workers added by the reshard (default: 1)")
-    parser.add_argument("--rebalance-at", type=int, default=None,
-                        metavar="K", help="hot-split rebalance after the "
-                        "Kth request (hotsplit placement)")
     parser.add_argument("--max-work", type=int, default=None, metavar="N",
                         help="fresh verifications per epoch bound")
     parser.add_argument("--parity-sample", type=int, default=1, metavar="K",
@@ -105,16 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "0 disables (default: 1)")
     parser.add_argument("--kill-worker", type=int, default=None,
                         metavar="W", help="chaos: SIGKILL this worker "
-                        "mid-slice (with --kill-at-epoch)")
+                        "mid-batch (with --kill-at-epoch)")
     parser.add_argument("--kill-at-epoch", type=int, default=None,
                         metavar="K", help="chaos: the epoch at which "
                         "--kill-worker dies")
     parser.add_argument("--kill-after", type=int, default=1, metavar="N",
-                        help="chaos: owned events the dying worker "
+                        help="chaos: results the dying worker "
                         "streams out first (default: 1)")
     parser.add_argument("--epoch-deadline", type=float, default=None,
                         metavar="S", help="declare a worker dead when "
-                        "its slice misses this per-epoch deadline")
+                        "its batch misses this per-epoch deadline")
     parser.add_argument("--journal", metavar="DIR", default=None,
                         help="write-ahead journal directory: makes the "
                         "coordinator durable, and re-running the same "
@@ -123,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="checkpoint + compact the "
                         "journal every N committed requests "
                         "(default: 0 = never)")
-    parser.add_argument("--rolling-replace", action="store_true",
-                        help="drain-and-respawn one worker per served "
-                        "request until the whole fleet is recycled")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the unsharded-reference parity check")
     parser.add_argument("--flight-dump", metavar="PATH", default=None,
@@ -180,7 +162,6 @@ def run(args) -> int:
             ),
         ),
         workers=args.workers,
-        placement=args.placement,
         admission=admission,
         controller=args.controller or None,
         transport=args.transport,
@@ -209,74 +190,8 @@ def run(args) -> int:
                 f"request(s)",
                 recovered_requests=skip,
             )
-            if (
-                args.reshard_at is not None
-                and args.reshard_at <= skip
-                and cluster.workers < args.workers + args.grow
-            ):
-                # the reshard point fell inside the recovered prefix but
-                # the crash hit before the reshard itself was journaled:
-                # catch up now so the re-driven run matches the plan
-                record = cluster.reshard(workers=args.workers + args.grow)
-                obs_log.emit(
-                    "cluster",
-                    f"recovery caught up the pending reshard to "
-                    f"{cluster.workers} workers "
-                    f"({record['moved_pairs']} pairs moved)",
-                    workers=cluster.workers,
-                )
-        replacer = None
-        if args.rolling_replace:
-            from repro.cluster import RollingReplacer
-
-            replacer = RollingReplacer(cluster)
-        for index, request in enumerate(requests):
-            if index < skip:
-                continue
+        for request in requests[skip:]:
             cluster.request(request)
-            if replacer is not None and not replacer.done():
-                replaced = replacer.step()
-                if replaced is not None:
-                    obs_log.emit(
-                        "cluster",
-                        f"rolling replacement recycled worker {replaced} "
-                        f"({replacer.pending} to go)",
-                        worker=replaced,
-                    )
-            if args.reshard_at is not None and index + 1 == args.reshard_at:
-                record = cluster.reshard(
-                    workers=cluster.workers + args.grow
-                )
-                obs_log.emit(
-                    "cluster",
-                    f"resharded to {cluster.workers} workers: "
-                    f"{record['moved_pairs']}/{record['tracked_pairs']} "
-                    f"tracked pairs moved, "
-                    f"{record['migrated_cache_entries']} cache entries "
-                    f"migrated",
-                    workers=cluster.workers,
-                    moved_pairs=record["moved_pairs"],
-                )
-            if (
-                args.rebalance_at is not None
-                and index + 1 == args.rebalance_at
-            ):
-                record = cluster.rebalance()
-                if record is None:
-                    obs_log.emit(
-                        "cluster",
-                        "rebalance: placement already balanced",
-                    )
-                else:
-                    obs_log.emit(
-                        "cluster",
-                        f"hot-split rebalance: "
-                        f"{record['moved_pairs']} pairs moved",
-                        moved_pairs=record["moved_pairs"],
-                    )
-        if replacer is not None and not replacer.done():
-            # short scripts can end before the walk does: finish it
-            replacer.run()
         if args.flight_dump and not cluster.recorder.dumped:
             cluster.recorder.dump(args.flight_dump, "end of run")
         snapshot = cluster.snapshot()
@@ -291,8 +206,7 @@ def run(args) -> int:
     placement = snapshot["placement"]
     epochs = snapshot["epochs"]
     print_table(
-        f"cluster — {args.transport} transport, "
-        f"{placement['spec']['strategy']} placement",
+        f"cluster — {args.transport} transport",
         ["workers", "epochs", "events", "verified", "reused",
          "violations", "probes caught"],
         [(placement["spec"]["shards"], epochs["count"], epochs["events"],
@@ -321,10 +235,8 @@ def run(args) -> int:
         obs_log.emit(
             "cluster",
             f"worker {respawn['worker']} died ({respawn['reason']}) "
-            f"and was respawned with "
-            f"{respawn['installed_cache_entries']} cache entries",
+            f"and was replaced",
             worker=respawn["worker"],
-            installed=respawn["installed_cache_entries"],
         )
     if chaos is not None and not snapshot["respawns"]:
         print(f"[cluster] FAIL: chaos kill of worker "
@@ -338,19 +250,8 @@ def run(args) -> int:
             f"{recovery['replayed_records']} record(s) to epoch "
             f"{recovery['epoch']} / request boundary "
             f"{recovery['committed_requests']} "
-            f"({recovery['adopted_workers']} worker(s) adopted, "
-            f"{recovery['spawned_workers']} respawned cold)",
+            f"({recovery['spawned_workers']} worker(s) forked)",
             committed=recovery["committed_requests"],
-            adopted=recovery["adopted_workers"],
-        )
-    replacements = snapshot["replacements"]
-    if replacements:
-        obs_log.emit(
-            "cluster",
-            f"rolling replacement recycled {len(replacements)} "
-            f"worker(s): "
-            f"{[record['worker'] for record in replacements]}",
-            replaced=len(replacements),
         )
     journal_stats = snapshot.get("journal")
     if journal_stats:
@@ -379,10 +280,6 @@ def run(args) -> int:
         )
     if chaos is not None and not snapshot["respawns"]:
         status = EXIT_FAILURE
-    if args.rolling_replace and not replacements:
-        status = fail(
-            "cluster", "rolling replacement never recycled a worker"
-        )
     if args.no_verify:
         obs_log.emit("cluster", "reference parity check skipped (--no-verify)")
     elif mismatches:
@@ -410,8 +307,6 @@ def main(argv=None) -> int:
         return usage_error(
             f"--prefixes must be >= 1, got {args.prefixes}"
         )
-    if args.grow < 1:
-        return usage_error(f"--grow must be >= 1, got {args.grow}")
     if args.checkpoint_every < 0:
         return usage_error(
             f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"

@@ -344,23 +344,13 @@ class AdmissionQueue:
             ticket.error = exc
             ticket._settle()
 
-    def control_tick(
-        self, apply_placement: Optional[Callable[[str], bool]] = None
-    ) -> None:
+    def control_tick(self) -> None:
         """One controller evaluation at the host's request boundary:
-        push the new severity into the admission policy, and hand each
-        placement decision (``"rebalance"``/``"grow"``) to
-        ``apply_placement``, which reports whether it moved anything —
-        a host with no placement to move passes none."""
+        push the new severity into the admission policy."""
         if self.controller is None:
             return
-        decisions = self.controller.tick()
+        self.controller.tick()
         self.admission.update_signals(
             severity=self.controller.severity,
             stale_after=self.controller.policy.stale_after,
         )
-        for decision in decisions:
-            if decision.action in self.controller.PLACEMENT_ACTIONS:
-                decision.applied = apply_placement is not None and (
-                    apply_placement(decision.action)
-                )

@@ -9,11 +9,9 @@ rule — one percentile implementation) come from
 :class:`~repro.cluster.admission.AdmissionQueue` writes and both hosts
 (:class:`~repro.cluster.cluster.Cluster`,
 :class:`~repro.serve.service.VerificationService`) feed:
-per-request-type admission/latency accounting, per-worker (or
-per-shard-batch) fresh-verification load (the input
-:class:`~repro.cluster.placement.HotSplit` rebalances on),
-epoch/reuse counters plus per-epoch wall-clock and coalesced-batch
-sizes, reshard history (keys moved, cache entries migrated), and the
+per-request-type admission/latency accounting, per-worker
+fresh-verification load, epoch/reuse counters plus per-epoch
+wall-clock and coalesced-batch sizes, worker respawns, and the
 verdict-parity self-check tallies the CI smoke jobs gate on.
 ``snapshot()`` emits the one schema-versioned JSON document; sections
 a host never feeds stay empty.
@@ -39,7 +37,13 @@ __all__ = [
 ]
 
 SCHEMA = "repro.cluster/metrics"
-#: version 6 is the one document both hosts emit (``repro.serve/metrics``
+#: version 7 follows the single round pool: ``placement.reshards``,
+#: ``replacements`` and the respawn records' ``installed_cache_entries``
+#: are gone (stateless workers have nothing to move or install),
+#: ``placement.spec`` is ``{"shards": N}`` and ``placement.load`` counts
+#: fresh rounds per executing worker on both hosts, and ``workers`` /
+#: ``respawns`` are filled by the serve host too.
+#: Version 6 is the one document both hosts emit (``repro.serve/metrics``
 #: is retired): ``epochs.coalesced_requests`` counts only requests that
 #: shared an epoch sequence with another on either host, the cluster
 #: fills ``queue_delay``/``service_time``, and the serve host reports
@@ -56,7 +60,7 @@ SCHEMA = "repro.cluster/metrics"
 #: section carries the controller snapshot when the control plane is
 #: enabled.  Version 2 added the per-worker
 #: ``workers`` section and ``respawns``.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class TypeMetrics:
@@ -97,9 +101,8 @@ class ClusterMetrics:
     def __init__(self) -> None:
         self.started = time.perf_counter()
         self._types: Dict[str, TypeMetrics] = {}
-        #: what ``snapshot()`` describes; the host keeps both current
-        #: (anything with ``describe()`` — a ``Placement``, the serve
-        #: layer's ``ShardExecutor``, an ``AdmissionPolicy``)
+        #: what ``snapshot()`` describes (anything with ``describe()`` —
+        #: the ``ShardExecutor``, the ``AdmissionPolicy``)
         self.placement = None
         self.admission = None
         # the epoch pipeline
@@ -118,18 +121,15 @@ class ClusterMetrics:
         self.epoch_wall = LatencySeries()
         #: sizes of the coalesced churn groups (first epochs only)
         self.batch_sizes: List[int] = []
-        # placement
+        # fresh rounds per executing worker
         self.worker_events: Dict[int, int] = {}
-        self.reshards: List[Dict[str, object]] = []
-        # per-worker streaming-slice execution
+        # per-worker batch execution
         self.slice_latency: Dict[int, LatencySeries] = {}
         self.slice_events: Dict[int, int] = {}
         self.backfilled: Dict[int, int] = {}
         # failure tolerance
         self.respawns: List[Dict[str, object]] = []
-        # durability: planned drain-and-respawn of live workers, and
-        # journal replays a restarted coordinator ran
-        self.replacements: List[Dict[str, object]] = []
+        # durability: journal replays a restarted coordinator ran
         self.recoveries: List[Dict[str, object]] = []
         # verdict-parity self-checks (CI gates on failed == 0)
         self.parity_checked = 0
@@ -204,20 +204,8 @@ class ClusterMetrics:
                 self.backfilled.get(stats.worker, 0) + stats.backfilled
             )
 
-    def note_respawn(
-        self, *, worker: int, reason: str, installed: int
-    ) -> None:
-        self.respawns.append({
-            "worker": worker,
-            "reason": reason,
-            "installed_cache_entries": installed,
-        })
-
-    def note_replacement(self, *, worker: int, installed: int) -> None:
-        self.replacements.append({
-            "worker": worker,
-            "installed_cache_entries": installed,
-        })
+    def note_respawn(self, *, worker: int, reason: str) -> None:
+        self.respawns.append({"worker": worker, "reason": reason})
 
     def note_recovery(
         self,
@@ -226,7 +214,6 @@ class ClusterMetrics:
         truncated: int,
         committed: int,
         epoch: int,
-        adopted: int,
         spawned: int,
     ) -> None:
         self.recoveries.append({
@@ -234,7 +221,9 @@ class ClusterMetrics:
             "truncated_records": truncated,
             "committed_requests": committed,
             "epoch": epoch,
-            "adopted_workers": adopted,
+            # always 0: workers hold nothing worth adopting.  The key
+            # stays only because ``benchmarks/e2e`` reads it
+            "adopted_workers": 0,
             "spawned_workers": spawned,
         })
 
@@ -246,22 +235,6 @@ class ClusterMetrics:
         self.worker_events[worker] = (
             self.worker_events.get(worker, 0) + fresh
         )
-
-    def note_reshard(
-        self,
-        *,
-        moved: int,
-        tracked: int,
-        migrated_entries: int,
-        placement: Dict[str, object],
-    ) -> None:
-        self.reshards.append({
-            "moved_pairs": moved,
-            "tracked_pairs": tracked,
-            "moved_fraction": (moved / tracked) if tracked else 0.0,
-            "migrated_cache_entries": migrated_entries,
-            "placement": placement,
-        })
 
     def note_parity(self, checked: int, failed: int) -> None:
         self.parity_checked += checked
@@ -307,14 +280,13 @@ class ClusterMetrics:
                 "count": self.probes,
                 "violations": self.probe_violations,
             },
-            # fresh verifications routed to each worker / shard batch
+            # fresh verifications run by each pool worker
             "placement": {
                 "spec": None if placement is None else placement.describe(),
                 "load": {
                     str(worker): count
                     for worker, count in sorted(self.worker_events.items())
                 },
-                "reshards": list(self.reshards),
             },
             "admission": None if admission is None else admission.describe(),
             "control": None if control is None else control.snapshot(),
@@ -322,7 +294,6 @@ class ClusterMetrics:
                 "checked": self.parity_checked,
                 "failed": self.parity_failed,
             },
-            # coordinator-only records (empty on the serve host)
             "workers": {
                 str(worker): {
                     "slice_events": self.slice_events.get(worker, 0),
@@ -332,7 +303,7 @@ class ClusterMetrics:
                 for worker, series in sorted(self.slice_latency.items())
             },
             "respawns": list(self.respawns),
-            "replacements": list(self.replacements),
+            # coordinator-only (empty on the serve host)
             "recoveries": list(self.recoveries),
         }
         json.dumps(document)

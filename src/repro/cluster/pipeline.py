@@ -1,0 +1,327 @@
+"""The one churn → verdict pipeline, hosted twice.
+
+:class:`Pipeline` is everything between "a coalesced churn group was
+dispatched" and "its verdicts are in the evidence store", over one
+:class:`~repro.audit.monitor.Monitor` and one
+:class:`~repro.cluster.pool.ShardExecutor`:
+
+    apply steps and marks → run_to_quiescence → plan_epoch → deal the
+    fresh, shippable entries evenly in plan order → one
+    run_offwire_round per task on the pool → fold_plan in plan order →
+    probes by audit_once
+
+Planning happens once, here: :meth:`~repro.audit.monitor.Monitor.plan_epoch`
+fixes every fresh round's number and nonce stream before any round
+runs, so the pool's workers need no state and who runs a round cannot
+matter.  Entries whose chooser is a live callable (which may not
+pickle) stay on the monitor's own wire path, as do probes — Byzantine
+deviations are live behaviours that must see real transport.
+
+The two hosts add only what is theirs: the cluster coordinator
+(:class:`~repro.cluster.cluster.Cluster`) journals around the pipeline,
+the asyncio service (:class:`~repro.serve.service.VerificationService`)
+runs it in a worker thread.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.audit.events import EpochOutcome, EpochReport, SliceStats
+from repro.audit.monitor import EpochPlan, Monitor
+from repro.audit.wire import reports_match, run_offwire_round
+from repro.obs.recorder import FlightRecorder
+from repro.obs.trace import TraceContext
+from repro.pvr.scenarios import apply_step
+
+from repro.cluster.admission import AdmissionPolicy
+from repro.cluster.metrics import ClusterMetrics
+from repro.cluster.pool import ClusterError, ShardExecutor
+from repro.cluster.requests import (
+    AdjudicateRequest,
+    ChurnRequest,
+    answer_adjudicate,
+)
+from repro.cluster.worker import RoundResult
+
+__all__ = ["MergeError", "Pipeline", "fold_plan"]
+
+
+class MergeError(RuntimeError):
+    """A plan entry has no outcome, or an outcome contradicts its plan."""
+
+
+def fold_plan(
+    monitor: Monitor,
+    plan: EpochPlan,
+    outcomes: Mapping[int, RoundResult],
+) -> EpochReport:
+    """Record one executed plan into the monitor's evidence store.
+
+    The evidence store is append-only and its sequence numbers are the
+    audit trail's spine, so the fold walks the *plan* — the canonical
+    order — and records each entry from whichever source produced it:
+    the reuse cache, or the ``(report, stats)`` of its round (pool
+    results and the monitor's local wire rounds alike).  Recording goes
+    through :meth:`~repro.audit.monitor.Monitor.record_planned` /
+    :meth:`~repro.audit.monitor.Monitor.emit_reused`, so the store is
+    byte-identical to what a serial
+    :meth:`~repro.audit.monitor.Monitor.run_epoch` would have written.
+    Every fresh entry must appear in ``outcomes``: a hole, or an
+    outcome whose round/spec disagrees with the plan, raises
+    :class:`MergeError` rather than silently corrupting the trail.
+    """
+    report = EpochReport(epoch=plan.epoch)
+    report.deferred.extend(plan.deferred)
+    for position, entry in enumerate(plan.entries):
+        if not entry.fresh:
+            event = monitor.emit_reused(entry, epoch=plan.epoch)
+        else:
+            if position not in outcomes:
+                raise MergeError(
+                    f"plan position {position} "
+                    f"({entry.item.asn}, {entry.item.prefix}) has no outcome"
+                )
+            session_report, stats = outcomes[position]
+            if session_report.round != entry.round:
+                raise MergeError(
+                    f"outcome round {session_report.round} != "
+                    f"planned {entry.round}"
+                )
+            if session_report.spec != entry.item.spec:
+                raise MergeError(
+                    f"outcome spec diverged from plan at position {position}"
+                )
+            event = monitor.record_planned(
+                entry, session_report, stats, epoch=plan.epoch
+            )
+        report.events.append(event)
+    report.signatures = sum(e.stats.signatures for e in report.events)
+    report.verifications = sum(e.stats.verifications for e in report.events)
+    return report
+
+
+def _ships_to_pool(chooser) -> bool:
+    """Whether a plan entry's chooser ref can cross the worker boundary:
+    no chooser, or a :mod:`repro.audit.choosers` registry name."""
+    return chooser is None or isinstance(chooser, str)
+
+
+class Pipeline:
+    """One monitor's churn → verdict path over one round pool.
+
+    ``component`` names the host in trace records; ``on_plan`` is the
+    host's seam between planning and execution (the cluster journals
+    the plan there).  ``parity_sample`` > 0 re-proves every Nth shipped
+    verdict in-process after each epoch; failures are counted, never
+    raised — the CI smoke jobs gate on the counter staying zero.
+    """
+
+    def __init__(
+        self,
+        monitor: Monitor,
+        executor: ShardExecutor,
+        metrics: ClusterMetrics,
+        admission: AdmissionPolicy,
+        recorder: FlightRecorder,
+        tracer: TraceContext,
+        *,
+        component: str,
+        ledger=None,
+        controller=None,
+        parity_sample: int = 0,
+        flight_dump: Optional[str] = None,
+        on_plan: Optional[Callable[[EpochPlan], None]] = None,
+    ) -> None:
+        self.monitor = monitor
+        self.executor = executor
+        self.metrics = metrics
+        self.admission = admission
+        self.recorder = recorder
+        self.tracer = tracer
+        self.component = component
+        self.ledger = ledger
+        self.controller = controller
+        self.parity_sample = parity_sample
+        self.flight_dump = flight_dump
+        self.on_plan = on_plan
+        metrics.placement = executor
+        metrics.admission = admission
+        metrics.control = controller
+        if controller is not None:
+            controller.tracer = tracer
+
+    def dump_flight(self, reason: str) -> None:
+        if self.flight_dump:
+            self.recorder.dump(self.flight_dump, reason)
+
+    # -- requests ------------------------------------------------------------
+
+    def serve_churn_group(
+        self, requests: Sequence[ChurnRequest]
+    ) -> EpochOutcome:
+        """Apply a coalesced group's churn as one burst, run epochs
+        until nothing is pending (a work bound may defer pairs), then
+        every request's probes in admission order.  Metrics absorb each
+        epoch as it lands, so a failure later in the group cannot leave
+        recorded evidence unaccounted for."""
+        monitor = self.monitor
+        network = monitor.network
+        for request in requests:
+            for step in request.steps:
+                apply_step(step, network)
+            for asn, prefix in request.marks:
+                monitor.mark(asn, prefix)
+        network.run_to_quiescence()
+        outcome = EpochOutcome(coalesced=len(requests))
+        coalesced = len(requests)
+        while monitor.pending():
+            report, slices, respawns = self.run_epoch(coalesced=coalesced)
+            coalesced = 0  # count the group against its first epoch only
+            outcome.reports.append(report)
+            outcome.slices.extend(slices)
+            outcome.respawns += respawns
+        if self.controller is not None:
+            # one observation per dispatched group — the wall it spent
+            # in epochs, zero when nothing was pending — so the window
+            # keeps moving while churn needs no verification
+            self.controller.observe_epoch(
+                wall_seconds=outcome.wall_seconds,
+                worker_walls={
+                    s.worker: s.wall_seconds for s in outcome.slices
+                },
+            )
+        for request in requests:
+            for probe in request.probes:
+                outcome.probe_events.append(
+                    monitor.audit_once(
+                        probe.asn,
+                        probe.prefix,
+                        probe.recipient,
+                        prover=(
+                            probe.prover(monitor.keystore)
+                            if probe.prover is not None
+                            else None
+                        ),
+                        max_length=probe.max_length,
+                    )
+                )
+        if outcome.probe_events:
+            self.metrics.note_probes(outcome.probe_events)
+        return outcome
+
+    def answer_adjudicate(self, request: AdjudicateRequest):
+        payload = answer_adjudicate(self.monitor.evidence, request)
+        if self.ledger is not None:
+            self.ledger.fold_adjudications(payload)
+            self.admission.update(self.ledger.trust_map())
+        return payload
+
+    # -- one epoch -----------------------------------------------------------
+
+    def run_epoch(
+        self, *, coalesced: int = 0
+    ) -> Tuple[EpochReport, List[SliceStats], int]:
+        """Plan centrally, verify on the pool, fold in plan order.
+        Returns the epoch's report, the per-worker execution stats and
+        how many workers died (and were replaced) on the way."""
+        monitor, tracer = self.monitor, self.tracer
+        epoch_span = tracer.begin(
+            "epoch", component=self.component, coalesced=coalesced
+        )
+        plan = monitor.plan_epoch()
+        epoch_span.epoch = plan.epoch
+        try:
+            if self.on_plan is not None:
+                self.on_plan(plan)
+            shippable, local = [], []
+            for position, entry in plan.fresh_entries():
+                ships = _ships_to_pool(entry.chooser)
+                (shippable if ships else local).append((position, entry))
+            neighbors = monitor.network.transport.neighbors
+            outcomes, slices, reaped = self.executor.execute(
+                shippable,
+                {
+                    entry.item.spec.prover: len(
+                        neighbors(entry.item.spec.prover)
+                    )
+                    for _, entry in shippable
+                },
+                epoch=plan.epoch,
+                tracer=tracer,
+                on_reap=self.dump_flight,
+            )
+            shipped = sorted(outcomes)
+            with tracer.span(
+                "local", component=self.component, epoch=plan.epoch,
+                tasks=len(local),
+            ):
+                for position, entry in local:
+                    outcomes[position] = monitor.run_planned_round(entry)
+            with tracer.span(
+                "merge", component=self.component, epoch=plan.epoch
+            ):
+                report = fold_plan(monitor, plan, outcomes)
+        except Exception as exc:
+            # planning consumed the dirty marks; a failed execution must
+            # not leave an audit hole, so the planned pairs go back on
+            # the queue (a later epoch re-audits them from scratch —
+            # at-least-once, never silently-never)
+            for entry in plan.entries:
+                monitor.mark(entry.item.asn, entry.item.prefix)
+            tracer.finish(epoch_span, status="error")
+            if isinstance(exc, ClusterError):
+                self.dump_flight(f"ClusterError: {exc}")
+            raise
+        # the one obs timer: the epoch span both frames the trace and
+        # pins the report's wall
+        tracer.finish(epoch_span)
+        report.wall_seconds = epoch_span.duration
+        self.metrics.note_epoch(report, coalesced=coalesced)
+        for stats in slices:
+            self.metrics.note_slice(stats)
+            if stats.fresh:
+                self.metrics.note_worker(stats.worker, stats.fresh)
+        for worker, reason in reaped:
+            self.metrics.note_respawn(worker=worker, reason=reason)
+        self._parity_check(plan, outcomes, shipped)
+        if self.ledger is not None:
+            # refresh the trust-tiered door with trust as of this epoch
+            self.admission.update(self.ledger.trust_map())
+        return report, slices, len(reaped)
+
+    def _parity_check(
+        self,
+        plan: EpochPlan,
+        outcomes: Dict[int, RoundResult],
+        shipped: List[int],
+    ) -> None:
+        """Re-prove a sample of the pool's verdicts in-process and
+        compare — catches anything that could make a worker diverge
+        from the planner's promise (pickling loss, nondeterminism, a
+        bad fold) without paying for a full shadow monitor."""
+        if self.parity_sample < 1:
+            return
+        checked = failed = 0
+        for position in shipped[:: self.parity_sample]:
+            entry = plan.entries[position]
+            replay, _ = run_offwire_round(
+                self.monitor.keystore,
+                entry.item.spec,
+                entry.item.routes,
+                round=entry.round,
+                rng_seed=self.monitor.rng_seed,
+                chooser=entry.chooser,
+            )
+            checked += 1
+            if not reports_match(replay, outcomes[position][0]):
+                failed += 1
+        self.metrics.note_parity(checked, failed)
+        if failed:
+            self.tracer.event(
+                "parity-failure", component=self.component,
+                epoch=plan.epoch, checked=checked, failed=failed,
+            )
+            self.dump_flight(
+                f"{failed} of {checked} parity self-checks failed"
+            )

@@ -1,14 +1,14 @@
 """The serving request vocabulary, shared by every front-end.
 
-One set of request types serves both front-ends — the single-process
-asyncio :class:`~repro.serve.service.VerificationService` and the
-multi-process :class:`~repro.cluster.cluster.Cluster` — so a workload
+One set of request types serves both front-ends — the asyncio
+:class:`~repro.serve.service.VerificationService` and the synchronous,
+journaled :class:`~repro.cluster.cluster.Cluster` — so a workload
 schedule built once (:mod:`repro.serve.loadgen`) drives either.
 
 Churn *steps* may be live callables (``step(network)``) or picklable
 ``(builder, args)`` pairs resolved through
-:func:`repro.pvr.scenarios.apply_step` — the pair form crosses the
-cluster's IPC boundary, the callable form is single-process only.
+:func:`repro.pvr.scenarios.apply_step` — the pair form can be written
+to the coordinator's journal, the callable form cannot.
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ __all__ = [
     "AdjudicateRequest",
     "AdmissionError",
     "AuditProbe",
-    "BackfillSlice",
     "ChurnRequest",
     "Completion",
-    "EpochSummary",
-    "Heartbeat",
-    "PlanHeader",
     "QueryRequest",
-    "SliceChunk",
-    "SnapshotChunk",
     "answer_query",
     "answer_adjudicate",
 ]
@@ -49,9 +43,9 @@ class AuditProbe:
 
     ``prover`` (a ``keystore -> prover`` factory, e.g. ``LongerRouteProver``)
     injects a Byzantine prover — the load generator's violation
-    injection.  Probes always run on a real wire path (the monitor's
-    own network, or the owning cluster worker's replica): Byzantine
-    deviations are live behaviours that must see real transport.
+    injection.  Probes always run on a real wire path, the monitor's
+    own network: Byzantine deviations are live behaviours that must see
+    real transport.
     """
 
     asn: str
@@ -130,101 +124,6 @@ class Completion:
     @property
     def service_time(self) -> float:
         return self.finished - self.started
-
-
-# -- streaming epoch protocol ------------------------------------------------
-#
-# The epoch command is the one *streaming* exchange between coordinator
-# and worker: after planning, the worker emits ``("stream", message)``
-# frames — a PlanHeader, then SliceChunks (and Heartbeats when enabled)
-# as owned positions complete — and finishes with a normal
-# ``("ok", EpochSummary)`` reply.  The coordinator folds chunks into
-# the central trail in plan order as they arrive, so a dead worker
-# loses only its unstreamed suffix.
-
-
-@dataclass(frozen=True)
-class PlanHeader:
-    """First stream frame of an epoch: the worker's view of the co-plan.
-
-    Every live worker must report the same ``(epoch, entries)`` — a
-    divergence means the deterministic co-planning invariant broke."""
-
-    worker: int
-    epoch: int
-    entries: int
-
-
-@dataclass(frozen=True)
-class SliceChunk:
-    """A batch of completed owned positions: ``(plan position, event)``
-    pairs, emitted every ``ClusterSpec.stream_batch`` completions."""
-
-    worker: int
-    events: Tuple[Tuple[int, object], ...]
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """Liveness frame: ``position`` plan entries processed so far, and
-    ``backlog`` plan entries still ahead of this worker (a trace-event
-    attribute).  Emitted
-    between chunks when ``ClusterSpec.heartbeat_interval`` > 0."""
-
-    worker: int
-    position: int
-    backlog: int = 0
-
-
-@dataclass(frozen=True)
-class EpochSummary:
-    """The epoch command's final reply — totals for what was streamed."""
-
-    worker: int
-    epoch: int
-    entries: int
-    emitted: int
-    fresh: int
-    reused: int
-    deferred: Tuple = ()
-    pending: bool = False
-    wall_seconds: float = 0.0
-    #: the worker's drained trace records for the epoch (plain dicts;
-    #: the coordinator adopts them into its own trace in plan order)
-    spans: Tuple = ()
-
-
-@dataclass(frozen=True)
-class SnapshotChunk:
-    """One streamed piece of a bootstrap snapshot.  The donor worker
-    frames its pickled replica into fixed-size pieces (``index`` of
-    ``total``,
-    :data:`~repro.cluster.worker.SNAPSHOT_CHUNK_BYTES` each) so a grow/respawn no longer ships
-    the table in one message; the final ``("ok", ...)`` reply carries
-    the planning state plus a digest the coordinator verifies after
-    reassembly."""
-
-    worker: int
-    index: int
-    total: int
-    data: bytes
-
-
-@dataclass(frozen=True)
-class BackfillSlice:
-    """A buddy worker's re-execution of a dead worker's missing
-    positions.  ``events`` are re-run fresh (or locally re-emitted
-    reused) positions; ``reused`` positions name the cache key for the
-    coordinator to re-emit from its own mirror (the buddy holds only a
-    shadow entry there)."""
-
-    worker: int
-    events: Tuple[Tuple[int, object], ...]
-    reused: Tuple[Tuple[int, tuple], ...]
-    fresh: int
-    wall_seconds: float = 0.0
-    #: the buddy's trace records for the backfill (see EpochSummary)
-    spans: Tuple = ()
 
 
 def answer_query(store, request: QueryRequest):

@@ -2,31 +2,31 @@
 
 A spec is everything needed to stand up — or *re*-stand up — a
 verification cluster: how to build the network substrate, which promise
-policies to register, how the policy space is placed across workers,
-what the admission plane does under load, and how workers are isolated
+policies to register, how many round workers to run, what the
+admission plane does under load, and how workers are isolated
 (``"process"`` for real OS processes over multiprocessing pipes,
-``"inline"`` for same-process workers speaking the identical command
-protocol — the deterministic configuration tests and benchmarks pin
-against).
+``"inline"`` for the same round loop in-process — the deterministic
+configuration tests pin against).
 
 The same spec also builds the *unsharded reference*
 (:meth:`ClusterSpec.build_monitor`): one plain
 :class:`~repro.audit.monitor.Monitor` over an identically constructed
 network — the byte-parity oracle every cluster trail is checked
-against.
+against, and the very monitor the coordinator plans with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
 from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.crypto.keystore import KeyStore
+from repro.pvr.scenarios import apply_step
 
 from repro.cluster.admission import AdmissionPolicy, make_admission
-from repro.cluster.placement import Placement, make_placement
 
 __all__ = ["ChaosSpec", "ClusterSpec", "PolicySpec"]
 
@@ -35,14 +35,16 @@ __all__ = ["ChaosSpec", "ClusterSpec", "PolicySpec"]
 class ChaosSpec:
     """Deterministic failure injection: one worker fails at one epoch.
 
-    ``after`` counts the worker's *streamed* slice events before it
-    fails — ``0`` dies right after planning (nothing streamed), ``2``
-    dies with two events already folded (the rest is backfilled).
-    ``mode="kill"`` dies instantly (SIGKILL on the process transport, a
-    :class:`~repro.cluster.worker.WorkerDied` unwind inline);
-    ``mode="hang"`` sleeps ``hang_seconds`` mid-slice so only the
-    coordinator's deadline/heartbeat detector can reap it — process
-    transport only (an inline worker would hang the coordinator too).
+    ``after`` counts the results the worker streams out of that
+    epoch's batch before it fails — ``0`` dies before its first round,
+    ``2`` dies with two results delivered (the rest is re-run on a
+    survivor); a worker sent fewer than ``after`` rounds that epoch
+    never fails.  ``mode="kill"`` dies instantly (SIGKILL on the
+    process transport, a :class:`~repro.cluster.worker.WorkerDied`
+    unwind inline); ``mode="hang"`` sleeps ``hang_seconds`` mid-batch so
+    only the coordinator's deadline/silence detector can reap it —
+    process transport only (an inline worker would hang the coordinator
+    too).
     """
 
     worker: int
@@ -66,11 +68,9 @@ class ChaosSpec:
 class PolicySpec:
     """One promise policy, as data: ``monitor.policy(asn, spec, **options)``.
 
-    For the process transport, prefer picklable ingredients: promise
-    templates and module-level factories for ``spec``, and *named*
-    choosers (:mod:`repro.audit.choosers`) in ``options`` — live
-    closures only work because workers fork from the coordinator, and
-    they cannot survive a worker restart on a spawn-based platform.
+    Policies live on the coordinator's monitor only.  *Named* choosers
+    (:mod:`repro.audit.choosers`) in ``options`` ship to pool workers;
+    a live callable keeps its rounds on the coordinator's wire path.
     """
 
     asn: str
@@ -89,71 +89,64 @@ class ClusterSpec:
     """A declarative description of one verification cluster.
 
     ``network`` is a zero-argument factory building the
-    :class:`~repro.bgp.network.BGPNetwork` substrate — called once per
-    worker (each worker owns a fully independent replica) and once for
-    the reference monitor.  It must be deterministic: replicas stay in
-    lockstep because they apply identical churn to identical networks.
+    :class:`~repro.bgp.network.BGPNetwork` substrate — called once for
+    the coordinator's monitor (and again by a recovery that has no
+    checkpointed network to restore) and once for a reference monitor.
+    It must be deterministic: a recovered coordinator re-applies
+    journaled churn to a freshly built network.
 
-    ``placement`` is a :class:`~repro.cluster.placement.Placement`, a
-    strategy name (``"static"``/``"consistent"``/``"hotsplit"``, built
-    over ``workers`` shard slots), or ``None`` (static).  ``admission``
-    likewise resolves through
+    ``admission`` resolves through
     :func:`~repro.cluster.admission.make_admission`.
     """
 
     network: Callable[[], object]
     policies: Tuple[PolicySpec, ...] = ()
     workers: int = 2
-    placement: object = None
+    #: no effect, recorded nowhere: round workers hold no per-pair
+    #: state, so there is nothing to place.  Accepted (``None`` or a
+    #: historical strategy name) only because ``benchmarks/e2e`` still
+    #: spells ``placement="consistent"``
+    placement: Optional[str] = None
     admission: object = None
     transport: str = "process"  # "process" | "inline"
     queue_depth: int = 64
     rng_seed: object = 2011
     key_bits: int = 512
     max_work: Optional[int] = None
-    #: eviction bound of the coordinator's folded trail, and of each
-    #: worker's own re-recorded slice (violations stay pinned)
+    #: eviction bound of the evidence trail (violations stay pinned)
     max_events: Optional[int] = None
     parity_sample: int = 0
     #: per-epoch wall-clock budget: a worker that has not returned its
-    #: epoch summary this many seconds after the epoch command is posted
-    #: is declared dead, killed, and respawned (``None`` disables)
+    #: whole batch this many seconds after it was posted is declared
+    #: dead, killed, and replaced (``None`` disables)
     epoch_deadline: Optional[float] = None
-    #: when > 0, workers emit :class:`~repro.cluster.requests.Heartbeat`
-    #: messages between slice chunks; silence longer than five intervals
-    #: reaps the worker even before the epoch deadline
+    #: when > 0, a busy worker that sends no result frame for five
+    #: intervals is reaped even before the epoch deadline (every
+    #: finished round is a frame, so a frame is the heartbeat)
     heartbeat_interval: float = 0.0
     #: more than this many worker deaths in a single epoch is a loud
     #: :class:`~repro.cluster.cluster.ClusterError` instead of a respawn
     max_failures_per_epoch: int = 1
     #: how many queued churn requests may ride a single epoch sequence
     coalesce_max: int = 16
-    #: owned slice events per streamed chunk (1 = stream every event)
-    stream_batch: int = 8
     #: deterministic failure injection (tests / CI chaos gate)
     chaos: Optional[ChaosSpec] = None
     #: the self-regulating control plane: ``None`` (off), ``True``
     #: (default :class:`~repro.control.controller.ControlPolicy`), or a
     #: ``ControlPolicy`` instance.  When set, the coordinator runs a
     #: :class:`~repro.control.controller.Controller` fed from epoch
-    #: outcomes and admission-queue depth, ticked
-    #: after every ``pump()`` — its decisions drive the same
-    #: ``reshard``/``rebalance`` seams the CLI uses, so control stays
-    #: inside the byte-parity oracle
+    #: outcomes and admission-queue depth, ticked after every
+    #: ``pump()`` — its severity feeds the admission policy
     controller: object = None
     #: accountability ledger: ``None`` (off), ``True`` (default
     #: :class:`~repro.ledger.levels.LedgerPolicy`), or a ``LedgerPolicy``
-    #: instance.  When set, the coordinator runs a
-    #: :class:`~repro.ledger.ledger.TrustLedger` over the folded central
-    #: trail and ships its settled trust snapshot to every worker with
-    #: each epoch command; workers install a matching
-    #: :class:`~repro.ledger.feedback.VerificationIntensity`, so the
-    #: co-plan (and with it round allocation) stays identical everywhere
+    #: instance.  When set, the monitor records into a
+    #: :class:`~repro.ledger.ledger.TrustLedger` and plans with a bound
+    #: :class:`~repro.ledger.feedback.VerificationIntensity`
     ledger: object = None
     #: causal tracing (:mod:`repro.obs`): spans and events on the
-    #: coordinator and every worker.  Timing is trace metadata only —
-    #: the evidence trail is byte-identical either way (pinned in
-    #: ``tests/test_obs.py``)
+    #: coordinator.  Timing is trace metadata only — the evidence trail
+    #: is byte-identical either way (pinned in ``tests/test_obs.py``)
     trace: bool = True
     #: where the coordinator's flight recorder dumps JSONL on a worker
     #: reap, a parity failure or a :class:`ClusterError` (``None`` =
@@ -161,8 +154,8 @@ class ClusterSpec:
     flight_dump: Optional[str] = None
     #: directory of the coordinator's write-ahead journal
     #: (:mod:`repro.journal`): ``None`` disables durability; a path
-    #: makes every fold seam durable and lets a restarted coordinator
-    #: ``recover()`` to the last commit boundary
+    #: makes every state change durable and lets a restarted
+    #: coordinator recover to the last commit boundary
     journal: Optional[str] = None
     #: records per journal segment before rotation
     journal_segment_records: int = 4096
@@ -176,6 +169,8 @@ class ClusterSpec:
                 f"transport must be 'process' or 'inline', "
                 f"got {self.transport!r}"
             )
+        if self.placement not in (None, "static", "consistent", "hotsplit"):
+            raise ValueError(f"unknown placement {self.placement!r}")
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
@@ -190,8 +185,6 @@ class ClusterSpec:
             raise ValueError("max_failures_per_epoch must be >= 0")
         if self.coalesce_max < 1:
             raise ValueError("coalesce_max must be >= 1")
-        if self.stream_batch < 1:
-            raise ValueError("stream_batch must be >= 1")
         if self.journal_segment_records < 2:
             raise ValueError("journal_segment_records must be >= 2")
         if self.journal_checkpoint_every < 0:
@@ -217,14 +210,8 @@ class ClusterSpec:
 
     # -- resolution ----------------------------------------------------------
 
-    def resolved_placement(self) -> Placement:
-        return make_placement(self.placement, self.workers)
-
     def resolved_admission(self) -> AdmissionPolicy:
         return make_admission(self.admission)
-
-    def with_transport(self, transport: str) -> "ClusterSpec":
-        return replace(self, transport=transport)
 
     # -- construction --------------------------------------------------------
 
@@ -235,39 +222,64 @@ class ClusterSpec:
         return Cluster(self)
 
     def build_keystore(self) -> KeyStore:
-        """A keystore identical to every worker's (deterministic keys
-        from the shared seed)."""
+        """The deterministic keys every monitor built from this spec
+        holds (derived from the shared seed)."""
         return KeyStore(seed=self.rng_seed, key_bits=self.key_bits)
 
-    def build_monitor(self) -> Monitor:
-        """The unsharded reference: one plain monitor, same network,
-        same policies, same seeds — the parity oracle.  With a
-        ``ledger`` configured, the monitor gets its own
-        :class:`~repro.ledger.ledger.TrustLedger` over its own store
-        (exposed as ``monitor.ledger``) plus a bound
+    def build_monitor(self, recovered=None) -> Monitor:
+        """One plain monitor over the spec's network, policies and
+        seeds: the coordinator's planner, and — driven serially — the
+        parity oracle.  With a ``ledger`` configured, the monitor gets
+        a :class:`~repro.ledger.ledger.TrustLedger` over its store
+        (exposed as ``monitor.ledger``, ``None`` otherwise) plus a bound
         :class:`~repro.ledger.feedback.VerificationIntensity`, settling
-        at the same plan-time boundary the cluster coordinator settles
-        at — so the reference plans with the same trust snapshot as the
-        co-planning workers."""
-        keystore = self.build_keystore()
-        store = EvidenceStore(keystore, max_events=self.max_events)
-        intensity = None
-        ledger = None
-        if self.ledger is not None:
-            from repro.ledger import TrustLedger, VerificationIntensity
+        at every plan.
 
-            ledger = TrustLedger(self.ledger).attach(store)
+        ``recovered`` (a :class:`~repro.journal.recovery.RecoveredState`)
+        rebuilds the monitor at a journal's last commit boundary
+        instead: the replayed store and ledger, the checkpointed network
+        (or a factory-built one) with the journaled churn suffix
+        re-applied, and the replayed planning state."""
+        if recovered is not None:
+            store, ledger = recovered.store, recovered.ledger
+            network = (
+                pickle.loads(recovered.network)
+                if recovered.network is not None
+                else self.network()
+            )
+        else:
+            store = EvidenceStore(
+                self.build_keystore(), max_events=self.max_events
+            )
+            ledger = None
+            if self.ledger is not None:
+                from repro.ledger import TrustLedger
+
+                ledger = TrustLedger(self.ledger).attach(store)
+            network = self.network()
+        intensity = None
+        if ledger is not None:
+            from repro.ledger import VerificationIntensity
+
             intensity = VerificationIntensity(
                 self.ledger, seed=self.rng_seed, ledger=ledger
             )
         monitor = Monitor(
-            keystore,
+            store.keystore,
             rng_seed=self.rng_seed,
             max_work_per_epoch=self.max_work,
             store=store,
             intensity=intensity,
-        ).attach(self.network())
+        ).attach(network)
         monitor.ledger = ledger
         for policy in self.policies:
             policy.install(monitor)
+        if recovered is not None:
+            for steps in recovered.churn_suffix:
+                for step in steps:
+                    apply_step(step, network)
+                network.run_to_quiescence()
+            monitor.restore_planning(
+                recovered.epoch, recovered.round_counter, recovered.cache
+            )
         return monitor

@@ -2,10 +2,9 @@
 
 The serving stack (``repro.serve``, ``repro.cluster``) produces a
 stream of observations — per-worker epoch latency, admission-queue
-depth, per-shard load — but until this package its knobs (admission
-policy, placement) were open-loop: shedding fired only once requests
-queued, and resharding happened only when a CLI told it to.
-``repro.control`` closes the loop:
+depth — but without this package its admission policy is open-loop:
+shedding fires only once requests queue.  ``repro.control`` closes the
+loop:
 
 * :mod:`repro.control.signals` — the shared exact nearest-rank
   percentile primitives (:func:`nearest_rank`, :class:`LatencySeries`)
@@ -14,15 +13,11 @@ queued, and resharding happened only when a CLI told it to.
   controller-driven admission policy (sheds queries under overload,
   never churn or adjudication).
 * :mod:`repro.control.controller` — :class:`Controller`, the
-  deterministic per-epoch tick that turns signals into decisions
-  (shed level, rebalance, grow) with hysteresis so the cluster never
-  thrashes.
+  deterministic per-epoch tick that turns signals into the shed
+  level.
 
-Every placement decision the controller makes is executed through the
-exact same ``Cluster.reshard``/``rebalance``/``Placement.rebalance``
-seams the CLIs use, between requests — so a controller-driven reshard
-is byte-identical to the equivalent CLI-driven one under the parity
-oracle.
+Control decisions never perturb what is verified: a controller-enabled
+run's evidence trail is byte-identical to the unsharded reference.
 """
 
 from repro.control.controller import ControlPolicy, Controller, Decision

@@ -4,18 +4,18 @@ Usage::
 
     python -m repro.control --describe
     python -m repro.control --walls 0.1,0.1,2.0,2.5,2.5,0.1
-    python -m repro.control --loads "9:1,8:1,10:2,9:1,9:1" \\
-        --sustain 2 --cooldown 4 --json decisions.json
+    python -m repro.control --queue 0.1,0.6,0.9,0.9,0.2 \\
+        --queue-high 0.5 --json decisions.json
 
 An offline **controller rehearsal**: replay a synthetic signal trace
-(per-epoch wall seconds, per-shard loads, queue fractions) through a
+(per-epoch wall seconds, queue fractions) through a
 :class:`~repro.control.controller.Controller` with the knobs given on
 the command line, and print every decision it would have taken — the
 same deterministic ``tick()`` the serving layer and the cluster run at
-their epoch boundaries, minus the service.  Use it to tune hysteresis
-(enter/exit thresholds, sustain, cooldown) against an observed trace
-before turning the controller on in production, or ``--describe`` to
-print the resolved policy knobs.
+their epoch boundaries, minus the service.  Use it to tune the latency
+bound and queue threshold against an observed trace before turning the
+controller on in production, or ``--describe`` to print the resolved
+policy knobs.
 
 Exit status (the shared :mod:`repro.util.cli` contract): 0 on success
 (decisions are data, not failures), 2 on bad usage.
@@ -43,9 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the resolved policy knobs and exit")
     parser.add_argument("--walls", default=None, metavar="W1,W2,...",
                         help="per-epoch wall seconds to replay")
-    parser.add_argument("--loads", default=None, metavar="A:B,A:B,...",
-                        help="per-epoch per-shard loads to replay "
-                        "(colon-separated shard counts per epoch)")
     parser.add_argument("--queue", default=None, metavar="F1,F2,...",
                         help="per-epoch queue-depth fractions in [0,1]")
     parser.add_argument("--window", type=int, default=32, metavar="N",
@@ -62,24 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stale-after", type=float, default=0.25,
                         metavar="S", help="dispatch staleness bound "
                         "pushed to admission (default: 0.25)")
-    parser.add_argument("--imbalance-enter", type=float, default=2.0,
-                        metavar="R", help="max/mean shard-load ratio "
-                        "that arms a rebalance (default: 2.0)")
-    parser.add_argument("--imbalance-exit", type=float, default=1.25,
-                        metavar="R", help="ratio below which the "
-                        "imbalance counter resets (default: 1.25)")
-    parser.add_argument("--sustain", type=int, default=2, metavar="N",
-                        help="epochs a condition must hold before an "
-                        "action fires (default: 2)")
-    parser.add_argument("--cooldown", type=int, default=6, metavar="N",
-                        help="epochs between placement actions "
-                        "(default: 6)")
-    parser.add_argument("--min-load", type=int, default=4, metavar="N",
-                        help="windowed events below which imbalance is "
-                        "ignored (default: 4)")
-    parser.add_argument("--grow", action="store_true",
-                        help="also allow grow decisions under sustained "
-                        "overload")
     parser.add_argument("--json", metavar="PATH",
                         help="write the controller snapshot "
                         "(policy, decisions, signals) here")
@@ -90,26 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_trace(args):
-    """Parse the --walls/--loads/--queue trace into per-epoch rows."""
-    walls = loads = queue = None
+    """Parse the --walls/--queue trace into per-epoch rows."""
+    walls = queue = None
     if args.walls is not None:
         walls = [float(w) for w in args.walls.split(",")]
-    if args.loads is not None:
-        loads = [
-            {
-                shard: int(count)
-                for shard, count in enumerate(epoch.split(":"))
-            }
-            for epoch in args.loads.split(",")
-        ]
     if args.queue is not None:
         queue = [float(q) for q in args.queue.split(",")]
         if any(not 0 <= q <= 1 for q in queue):
             raise ValueError("--queue fractions must be in [0, 1]")
     epochs = max(
-        len(trace) for trace in (walls, loads, queue) if trace is not None
+        len(trace) for trace in (walls, queue) if trace is not None
     )
-    return epochs, walls, loads, queue
+    return epochs, walls, queue
 
 
 def main(argv=None) -> int:
@@ -122,24 +93,18 @@ def main(argv=None) -> int:
             latency_bound=args.latency_bound,
             queue_high=args.queue_high,
             stale_after=args.stale_after,
-            imbalance_enter=args.imbalance_enter,
-            imbalance_exit=args.imbalance_exit,
-            sustain_epochs=args.sustain,
-            cooldown_epochs=args.cooldown,
-            min_load=args.min_load,
-            grow=args.grow,
         )
     except ValueError as exc:
         return usage_error(str(exc))
     if args.describe:
         print(json.dumps(policy.describe(), indent=2, sort_keys=True))
         return EXIT_OK
-    if args.walls is None and args.loads is None and args.queue is None:
+    if args.walls is None and args.queue is None:
         return usage_error(
-            "give a trace (--walls / --loads / --queue) or --describe"
+            "give a trace (--walls / --queue) or --describe"
         )
     try:
-        epochs, walls, loads, queue = parse_trace(args)
+        epochs, walls, queue = parse_trace(args)
     except ValueError as exc:
         return usage_error(str(exc))
 
@@ -154,11 +119,6 @@ def main(argv=None) -> int:
                 walls[epoch]
                 if walls is not None and epoch < len(walls)
                 else 0.0
-            ),
-            shard_loads=(
-                loads[epoch]
-                if loads is not None and epoch < len(loads)
-                else None
             ),
         )
         for decision in controller.tick():
@@ -175,7 +135,7 @@ def main(argv=None) -> int:
         "control",
         f"replayed {epochs} epoch(s): "
         f"{len(controller.decisions)} decision(s), final severity "
-        f"{controller.severity:.3f}, cooldown {snapshot['cooldown']}",
+        f"{controller.severity:.3f}",
         epochs=epochs,
         decisions=len(controller.decisions),
         severity=round(controller.severity, 6),

@@ -4,27 +4,16 @@
 and is ticked by its host at epoch boundaries — after the cluster
 coordinator's ``pump()`` drains its pending queue, or after the serve
 layer finishes an epoch group.  Each ``tick()`` is a pure function of
-the bus contents and the controller's own hysteresis counters: no
-clocks, no randomness — the same observation sequence always produces
-the same decision log, which is what lets the parity suite assert a
-controller-driven reshard byte-identical to a CLI-driven one.
+the bus contents: no clocks, no randomness — the same observation
+sequence always produces the same decision log.
 
-Two loops per tick:
-
-* **admission** — the windowed epoch-wall percentile and queue-depth
-  history are collapsed into an overload ``severity`` ∈ [0, 1]; the
-  host's admission queue pushes it into the policy's
-  ``update_signals`` (a no-op except for
-  :class:`~repro.control.policies.AdaptiveAdmission`).
-* **placement** — sustained per-shard load imbalance (windowed
-  ``max/mean`` ratio past ``imbalance_enter`` for ``sustain_epochs``
-  consecutive ticks) emits a ``rebalance`` decision; sustained
-  pipeline overload optionally emits ``grow``.  Both arms share one
-  cooldown: after any placement action, no further placement action
-  can fire for ``cooldown_epochs`` ticks, and the ratio must drop
-  below ``imbalance_exit`` before the imbalance counter re-arms — the
-  enter/exit gap plus cooldown is what keeps the cluster from
-  thrashing (reshard → moved load looks imbalanced → reshard ...).
+One loop per tick, **admission**: the windowed epoch-wall percentile
+and queue-depth history are collapsed into an overload ``severity`` ∈
+[0, 1]; the host's admission queue pushes it into the policy's
+``update_signals`` (a no-op except for
+:class:`~repro.control.policies.AdaptiveAdmission`).  (There is no
+placement loop: the round pool's workers hold no per-pair state, so
+there is no load to move.)
 """
 
 from __future__ import annotations
@@ -45,7 +34,6 @@ class ControlPolicy:
 
     #: sliding-window capacity for every signal
     window: int = 32
-    # -- admission loop ----------------------------------------------------
     #: epoch-wall percentile the admission loop watches
     latency_percentile: float = 90.0
     #: seconds of epoch wall past which the pipeline counts as behind
@@ -54,23 +42,6 @@ class ControlPolicy:
     queue_high: float = 0.5
     #: staleness bound pushed into AdaptiveAdmission at dispatch
     stale_after: float = 0.25
-    # -- placement loop ----------------------------------------------------
-    #: windowed max/mean shard-load ratio that starts the imbalance count
-    imbalance_enter: float = 2.0
-    #: ratio below which the imbalance count re-arms (must be < enter)
-    imbalance_exit: float = 1.25
-    #: consecutive over-threshold ticks before a placement action fires
-    sustain_epochs: int = 2
-    #: ticks after any placement action during which none may fire
-    cooldown_epochs: int = 6
-    #: ignore imbalance while the window holds fewer fresh events than this
-    min_load: int = 4
-    #: emit ``rebalance`` decisions (hot-split placements)
-    rebalance: bool = True
-    #: emit ``grow`` decisions (add a worker) under sustained overload
-    grow: bool = False
-    #: never grow past this many workers
-    max_workers: int = 8
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -88,26 +59,6 @@ class ControlPolicy:
             raise ValueError(f"queue_high must be in (0, 1]: {self.queue_high}")
         if self.stale_after <= 0:
             raise ValueError(f"stale_after must be > 0: {self.stale_after}")
-        if self.imbalance_exit >= self.imbalance_enter:
-            raise ValueError(
-                f"imbalance_exit ({self.imbalance_exit}) must be below "
-                f"imbalance_enter ({self.imbalance_enter}) — the gap is "
-                f"the hysteresis band"
-            )
-        if self.imbalance_exit < 1.0:
-            raise ValueError(
-                f"imbalance_exit must be >= 1: {self.imbalance_exit}"
-            )
-        if self.sustain_epochs < 1:
-            raise ValueError(
-                f"sustain_epochs must be >= 1: {self.sustain_epochs}"
-            )
-        if self.cooldown_epochs < 1:
-            raise ValueError(
-                f"cooldown_epochs must be >= 1: {self.cooldown_epochs}"
-            )
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1: {self.max_workers}")
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -116,14 +67,6 @@ class ControlPolicy:
             "latency_bound_s": self.latency_bound,
             "queue_high": self.queue_high,
             "stale_after_s": self.stale_after,
-            "imbalance_enter": self.imbalance_enter,
-            "imbalance_exit": self.imbalance_exit,
-            "sustain_epochs": self.sustain_epochs,
-            "cooldown_epochs": self.cooldown_epochs,
-            "min_load": self.min_load,
-            "rebalance": self.rebalance,
-            "grow": self.grow,
-            "max_workers": self.max_workers,
         }
 
 
@@ -132,10 +75,10 @@ class Decision:
     """One controller decision, JSON-ready for the decision log."""
 
     tick: int
-    action: str  # "admission" | "rebalance" | "grow"
+    action: str  # "admission"
     reason: str
     signals: Dict[str, object] = field(default_factory=dict)
-    #: filled in by the host once the action is executed
+    #: whether the decision took effect (a severity change does at once)
     applied: Optional[bool] = None
 
     def to_json(self) -> Dict[str, object]:
@@ -149,10 +92,7 @@ class Decision:
 
 
 class Controller:
-    """Deterministic per-epoch control: severity + placement actions."""
-
-    #: decision actions that move load and therefore share the cooldown
-    PLACEMENT_ACTIONS = ("rebalance", "grow")
+    """Deterministic per-epoch control: the overload severity."""
 
     def __init__(
         self,
@@ -169,9 +109,6 @@ class Controller:
         #: the same trace as the epochs that caused them)
         self.tracer = TraceContext("ctl", enabled=False)
         self.decisions: List[Decision] = []
-        self._imbalance_epochs = 0
-        self._overload_epochs = 0
-        self._cooldown = 0
 
     # -- signal feeding (hosts call through to the bus) ---------------------
 
@@ -180,14 +117,11 @@ class Controller:
         *,
         wall_seconds: float,
         worker_walls: Optional[Dict[int, float]] = None,
-        shard_loads: Optional[Dict[int, int]] = None,
     ) -> None:
         """Absorb one epoch drive's observations."""
         self.bus.observe_epoch_wall(wall_seconds)
         for worker, wall in sorted((worker_walls or {}).items()):
             self.bus.observe_worker_wall(worker, wall)
-        if shard_loads:
-            self.bus.observe_shard_loads(shard_loads)
 
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         self.bus.observe_queue_depth(depth, limit)
@@ -196,12 +130,8 @@ class Controller:
 
     def tick(self) -> List[Decision]:
         """One epoch-boundary evaluation.  Returns the new decisions;
-        the host executes placement actions (through the same
-        ``reshard``/``rebalance`` seams the CLI uses) and pushes
-        ``severity`` into its admission policy."""
+        the host pushes ``severity`` into its admission policy."""
         self.ticks += 1
-        if self._cooldown > 0:
-            self._cooldown -= 1
         fired: List[Decision] = []
 
         severity, why = self._admission_severity()
@@ -224,11 +154,6 @@ class Controller:
                 )
             )
         self.severity = severity
-        self._overload_epochs = (
-            self._overload_epochs + 1 if severity >= 1.0 else 0
-        )
-
-        fired.extend(self._placement_decisions())
         self.decisions.extend(fired)
         for decision in fired:
             self.tracer.event(
@@ -270,66 +195,6 @@ class Controller:
         )
         return severity, why
 
-    def _placement_decisions(self) -> List[Decision]:
-        policy = self.policy
-        fired: List[Decision] = []
-
-        loads = self.bus.shard_loads()
-        totals = {shard: total for shard, (total, _) in loads.items()}
-        ratio = None
-        if len(totals) >= 2:
-            window_total = sum(totals.values())
-            mean = window_total / len(totals)
-            if window_total >= policy.min_load and mean > 0:
-                ratio = max(totals.values()) / mean
-        if ratio is not None and ratio >= policy.imbalance_enter:
-            self._imbalance_epochs += 1
-        elif ratio is None or ratio < policy.imbalance_exit:
-            self._imbalance_epochs = 0
-        # between exit and enter the count holds: the hysteresis band
-
-        if (
-            policy.rebalance
-            and self._imbalance_epochs >= policy.sustain_epochs
-            and self._cooldown == 0
-        ):
-            fired.append(
-                Decision(
-                    tick=self.ticks,
-                    action="rebalance",
-                    reason=(
-                        f"shard load ratio {ratio:.2f} sustained past "
-                        f"enter {policy.imbalance_enter:g} for "
-                        f"{self._imbalance_epochs} epoch(s) without "
-                        f"dropping below exit {policy.imbalance_exit:g}"
-                    ),
-                    signals={"ratio": ratio, "loads": {
-                        str(s): t for s, t in sorted(totals.items())
-                    }},
-                )
-            )
-            self._cooldown = policy.cooldown_epochs
-            self._imbalance_epochs = 0
-        elif (
-            policy.grow
-            and self._overload_epochs >= policy.sustain_epochs
-            and self._cooldown == 0
-        ):
-            fired.append(
-                Decision(
-                    tick=self.ticks,
-                    action="grow",
-                    reason=(
-                        f"severity 1.0 sustained for "
-                        f"{self._overload_epochs} epochs"
-                    ),
-                    signals={"max_workers": policy.max_workers},
-                )
-            )
-            self._cooldown = policy.cooldown_epochs
-            self._overload_epochs = 0
-        return fired
-
     # -- reporting ----------------------------------------------------------
 
     def decision_log(self) -> List[Dict[str, object]]:
@@ -338,11 +203,10 @@ class Controller:
     def snapshot(self) -> Dict[str, object]:
         return {
             "schema": "repro.control/controller",
-            "schema_version": 1,
+            "schema_version": 2,
             "policy": self.policy.describe(),
             "ticks": self.ticks,
             "severity": self.severity,
-            "cooldown": self._cooldown,
             "decisions": self.decision_log(),
             "signals": self.bus.snapshot(),
         }

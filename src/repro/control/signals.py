@@ -11,15 +11,14 @@ look like" forever without growing) both delegate to
 :class:`SignalBus` is the controller's blackboard: hosts
 (``Cluster``, ``VerificationService``) push named observations as they
 happen — epoch wall-clock, per-worker slice latency, admission-queue
-fraction, per-shard fresh-event load — and
-``Controller.tick()`` reads sliding-window summaries off it.  The bus
+fraction — and ``Controller.tick()`` reads sliding-window summaries off it.  The bus
 holds plain floats only, so its snapshot is always JSON-serializable.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "LatencySeries",
@@ -153,9 +152,6 @@ class SignalWindow:
     def max(self) -> Optional[float]:
         return max(self._ring) if self._ring else None
 
-    def total(self) -> float:
-        return sum(self._ring)
-
     def summary(self) -> Dict[str, object]:
         return {
             "count": len(self._ring),
@@ -176,7 +172,6 @@ class SignalBus:
     * ``epoch_wall`` — coordinator-side wall-clock per epoch drive
     * ``worker/<i>/epoch_wall`` — per-worker slice wall-clock
     * ``queue_fraction`` — admission-queue depth / configured limit
-    * ``shard/<i>/load`` — fresh verifications per shard per epoch
     """
 
     def __init__(self, window: int = 64) -> None:
@@ -221,19 +216,6 @@ class SignalBus:
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         fraction = depth / limit if limit > 0 else 0.0
         self.observe("queue_fraction", fraction)
-
-    def observe_shard_loads(self, loads: Dict[int, int]) -> None:
-        for shard, load in loads.items():
-            self.observe(f"shard/{shard}/load", load)
-
-    def shard_loads(self) -> Dict[int, Tuple[float, int]]:
-        """Per-shard ``(windowed_total, observations)`` of fresh load."""
-        loads: Dict[int, Tuple[float, int]] = {}
-        for name, window in self._signals.items():
-            if name.startswith("shard/") and name.endswith("/load"):
-                shard = int(name.split("/")[1])
-                loads[shard] = (window.total(), len(window))
-        return loads
 
     # -- reporting ----------------------------------------------------------
 

@@ -1,31 +1,30 @@
 """Deterministic journal replay: rebuild the coordinator at a boundary.
 
-The coordinator journals at its fold seams, so replay is a pure fold
-over the record stream:
+The coordinator journals its own state changes, so replay is a pure
+fold over the record stream:
 
-* ``genesis``      — spec fingerprint (refuses a mismatched restart);
+* ``genesis``      — journal format + spec fingerprint (refuses a
+  different dialect, or a different cluster's journal);
 * ``checkpoint``   — a full coordinator state capture: replay restarts
   from it (the journal compacts everything older away);
-* ``churn``        — one admitted churn group's steps, in churn-log
-  order (the replica fast-forward a recovery spawn replays);
-* ``plan``         — an epoch began: the ledger settles (exactly what
-  the live coordinator does before broadcasting the epoch command) and
-  the pending-invalidation slate resets;
-* ``event``        — one folded slice event, seq-preserved into the
+* ``churn``        — one admitted churn group's steps, in order (what
+  :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
+  the restored — or factory-built — network);
+* ``plan``         — an epoch began: the ledger settles, exactly where
+  the live planner settled it;
+* ``event``        — one recorded verdict event, seq-preserved into the
   store (subscribers — the ledger — fire in the original order) and
-  applied to the cache mirror; the journaled mirror decision is
-  cross-checked against the replayed one;
+  folded into the reuse cache by the rule the live monitor applies:
+  ok caches, violation evicts, reused and probe events leave it
+  untouched;
 * ``commit``       — a request group completed: the recovery boundary;
 * ``adjudicate``   — a served adjudication request (judge rulings and
-  ledger slashing re-derive deterministically);
-* ``reshard``      — the placement changed;
-* ``replace``      — informational (a rolling replacement ran).
+  ledger slashing re-derive deterministically).
 
 Everything after the **last boundary record** (genesis, checkpoint,
-commit, adjudicate, reshard) is an interrupted request group: recovery
-truncates it from the journal and the client re-drives the request —
-which is why the recovered trail is byte-identical to an uncrashed
-run's.
+commit, adjudicate) is an interrupted request group: recovery truncates
+it from the journal and the client re-drives the request — which is why
+the recovered trail is byte-identical to an uncrashed run's.
 
 :class:`JournalReplayer` is deliberately *stateful and incremental*
 (``feed`` one record at a time): the Hypothesis suite replays every
@@ -38,29 +37,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.audit.monitor import Monitor
+from repro.audit.monitor import Monitor, absorb_verdict
+from repro.audit.policy import WorkItem
 from repro.audit.store import EvidenceStore
 from repro.journal.journal import Journal, JournalError, unpack
 
 __all__ = [
     "BOUNDARY_TYPES",
+    "JOURNAL_FORMAT",
     "JournalReplayer",
     "RecoveredState",
     "genesis_fingerprint",
-    "mirror_note",
     "policy_choosers",
     "recover_state",
 ]
 
+#: what ``genesis`` and ``checkpoint`` records declare.  Format 2 is
+#: the single-monitor coordinator's: no placement, no cache-mirror
+#: decisions on events, no ``reshard``/``replace`` records.  (Format 1,
+#: which carried all of those, was never stamped.)
+JOURNAL_FORMAT = 2
+
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
-BOUNDARY_TYPES = ("genesis", "checkpoint", "commit", "adjudicate", "reshard")
+BOUNDARY_TYPES = ("genesis", "checkpoint", "commit", "adjudicate")
 
 
 def policy_choosers(spec) -> Dict[str, object]:
     """Policy name -> chooser ref, mirroring monitor registration
-    (auto-names included) — the mapping both the coordinator's cache
-    mirror and journal replay reconstruct fingerprints with."""
+    (auto-names included) — what replay reconstructs reuse-cache
+    fingerprints with."""
     mapping: Dict[str, object] = {}
     for counter, policy in enumerate(spec.policies):
         name = policy.options.get("name") or (
@@ -70,58 +76,40 @@ def policy_choosers(spec) -> Dict[str, object]:
     return mapping
 
 
-def mirror_note(
-    mirror: Dict[tuple, tuple], event, choosers: Dict[str, object]
-) -> Optional[str]:
-    """Apply one folded event to a commitment-cache mirror exactly as
-    each owner maintains its own cache: a fresh ok verdict caches
-    (``"set"``), a fresh violation evicts (``"pop"``), a reused event
-    leaves the entry untouched (``None``).  Shared by the live
-    coordinator and journal replay so the two can never drift."""
-    if event.reused:
-        return None
-    key = (event.asn, event.prefix, event.policy, event.spec.recipients)
-    if event.ok():
-        fingerprint = (
-            (
-                event.spec,
-                tuple(sorted(event.routes.items(), key=lambda kv: kv[0])),
-            ),
-            choosers.get(event.policy),
-        )
-        mirror[key] = (fingerprint, event)
-        return "set"
-    mirror.pop(key, None)
-    return "pop"
-
-
 def genesis_fingerprint(spec) -> Dict[str, object]:
-    """What must match for a journal to belong to this spec."""
+    """What must match for a journal to belong to this spec.  The
+    worker count is absent: the trail does not depend on it."""
     return {
+        "format": JOURNAL_FORMAT,
         "key_bits": spec.key_bits,
         "seed": repr(spec.rng_seed),
         "policies": sorted(policy_choosers(spec)),
-        "workers": spec.workers,
     }
+
+
+def _check_format(found: object) -> None:
+    if found != JOURNAL_FORMAT:
+        raise JournalError(
+            f"journal format {1 if found is None else found}, "
+            f"this build reads {JOURNAL_FORMAT}"
+        )
 
 
 @dataclass
 class RecoveredState:
-    """Everything a restarted coordinator adopts from replay."""
+    """Everything that rebuilds the coordinator's monitor at the last
+    boundary (:meth:`~repro.cluster.spec.ClusterSpec.build_monitor`)."""
 
     store: EvidenceStore
     ledger: Optional[object]
-    mirror: Dict[tuple, tuple]
-    seen_pairs: set
-    invalidations: List[tuple]
+    #: the reuse cache as of the boundary
+    cache: Dict[tuple, tuple]
     epoch: int
     round_counter: int
-    placement: Optional[object]
-    #: the donor replica pickled at the last checkpoint (``None`` =
-    #: rebuild from the spec's factory: no checkpoint has run yet)
+    #: the network pickled at the last checkpoint (``None`` = rebuild
+    #: from the spec's factory: no checkpoint has run yet)
     network: Optional[bytes]
-    #: churn groups journaled since the network capture, in order —
-    #: exactly the fast-forward suffix a recovery spawn replays
+    #: churn groups journaled since the network capture, in order
     churn_suffix: Tuple[Tuple[object, ...], ...]
     #: mutating requests committed before the boundary (the CLI skips
     #: this many script entries on re-drive)
@@ -147,12 +135,9 @@ class JournalReplayer:
             from repro.ledger import TrustLedger
 
             self.ledger = TrustLedger(spec.ledger).attach(self.store)
-        self.mirror: Dict[tuple, tuple] = {}
-        self.seen_pairs: set = set()
-        self.invalidations: List[tuple] = []
+        self.cache: Dict[tuple, tuple] = {}
         self.epoch = 0
         self.round_counter = 0
-        self.placement = None
         self.network: Optional[bytes] = None
         self.churn: List[Tuple[object, ...]] = []
         self.committed = 0
@@ -168,6 +153,7 @@ class JournalReplayer:
         self.replayed += 1
 
     def _on_genesis(self, seq: int, data: object) -> None:
+        _check_format(data.get("format"))
         expected = genesis_fingerprint(self.spec)
         for field_name in ("key_bits", "seed", "policies"):
             if data.get(field_name) != expected[field_name]:
@@ -179,7 +165,17 @@ class JournalReplayer:
                 )
 
     def _on_checkpoint(self, seq: int, data: object) -> None:
-        state = unpack(data)
+        try:
+            state = unpack(data)
+        except Exception as exc:
+            # e.g. a format-1 capture naming classes this build dropped
+            raise JournalError(
+                f"journal record {seq}: checkpoint does not load in "
+                f"this build ({type(exc).__name__}: {exc})"
+            ) from exc
+        # compaction dropped the genesis, so the checkpoint speaks for
+        # the journal's format
+        _check_format(state.get("format"))
         self.store = EvidenceStore(
             self.keystore, max_events=self.spec.max_events
         )
@@ -187,12 +183,8 @@ class JournalReplayer:
         self.ledger = state["ledger"]
         if self.ledger is not None:
             self.ledger.attach(self.store)
-        self.mirror = dict(state["mirror"])
-        self.seen_pairs = set(state["seen"])
-        self.invalidations = list(state["invalidations"])
-        self.epoch = state["epoch"]
-        self.round_counter = state["round"]
-        self.placement = state["placement"]
+        self.epoch, self.round_counter, cache = state["planning"]
+        self.cache = dict(cache)
         self.network = state["network"]
         self.churn = []
         self.committed = state["committed"]
@@ -203,33 +195,25 @@ class JournalReplayer:
     def _on_plan(self, seq: int, data: object) -> None:
         if self.ledger is not None:
             self.ledger.settle()
-        self.invalidations = []
         self.epoch = max(self.epoch, data["epoch"])
 
     def _on_event(self, seq: int, data: object) -> None:
-        event = unpack(data["e"])
-        stored = self.store.adopt(event)
-        if stored.epoch is not None:
-            self.epoch = max(self.epoch, stored.epoch)
-        if stored.round:
-            self.round_counter = max(self.round_counter, stored.round)
-        if not data.get("probe"):
-            self.seen_pairs.add((stored.asn, stored.prefix))
-            op = mirror_note(self.mirror, stored, self.choosers)
-            if op != data.get("m"):
-                raise JournalError(
-                    f"journal record {seq}: replayed mirror decision "
-                    f"{op!r} diverges from the journaled {data.get('m')!r}"
-                )
-            if not stored.reused and not stored.ok():
-                self.invalidations.append(
-                    (
-                        stored.asn,
-                        stored.prefix,
-                        stored.policy,
-                        stored.spec.recipients,
-                    )
-                )
+        event = self.store.adopt(unpack(data["e"]))
+        self.round_counter = max(self.round_counter, event.round)
+        if event.epoch is not None and not event.reused:
+            item = WorkItem(
+                asn=event.asn,
+                prefix=event.prefix,
+                policy=event.policy,
+                spec=event.spec,
+                routes=event.routes,
+            )
+            absorb_verdict(
+                self.cache,
+                item,
+                (item.fingerprint(), self.choosers.get(event.policy)),
+                event,
+            )
 
     def _on_commit(self, seq: int, data: object) -> None:
         self.committed += data["requests"]
@@ -246,24 +230,15 @@ class JournalReplayer:
             self.ledger.fold_adjudications(rulings)
         self.committed += 1
 
-    def _on_reshard(self, seq: int, data: object) -> None:
-        self.placement = unpack(data["placement"])
-
-    def _on_replace(self, seq: int, data: object) -> None:
-        pass  # informational: the replacement worker's state is derived
-
     # -- results -------------------------------------------------------------
 
     def state(self) -> RecoveredState:
         return RecoveredState(
             store=self.store,
             ledger=self.ledger,
-            mirror=dict(self.mirror),
-            seen_pairs=set(self.seen_pairs),
-            invalidations=list(self.invalidations),
+            cache=dict(self.cache),
             epoch=self.epoch,
             round_counter=self.round_counter,
-            placement=self.placement,
             network=self.network,
             churn_suffix=tuple(self.churn),
             committed_requests=self.committed,
@@ -289,17 +264,10 @@ class JournalReplayer:
             ],
             "evicted": self.store.evicted,
             "seq": self.store._seq,
-            "mirror": sorted(
+            "cache": sorted(
                 (str(key), entry[1].seq)
-                for key, entry in self.mirror.items()
+                for key, entry in self.cache.items()
             ),
-            "seen": sorted(
-                (asn, str(prefix)) for asn, prefix in self.seen_pairs
-            ),
-            "invalidations": [
-                (asn, str(prefix), policy, recipients)
-                for asn, prefix, policy, recipients in self.invalidations
-            ],
             "epoch": self.epoch,
             "round": self.round_counter,
             "committed": self.committed,

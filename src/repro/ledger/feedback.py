@@ -7,8 +7,8 @@ stack:
   :meth:`~repro.audit.monitor.Monitor.plan_epoch` consults it per fresh
   tuple; a high-trust AS is verified at rate ``r < 1`` with
   *deterministic seeded sampling* (a domain-separated SHA-256 over the
-  seed, epoch and tuple identity — identical on every co-planning
-  cluster worker), while rate 1.0 short-circuits to ``True`` before any
+  seed, epoch and tuple identity — identical on the serving host and
+  on the reference monitor), while rate 1.0 short-circuits to ``True`` before any
   hashing, so a full-rate ledger run is byte-identical to a ledger-free
   one.
 * :class:`TrustTieredAdmission` — the serve/cluster admission variant:
@@ -40,12 +40,11 @@ class VerificationIntensity:
     """Trust-aware verification sampling for the epoch planner.
 
     ``trust`` is the per-AS level snapshot sampling decides on; it is
-    replaced wholesale via :meth:`update` (a cluster worker receives it
-    with each epoch command) or pulled from a bound ``ledger`` at each
-    :meth:`begin_epoch` (the unsharded monitor's path).  Sampling is a
-    pure function of ``(seed, epoch, tuple identity, rate)`` — no
-    mutable state, no RNG — so every co-planning replica skips exactly
-    the same entries.
+    replaced wholesale via :meth:`update`, or pulled from a bound
+    ``ledger`` at each :meth:`begin_epoch` (every monitor a
+    ``ClusterSpec`` builds).  Sampling is a pure function of ``(seed,
+    epoch, tuple identity, rate)`` — no mutable state, no RNG — so any
+    two monitors over the same trail skip exactly the same entries.
     """
 
     def __init__(
@@ -63,7 +62,7 @@ class VerificationIntensity:
         self.sampled_out = 0
 
     def update(self, trust: Mapping[str, TrustLevel]) -> None:
-        """Adopt a fresh trust snapshot (the coordinator's broadcast)."""
+        """Adopt a fresh trust snapshot."""
         self._trust = dict(trust)
 
     def begin_epoch(self, epoch: int) -> None:

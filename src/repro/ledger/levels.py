@@ -22,8 +22,9 @@ under two rules, both evidence-gated:
 :class:`LedgerPolicy` also carries the feedback knob: per-level
 verification sampling rates (``sampling_rates``, consumed by
 :class:`~repro.ledger.feedback.VerificationIntensity`).  The policy is
-a frozen, picklable value — cluster workers receive it inside the
-:class:`~repro.cluster.spec.ClusterSpec`.
+a frozen, picklable value — it rides inside the
+:class:`~repro.cluster.spec.ClusterSpec` and the coordinator's
+checkpoints.
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ run is byte-identical to an untraced one (pinned in
 Three pieces:
 
 * :class:`~repro.obs.trace.TraceContext` — span/event recording.  Every
-  host (serial Monitor, serve service, cluster coordinator, cluster
-  worker) owns one; worker-side records ship over the existing pipe
-  frames (``EpochSummary.spans``) and are adopted into the coordinator
-  trace in plan order.
+  host (serial Monitor, serve service, cluster coordinator) owns one;
+  the round pool traces each worker's in-flight batch as a ``slice``
+  span of its host's context.
 * :class:`~repro.obs.recorder.FlightRecorder` — a bounded ring of the
   most recent closed records plus every still-open span, dumped to
   JSONL when something goes wrong (worker reap, parity failure,

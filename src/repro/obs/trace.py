@@ -14,12 +14,11 @@ Closed spans become plain dict **records** (JSON-ready) appended to the
 context's bounded ``records`` deque and forwarded to an attached
 :class:`~repro.obs.recorder.FlightRecorder`.
 
-Worker processes drain their records with :meth:`TraceContext.take_records`
-and ship them inside ``EpochSummary.spans``; the coordinator merges
-them with :meth:`TraceContext.adopt`, which **re-ids** every record
-from its own counter (a respawned worker restarts its counter, so the
-shipped ids alone are not unique across incarnations) while preserving
-the internal parent structure.
+Records drained from one context (:meth:`TraceContext.take_records`)
+can be merged into another with :meth:`TraceContext.adopt`, which
+**re-ids** every record from the adopting counter (two sources may
+restart their counters, so shipped ids alone are not unique) while
+preserving the internal parent structure.
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ class TraceContext:
             self.recorder.record(record)
 
     def take_records(self) -> Tuple[Dict[str, object], ...]:
-        """Drain and return the closed records (the worker → coordinator
-        shipping path; records are plain dicts, so they pickle)."""
+        """Drain and return the closed records (plain dicts, so they
+        pickle)."""
         drained = tuple(self.records)
         self.records.clear()
         return drained

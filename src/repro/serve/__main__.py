@@ -349,8 +349,8 @@ def main(argv=None) -> int:
     )
     if shard_rows:
         print_table(
-            "fresh verifications per shard batch",
-            ["shard", "rounds"],
+            "fresh verifications per pool worker",
+            ["worker", "rounds"],
             shard_rows,
         )
 

@@ -1,34 +1,26 @@
 """The verification service: an asyncio front-end over the audit plane.
 
 One long-lived :class:`VerificationService` fronts one
-:class:`~repro.bgp.network.BGPNetwork`'s monitor.  The request
-lifecycle is **admit → shard → verify → merge**:
+:class:`~repro.bgp.network.BGPNetwork`'s monitor.  It adds two things
+to the serving substrate of :mod:`repro.cluster`:
 
-* **admit** — requests (:class:`ChurnRequest`, :class:`QueryRequest`,
-  :class:`AdjudicateRequest`) enter the shared
+* an asyncio host for the shared
   :class:`~repro.cluster.admission.AdmissionQueue` (door, coalescing
   cap, dispatch-time shedding, controller tick — the same plane the
-  cluster coordinator hosts); a full queue rejects at the door
-  (:class:`AdmissionError`) instead of building unbounded backlog;
-* **shard** — adjacent churn requests the queue coalesced ride one
-  verification epoch (:meth:`~repro.audit.monitor.Monitor.plan_epoch`),
-  and the plan's fresh entries are dealt evenly across the stateless
-  worker pool;
-* **verify** — each batch runs serially inside its worker process with
-  the rounds and nonce streams the planner pre-allocated;
-* **merge** — the merger folds the executed rounds back into the
-  single evidence store in plan order, byte-identical to an
-  unsharded monitor run (optionally re-proving a sample of fresh
-  verdicts as an online parity self-check).
+  cluster coordinator hosts): requests (:class:`ChurnRequest`,
+  :class:`QueryRequest`, :class:`AdjudicateRequest`) resolve futures,
+  and a full queue rejects at the door (:class:`AdmissionError`)
+  instead of building unbounded backlog;
+* ``asyncio.to_thread`` around the shared
+  :class:`~repro.cluster.pipeline.Pipeline` — plan centrally, run the
+  fresh rounds on the stateless worker pool, fold in plan order,
+  byte-identical to an unsharded monitor run — so the event loop stays
+  responsive to admission while RSA grinds.  Only one epoch runs at a
+  time: epochs must see a quiescent network, exactly the constraint
+  :meth:`~repro.audit.monitor.Monitor.run_epoch` documents.
 
-Queries and adjudication are answered from the merged store between
-epochs, so readers always see a consistent, fully merged trail.
-
-The verification epochs themselves run in a worker thread
-(``asyncio.to_thread``) — the event loop stays responsive to admission
-while RSA grinds — but only one epoch runs at a time: epochs must see a
-quiescent network, exactly the constraint
-:meth:`~repro.audit.monitor.Monitor.run_epoch` documents.
+Queries and adjudication are answered from the evidence store between
+epochs, so readers always see a consistent trail.
 """
 
 from __future__ import annotations
@@ -37,28 +29,23 @@ import asyncio
 import functools
 from typing import List, Optional
 
-from repro.audit.events import EpochOutcome, SliceStats
-from repro.audit.monitor import EpochPlan, Monitor
+from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
-from repro.audit.wire import reports_match, run_offwire_round
 from repro.bgp.network import BGPNetwork
 from repro.cluster.admission import AdmissionQueue, Ticket, make_admission
 from repro.cluster.metrics import ClusterMetrics
+from repro.cluster.pipeline import Pipeline
+from repro.cluster.pool import ShardExecutor
 from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
     Completion,
     QueryRequest,
-    answer_adjudicate,
     answer_query,
 )
 from repro.crypto.keystore import KeyStore
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
-from repro.pvr.scenarios import apply_step
-
-from repro.serve import merge
-from repro.serve.sharding import ShardExecutor
 
 __all__ = ["VerificationService"]
 
@@ -74,17 +61,12 @@ def _settle(future: "asyncio.Future[Completion]", ticket: Ticket) -> None:
         future.set_result(ticket.completion)
 
 
-def _ships_to_shard(chooser) -> bool:
-    """Whether a plan entry's chooser ref can cross the worker boundary:
-    no chooser, or a :mod:`repro.audit.choosers` registry name."""
-    return chooser is None or isinstance(chooser, str)
-
-
 class VerificationService:
-    """The sharded, asynchronous serving layer over one audit monitor.
+    """The asynchronous serving layer over one audit monitor.
 
     ``shards`` sizes the stateless worker pool each epoch's fresh
-    rounds are dealt across.  ``admission`` (an
+    rounds are dealt across (``backend``: ``"serial"`` or
+    ``"process[:N]"``).  ``admission`` (an
     :class:`~repro.cluster.admission.AdmissionPolicy` or spec string)
     selects the overload behaviour — reject at the door (default),
     deadline-based shedding, or per-request-type priorities;
@@ -129,10 +111,9 @@ class VerificationService:
         #: causal tracing + crash forensics (:mod:`repro.obs`): one
         #: trace context shared with the monitor (so plan spans nest
         #: under the service's epoch spans), ringed through a flight
-        #: recorder that dumps at parity failures when ``flight_dump``
-        #: names a path.  Timing is trace metadata only — the evidence
-        #: trail is byte-identical traced or not.
-        self.flight_dump = flight_dump
+        #: recorder that dumps at worker reaps and parity failures when
+        #: ``flight_dump`` names a path.  Timing is trace metadata only
+        #: — the evidence trail is byte-identical traced or not.
         self.recorder = FlightRecorder()
         self.tracer = self.recorder.attach(
             TraceContext("s", enabled=trace)
@@ -161,32 +142,39 @@ class VerificationService:
                 policy, seed=rng_seed, ledger=self.ledger
             )
         self.network = network
-        self.executor = ShardExecutor(shards, backend=backend)
+        self.executor = ShardExecutor(
+            shards, self.keystore, rng_seed, backend=backend
+        )
         self.admission = make_admission(admission)
         self.queue_depth = queue_depth
         self.batch_max = batch_max
-        self.parity_sample = parity_sample
         self.metrics = metrics if metrics is not None else ClusterMetrics()
-        self.metrics.placement = self.executor
-        self.metrics.admission = self.admission
         #: the self-regulating control plane: ``None`` (off), ``True``
         #: (default :class:`~repro.control.controller.ControlPolicy`)
         #: or a ``ControlPolicy``.  Fed from epoch walls and queue
-        #: depth; ticked after every epoch — its severity feeds the
-        #: admission policy
-        #: (:class:`~repro.control.policies.AdaptiveAdmission`).  A
-        #: stateless pool has no placement to move, so no shard loads
-        #: are fed and no placement decision is ever applied.
+        #: depth; ticked after every churn group — its severity feeds
+        #: the admission policy
+        #: (:class:`~repro.control.policies.AdaptiveAdmission`).
         self.controller = None
         if controller is not None:
             from repro.control.controller import ControlPolicy, Controller
 
-            policy = (
+            self.controller = Controller(
                 ControlPolicy() if controller is True else controller
             )
-            self.controller = Controller(policy)
-            self.controller.tracer = self.tracer
-        self.metrics.control = self.controller
+        self._pipeline = Pipeline(
+            self.monitor,
+            self.executor,
+            self.metrics,
+            self.admission,
+            self.recorder,
+            self.tracer,
+            component="serve",
+            ledger=self.ledger,
+            controller=self.controller,
+            parity_sample=parity_sample,
+            flight_dump=flight_dump,
+        )
         self._queue: Optional[AdmissionQueue] = None
         self._dispatcher: Optional[asyncio.Task] = None
 
@@ -294,201 +282,17 @@ class VerificationService:
         if isinstance(request, QueryRequest):
             return answer_query(self.evidence, request)
         if isinstance(request, AdjudicateRequest):
-            return await asyncio.to_thread(self._answer_adjudicate, request)
+            return await asyncio.to_thread(
+                self._pipeline.answer_adjudicate, request
+            )
         if isinstance(request, ChurnRequest):
             with self.tracer.span(
                 "group", component="serve", coalesced=len(group)
             ):
-                return await asyncio.to_thread(
-                    self._run_churn_group, [t.request for t in group]
+                outcome = await asyncio.to_thread(
+                    self._pipeline.serve_churn_group,
+                    [t.request for t in group],
                 )
-        raise TypeError(f"unknown request type {type(request).__name__}")
-
-    def _run_churn_group(
-        self, requests: List[ChurnRequest]
-    ) -> EpochOutcome:
-        for request in requests:
-            for step in request.steps:
-                apply_step(step, self.network)
-            for asn, prefix in request.marks:
-                self.monitor.mark(asn, prefix)
-        self.network.run_to_quiescence()
-        outcome = EpochOutcome(coalesced=len(requests))
-        # a work bound may defer pairs; drain within the group so
-        # every admitted churn request is fully audited when its
-        # future resolves.  Metrics absorb each epoch as it lands,
-        # so a failure later in the group cannot leave recorded
-        # evidence unaccounted for.
-        while True:
-            report, slices = self._run_epoch_sharded()
-            outcome.reports.append(report)
-            outcome.slices.extend(slices)
-            self.metrics.note_epoch(
-                report,
-                coalesced=len(requests) if len(outcome.reports) == 1 else 0,
-            )
-            if not self.monitor.pending():
-                break
-        for request in requests:
-            for probe in request.probes:
-                outcome.probe_events.append(
-                    self.monitor.audit_once(
-                        probe.asn,
-                        probe.prefix,
-                        probe.recipient,
-                        prover=(
-                            probe.prover(self.keystore)
-                            if probe.prover is not None
-                            else None
-                        ),
-                        max_length=probe.max_length,
-                    )
-                )
-        if outcome.probe_events:
-            self.metrics.note_probes(outcome.probe_events)
-        return outcome
-
-    # -- request handlers ----------------------------------------------------
-
-    def _answer_adjudicate(self, request: AdjudicateRequest):
-        payload = answer_adjudicate(self.evidence, request)
-        if self.ledger is not None:
-            self.ledger.fold_adjudications(payload)
-            self.admission.update(self.ledger.trust_map())
-        return payload
-
-    # -- the sharded epoch pipeline ------------------------------------------
-
-    def _run_epoch_sharded(self):
-        """One epoch: plan centrally, verify on shards, merge in order.
-        Returns ``(report, slices)`` — the merged
-        :class:`~repro.audit.events.EpochReport` plus per-shard
-        :class:`~repro.audit.events.SliceStats`."""
-        epoch_span = self.tracer.begin("epoch", component="serve")
-        plan = self.monitor.plan_epoch()
-        epoch_span.epoch = plan.epoch
-        try:
-            fresh = plan.fresh_entries()
-            # named choosers resolve through the registry inside the
-            # worker, so they ship; live callables (which may not
-            # pickle) stay on the monitor's own wire path
-            shardable = [
-                (i, e) for i, e in fresh if _ships_to_shard(e.chooser)
-            ]
-            local_entries = [
-                (i, e) for i, e in fresh if not _ships_to_shard(e.chooser)
-            ]
-            neighbor_counts = {
-                entry.item.spec.prover: len(
-                    self.network.transport.neighbors(entry.item.spec.prover)
-                )
-                for _, entry in shardable
-            }
-            with self.tracer.span(
-                "shard-exec", component="serve", epoch=plan.epoch,
-                tasks=len(shardable),
-            ):
-                batches = self.executor.execute(
-                    self.keystore, shardable, self.rng_seed,
-                    neighbor_counts,
-                )
-            sharded = {
-                position: result
-                for batch in batches
-                for position, result in batch.items()
-            }
-            with self.tracer.span(
-                "local", component="serve", epoch=plan.epoch,
-                tasks=len(local_entries),
-            ):
-                local = {
-                    position: self.monitor.run_planned_round(entry)
-                    for position, entry in local_entries
-                }
-            with self.tracer.span(
-                "merge", component="serve", epoch=plan.epoch
-            ):
-                report = merge.fold_plan(
-                    self.monitor, plan, {**sharded, **local}
-                )
-        except Exception:
-            # planning consumed the dirty marks; a failed execution must
-            # not leave an audit hole, so the planned pairs go back on
-            # the queue (a later epoch re-audits them from scratch —
-            # at-least-once, never silently-never)
-            for entry in plan.entries:
-                self.monitor.mark(entry.item.asn, entry.item.prefix)
-            self.tracer.finish(epoch_span, status="error")
-            raise
-        # the one obs timer: the epoch span both frames the trace and
-        # pins the report's wall
-        self.tracer.finish(epoch_span)
-        report.wall_seconds = epoch_span.duration
-        slices = []
-        for shard, batch in enumerate(batches):
-            self.metrics.note_worker(shard, len(batch))
-            shard_wall = sum(
-                stats.wall_seconds for _, stats in batch.values()
-            )
-            self.tracer.event(
-                "shard", component="serve", epoch=report.epoch,
-                worker=shard, events=len(batch), wall=shard_wall,
-            )
-            slices.append(SliceStats(
-                worker=shard,
-                epoch=report.epoch,
-                events=len(batch),
-                fresh=len(batch),
-                reused=0,
-                wall_seconds=shard_wall,
-            ))
-        self._parity_check(plan, sharded)
-        if self.controller is not None:
-            self.controller.observe_epoch(
-                wall_seconds=report.wall_seconds,
-                worker_walls={s.worker: s.wall_seconds for s in slices},
-            )
             self._queue.control_tick()
-        if self.ledger is not None:
-            # refresh the trust-tiered door with trust as of this epoch
-            self.admission.update(self.ledger.trust_map())
-        return report, slices
-
-    def _parity_check(self, plan: EpochPlan, outcomes) -> None:
-        """Re-prove a sample of fresh verdicts in-process and compare.
-
-        Catches anything that could make a shard diverge from the
-        planner's promise — pickling loss, worker nondeterminism, a bad
-        merge — without paying for a full shadow monitor.  Failures are
-        counted (never raised): the CI smoke job asserts the counter is
-        zero, and operators can alert on it.
-        """
-        if self.parity_sample < 1:
-            return
-        checked = failed = 0
-        sampled = sorted(outcomes)[:: self.parity_sample]
-        for position in sampled:
-            report, _ = outcomes[position]
-            entry = plan.entries[position]
-            replay, _ = run_offwire_round(
-                self.keystore,
-                entry.item.spec,
-                entry.item.routes,
-                round=entry.round,
-                rng_seed=self.rng_seed,
-                chooser=entry.chooser,
-            )
-            checked += 1
-            if not reports_match(replay, report):
-                failed += 1
-        self.metrics.note_parity(checked, failed)
-        if failed:
-            self.tracer.event(
-                "parity-failure", component="serve",
-                epoch=plan.epoch, checked=checked, failed=failed,
-            )
-            if self.flight_dump:
-                self.recorder.dump(
-                    self.flight_dump,
-                    f"{failed} of {checked} parity self-checks failed",
-                )
+            return outcome
+        raise TypeError(f"unknown request type {type(request).__name__}")

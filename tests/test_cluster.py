@@ -1,36 +1,29 @@
-"""The cluster API: placement strategies, admission policies, the named
-chooser registry, and the acceptance criterion — a multi-process
-:class:`~repro.cluster.cluster.Cluster` whose folded evidence trail is
+"""The cluster API: admission policies, the named chooser registry,
+and the acceptance criterion — a multi-process
+:class:`~repro.cluster.cluster.Cluster` whose evidence trail is
 **byte-identical** to an unsharded :class:`~repro.audit.monitor.Monitor`
-for all four protocol variants, including across an online
-``ConsistentHash`` reshard that migrates ownership and commitment-cache
-entries mid-run.
+for all four protocol variants, and whose served adjudications match
+the reference's.
 """
-
-import pickle
 
 import pytest
 
 from repro.audit import choosers
-from repro.bgp.prefix import Prefix
 from repro.cluster import (
+    AdjudicateRequest,
     AdmissionError,
+    AuditProbe,
     ChurnRequest,
     ClusterSpec,
-    ConsistentHash,
     DeadlineShed,
-    HotSplit,
     PolicySpec,
     PriorityAdmission,
     QueryRequest,
     RejectAtDoor,
     ShedError,
-    StaticHash,
     make_admission,
-    make_placement,
-    moved_pairs,
-    pair_key,
 )
+from repro.cluster.requests import answer_adjudicate
 from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
 from repro.promises.spec import (
     ExistentialPromise,
@@ -38,115 +31,10 @@ from repro.promises.spec import (
     ShortestFromSubset,
     ShortestRoute,
 )
+from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import serve_network
 
 SEED = 2011
-
-PAIRS = [
-    ("A", Prefix.parse(f"10.{i}.0.0/16")) for i in range(200)
-]
-
-
-# -- placement strategies ------------------------------------------------------
-
-
-class TestStaticHash:
-    def test_matches_the_legacy_modulo_partition(self):
-        placement = StaticHash(4)
-        for asn, prefix in PAIRS[:32]:
-            assert placement.owner(asn, prefix) == pair_key(asn, prefix) % 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StaticHash(0)
-
-
-class TestConsistentHash:
-    def test_deterministic_and_picklable(self):
-        ring = ConsistentHash(3)
-        owners = [ring.owner(a, p) for a, p in PAIRS]
-        assert owners == [ring.owner(a, p) for a, p in PAIRS]
-        clone = pickle.loads(pickle.dumps(ring))
-        assert [clone.owner(a, p) for a, p in PAIRS] == owners
-        assert clone == ring
-
-    def test_covers_every_shard(self):
-        ring = ConsistentHash(4, vnodes=64)
-        assert {ring.owner(a, p) for a, p in PAIRS} == {0, 1, 2, 3}
-
-    def test_grow_moves_at_most_k_over_n_keys(self):
-        """The consistent-hashing contract: growing N -> N+1 moves at
-        most ~K/N of K keys (expected K/(N+1)), and every key that
-        moves lands on the shard being added."""
-        old = ConsistentHash(3, vnodes=128)
-        new = old.with_shards(4)
-        moved = moved_pairs(old, new, PAIRS)
-        assert 0 < len(moved) <= len(PAIRS) // 3
-        assert all(new.owner(a, p) == 3 for a, p in moved)
-
-    def test_shrink_reassigns_only_the_removed_shards_keys(self):
-        old = ConsistentHash(4, vnodes=128)
-        new = old.with_shards(3)
-        for asn, prefix in PAIRS:
-            if old.owner(asn, prefix) != 3:
-                assert new.owner(asn, prefix) == old.owner(asn, prefix)
-            else:
-                assert new.owner(asn, prefix) != 3
-
-    def test_static_hash_moves_far_more(self):
-        """The motivation for the ring: modulo reshards shuffle nearly
-        everything, the ring moves ~1/(N+1)."""
-        ring_moved = moved_pairs(
-            ConsistentHash(3, vnodes=128),
-            ConsistentHash(3, vnodes=128).with_shards(4),
-            PAIRS,
-        )
-        static_moved = moved_pairs(StaticHash(3), StaticHash(4), PAIRS)
-        assert len(ring_moved) * 2 < len(static_moved)
-
-
-class TestHotSplit:
-    def test_rebalance_is_deterministic(self):
-        placement = HotSplit(3)
-        loads = {0: 100, 1: 10, 2: 5}
-        first = placement.rebalance(loads)
-        second = placement.rebalance(dict(loads))
-        assert first == second
-        assert first != placement
-
-    def test_split_moves_half_the_hot_shards_slots_to_the_coldest(self):
-        placement = HotSplit(3, slots=12)
-        rebalanced = placement.rebalance({0: 100, 1: 50, 2: 1})
-        before = placement.assignment.count(0)
-        after = rebalanced.assignment.count(0)
-        assert after == before - before // 2
-        # the moved slots all went to the coldest shard
-        assert rebalanced.assignment.count(2) == (
-            placement.assignment.count(2) + before // 2
-        )
-
-    def test_no_skew_no_move(self):
-        placement = HotSplit(2)
-        assert placement.rebalance({0: 5, 1: 5}) == placement
-        assert HotSplit(1).rebalance({0: 100}) == HotSplit(1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HotSplit(4, slots=2)
-        with pytest.raises(ValueError):
-            HotSplit(2, slots=4, assignment=(0, 1, 2, 0))
-
-
-class TestMakePlacement:
-    def test_resolution(self):
-        assert make_placement(None, 3) == StaticHash(3)
-        assert make_placement("static", 2) == StaticHash(2)
-        assert make_placement("consistent", 2) == ConsistentHash(2)
-        assert isinstance(make_placement("hotsplit", 2), HotSplit)
-        ring = ConsistentHash(5)
-        assert make_placement(ring, 2) is ring
-        with pytest.raises(ValueError):
-            make_placement("rendezvous", 2)
 
 
 # -- admission policies --------------------------------------------------------
@@ -270,13 +158,11 @@ def make_spec(variant, **overrides):
     return ClusterSpec(**options)
 
 
-def run_script(spec, requests, *, reshard_to=None, reshard_at=None):
+def run_script(spec, requests):
     cluster = spec.build()
     try:
-        for index, request in enumerate(requests):
+        for request in requests:
             cluster.request(request)
-            if reshard_at is not None and index + 1 == reshard_at:
-                cluster.reshard(workers=reshard_to)
         return cluster, cluster.evidence
     finally:
         cluster.stop()
@@ -302,104 +188,51 @@ class TestClusterParity:
         assert trail_mismatches(evidence, reference) == []
         assert cluster.metrics.parity_failed == 0
 
-    def test_parity_across_online_reshard_with_byzantine_probes(self):
-        """One mid-run ConsistentHash grow (2 -> 3 workers): ownership
-        and cache entries migrate, Byzantine probes keep firing, and
-        the trail stays byte-identical — including the probes, whose
-        nonce streams are the round's deterministic randomness."""
-        spec = make_spec("minimum", workers=2)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=6, violation_every=3)
-        cluster, evidence = run_script(
-            spec, requests, reshard_to=3, reshard_at=4
-        )
-        assert any(e.violation_found() for e in evidence.events())
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
-        record = cluster.metrics.reshards[0]
-        assert record["tracked_pairs"] == PREFIX_COUNT
-        assert 0 <= record["moved_pairs"] <= PREFIX_COUNT
-        assert cluster.workers == 3
-
-    def test_grow_spawn_replay_is_snapshot_truncated(self):
-        """The snapshot a grow-spawned worker adopts carries the donor's
-        pickled network replica, so the coordinator truncates the churn
-        log at the snapshot point: fast-forward replay is bounded by
-        churn since the last snapshot (here zero), not cluster
-        lifetime — and parity still holds."""
-        spec = make_spec("minimum", workers=2)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=6)
-        cluster = spec.build()
-        try:
-            for index, request in enumerate(requests):
-                cluster.request(request)
-                if index + 1 == 4:
-                    assert len(cluster._churn_log) > 0
-                    cluster.reshard(workers=3)
-                    # the log was truncated at the snapshot point
-                    assert cluster._churn_log == []
-            counts = cluster.worker_counts()
-            # the bound: the spawned worker replayed only post-snapshot
-            # churn, which was empty — never the full history
-            assert counts[2]["replayed_steps"] == 0
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(cluster.evidence, reference) == []
-        finally:
-            cluster.stop()
-
     def test_parity_on_real_processes(self):
-        """The full stack: forked worker processes, pipe IPC, a grow
-        reshard with cache migration across the pickle boundary."""
+        """The full stack: forked worker processes, pipe IPC, results
+        across the pickle boundary, Byzantine probes in between."""
         spec = make_spec("minimum", workers=2, transport="process")
         _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
-        cluster, evidence = run_script(
-            spec, requests, reshard_to=3, reshard_at=3
-        )
+        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        cluster, evidence = run_script(spec, requests)
+        assert any(e.violation_found() for e in evidence.events())
         reference = reference_trail(spec, requests)
         assert trail_mismatches(evidence, reference) == []
         assert cluster.metrics.parity_failed == 0
 
-    def test_migrated_cache_entries_are_reused_not_reproved(self):
-        """After a reshard, the new owner serves unchanged tuples from
-        the *migrated* cache — the settled resync sweep costs zero
-        signatures even though ownership moved."""
-        spec = make_spec("minimum", workers=2)
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_served_adjudication_upholds_genuine_evidence(self, transport):
+        """The coordinator's own keystore judges: with the default
+        ``parity_sample=0`` a served adjudication of a caught probe
+        rules exactly as the reference monitor's store does."""
+        spec = make_spec(
+            "minimum", workers=2, transport=transport, parity_sample=0
+        )
         _, prefixes = serve_network(PREFIX_COUNT)
-        warm = churn_script(prefixes, rounds=2, resync_after=False)
+        requests = [
+            ChurnRequest(),
+            ChurnRequest(probes=(
+                AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
+                           prover=LongerRouteProver),
+            )),
+        ]
         cluster = spec.build()
         try:
-            for request in warm:
-                cluster.request(request)
-            record = cluster.reshard(workers=3)
-            assert record["migrated_cache_entries"] >= record["moved_pairs"]
-            before = cluster.metrics.verified
-            cluster.request(ChurnRequest(
-                marks=tuple(("A", p) for p in prefixes),
-            ))
-            assert cluster.metrics.verified == before  # pure reuse
-            swept = cluster.evidence.events()[-PREFIX_COUNT:]
-            assert all(e.reused for e in swept)
+            for request in requests:
+                outcome = cluster.request(request).payload
+            seq = outcome.probe_events[0].seq
+            ruling = cluster.request(AdjudicateRequest(seq=seq)).payload[seq]
         finally:
             cluster.stop()
-
-    def test_hotsplit_rebalance_preserves_parity(self):
-        spec = make_spec("minimum", placement="hotsplit", workers=2)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
-        cluster = spec.build()
-        try:
-            mid = len(requests) // 2
-            for request in requests[:mid]:
-                cluster.request(request)
-            cluster.rebalance()  # consumes the observed per-worker load
-            for request in requests[mid:]:
-                cluster.request(request)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(cluster.evidence, reference) == []
-        finally:
-            cluster.stop()
+        monitor = spec.build_monitor()
+        drive_monitor(monitor, requests)
+        expected = answer_adjudicate(
+            monitor.evidence, AdjudicateRequest(seq=seq)
+        )[seq]
+        assert ruling.evidence_ok()
+        assert len(ruling.guilty()) == 1
+        assert ruling.guilty() == expected.guilty()
+        assert ruling.evidence_ok() == expected.evidence_ok()
 
     def test_named_chooser_runs_in_cluster_workers(self):
         """A crosscheck policy with a *named* chooser ships to workers
@@ -472,9 +305,7 @@ class TestClusterAdmission:
             cluster.request(ChurnRequest())
             snapshot = cluster.snapshot()
             assert snapshot["schema"] == "repro.cluster/metrics"
-            assert snapshot["placement"]["spec"]["strategy"] == (
-                "ConsistentHash"
-            )
+            assert snapshot["placement"]["spec"] == {"shards": 3}
             assert snapshot["epochs"]["events"] == PREFIX_COUNT
             assert snapshot["admission"]["policy"] == "RejectAtDoor"
         finally:
@@ -525,6 +356,12 @@ class TestClusterSpecValidation:
             ClusterSpec(network=_network, transport="carrier-pigeon")
         with pytest.raises(ValueError):
             ClusterSpec(network=_network, queue_depth=0)
+
+    def test_placement_is_a_checked_no_op(self):
+        for name in (None, "static", "consistent", "hotsplit"):
+            assert make_spec("minimum", placement=name).placement == name
+        with pytest.raises(ValueError):
+            make_spec("minimum", placement="rendezvous")
 
     def test_reference_monitor_matches_workers_construction(self):
         spec = make_spec("minimum")

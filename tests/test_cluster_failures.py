@@ -1,23 +1,25 @@
-"""Failure tolerance: chaos-injected worker deaths, buddy backfill,
-respawn, epoch coalescing, and the :class:`~repro.cluster.fold.SliceFold`
-reorder buffer.
+"""Failure tolerance: chaos-injected worker deaths, retry on a
+survivor, respawn, epoch coalescing — and, generated by Hypothesis, a
+worker kill combined with a coordinator crash at any journal record.
 
-The invariant under test everywhere: a worker lost mid-slice — killed
-between streamed events, SIGKILLed at the OS level, or hung past the
-epoch deadline — leaves the folded evidence trail **byte-identical** to
-an unsharded reference monitor, because its unfinished positions are
-backfilled by a buddy and it is respawned through the grow-spawn
-snapshot path before the next probes run.
+The invariant under test everywhere: a worker lost mid-batch — killed
+between streamed results, SIGKILLed at the OS level, or hung past the
+epoch deadline — leaves the evidence trail **byte-identical** to an
+unsharded reference monitor, because its unfinished rounds are re-run
+on a survivor under the same round numbers and nonces, and a fresh
+worker is forked in its place.
 """
+
+import shutil
+import tempfile
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ChurnRequest, ClusterSpec
+from repro.cluster import ChurnRequest
 from repro.cluster.cluster import ClusterError
-from repro.cluster.fold import FoldError, SliceFold
 from repro.cluster.spec import ChaosSpec
 from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
 from repro.pvr.scenarios import serve_network
@@ -32,8 +34,8 @@ from test_cluster import (
 
 
 def chaos_spec(variant="minimum", **overrides):
-    """A 3-worker spec whose worker 1 dies mid-slice in epoch 2, after
-    streaming exactly one owned event."""
+    """A 3-worker spec whose worker 1 dies in epoch 2, after streaming
+    exactly one result (its whole share of a 3-round epoch)."""
     options = dict(
         chaos=ChaosSpec(worker=1, epoch=2, after=1),
     )
@@ -58,24 +60,45 @@ class TestChaosKillParity:
         assert trail_mismatches(evidence, reference) == []
         assert cluster.metrics.parity_failed == 0
 
+    @pytest.mark.parametrize("workers,after", [
+        (3, 0), (3, 1), (2, 0), (2, 1), (2, 2),
+    ])
+    def test_kill_at_any_point_of_a_batch(self, workers, after):
+        """``after`` ∈ {0, 1, mid, last}: worker 0's share of a 3-round
+        epoch is one round of three workers' or two of two workers' —
+        it dies before its first round, between rounds, and after its
+        last result is out."""
+        spec = chaos_spec(
+            workers=workers,
+            chaos=ChaosSpec(worker=0, epoch=2, after=after),
+        )
+        _, prefixes = serve_network(PREFIX_COUNT)
+        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        cluster, evidence = run_script(spec, requests)
+        [respawn] = cluster.metrics.respawns
+        assert "chaos kill" in respawn["reason"]
+        assert f"after {after} results" in respawn["reason"]
+        reference = reference_trail(spec, requests)
+        assert trail_mismatches(evidence, reference) == []
+
     def test_backfill_and_respawn_are_recorded(self):
-        spec = chaos_spec()
+        spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=2, after=0))
         _, prefixes = serve_network(PREFIX_COUNT)
         requests = churn_script(prefixes, rounds=5, violation_every=3)
         cluster, _ = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert respawn["worker"] == 1
         assert "chaos kill" in respawn["reason"]
-        # a buddy re-executed the dead worker's unfinished positions
+        # a survivor re-ran the dead worker's unfinished positions
         assert sum(cluster.metrics.backfilled.values()) >= 1
         assert 1 not in cluster.metrics.backfilled  # never its own buddy
-        # the respawned worker rejoined and kept executing slices
+        # the replacement rejoined and kept executing batches
         assert cluster.workers == 3
-        assert not cluster._dead
+        assert cluster.metrics.slice_events[1] > 0
 
     def test_kill_before_first_event_backfills_whole_slice(self):
-        """``after=0`` dies at plan time: every owned position of the
-        dead worker is backfilled, and parity still holds."""
+        """``after=0`` dies before its first round: every position the
+        dead worker was sent is re-run, and parity still holds."""
         spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=2, after=0))
         _, prefixes = serve_network(PREFIX_COUNT)
         requests = churn_script(prefixes, rounds=4)
@@ -85,9 +108,9 @@ class TestChaosKillParity:
         assert trail_mismatches(evidence, reference) == []
 
     def test_respawned_worker_serves_from_migrated_cache(self):
-        """The replacement adopts the donor snapshot plus the dead
-        worker's mirror cache entries: a settled sweep right after the
-        respawn costs zero fresh verifications."""
+        """The reuse cache is the coordinator's, so a worker death
+        cannot lose it: a settled sweep right after the respawn costs
+        zero fresh verifications."""
         spec = chaos_spec()
         _, prefixes = serve_network(PREFIX_COUNT)
         warm = churn_script(prefixes, rounds=4, resync_after=False)
@@ -110,9 +133,7 @@ class TestProcessWorkerDeath:
     """The same tolerance over real OS processes and pipe IPC."""
 
     def test_sigkill_mid_epoch_stays_byte_identical(self):
-        spec = chaos_spec(
-            transport="process", workers=2, stream_batch=1
-        )
+        spec = chaos_spec(transport="process", workers=2)
         _, prefixes = serve_network(PREFIX_COUNT)
         requests = churn_script(prefixes, rounds=4)
         cluster, evidence = run_script(spec, requests)
@@ -123,8 +144,8 @@ class TestProcessWorkerDeath:
 
     def test_hang_past_deadline_is_reaped(self):
         """A worker that goes silent (hangs) without dying is declared
-        dead when the epoch deadline passes, then backfilled and
-        respawned like a crash."""
+        dead when the epoch deadline passes, then retried and replaced
+        like a crash."""
         spec = make_spec(
             "minimum",
             transport="process",
@@ -143,9 +164,9 @@ class TestProcessWorkerDeath:
         assert trail_mismatches(evidence, reference) == []
 
     def test_heartbeat_silence_is_reaped_without_a_deadline(self):
-        """No epoch deadline at all: a hung worker stops heart-beating,
-        and five silent intervals are enough to reap, backfill and
-        respawn it."""
+        """No epoch deadline at all: a hung worker stops sending result
+        frames, and five silent intervals are enough to reap, retry
+        and replace it."""
         spec = make_spec(
             "minimum",
             transport="process",
@@ -164,24 +185,25 @@ class TestProcessWorkerDeath:
         reference = reference_trail(spec, requests)
         assert trail_mismatches(evidence, reference) == []
 
-    def test_death_found_at_churn_broadcast_is_survivable(self):
+    def test_death_found_at_dispatch_is_survivable(self):
         """A worker whose process died *between* requests is discovered
-        when the next churn broadcast hits its closed pipe: it is
-        reaped, its positions backfill, it respawns from a post-churn
-        donor snapshot — and a second, chaos-injected death inside the
-        epoch itself rides the separate in-epoch budget.  Two workers
-        lost, byte parity intact."""
+        when the next batch hits its closed pipe: it is reaped, its
+        batch re-runs on a survivor, a fresh worker takes its place —
+        and a second, chaos-injected death in the next epoch spends
+        that epoch's own budget.  Two workers lost, byte parity
+        intact."""
         spec = chaos_spec(
             transport="process",
-            chaos=ChaosSpec(worker=1, epoch=1, after=0),
+            chaos=ChaosSpec(worker=1, epoch=2, after=0),
         )
         _, prefixes = serve_network(PREFIX_COUNT)
         requests = churn_script(prefixes, rounds=3)
         cluster = spec.build()
         try:
             # an out-of-band OS-level kill before the first request
-            cluster._workers[2].process.kill()
-            cluster._workers[2].process.join()
+            victim = cluster.executor.backend._workers[2].process
+            victim.kill()
+            victim.join()
             for request in requests:
                 cluster.request(request)
             reasons = {
@@ -189,7 +211,7 @@ class TestProcessWorkerDeath:
                 for r in cluster.metrics.respawns
             }
             assert set(reasons) == {1, 2}
-            assert "churn broadcast" in reasons[2]
+            assert "dispatch" in reasons[2]
             reference = reference_trail(spec, requests)
             assert trail_mismatches(cluster.evidence, reference) == []
         finally:
@@ -197,14 +219,15 @@ class TestProcessWorkerDeath:
 
     def test_two_workers_found_dead_together_fails_loud(self):
         """Losing more workers than ``max_failures_per_epoch`` in one
-        detection window is not survivable-by-backfill territory — the
-        cluster refuses to guess and raises."""
+        epoch is not survivable-by-retry territory — the cluster
+        refuses to guess and raises."""
         spec = make_spec("minimum", transport="process")
         cluster = spec.build()
         try:
             for index in (1, 2):
-                cluster._workers[index].process.kill()
-                cluster._workers[index].process.join()
+                victim = cluster.executor.backend._workers[index].process
+                victim.kill()
+                victim.join()
             with pytest.raises(
                 ClusterError, match="max_failures_per_epoch"
             ):
@@ -218,17 +241,11 @@ class TestProcessWorkerDeath:
         spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=1, after=0))
         cluster = spec.build()
         try:
-            worker = cluster._workers[2]
-            original_post = worker.post
+            worker = cluster.executor.backend._workers[2]
 
-            def dying_post(command):
-                if command[0] == "epoch":
-                    del worker.state.stream[:]
-                    worker._reply = (
-                        "died", "induced: second death in the epoch"
-                    )
-                else:
-                    original_post(command)
+            def dying_post(batch):
+                worker.frames = []
+                worker.died = "induced: second death in the epoch"
 
             worker.post = dying_post
             with pytest.raises(
@@ -349,7 +366,8 @@ class TestEpochOutcomeParity:
             for request in requests:
                 outcome = cluster.request(request).payload
                 assert len(outcome.probe_events) == len(request.probes)
-                assert outcome.slices  # per-worker execution stats
+                # per-worker execution stats, whenever a round ran
+                assert bool(outcome.slices) == bool(outcome.verified)
         finally:
             cluster.stop()
 
@@ -363,58 +381,91 @@ class TestEpochOutcomeParity:
         assert outcome.epoch == 1
 
 
-# -- the SliceFold reorder buffer ---------------------------------------------
+# -- generated faults: a worker kill and a coordinator crash ------------------
 
 
-class TestSliceFold:
-    @given(
-        st.integers(min_value=1, max_value=32).flatmap(
-            lambda n: st.permutations(list(range(n)))
+class _Crash(BaseException):
+    """A coordinator death with the record already durably written
+    (``BaseException`` so no service code can swallow it)."""
+
+
+def _drive(spec, requests, *, crash_at=None):
+    """Serve what a recovery left of ``requests``.  With ``crash_at``,
+    die right after the journal has ``crash_at`` records; returns
+    ``(cluster, requests committed to the journal when it died)`` —
+    the count is ``None`` when the script finished first."""
+    cluster = spec.build()
+    original = cluster.journal.append
+    committed = [cluster.recovered_requests]
+
+    def append(rtype, data):
+        seq = original(rtype, data)
+        if rtype == "commit":
+            committed[0] += data["requests"]
+        if crash_at is not None and seq >= crash_at:
+            raise _Crash()
+        return seq
+
+    cluster.journal.append = append
+    try:
+        for request in requests[cluster.recovered_requests:]:
+            cluster.request(request)
+    except _Crash:
+        return cluster, committed[0]
+    finally:
+        cluster.stop()
+    return cluster, None
+
+
+FAULTS = dict(
+    worker=st.integers(min_value=0, max_value=2),
+    epoch=st.integers(min_value=1, max_value=4),
+    after=st.integers(min_value=0, max_value=1),
+    # genesis is record 1; the script journals ~35 records
+    crash_at=st.integers(min_value=2, max_value=40),
+)
+
+
+class TestGeneratedFaults:
+    """One oracle, generated schedules: any worker kill × any
+    coordinator crash point recovers to a byte-identical trail with
+    exactly the journaled commits replayed."""
+
+    @pytest.fixture(scope="class")
+    def script(self):
+        """The requests, and the reference trail they must produce."""
+        _, prefixes = serve_network(PREFIX_COUNT)
+        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        return requests, reference_trail(make_spec("minimum"), requests)
+
+    def check(self, script, worker, epoch, after, crash_at):
+        requests, reference = script
+        base = tempfile.mkdtemp(prefix="faults-")
+        spec = make_spec(
+            "minimum",
+            journal=base,
+            chaos=ChaosSpec(worker=worker, epoch=epoch, after=after),
         )
-    )
+        try:
+            _, committed = _drive(spec, requests, crash_at=crash_at)
+            recovered, _ = _drive(spec, requests)
+            if committed is not None:
+                assert recovered.recovered_requests == committed
+            assert trail_mismatches(recovered.evidence, reference) == []
+        finally:
+            shutil.rmtree(base)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**FAULTS)
+    def test_kill_and_crash_recover_byte_identical(
+        self, script, worker, epoch, after, crash_at
+    ):
+        self.check(script, worker, epoch, after, crash_at)
+
+    @pytest.mark.slow
     @settings(max_examples=200, deadline=None)
-    def test_any_arrival_interleaving_releases_plan_order(self, order):
-        """The tentpole's core determinism property: whatever order
-        positions complete in — including backfills arriving after
-        their successors — the released sequence is the plan order."""
-        fold = SliceFold(len(order))
-        released = []
-        for position in order:
-            released.extend(fold.add(position, ("event", position)))
-        assert released == [("event", p) for p in range(len(order))]
-        assert fold.complete()
-        assert fold.missing() == []
-
-    def test_releases_only_the_contiguous_prefix(self):
-        fold = SliceFold(4)
-        assert fold.add(2, "c") == []
-        assert fold.add(0, "a") == ["a"]
-        assert fold.missing() == [1, 3]
-        assert not fold.complete()
-        assert fold.add(1, "b") == ["b", "c"]  # fills the hole
-        assert fold.add(3, "d") == ["d"]
-        assert fold.complete()
-
-    def test_duplicate_claim_is_a_fold_error(self):
-        fold = SliceFold(3)
-        fold.add(1, "x")
-        with pytest.raises(FoldError, match="claimed twice"):
-            fold.add(1, "y")
-
-    def test_out_of_range_position_is_a_fold_error(self):
-        fold = SliceFold(2)
-        with pytest.raises(FoldError):
-            fold.add(2, "x")
-        with pytest.raises(FoldError):
-            fold.add(-1, "x")
-
-    def test_plan_size_cannot_change(self):
-        fold = SliceFold()
-        fold.set_entries(5)
-        fold.set_entries(5)  # idempotent
-        with pytest.raises(FoldError, match="plan size changed"):
-            fold.set_entries(6)
-
-    def test_missing_requires_a_plan_header(self):
-        with pytest.raises(FoldError, match="plan size unknown"):
-            SliceFold().missing()
+    @given(**FAULTS)
+    def test_kill_and_crash_recover_byte_identical_at_scale(
+        self, script, worker, epoch, after, crash_at
+    ):
+        self.check(script, worker, epoch, after, crash_at)

@@ -68,7 +68,8 @@ class TestExamples:
 
     def test_cluster_demo(self):
         out = run_example("cluster_demo.py")
-        assert "online reshard -> 3 workers" in out
+        assert "died (pipe closed mid-epoch" in out
+        assert "recovered from the journal at request boundary 3" in out
         assert "from cache (0 signatures)" in out
         assert "violation probe: caught=True" in out
         assert "BYTE-IDENTICAL" in out

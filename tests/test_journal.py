@@ -1,9 +1,8 @@
-"""Durability: the write-ahead journal, coordinator crash recovery,
-and rolling worker replacement.
+"""Durability: the write-ahead journal and coordinator crash recovery.
 
 The invariant under test everywhere: a coordinator that dies at an
-arbitrary point — mid-epoch, mid-reshard, with a torn final journal
-line — restarts from the journal at the last commit boundary, re-drives
+arbitrary point — mid-epoch, with a torn final journal line —
+restarts from the journal at the last commit boundary, re-drives
 only the uncommitted suffix of the script, and leaves an evidence trail
 **byte-identical** to a run that never crashed.  :mod:`repro.journal`
 unit tests pin the on-disk format (checksummed JSONL segments, torn-tail
@@ -22,8 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import RollingReplacer
-from repro.cluster.cluster import Cluster, ClusterError
 from repro.cluster.spec import ChaosSpec
 from repro.cluster.workload import churn_script, trail_mismatches
 from repro.journal import (
@@ -32,6 +29,7 @@ from repro.journal import (
     JournalError,
     JournalReplayer,
     pack,
+    recover_state,
     unpack,
 )
 from repro.pvr.scenarios import serve_network
@@ -304,51 +302,11 @@ class TestKillTheCoordinator:
         finally:
             recovered.stop()
 
-    def test_crash_after_a_mid_stream_reshard(self, tmp_path):
-        """The reshard record is a commit boundary: a crash in the
-        epoch after an online grow recovers the *grown* placement and
-        the migrated cache entries."""
-        spec = journal_spec(tmp_path, workers=2)
-        requests = script(rounds=6, violation_every=3)
-        cluster = spec.build()
-        original = cluster.journal.append
-        state = {"events": 0, "armed": False}
-
-        def crashing_append(rtype, data):
-            seq = original(rtype, data)
-            if state["armed"] and rtype == "event":
-                state["events"] += 1
-                if state["events"] >= 2:
-                    raise SimulatedCrash()
-            return seq
-
-        cluster.journal.append = crashing_append
-        crashed_at = None
-        for index, request in enumerate(requests):
-            try:
-                cluster.request(request)
-            except SimulatedCrash:
-                crashed_at = index
-                break
-            if index + 1 == 3:
-                cluster.reshard(workers=3)
-                state["armed"] = True
-        assert crashed_at is not None, "the post-reshard crash never fired"
-        recovered = spec.build()
-        try:
-            assert recovered.workers == 3
-            assert recovered.recovered_requests == crashed_at
-            evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
-        finally:
-            recovered.stop()
-
     def test_chaos_worker_kill_after_recovery(self, tmp_path):
         """Recovery composes with the failure-tolerance machinery: a
         worker SIGKILL-equivalent *after* the restart still ends in a
-        byte-identical trail (buddy backfill + respawn on top of the
-        recovered state)."""
+        byte-identical trail (retry + respawn on top of the recovered
+        state)."""
         spec = journal_spec(tmp_path)
         requests = script(rounds=6, violation_every=3)
         crash_run(spec, requests)
@@ -370,8 +328,8 @@ class TestKillTheCoordinator:
             recovered.stop()
 
     def test_process_transport_cold_recovery(self, tmp_path):
-        """A real multi-process fleet: SIGKILL every worker along with
-        the (simulated) coordinator death, restart, cold-respawn."""
+        """A real multi-process fleet: the (simulated) coordinator
+        death orphans its workers; the restart forks a fresh pool."""
         spec = journal_spec(tmp_path, transport="process")
         requests = script(rounds=4)
         crashed_at = crash_run(spec, requests, crash_after_events=3)
@@ -414,6 +372,23 @@ class TestKillTheCoordinator:
         finally:
             recovered.stop()
 
+    def test_recovery_with_a_different_worker_count(self, tmp_path):
+        """The trail does not depend on the pool size, so neither does
+        the journal: a 2-worker journal recovers onto 3 workers."""
+        requests = script(rounds=5, violation_every=3)
+        crashed_at = crash_run(journal_spec(tmp_path, workers=2), requests)
+        spec = journal_spec(tmp_path, workers=3)
+        recovered = spec.build()
+        try:
+            assert recovered.workers == 3
+            assert recovered.recovered_requests == crashed_at
+            assert recovered.metrics.recoveries[0]["spawned_workers"] == 3
+            evidence = finish_recovered(recovered, requests)
+            reference = reference_trail(spec, requests)
+            assert trail_mismatches(evidence, reference) == []
+        finally:
+            recovered.stop()
+
     def test_restart_of_a_completed_run_is_a_no_op_replay(self, tmp_path):
         """Recovery is idempotent: restarting over the journal of an
         uncrashed run replays to the final boundary, serves nothing
@@ -434,7 +409,7 @@ class TestKillTheCoordinator:
 
 
 class TestCheckpointing:
-    def test_checkpoints_compact_and_clear_the_churn_log(self, tmp_path):
+    def test_checkpoints_compact_the_journal(self, tmp_path):
         spec = journal_spec(
             tmp_path,
             journal_checkpoint_every=2,
@@ -449,9 +424,6 @@ class TestCheckpointing:
             # without compaction this run rotates through many
             # 32-record segments; checkpoints keep the tail short
             assert stats["segments"] <= 2
-            # the coordinator churn log is truncated at checkpoints —
-            # a snapshot already carries that history
-            assert cluster._churn_log == []
             assert trail_mismatches(
                 cluster.evidence, reference_trail(spec, requests)
             ) == []
@@ -472,54 +444,54 @@ class TestCheckpointing:
             recovered.stop()
 
 
-class TestWorkerAdoption:
-    def test_still_running_workers_are_adopted_not_respawned(
-        self, tmp_path
-    ):
-        """A coordinator-only death: the worker fleet is still alive,
-        clean at the last boundary, and the restarted coordinator
-        re-adopts it wholesale instead of cold-spawning."""
-        spec = journal_spec(tmp_path)
-        requests = script(rounds=5)
-        abandoned = spec.build()
-        for request in requests[:3]:
-            abandoned.request(request)
-        abandoned.journal.close()
-        recovered = Cluster(spec, adopt_workers=abandoned._workers)
-        try:
-            record = recovered.metrics.recoveries[0]
-            assert record["adopted_workers"] == 3
-            assert record["spawned_workers"] == 0
-            assert recovered.recovered_requests == 3
-            evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
-        finally:
-            recovered.stop()
+class TestJournalFormat:
+    """A journal says which dialect it speaks, and a build refuses the
+    ones it does not read — by name, before replaying anything."""
 
-    def test_dirty_workers_are_rejected_and_respawned(self, tmp_path):
-        """A fleet that saw churn past the recovered boundary fails the
-        adoption probe — recovery must not trust uncommitted state."""
+    def test_a_format_less_genesis_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
-        requests = script(rounds=5)
-        abandoned = spec.build()
-        for request in requests[:3]:
-            abandoned.request(request)
-        # make the fleet dirty relative to the journal: a churn mark
-        # that was never folded into a commit
-        _, prefixes = serve_network(PREFIX_COUNT)
-        abandoned._broadcast(("churn", (), (("A", prefixes[0]),)))
-        abandoned.journal.close()
-        recovered = Cluster(spec, adopt_workers=abandoned._workers)
-        try:
-            record = recovered.metrics.recoveries[0]
-            assert record["adopted_workers"] == 0
-            assert record["spawned_workers"] == 3
-            evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
-        finally:
-            recovered.stop()
+        with Journal(spec.journal) as journal:
+            # what a format-1 coordinator wrote: no "format" key
+            journal.append("genesis", {
+                "key_bits": spec.key_bits,
+                "seed": repr(spec.rng_seed),
+                "policies": ["A/min->B"],
+                "workers": 3,
+                "placement": {"strategy": "ConsistentHash", "shards": 3},
+            })
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 1, this build reads 2"
+        ):
+            spec.build()
+
+    def test_a_different_format_number_is_refused(self, tmp_path):
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 3})
+            with pytest.raises(
+                JournalError, match="journal format 3, this build reads 2"
+            ):
+                recover_state(spec, journal)
+
+    def test_a_removed_record_type_is_refused(self, tmp_path):
+        spec = journal_spec(tmp_path)
+        run_script(spec, script(rounds=1))
+        with Journal(spec.journal) as journal:
+            journal.append("reshard", {"placement": "", "workers": 4})
+            journal.append("commit", {"requests": 0})
+        with pytest.raises(
+            JournalError, match="unknown journal record type 'reshard'"
+        ):
+            spec.build()
+
+    def test_genesis_stamps_the_format(self, tmp_path):
+        spec = journal_spec(tmp_path)
+        run_script(spec, script(rounds=1))
+        with Journal(spec.journal) as journal:
+            seq, rtype, data = journal.records[0]
+        assert (rtype, data["format"]) == ("genesis", 2)
+        assert "workers" not in data
 
 
 # -- replay properties --------------------------------------------------------
@@ -592,59 +564,3 @@ class TestReplayProperties:
         for seq, rtype, payload in records:
             whole.feed(seq, rtype, payload)
         assert replayer.digest() == whole.digest()
-
-
-# -- rolling replacement ------------------------------------------------------
-
-
-class TestRollingReplacement:
-    @pytest.mark.parametrize("variant", ["minimum", "graph"])
-    def test_full_fleet_recycle_stays_byte_identical(
-        self, tmp_path, variant
-    ):
-        spec = journal_spec(tmp_path, variant)
-        requests = script(rounds=6)
-        cluster = spec.build()
-        try:
-            replacer = RollingReplacer(cluster)
-            for request in requests:
-                cluster.request(request)
-                replacer.step()
-            replacer.run()
-            assert replacer.done()
-            assert replacer.replaced == [0, 1, 2]
-            assert [
-                r["worker"] for r in cluster.metrics.replacements
-            ] == [0, 1, 2]
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(cluster.evidence, reference) == []
-            assert cluster.metrics.parity_failed == 0
-        finally:
-            cluster.stop()
-
-    def test_steps_defer_to_unplanned_respawns(self, tmp_path):
-        spec = journal_spec(tmp_path)
-        requests = script(rounds=2)
-        cluster = spec.build()
-        try:
-            for request in requests:
-                cluster.request(request)
-            replacer = RollingReplacer(cluster)
-            cluster.metrics.respawns.append(
-                {"worker": 1, "reason": "test", "installed_cache_entries": 0}
-            )
-            assert replacer.step() is None
-            assert replacer.deferred == 1
-            assert replacer.pending == 3
-            assert replacer.step() == 0
-        finally:
-            cluster.stop()
-
-    def test_replace_worker_rejects_bad_indices(self, tmp_path):
-        spec = journal_spec(tmp_path)
-        cluster = spec.build()
-        try:
-            with pytest.raises(ClusterError):
-                cluster.replace_worker(99)
-        finally:
-            cluster.stop()

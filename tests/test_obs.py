@@ -6,8 +6,8 @@ chaos-killed cluster alike.
 
 The Hypothesis suite at the bottom is the structural property: every
 coordinator trace is a well-formed forest (unique ids, every span
-closed exactly once, every parent resolvable, worker slices adopted in
-plan order) across randomized chaos kills.
+closed exactly once, every parent resolvable, pool slices opened in
+worker order) across randomized chaos kills.
 """
 
 import asyncio
@@ -323,7 +323,7 @@ class TestTimelineAnalysis:
 @pytest.fixture
 def chaos_dump(tmp_path):
     """A real flight dump: an inline 3-worker cluster whose worker 1 is
-    chaos-killed mid-slice; the coordinator dumps at the reap."""
+    chaos-killed mid-batch; the coordinator dumps at the reap."""
     path = tmp_path / "flight.jsonl"
     spec = make_spec(
         "minimum",
@@ -485,7 +485,8 @@ def _assert_well_formed_forest(records):
 def test_coordinator_trace_is_a_well_formed_forest(worker, epoch, after):
     """Whatever chaos does, the merged trace stays a forest: unique
     ids, every span closed exactly once, every parent resolvable, and
-    worker slices adopted in plan (worker-index) order per epoch."""
+    each epoch's pool slices opened in worker-index order (a retry on a
+    survivor comes after all of them)."""
     spec = make_spec(
         "minimum", chaos=ChaosSpec(worker=worker, epoch=epoch, after=after)
     )
@@ -497,13 +498,13 @@ def test_coordinator_trace_is_a_well_formed_forest(worker, epoch, after):
     assert records, "tracing was on but nothing was recorded"
     assert not cluster.tracer.open, "spans left open after a clean stop"
     _assert_well_formed_forest(records)
-    # worker slice spans land in plan order within each epoch
     by_epoch = {}
     for record in records:
-        if (record["kind"] == "span" and record["name"] == "slice"
-                and record["component"] == "worker"):
+        if record["kind"] == "span" and record["name"] == "slice":
             by_epoch.setdefault(record["epoch"], []).append(
                 record["worker"]
             )
+    assert by_epoch, "no pool slice was traced"
     for slice_workers in by_epoch.values():
-        assert slice_workers == sorted(slice_workers)
+        first_pass = slice_workers[:len(set(slice_workers))]
+        assert first_pass == sorted(set(slice_workers))

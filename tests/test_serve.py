@@ -1,4 +1,5 @@
-"""The serving layer: sharding, the async service, merge parity, load.
+"""The serving layer: the round pool, the async service, fold parity,
+load.
 
 The load-bearing suite here is the acceptance criterion for the
 ``repro.serve`` subsystem: a sharded
@@ -10,10 +11,8 @@ bytes, same crypto counts — for all four protocol variants.
 """
 
 import asyncio
-import dataclasses
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -54,9 +53,11 @@ from repro.serve import (
     build_schedule,
     run_open_loop,
 )
+from repro.cluster.pipeline import MergeError, fold_plan
+from repro.cluster.pool import ShardExecutor
+from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
+from repro.obs.trace import TraceContext
 from repro.serve.bench import run_workload
-from repro.serve.merge import MergeError, fold_plan
-from repro.serve.sharding import ShardExecutor, ShardPool
 from repro.util.rng import DeterministicRandom
 
 SEED = 2011
@@ -141,33 +142,26 @@ def unsharded_trail(variant, *, prefixes=3):
 
 
 def assert_byte_identical(sharded_store, serial_store):
-    sharded_events = sharded_store.events()
-    serial_events = serial_store.events()
-    assert len(sharded_events) == len(serial_events)
-    assert len(sharded_events) > 0
-    for ours, theirs in zip(sharded_events, serial_events):
-        assert ours.seq == theirs.seq
-        assert ours.epoch == theirs.epoch
-        assert ours.round == theirs.round
-        assert ours.asn == theirs.asn
-        assert ours.prefix == theirs.prefix
-        assert ours.policy == theirs.policy
-        assert ours.reused == theirs.reused
-        assert ours.spec == theirs.spec
-        assert ours.routes == theirs.routes
-        assert ours.report.verdicts == theirs.report.verdicts
-        assert ours.report.equivocations == theirs.report.equivocations
-        assert ours.report.all_evidence() == theirs.report.all_evidence()
-        assert (
-            ours.report.all_complaints() == theirs.report.all_complaints()
-        )
-        assert ours.stats.signatures == theirs.stats.signatures
-        assert ours.stats.verifications == theirs.stats.verifications
-        # transport accounting: shard workers replay the wire cost
-        # model, so sharded rounds report the same byte/message counts
-        # as the serial wire path (instead of zero)
-        assert ours.stats.messages == theirs.stats.messages
-        assert ours.stats.bytes == theirs.stats.bytes
+    assert len(sharded_store) > 0
+    assert trail_mismatches(sharded_store, serial_store) == []
+
+
+def planned_epoch(prefixes=7):
+    """A monitor with one planned (unexecuted) epoch of fresh rounds."""
+    net, _ = serve_network(prefixes)
+    monitor = Monitor(
+        KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
+    ).attach(net)
+    VARIANT_POLICIES["minimum"](monitor)
+    return monitor, monitor.plan_epoch()
+
+
+def pool_run(executor, plan):
+    results, _slices, reaped = executor.execute(
+        plan.fresh_entries(), {}, epoch=plan.epoch,
+        tracer=TraceContext("t", enabled=False), on_reap=lambda reason: None,
+    )
+    return results, reaped
 
 
 class TestShardPool:
@@ -175,12 +169,19 @@ class TestShardPool:
 
     @pytest.mark.parametrize("spec", ["serial", "process:2"])
     def test_map_preserves_order_and_close_is_idempotent(self, spec):
-        pool = ShardPool(spec)
+        monitor, plan = planned_epoch()
+        executor = ShardExecutor(2, monitor.keystore, SEED, backend=spec)
+        pool = executor.backend
         try:
-            assert pool.map(abs, range(-9, 0)) == list(range(9, 0, -1))
+            results, reaped = pool_run(executor, plan)
+            assert sorted(results) == [p for p, _ in plan.fresh_entries()]
+            assert not reaped
             pool.close()
             # a closed pool restarts on demand
-            assert pool.map(abs, [-1]) == [1]
+            again, _ = pool_run(executor, plan)
+            assert [again[p][0].verdicts for p in sorted(again)] == [
+                results[p][0].verdicts for p in sorted(results)
+            ]
         finally:
             pool.close()
             pool.close()
@@ -191,17 +192,46 @@ class TestShardPool:
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
-            ShardPool(spec)
+            ShardExecutor(2, KeyStore(seed=SEED), SEED, backend=spec)
 
-    def test_a_killed_worker_costs_one_map_not_the_pool(self):
-        pool = ShardPool("process:2")
+    def test_a_killed_worker_costs_a_retry_not_the_epoch(self):
+        monitor, plan = planned_epoch()
+        executor = ShardExecutor(
+            2, monitor.keystore, SEED, backend="process:2"
+        )
         try:
-            with pytest.raises(BrokenProcessPool):
-                pool.map(signal.raise_signal, [signal.SIGKILL])
-            # the broken executor was dropped: the next map restarts it
-            assert pool.map(abs, range(-9, 0)) == list(range(9, 0, -1))
+            executor.warm()
+            victim = executor.backend._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            results, reaped = pool_run(executor, plan)
+            # every position came back: the dead worker's share re-ran
+            # on the survivor, and a fresh worker took its place
+            assert sorted(results) == [p for p, _ in plan.fresh_entries()]
+            assert [worker for worker, _ in reaped] == [1]
+            assert executor.backend._workers[1].process.is_alive()
+            assert pool_run(executor, plan)[1] == []
         finally:
-            pool.close()
+            executor.backend.close()
+
+    def test_workers_exit_when_the_coordinator_goes_away(self):
+        """No stop message, just the coordinator's pipe ends closing
+        (what its death looks like): every worker sees EOF and exits —
+        none is kept alive by a sibling's inherited copy."""
+        executor = ShardExecutor(
+            3, KeyStore(seed=SEED), SEED, backend="process"
+        )
+        executor.warm()
+        workers = executor.backend._workers
+        try:
+            for worker in workers:
+                worker.conn.close()
+            for worker in workers:
+                worker.process.join(timeout=10)
+            assert not any(w.process.is_alive() for w in workers)
+        finally:
+            for worker in workers:
+                worker.process.kill()
 
 
 class TestShardedParity:
@@ -234,7 +264,9 @@ class TestShardedParity:
         VARIANT_POLICIES["minimum"](monitor)
         fresh = monitor.plan_epoch().fresh_entries()
         assert len(fresh) == prefixes
-        batches = ShardExecutor(shards, backend="serial").plan_tasks(fresh)
+        batches = ShardExecutor(
+            shards, monitor.keystore, SEED, backend="serial"
+        ).plan_tasks(fresh)
         assert len(batches) == shards
         # every fresh position exactly once, contiguous in plan order
         assert [t.position for batch in batches for t in batch] == [
@@ -381,24 +413,6 @@ class TestEvidenceStoreBound:
         summary = service.evidence.summary()
         assert summary["evicted"] == service.evidence.evicted > 0
 
-    def test_absorb_reassigns_seqs(self):
-        net, _ = serve_network(2)
-        monitor = Monitor(
-            KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
-        ).attach(net)
-        monitor.policy("A", ShortestRoute(), recipients=("B",),
-                       max_length=8)
-        monitor.run_epoch()
-        other = EvidenceStore()
-        copied = other.absorb(monitor.evidence.events())
-        assert [e.seq for e in copied] == [1, 2]
-        assert [
-            dataclasses.replace(e, seq=0) for e in other.events()
-        ] == [
-            dataclasses.replace(e, seq=0)
-            for e in monitor.evidence.events()
-        ]
-
 
 # -- metrics -------------------------------------------------------------------
 
@@ -435,13 +449,13 @@ class TestLatencySeries:
                          service=0.08)
         snapshot = metrics.snapshot()
         assert snapshot["schema"] == "repro.cluster/metrics"
-        assert snapshot["schema_version"] == 6
+        assert snapshot["schema_version"] == 7
         churn = snapshot["requests"]["churn"]
         assert churn["admitted"] == 1
         assert churn["latency"]["p99_s"] == 0.1
         for section in ("epochs", "placement", "parity", "probes"):
             assert section in snapshot
-        assert set(snapshot["placement"]) == {"spec", "load", "reshards"}
+        assert set(snapshot["placement"]) == {"spec", "load"}
 
 
 # -- the load generator --------------------------------------------------------
@@ -594,12 +608,12 @@ class TestService:
 
         assert run_async(go())["events"] == 0
 
-    def test_losing_a_pool_worker_fails_one_epoch_not_the_service(
+    def test_losing_a_pool_worker_costs_a_retry_not_the_epoch(
         self, tmp_path, monkeypatch
     ):
-        """A worker SIGKILLed mid-batch: the churn request whose epoch
-        lost it resolves with the error and its pairs are re-marked;
-        the next request runs on a restarted pool and audits them."""
+        """A worker SIGKILLed mid-batch: its unfinished rounds re-run on
+        the survivor, a fresh worker takes its place, and the churn
+        request that lost it completes with every pair audited."""
         trigger = tmp_path / "kill-one-worker"
         parent = os.getpid()
 
@@ -626,19 +640,20 @@ class TestService:
                            max_length=8, chooser="die-once:")
             await service.start()
             trigger.touch()
-            with pytest.raises(BrokenProcessPool):
-                await service.request(ChurnRequest())
-            lost = set(service.monitor.pending())
-            retry = (await service.request(ChurnRequest())).payload
+            outcome = (await service.request(ChurnRequest())).payload
+            pending = service.monitor.pending()
             await service.stop()
-            return prefix_list, lost, retry
+            return service, prefix_list, outcome, pending
 
-        prefix_list, lost, retry = run_async(go())
+        service, prefix_list, outcome, pending = run_async(go())
         assert not trigger.exists()
-        assert lost == {("A", prefix) for prefix in prefix_list}
-        audited = {(e.asn, e.prefix) for e in retry.events}
-        assert audited == lost
-        assert all(not e.reused for e in retry.events)
+        assert outcome.respawns == 1
+        [respawn] = service.metrics.snapshot()["respawns"]
+        assert "pipe closed" in respawn["reason"]
+        assert not pending
+        audited = {(e.asn, e.prefix) for e in outcome.events}
+        assert audited == {("A", prefix) for prefix in prefix_list}
+        assert all(not e.reused and e.ok() for e in outcome.events)
 
     def test_gateway_latency_and_drops_perturb_admission(self):
         async def go():
@@ -668,6 +683,91 @@ class TestService:
         # link transit shows up in client-observed latency
         latency = service.metrics.type_metrics("query").latency
         assert latency.percentile(50) >= 0.04
+
+
+# -- one oracle, three hosts ---------------------------------------------------
+
+
+class TestOneOracleThreeHosts:
+    """The same script through both cluster transports and the asyncio
+    service: one trail, one epoch count, one load split — the pipeline
+    is written once."""
+
+    WORKERS = 2
+    COALESCE = 4
+
+    @staticmethod
+    def script():
+        """12 requests submitted as one burst (-> three coalesced
+        groups of four): flaps, restores, re-originations, bounces, two
+        Byzantine probes and the closing resync sweep."""
+        _, prefixes = serve_network(4)
+        requests = churn_script(prefixes, rounds=10, violation_every=4)
+        assert len(requests) == 12
+        return requests
+
+    def spec(self, transport):
+        return ClusterSpec(
+            network=_serve_network_only,
+            policies=(PolicySpec("A", ShortestRoute(), dict(
+                recipients=("B",), name="A/min->B", max_length=8,
+            )),),
+            workers=self.WORKERS,
+            transport=transport,
+            rng_seed=SEED,
+            coalesce_max=self.COALESCE,
+        )
+
+    def drive_cluster(self, transport):
+        with self.spec(transport).build() as cluster:
+            for request in self.script():
+                cluster.submit(request)
+            cluster.drain()
+            return cluster.evidence, cluster.snapshot()
+
+    def drive_service(self):
+        async def go():
+            service = VerificationService(
+                _serve_network_only(), shards=self.WORKERS,
+                rng_seed=SEED, batch_max=self.COALESCE,
+            )
+            service.policy("A", ShortestRoute(), recipients=("B",),
+                           name="A/min->B", max_length=8)
+            await service.start()
+            futures = [service.submit_nowait(r) for r in self.script()]
+            await service.drain()
+            await asyncio.gather(*futures)
+            await service.stop()
+            return service.evidence, service.metrics.snapshot()
+
+        return run_async(go())
+
+    @pytest.mark.parametrize(
+        "host", ["cluster-inline", "cluster-process", "service"]
+    )
+    def test_same_script_same_trail_epochs_and_load(self, host):
+        if host == "service":
+            evidence, snapshot = self.drive_service()
+        else:
+            evidence, snapshot = self.drive_cluster(host.split("-")[1])
+        reference = self.spec("inline").build_monitor()
+        drive_monitor(reference, self.script(), coalesce=self.COALESCE)
+        assert trail_mismatches(evidence, reference.evidence) == []
+        assert snapshot["epochs"]["count"] == reference.epoch
+        assert snapshot["probes"] == {"count": 2, "violations": 2}
+        # every epoch's fresh rounds dealt evenly, first worker first
+        load = {str(worker): 0 for worker in range(self.WORKERS)}
+        for epoch in range(1, reference.epoch + 1):
+            fresh = sum(
+                1 for e in reference.evidence.by_epoch(epoch) if not e.reused
+            )
+            for worker in range(self.WORKERS):
+                share = (fresh + self.WORKERS - 1 - worker) // self.WORKERS
+                load[str(worker)] += share
+        assert snapshot["placement"]["load"] == {
+            worker: count for worker, count in load.items() if count
+        }
+        assert snapshot["placement"]["spec"] == {"shards": self.WORKERS}
 
 
 # -- one admission plane under both front-ends ---------------------------------
