@@ -513,7 +513,10 @@ class Monitor:
             # fresh mark() during the epoch overrides its resume state)
             deferred.update(self._dirty)
             self._dirty = deferred
+        plan_span.attrs["dirty"] = len(queue)
         plan_span.attrs["entries"] = len(plan.entries)
+        plan_span.attrs["fresh"] = fresh
+        plan_span.attrs["reused"] = len(plan.entries) - fresh
         plan_span.attrs["deferred"] = len(plan.deferred)
         self.tracer.finish(plan_span)
         return plan

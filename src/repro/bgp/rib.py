@@ -19,10 +19,21 @@ from repro.bgp.route import Route
 
 
 class AdjRIBIn:
-    """Per-neighbor, per-prefix store of received routes."""
+    """Per-neighbor, per-prefix store of received routes.
+
+    Indexed both ways so every query costs what it returns, not the
+    table: ``prefix -> {neighbor: route}`` answers the decision process
+    and the audit planner, ``neighbor -> {prefix}`` answers session
+    teardown.  The per-neighbor dict holds that neighbor's prefixes in
+    the order it announced them (a replacement keeps its place, a
+    re-announcement after a withdrawal goes last), which is the order
+    :meth:`drop_neighbor` reports them in — and so the order of the
+    re-decisions, UPDATEs and audit events a session loss causes.
+    """
 
     def __init__(self) -> None:
-        self._routes: Dict[Tuple[str, Prefix], Route] = {}
+        self._by_prefix: Dict[Prefix, Dict[str, Route]] = {}
+        self._by_neighbor: Dict[str, Dict[Prefix, None]] = {}
 
     def insert(self, neighbor: str, route: Route) -> None:
         """Store ``route`` as the current announcement from ``neighbor``.
@@ -32,43 +43,46 @@ class AdjRIBIn:
         """
         if route.neighbor != neighbor:
             route = route.with_neighbor(neighbor)
-        self._routes[(neighbor, route.prefix)] = route
+        self._by_prefix.setdefault(route.prefix, {})[neighbor] = route
+        self._by_neighbor.setdefault(neighbor, {})[route.prefix] = None
 
     def withdraw(self, neighbor: str, prefix: Prefix) -> Optional[Route]:
         """Remove and return the route ``neighbor`` announced for ``prefix``."""
-        return self._routes.pop((neighbor, prefix), None)
+        announced = self._by_prefix.get(prefix, {})
+        route = announced.pop(neighbor, None)
+        if route is not None:
+            if not announced:
+                del self._by_prefix[prefix]
+            del self._by_neighbor[neighbor][prefix]
+        return route
 
     def candidates(self, prefix: Prefix) -> List[Route]:
         """All currently-valid routes to ``prefix``, sorted by neighbor."""
-        found = [
-            route
-            for (neighbor, pfx), route in self._routes.items()
-            if pfx == prefix
-        ]
-        found.sort(key=lambda r: r.neighbor or "")
-        return found
+        announced = self._by_prefix.get(prefix, {})
+        return [announced[neighbor] for neighbor in sorted(announced)]
 
     def route_from(self, neighbor: str, prefix: Prefix) -> Optional[Route]:
-        return self._routes.get((neighbor, prefix))
+        return self._by_prefix.get(prefix, {}).get(neighbor)
 
     def neighbors_announcing(self, prefix: Prefix) -> Tuple[str, ...]:
-        return tuple(
-            sorted(n for (n, pfx) in self._routes if pfx == prefix)
-        )
+        return tuple(sorted(self._by_prefix.get(prefix, ())))
 
     def prefixes(self) -> Tuple[Prefix, ...]:
-        return tuple(sorted({pfx for (_, pfx) in self._routes}))
+        return tuple(sorted(self._by_prefix))
 
     def drop_neighbor(self, neighbor: str) -> List[Prefix]:
         """Remove everything from ``neighbor`` (session teardown); returns
         the affected prefixes."""
-        affected = [pfx for (n, pfx) in self._routes if n == neighbor]
-        for pfx in affected:
-            del self._routes[(neighbor, pfx)]
+        affected = list(self._by_neighbor.pop(neighbor, ()))
+        for prefix in affected:
+            announced = self._by_prefix[prefix]
+            del announced[neighbor]
+            if not announced:
+                del self._by_prefix[prefix]
         return affected
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return sum(len(prefixes) for prefixes in self._by_neighbor.values())
 
 
 class LocRIB:
@@ -107,21 +121,19 @@ class AdjRIBOut:
     """Last route advertised to each neighbor, per prefix."""
 
     def __init__(self) -> None:
-        self._advertised: Dict[Tuple[str, Prefix], Route] = {}
+        self._advertised: Dict[str, Dict[Prefix, Route]] = {}
 
     def record(self, neighbor: str, route: Route) -> None:
-        self._advertised[(neighbor, route.prefix)] = route
+        self._advertised.setdefault(neighbor, {})[route.prefix] = route
 
     def advertised(self, neighbor: str, prefix: Prefix) -> Optional[Route]:
-        return self._advertised.get((neighbor, prefix))
+        return self._advertised.get(neighbor, {}).get(prefix)
 
     def clear(self, neighbor: str, prefix: Prefix) -> Optional[Route]:
-        return self._advertised.pop((neighbor, prefix), None)
+        return self._advertised.get(neighbor, {}).pop(prefix, None)
 
     def prefixes_to(self, neighbor: str) -> Tuple[Prefix, ...]:
-        return tuple(
-            sorted(pfx for (n, pfx) in self._advertised if n == neighbor)
-        )
+        return tuple(sorted(self._advertised.get(neighbor, ())))
 
     def __len__(self) -> int:
-        return len(self._advertised)
+        return sum(len(routes) for routes in self._advertised.values())

@@ -56,7 +56,8 @@ __all__ = [
 #: the single-monitor coordinator's: no placement, no cache-mirror
 #: decisions on events, no ``reshard``/``replace`` records.  (Format 1,
 #: which carried all of those, was never stamped.)
-JOURNAL_FORMAT = 2
+#: 3: prefix-indexed RIBs inside the checkpointed network.
+JOURNAL_FORMAT = 3
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group

@@ -20,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.util.encoding import CanonicalEncodeError, canonical_encode
+
 
 @dataclass(frozen=True)
 class Message:
@@ -116,6 +118,7 @@ class Network:
         self.simulator = simulator if simulator is not None else Simulator()
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[frozenset, Link] = {}
+        self._adjacent: Dict[str, Tuple[str, ...]] = {}
         self._interceptors: Dict[str, Interceptor] = {}
         self.delivered: int = 0
         self.bytes_sent: int = 0
@@ -139,6 +142,10 @@ class Network:
             raise ValueError(f"duplicate link {a!r}-{b!r}")
         link = Link(a=a, b=b, latency=latency)
         self._links[key] = link
+        for name, other in ((a, b), (b, a)):
+            self._adjacent[name] = tuple(
+                sorted(self._adjacent.get(name, ()) + (other,))
+            )
         return link
 
     def node(self, name: str) -> Node:
@@ -149,12 +156,7 @@ class Network:
 
     def neighbors(self, name: str) -> tuple:
         """Names of nodes adjacent to ``name``, sorted for determinism."""
-        out = []
-        for key in self._links:
-            if name in key:
-                (other,) = key - {name}
-                out.append(other)
-        return tuple(sorted(out))
+        return self._adjacent.get(name, ())
 
     def has_link(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self._links
@@ -215,8 +217,6 @@ def estimate_size(payload: Any) -> int:
     This is the single definition of "bytes on the wire" — the network's
     ``bytes_sent`` counter and any off-wire cost replay both use it, so
     the two can never disagree."""
-    from repro.util.encoding import CanonicalEncodeError, canonical_encode
-
     try:
         return len(canonical_encode(payload))
     except CanonicalEncodeError:

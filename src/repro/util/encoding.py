@@ -45,47 +45,56 @@ def canonical_encode(value: Any) -> bytes:
     these bytes binding on the *value* rather than on one of many possible
     serializations.
     """
-    return b"".join(_encode(value))
-
-
-def _frame(tag: bytes, body: bytes) -> list:
-    return [tag, str(len(body)).encode("ascii"), b":", body]
-
-
-def _encode(value: Any) -> list:
+    # Exact types first, commonest first: one bytes-format per value.
+    kind = type(value)
+    if kind is str:
+        body = value.encode("utf-8")
+        return b"S%d:%b" % (len(body), body)
+    if kind is tuple or kind is list:
+        body = b"".join(map(canonical_encode, value))
+        return b"L%d:%b" % (len(body), body)
+    if kind is int:
+        body = b"%d" % value
+        return b"I%d:%b" % (len(body), body)
+    if kind is bytes:
+        return b"B%d:%b" % (len(value), value)
     if value is None:
-        return _frame(b"N", b"")
+        return b"N0:"
     if value is True:
-        return _frame(b"T", b"")
+        return b"T0:"
     if value is False:
-        return _frame(b"F", b"")
-    if isinstance(value, int):
-        return _frame(b"I", str(value).encode("ascii"))
-    if isinstance(value, bytes):
-        return _frame(b"B", value)
-    if isinstance(value, str):
-        return _frame(b"S", value.encode("utf-8"))
-    if isinstance(value, (list, tuple)):
-        body = b"".join(canonical_encode(item) for item in value)
-        return _frame(b"L", body)
-    if isinstance(value, dict):
+        return b"F0:"
+    # Subclasses of the core types (an IntEnum, a str subclass) and dicts:
+    # the isinstance chain is the definition; objects with a hook skip it.
+    if isinstance(value, (int, bytes, str, list, tuple, dict)):
+        if isinstance(value, int):
+            body = str(value).encode("ascii")
+            return b"I%d:%b" % (len(body), body)
+        if isinstance(value, bytes):
+            return b"B%d:%b" % (len(value), value)
+        if isinstance(value, str):
+            body = value.encode("utf-8")
+            return b"S%d:%b" % (len(body), body)
+        if isinstance(value, (list, tuple)):
+            body = b"".join(map(canonical_encode, value))
+            return b"L%d:%b" % (len(body), body)
         for key in value:
             if not isinstance(key, str):
                 raise CanonicalEncodeError(
                     f"dict keys must be str, got {type(key).__name__}"
                 )
-        parts = []
-        for key in sorted(value):
-            parts.append(canonical_encode(key))
-            parts.append(canonical_encode(value[key]))
-        return _frame(b"D", b"".join(parts))
+        body = b"".join(
+            canonical_encode(key) + canonical_encode(value[key])
+            for key in sorted(value)
+        )
+        return b"D%d:%b" % (len(body), body)
     if hasattr(value, "canonical"):
         encoded = value.canonical()
         if not isinstance(encoded, bytes):
             raise CanonicalEncodeError(
                 f"{type(value).__name__}.canonical() must return bytes"
             )
-        return [encoded]
+        return encoded
     raise CanonicalEncodeError(
         f"cannot canonically encode values of type {type(value).__name__}"
     )

@@ -145,6 +145,24 @@ class TestEpochScheduler:
         # quiescent network, no churn: nothing to do
         assert monitor.run_epoch().events == []
 
+    def test_the_plan_record_splits_its_entries(self):
+        """Plan cost per dirty pair is readable off the trace: the
+        ``plan`` record says how many pairs it took off the queue and
+        how its entries split into fresh rounds and cache hits."""
+        net, prefixes = scenarios.serve_network(3)
+        monitor = make_monitor(net)
+        monitor.policy("A", ShortestRoute(), recipients=("B",), max_length=8)
+        assert monitor.run_epoch().verified == 3
+        assert monitor.resync() == 3
+        assert monitor.run_epoch().reused == 3
+        plans = [
+            record["attrs"]
+            for record in monitor.tracer.records
+            if record["name"] == "plan"
+        ]
+        cold = {"dirty": 3, "entries": 3, "fresh": 3, "reused": 0, "deferred": 0}
+        assert plans == [cold, {**cold, "fresh": 0, "reused": 3}]
+
     def test_decision_changes_requeue(self):
         net = figure1_network()
         monitor = make_monitor(net)

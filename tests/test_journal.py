@@ -461,18 +461,30 @@ class TestJournalFormat:
             })
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 1, this build reads 2"
+            JournalError, match="journal format 1, this build reads 3"
         ):
             spec.build()
 
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 3})
+            journal.append("genesis", {"format": 4})
             with pytest.raises(
-                JournalError, match="journal format 3, this build reads 2"
+                JournalError, match="journal format 4, this build reads 3"
             ):
                 recover_state(spec, journal)
+
+    def test_a_flat_rib_journal_is_refused(self, tmp_path):
+        # format 2 checkpoints pickle pair-keyed RIBs: they would load
+        # and then die with an AttributeError on the first decision
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 2})
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 2, this build reads 3"
+        ):
+            spec.build()
 
     def test_a_removed_record_type_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
@@ -490,7 +502,7 @@ class TestJournalFormat:
         run_script(spec, script(rounds=1))
         with Journal(spec.journal) as journal:
             seq, rtype, data = journal.records[0]
-        assert (rtype, data["format"]) == ("genesis", 2)
+        assert (rtype, data["format"]) == ("genesis", 3)
         assert "workers" not in data
 
 

@@ -1,9 +1,15 @@
 """Tests for canonical encoding — injectivity is what makes commitments bind."""
 
+import enum
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.aspath import ASPath
+from repro.bgp.messages import Update
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.util.encoding import (
     CanonicalEncodeError,
     canonical_decode,
@@ -115,3 +121,149 @@ def _normalize(value):
     if isinstance(value, dict):
         return {k: _normalize(v) for k, v in value.items()}
     return value
+
+
+# -- the recursive encoder this module had before the single-pass one, kept
+# -- as the reference the production encoder is compared against -------------
+
+
+def _reference_frame(tag, body):
+    return [tag, str(len(body)).encode("ascii"), b":", body]
+
+
+def _reference_parts(value):
+    if value is None:
+        return _reference_frame(b"N", b"")
+    if value is True:
+        return _reference_frame(b"T", b"")
+    if value is False:
+        return _reference_frame(b"F", b"")
+    if isinstance(value, int):
+        return _reference_frame(b"I", str(value).encode("ascii"))
+    if isinstance(value, bytes):
+        return _reference_frame(b"B", value)
+    if isinstance(value, str):
+        return _reference_frame(b"S", value.encode("utf-8"))
+    if isinstance(value, (list, tuple)):
+        body = b"".join(reference_encode(item) for item in value)
+        return _reference_frame(b"L", body)
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise CanonicalEncodeError(
+                    f"dict keys must be str, got {type(key).__name__}"
+                )
+        parts = []
+        for key in sorted(value):
+            parts.append(reference_encode(key))
+            parts.append(reference_encode(value[key]))
+        return _reference_frame(b"D", b"".join(parts))
+    if hasattr(value, "canonical"):
+        encoded = value.canonical()
+        if not isinstance(encoded, bytes):
+            raise CanonicalEncodeError(
+                f"{type(value).__name__}.canonical() must return bytes"
+            )
+        return [encoded]
+    raise CanonicalEncodeError(
+        f"cannot canonically encode values of type {type(value).__name__}"
+    )
+
+
+def reference_encode(value):
+    return b"".join(_reference_parts(value))
+
+
+class Hop(enum.IntEnum):
+    NEAR = 1
+    FAR = 70000
+
+
+class Name(str):
+    pass
+
+
+class Hooked:
+    """Encodes through a ``canonical()`` hook built on the *reference*
+    encoder, so a hooked node inside a container pins the splice, not
+    just the hook's own recursion."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def canonical(self):
+        return reference_encode(("hooked", self.inner))
+
+
+class HookReturnsText:
+    def canonical(self):
+        return "not-bytes"
+
+
+differential_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([0, -1, 2**64 + 1, -(2**64) - 1, Hop.NEAR, Hop.FAR]),
+    st.binary(max_size=24),
+    st.text(max_size=24),  # full Unicode: multi-byte UTF-8 bodies
+    st.text(max_size=8).map(Name),
+)
+differential_values = st.recursive(
+    differential_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        inner.map(Hooked),
+    ),
+    max_leaves=16,
+)
+unsupported = st.one_of(
+    st.floats(allow_nan=False),
+    st.just({1: "x"}),
+    st.just({"ok": 1, 2: "x"}),
+    st.builds(HookReturnsText),
+    st.just(object()),
+    st.just(frozenset()),
+)
+
+
+class TestAgainstTheRecursiveEncoder:
+    def check(self, value):
+        assert canonical_encode(value) == reference_encode(value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(differential_values)
+    def test_same_bytes(self, value):
+        self.check(value)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(differential_values)
+    def test_same_bytes_at_scale(self, value):
+        self.check(value)
+
+    @given(st.lists(differential_values, max_size=2), unsupported)
+    def test_same_errors(self, around, bad):
+        # the offending value at the top level and nested in a container
+        for value in (bad, around + [bad], {"k": (bad,)}):
+            with pytest.raises(CanonicalEncodeError) as expected:
+                reference_encode(value)
+            with pytest.raises(CanonicalEncodeError) as raised:
+                canonical_encode(value)
+            assert str(raised.value) == str(expected.value)
+
+    def test_golden_update_bytes(self):
+        """The bytes under ``Network.bytes_sent`` and under every BGP
+        signature, by value: the UPDATE carrying Figure 1's 3-hop route
+        N1-X-O as A hears it, captured before the encoder was rewritten."""
+        route = Route(
+            prefix=Prefix.parse("10.0.0.0/8"),
+            as_path=ASPath(("N1", "X", "O")),
+            neighbor="N1",
+        )
+        assert Update(announced=route).canonical() == (
+            b"L107:S10:bgp-updateL86:S5:routeL25:S6:prefixI9:167772160I1:8"
+            b"L23:S7:as-pathS2:N1S1:XS1:OS2:N1I3:100I1:0I1:0L0:L0:"
+        )
