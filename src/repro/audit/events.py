@@ -9,7 +9,7 @@ what ran, what was reused, what was deferred by the work bound.
 
 :class:`EpochOutcome` is the **unified epoch-driving result**: the one
 shape :meth:`~repro.audit.monitor.Monitor.run_epoch` and the serving
-pipeline (:class:`~repro.cluster.pipeline.Pipeline`, on either host)
+pipeline (:class:`~repro.cluster.pipeline.Pipeline`, behind either door)
 return.  It aggregates one *driving step* — one or more epoch reports
 (a work bound or a coalesced churn group can span several), the
 out-of-epoch probe events that rode along, per-worker

@@ -8,22 +8,22 @@ stateless workers (:mod:`repro.cluster.pool`,
 :mod:`repro.cluster.worker`) — a round is a pure function of what the
 plan fixed, so workers hold keys and nothing else — then folds the
 results back in plan order, byte-identical to an unsharded monitor.
-Two hosts run it:
+One coordinator owns it, behind two doors:
 
 * :class:`~repro.cluster.cluster.Cluster`, built from a declarative
-  :class:`~repro.cluster.spec.ClusterSpec` — synchronous, failure
-  injectable (:class:`~repro.cluster.spec.ChaosSpec`) and, with
-  ``ClusterSpec.journal`` set, durable: the coordinator
-  write-ahead-journals its state changes (:mod:`repro.journal`) and a
-  coordinator killed mid-run restarts at the last commit boundary with
-  a byte-identical trail;
-* :class:`~repro.serve.service.VerificationService` — the same
-  pipeline behind an asyncio front-end.
+  :class:`~repro.cluster.spec.ClusterSpec` — the coordinator and its
+  synchronous door; failure injectable
+  (:class:`~repro.cluster.spec.ChaosSpec`) and, with
+  ``ClusterSpec.journal`` set, durable: it write-ahead-journals its
+  state changes (:mod:`repro.journal`) and a coordinator killed mid-run
+  restarts at the last commit boundary with a byte-identical trail;
+* :class:`~repro.serve.service.VerificationService` — the asyncio
+  door: futures and a dispatcher task over a private ``Cluster``.
 
-Both sit behind the one admission plane
+Either door feeds the coordinator's one admission plane
 (:class:`~repro.cluster.admission.AdmissionQueue`: reject at the door,
 deadline-based shedding, or per-request-type priorities; adjacent
-queued churn requests coalesce into one epoch sequence) and write the
+queued churn requests coalesce into one epoch sequence) and reads its
 one metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`).
 A worker that crashes, closes its pipe, misses the epoch deadline or
 goes silent costs a retry of its unfinished rounds on a survivor and a
@@ -53,6 +53,7 @@ from repro.cluster.requests import (
     ChurnRequest,
     Completion,
     QueryRequest,
+    ServiceStopped,
 )
 from repro.cluster.spec import ChaosSpec, ClusterSpec, PolicySpec
 
@@ -76,6 +77,7 @@ __all__ = [
     "PriorityAdmission",
     "QueryRequest",
     "RejectAtDoor",
+    "ServiceStopped",
     "ShedError",
     "Ticket",
     "make_admission",

@@ -224,14 +224,15 @@ class Ticket:
 
 
 class AdmissionQueue:
-    """The admission plane both front-ends host: synchronous and
-    lock-free — every method runs on the host's one dispatching thread
-    (the coordinator's caller, or the service's event loop).
+    """The coordinator's admission plane: synchronous and lock-free —
+    the queue is only touched from a door's one dispatching thread
+    (``Cluster.pump()``'s caller, or the service's event loop).
 
     ``depth`` is the hard bound on queued requests; ``coalesce_max``
     caps how many adjacent churn requests ride one epoch sequence.
-    The host loops ``next_group()`` → do the work → ``resolve()`` /
-    ``fail()``, and calls ``control_tick()`` at its request boundary.
+    A door loops ``next_group()`` → ``Cluster.serve_group()`` →
+    ``resolve()`` / ``fail()``; ``serve_group`` calls ``control_tick()``
+    (which reads no queue state) after each churn group.
     """
 
     def __init__(
@@ -249,9 +250,6 @@ class AdmissionQueue:
         self.coalesce_max = coalesce_max
         self.controller = controller
         self._pending: Deque[Ticket] = deque()
-
-    def __len__(self) -> int:
-        return len(self._pending)
 
     def submit(
         self,
@@ -344,9 +342,16 @@ class AdmissionQueue:
             ticket.error = exc
             ticket._settle()
 
+    def fail_pending(self, exc: BaseException) -> None:
+        """Settle everything still queued with ``exc``: the door is
+        stopping and will never dispatch it."""
+        stranded = list(self._pending)
+        self._pending.clear()
+        self.fail(stranded, exc)
+
     def control_tick(self) -> None:
-        """One controller evaluation at the host's request boundary:
-        push the new severity into the admission policy."""
+        """One controller evaluation after a served churn group: push
+        the new severity into the admission policy."""
         if self.controller is None:
             return
         self.controller.tick()

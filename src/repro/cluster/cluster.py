@@ -3,11 +3,13 @@
 A :class:`Cluster` is built from a :class:`~repro.cluster.spec.ClusterSpec`
 and owns **the** :class:`~repro.audit.monitor.Monitor`
 (``spec.build_monitor()``: the network, the reuse cache, the evidence
-store, the ledger-bound sampling policy).  It serves requests
-synchronously through three layers, two of them shared with
-:class:`~repro.serve.service.VerificationService`:
+store, the ledger-bound sampling policy).  It is the only coordinator:
+its own synchronous door (``submit`` / ``pump`` / ``request``) and the
+asyncio door (:class:`~repro.serve.service.VerificationService`) both
+loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
+``queue.resolve()`` / ``queue.fail()`` over the same three layers:
 
-* **admission** — requests queue in the shared
+* **admission** — requests queue in the
   :class:`~repro.cluster.admission.AdmissionQueue` behind the spec's
   :class:`~repro.cluster.admission.AdmissionPolicy`; up to
   ``spec.coalesce_max`` adjacent churn requests ride a single epoch
@@ -93,14 +95,15 @@ class Cluster:
         self.ledger = self.monitor.ledger
         #: the self-regulating control plane (None when the spec leaves
         #: it off): fed from epoch outcomes and queue depth, ticked
-        #: after every ``pump()``
+        #: after every served churn group
         self.controller = None
         if spec.controller is not None:
             from repro.control.controller import Controller
 
             self.controller = Controller(spec.controller)
         self.metrics = ClusterMetrics()
-        self._queue = AdmissionQueue(
+        #: the admission plane a door submits into and dispatches from
+        self.queue = AdmissionQueue(
             self.admission,
             self.metrics,
             depth=spec.queue_depth,
@@ -119,11 +122,7 @@ class Cluster:
             spec.workers,
             self.monitor.keystore,
             spec.rng_seed,
-            backend=(
-                "serial"
-                if spec.transport == "inline"
-                else f"process:{spec.workers}"
-            ),
+            transport=spec.transport,
             epoch_deadline=spec.epoch_deadline,
             heartbeat_interval=spec.heartbeat_interval,
             max_failures_per_epoch=spec.max_failures_per_epoch,
@@ -136,7 +135,6 @@ class Cluster:
             self.admission,
             self.recorder,
             self.tracer,
-            component="cluster",
             ledger=self.ledger,
             controller=self.controller,
             parity_sample=spec.parity_sample,
@@ -260,23 +258,20 @@ class Cluster:
         :class:`~repro.cluster.requests.AdmissionError`."""
         if self._stopped:
             raise RuntimeError("cluster is stopped")
-        return self._queue.submit(request)
+        return self.queue.submit(request)
 
     def pump(self) -> None:
         """Serve everything pending, in admission order.  Adjacent
         churn requests coalesce (up to ``spec.coalesce_max``): one
         epoch sequence serves the whole group and every ticket shares
         its :class:`~repro.audit.events.EpochOutcome`."""
-        if not len(self._queue):
-            return
-        while group := self._queue.next_group():
+        while group := self.queue.next_group():
             try:
-                payload = self._serve_group(group)
+                payload = self.serve_group(group)
             except Exception as exc:
-                self._queue.fail(group, exc)
+                self.queue.fail(group, exc)
             else:
-                self._queue.resolve(group, payload)
-        self._queue.control_tick()
+                self.queue.resolve(group, payload)
 
     def request(self, request) -> Completion:
         """Admit one request, serve the queue, return its completion."""
@@ -287,12 +282,16 @@ class Cluster:
     def drain(self) -> None:
         self.pump()
 
-    def _serve_group(self, group: List[Ticket]):
-        """Do one unit of work the queue dispatched: a coalesced churn
-        group (one epoch sequence, one shared outcome) or one read."""
+    def serve_group(self, group: List[Ticket]):
+        """Do one unit of work the queue dispatched — a coalesced churn
+        group (one epoch sequence, one shared outcome, committed; then
+        the controller's tick) or one read — and return its payload for
+        the door (``pump()`` or the asyncio one) to settle."""
         request = group[0].request
         if isinstance(request, ChurnRequest):
-            return self._serve_churn_group([t.request for t in group])
+            outcome = self._serve_churn_group([t.request for t in group])
+            self.queue.control_tick()
+            return outcome
         if isinstance(request, QueryRequest):
             return answer_query(self.evidence, request)
         if isinstance(request, AdjudicateRequest):

@@ -5,16 +5,16 @@ the latency primitives (:class:`LatencySeries`, the exact nearest-rank
 rule — one percentile implementation) come from
 :mod:`repro.control.signals`.
 
-:class:`ClusterMetrics` is the ledger the
-:class:`~repro.cluster.admission.AdmissionQueue` writes and both hosts
-(:class:`~repro.cluster.cluster.Cluster`,
-:class:`~repro.serve.service.VerificationService`) feed:
+:class:`ClusterMetrics` is the ledger the coordinator
+(:class:`~repro.cluster.cluster.Cluster`, through its
+:class:`~repro.cluster.admission.AdmissionQueue` and pipeline) writes
+and either door reads:
 per-request-type admission/latency accounting, per-worker
 fresh-verification load, epoch/reuse counters plus per-epoch
 wall-clock and coalesced-batch sizes, worker respawns, and the
 verdict-parity self-check tallies the CI smoke jobs gate on.
 ``snapshot()`` emits the one schema-versioned JSON document; sections
-a host never feeds stay empty.
+a run never feeds stay empty.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The one churn → verdict pipeline, hosted twice.
+"""The one churn → verdict pipeline, owned by the one coordinator.
 
 :class:`Pipeline` is everything between "a coalesced churn group was
 dispatched" and "its verdicts are in the evidence store", over one
@@ -17,10 +17,10 @@ matter.  Entries whose chooser is a live callable (which may not
 pickle) stay on the monitor's own wire path, as do probes — Byzantine
 deviations are live behaviours that must see real transport.
 
-The two hosts add only what is theirs: the cluster coordinator
-(:class:`~repro.cluster.cluster.Cluster`) journals around the pipeline,
-the asyncio service (:class:`~repro.serve.service.VerificationService`)
-runs it in a worker thread.
+The coordinator (:class:`~repro.cluster.cluster.Cluster`) builds the
+one pipeline and journals around it; both doors — ``Cluster.pump()``
+and the asyncio :class:`~repro.serve.service.VerificationService` —
+reach it through ``Cluster.serve_group``.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def _ships_to_pool(chooser) -> bool:
 class Pipeline:
     """One monitor's churn → verdict path over one round pool.
 
-    ``component`` names the host in trace records; ``on_plan`` is the
-    host's seam between planning and execution (the cluster journals
-    the plan there).  ``parity_sample`` > 0 re-proves every Nth shipped
+    ``on_plan`` is the coordinator's seam between planning and
+    execution (it journals the plan there).  Spans are the
+    coordinator's (``component="cluster"``) whichever door the request
+    came through.  ``parity_sample`` > 0 re-proves every Nth shipped
     verdict in-process after each epoch; failures are counted, never
     raised — the CI smoke jobs gate on the counter staying zero.
     """
@@ -126,7 +127,6 @@ class Pipeline:
         recorder: FlightRecorder,
         tracer: TraceContext,
         *,
-        component: str,
         ledger=None,
         controller=None,
         parity_sample: int = 0,
@@ -139,7 +139,6 @@ class Pipeline:
         self.admission = admission
         self.recorder = recorder
         self.tracer = tracer
-        self.component = component
         self.ledger = ledger
         self.controller = controller
         self.parity_sample = parity_sample
@@ -185,12 +184,7 @@ class Pipeline:
             # one observation per dispatched group — the wall it spent
             # in epochs, zero when nothing was pending — so the window
             # keeps moving while churn needs no verification
-            self.controller.observe_epoch(
-                wall_seconds=outcome.wall_seconds,
-                worker_walls={
-                    s.worker: s.wall_seconds for s in outcome.slices
-                },
-            )
+            self.controller.observe_epoch(wall_seconds=outcome.wall_seconds)
         for request in requests:
             for probe in request.probes:
                 outcome.probe_events.append(
@@ -227,7 +221,7 @@ class Pipeline:
         how many workers died (and were replaced) on the way."""
         monitor, tracer = self.monitor, self.tracer
         epoch_span = tracer.begin(
-            "epoch", component=self.component, coalesced=coalesced
+            "epoch", component="cluster", coalesced=coalesced
         )
         plan = monitor.plan_epoch()
         epoch_span.epoch = plan.epoch
@@ -253,14 +247,12 @@ class Pipeline:
             )
             shipped = sorted(outcomes)
             with tracer.span(
-                "local", component=self.component, epoch=plan.epoch,
+                "local", component="cluster", epoch=plan.epoch,
                 tasks=len(local),
             ):
                 for position, entry in local:
                     outcomes[position] = monitor.run_planned_round(entry)
-            with tracer.span(
-                "merge", component=self.component, epoch=plan.epoch
-            ):
+            with tracer.span("merge", component="cluster", epoch=plan.epoch):
                 report = fold_plan(monitor, plan, outcomes)
         except Exception as exc:
             # planning consumed the dirty marks; a failed execution must
@@ -319,7 +311,7 @@ class Pipeline:
         self.metrics.note_parity(checked, failed)
         if failed:
             self.tracer.event(
-                "parity-failure", component=self.component,
+                "parity-failure", component="cluster",
                 epoch=plan.epoch, checked=checked, failed=failed,
             )
             self.dump_flight(

@@ -7,8 +7,8 @@ contiguous in plan order, sizes differing by at most one — and hands
 them to its :class:`ShardPool`.  Workers hold no per-pair state, so
 there is nothing to place and nothing to rebalance.
 
-:class:`ShardPool` owns the workers (``"serial"``: in-process;
-``"process[:N]"``: forked, one pipe each) and the failure handling.  A
+:class:`ShardPool` owns the workers (``"inline"``: in-process;
+``"process"``: forked, one pipe each) and the failure handling.  A
 worker is declared dead when its pipe closes, when it has not finished
 ``epoch_deadline`` seconds after dispatch, or when it has sent no
 result frame for ``5 × heartbeat_interval`` seconds.  The positions it
@@ -82,8 +82,8 @@ class ShardPool:
 
     def __init__(
         self,
-        spec: str,
-        shards: int,
+        transport: str,
+        size: int,
         keystore: KeyStore,
         rng_seed: object,
         *,
@@ -92,16 +92,16 @@ class ShardPool:
         max_failures_per_epoch: int = 1,
         chaos=None,
     ) -> None:
-        kind, _, count = spec.partition(":")
-        if kind not in ("serial", "process"):
+        if transport not in ("process", "inline"):
             raise ValueError(
-                f"unknown backend {spec!r}; expected serial or process[:N]"
+                f"unknown transport {transport!r}; "
+                f"expected 'process' or 'inline'"
             )
-        self.size = int(count) if count else shards
-        if self.size < 1:
-            raise ValueError(f"backend spec {spec!r} needs >= 1 worker")
+        if size < 1:
+            raise ValueError(f"worker count must be >= 1, got {size}")
+        self.size = size
         self._context = (
-            multiprocessing.get_context("fork") if kind == "process" else None
+            multiprocessing.get_context("fork") if transport == "process" else None
         )
         self._worker_args = (keystore, rng_seed)
         self.epoch_deadline = epoch_deadline
@@ -138,13 +138,13 @@ class ShardPool:
         tracer: TraceContext,
         on_reap: Callable[[str], None],
     ) -> PoolRun:
-        """Run batch ``i`` on worker ``i % size``; re-run what a dead
-        worker left unfinished on a survivor; replace the dead."""
+        """Run batch ``i`` (of at most ``size``) on worker ``i``; re-run
+        what a dead worker left unfinished on a survivor; replace the
+        dead."""
         self.start()
-        assigned: Dict[int, List[ShardTask]] = {}
-        for shard, batch in enumerate(batches):
-            if batch:
-                assigned.setdefault(shard % self.size, []).extend(batch)
+        assigned = {
+            worker: list(batch) for worker, batch in enumerate(batches) if batch
+        }
         drive = _Drive(epoch, tracer, on_reap)
         try:
             while assigned:
@@ -315,11 +315,10 @@ class ShardPool:
 class ShardExecutor:
     """Fan an epoch plan's fresh entries out across the round pool.
 
-    ``backend`` defaults to one worker process per shard
-    (``"process:<shards>"``), or runs everything inline for a single
-    shard — the degenerate configuration the parity suite compares
-    against.  The failure knobs are the
-    :class:`~repro.cluster.spec.ClusterSpec` fields of the same names.
+    ``shards`` is both the number of batches a plan is dealt into and
+    the pool's worker count; ``transport`` and the failure knobs are
+    the :class:`~repro.cluster.spec.ClusterSpec` fields of the same
+    names.
     """
 
     def __init__(
@@ -328,20 +327,16 @@ class ShardExecutor:
         keystore: KeyStore,
         rng_seed: object,
         *,
-        backend: Optional[str] = None,
+        transport: str,
         epoch_deadline: Optional[float] = None,
         heartbeat_interval: float = 0.0,
         max_failures_per_epoch: int = 1,
         chaos=None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {shards}")
         self.shards = shards
         self.keystore = keystore
-        if backend is None:
-            backend = "serial" if shards == 1 else f"process:{shards}"
         self.backend = ShardPool(
-            backend,
+            transport,
             shards,
             keystore,
             rng_seed,
@@ -358,8 +353,9 @@ class ShardExecutor:
     def warm(self) -> None:
         """Start the worker pool now, from the calling thread.
 
-        The service calls this before its asyncio dispatcher exists, so
-        process workers fork from a single-threaded parent.
+        The coordinator calls this at construction — before an asyncio
+        door has run anything in a helper thread — so process workers
+        fork from a single-threaded parent.
         """
         self.backend.start()
 

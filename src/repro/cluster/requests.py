@@ -26,6 +26,7 @@ __all__ = [
     "ChurnRequest",
     "Completion",
     "QueryRequest",
+    "ServiceStopped",
     "answer_query",
     "answer_adjudicate",
 ]
@@ -35,6 +36,11 @@ class AdmissionError(RuntimeError):
     """The request was refused admission (full queue, priority door,
     or — for :class:`~repro.cluster.admission.ShedError` — a deadline
     that passed while it queued)."""
+
+
+class ServiceStopped(RuntimeError):
+    """The request was admitted, but its door stopped without draining
+    before it was dispatched; it was never applied."""
 
 
 @dataclass(frozen=True)

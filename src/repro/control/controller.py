@@ -1,9 +1,9 @@
 """The deterministic controller: signals in, decisions out.
 
 :class:`Controller` owns a :class:`~repro.control.signals.SignalBus`
-and is ticked by its host at epoch boundaries — after the cluster
-coordinator's ``pump()`` drains its pending queue, or after the serve
-layer finishes an epoch group.  Each ``tick()`` is a pure function of
+and is ticked by the cluster coordinator after every served churn
+group (``Cluster.serve_group`` — one cadence, whichever door the group
+came through).  Each ``tick()`` is a pure function of
 the bus contents: no clocks, no randomness — the same observation
 sequence always produces the same decision log.
 
@@ -104,24 +104,17 @@ class Controller:
         self.bus = bus or SignalBus(window=self.policy.window)
         self.severity = 0.0
         self.ticks = 0
-        #: the host's trace context (the cluster coordinator / serve
-        #: service overwrite this with their own, so decisions land in
-        #: the same trace as the epochs that caused them)
+        #: the host's trace context (the cluster coordinator overwrites
+        #: this with its own, so decisions land in the same trace as the
+        #: epochs that caused them)
         self.tracer = TraceContext("ctl", enabled=False)
         self.decisions: List[Decision] = []
 
     # -- signal feeding (hosts call through to the bus) ---------------------
 
-    def observe_epoch(
-        self,
-        *,
-        wall_seconds: float,
-        worker_walls: Optional[Dict[int, float]] = None,
-    ) -> None:
-        """Absorb one epoch drive's observations."""
+    def observe_epoch(self, *, wall_seconds: float) -> None:
+        """Absorb one epoch drive's wall clock."""
         self.bus.observe_epoch_wall(wall_seconds)
-        for worker, wall in sorted((worker_walls or {}).items()):
-            self.bus.observe_worker_wall(worker, wall)
 
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         self.bus.observe_queue_depth(depth, limit)

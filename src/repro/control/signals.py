@@ -9,10 +9,11 @@ look like" forever without growing) both delegate to
 :func:`nearest_rank`.
 
 :class:`SignalBus` is the controller's blackboard: hosts
-(``Cluster``, ``VerificationService``) push named observations as they
-happen — epoch wall-clock, per-worker slice latency, admission-queue
-fraction — and ``Controller.tick()`` reads sliding-window summaries off it.  The bus
-holds plain floats only, so its snapshot is always JSON-serializable.
+(the ``Cluster`` coordinator and its admission queue) push named
+observations as they happen — epoch wall-clock, admission-queue
+fraction — and ``Controller.tick()`` reads sliding-window summaries off
+it.  The bus holds plain floats only, so its snapshot is always
+JSON-serializable.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class SignalBus:
     Convenience feeders give the well-known signals stable names:
 
     * ``epoch_wall`` — coordinator-side wall-clock per epoch drive
-    * ``worker/<i>/epoch_wall`` — per-worker slice wall-clock
     * ``queue_fraction`` — admission-queue depth / configured limit
     """
 
@@ -209,9 +209,6 @@ class SignalBus:
 
     def observe_epoch_wall(self, seconds: float) -> None:
         self.observe("epoch_wall", seconds)
-
-    def observe_worker_wall(self, worker: int, seconds: float) -> None:
-        self.observe(f"worker/{worker}/epoch_wall", seconds)
 
     def observe_queue_depth(self, depth: int, limit: int) -> None:
         fraction = depth / limit if limit > 0 else 0.0

@@ -13,12 +13,6 @@ no wall-clock data) nor any report field.
 Closed spans become plain dict **records** (JSON-ready) appended to the
 context's bounded ``records`` deque and forwarded to an attached
 :class:`~repro.obs.recorder.FlightRecorder`.
-
-Records drained from one context (:meth:`TraceContext.take_records`)
-can be merged into another with :meth:`TraceContext.adopt`, which
-**re-ids** every record from the adopting counter (two sources may
-restart their counters, so shipped ids alone are not unique) while
-preserving the internal parent structure.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Stopwatch", "TraceContext"]
 
@@ -248,8 +242,7 @@ class TraceContext:
             self.recorder.record(record)
 
     def take_records(self) -> Tuple[Dict[str, object], ...]:
-        """Drain and return the closed records (plain dicts, so they
-        pickle)."""
+        """Drain and return the closed records (plain dicts)."""
         drained = tuple(self.records)
         self.records.clear()
         return drained
@@ -261,31 +254,6 @@ class TraceContext:
             self.open[key].to_record()
             for key in sorted(self.open, key=_id_sort_key)
         ]
-
-    def adopt(
-        self,
-        records: Iterable[Dict[str, object]],
-        parent: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Merge another context's drained records into this trace.
-
-        Every record is **re-identified** from this context's counter
-        (shipped ids repeat across worker respawns), internal parent
-        links are remapped, and records whose parent is unknown here
-        (the worker's own roots) hang under ``parent``.
-        """
-        if not self.enabled:
-            return []
-        mapping: Dict[object, str] = {}
-        adopted: List[Dict[str, object]] = []
-        for record in records:
-            copy = dict(record)
-            mapping[copy.get("id")] = copy["id"] = self._next_id()
-            adopted.append(copy)
-        for copy in adopted:
-            copy["parent"] = mapping.get(copy.get("parent"), parent)
-            self._record(copy)
-        return adopted
 
 
 def _id_sort_key(span_id: str) -> Tuple[str, int]:

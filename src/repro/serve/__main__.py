@@ -110,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parity-sample", type=int, default=4, metavar="K",
                         help="re-prove every Kth fresh verdict as a "
                         "parity self-check; 0 disables (default: 4)")
-    parser.add_argument("--backend", default=None, metavar="SPEC",
-                        help='shard executor backend override '
-                        '("process:4", "serial")')
     parser.add_argument("--ramp", default=None, metavar="R1,R2,...",
                         help="overload ramp: comma-separated open-loop "
                         "stage rates (rps), no drain between stages")
@@ -169,7 +166,6 @@ async def serve_and_load(args) -> tuple:
         queue_depth=args.queue_depth,
         batch_max=args.batch_max,
         max_events=args.max_events,
-        backend=args.backend,
         parity_sample=args.parity_sample,
         controller=control_policy,
     )

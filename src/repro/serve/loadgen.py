@@ -14,15 +14,10 @@ head of the prefix set, so some shards run hot while others idle — and
 periodic **violation injection** (an import-policy flip that makes the
 monitored AS *honestly* prefer a longer route, violating its
 shortest-route promise on the wire, no Byzantine prover object needed).
-Two drivers share the schedule:
-
-* :func:`run_open_loop` — the real-time asyncio driver (the CLI),
-  optionally pushing every request through a
-  :class:`SimnetGateway` first so link latency and drops perturb
-  admission;
-* :func:`run_scripted` — a paced driver that awaits completion between
-  fixed-size bursts, trading open-loop realism for run-to-run
-  determinism (the parity tests).
+:func:`run_open_loop` is the real-time asyncio driver (the CLI),
+optionally pushing every request through a :class:`SimnetGateway` first
+so link latency and drops perturb admission; :func:`run_ramp` steps the
+arrival rate past capacity.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ __all__ = [
     "ramp_schedule",
     "run_open_loop",
     "run_ramp",
-    "run_scripted",
     "table_reset",
 ]
 
@@ -608,36 +602,3 @@ async def run_ramp(
     return RampReport(
         stages=[stages[index] for index in sorted(stages)]
     )
-
-
-async def run_scripted(
-    service: VerificationService,
-    ops: Sequence[Op],
-    *,
-    burst: int = 4,
-) -> LoadReport:
-    """Fire the schedule in fixed-size bursts, awaiting each burst.
-
-    Coalescing (hence epoch boundaries, event counts and reuse) becomes
-    a pure function of the schedule — the determinism the parity
-    tests need.
-    """
-    if burst < 1:
-        raise ValueError(f"burst must be >= 1, got {burst}")
-    report = LoadReport()
-    for start in range(0, len(ops), burst):
-        futures = []
-        for op in ops[start:start + burst]:
-            report.offered += 1
-            try:
-                futures.append(service.submit_nowait(op.request))
-                report.delivered += 1
-            except AdmissionError:
-                report.rejected += 1
-        await service.drain()
-        for future in futures:
-            try:
-                report.completions.append(await future)
-            except Exception as exc:
-                report.errors.append(exc)
-    return report

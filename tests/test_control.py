@@ -85,7 +85,7 @@ class TestSignalBus:
     def test_well_known_feeders(self):
         bus = SignalBus(window=8)
         bus.observe_epoch_wall(0.5)
-        bus.observe_worker_wall(1, 0.25)
+        bus.observe("worker/1/epoch_wall", 0.25)
         bus.observe_queue_depth(4, 16)
         assert bus.names() == [
             "epoch_wall",
@@ -176,9 +176,9 @@ class TestShedUnderCoalescedChurnBursts:
     shed."""
 
     def run_burst(self, admission):
-        from repro.serve.bench import run_workload
+        from serve_driver import run_workload
 
-        run = run_workload(
+        service, _ = run_workload(
             shards=2,
             prefixes=4,
             requests=16,
@@ -187,7 +187,7 @@ class TestShedUnderCoalescedChurnBursts:
             violation_every=4,
             admission=admission,
         )
-        kinds = run.snapshot["requests"]
+        kinds = service.metrics.snapshot()["requests"]
         return {
             kind: (record["admitted"], record["rejected"],
                    record["shed"], record["completed"])
@@ -270,7 +270,8 @@ class TestControllerHysteresis:
 
     def test_snapshot_is_json_serializable(self):
         controller = Controller()
-        controller.observe_epoch(wall_seconds=2.0, worker_walls={0: 1.5})
+        controller.observe_epoch(wall_seconds=2.0)
+        controller.bus.observe("worker/0/epoch_wall", 1.5)
         controller.tick()
         snapshot = controller.snapshot()
         assert snapshot["schema"] == "repro.control/controller"

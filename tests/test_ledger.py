@@ -818,7 +818,7 @@ class TestServeLedger:
             service = VerificationService(
                 network,
                 shards=2,
-                backend="serial",
+                transport="inline",
                 rng_seed=SEED,
                 admission="trust",
                 ledger=LedgerPolicy(clean_epochs_to_promote=1),

@@ -47,7 +47,7 @@ from test_serve import CHURN
 from test_serve import VARIANT_POLICIES as SERVE_POLICIES
 
 
-# -- TraceContext: deterministic ids, structure, adoption ---------------------
+# -- TraceContext: deterministic ids, structure -------------------------------
 
 
 class TestTraceContext:
@@ -105,7 +105,6 @@ class TestTraceContext:
         assert tracer.take_records() == ()
         tracer.event("ping")
         assert tracer.take_records() == ()
-        assert tracer.adopt([{"id": "w:1", "parent": None}]) == []
 
     def test_error_status_on_raise(self):
         tracer = TraceContext("t")
@@ -114,25 +113,6 @@ class TestTraceContext:
                 raise RuntimeError("boom")
         [record] = tracer.take_records()
         assert record["status"] == "error"
-
-    def test_adopt_reids_and_reparents(self):
-        coordinator = TraceContext("c")
-        root = coordinator.begin("epoch")
-        shipped = [
-            {"kind": "span", "id": "w1:1", "parent": None, "name": "slice"},
-            {"kind": "span", "id": "w1:2", "parent": "w1:1", "name": "plan"},
-        ]
-        adopted = coordinator.adopt(shipped, parent=root.id)
-        # re-identified from the coordinator's counter...
-        assert [r["id"] for r in adopted] == ["c:2", "c:3"]
-        # ...roots hang under the given parent, internal links remapped
-        assert adopted[0]["parent"] == root.id
-        assert adopted[1]["parent"] == adopted[0]["id"]
-        # a respawned worker re-ships the same ids: no collision
-        again = coordinator.adopt(shipped, parent=root.id)
-        assert {r["id"] for r in again}.isdisjoint(
-            {r["id"] for r in adopted}
-        )
 
     def test_take_records_drains(self):
         tracer = TraceContext("t")
@@ -417,7 +397,7 @@ class TestTraceParity:
             async def go():
                 net, _ = serve_network(3)
                 service = VerificationService(
-                    net, shards=2, backend="serial", rng_seed=SEED,
+                    net, shards=2, transport="inline", rng_seed=SEED,
                     parity_sample=1, trace=trace,
                 )
                 SERVE_POLICIES["minimum"](service)

@@ -30,6 +30,7 @@ from repro.cluster import (
     LatencySeries,
     PolicySpec,
     QueryRequest,
+    ServiceStopped,
 )
 from repro.crypto.keystore import KeyStore
 from repro.promises.spec import (
@@ -57,15 +58,15 @@ from repro.cluster.pipeline import MergeError, fold_plan
 from repro.cluster.pool import ShardExecutor
 from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
 from repro.obs.trace import TraceContext
-from repro.serve.bench import run_workload
 from repro.util.rng import DeterministicRandom
+from serve_driver import run_workload
 
 SEED = 2011
 
 
 def make_service(net, **options):
     options.setdefault("shards", 3)
-    options.setdefault("backend", "serial")
+    options.setdefault("transport", "inline")
     options.setdefault("rng_seed", SEED)
     return VerificationService(net, **options)
 
@@ -101,11 +102,11 @@ CHURN = (
 )
 
 
-def sharded_trail(variant, *, prefixes=3, shards=3, backend="serial"):
+def sharded_trail(variant, *, prefixes=3, shards=3, transport="inline"):
     async def go():
         net, prefix_list = serve_network(prefixes)
         service = VerificationService(
-            net, shards=shards, backend=backend, rng_seed=SEED,
+            net, shards=shards, transport=transport, rng_seed=SEED,
             parity_sample=1,
         )
         VARIANT_POLICIES[variant](service)
@@ -167,10 +168,12 @@ def pool_run(executor, plan):
 class TestShardPool:
     """The executor's worker pool: inline or one process per shard."""
 
-    @pytest.mark.parametrize("spec", ["serial", "process:2"])
-    def test_map_preserves_order_and_close_is_idempotent(self, spec):
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_map_preserves_order_and_close_is_idempotent(self, transport):
         monitor, plan = planned_epoch()
-        executor = ShardExecutor(2, monitor.keystore, SEED, backend=spec)
+        executor = ShardExecutor(
+            2, monitor.keystore, SEED, transport=transport
+        )
         pool = executor.backend
         try:
             results, reaped = pool_run(executor, plan)
@@ -188,16 +191,24 @@ class TestShardPool:
 
     @pytest.mark.parametrize(
         "spec", ["thread", "thread:2", "quantum", "process:lots",
-                 "process:0"],
+                 "process:0", "serial", "process:2"],
     )
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            ShardExecutor(2, KeyStore(seed=SEED), SEED, backend=spec)
+        """There is one transport vocabulary and no string grammar:
+        anything but ``"process"`` / ``"inline"`` — the retired
+        ``"serial"`` / ``"process:N"`` spellings included — is refused
+        loudly, never half-parsed."""
+        with pytest.raises(ValueError, match="unknown transport"):
+            ShardExecutor(2, KeyStore(seed=SEED), SEED, transport=spec)
+
+    def test_worker_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="worker count"):
+            ShardExecutor(0, KeyStore(seed=SEED), SEED, transport="process")
 
     def test_a_killed_worker_costs_a_retry_not_the_epoch(self):
         monitor, plan = planned_epoch()
         executor = ShardExecutor(
-            2, monitor.keystore, SEED, backend="process:2"
+            2, monitor.keystore, SEED, transport="process"
         )
         try:
             executor.warm()
@@ -219,7 +230,7 @@ class TestShardPool:
         (what its death looks like): every worker sees EOF and exits —
         none is kept alive by a sibling's inherited copy."""
         executor = ShardExecutor(
-            3, KeyStore(seed=SEED), SEED, backend="process"
+            3, KeyStore(seed=SEED), SEED, transport="process"
         )
         executor.warm()
         workers = executor.backend._workers
@@ -265,7 +276,7 @@ class TestShardedParity:
         fresh = monitor.plan_epoch().fresh_entries()
         assert len(fresh) == prefixes
         batches = ShardExecutor(
-            shards, monitor.keystore, SEED, backend="serial"
+            shards, monitor.keystore, SEED, transport="inline"
         ).plan_tasks(fresh)
         assert len(batches) == shards
         # every fresh position exactly once, contiguous in plan order
@@ -277,7 +288,7 @@ class TestShardedParity:
 
     def test_parity_holds_on_process_workers(self):
         """The real process pool: results cross a pickle boundary."""
-        service = sharded_trail("minimum", shards=2, backend="process:2")
+        service = sharded_trail("minimum", shards=2, transport="process")
         monitor = unsharded_trail("minimum")
         assert_byte_identical(service.evidence, monitor.evidence)
 
@@ -304,7 +315,7 @@ class TestNamedChooserSharding:
             async def go():
                 net, _ = serve_network(3)
                 service = VerificationService(
-                    net, shards=3, backend="serial", rng_seed=SEED,
+                    net, shards=3, transport="inline", rng_seed=SEED,
                     parity_sample=1,
                 )
                 service.policy(
@@ -608,6 +619,31 @@ class TestService:
 
         assert run_async(go())["events"] == 0
 
+    def test_stop_without_drain_settles_every_future(self):
+        """``stop(drain=False)`` strands nobody: the group in flight
+        is served, what is still queued fails with the named error,
+        and the stopped service takes no more work."""
+        async def go():
+            net, _ = serve_network(2)
+            service = make_service(net, shards=1)
+            service.policy("A", ShortestRoute(), recipients=("B",),
+                           max_length=8)
+            await service.start()
+            churn = service.submit_nowait(ChurnRequest())
+            await asyncio.sleep(0)  # the dispatcher takes the churn
+            query = service.submit_nowait(QueryRequest())
+            await asyncio.wait_for(service.stop(drain=False), timeout=30)
+            assert churn.done() and query.done()
+            with pytest.raises(ServiceStopped):
+                query.result()
+            with pytest.raises(RuntimeError):
+                service.submit_nowait(QueryRequest())
+            with pytest.raises(RuntimeError):
+                await service.start()
+            return churn.result().payload
+
+        assert len(run_async(go()).events) == 2
+
     def test_losing_a_pool_worker_costs_a_retry_not_the_epoch(
         self, tmp_path, monkeypatch
     ):
@@ -634,7 +670,7 @@ class TestService:
         async def go():
             net, prefix_list = serve_network(4)
             service = VerificationService(
-                net, shards=2, backend="process:2", rng_seed=SEED,
+                net, shards=2, transport="process", rng_seed=SEED,
             )
             service.policy("A", NoLongerThanOthers(), name="A/p4",
                            max_length=8, chooser="die-once:")
@@ -778,9 +814,9 @@ def _serve_network_only():
 
 
 class TestOneAdmissionPlane:
-    """`Cluster` and `VerificationService` host the same
-    :class:`~repro.cluster.admission.AdmissionQueue`: the same script
-    yields the same admission accounting on either."""
+    """`VerificationService` is a door of a `Cluster`, not a second
+    coordinator: the same script yields the same admission accounting
+    and the same controller cadence through either."""
 
     DEPTH = 8
     COALESCE = 3
@@ -837,6 +873,7 @@ class TestOneAdmissionPlane:
             admission=self.admission(),
             queue_depth=self.DEPTH,
             coalesce_max=self.COALESCE,
+            controller=True,
         )
         with spec.build() as cluster:
             for wave in self.script():
@@ -856,6 +893,7 @@ class TestOneAdmissionPlane:
                 admission=self.admission(),
                 queue_depth=self.DEPTH,
                 batch_max=self.COALESCE,
+                controller=True,
             )
             service.policy("A", ShortestRoute(), **self.POLICY)
             await service.start()
@@ -892,6 +930,19 @@ class TestOneAdmissionPlane:
         churn = snapshot["requests"]["churn"]
         assert churn["queue_delay"]["count"] == 7
         assert churn["service_time"]["count"] == 7
+        # one tick rule: the controller ticks once per served churn
+        # group (four of them), whichever door dispatched it
+        assert snapshot["control"]["ticks"] == 4
+
+    def test_the_service_exposes_the_coordinators_objects(self):
+        service = make_service(_serve_network_only(), shards=2)
+        cluster = service.cluster
+        try:
+            for name in ("monitor", "evidence", "metrics", "executor",
+                         "recorder", "admission"):
+                assert getattr(service, name) is getattr(cluster, name)
+        finally:
+            cluster.stop()
 
 
 # -- pluggable admission (the cluster-API seam) --------------------------------
@@ -1040,27 +1091,26 @@ class TestBurstSchedules:
 class TestBenchDriver:
     def test_scripted_runs_agree_across_shard_counts(self):
         common = dict(prefixes=4, requests=10, seed=7, burst=3,
-                      parity_sample=1, backend="serial")
-        one = run_workload(shards=1, **common)
-        four = run_workload(shards=4, **common)
-        assert not one.report.errors and not four.report.errors
-        for run in (one, four):
-            assert run.service.metrics.parity_failed == 0
+                      parity_sample=1, transport="inline")
+        one, one_errors = run_workload(shards=1, **common)
+        four, four_errors = run_workload(shards=4, **common)
+        assert not one_errors and not four_errors
+        for service in (one, four):
+            assert service.metrics.parity_failed == 0
         for attribute in ("events", "verified", "reused", "violations"):
-            assert getattr(one.service.metrics, attribute) == getattr(
-                four.service.metrics, attribute
+            assert getattr(one.metrics, attribute) == getattr(
+                four.metrics, attribute
             )
-        assert four.wall_seconds > 0
         # the partition actually spread over multiple shards
-        assert len(four.service.metrics.worker_events) > 1
+        assert len(four.metrics.worker_events) > 1
 
     def test_open_loop_with_violations(self):
-        run = run_workload(
+        service, errors = run_workload(
             shards=2, prefixes=4, requests=16, seed=7,
-            violation_every=3, parity_sample=1, backend="serial",
+            violation_every=3, parity_sample=1, transport="inline",
         )
-        assert not run.report.errors
-        assert run.service.metrics.probe_violations > 0
-        assert run.service.metrics.parity_failed == 0
-        snapshot = run.snapshot
+        assert not errors
+        assert service.metrics.probe_violations > 0
+        assert service.metrics.parity_failed == 0
+        snapshot = service.metrics.snapshot()
         assert snapshot["probes"]["violations"] > 0
