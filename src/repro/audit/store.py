@@ -7,10 +7,18 @@ prefix*, *show me every violation* — and runs the paper's third-party
 judge over any slice of the trail on demand (adjudication is lazy: the
 judge's RSA work is only spent when an operator actually disputes
 something).
+
+The trail is append-only, which is why it can be read while it is
+written: a serving door answers reads from :meth:`EvidenceStore.committed_view`
+— a copy of the trail cut at the last :meth:`EvidenceStore.commit` —
+on its own thread while an epoch appends on another.  The copy and
+every mutation take the store's lock; the scans below it do not, so
+only the committed view is safe beside an appending thread.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from itertools import chain
 from typing import (
@@ -19,6 +27,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -63,6 +72,11 @@ class EvidenceStore:
         self._subscribers: List[Callable[[VerdictEvent], None]] = []
         self._evict_subscribers: List[Callable[[VerdictEvent], None]] = []
         self._seq = 0
+        #: seq of the last event a door's readers may see (``commit``)
+        self._committed = 0
+        # guards ``_pinned`` / ``_tail`` between the one recording
+        # thread and ``committed_view`` callers
+        self._lock = threading.Lock()
 
     # -- ingestion -----------------------------------------------------------
 
@@ -74,25 +88,32 @@ class EvidenceStore:
         return self._seq
 
     def record(self, event: VerdictEvent) -> VerdictEvent:
-        self._tail.append(event)
-        self._evict_overflow()
+        with self._lock:
+            self._tail.append(event)
+            evicted = self._evict_overflow()
+        # callbacks run outside the lock: they may read the store
+        for gone in evicted:
+            for subscriber in self._evict_subscribers:
+                subscriber(gone)
         for subscriber in self._subscribers:
             subscriber(event)
         return event
 
-    def _evict_overflow(self) -> None:
+    def _evict_overflow(self) -> Sequence[VerdictEvent]:
+        """Enforce ``max_events`` (caller holds the lock); returns what
+        was dropped, oldest first."""
         if self.max_events is None:
-            return
+            return ()
+        evicted: List[VerdictEvent] = []
         while len(self) > self.max_events and self._tail:
-            oldest = self._tail[0]
+            oldest = self._tail.popleft()
             if oldest.violation_found():
                 # pinned: sinks below the eviction horizon for good
-                self._pinned.append(self._tail.popleft())
+                self._pinned.append(oldest)
                 continue
-            evicted = self._tail.popleft()
             self.evicted += 1
-            for subscriber in self._evict_subscribers:
-                subscriber(evicted)
+            evicted.append(oldest)
+        return evicted
 
     def _all(self) -> Iterator[VerdictEvent]:
         return chain(self._pinned, self._tail)
@@ -127,10 +148,11 @@ class EvidenceStore:
         whole), and the pinned/tail split is reinstated exactly."""
         events = list(state["events"])
         pinned = int(state["pinned"])
-        self._pinned = events[:pinned]
-        self._tail = deque(events[pinned:])
-        self.evicted = int(state["evicted"])
-        self._seq = int(state["seq"])
+        with self._lock:
+            self._pinned = events[:pinned]
+            self._tail = deque(events[pinned:])
+            self.evicted = int(state["evicted"])
+            self._seq = int(state["seq"])
 
     def subscribe(self, callback: Callable[[VerdictEvent], None]) -> None:
         """Call ``callback`` with every subsequently recorded event."""
@@ -143,6 +165,34 @@ class EvidenceStore:
         the event here so eviction never loses information it needs.
         Violations are pinned, never evicted, and never reported."""
         self._evict_subscribers.append(callback)
+
+    # -- the committed view (reads beside a writer) --------------------------
+
+    def commit(self) -> None:
+        """Advance the read watermark to everything recorded so far.
+        The serving coordinator calls this after each write group
+        commits (and once after journal recovery), so a reader never
+        sees a half-folded epoch."""
+        with self._lock:
+            self._committed = self._seq
+
+    def committed_view(self) -> "EvidenceStore":
+        """A detached copy of the trail as of the last :meth:`commit`
+        — every stored event with ``seq`` up to the watermark, in
+        recording order — safe to query while another thread records.
+        Events are shared, not copied.  Eviction is a memory bound, not
+        part of the trail: what an uncommitted epoch evicted is already
+        gone from the view (and counted in its ``evicted``)."""
+        view = EvidenceStore(self.keystore)
+        with self._lock:
+            events = list(self._all())
+            view.evicted = self.evicted
+            watermark = self._committed
+        while events and events[-1].seq > watermark:
+            events.pop()
+        view._tail = deque(events)
+        view._seq = view._committed = watermark
+        return view
 
     # -- queries -------------------------------------------------------------
 

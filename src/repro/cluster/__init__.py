@@ -21,10 +21,12 @@ One coordinator owns it, behind two doors:
   door: futures and a dispatcher task over a private ``Cluster``.
 
 Either door feeds the coordinator's one admission plane
-(:class:`~repro.cluster.admission.AdmissionQueue`: reject at the door,
-deadline-based shedding, or per-request-type priorities; adjacent
-queued churn requests coalesce into one epoch sequence) and reads its
-one metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`).
+(:class:`~repro.cluster.admission.AdmissionQueue`: writes enter a
+bounded FIFO or are refused at the door, adjacent queued churn requests
+coalesce into one epoch sequence; reads never queue — they are answered
+at the door from the trail as of the last committed write group) and
+reads its one metrics ledger
+(:class:`~repro.cluster.metrics.ClusterMetrics`).
 A worker that crashes, closes its pipe, misses the epoch deadline or
 goes silent costs a retry of its unfinished rounds on a survivor and a
 fresh fork — never the epoch.
@@ -34,16 +36,7 @@ workload through N workers, optionally killing one, and checks parity
 against the unsharded reference).
 """
 
-from repro.cluster.admission import (
-    AdmissionPolicy,
-    AdmissionQueue,
-    DeadlineShed,
-    PriorityAdmission,
-    RejectAtDoor,
-    ShedError,
-    Ticket,
-    make_admission,
-)
+from repro.cluster.admission import AdmissionQueue, Ticket
 from repro.cluster.cluster import Cluster, ClusterError, EpochOutcome
 from repro.cluster.metrics import ClusterMetrics, LatencySeries
 from repro.cluster.requests import (
@@ -54,6 +47,7 @@ from repro.cluster.requests import (
     Completion,
     QueryRequest,
     ServiceStopped,
+    ShedError,
 )
 from repro.cluster.spec import ChaosSpec, ClusterSpec, PolicySpec
 
@@ -61,7 +55,6 @@ __all__ = [
     "AdjudicateRequest",
     "ChaosSpec",
     "AdmissionError",
-    "AdmissionPolicy",
     "AdmissionQueue",
     "AuditProbe",
     "ChurnRequest",
@@ -70,15 +63,11 @@ __all__ = [
     "ClusterMetrics",
     "ClusterSpec",
     "Completion",
-    "DeadlineShed",
     "EpochOutcome",
     "LatencySeries",
     "PolicySpec",
-    "PriorityAdmission",
     "QueryRequest",
-    "RejectAtDoor",
     "ServiceStopped",
     "ShedError",
     "Ticket",
-    "make_admission",
 ]

@@ -5,7 +5,6 @@ Usage::
     python -m repro.cluster --workers 2 --churns 12
     python -m repro.cluster --kill-worker 1 --kill-at-epoch 3
     python -m repro.cluster --transport inline --no-verify
-    python -m repro.cluster --controller
     python -m repro.cluster --journal cluster-journal --checkpoint-every 4
 
 Builds the multi-prefix serving scenario, stands up a
@@ -49,7 +48,6 @@ from repro.util.cli import (
     EXIT_OK,
     EXIT_FAILURE,
     add_common_arguments,
-    emit_decisions,
     fail,
     usage_error,
     write_json,
@@ -65,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes (default: 2)")
-    parser.add_argument("--admission", default="reject", metavar="SPEC",
-                        help='admission policy: "reject", "deadline[:S]", '
-                        '"priority", "trust" or "adaptive[:S]" '
-                        '(default: reject; --controller implies adaptive)')
-    parser.add_argument("--controller", action="store_true",
-                        help="enable the repro.control plane: adaptive "
-                        "admission, decided at epoch boundaries")
     parser.add_argument("--transport", default="process",
                         choices=["process", "inline"],
                         help="worker isolation (default: process)")
@@ -147,10 +138,6 @@ def run(args) -> int:
             after=args.kill_after,
         )
 
-    admission = args.admission
-    if args.controller and admission == "reject":
-        admission = "adaptive"
-
     _, prefixes = serve_network(prefix_count)
     spec = ClusterSpec(
         network=network,
@@ -162,8 +149,6 @@ def run(args) -> int:
             ),
         ),
         workers=args.workers,
-        admission=admission,
-        controller=args.controller or None,
         transport=args.transport,
         rng_seed=args.seed,
         key_bits=args.key_bits,
@@ -228,8 +213,6 @@ def run(args) -> int:
 
     if args.json:
         write_json(args.json, snapshot, tag="cluster")
-
-    emit_decisions(snapshot["control"])
 
     for respawn in snapshot["respawns"]:
         obs_log.emit(

@@ -1,198 +1,42 @@
-"""Admission policies: what happens at the door when load exceeds room.
+"""The admission plane: a bounded queue of writes, reads answered at
+the door.
 
-The serve layer's only policy used to be hard-coded: a bounded queue
-that rejects at the door.  :class:`AdmissionPolicy` makes the decision
-pluggable at two points of a request's life:
+:class:`AdmissionQueue` is the one state machine both doors submit
+into — the asyncio serve layer and the cluster coordinator's own
+``pump()``:
 
-* :meth:`~AdmissionPolicy.at_door` — when the client submits: admit
-  into the queue, or reject immediately;
-* :meth:`~AdmissionPolicy.at_dispatch` — when the dispatcher finally
-  picks the request up: serve it, or *shed* it (resolve the client's
-  future with an error without doing the work — the queueing delay
-  already made the answer worthless).
+* a **write** (churn, adjudication) enters a bounded FIFO or is refused
+  at the door — the one admission rule is ``len(pending) < depth``.
+  Adjacent queued churn requests coalesce (up to ``coalesce_max``) into
+  one epoch sequence and share one outcome;
+* a **read** (:class:`~repro.cluster.requests.QueryRequest`) never
+  queues.  The trail is append-only, so ``submit`` answers it on the
+  spot from the evidence store's committed view — the trail as of the
+  last committed write group — and returns a ticket that is already
+  settled.  It is never refused for queue room, takes none, and never
+  sits between two churn requests that could have coalesced.
 
-Three policies:
-
-* :class:`RejectAtDoor` — the classic bounded queue (the previous
-  behaviour, and the default);
-* :class:`DeadlineShed` — admit freely while there is room, but shed
-  any request that waited longer than its type's deadline: under a
-  burst the queue drains at the cost of the stalest work, which is the
-  right trade for *query* traffic whose answer goes stale anyway;
-* :class:`PriorityAdmission` — per-request-type priorities: a type of
-  priority ``p`` may only use the first ``(p+1)/(P+1)`` fraction of
-  the queue, so background traffic (adjudication) is turned away while
-  churn — the traffic that keeps the audit trail current — still has
-  headroom.
-
-Policies are picklable values.  :class:`AdmissionQueue` is the one
-state machine that applies them — door check, bounded FIFO, adjacent-
-churn coalescing, dispatch-time shedding, :class:`Completion` +
-metrics, controller tick — hosted by both the asyncio serve layer and
-the cluster coordinator.
+Every request, read or write, gets a :class:`Ticket`, a
+:class:`~repro.cluster.requests.Completion` and its admit/complete
+metrics row.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional
 
-from repro.cluster.requests import AdmissionError, ChurnRequest, Completion
+from repro.cluster.requests import (
+    AdmissionError,
+    ChurnRequest,
+    Completion,
+    QueryRequest,
+    answer_query,
+)
 
-__all__ = [
-    "AdmissionPolicy",
-    "AdmissionQueue",
-    "DeadlineShed",
-    "PriorityAdmission",
-    "RejectAtDoor",
-    "ShedError",
-    "Ticket",
-    "make_admission",
-]
-
-
-class ShedError(AdmissionError):
-    """The request was admitted but shed before service (its deadline
-    passed while it queued)."""
-
-
-class AdmissionPolicy:
-    """Strategy interface for the two admission decision points."""
-
-    def at_door(self, kind: str, queued: int, depth: int) -> bool:
-        """May a ``kind`` request enter a queue holding ``queued`` of
-        ``depth``?  The queue's hard bound still applies on top."""
-        raise NotImplementedError
-
-    def at_door_request(self, request, queued: int, depth: int) -> bool:
-        """The richer door hook both front-ends actually call: it sees
-        the whole request, not just its kind.  The default delegates to
-        :meth:`at_door`, so kind-only policies are unchanged; a policy
-        that inspects request *content* (the ledger's trust-tiered
-        variant boosting low-trust ASes' traffic) overrides this."""
-        return self.at_door(request.kind, queued, depth)
-
-    def at_dispatch(self, kind: str, waited: float) -> bool:
-        """Serve a ``kind`` request that queued for ``waited`` seconds
-        (``False`` = shed it)?"""
-        return True
-
-    def update(self, trust: Mapping[str, object]) -> None:
-        """Adopt a settled trust snapshot (hosts with a ledger push one
-        per epoch and after each slashing); only a trust-aware door
-        keeps it."""
-
-    def update_signals(
-        self, *, severity: float, stale_after: Optional[float] = None
-    ) -> None:
-        """Adopt the controller's overload severity (pushed at every
-        control tick); only a severity-driven policy keeps it."""
-
-    def describe(self) -> Dict[str, object]:
-        return {"policy": type(self).__name__}
-
-
-@dataclass(frozen=True)
-class RejectAtDoor(AdmissionPolicy):
-    """The bounded queue: room or rejection, nothing in between."""
-
-    def at_door(self, kind: str, queued: int, depth: int) -> bool:
-        return queued < depth
-
-
-@dataclass(frozen=True)
-class DeadlineShed(AdmissionPolicy):
-    """Admit while there is room; shed what queued past its deadline.
-
-    ``deadline`` is the default per-type bound in seconds;
-    ``deadlines`` overrides it per request kind (``None`` = that kind
-    is never shed — churn usually should not be, since dropping it
-    silently leaves the audit trail stale).
-    """
-
-    deadline: float = 0.25
-    deadlines: Mapping[str, Optional[float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
-        object.__setattr__(self, "deadlines", dict(self.deadlines))
-
-    def at_door(self, kind: str, queued: int, depth: int) -> bool:
-        return queued < depth
-
-    def at_dispatch(self, kind: str, waited: float) -> bool:
-        bound = self.deadlines.get(kind, self.deadline)
-        return bound is None or waited <= bound
-
-    def describe(self) -> Dict[str, object]:
-        summary = super().describe()
-        summary["deadline_s"] = self.deadline
-        return summary
-
-
-@dataclass(frozen=True)
-class PriorityAdmission(AdmissionPolicy):
-    """Graduated door: priority ``p`` of ``P`` may fill ``(p+1)/(P+1)``
-    of the queue.  Defaults favor churn over queries over adjudication."""
-
-    priorities: Mapping[str, int] = field(default_factory=dict)
-
-    DEFAULTS = {"adjudicate": 0, "query": 1, "churn": 2}
-
-    def __post_init__(self) -> None:
-        merged = dict(self.DEFAULTS)
-        merged.update(self.priorities)
-        if any(p < 0 for p in merged.values()):
-            raise ValueError("priorities must be >= 0")
-        object.__setattr__(self, "priorities", merged)
-
-    def at_door(self, kind: str, queued: int, depth: int) -> bool:
-        top = max(self.priorities.values(), default=0)
-        priority = self.priorities.get(kind, top)
-        allowed = depth * (priority + 1) / (top + 1)
-        return queued < allowed
-
-    def describe(self) -> Dict[str, object]:
-        summary = super().describe()
-        summary["priorities"] = dict(self.priorities)
-        return summary
-
-
-def make_admission(spec: object) -> AdmissionPolicy:
-    """Resolve an admission spec: an instance passes through; ``None``
-    and ``"reject"`` build :class:`RejectAtDoor`; ``"deadline"`` or
-    ``"deadline:0.5"`` build :class:`DeadlineShed`; ``"priority"``
-    builds :class:`PriorityAdmission`; ``"trust"`` builds the ledger's
-    :class:`~repro.ledger.feedback.TrustTieredAdmission` (imported
-    lazily so the base admission plane has no ledger dependency)."""
-    if isinstance(spec, AdmissionPolicy):
-        return spec
-    if spec is None or spec == "reject":
-        return RejectAtDoor()
-    if isinstance(spec, str):
-        head, sep, arg = spec.partition(":")
-        if head == "deadline":
-            return DeadlineShed(float(arg)) if sep else DeadlineShed()
-        if head == "priority":
-            return PriorityAdmission()
-        if head == "trust":
-            from repro.ledger.feedback import TrustTieredAdmission
-
-            return TrustTieredAdmission()
-        if head == "adaptive":
-            from repro.control.policies import AdaptiveAdmission
-
-            if sep:
-                return AdaptiveAdmission(stale_after=float(arg))
-            return AdaptiveAdmission()
-    raise ValueError(
-        f"unknown admission policy {spec!r}; "
-        f"expected reject, deadline[:SECONDS], priority, trust "
-        f"or adaptive[:STALE_SECONDS]"
-    )
+__all__ = ["AdmissionQueue", "Ticket"]
 
 
 @dataclass
@@ -203,7 +47,8 @@ class Ticket:
     request: object
     enqueued: float
     net_delay: float = 0.0
-    #: when the queue handed the request to its host (dispatch time)
+    #: when the queue handed the request to its host (dispatch time;
+    #: a read's is its admission time — it never waits)
     started: float = 0.0
     completion: Optional[Completion] = None
     error: Optional[BaseException] = None
@@ -224,31 +69,25 @@ class Ticket:
 
 
 class AdmissionQueue:
-    """The coordinator's admission plane: synchronous and lock-free —
-    the queue is only touched from a door's one dispatching thread
-    (``Cluster.pump()``'s caller, or the service's event loop).
+    """The coordinator's admission plane.  The FIFO is lock-free — only
+    a door's one submitting/dispatching thread (``Cluster.pump()``'s
+    caller, or the service's event loop) touches it; reads go to
+    ``store.committed_view()``, which is safe beside the thread serving
+    a write group.
 
-    ``depth`` is the hard bound on queued requests; ``coalesce_max``
-    caps how many adjacent churn requests ride one epoch sequence.
-    A door loops ``next_group()`` → ``Cluster.serve_group()`` →
-    ``resolve()`` / ``fail()``; ``serve_group`` calls ``control_tick()``
-    (which reads no queue state) after each churn group.
+    ``depth`` is the hard bound on queued writes; ``coalesce_max`` caps
+    how many adjacent churn requests ride one epoch sequence.  A door
+    loops ``next_group()`` → ``Cluster.serve_group()`` → ``resolve()``
+    / ``fail()``.
     """
 
     def __init__(
-        self,
-        admission: AdmissionPolicy,
-        metrics,
-        *,
-        depth: int,
-        coalesce_max: int,
-        controller=None,
+        self, metrics, store, *, depth: int, coalesce_max: int
     ) -> None:
-        self.admission = admission
         self.metrics = metrics
+        self.store = store
         self.depth = depth
         self.coalesce_max = coalesce_max
-        self.controller = controller
         self._pending: Deque[Ticket] = deque()
 
     def submit(
@@ -257,64 +96,56 @@ class AdmissionQueue:
         net_delay: float = 0.0,
         on_done: Optional[Callable[[Ticket], None]] = None,
     ) -> Ticket:
-        """Admit one request, or raise :class:`AdmissionError`."""
+        """Admit one request.  A read comes back settled; a write is
+        queued, or refused with :class:`AdmissionError` when the queue
+        is at depth."""
         kind = request.kind
-        queued = len(self._pending)
-        if queued >= self.depth or not self.admission.at_door_request(
-            request, queued, self.depth
-        ):
-            self.metrics.reject(kind)
-            raise AdmissionError(
-                f"admission refused ({kind}, queue {queued}/{self.depth})"
-            )
+        now = time.perf_counter()
         ticket = Ticket(
             request=request,
-            enqueued=time.perf_counter(),
+            enqueued=now,
             net_delay=net_delay,
             on_done=on_done,
         )
-        self._pending.append(ticket)
-        self.metrics.admit(kind)
-        if self.controller is not None:
-            self.controller.observe_queue_depth(
-                len(self._pending), self.depth
-            )
-        return ticket
+        if isinstance(request, QueryRequest):
+            self.metrics.admit(kind)
+            ticket.started = now
+            try:
+                payload = answer_query(self.store.committed_view(), request)
+            except Exception as exc:  # a malformed query: the client's
+                self.fail([ticket], exc)
+            else:
+                self.resolve([ticket], payload)
+            return ticket
+        if len(self._pending) < self.depth:
+            self._pending.append(ticket)
+            self.metrics.admit(kind)
+            return ticket
+        self.metrics.reject(kind)
+        raise AdmissionError(
+            f"admission refused ({kind}, queue at depth {self.depth})"
+        )
 
     def next_group(self) -> List[Ticket]:
         """Pop one unit of work in admission order: up to
         ``coalesce_max`` adjacent churn requests (they share one epoch
-        sequence and one outcome), or a single read.  Tickets that
-        queued past the policy's dispatch bound are shed on the way
-        (settled with :class:`ShedError`, never applied); an empty list
-        means the queue is drained."""
+        sequence and one outcome), or a single adjudication.  An empty
+        list means the queue is drained."""
         pending = self._pending
-        while pending:
-            group = [pending.popleft()]
-            if isinstance(group[0].request, ChurnRequest):
-                while (
-                    pending
-                    and len(group) < self.coalesce_max
-                    and isinstance(pending[0].request, ChurnRequest)
-                ):
-                    group.append(pending.popleft())
-            now = time.perf_counter()
-            live = []
-            for ticket in group:
-                kind = ticket.request.kind
-                waited = now - ticket.enqueued
-                if self.admission.at_dispatch(kind, waited):
-                    ticket.started = now
-                    live.append(ticket)
-                else:
-                    self.metrics.shed(kind)
-                    ticket.error = ShedError(
-                        f"{kind} request shed after {waited:.3f}s in queue"
-                    )
-                    ticket._settle()
-            if live:
-                return live
-        return []
+        if not pending:
+            return []
+        group = [pending.popleft()]
+        if isinstance(group[0].request, ChurnRequest):
+            while (
+                pending
+                and len(group) < self.coalesce_max
+                and isinstance(pending[0].request, ChurnRequest)
+            ):
+                group.append(pending.popleft())
+        now = time.perf_counter()
+        for ticket in group:
+            ticket.started = now
+        return group
 
     def resolve(self, tickets: List[Ticket], payload) -> None:
         """Settle a served group with its (shared) payload."""
@@ -348,14 +179,3 @@ class AdmissionQueue:
         stranded = list(self._pending)
         self._pending.clear()
         self.fail(stranded, exc)
-
-    def control_tick(self) -> None:
-        """One controller evaluation after a served churn group: push
-        the new severity into the admission policy."""
-        if self.controller is None:
-            return
-        self.controller.tick()
-        self.admission.update_signals(
-            severity=self.controller.severity,
-            stale_after=self.controller.policy.stale_after,
-        )

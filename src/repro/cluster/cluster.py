@@ -9,11 +9,11 @@ asyncio door (:class:`~repro.serve.service.VerificationService`) both
 loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
 ``queue.resolve()`` / ``queue.fail()`` over the same three layers:
 
-* **admission** — requests queue in the
-  :class:`~repro.cluster.admission.AdmissionQueue` behind the spec's
-  :class:`~repro.cluster.admission.AdmissionPolicy`; up to
-  ``spec.coalesce_max`` adjacent churn requests ride a single epoch
-  sequence and share one :class:`~repro.audit.events.EpochOutcome`;
+* **admission** — writes (churn, adjudication) queue in the
+  :class:`~repro.cluster.admission.AdmissionQueue`, refused at the door
+  past ``spec.queue_depth``; up to ``spec.coalesce_max`` adjacent churn
+  requests ride a single epoch sequence and share one
+  :class:`~repro.audit.events.EpochOutcome`;
 * **the pipeline** — :class:`~repro.cluster.pipeline.Pipeline` plans
   each epoch once, here, and deals its fresh rounds to the stateless
   worker pool (:mod:`repro.cluster.pool`: forked processes for the
@@ -31,8 +31,11 @@ loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
   trail: the replacement ``Cluster`` replays the journal into a rebuilt
   monitor and forks a fresh pool.
 
-Queries and adjudication are answered from the monitor's evidence
-store between epochs, so readers always see a consistent trail.
+Queries never reach ``serve_group``: the queue answers them at the
+door from the evidence store's committed view, whose watermark
+``serve_group`` advances after each write group commits — so readers
+always see a consistent trail, as of the last committed group, without
+waiting for the one in flight.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
     Completion,
-    QueryRequest,
-    answer_query,
 )
 from repro.cluster.spec import ClusterSpec
 
@@ -72,7 +73,6 @@ class Cluster:
 
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
-        self.admission = spec.resolved_admission()
         #: the coordinator's write-ahead log (:mod:`repro.journal`);
         #: ``None`` unless the spec names a journal directory
         self.journal = None
@@ -93,22 +93,16 @@ class Cluster:
         #: accountability ledger over the trail (None when the spec
         #: leaves it off)
         self.ledger = self.monitor.ledger
-        #: the self-regulating control plane (None when the spec leaves
-        #: it off): fed from epoch outcomes and queue depth, ticked
-        #: after every served churn group
-        self.controller = None
-        if spec.controller is not None:
-            from repro.control.controller import Controller
-
-            self.controller = Controller(spec.controller)
+        # a recovered trail is committed by definition: readers see it
+        # from the first request on (a no-op on a fresh, empty store)
+        self.evidence.commit()
         self.metrics = ClusterMetrics()
         #: the admission plane a door submits into and dispatches from
         self.queue = AdmissionQueue(
-            self.admission,
             self.metrics,
+            self.evidence,
             depth=spec.queue_depth,
             coalesce_max=spec.coalesce_max,
-            controller=self.controller,
         )
         #: causal tracing + crash forensics (:mod:`repro.obs`): every
         #: closed record rings through the flight recorder, which dumps
@@ -132,11 +126,9 @@ class Cluster:
             self.monitor,
             self.executor,
             self.metrics,
-            self.admission,
             self.recorder,
             self.tracer,
             ledger=self.ledger,
-            controller=self.controller,
             parity_sample=spec.parity_sample,
             flight_dump=spec.flight_dump,
             on_plan=self._journal_plan,
@@ -254,7 +246,8 @@ class Cluster:
     # -- admission -----------------------------------------------------------
 
     def submit(self, request) -> Ticket:
-        """Admit one request into the pending queue, or raise
+        """Admit one request: a read comes back answered, a write is
+        queued or refused with
         :class:`~repro.cluster.requests.AdmissionError`."""
         if self._stopped:
             raise RuntimeError("cluster is stopped")
@@ -284,19 +277,21 @@ class Cluster:
 
     def serve_group(self, group: List[Ticket]):
         """Do one unit of work the queue dispatched — a coalesced churn
-        group (one epoch sequence, one shared outcome, committed; then
-        the controller's tick) or one read — and return its payload for
-        the door (``pump()`` or the asyncio one) to settle."""
+        group (one epoch sequence, one shared outcome) or one
+        adjudication — commit it, advance the watermark reads are cut
+        at, and return its payload for the door (``pump()`` or the
+        asyncio one) to settle.  A group that raises advances nothing:
+        whatever it recorded becomes readable with the next group that
+        commits."""
         request = group[0].request
         if isinstance(request, ChurnRequest):
-            outcome = self._serve_churn_group([t.request for t in group])
-            self.queue.control_tick()
-            return outcome
-        if isinstance(request, QueryRequest):
-            return answer_query(self.evidence, request)
-        if isinstance(request, AdjudicateRequest):
-            return self._answer_adjudicate(request)
-        raise TypeError(f"unknown request type {type(request).__name__}")
+            payload = self._serve_churn_group([t.request for t in group])
+        elif isinstance(request, AdjudicateRequest):
+            payload = self._answer_adjudicate(request)
+        else:
+            raise TypeError(f"unknown request type {type(request).__name__}")
+        self.evidence.commit()
+        return payload
 
     def _serve_churn_group(self, requests: List[ChurnRequest]) -> EpochOutcome:
         steps = tuple(s for request in requests for s in request.steps)

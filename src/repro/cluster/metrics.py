@@ -1,9 +1,9 @@
 """The serving ledger: one metrics class for both front-ends.
 
 The serving layer's product is a latency distribution, not a mean, so
-the latency primitives (:class:`LatencySeries`, the exact nearest-rank
-rule — one percentile implementation) come from
-:mod:`repro.control.signals`.
+the ledger keeps raw samples (:class:`LatencySeries`) and reports exact
+nearest-rank percentiles (:func:`nearest_rank` — the one percentile
+implementation in the repo).
 
 :class:`ClusterMetrics` is the ledger the coordinator
 (:class:`~repro.cluster.cluster.Cluster`, through its
@@ -20,10 +20,9 @@ a run never feeds stay empty.
 from __future__ import annotations
 
 import json
+import math
 import time
-from typing import Dict, List
-
-from repro.control.signals import PERCENTILES, LatencySeries
+from typing import Dict, List, Optional
 
 __all__ = [
     "ClusterMetrics",
@@ -33,11 +32,16 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
     "TypeMetrics",
+    "nearest_rank",
     "request_rows",
 ]
 
 SCHEMA = "repro.cluster/metrics"
-#: version 7 follows the single round pool: ``placement.reshards``,
+#: version 8 follows reads leaving the queue: the ``admission`` and
+#: ``control`` sections are gone (one admission rule, no controller);
+#: a ``query`` record's ``queue_delay`` is all zeros; every request
+#: record's ``shed`` is a constant 0.
+#: Version 7 followed the single round pool: ``placement.reshards``,
 #: ``replacements`` and the respawn records' ``installed_cache_entries``
 #: are gone (stateless workers have nothing to move or install),
 #: ``placement.spec`` is ``{"shards": N}`` and ``placement.load`` counts
@@ -60,19 +64,84 @@ SCHEMA = "repro.cluster/metrics"
 #: section carries the controller snapshot when the control plane is
 #: enabled.  Version 2 added the per-worker
 #: ``workers`` section and ``respawns``.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
+
+#: the percentiles every snapshot reports
+PERCENTILES = (50.0, 90.0, 99.0)
+
+
+def nearest_rank(ordered: List[float], p: float) -> Optional[float]:
+    """Exact nearest-rank percentile over an already-sorted list.
+
+    Returns the smallest sample ≥ ``p`` percent of the distribution,
+    or ``None`` on an empty list.  This is the one implementation of
+    the rank rule; every percentile in the repo routes through it.
+    """
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
+    if not ordered:
+        return None
+    rank = math.ceil(p / 100.0 * len(ordered))
+    return ordered[rank - 1]
+
+
+class LatencySeries:
+    """Raw latency samples with exact nearest-rank percentiles.
+
+    Unbounded: keeps every sample, so percentiles are exact over the
+    whole run (sample counts are bounded by the workload).
+    """
+
+    def __init__(self) -> None:
+        self._samples: List[float] = []
+        self._sorted = True
+
+    def add(self, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError(f"latency cannot be negative: {seconds}")
+        self._samples.append(seconds)
+        self._sorted = False
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def _ordered(self) -> List[float]:
+        if not self._sorted:
+            self._samples.sort()
+            self._sorted = True
+        return self._samples
+
+    def percentile(self, p: float) -> Optional[float]:
+        """Nearest-rank percentile: the smallest sample ≥ p% of the
+        distribution.  ``None`` on an empty series."""
+        return nearest_rank(self._ordered(), p)
+
+    def mean(self) -> Optional[float]:
+        if not self._samples:
+            return None
+        return sum(self._samples) / len(self._samples)
+
+    def max(self) -> Optional[float]:
+        return self._ordered()[-1] if self._samples else None
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "count": len(self._samples),
+            "mean_s": self.mean(),
+            "max_s": self.max(),
+            **{f"p{p:g}_s": self.percentile(p) for p in PERCENTILES},
+        }
 
 
 class TypeMetrics:
     """Admission counters and latency series for one request type:
-    door/dispatch admission outcomes plus the end-to-end latency split
-    into queue delay and service time."""
+    door outcomes plus the end-to-end latency split into queue delay
+    (zero for reads — they never queue) and service time."""
 
     def __init__(self) -> None:
         self.admitted = 0
         self.rejected = 0
         self.dropped = 0  # lost in transit (the simnet gateway's drops)
-        self.shed = 0  # shed at dispatch (deadline/adaptive admission)
         self.completed = 0
         self.latency = LatencySeries()  # enqueue (+ net delay) -> done
         self.queue_delay = LatencySeries()  # enqueue -> dispatch
@@ -84,7 +153,9 @@ class TypeMetrics:
             "admitted": self.admitted,
             "rejected": self.rejected,
             "dropped": self.dropped,
-            "shed": self.shed,
+            # nothing sheds; the key stays only because the frozen
+            # ``benchmarks/e2e`` sums it (ROADMAP item 4)
+            "shed": 0,
             "completed": self.completed,
             "throughput_rps": (
                 self.completed / window if window > 0 else None
@@ -102,9 +173,8 @@ class ClusterMetrics:
         self.started = time.perf_counter()
         self._types: Dict[str, TypeMetrics] = {}
         #: what ``snapshot()`` describes (anything with ``describe()`` —
-        #: the ``ShardExecutor``, the ``AdmissionPolicy``)
+        #: the ``ShardExecutor``)
         self.placement = None
-        self.admission = None
         # the epoch pipeline
         self.epochs = 0
         self.events = 0
@@ -134,9 +204,6 @@ class ClusterMetrics:
         # verdict-parity self-checks (CI gates on failed == 0)
         self.parity_checked = 0
         self.parity_failed = 0
-        #: the controller, when the control plane is enabled (set by
-        #: the host so ``snapshot()`` can embed its decision log)
-        self.control = None
 
     def type_metrics(self, kind: str) -> TypeMetrics:
         return self._types.setdefault(kind, TypeMetrics())
@@ -152,10 +219,6 @@ class ClusterMetrics:
     def drop(self, kind: str) -> None:
         """A request lost in transit (the simnet gateway's drops)."""
         self.type_metrics(kind).dropped += 1
-
-    def shed(self, kind: str) -> None:
-        """A request shed at dispatch (deadline/adaptive admission)."""
-        self.type_metrics(kind).shed += 1
 
     def complete(
         self,
@@ -248,9 +311,7 @@ class ClusterMetrics:
         value fails loudly at the producer, not in a CI artifact step."""
         window = time.perf_counter() - self.started
         sizes = self.batch_sizes
-        placement, admission, control = (
-            self.placement, self.admission, self.control
-        )
+        placement = self.placement
         document = {
             "schema": SCHEMA,
             "schema_version": SCHEMA_VERSION,
@@ -288,8 +349,6 @@ class ClusterMetrics:
                     for worker, count in sorted(self.worker_events.items())
                 },
             },
-            "admission": None if admission is None else admission.describe(),
-            "control": None if control is None else control.snapshot(),
             "parity": {
                 "checked": self.parity_checked,
                 "failed": self.parity_failed,
@@ -311,7 +370,7 @@ class ClusterMetrics:
 
 
 REQUEST_COLUMNS = [
-    "type", "admitted", "rejected", "dropped", "shed", "completed",
+    "type", "admitted", "rejected", "dropped", "completed",
     "p50 ms", "p90 ms", "p99 ms", "max ms",
 ]
 
@@ -329,7 +388,6 @@ def request_rows(snapshot: Dict[str, object]) -> List[tuple]:
             record["admitted"],
             record["rejected"],
             record["dropped"],
-            record["shed"],
             record["completed"],
             ms(record["latency"]["p50_s"]),
             ms(record["latency"]["p90_s"]),

@@ -34,7 +34,6 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
 from repro.pvr.scenarios import apply_step
 
-from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.pool import ClusterError, ShardExecutor
 from repro.cluster.requests import (
@@ -123,12 +122,10 @@ class Pipeline:
         monitor: Monitor,
         executor: ShardExecutor,
         metrics: ClusterMetrics,
-        admission: AdmissionPolicy,
         recorder: FlightRecorder,
         tracer: TraceContext,
         *,
         ledger=None,
-        controller=None,
         parity_sample: int = 0,
         flight_dump: Optional[str] = None,
         on_plan: Optional[Callable[[EpochPlan], None]] = None,
@@ -136,19 +133,13 @@ class Pipeline:
         self.monitor = monitor
         self.executor = executor
         self.metrics = metrics
-        self.admission = admission
         self.recorder = recorder
         self.tracer = tracer
         self.ledger = ledger
-        self.controller = controller
         self.parity_sample = parity_sample
         self.flight_dump = flight_dump
         self.on_plan = on_plan
         metrics.placement = executor
-        metrics.admission = admission
-        metrics.control = controller
-        if controller is not None:
-            controller.tracer = tracer
 
     def dump_flight(self, reason: str) -> None:
         if self.flight_dump:
@@ -180,11 +171,6 @@ class Pipeline:
             outcome.reports.append(report)
             outcome.slices.extend(slices)
             outcome.respawns += respawns
-        if self.controller is not None:
-            # one observation per dispatched group — the wall it spent
-            # in epochs, zero when nothing was pending — so the window
-            # keeps moving while churn needs no verification
-            self.controller.observe_epoch(wall_seconds=outcome.wall_seconds)
         for request in requests:
             for probe in request.probes:
                 outcome.probe_events.append(
@@ -208,7 +194,6 @@ class Pipeline:
         payload = answer_adjudicate(self.monitor.evidence, request)
         if self.ledger is not None:
             self.ledger.fold_adjudications(payload)
-            self.admission.update(self.ledger.trust_map())
         return payload
 
     # -- one epoch -----------------------------------------------------------
@@ -223,7 +208,12 @@ class Pipeline:
         epoch_span = tracer.begin(
             "epoch", component="cluster", coalesced=coalesced
         )
-        plan = monitor.plan_epoch()
+        try:
+            plan = monitor.plan_epoch()
+        except Exception:
+            # nothing was planned, so there are no entries to re-mark
+            tracer.finish(epoch_span, status="error")
+            raise
         epoch_span.epoch = plan.epoch
         try:
             if self.on_plan is not None:
@@ -277,9 +267,6 @@ class Pipeline:
         for worker, reason in reaped:
             self.metrics.note_respawn(worker=worker, reason=reason)
         self._parity_check(plan, outcomes, shipped)
-        if self.ledger is not None:
-            # refresh the trust-tiered door with trust as of this epoch
-            self.admission.update(self.ledger.trust_map())
         return report, slices, len(reaped)
 
     def _parity_check(

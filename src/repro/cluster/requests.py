@@ -5,6 +5,15 @@ One set of request types serves both front-ends — the asyncio
 journaled :class:`~repro.cluster.cluster.Cluster` — so a workload
 schedule built once (:mod:`repro.serve.loadgen`) drives either.
 
+**Reads do not wait for writes.**  A :class:`QueryRequest` is answered
+at admission, from the trail as of the last *committed* write group —
+it never queues behind churn or adjudication admitted ahead of it, and
+it never sees a half-folded epoch.  Read-your-writes holds for a client
+that awaits its write first: both doors complete a write only after its
+group has committed.  :class:`ChurnRequest` and
+:class:`AdjudicateRequest` are the writes: they queue, in admission
+order, in the coordinator's one bounded FIFO.
+
 Churn *steps* may be live callables (``step(network)``) or picklable
 ``(builder, args)`` pairs resolved through
 :func:`repro.pvr.scenarios.apply_step` — the pair form can be written
@@ -27,15 +36,21 @@ __all__ = [
     "Completion",
     "QueryRequest",
     "ServiceStopped",
+    "ShedError",
     "answer_query",
     "answer_adjudicate",
 ]
 
 
 class AdmissionError(RuntimeError):
-    """The request was refused admission (full queue, priority door,
-    or — for :class:`~repro.cluster.admission.ShedError` — a deadline
-    that passed while it queued)."""
+    """A write was refused at the door: the queue is at depth.  (A
+    read is never refused — it does not queue.)"""
+
+
+class ShedError(AdmissionError):
+    """Never raised: nothing is shed once admitted.  The name survives
+    only because the frozen ``benchmarks/e2e`` imports it from
+    ``repro.cluster`` (ROADMAP item 4 removes it there, then here)."""
 
 
 class ServiceStopped(RuntimeError):
@@ -84,7 +99,8 @@ class ChurnRequest:
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """Read the evidence trail: ``what``, scoped by the optional args."""
+    """Read the evidence trail: ``what``, scoped by the optional args.
+    Answered at the door, as of the last committed write group."""
 
     what: str = "summary"  # summary | violations | events | evidence
     asn: Optional[str] = None

@@ -2,8 +2,8 @@
 
 A spec is everything needed to stand up — or *re*-stand up — a
 verification cluster: how to build the network substrate, which promise
-policies to register, how many round workers to run, what the
-admission plane does under load, and how workers are isolated
+policies to register, how many round workers to run, how deep the
+write queue is, and how workers are isolated
 (``"process"`` for real OS processes over multiprocessing pipes,
 ``"inline"`` for the same round loop in-process — the deterministic
 configuration tests pin against).
@@ -25,8 +25,6 @@ from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.crypto.keystore import KeyStore
 from repro.pvr.scenarios import apply_step
-
-from repro.cluster.admission import AdmissionPolicy, make_admission
 
 __all__ = ["ChaosSpec", "ClusterSpec", "PolicySpec"]
 
@@ -94,9 +92,6 @@ class ClusterSpec:
     checkpointed network to restore) and once for a reference monitor.
     It must be deterministic: a recovered coordinator re-applies
     journaled churn to a freshly built network.
-
-    ``admission`` resolves through
-    :func:`~repro.cluster.admission.make_admission`.
     """
 
     network: Callable[[], object]
@@ -107,8 +102,9 @@ class ClusterSpec:
     #: historical strategy name) only because ``benchmarks/e2e`` still
     #: spells ``placement="consistent"``
     placement: Optional[str] = None
-    admission: object = None
     transport: str = "process"  # "process" | "inline"
+    #: how many writes (churn, adjudication) may wait; one more is
+    #: refused at the door.  Reads never queue
     queue_depth: int = 64
     rng_seed: object = 2011
     key_bits: int = 512
@@ -131,13 +127,6 @@ class ClusterSpec:
     coalesce_max: int = 16
     #: deterministic failure injection (tests / CI chaos gate)
     chaos: Optional[ChaosSpec] = None
-    #: the self-regulating control plane: ``None`` (off), ``True``
-    #: (default :class:`~repro.control.controller.ControlPolicy`), or a
-    #: ``ControlPolicy`` instance.  When set, the coordinator runs a
-    #: :class:`~repro.control.controller.Controller` fed from epoch
-    #: outcomes and admission-queue depth, ticked after every
-    #: ``pump()`` — its severity feeds the admission policy
-    controller: object = None
     #: accountability ledger: ``None`` (off), ``True`` (default
     #: :class:`~repro.ledger.levels.LedgerPolicy`), or a ``LedgerPolicy``
     #: instance.  When set, the monitor records into a
@@ -199,19 +188,10 @@ class ClusterSpec:
                 "(an inline worker would hang the coordinator too)"
             )
         object.__setattr__(self, "policies", tuple(self.policies))
-        if self.controller is True:
-            from repro.control.controller import ControlPolicy
-
-            object.__setattr__(self, "controller", ControlPolicy())
         if self.ledger is True:
             from repro.ledger.levels import LedgerPolicy
 
             object.__setattr__(self, "ledger", LedgerPolicy())
-
-    # -- resolution ----------------------------------------------------------
-
-    def resolved_admission(self) -> AdmissionPolicy:
-        return make_admission(self.admission)
 
     # -- construction --------------------------------------------------------
 

@@ -16,8 +16,7 @@ trust ladder per AS (:class:`TrustLevel`:
 * trust feeds back (:mod:`repro.ledger.feedback`): high-trust ASes get
   deterministically *sampled* verification
   (:class:`VerificationIntensity`, rate 1.0 = byte-identical to no
-  ledger at all), and the serve/cluster admission plane can prioritize
-  the traffic that resolves distrust (:class:`TrustTieredAdmission`).
+  ledger at all).
 
 ``python -m repro.ledger`` runs a churn scenario under a ledger-enabled
 monitor and prints the ladder's life: promotions, challenges, slashes,
@@ -25,10 +24,7 @@ and the verified hash chain.
 """
 
 from repro.ledger.challenge import ChallengeOutcome, run_challenge
-from repro.ledger.feedback import (
-    TrustTieredAdmission,
-    VerificationIntensity,
-)
+from repro.ledger.feedback import VerificationIntensity
 from repro.ledger.history import (
     GENESIS,
     TransitionHistory,
@@ -46,7 +42,6 @@ __all__ = [
     "TransitionRecord",
     "TrustLedger",
     "TrustLevel",
-    "TrustTieredAdmission",
     "VerificationIntensity",
     "run_challenge",
 ]

@@ -1,6 +1,6 @@
 """The feedback half: trust levels change how the system treats an AS.
 
-Three knobs close the loop from ledger state back into the serving
+One knob closes the loop from ledger state back into the serving
 stack:
 
 * :class:`VerificationIntensity` — the audit plane's sampling policy.
@@ -11,27 +11,17 @@ stack:
   on the reference monitor), while rate 1.0 short-circuits to ``True`` before any
   hashing, so a full-rate ledger run is byte-identical to a ledger-free
   one.
-* :class:`TrustTieredAdmission` — the serve/cluster admission variant:
-  requests that touch low-trust ASes (their churn re-audits, their
-  Byzantine probes, and adjudications while any AS sits below the
-  threshold) bypass the graduated priority door and may fill the whole
-  queue — the traffic that resolves distrust is admitted first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.cluster.admission import PriorityAdmission
 from repro.crypto.hashing import hash_bytes
 
 from repro.ledger.levels import LedgerPolicy, TrustLevel
 
-__all__ = [
-    "TrustTieredAdmission",
-    "VerificationIntensity",
-]
+__all__ = ["VerificationIntensity"]
 
 _SAMPLE_DOMAIN = "ledger-sample"
 
@@ -125,64 +115,3 @@ class VerificationIntensity:
                 for level in TrustLevel
             },
         }
-
-
-def _request_ases(request) -> Tuple[str, ...]:
-    """The AS names a request visibly touches (marks and probes; churn
-    *steps* are opaque builder pairs and are not inspected)."""
-    ases = []
-    for asn, _prefix in getattr(request, "marks", ()) or ():
-        ases.append(asn)
-    for probe in getattr(request, "probes", ()) or ():
-        ases.append(probe.asn)
-    asn = getattr(request, "asn", None)
-    if asn is not None:
-        ases.append(asn)
-    return tuple(ases)
-
-
-@dataclass(frozen=True)
-class TrustTieredAdmission(PriorityAdmission):
-    """A :class:`~repro.cluster.admission.PriorityAdmission` variant
-    whose door looks at the *request*, not just its kind.
-
-    Requests touching an AS below ``boost_below`` — its re-audit marks,
-    Byzantine probes aimed at it, queries scoped to it — and
-    adjudication requests while any tracked AS sits below the threshold
-    (adjudication is what resolves distrust) are admitted up to the
-    full queue depth; everything else falls back to the graduated
-    per-kind door.  ``update`` adopts each settled trust snapshot (the
-    coordinator refreshes it per epoch).
-    """
-
-    trust: Mapping[str, TrustLevel] = field(default_factory=dict)
-    boost_below: TrustLevel = TrustLevel.STANDARD
-    initial_level: TrustLevel = TrustLevel.PROBATIONARY
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "trust", dict(self.trust))
-
-    def update(self, trust: Mapping[str, TrustLevel]) -> None:
-        object.__setattr__(self, "trust", dict(trust))
-
-    def _low_trust(self, asn: str) -> bool:
-        return self.trust.get(asn, self.initial_level) < self.boost_below
-
-    def boosted(self, request) -> bool:
-        if request.kind == "adjudicate":
-            return any(self._low_trust(asn) for asn in self.trust)
-        return any(self._low_trust(asn) for asn in _request_ases(request))
-
-    def at_door_request(self, request, queued: int, depth: int) -> bool:
-        if self.boosted(request):
-            return queued < depth
-        return self.at_door(request.kind, queued, depth)
-
-    def describe(self) -> Dict[str, object]:
-        summary = super().describe()
-        summary["boost_below"] = self.boost_below.name
-        summary["low_trust_ases"] = sorted(
-            asn for asn in self.trust if self._low_trust(asn)
-        )
-        return summary

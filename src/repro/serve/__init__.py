@@ -3,8 +3,7 @@
 The audit plane (:mod:`repro.audit`) verifies and the cluster
 coordinator (:class:`~repro.cluster.cluster.Cluster`) serves; this
 package is the coordinator's asyncio door.  The request vocabulary, the
-admission plane (:class:`~repro.cluster.admission.AdmissionQueue` and
-its :class:`~repro.cluster.admission.AdmissionPolicy` seam), the
+admission plane (:class:`~repro.cluster.admission.AdmissionQueue`), the
 metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`) and the
 whole churn → verdict pipeline with its worker pool
 (:class:`~repro.cluster.pipeline.Pipeline`,

@@ -16,8 +16,7 @@ monitored AS *honestly* prefer a longer route, violating its
 shortest-route promise on the wire, no Byzantine prover object needed).
 :func:`run_open_loop` is the real-time asyncio driver (the CLI),
 optionally pushing every request through a :class:`SimnetGateway` first
-so link latency and drops perturb admission; :func:`run_ramp` steps the
-arrival rate past capacity.
+so link latency and drops perturb admission.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp.prefix import Prefix
-from repro.cluster.admission import ShedError
 from repro.cluster.requests import (
     AdjudicateRequest,
     AdmissionError,
@@ -36,7 +34,6 @@ from repro.cluster.requests import (
     ChurnRequest,
     QueryRequest,
 )
-from repro.control.signals import LatencySeries
 from repro.net import simnet
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import bounce_session, reoriginate_origin
@@ -48,16 +45,12 @@ __all__ = [
     "LoadProfile",
     "LoadReport",
     "Op",
-    "RampReport",
-    "RampStage",
     "ServeWorkload",
     "SimnetGateway",
     "ZipfSampler",
     "build_schedule",
     "flap_storm",
-    "ramp_schedule",
     "run_open_loop",
-    "run_ramp",
     "table_reset",
 ]
 
@@ -106,13 +99,10 @@ class LoadProfile:
 
 @dataclass(frozen=True)
 class Op:
-    """One scheduled request: arrival offset plus its payload.
-    ``stage`` labels which ramp stage scheduled it (``None`` outside
-    :func:`ramp_schedule` schedules)."""
+    """One scheduled request: arrival offset plus its payload."""
 
     at: float
     request: object
-    stage: Optional[int] = None
 
     @property
     def kind(self) -> str:
@@ -226,56 +216,6 @@ def build_schedule(
                 ops.append(Op(at, QueryRequest(what=what)))
         else:
             ops.append(Op(at, AdjudicateRequest()))
-    return ops
-
-
-def ramp_schedule(
-    workload: ServeWorkload,
-    *,
-    rates: Sequence[float],
-    per_stage: int,
-    seed: int = 7,
-    churn_weight: float = 0.5,
-    query_weight: float = 0.45,
-    adjudicate_weight: float = 0.05,
-    zipf_s: float = 1.1,
-    violation_every: int = 0,
-) -> List[Op]:
-    """A deterministic open-loop overload ramp: the arrival rate steps
-    through ``rates`` (req/s), ``per_stage`` requests per stage, each
-    stage continuing where the previous one left off.
-
-    Ramping *past* the service's capacity is the point: early stages
-    establish the healthy baseline, late stages offer work faster than
-    epochs can drain it, and the per-stage latency curve shows whether
-    admission sheds to a stable plateau or the queue delay grows
-    without bound.  Every op carries its ``stage`` index so
-    :func:`run_ramp` can attribute outcomes per stage.
-    """
-    if not rates:
-        raise ValueError("ramp needs at least one stage rate")
-    if any(rate <= 0 for rate in rates):
-        raise ValueError(f"every stage rate must be > 0: {list(rates)}")
-    if per_stage < 1:
-        raise ValueError(f"per_stage must be >= 1, got {per_stage}")
-    ops: List[Op] = []
-    at = 0.0
-    for stage, rate in enumerate(rates):
-        profile = LoadProfile(
-            requests=per_stage,
-            rate=rate,
-            churn_weight=churn_weight,
-            query_weight=query_weight,
-            adjudicate_weight=adjudicate_weight,
-            zipf_s=zipf_s,
-            violation_every=violation_every,
-            seed=seed + stage,
-        )
-        stage_ops = build_schedule(profile, workload)
-        for op in stage_ops:
-            ops.append(Op(at + op.at, op.request, stage=stage))
-        if stage_ops:
-            at += stage_ops[-1].at
     return ops
 
 
@@ -476,129 +416,3 @@ async def run_open_loop(
         except Exception as exc:
             report.errors.append(exc)
     return report
-
-
-@dataclass
-class RampStage:
-    """Per-stage outcome accounting for one ramp run."""
-
-    stage: int
-    rate: Optional[float] = None
-    offered: int = 0
-    delivered: int = 0
-    rejected: int = 0
-    shed: int = 0
-    errors: int = 0
-    completions: List[object] = field(default_factory=list)
-
-    def latency(self, kind: Optional[str] = None) -> LatencySeries:
-        """Completed-request latency, optionally for one kind."""
-        series = LatencySeries()
-        for completion in self.completions:
-            if kind is None or completion.request.kind == kind:
-                series.add(completion.latency)
-        return series
-
-    def record(self) -> dict:
-        """The JSON record the overload curve is built from."""
-        query = self.latency("query")
-        every = self.latency()
-        return {
-            "stage": self.stage,
-            "rate": self.rate,
-            "offered": self.offered,
-            "delivered": self.delivered,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "errors": self.errors,
-            "completed": len(self.completions),
-            "p99_s": every.percentile(99),
-            "query_p50_s": query.percentile(50),
-            "query_p99_s": query.percentile(99),
-        }
-
-
-@dataclass
-class RampReport:
-    """What one :func:`run_ramp` drive observed, stage by stage."""
-
-    stages: List[RampStage] = field(default_factory=list)
-
-    @property
-    def offered(self) -> int:
-        return sum(s.offered for s in self.stages)
-
-    @property
-    def completions(self) -> List[object]:
-        return [c for s in self.stages for c in s.completions]
-
-    @property
-    def shed(self) -> int:
-        return sum(s.shed for s in self.stages)
-
-    @property
-    def rejected(self) -> int:
-        return sum(s.rejected for s in self.stages)
-
-    def curve(self) -> List[dict]:
-        """The p99-under-overload curve: one record per ramp stage."""
-        return [s.record() for s in self.stages]
-
-
-async def run_ramp(
-    service: VerificationService,
-    ops: Sequence[Op],
-    *,
-    rates: Optional[Sequence[float]] = None,
-    time_scale: float = 1.0,
-) -> RampReport:
-    """Fire a :func:`ramp_schedule` open-loop and attribute every
-    outcome — rejection at the door, shed at dispatch, completion and
-    its latency — to the ramp stage that scheduled the request.
-
-    The drive is open-loop across the whole ramp (no drain between
-    stages): backlog built by an overloaded stage is still standing
-    when the next stage arrives, exactly the compounding a stable
-    service must shed its way out of.
-    """
-    stages: dict = {}
-
-    def stage_for(op: Op) -> RampStage:
-        index = op.stage if op.stage is not None else 0
-        if index not in stages:
-            rate = None
-            if rates is not None and index < len(rates):
-                rate = rates[index]
-            stages[index] = RampStage(stage=index, rate=rate)
-        return stages[index]
-
-    futures: List[tuple] = []
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    for op in ops:
-        if time_scale > 0:
-            delay = t0 + op.at * time_scale - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            else:
-                await asyncio.sleep(0)
-        else:
-            await asyncio.sleep(0)
-        stage = stage_for(op)
-        stage.offered += 1
-        try:
-            futures.append((stage, service.submit_nowait(op.request)))
-            stage.delivered += 1
-        except AdmissionError:
-            stage.rejected += 1
-    await service.drain()
-    for stage, future in futures:
-        try:
-            stage.completions.append(await future)
-        except ShedError:
-            stage.shed += 1
-        except Exception:
-            stage.errors += 1
-    return RampReport(
-        stages=[stages[index] for index in sorted(stages)]
-    )

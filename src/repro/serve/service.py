@@ -1,12 +1,14 @@
 """The verification service: the asyncio door of a cluster coordinator.
 
-Everything that verifies — monitor, evidence store, ledger, controller,
-round pool, pipeline, admission queue, metrics — belongs to one private
+Everything that verifies — monitor, evidence store, ledger, round pool,
+pipeline, admission queue, metrics — belongs to one private
 :class:`~repro.cluster.cluster.Cluster`; this module adds only what is
 asyncio: requests resolve futures, and a dispatcher task runs
-``Cluster.serve_group`` in a helper thread, one group at a time (epochs
-must see a quiescent network), so the loop stays responsive to admission
-while RSA grinds.  Queries are answered on the loop between groups.
+``Cluster.serve_group`` in a helper thread, one write group at a time
+(epochs must see a quiescent network), so the loop stays responsive to
+admission while RSA grinds.  A query's future is already done when
+``submit_nowait`` returns: the queue answers reads at the door, from the
+trail as of the last committed write group.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 from repro.bgp.network import BGPNetwork
 from repro.cluster.admission import Ticket
 from repro.cluster.cluster import Cluster
-from repro.cluster.requests import Completion, QueryRequest, ServiceStopped
+from repro.cluster.requests import Completion, ServiceStopped
 from repro.cluster.spec import ClusterSpec
 
 __all__ = ["VerificationService"]
@@ -50,7 +52,6 @@ class VerificationService:
         network: BGPNetwork,
         *,
         shards: int = 1,
-        admission: object = None,
         key_bits: int = 512,
         rng_seed: object = 2011,
         queue_depth: int = 64,
@@ -59,13 +60,11 @@ class VerificationService:
         transport: Optional[str] = None,
         parity_sample: int = 0,
         ledger: object = None,
-        controller: object = None,
         trace: bool = True,
     ) -> None:
         self.cluster = cluster = Cluster(ClusterSpec(
             network=lambda: network,
             workers=shards,
-            admission=admission,
             transport=transport or ("inline" if shards == 1 else "process"),
             queue_depth=queue_depth,
             rng_seed=rng_seed,
@@ -73,7 +72,6 @@ class VerificationService:
             max_events=max_events,
             parity_sample=parity_sample,
             coalesce_max=batch_max,
-            controller=controller,
             ledger=ledger,
             trace=trace,
         ))
@@ -81,8 +79,6 @@ class VerificationService:
         self.monitor = cluster.monitor
         self.evidence = cluster.evidence
         self.ledger = cluster.ledger
-        self.controller = cluster.controller
-        self.admission = cluster.admission
         self.metrics = cluster.metrics
         self.executor = cluster.executor
         self.recorder = cluster.recorder
@@ -121,8 +117,9 @@ class VerificationService:
             await self._idle.wait()
 
     def submit_nowait(self, request, *, net_delay: float = 0.0) -> asyncio.Future:
-        """Admit one request, or raise :class:`AdmissionError`; the
-        future resolves to its :class:`Completion`."""
+        """Admit one request, or raise :class:`AdmissionError` (a write
+        at a full queue); the future resolves to its
+        :class:`Completion` — a read's already has."""
         if self._dispatcher is None:
             raise RuntimeError("service is not running")
         future = asyncio.get_running_loop().create_future()
@@ -147,13 +144,10 @@ class VerificationService:
                 await self._wakeup.wait()
                 continue
             try:
-                if isinstance(group[0].request, QueryRequest):
-                    payload = serve(group)  # a store read: on the loop
-                else:
-                    with self.cluster.tracer.span(
-                        "group", component="serve", coalesced=len(group)
-                    ):
-                        payload = await asyncio.to_thread(serve, group)
+                with self.cluster.tracer.span(
+                    "group", component="serve", coalesced=len(group)
+                ):
+                    payload = await asyncio.to_thread(serve, group)
             except Exception as exc:  # resolve, never hang the clients
                 queue.fail(group, exc)
             else:

@@ -25,14 +25,11 @@ import json
 import sys
 from typing import Dict, Optional
 
-from repro.obs import log as obs_log
-
 __all__ = [
     "EXIT_OK",
     "EXIT_FAILURE",
     "EXIT_USAGE",
     "add_common_arguments",
-    "emit_decisions",
     "envelope",
     "fail",
     "usage_error",
@@ -83,28 +80,6 @@ def write_json(
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[{tag}] {what} written to {path}")
-
-
-def emit_decisions(control: Optional[Dict[str, object]]) -> None:
-    """Log the controller's decision log — the ``control`` section of a
-    metrics snapshot (``None`` when the control plane is off)."""
-    for decision in (control or {}).get("decisions", ()):
-        applied = decision.get("applied")
-        suffix = "" if applied is None else (
-            " [applied]" if applied else " [not applied]"
-        )
-        signals = ", ".join(
-            f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in sorted(decision["signals"].items())
-        )
-        obs_log.emit(
-            "control",
-            f"tick {decision['tick']}: {decision['action']}{suffix} — "
-            f"{decision['reason']} ({signals})",
-            tick=decision["tick"],
-            action=decision["action"],
-            applied=applied,
-        )
 
 
 def add_common_arguments(

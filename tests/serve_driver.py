@@ -1,5 +1,5 @@
 """Test-only driver: one ``VerificationService`` under a generated
-schedule (shared by ``test_serve.py`` and ``test_control.py``)."""
+schedule (``test_serve.py``)."""
 
 import asyncio
 

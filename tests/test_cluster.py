@@ -1,10 +1,12 @@
-"""The cluster API: admission policies, the named chooser registry,
+"""The cluster API: the admission door, the named chooser registry,
 and the acceptance criterion — a multi-process
 :class:`~repro.cluster.cluster.Cluster` whose evidence trail is
 **byte-identical** to an unsharded :class:`~repro.audit.monitor.Monitor`
 for all four protocol variants, and whose served adjudications match
 the reference's.
 """
+
+import json
 
 import pytest
 
@@ -15,13 +17,9 @@ from repro.cluster import (
     AuditProbe,
     ChurnRequest,
     ClusterSpec,
-    DeadlineShed,
     PolicySpec,
-    PriorityAdmission,
     QueryRequest,
-    RejectAtDoor,
     ShedError,
-    make_admission,
 )
 from repro.cluster.requests import answer_adjudicate
 from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
@@ -37,47 +35,12 @@ from repro.pvr.scenarios import serve_network
 SEED = 2011
 
 
-# -- admission policies --------------------------------------------------------
+# -- admission names ------------------------------------------------------------
 
 
 class TestAdmissionPolicies:
-    def test_reject_at_door(self):
-        policy = RejectAtDoor()
-        assert policy.at_door("churn", 0, 4)
-        assert not policy.at_door("churn", 4, 4)
-        assert policy.at_dispatch("churn", 1e9)
-
-    def test_deadline_shed(self):
-        policy = DeadlineShed(0.1, deadlines={"churn": None})
-        assert policy.at_door("query", 3, 4)
-        assert policy.at_dispatch("query", 0.05)
-        assert not policy.at_dispatch("query", 0.2)
-        # churn is exempted: never shed
-        assert policy.at_dispatch("churn", 1e9)
-        with pytest.raises(ValueError):
-            DeadlineShed(0.0)
-
-    def test_priority_admission_is_a_graduated_door(self):
-        policy = PriorityAdmission()
-        depth = 9
-        # churn (top priority) may use the whole queue
-        assert policy.at_door("churn", depth - 1, depth)
-        # adjudication (lowest) only the first third
-        assert policy.at_door("adjudicate", 2, depth)
-        assert not policy.at_door("adjudicate", 3, depth)
-        # queries two thirds
-        assert policy.at_door("query", 5, depth)
-        assert not policy.at_door("query", 6, depth)
-
-    def test_make_admission(self):
-        assert isinstance(make_admission(None), RejectAtDoor)
-        assert isinstance(make_admission("reject"), RejectAtDoor)
-        assert make_admission("deadline:0.5") == DeadlineShed(0.5)
-        assert isinstance(make_admission("priority"), PriorityAdmission)
-        policy = DeadlineShed(0.2)
-        assert make_admission(policy) is policy
-        with pytest.raises(ValueError):
-            make_admission("fifo")
+    """There are none left — the one rule is the bounded write queue.
+    What stays is the name the frozen ``benchmarks/e2e`` imports."""
 
     def test_shed_error_is_an_admission_error(self):
         assert issubclass(ShedError, AdmissionError)
@@ -260,26 +223,12 @@ class TestClusterAdmission:
         spec = make_spec("minimum", queue_depth=2)
         cluster = spec.build()
         try:
-            cluster.submit(QueryRequest())
-            cluster.submit(QueryRequest())
+            cluster.submit(ChurnRequest())
+            cluster.submit(ChurnRequest())
             with pytest.raises(AdmissionError):
-                cluster.submit(QueryRequest())
-            assert cluster.metrics.type_metrics("query").rejected == 1
+                cluster.submit(ChurnRequest())
+            assert cluster.metrics.type_metrics("churn").rejected == 1
             cluster.pump()
-        finally:
-            cluster.stop()
-
-    def test_deadline_shedding_resolves_with_shed_error(self):
-        spec = make_spec(
-            "minimum", admission=DeadlineShed(1e-9), queue_depth=8
-        )
-        cluster = spec.build()
-        try:
-            ticket = cluster.submit(QueryRequest())
-            cluster.pump()
-            with pytest.raises(ShedError):
-                ticket.result()
-            assert cluster.metrics.type_metrics("query").shed == 1
         finally:
             cluster.stop()
 
@@ -307,9 +256,32 @@ class TestClusterAdmission:
             assert snapshot["schema"] == "repro.cluster/metrics"
             assert snapshot["placement"]["spec"] == {"shards": 3}
             assert snapshot["epochs"]["events"] == PREFIX_COUNT
-            assert snapshot["admission"]["policy"] == "RejectAtDoor"
+            assert snapshot["schema_version"] == 8
         finally:
             cluster.stop()
+
+    def test_cluster_snapshot_carries_epoch_wall_and_batches(self):
+        """Per-epoch wall clock and coalesced batch sizes surface on
+        the snapshot (and hence on --json)."""
+        _, prefixes = serve_network(PREFIX_COUNT)
+        requests = churn_script(prefixes, rounds=4)
+        spec = make_spec("minimum", workers=2, coalesce_max=4)
+        cluster = spec.build()
+        try:
+            for request in requests:
+                cluster.submit(request)
+            cluster.pump()
+            snapshot = cluster.snapshot()
+        finally:
+            cluster.stop()
+        epochs = snapshot["epochs"]
+        assert epochs["wall"]["count"] > 0
+        assert epochs["wall"]["max_s"] > 0
+        batches = epochs["coalesced_batches"]
+        assert batches["count"] > 0
+        assert batches["max_size"] > 1, "no churn burst ever coalesced"
+        assert sum(snapshot["placement"]["load"].values()) > 0
+        json.dumps(snapshot)
 
 
 class TestInjectedProverReplayability:

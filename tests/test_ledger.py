@@ -31,11 +31,9 @@ from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.bgp.prefix import Prefix
 from repro.cluster import ClusterSpec, PolicySpec
-from repro.cluster.admission import make_admission
 from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
-    QueryRequest,
 )
 from repro.cluster.workload import (
     churn_script,
@@ -49,7 +47,6 @@ from repro.ledger import (
     TransitionHistory,
     TrustLedger,
     TrustLevel,
-    TrustTieredAdmission,
     VerificationIntensity,
 )
 from repro.ledger.ledger import RULE_PROMOTE, RULE_SLASH
@@ -463,7 +460,7 @@ class TestLedgerProperties:
         assert ledger.history.verify()
 
 
-# -- feedback: intensity, admission -------------------------------------------
+# -- feedback: intensity -------------------------------------------
 
 
 class TestVerificationIntensity:
@@ -512,49 +509,6 @@ class TestVerificationIntensity:
         )
         intensity = VerificationIntensity(policy, seed=SEED)
         assert intensity.rate_for("never-seen") == 0.0
-
-
-class TestTrustTieredAdmission:
-    def test_low_trust_traffic_bypasses_the_graduated_door(self):
-        # demote churn below the top priority so its graduated door is
-        # a real constraint the trust boost can visibly override
-        admission = TrustTieredAdmission(
-            priorities={"churn": 0},
-            trust={"A": TrustLevel.QUARANTINED, "B": TrustLevel.TRUSTED},
-        )
-        prefix = Prefix.parse("10.0.0.0/16")
-        low = ChurnRequest(marks=(("A", prefix),))
-        high = ChurnRequest(marks=(("B", prefix),))
-        depth, queued = 8, 7
-        assert admission.at_door_request(low, queued, depth)
-        assert not admission.at_door_request(high, queued, depth)
-        # adjudication boosts while any AS is below the threshold
-        adjudicate = AdjudicateRequest()
-        assert admission.at_door_request(adjudicate, queued, depth)
-        # once A is rehabilitated, nothing is boosted any more
-        admission.update({"A": TrustLevel.TRUSTED, "B": TrustLevel.TRUSTED})
-        assert not admission.at_door_request(low, queued, depth)
-        assert not admission.at_door_request(adjudicate, queued, depth)
-
-    def test_query_scoped_to_low_trust_as_boosts(self):
-        admission = TrustTieredAdmission(
-            trust={"A": TrustLevel.PROBATIONARY, "B": TrustLevel.TRUSTED}
-        )
-        assert admission.at_door_request(QueryRequest(asn="A"), 7, 8)
-        assert not admission.at_door_request(QueryRequest(asn="B"), 7, 8)
-        # an AS the ledger has never seen sits at the initial level —
-        # below the boost threshold, so its traffic boosts too
-        assert admission.at_door_request(QueryRequest(asn="Z"), 7, 8)
-
-    def test_registry_resolves_trust(self):
-        assert isinstance(make_admission("trust"), TrustTieredAdmission)
-
-    def test_pickles(self):
-        admission = TrustTieredAdmission(
-            trust={"A": TrustLevel.QUARANTINED}
-        )
-        clone = pickle.loads(pickle.dumps(admission))
-        assert clone.trust == admission.trust
 
 
 # -- evidence-store satellites ------------------------------------------------
@@ -734,7 +688,7 @@ class TestRateOneIdentity:
         policy = LedgerPolicy(clean_epochs_to_promote=1)
         _, prefixes = serve_network(PREFIX_COUNT)
         requests = churn_script(prefixes, rounds=5, violation_every=4)
-        cluster = make_spec(ledger=policy, admission="trust").build()
+        cluster = make_spec(ledger=policy).build()
         try:
             for request in requests:
                 cluster.request(request)
@@ -754,17 +708,14 @@ class TestRateOneIdentity:
             cluster.stop()
 
 
-    def test_cluster_adjudication_refreshes_the_trust_door(self):
-        """Slashing folded in by a served ``AdjudicateRequest`` reaches
-        the trust-tiered door at once (as on the serve host), not at
-        the next epoch's settle."""
+    def test_cluster_adjudication_slashes_at_once(self):
+        """Slashing is folded in by the served ``AdjudicateRequest``
+        itself (as on the serve host), not at the next epoch's
+        settle."""
         from repro.cluster.requests import AuditProbe
 
         _, prefixes = serve_network(PREFIX_COUNT)
-        spec = make_spec(
-            ledger=LedgerPolicy(clean_epochs_to_promote=1),
-            admission="trust",
-        )
+        spec = make_spec(ledger=LedgerPolicy(clean_epochs_to_promote=1))
         cluster = spec.build()
         try:
             for request in churn_script(prefixes, rounds=3):
@@ -773,13 +724,12 @@ class TestRateOneIdentity:
                 AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
                            prover=LongerRouteProver),
             )))
-            before = cluster.admission.trust["A"]
+            before = cluster.ledger.trust_level("A")
             cluster.request(AdjudicateRequest())
+            assert before > TrustLevel.QUARANTINED
             assert cluster.ledger.trust_level("A") is (
                 TrustLevel.QUARANTINED
             )
-            assert before > TrustLevel.QUARANTINED
-            assert cluster.admission.trust == cluster.ledger.trust_map()
         finally:
             cluster.stop()
 
@@ -807,7 +757,7 @@ class TestSteadyStateReduction:
 
 
 class TestServeLedger:
-    def test_service_promotes_slashes_and_updates_admission(self):
+    def test_service_promotes_and_slashes(self):
         import asyncio
 
         from repro.cluster.requests import AuditProbe
@@ -820,7 +770,6 @@ class TestServeLedger:
                 shards=2,
                 transport="inline",
                 rng_seed=SEED,
-                admission="trust",
                 ledger=LedgerPolicy(clean_epochs_to_promote=1),
             )
             service.policy("A", ShortestRoute(), recipients=("B",),
@@ -832,10 +781,6 @@ class TestServeLedger:
                 service.ledger.settle()
                 assert service.ledger.trust_level("A") > (
                     TrustLevel.PROBATIONARY
-                )
-                # the trust-tiered door follows the settled snapshot
-                assert service.admission.trust == (
-                    service.ledger.trust_map()
                 )
                 # a violation probe + served adjudication slashes
                 await service.request(ChurnRequest(probes=(

@@ -488,3 +488,28 @@ def test_coordinator_trace_is_a_well_formed_forest(worker, epoch, after):
     for slice_workers in by_epoch.values():
         first_pass = slice_workers[:len(set(slice_workers))]
         assert first_pass == sorted(set(slice_workers))
+
+
+def test_a_failed_plan_closes_its_epoch_span(monkeypatch):
+    """Planning raises (a policy that cannot materialise, a ledger
+    ``begin_epoch`` error): the ``epoch`` span closes with
+    ``status="error"`` instead of staying open for good and adopting
+    every later epoch as its child."""
+    with make_spec("minimum").build() as cluster:
+        plan_epoch = cluster.monitor.plan_epoch
+
+        def failing_once():
+            monkeypatch.setattr(cluster.monitor, "plan_epoch", plan_epoch)
+            raise RuntimeError("planner failed")
+
+        monkeypatch.setattr(cluster.monitor, "plan_epoch", failing_once)
+        with pytest.raises(RuntimeError, match="planner failed"):
+            cluster.request(ChurnRequest())
+        assert cluster.tracer.open_records() == []
+        cluster.request(ChurnRequest())
+        epochs = [
+            r for r in cluster.tracer.records
+            if r["kind"] == "span" and r["name"] == "epoch"
+        ]
+    assert [r["status"] for r in epochs] == ["error", "ok"]
+    assert epochs[1]["parent"] is None
