@@ -10,13 +10,13 @@ at the interface).
 
 import pytest
 
-from repro.bench import workloads
 from repro.pvr.engine import VerificationSession
 from repro.pvr.existential import ring_announce, verify_ring_provenance
 
+import workloads
 from conftest import print_table, run_once
 
-# workload definitions live in repro.bench.workloads
+# workload definitions live in benchmarks/workloads.py
 route = workloads.route
 spec_for = workloads.existential_spec
 

@@ -16,7 +16,6 @@ violations, and per-round cost dominated by signatures (linear in k).
 
 import pytest
 
-from repro.bench import workloads
 from repro.pvr.adversary import (
     BadOpeningProver,
     EquivocatingProver,
@@ -29,11 +28,12 @@ from repro.pvr.adversary import (
 from repro.pvr.engine import VerificationSession
 from repro.pvr.judge import Judge
 
+import workloads
 from conftest import print_table, run_once
 
 MAX_LEN = workloads.MAX_LEN
 
-# the workload definitions live in repro.bench.workloads
+# the workload definitions live in benchmarks/workloads.py
 make_routes = workloads.fig1_routes
 spec_for = workloads.minimum_spec
 

@@ -15,18 +15,19 @@ and measures:
 
 import pytest
 
-from repro.bench import workloads
 from repro.promises.spec import ShortestRoute
 from repro.pvr.engine import VerificationSession, derive_skeleton
+from repro.pvr.navigation import Navigator, verify_as_output_recipient
 from repro.rfg.builder import figure2_graph
 from repro.rfg.static_check import implements
 from repro.util.rng import DeterministicRandom
 
+import workloads
 from conftest import print_table, run_once
 
 MAX_LEN = workloads.MAX_LEN
 
-# spec construction lives in repro.bench.workloads
+# spec construction lives in benchmarks/workloads.py
 route = workloads.route
 spec_for = workloads.figure2_spec
 
@@ -79,18 +80,23 @@ def test_prover_commit_cost(benchmark, bench_keystore, k):
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
 def test_recipient_verification_cost(benchmark, bench_keystore, k):
+    """B's slice of the collective check alone: navigate from the signed
+    root to its output and validate the export."""
     spec = spec_for(k)
-    routes = routes_for(k)
     session = VerificationSession(bench_keystore, spec, round=50 + k)
-    session.announce(routes)
-    session.commit()
-    session.disclose()
+    session.announce(routes_for(k))
+    root = session.commit()
+    attestation = session.disclose()["B"]
+    skeleton = derive_skeleton(session.plan, "ro")
 
     def verify_once():
-        return session.verify(parties=("B",))
+        navigator = Navigator(bench_keystore, "B", session.prover, root)
+        return verify_as_output_recipient(
+            navigator, session.config, "ro", attestation, skeleton,
+            known_providers=spec.providers,
+        )
 
-    report = benchmark(verify_once)
-    verdict = report.verdicts["B"]
+    verdict = benchmark(verify_once)
     assert verdict.ok, verdict.violations
 
 

@@ -14,9 +14,10 @@ with the network size.
 
 import pytest
 
+from repro.audit import Monitor
 from repro.bgp.prefix import Prefix
 from repro.crypto.keystore import KeyStore
-from repro.pvr.deployment import PVRDeployment
+from repro.promises.spec import ShortestRoute
 from repro.topology.generate import TopologyParams, generate, true_stub
 from repro.topology.internet import build_bgp_network
 
@@ -39,24 +40,34 @@ def converged_network(params):
     return net
 
 
+def armed_monitor(net, keystore):
+    """A monitor whose next epoch is the whole-network sweep: a
+    shortest-route policy on every AS marks each (AS, PFX) pair dirty,
+    so ``run_epoch(max_work=N)`` runs one round per (AS, exporting
+    neighbor) pair that has providers for PFX, capped at N rounds."""
+    monitor = Monitor(keystore).attach(net)
+    for asn in net.as_names():
+        monitor.policy(asn, ShortestRoute(), prefixes=(PFX,))
+    return monitor
+
+
 @pytest.fixture(scope="module", params=list(SIZES))
 def scale_case(request):
     params = SIZES[request.param]
     net = converged_network(params)
     keystore = KeyStore(seed=params.seed, key_bits=1024)
-    deployment = PVRDeployment(net, keystore, max_length=16)
-    return request.param, params, net, deployment
+    return request.param, params, net, armed_monitor(net, keystore)
 
 
 def test_pvr_sweep(benchmark, scale_case):
-    name, params, net, deployment = scale_case
+    name, params, net, monitor = scale_case
 
     def sweep():
-        return deployment.verify_prefix_everywhere(PFX, max_rounds=10)
+        return monitor.run_epoch(max_work=10)
 
-    report = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert report.rounds
-    assert report.violation_free()
+    epoch = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    assert epoch.events
+    assert epoch.violation_free()
 
 
 def test_scale_table(benchmark):
@@ -67,19 +78,18 @@ def test_scale_table(benchmark):
         for name, params in SIZES.items():
             net = converged_network(params)
             keystore = KeyStore(seed=params.seed, key_bits=1024)
-            deployment = PVRDeployment(net, keystore, max_length=16)
-            report = deployment.verify_prefix_everywhere(PFX, max_rounds=12)
-            assert report.violation_free()
-            n_rounds = len(report.rounds)
+            epoch = armed_monitor(net, keystore).run_epoch(max_work=12)
+            assert epoch.violation_free()
+            n_rounds = len(epoch.events)
             rows.append((
                 name,
                 params.total(),
                 net.total_updates(),
                 n_rounds,
-                f"{report.total('messages') / n_rounds:.1f}",
-                f"{report.total('bytes') / n_rounds / 1024:.1f} KiB",
-                f"{report.total('signatures') / n_rounds:.1f}",
-                f"{report.total('wall_seconds') / n_rounds * 1000:.1f} ms",
+                f"{epoch.messages / n_rounds:.1f}",
+                f"{epoch.bytes / n_rounds / 1024:.1f} KiB",
+                f"{epoch.signatures / n_rounds:.1f}",
+                f"{epoch.wall_seconds / n_rounds * 1000:.1f} ms",
             ))
         return rows
 
@@ -97,8 +107,7 @@ def test_cost_tracks_degree_not_network_size(benchmark):
     (k), independent of total AS count."""
     params = SIZES["large"]
     net = converged_network(params)
-    keystore = KeyStore(seed=99, key_bits=1024)
-    deployment = PVRDeployment(net, keystore, max_length=16)
+    monitor = Monitor(KeyStore(seed=99, key_bits=1024)).attach(net)
 
     def experiment():
         samples = []
@@ -114,7 +123,7 @@ def test_cost_tracks_degree_not_network_size(benchmark):
             ]
             if not recipients:
                 continue
-            _, stats = deployment.monitored_round(asn, PFX, recipients[0])
+            stats = monitor.audit_once(asn, PFX, recipients[0]).stats
             samples.append((len(stats.providers), stats.signatures))
             if len(samples) >= 8:
                 break

@@ -4,15 +4,15 @@ Benchmarks use RSA-1024 (the paper's Section 3.8 reference point) and a
 deterministic keystore, so runs are comparable across machines up to a
 constant factor.
 
-Table rendering lives in :mod:`repro.bench.tables` (shared with the
+Table rendering lives in :mod:`repro.util.tables` (shared with the
 serve / cluster / audit / ledger CLIs); this conftest binds it to the
 session's ``benchmark_tables.txt`` output file.
 """
 
 import pytest
 
-from repro.bench import tables
 from repro.crypto.keystore import KeyStore
+from repro.util import tables
 
 BENCH_KEY_BITS = 1024
 

@@ -18,10 +18,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.audit import Monitor
 from repro.bgp.prefix import Prefix
 from repro.crypto import hashing
 from repro.crypto.keystore import KeyStore
-from repro.pvr.deployment import PVRDeployment
+from repro.promises.spec import ShortestRoute
 from repro.topology.caida import parse_file, write_file
 from repro.topology.generate import TopologyParams, generate, true_stub
 from repro.topology.internet import build_bgp_network
@@ -63,12 +64,17 @@ def main(argv=None) -> None:
     reach = net.reachability(prefix)
     tier1_core = list(graph.tier1_core())
 
+    # the sweep: a shortest-route policy on every AS marks each
+    # (AS, prefix) pair dirty; one epoch then runs a round per (AS,
+    # exporting neighbor) pair that has providers, capped at max_rounds
     keystore = KeyStore(seed=SEED, key_bits=key_bits)
-    deployment = PVRDeployment(net, keystore, max_length=16)
+    monitor = Monitor(keystore).attach(net)
     started = time.perf_counter()
-    report = deployment.verify_prefix_everywhere(prefix, max_rounds=max_rounds)
+    for asn in net.as_names():
+        monitor.policy(asn, ShortestRoute(), prefixes=(prefix,))
+    epoch = monitor.run_epoch(max_work=max_rounds)
     sweep_seconds = time.perf_counter() - started
-    if not report.rounds or not report.violation_free():
+    if not epoch.events or not epoch.violation_free():
         sys.exit("PVR audit of an honest network was not clean")
 
     # every number in the narrative below (and in --json) comes from here
@@ -82,9 +88,9 @@ def main(argv=None) -> None:
         "updates": net.total_updates(),
         "reached": sum(1 for r in reach.values() if r is not None),
         "forwarding_path": list(net.forwarding_path(tier1_core[0], prefix)),
-        "rounds": len(report.rounds),
-        "messages": int(report.total("messages")),
-        "bytes": int(report.total("bytes")),
+        "rounds": len(epoch.events),
+        "messages": epoch.messages,
+        "bytes": epoch.bytes,
         "signatures": keystore.sign_count,
         "verifications": keystore.verify_count,
         "hashes": hashing.hash_count() - hashes_before,

@@ -19,8 +19,8 @@ experiment.  This package is that plane:
   trail (``by_asn``, ``by_prefix``, ``violations()``, judge
   adjudication on demand);
 * :mod:`~repro.audit.wire` — the transport-coupled round executor every
-  verification shares with the legacy
-  :class:`~repro.pvr.deployment.PVRDeployment` façade.
+  verification shares: one :class:`~repro.pvr.engine.VerificationSession`
+  with its messages on the simulated links.
 
 Run ``python -m repro.audit`` for the CLI over the registered churn
 scenarios.
@@ -40,7 +40,6 @@ from repro.audit.store import EvidenceStore
 from repro.audit.wire import (
     AnnouncePayload,
     CommitPayload,
-    DeploymentReport,
     RoundStats,
     ViewPayload,
     round_randomness,
@@ -52,7 +51,6 @@ __all__ = [
     "AuditPolicy",
     "ChurnRunResult",
     "CommitPayload",
-    "DeploymentReport",
     "EpochOutcome",
     "EpochPlan",
     "EpochReport",

@@ -22,7 +22,6 @@ import argparse
 import sys
 
 from repro.audit.churn import run_churn
-from repro.bench.tables import print_table
 from repro.obs import log as obs_log
 from repro.util.cli import (
     EXIT_OK,
@@ -32,6 +31,7 @@ from repro.util.cli import (
     usage_error,
     write_json,
 )
+from repro.util.tables import print_table
 
 
 def build_parser() -> argparse.ArgumentParser:

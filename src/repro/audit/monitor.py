@@ -31,8 +31,7 @@ Usage::
 
 Epochs must run while the network is quiescent: verification rounds
 share the simulated links with BGP traffic, so they cannot execute
-inside the BGP event loop (the same constraint the legacy
-``PVRDeployment.run_pending`` had).
+inside the BGP event loop.
 """
 
 from __future__ import annotations
@@ -699,14 +698,14 @@ class Monitor:
     ) -> VerdictEvent:
         """Run one wire round right now, outside the epoch scheduler.
 
-        This is the legacy ``monitored_round`` path (and the adversary
-        gallery's): ``prover`` injects a Byzantine prover, so the result
-        is recorded in the evidence store but never cached, and — being
-        outside the epoch scheduler — the event carries ``epoch=None``
-        so per-epoch queries stay consistent.  ``spec``
-        overrides materialization entirely; otherwise ``promise``
-        (default :class:`~repro.promises.spec.ShortestRoute`) is
-        materialized against the AS's current RIBs toward ``recipient``.
+        This is the in-situ probe (and the adversary gallery's path):
+        ``prover`` injects a Byzantine prover, so the result is recorded
+        in the evidence store but never cached, and — being outside the
+        epoch scheduler — the event carries ``epoch=None`` so per-epoch
+        queries stay consistent.  ``spec`` overrides materialization
+        entirely; otherwise ``promise`` (default
+        :class:`~repro.promises.spec.ShortestRoute`) is materialized
+        against the AS's current RIBs toward ``recipient``.
         """
         network = self._require_network()
         router = network.router(asn)

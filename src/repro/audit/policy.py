@@ -20,7 +20,7 @@ prefixes audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.audit.choosers import ChooserRef
@@ -109,7 +109,6 @@ class AuditPolicy:
     #: a live callable, or a :mod:`repro.audit.choosers` registry name
     #: (names pickle, so the policy ships to shard/cluster workers)
     chooser: ChooserRef = None
-    session_options: Dict[str, object] = field(default_factory=dict)
 
     def covers(self, prefix: Prefix) -> bool:
         return self.prefixes is None or prefix in self.prefixes

@@ -30,7 +30,7 @@ clock; transport cost via the network's byte/message counters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.audit.choosers import ChooserRef, resolve as resolve_chooser
@@ -70,9 +70,9 @@ class ViewPayload:
 class RoundStats:
     """Cost accounting for one wire round.
 
-    ``recipient`` is the (first) recipient, kept for the legacy
-    single-recipient consumers; ``recipients`` carries the full set,
-    which the promise-4 cross-check makes plural.
+    ``recipients`` carries the full recipient set (plural under the
+    promise-4 cross-check); ``recipient`` is its first member, a field
+    of every journaled event.
     """
 
     prover: str
@@ -87,19 +87,6 @@ class RoundStats:
     violations: int = 0
     equivocations: int = 0
     reused: bool = False
-
-
-@dataclass
-class DeploymentReport:
-    """Aggregate across a batch of wire rounds."""
-
-    rounds: List[RoundStats] = field(default_factory=list)
-
-    def total(self, attribute: str) -> float:
-        return sum(getattr(r, attribute) for r in self.rounds)
-
-    def violation_free(self) -> bool:
-        return all(r.violations == 0 and r.equivocations == 0 for r in self.rounds)
 
 
 def round_randomness(seed, round: int) -> Callable[[int], bytes]:

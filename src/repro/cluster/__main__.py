@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.tables import print_table
 from repro.obs import log as obs_log
 from repro.promises.spec import ShortestRoute
 from repro.util.cli import (
@@ -52,6 +51,7 @@ from repro.util.cli import (
     usage_error,
     write_json,
 )
+from repro.util.tables import print_table
 
 
 def build_parser() -> argparse.ArgumentParser:

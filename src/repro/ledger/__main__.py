@@ -30,7 +30,6 @@ import argparse
 import sys
 
 from repro.audit.monitor import Monitor
-from repro.bench.tables import print_table
 from repro.cluster.workload import churn_script
 from repro.obs import log as obs_log
 from repro.crypto.keystore import KeyStore
@@ -43,6 +42,7 @@ from repro.util.cli import (
     usage_error,
     write_json,
 )
+from repro.util.tables import print_table
 
 from repro.ledger.ledger import TrustLedger
 from repro.ledger.levels import LedgerPolicy, TrustLevel

@@ -11,8 +11,7 @@ The package implements the complete machinery of Sections 2-3:
 * the minimum protocol of Section 3.3 (:mod:`repro.pvr.minimum`);
 * the generalized multi-operator protocol of Sections 3.5-3.7
   (:mod:`repro.pvr.protocol`, :mod:`repro.pvr.navigation`);
-* evidence, the judge, Byzantine adversaries, leakage accounting and the
-  four PVR properties as executable checks.
+* evidence, the judge, Byzantine adversaries and leakage accounting.
 
 All four protocol variants run behind one promise-driven API — the
 **unified verification engine**:
@@ -24,8 +23,15 @@ All four protocol variants run behind one promise-driven API — the
   ``announce → commit → disclose → verify → adjudicate`` lifecycle
   through whichever protocol variant the spec resolves to, emitting a
   uniform :class:`~repro.pvr.session.SessionTranscript` and
-  :class:`~repro.pvr.session.SessionReport`;
+  :class:`~repro.pvr.session.SessionReport` — the one result type,
+  which carries the four PVR properties of Section 2.3 as checks
+  (``accuracy_ok``, ``detection_ok``, ``confidentiality_ok``,
+  ``adjudicate(judge).evidence_ok()``);
 * :mod:`repro.pvr.scenarios` is the registry of named workloads.
+
+This package is a leaf under :mod:`repro.audit`: it imports nothing from
+the audit plane or anything above it.  Running rounds on a live network
+is :class:`repro.audit.monitor.Monitor`'s job.
 """
 
 from repro.pvr.access import AccessPolicy, opaque_alpha, paper_alpha
@@ -75,14 +81,11 @@ from repro.pvr.minimum import (
 )
 from repro.pvr.batching import BatchedDisclosure, BatchingProver, DisclosureBatch
 from repro.pvr.crosscheck import (
-    Promise4Result,
     cross_check,
     discriminating_chooser,
     honest_chooser,
-    run_promise4_scenario,
     withholding_chooser,
 )
-from repro.pvr.deployment import DeploymentReport, PVRDeployment, RoundStats
 from repro.pvr.navigation import (
     NavigationError,
     Navigator,
@@ -90,14 +93,6 @@ from repro.pvr.navigation import (
     owner_check_operators,
     verify_as_input_owner,
     verify_as_output_recipient,
-)
-from repro.pvr.properties import (
-    ScenarioResult,
-    accuracy_holds,
-    confidentiality_holds,
-    detection_holds,
-    evidence_holds,
-    run_minimum_scenario,
 )
 from repro.pvr.protocol import (
     AccessDenied,
@@ -169,16 +164,10 @@ __all__ = [
     "BatchingProver",
     "DisclosureBatch",
     # promise-4 cross-check
-    "Promise4Result",
     "cross_check",
     "discriminating_chooser",
     "honest_chooser",
-    "run_promise4_scenario",
     "withholding_chooser",
-    # BGP deployment
-    "DeploymentReport",
-    "PVRDeployment",
-    "RoundStats",
     # navigation (generalized protocol, verifier side)
     "NavigationError",
     "Navigator",
@@ -186,13 +175,6 @@ __all__ = [
     "owner_check_operators",
     "verify_as_input_owner",
     "verify_as_output_recipient",
-    # scenario runner + the four properties
-    "ScenarioResult",
-    "accuracy_holds",
-    "confidentiality_holds",
-    "detection_holds",
-    "evidence_holds",
-    "run_minimum_scenario",
     # generalized protocol, prover side
     "AccessDenied",
     "GraphProver",

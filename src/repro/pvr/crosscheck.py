@@ -8,17 +8,17 @@ recipients exchange them and compare lengths locally.  A recipient
 holding its own attestation plus a strictly-shorter one addressed to
 someone else has transferable :class:`UnequalTreatmentEvidence`.
 
-:func:`run_promise4_scenario` drives a multi-recipient round: A (honest
-or discriminating) serves several recipients, attestations are gossiped,
-and each recipient cross-checks.
+:func:`cross_check` is one recipient's check; the multi-recipient round
+around it (A, honest or discriminating via an :data:`ExportChooser`,
+serves several recipients, attestations are gossiped, each recipient
+cross-checks) is the ``crosscheck`` variant of
+:class:`repro.pvr.engine.VerificationSession`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bgp.route import Route
 from repro.crypto.keystore import KeyStore
 from repro.pvr.announcements import SignedAnnouncement
 from repro.pvr.commitments import ExportAttestation
@@ -104,53 +104,3 @@ def withholding_chooser(starved: str) -> ExportChooser:
         return min(accepted.values(), key=lambda a: (len(a.route.as_path), a.origin))
 
     return choose
-
-
-@dataclass
-class Promise4Result:
-    attestations: Dict[str, ExportAttestation]
-    verdicts: Dict[str, Verdict]
-
-    def violation_found(self) -> bool:
-        return any(not v.ok for v in self.verdicts.values())
-
-    def detecting_parties(self) -> Tuple[str, ...]:
-        return tuple(sorted(n for n, v in self.verdicts.items() if not v.ok))
-
-
-def run_promise4_scenario(
-    keystore: KeyStore,
-    prover: str,
-    providers: Sequence[str],
-    recipients: Sequence[str],
-    routes: Mapping[str, Optional[Route]],
-    round: int,
-    chooser: ExportChooser = honest_chooser,
-    max_length: int = 16,
-) -> Promise4Result:
-    """A multi-recipient round followed by full attestation gossip.
-
-    This is the legacy entry point; the round runs through the unified
-    :class:`repro.pvr.engine.VerificationSession` (variant
-    ``crosscheck``) and is adapted back to a :class:`Promise4Result`.
-    """
-    if len(recipients) < 2:
-        raise ValueError("promise 4 needs at least two recipients")
-    from repro.promises.spec import NoLongerThanOthers
-    from repro.pvr.engine import VerificationSession
-    from repro.pvr.session import PromiseSpec
-
-    spec = PromiseSpec(
-        promise=NoLongerThanOthers(),
-        prover=prover,
-        providers=tuple(providers),
-        recipients=tuple(recipients),
-        variant="crosscheck",
-        max_length=max_length,
-    )
-    session = VerificationSession(keystore, spec, round=round, chooser=chooser)
-    report = session.run(routes)
-    return Promise4Result(
-        attestations=dict(report.transcript.detail),
-        verdicts=dict(report.verdicts),
-    )

@@ -23,19 +23,19 @@ compiles to a route-flow-graph plan and resolves to one of four protocol
 Whatever the variant, the session emits the same
 :class:`~repro.pvr.session.SessionTranscript` and
 :class:`~repro.pvr.session.SessionReport`, so callers — examples,
-benchmarks, the BGP deployment, the scenario registry — never branch on
+benchmarks, the audit plane, the scenario registry — never branch on
 the protocol again.
 
-Lifecycle methods may be driven one at a time (the deployment layer
-interleaves them with wire transport) or all at once via :meth:`run`.
+Lifecycle methods may be driven one at a time (the audit plane's wire
+round interleaves them with transport) or all at once via :meth:`run`.
 ``verify`` accepts the views that actually *arrived* so dropped or
-tampered messages surface in the verdicts, and may be re-run (e.g. for a
-different subset of parties) without repeating the earlier phases.
+tampered messages surface in the verdicts, and may be re-run (e.g. with
+a different set of arrived views) without repeating the earlier phases.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.bgp.route import Route
 from repro.crypto.keystore import KeyStore
@@ -43,6 +43,7 @@ from repro.net.gossip import GossipLayer, exchange
 from repro.pvr import existential as existential_mod
 from repro.pvr import leakage
 from repro.pvr import minimum as minimum_mod
+from repro.pvr.access import paper_alpha
 from repro.pvr.announcements import SignedAnnouncement, make_announcement
 from repro.pvr.batching import BatchingProver
 from repro.pvr.commitments import ExportAttestation, make_attestation
@@ -137,8 +138,8 @@ class VerificationSession:
     graph variant; ``chooser`` is the cross-check's per-recipient export
     policy; ``batching=True`` swaps in the Section 3.8
     :class:`~repro.pvr.batching.BatchingProver`; ``gossip=False`` is the
-    D4 ablation; ``alpha`` overrides the access policy for the graph
-    variant (default: the paper's α).
+    D4 ablation.  The graph variant runs under the paper's access
+    policy α (:func:`repro.pvr.access.paper_alpha`).
     """
 
     def __init__(
@@ -151,7 +152,6 @@ class VerificationSession:
         chooser: Optional[ExportChooser] = None,
         batching: bool = False,
         gossip: bool = True,
-        alpha: object = None,
         random_bytes: Callable[[int], bytes] | None = None,
     ) -> None:
         self.keystore = keystore
@@ -160,7 +160,7 @@ class VerificationSession:
         self.gossip = gossip
         self.batching = batching
         self.chooser = chooser
-        self.alpha = alpha
+        self.alpha = None  # the graph driver sets it: the paper's α over the plan
         self.random_bytes = random_bytes
         self.variant = spec.resolve_variant()
         self.plan = spec.compile_plan()
@@ -234,23 +234,17 @@ class VerificationSession:
         return self._counted(self._driver.disclose)
 
     def verify(
-        self,
-        received: Optional[Mapping[str, object]] = None,
-        parties: Optional[Sequence[str]] = None,
+        self, received: Optional[Mapping[str, object]] = None
     ) -> SessionReport:
         """Phase 4: every party runs its local checks; commitment
         statements are gossiped and cross-checked.
 
         ``received`` substitutes the views that actually arrived (the
-        deployment layer's transport may have dropped or tampered some);
-        parties with no view verify against an empty one.  ``parties``
-        restricts verification to a subset (gossip is skipped then,
-        since it is a collective step).
+        wire round's transport may have dropped or tampered some);
+        parties with no view verify against an empty one.
         """
         self._advance("verify", VERIFIED)
-        report = self._counted(
-            lambda: self._driver.verify(received=received, parties=parties)
-        )
+        report = self._counted(lambda: self._driver.verify(received))
         self.report = report
         return report
 
@@ -298,6 +292,28 @@ class VerificationSession:
 
 
 # -- drivers -------------------------------------------------------------------
+
+
+def _missing_attestation(session: VerificationSession, party: str) -> Verdict:
+    """The verdict of a recipient whose export attestation never arrived:
+    a complaint against the prover, nothing transferable (the prover may
+    be honest and the channel lossy)."""
+    prover = session.spec.prover
+    return Verdict(
+        verifier=party,
+        violations=(
+            Violation(
+                kind="missing-attestation",
+                accused=prover,
+                complaint=Complaint(
+                    accuser=party,
+                    accused=prover,
+                    round=session.round,
+                    claim="missing-attestation",
+                ),
+            ),
+        ),
+    )
 
 
 class _SingleRecipientDriver:
@@ -361,29 +377,24 @@ class _SingleRecipientDriver:
         views[self.config.recipient] = self.transcript.recipient_view
         return views
 
-    def verify(self, received=None, parties=None) -> SessionReport:
+    def verify(self, received=None) -> SessionReport:
         config = self.config
         used = dict(received) if received is not None else self.disclose()
-        check = tuple(parties) if parties is not None else (
-            config.providers + (config.recipient,)
-        )
         verdicts: Dict[str, Verdict] = {}
         for provider in config.providers:
-            if provider in check:
-                verdicts[provider] = self._provider_verify_fn(
-                    self.s.keystore,
-                    config,
-                    provider,
-                    self.announcements.get(provider),
-                    used.get(provider, self._empty_provider_view()),
-                )
-        if config.recipient in check:
-            verdicts[config.recipient] = self._verify_recipient(
-                used.get(config.recipient, self._empty_recipient_view())
+            verdicts[provider] = self._provider_verify_fn(
+                self.s.keystore,
+                config,
+                provider,
+                self.announcements.get(provider),
+                used.get(provider, self._empty_provider_view()),
             )
+        verdicts[config.recipient] = self._verify_recipient(
+            used.get(config.recipient, self._empty_recipient_view())
+        )
 
         equivocations: Tuple = ()
-        if self.s.gossip and parties is None:
+        if self.s.gossip:
             layers = {
                 name: GossipLayer(name, self.s.keystore)
                 for name in config.providers + (config.recipient,)
@@ -496,10 +507,7 @@ class _GraphDriver:
             session.round
         )
         self.plan = session.plan
-        if session.alpha is None:
-            from repro.pvr.access import paper_alpha
-
-            session.alpha = paper_alpha(self.plan)
+        session.alpha = paper_alpha(self.plan)
         self.routes: Dict[str, Optional[Route]] = {}
         self.announcements: Dict[str, Optional[SignedAnnouncement]] = {}
         self.receipts: Dict[str, object] = {}
@@ -560,7 +568,7 @@ class _GraphDriver:
             )
         return views
 
-    def verify(self, received=None, parties=None) -> SessionReport:
+    def verify(self, received=None) -> SessionReport:
         """``received`` substitutes what actually arrived at each party:
         an input owner's ``(announcement, receipt)`` pair (its own
         announcement plus the receipt the wire delivered) and a
@@ -568,13 +576,10 @@ class _GraphDriver:
         ``received`` verifies with nothing in hand — a dropped
         attestation or receipt must surface in the verdicts."""
         keystore = self.s.keystore
-        check = tuple(parties) if parties is not None else None
         verdicts: Dict[str, Verdict] = {}
 
         for vertex in self.plan.inputs():
             party = vertex.party
-            if check is not None and party not in check:
-                continue
             announcement = self.announcements.get(vertex.name)
             receipt = self.receipts.get(vertex.name)
             if received is not None:
@@ -603,27 +608,11 @@ class _GraphDriver:
 
         for vertex in self.plan.outputs():
             party = vertex.party
-            if check is not None and party not in check:
-                continue
             attestation = self.attestations[vertex.name]
             if received is not None:
                 attestation = received.get(party)
             if attestation is None:
-                verdicts[party] = Verdict(
-                    verifier=party,
-                    violations=(
-                        Violation(
-                            kind="missing-attestation",
-                            accused=self.s.spec.prover,
-                            complaint=Complaint(
-                                accuser=party,
-                                accused=self.s.spec.prover,
-                                round=self.s.round,
-                                claim="missing-attestation",
-                            ),
-                        ),
-                    ),
-                )
+                verdicts[party] = _missing_attestation(self.s, party)
                 continue
             navigator = Navigator(
                 keystore, party, self.s.prover, self.root_statement
@@ -638,7 +627,7 @@ class _GraphDriver:
             )
 
         equivocations: Tuple = ()
-        if self.s.gossip and parties is None:
+        if self.s.gossip:
             layers = {
                 name: GossipLayer(name, keystore)
                 for name in self.s.spec.providers + self.s.spec.recipients
@@ -728,20 +717,23 @@ class _CrossCheckDriver:
     def disclose(self) -> Dict[str, object]:
         return dict(self.attestations)
 
-    def verify(self, received=None, parties=None) -> SessionReport:
+    def verify(self, received=None) -> SessionReport:
+        """A recipient whose attestation did not arrive has nothing to
+        compare: it complains (``missing-attestation``) instead of
+        passing silently — a dropped view must surface in the verdicts."""
         keystore = self.s.keystore
         spec = self.s.spec
         used = dict(received) if received is not None else dict(
             self.attestations
         )
-        check = tuple(parties) if parties is not None else spec.recipients
         everyone = list(used.values())
         verdicts: Dict[str, Verdict] = {
             recipient: cross_check(
                 keystore, recipient, used[recipient], everyone
             )
+            if recipient in used
+            else _missing_attestation(self.s, recipient)
             for recipient in spec.recipients
-            if recipient in check and recipient in used
         }
         transcript = SessionTranscript(
             variant=self.s.variant,

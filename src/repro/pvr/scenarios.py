@@ -23,7 +23,7 @@ New workloads register themselves with the decorator::
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.bgp.aspath import ASPath
@@ -70,7 +70,8 @@ class Scenario:
     """One runnable workload: the spec, the inputs, the session knobs.
 
     ``prover_factory`` builds the (possibly Byzantine) prover from the
-    keystore at run time; ``chooser`` is the cross-check export policy.
+    keystore at run time; ``chooser`` is the cross-check export policy;
+    ``batching`` runs the Section 3.8 batching prover.
     """
 
     spec: PromiseSpec
@@ -80,7 +81,7 @@ class Scenario:
     round: int = 1
     prover_factory: Optional[Callable[[KeyStore], object]] = None
     chooser: Optional[Callable] = None
-    session_options: Dict[str, object] = field(default_factory=dict)
+    batching: bool = False
     expect_violation: bool = False
 
 
@@ -132,8 +133,7 @@ def build_session(
     scenario: Scenario, keystore: KeyStore, **overrides
 ) -> VerificationSession:
     """A ready-to-run session for a scenario."""
-    options = dict(scenario.session_options)
-    options.update(overrides)
+    options = {"batching": scenario.batching, **overrides}
     if scenario.prover_factory is not None and "prover" not in options:
         options["prover"] = scenario.prover_factory(keystore)
     if scenario.chooser is not None and "chooser" not in options:
@@ -221,7 +221,7 @@ def _fig1_batched() -> Scenario:
             max_length=8,
         ),
         routes=dict(_FIG1_ROUTES),
-        session_options={"batching": True},
+        batching=True,
     )
 
 
@@ -608,8 +608,7 @@ def _churn_multiprefix() -> ChurnScenario:
 @register_churn(
     "serve-burst",
     "The serving substrate under burst churn: a flap storm across both "
-    "feed sessions followed by a full table reset, the loadgen burst "
-    "schedules' shape as an audit-CLI scenario",
+    "feed sessions followed by a full table reset",
 )
 def _serve_burst() -> ChurnScenario:
     def build():

@@ -29,9 +29,7 @@ from repro.serve.loadgen import (
     SimnetGateway,
     ZipfSampler,
     build_schedule,
-    flap_storm,
     run_open_loop,
-    table_reset,
 )
 from repro.serve.service import VerificationService
 
@@ -44,7 +42,5 @@ __all__ = [
     "VerificationService",
     "ZipfSampler",
     "build_schedule",
-    "flap_storm",
     "run_open_loop",
-    "table_reset",
 ]

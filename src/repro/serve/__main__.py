@@ -37,7 +37,6 @@ import argparse
 import asyncio
 import sys
 
-from repro.bench.tables import print_table
 from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
 from repro.obs import log as obs_log
 from repro.promises.spec import ShortestRoute
@@ -48,6 +47,7 @@ from repro.util.cli import (
     usage_error,
     write_json,
 )
+from repro.util.tables import print_table
 
 from repro.serve.loadgen import (
     LoadProfile,

@@ -49,9 +49,7 @@ __all__ = [
     "SimnetGateway",
     "ZipfSampler",
     "build_schedule",
-    "flap_storm",
     "run_open_loop",
-    "table_reset",
 ]
 
 
@@ -216,92 +214,6 @@ def build_schedule(
                 ops.append(Op(at, QueryRequest(what=what)))
         else:
             ops.append(Op(at, AdjudicateRequest()))
-    return ops
-
-
-def flap_storm(
-    workload: ServeWorkload,
-    *,
-    storms: int = 2,
-    flaps_per_storm: int = 6,
-    spacing: float = 0.005,
-    gap: float = 0.5,
-    queries_between: int = 2,
-    start: float = 0.0,
-    seed: int = 7,
-) -> List[Op]:
-    """A bursty flap-storm schedule: real BGP churn is not Poisson.
-
-    Each storm fires ``flaps_per_storm`` session bounces back-to-back
-    (``spacing`` apart — far faster than any epoch), cycling through
-    the workload's flappable sessions; storms are separated by ``gap``
-    seconds of calm carrying a few reads (``queries_between``).  The
-    arrival shape is the point: a storm lands many churn requests in
-    one dispatcher batch, exercising coalescing and admission at their
-    limits, then the calm lets the queue drain — the on/off pattern
-    tail-latency percentiles are most sensitive to.
-    """
-    if storms < 1:
-        raise ValueError(f"storms must be >= 1, got {storms}")
-    if flaps_per_storm < 1:
-        raise ValueError(
-            f"flaps_per_storm must be >= 1, got {flaps_per_storm}"
-        )
-    if not workload.flappable:
-        raise ValueError("flap_storm needs at least one flappable session")
-    rng = DeterministicRandom(seed).fork("serve-flap-storm")
-    sessions = list(workload.flappable)
-    ops: List[Op] = []
-    at = start
-    for storm in range(storms):
-        for flap in range(flaps_per_storm):
-            a, b = sessions[(storm * flaps_per_storm + flap) % len(sessions)]
-            ops.append(Op(at, ChurnRequest(
-                steps=((bounce_session, (a, b)),),
-            )))
-            at += spacing
-        for _ in range(queries_between):
-            what = rng.choice(["summary", "violations"])
-            ops.append(Op(at, QueryRequest(what=what)))
-            at += spacing
-        at += gap
-    return ops
-
-
-def table_reset(
-    workload: ServeWorkload,
-    *,
-    resets: int = 1,
-    spacing: float = 0.002,
-    settle: float = 1.0,
-    start: float = 0.0,
-) -> List[Op]:
-    """A full-table-reset schedule: the BGP worst case.
-
-    Each reset bounces every flappable session — on re-establishment
-    the peers resend their complete tables, so the resync hooks mark
-    every affected prefix — and then nudges a full re-audit sweep of
-    the monitored AS across *all* prefixes in one request.  With a warm
-    commitment cache the sweep is served with zero crypto; cold, it is
-    the largest epoch the workload can produce.  ``settle`` seconds
-    separate consecutive resets.
-    """
-    if resets < 1:
-        raise ValueError(f"resets must be >= 1, got {resets}")
-    ops: List[Op] = []
-    at = start
-    for _ in range(resets):
-        for a, b in workload.flappable:
-            ops.append(Op(at, ChurnRequest(
-                steps=((bounce_session, (a, b)),),
-            )))
-            at += spacing
-        ops.append(Op(at, ChurnRequest(
-            marks=tuple(
-                (workload.hot_asn, prefix) for prefix in workload.prefixes
-            ),
-        )))
-        at += settle
     return ops
 
 

@@ -24,7 +24,6 @@ from repro.promises.spec import (
 )
 from repro.pvr import scenarios
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.deployment import PVRDeployment
 from repro.pvr.engine import VerificationSession
 from repro.pvr.scenarios import figure1_network
 
@@ -488,7 +487,7 @@ class TestEvidenceStore:
 
 
 class TestMultipleDecisionHooks:
-    """Satellite: watch() no longer clobbers an existing decision hook."""
+    """Arming a policy does not clobber an existing decision hook."""
 
     def test_hooks_stack(self):
         net = figure1_network()
@@ -502,17 +501,16 @@ class TestMultipleDecisionHooks:
 
     def test_legacy_assignment_does_not_clobber_audit_plane(self):
         net = figure1_network()
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        deployment = PVRDeployment(net, keystore, max_length=8)
-        deployment.watch("A")
+        monitor = make_monitor(net)
+        monitor.policy("A", ShortestRoute(), max_length=8, audit_now=False)
         probe = []
         net.router("A").add_decision_hook(lambda *a: probe.append(a))
         scenarios.flap_session("O", "N2")(net)
         net.run_to_quiescence()
         assert probe  # the added hook fired...
-        report = deployment.run_pending()  # ...and so did the audit plane
-        assert report.rounds
-        assert report.violation_free()
+        epoch = monitor.run_epoch()  # ...and so did the audit plane
+        assert epoch.events
+        assert epoch.violation_free()
 
     def test_remove_decision_hook(self):
         net = figure1_network()
@@ -525,60 +523,42 @@ class TestMultipleDecisionHooks:
         assert not calls
 
 
-class TestDeploymentFacade:
-    def test_rewatch_replaces_instead_of_stacking(self):
-        """The legacy semantics: watch() twice is one watcher, not two."""
+class TestArmedPoliciesAndProbes:
+    def test_armed_policy_reuses_on_settled_churn(self):
         net = figure1_network()
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        deployment = PVRDeployment(net, keystore, max_length=8)
-        deployment.watch("A")
-        deployment.watch("A")
-        assert len(deployment.monitor.policies()) == 1
-        scenarios.flap_session("O", "N2")(net)
-        net.run_to_quiescence()
-        report = deployment.run_pending()
-        # one round per exported recipient, not two
-        recipients = [r.recipient for r in report.rounds]
-        assert len(recipients) == len(set(recipients))
-
-    def test_run_pending_reuses_on_settled_churn(self):
-        net = figure1_network()
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        deployment = PVRDeployment(net, keystore, max_length=8)
-        deployment.watch("A")
+        monitor = make_monitor(net)
+        monitor.policy("A", ShortestRoute(), max_length=8, audit_now=False)
         scenarios.bounce_session("O", "N2")(net)
         net.run_to_quiescence()
-        first = deployment.run_pending()
-        assert first.rounds and first.violation_free()
+        first = monitor.run_epoch()
+        assert first.events and first.violation_free()
         scenarios.bounce_session("O", "N2")(net)
         net.run_to_quiescence()
-        second = deployment.run_pending()
-        assert second.rounds
-        assert all(r.reused for r in second.rounds)
-        assert second.total("signatures") == 0
+        second = monitor.run_epoch()
+        assert second.events
+        assert all(e.stats.reused for e in second.events)
+        assert second.signatures == 0
 
     def test_parameterized_promise(self):
         net = figure1_network()
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        deployment = PVRDeployment(
-            net, keystore, max_length=8,
+        monitor = make_monitor(net)
+        event = monitor.audit_once(
+            "A", PFX, "B", max_length=8,
             promise=ExistentialPromise(("N1", "N2", "N3")),
         )
-        verdicts, stats = deployment.monitored_round("A", PFX, "B")
-        assert all(v.ok for v in verdicts.values())
-        event = deployment.monitor.events[-1]
+        assert all(v.ok for v in event.report.verdicts.values())
+        assert event is monitor.events[-1]
         assert event.report.variant == "existential"
 
     def test_per_round_promise_override(self):
         net = figure1_network()
-        keystore = KeyStore(seed=SEED, key_bits=512)
-        deployment = PVRDeployment(net, keystore, max_length=8)
-        verdicts, _ = deployment.monitored_round(
-            "A", PFX, "B",
+        monitor = make_monitor(net)
+        event = monitor.audit_once(
+            "A", PFX, "B", max_length=8,
             promise=ShortestFromSubset(("N1", "N2")),
         )
-        assert all(v.ok for v in verdicts.values())
-        assert deployment.monitor.events[-1].report.variant == "graph"
+        assert all(v.ok for v in event.report.verdicts.values())
+        assert monitor.events[-1].report.variant == "graph"
 
 
 class TestLongLivedHygiene:

@@ -8,11 +8,11 @@ decision-rule violations, Section 1).
 
 import pytest
 
+from repro.audit import Monitor
 from repro.bgp.network import BGPNetwork
 from repro.bgp.prefix import Prefix
 from repro.crypto.keystore import KeyStore
 from repro.pvr.adversary import LongerRouteProver, UnderstatingProver
-from repro.pvr.deployment import PVRDeployment
 from repro.pvr.judge import Judge
 
 PFX1 = Prefix.parse("10.0.0.0/8")
@@ -41,12 +41,11 @@ def diamond():
 
 class TestMultiRoundDynamics:
     def test_rounds_follow_route_changes(self, diamond):
-        keystore = KeyStore(seed=1, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
+        monitor = Monitor(KeyStore(seed=1, key_bits=512)).attach(diamond)
 
         # round 1: N2's 2-hop route wins
-        _, stats1 = deployment.monitored_round("A", PFX1, "B")
-        assert stats1.violations == 0
+        first = monitor.audit_once("A", PFX1, "B", max_length=8)
+        assert first.stats.violations == 0
 
         # the O-N2 link dies: N2 loses its short route
         diamond.router("N2").sessions["O"].reset()
@@ -56,29 +55,27 @@ class TestMultiRoundDynamics:
         assert best.neighbor in ("N1", "N3")
 
         # round 2 verifies the *new* minimum, still clean
-        verdicts, stats2 = deployment.monitored_round("A", PFX1, "B")
-        assert stats2.violations == 0
-        assert all(v.ok for v in verdicts.values())
+        second = monitor.audit_once("A", PFX1, "B", max_length=8)
+        assert second.stats.violations == 0
+        assert all(v.ok for v in second.report.verdicts.values())
         # N2 is no longer a provider
-        assert "N2" not in stats2.providers
+        assert "N2" not in second.stats.providers
 
     def test_multiple_prefixes_independent(self, diamond):
         diamond.originate("O", PFX2)
         diamond.run_to_quiescence()
-        keystore = KeyStore(seed=2, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
+        monitor = Monitor(KeyStore(seed=2, key_bits=512)).attach(diamond)
         for prefix in (PFX1, PFX2):
-            verdicts, stats = deployment.monitored_round("A", prefix, "B")
-            assert stats.violations == 0
+            event = monitor.audit_once("A", prefix, "B", max_length=8)
+            assert event.stats.violations == 0
 
     def test_sequential_rounds_have_distinct_round_numbers(self, diamond):
-        keystore = KeyStore(seed=3, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
-        _, s1 = deployment.monitored_round("A", PFX1, "B")
-        _, s2 = deployment.monitored_round("A", PFX1, "B")
+        monitor = Monitor(KeyStore(seed=3, key_bits=512)).attach(diamond)
+        first = monitor.audit_once("A", PFX1, "B", max_length=8)
+        second = monitor.audit_once("A", PFX1, "B", max_length=8)
         # replaying round-1 material into round 2 would fail signature
-        # checks; the deployment enforces fresh round counters
-        assert deployment._round_counter == 2
+        # checks; the monitor enforces fresh round counters
+        assert (first.round, second.round) == (1, 2)
 
 
 class TestSBGPComparison:
@@ -89,10 +86,9 @@ class TestSBGPComparison:
 
     def test_sbgp_provenance_passes_where_pvr_detects(self, diamond):
         keystore = KeyStore(seed=4, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
-        verdicts, stats = deployment.monitored_round(
-            "A", PFX1, "B", prover=LongerRouteProver(keystore)
-        )
+        verdicts = Monitor(keystore).attach(diamond).audit_once(
+            "A", PFX1, "B", prover=LongerRouteProver(keystore), max_length=8
+        ).report.verdicts
         # S-BGP's check: is the exported route authentically from the
         # neighbor on its path?  Yes -- the longer route is a real,
         # validly signed announcement.
@@ -113,10 +109,9 @@ class TestSBGPComparison:
         self-consistent); only the provider-side checks catch it —
         the paper's argument for collective verification."""
         keystore = KeyStore(seed=5, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
-        verdicts, _ = deployment.monitored_round(
-            "A", PFX1, "B", prover=UnderstatingProver(keystore)
-        )
+        verdicts = Monitor(keystore).attach(diamond).audit_once(
+            "A", PFX1, "B", prover=UnderstatingProver(keystore), max_length=8
+        ).report.verdicts
         assert verdicts["B"].ok
         provider_detectors = [
             name for name, v in verdicts.items()
@@ -130,10 +125,9 @@ class TestEvidencePortability:
         """Evidence harvested in a live network round convinces a judge
         instantiated afterwards with only the key directory."""
         keystore = KeyStore(seed=6, key_bits=512)
-        deployment = PVRDeployment(diamond, keystore, max_length=8)
-        verdicts, _ = deployment.monitored_round(
-            "A", PFX1, "B", prover=LongerRouteProver(keystore)
-        )
+        verdicts = Monitor(keystore).attach(diamond).audit_once(
+            "A", PFX1, "B", prover=LongerRouteProver(keystore), max_length=8
+        ).report.verdicts
         collected = [
             violation.evidence
             for verdict in verdicts.values()

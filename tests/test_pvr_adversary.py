@@ -11,6 +11,7 @@ import pytest
 from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import (
     BadOpeningProver,
     EquivocatingProver,
@@ -24,14 +25,9 @@ from repro.pvr.adversary import (
     SuppressingProver,
     UnderstatingProver,
 )
+from repro.pvr.engine import VerificationSession
 from repro.pvr.judge import Judge
-from repro.pvr.minimum import RoundConfig
-from repro.pvr.properties import (
-    confidentiality_holds,
-    detection_holds,
-    evidence_holds,
-    run_minimum_scenario,
-)
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 
@@ -43,9 +39,10 @@ def route(neighbor, length):
 
 
 @pytest.fixture
-def config():
-    return RoundConfig(prover="A", providers=("N1", "N2", "N3"),
-                       recipient="B", round=1, max_length=8)
+def spec():
+    return PromiseSpec(promise=ShortestRoute(), prover="A",
+                       providers=("N1", "N2", "N3"), recipients=("B",),
+                       max_length=8)
 
 
 @pytest.fixture
@@ -59,173 +56,173 @@ def judge(keystore):
 
 
 class TestLongerRoute:
-    def test_recipient_detects_shorter_available(self, keystore, config,
+    def test_recipient_detects_shorter_available(self, keystore, spec,
                                                   routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=LongerRouteProver(keystore)
-        )
-        assert detection_holds(result, deviated=True)
-        assert "B" in result.detecting_parties()
-        kinds = {v.kind for v in result.verdicts["B"].violations}
+        report = VerificationSession(
+            keystore, spec, prover=LongerRouteProver(keystore)
+        ).run(routes)
+        assert report.detection_ok(deviated=True)
+        assert "B" in report.detecting_parties()
+        kinds = {v.kind for v in report.verdicts["B"].violations}
         assert "shorter-available" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
 
 class TestUnderstating:
-    def test_cheated_provider_detects_false_bit(self, keystore, config,
+    def test_cheated_provider_detects_false_bit(self, keystore, spec,
                                                  routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=UnderstatingProver(keystore)
-        )
-        assert detection_holds(result, deviated=True)
+        report = VerificationSession(
+            keystore, spec, prover=UnderstatingProver(keystore)
+        ).run(routes)
+        assert report.detection_ok(deviated=True)
         # N2 (shortest route, length 2) was erased from the bit vector
-        assert "N2" in result.detecting_parties()
-        kinds = {v.kind for v in result.verdicts["N2"].violations}
+        assert "N2" in report.detecting_parties()
+        kinds = {v.kind for v in report.verdicts["N2"].violations}
         assert "false-bit" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
-    def test_recipient_alone_cannot_detect(self, keystore, config, routes):
+    def test_recipient_alone_cannot_detect(self, keystore, spec, routes):
         # the forged bits are self-consistent from B's standpoint: this is
         # exactly why the paper needs condition 3 verified by the Ni
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=UnderstatingProver(keystore)
-        )
-        assert result.verdicts["B"].ok
+        report = VerificationSession(
+            keystore, spec, prover=UnderstatingProver(keystore)
+        ).run(routes)
+        assert report.verdicts["B"].ok
 
 
 class TestSuppression:
-    def test_recipient_detects_suppression(self, keystore, config, routes,
+    def test_recipient_detects_suppression(self, keystore, spec, routes,
                                            judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=SuppressingProver(keystore)
-        )
-        assert "B" in result.detecting_parties()
-        kinds = {v.kind for v in result.verdicts["B"].violations}
+        report = VerificationSession(
+            keystore, spec, prover=SuppressingProver(keystore)
+        ).run(routes)
+        assert "B" in report.detecting_parties()
+        kinds = {v.kind for v in report.verdicts["B"].violations}
         assert "suppression" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
-    def test_lying_suppressor_caught_by_providers(self, keystore, config,
+    def test_lying_suppressor_caught_by_providers(self, keystore, spec,
                                                   routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=LyingSuppressor(keystore)
-        )
-        assert detection_holds(result, deviated=True)
+        report = VerificationSession(
+            keystore, spec, prover=LyingSuppressor(keystore)
+        ).run(routes)
+        assert report.detection_ok(deviated=True)
         # every provider that announced sees b_|ri| = 0
         for provider in ("N1", "N2", "N3"):
-            kinds = {v.kind for v in result.verdicts[provider].violations}
+            kinds = {v.kind for v in report.verdicts[provider].violations}
             assert "false-bit" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
 
 class TestNonMonotone:
-    def test_recipient_detects(self, keystore, config, routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=NonMonotoneProver(keystore)
-        )
-        kinds = {v.kind for v in result.verdicts["B"].violations}
+    def test_recipient_detects(self, keystore, spec, routes, judge):
+        report = VerificationSession(
+            keystore, spec, prover=NonMonotoneProver(keystore)
+        ).run(routes)
+        kinds = {v.kind for v in report.verdicts["B"].violations}
         assert "non-monotone" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
 
 class TestEquivocation:
-    def test_gossip_detects(self, keystore, config, routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=EquivocatingProver(keystore)
-        )
-        assert result.equivocations
-        assert evidence_holds(result, judge)
+    def test_gossip_detects(self, keystore, spec, routes, judge):
+        report = VerificationSession(
+            keystore, spec, prover=EquivocatingProver(keystore)
+        ).run(routes)
+        assert report.equivocations
+        assert report.adjudicate(judge).evidence_ok()
 
     def test_without_gossip_split_view_survives_cross_check(
-        self, keystore, config, routes
+        self, keystore, spec, routes
     ):
         """Ablation D4: without gossip the equivocation itself goes
         unnoticed (no equivocation records)."""
-        result = run_minimum_scenario(
-            keystore, config, routes,
+        report = VerificationSession(
+            keystore, spec,
             prover=EquivocatingProver(keystore), gossip=False,
-        )
-        assert result.equivocations == ()
+        ).run(routes)
+        assert report.equivocations == ()
         # note: this particular equivocator also suppresses toward B, so
         # B's local checks still flag *something* -- but the commitment
         # split itself is invisible without gossip
         assert all(
             v.kind != "equivocation"
-            for verdict in result.verdicts.values()
+            for verdict in report.verdicts.values()
             for v in verdict.violations
         )
 
 
 class TestBadOpening:
-    def test_providers_get_transferable_evidence(self, keystore, config,
+    def test_providers_get_transferable_evidence(self, keystore, spec,
                                                  routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=BadOpeningProver(keystore)
-        )
-        detecting = result.detecting_parties()
+        report = VerificationSession(
+            keystore, spec, prover=BadOpeningProver(keystore)
+        ).run(routes)
+        detecting = report.detecting_parties()
         assert set(detecting) & {"N1", "N2", "N3"}
         for party in detecting:
-            for violation in result.verdicts[party].violations:
+            for violation in report.verdicts[party].violations:
                 assert violation.kind == "bad-opening"
                 assert violation.transferable()
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
 
 class TestWithheldMessages:
-    def test_missing_receipt_yields_complaint(self, keystore, config, routes):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=NoReceiptProver(keystore)
-        )
-        assert detection_holds(result, deviated=True)
-        claims = {c.claim for c in result.all_complaints()}
+    def test_missing_receipt_yields_complaint(self, keystore, spec, routes):
+        report = VerificationSession(
+            keystore, spec, prover=NoReceiptProver(keystore)
+        ).run(routes)
+        assert report.detection_ok(deviated=True)
+        claims = {c.claim for c in report.all_complaints()}
         assert "missing-receipt" in claims
 
-    def test_missing_disclosure_yields_complaint(self, keystore, config,
+    def test_missing_disclosure_yields_complaint(self, keystore, spec,
                                                  routes):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=NoDisclosureProver(keystore)
-        )
-        claims = {c.claim for c in result.all_complaints()}
+        report = VerificationSession(
+            keystore, spec, prover=NoDisclosureProver(keystore)
+        ).run(routes)
+        claims = {c.claim for c in report.all_complaints()}
         assert "missing-disclosure" in claims
 
 
 class TestForgedProvenance:
-    def test_recipient_detects(self, keystore, config, routes, judge):
+    def test_recipient_detects(self, keystore, spec, routes, judge):
         forged = route("N9", 1)
-        result = run_minimum_scenario(
-            keystore, config, routes,
+        report = VerificationSession(
+            keystore, spec,
             prover=ForgedProvenanceProver(keystore, forged, "N2"),
-        )
-        kinds = {v.kind for v in result.verdicts["B"].violations}
+        ).run(routes)
+        kinds = {v.kind for v in report.verdicts["B"].violations}
         assert "bad-provenance" in kinds
-        assert evidence_holds(result, judge)
+        assert report.adjudicate(judge).evidence_ok()
 
 
 class TestLeakyProver:
-    def test_verifiers_see_nothing_wrong(self, keystore, config, routes):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=LeakyProver(keystore)
-        )
-        assert not result.violation_found()
+    def test_verifiers_see_nothing_wrong(self, keystore, spec, routes):
+        report = VerificationSession(
+            keystore, spec, prover=LeakyProver(keystore)
+        ).run(routes)
+        assert not report.violation_found()
 
-    def test_confidentiality_checker_flags_it(self, keystore, config, routes):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=LeakyProver(keystore)
-        )
-        assert not confidentiality_holds(result, routes)
+    def test_confidentiality_checker_flags_it(self, keystore, spec, routes):
+        report = VerificationSession(
+            keystore, spec, prover=LeakyProver(keystore)
+        ).run(routes)
+        assert not report.confidentiality_ok
 
 
 class TestAccuracyAgainstFabrication:
     """Accuracy: an honest AS can disprove fabricated evidence."""
 
-    def test_fabricated_false_bit_fails_at_judge(self, keystore, config,
+    def test_fabricated_false_bit_fails_at_judge(self, keystore, spec,
                                                  routes, judge):
         # run an honest round, then try to frame A by reusing its honest
         # disclosure of a zero bit with an unrelated announcement
         from repro.pvr.evidence import FalseBitEvidence
         from repro.pvr.announcements import make_announcement
 
-        result = run_minimum_scenario(keystore, config, routes)
-        view = result.transcript.recipient_view
+        report = VerificationSession(keystore, spec).run(routes)
+        view = report.transcript.detail.recipient_view
         zero_disclosures = [
             d for d in view.disclosures if d.opening.value == 0
         ]
@@ -235,8 +232,8 @@ class TestAccuracyAgainstFabrication:
         # receipt signature; reusing a receipt for a different
         # announcement fails the digest check
         fake_ann = make_announcement(keystore, route("N1", 1), "N1", "A",
-                                     config.round)
-        honest_receipt = result.transcript.provider_views["N1"].receipt
+                                     report.round)
+        honest_receipt = report.transcript.detail.provider_views["N1"].receipt
         fabricated = FalseBitEvidence(
             vector=view.vector,
             disclosure=zero_disclosures[0],
@@ -245,12 +242,12 @@ class TestAccuracyAgainstFabrication:
         )
         assert not judge.validate(fabricated)
 
-    def test_fabricated_shorter_available_fails(self, keystore, config,
+    def test_fabricated_shorter_available_fails(self, keystore, spec,
                                                 routes, judge):
         from repro.pvr.evidence import ShorterAvailableEvidence
 
-        result = run_minimum_scenario(keystore, config, routes)
-        view = result.transcript.recipient_view
+        report = VerificationSession(keystore, spec).run(routes)
+        view = report.transcript.detail.recipient_view
         # accuse using a disclosure of a zero bit (value must be 1)
         zero = [d for d in view.disclosures if d.opening.value == 0][0]
         fabricated = ShorterAvailableEvidence(
@@ -258,12 +255,12 @@ class TestAccuracyAgainstFabrication:
         )
         assert not judge.validate(fabricated)
 
-    def test_fabricated_suppression_fails(self, keystore, config, routes,
+    def test_fabricated_suppression_fails(self, keystore, spec, routes,
                                           judge):
         from repro.pvr.evidence import SuppressionEvidence
 
-        result = run_minimum_scenario(keystore, config, routes)
-        view = result.transcript.recipient_view
+        report = VerificationSession(keystore, spec).run(routes)
+        view = report.transcript.detail.recipient_view
         one = [d for d in view.disclosures if d.opening.value == 1][0]
         fabricated = SuppressionEvidence(
             vector=view.vector, attestation=view.attestation, disclosure=one,

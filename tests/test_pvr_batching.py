@@ -6,16 +6,13 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.commitment import Opening
+from repro.promises.spec import ShortestRoute
 from repro.pvr.batching import BatchedDisclosure, BatchingProver, DisclosureBatch
 from repro.pvr.commitments import commit_bits
+from repro.pvr.engine import VerificationSession
 from repro.pvr.judge import Judge
-from repro.pvr.minimum import HonestProver, RoundConfig
-from repro.pvr.properties import (
-    accuracy_holds,
-    confidentiality_holds,
-    evidence_holds,
-    run_minimum_scenario,
-)
+from repro.pvr.minimum import HonestProver
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 
@@ -29,9 +26,9 @@ def route(neighbor, length):
 ROUTES = {"N1": route("N1", 4), "N2": route("N2", 2), "N3": route("N3", 6)}
 
 
-def config_for(round_no):
-    return RoundConfig(prover="A", providers=("N1", "N2", "N3"),
-                       recipient="B", round=round_no, max_length=8)
+SPEC = PromiseSpec(promise=ShortestRoute(), prover="A",
+                   providers=("N1", "N2", "N3"), recipients=("B",),
+                   max_length=8)
 
 
 @pytest.fixture
@@ -95,25 +92,27 @@ class TestDisclosureBatch:
 
 class TestBatchingProver:
     def test_round_verifies_everywhere(self, keystore):
-        result = run_minimum_scenario(
-            keystore, config_for(1), ROUTES, prover=BatchingProver(keystore)
-        )
-        assert accuracy_holds(result)
-        assert confidentiality_holds(result, ROUTES)
+        report = VerificationSession(
+            keystore, SPEC, round=1, prover=BatchingProver(keystore)
+        ).run(ROUTES)
+        assert report.accuracy_ok
+        assert report.confidentiality_ok
 
     def test_fewer_signatures_than_plain_prover(self, keystore):
         before = keystore.sign_count
-        run_minimum_scenario(keystore, config_for(2), ROUTES,
-                             prover=HonestProver(keystore))
+        VerificationSession(
+            keystore, SPEC, round=2, prover=HonestProver(keystore)
+        ).run(ROUTES)
         plain = keystore.sign_count - before
         before = keystore.sign_count
-        run_minimum_scenario(keystore, config_for(3), ROUTES,
-                             prover=BatchingProver(keystore))
+        VerificationSession(
+            keystore, SPEC, round=3, prover=BatchingProver(keystore)
+        ).run(ROUTES)
         batched = keystore.sign_count - before
         # plain signs each disclosure (k providers + L recipient bits);
         # batched signs one root instead
         assert batched < plain
-        assert plain - batched >= config_for(3).max_length
+        assert plain - batched >= SPEC.max_length
 
     def test_adversarial_batching_still_detected(self, keystore):
         """Batching is an optimization, not a loophole: an understating
@@ -123,12 +122,11 @@ class TestBatchingProver:
         class UnderstatingBatcher(BatchingProver, UnderstatingProver):
             pass
 
-        result = run_minimum_scenario(
-            keystore, config_for(4), ROUTES,
-            prover=UnderstatingBatcher(keystore),
-        )
-        assert result.violation_found()
-        assert evidence_holds(result, Judge(keystore))
+        report = VerificationSession(
+            keystore, SPEC, round=4, prover=UnderstatingBatcher(keystore)
+        ).run(ROUTES)
+        assert report.violation_found()
+        assert report.adjudicate(Judge(keystore)).evidence_ok()
 
     def test_evidence_with_batched_disclosures_validates(self, keystore):
         """Evidence objects carrying BatchedDisclosure components convince
@@ -138,10 +136,10 @@ class TestBatchingProver:
         class LyingBatcher(BatchingProver, LyingSuppressor):
             pass
 
-        result = run_minimum_scenario(
-            keystore, config_for(5), ROUTES, prover=LyingBatcher(keystore)
-        )
-        evidence = result.all_evidence()
+        report = VerificationSession(
+            keystore, SPEC, round=5, prover=LyingBatcher(keystore)
+        ).run(ROUTES)
+        evidence = report.all_evidence()
         assert evidence
         judge = Judge(keystore)
         assert all(judge.validate(item) for item in evidence)

@@ -42,7 +42,6 @@ from repro.pvr.crosscheck import (
     cross_check,
     discriminating_chooser,
     honest_chooser,
-    run_promise4_scenario,
     withholding_chooser,
 )
 from repro.pvr.engine import VerificationSession, derive_skeleton
@@ -52,7 +51,6 @@ from repro.pvr.navigation import (
     verify_as_input_owner,
     verify_as_output_recipient,
 )
-from repro.pvr.properties import run_minimum_scenario
 from repro.pvr.protocol import GraphProver, GraphRoundConfig
 from repro.pvr.session import PromiseSpec, SessionError
 from repro.rfg.builder import figure2_graph
@@ -185,15 +183,6 @@ class TestLifecycle:
             second.verdicts
         )
 
-    def test_verify_party_subset(self, keystore):
-        session = VerificationSession(keystore, minimum_spec(), round=2)
-        session.announce(ROUTES)
-        session.commit()
-        session.disclose()
-        report = session.verify(parties=("B",))
-        assert set(report.verdicts) == {"B"}
-        assert report.verdicts["B"].ok
-
     def test_commit_returns_signed_statement(self, keystore):
         session = VerificationSession(keystore, minimum_spec(), round=3)
         session.announce(ROUTES)
@@ -296,22 +285,6 @@ class TestMinimumParity:
             legacy_verdicts
         )
         assert len(report.equivocations) == len(legacy_equivocations)
-
-    def test_legacy_wrapper_matches_engine(self, keystore):
-        """run_minimum_scenario (the adapted legacy entry point) agrees
-        with a directly-driven session."""
-        spec = minimum_spec()
-        config = spec.round_config(12)
-        legacy = run_minimum_scenario(
-            keystore, config, ROUTES, prover=LongerRouteProver(keystore)
-        )
-        report = VerificationSession(
-            keystore, spec, round=12, prover=LongerRouteProver(keystore)
-        ).run(ROUTES)
-        assert verdict_signature(legacy.verdicts) == verdict_signature(
-            report.verdicts
-        )
-        assert legacy.honest_chosen_length == report.honest_chosen_length
 
     def test_gossip_ablation(self, keystore):
         spec = minimum_spec()
@@ -537,23 +510,6 @@ class TestCrosscheckParity:
         )
         assert report.violation_found() == expect_violation
 
-    def test_legacy_wrapper_matches_engine(self, keystore):
-        result = run_promise4_scenario(
-            keystore, "A", PROVIDERS, self.RECIPIENTS, ROUTES,
-            round=42, chooser=discriminating_chooser("B1"),
-        )
-        spec = PromiseSpec(
-            promise=NoLongerThanOthers(), prover="A", providers=PROVIDERS,
-            recipients=self.RECIPIENTS, max_length=16,
-        )
-        report = VerificationSession(
-            keystore, spec, round=42, chooser=discriminating_chooser("B1")
-        ).run(ROUTES)
-        assert verdict_signature(result.verdicts) == verdict_signature(
-            report.verdicts
-        )
-        assert set(result.attestations) == set(report.transcript.views)
-
 
 class TestScenarioRegistry:
     def test_catalogue_is_populated(self):
@@ -585,3 +541,31 @@ class TestScenarioRegistry:
         flagged = report.violation_found() or bool(report.all_complaints())
         assert flagged == scenario.expect_violation, name
         assert report.adjudication.evidence_ok(), name
+
+
+class TestLeafPackage:
+    def test_importing_pvr_loads_nothing_above_it(self):
+        """``repro.pvr`` is a leaf under the audit plane: importing it
+        (or the engine alone) in a fresh interpreter loads no module of
+        the layers that run rounds on a network."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        above = ("repro.audit", "repro.obs", "repro.cluster",
+                 "repro.serve", "repro.ledger", "repro.journal")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        for module in ("repro.pvr", "repro.pvr.engine"):
+            code = (
+                f"import sys, {module}\n"
+                f"print([m for m in sys.modules if m.startswith({above!r})])"
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == "[]", module

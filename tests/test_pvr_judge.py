@@ -6,12 +6,14 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.commitment import Opening
+from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import NoDisclosureProver, NoReceiptProver
 from repro.pvr.commitments import make_disclosure
+from repro.pvr.engine import VerificationSession
 from repro.pvr.evidence import Complaint
 from repro.pvr.judge import DISMISSED, UPHELD, Judge
-from repro.pvr.minimum import HonestProver, RoundConfig
-from repro.pvr.properties import run_minimum_scenario
+from repro.pvr.minimum import HonestProver
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 
@@ -23,9 +25,10 @@ def route(neighbor, length):
 
 
 @pytest.fixture
-def config():
-    return RoundConfig(prover="A", providers=("N1", "N2"), recipient="B",
-                       round=1, max_length=6)
+def spec():
+    return PromiseSpec(promise=ShortestRoute(), prover="A",
+                       providers=("N1", "N2"), recipients=("B",),
+                       max_length=6)
 
 
 @pytest.fixture
@@ -40,34 +43,34 @@ def judge(keystore):
 
 class TestComplaintResolution:
     def test_honest_prover_dismisses_receipt_complaint(
-        self, keystore, config, routes, judge
+        self, keystore, spec, routes, judge
     ):
         """Accuracy: if N1 falsely complains, honest A produces the receipt
         and is cleared."""
-        honest = run_minimum_scenario(keystore, config, routes)
-        receipt = honest.transcript.provider_views["N1"].receipt
+        honest = VerificationSession(keystore, spec).run(routes)
+        receipt = honest.transcript.detail.provider_views["N1"].receipt
         complaint = Complaint(accuser="N1", accused="A", round=1,
                               claim="missing-receipt")
         ruling = judge.resolve_complaint(complaint, receipt)
         assert ruling.outcome == DISMISSED
 
-    def test_withholding_prover_upheld(self, keystore, config, routes, judge):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=NoReceiptProver(keystore)
-        )
+    def test_withholding_prover_upheld(self, keystore, spec, routes, judge):
+        report = VerificationSession(
+            keystore, spec, prover=NoReceiptProver(keystore)
+        ).run(routes)
         complaint = next(
-            c for c in result.all_complaints() if c.claim == "missing-receipt"
+            c for c in report.all_complaints() if c.claim == "missing-receipt"
         )
         # the guilty prover has nothing valid to produce
         ruling = judge.resolve_complaint(complaint, None)
         assert ruling.outcome == UPHELD
 
     def test_disclosure_complaint_dismissed_with_valid_response(
-        self, keystore, config, routes, judge
+        self, keystore, spec, routes, judge
     ):
-        withheld = run_minimum_scenario(
-            keystore, config, routes, prover=NoDisclosureProver(keystore)
-        )
+        withheld = VerificationSession(
+            keystore, spec, prover=NoDisclosureProver(keystore)
+        ).run(routes)
         complaint = next(
             c for c in withheld.all_complaints()
             if c.claim == "missing-disclosure"
@@ -75,55 +78,55 @@ class TestComplaintResolution:
         # an honest A would now produce the disclosure; reconstruct it from
         # a parallel honest run with identical nonce stream
         from repro.util.rng import DeterministicRandom
-        honest = run_minimum_scenario(
-            keystore, config, routes,
+        honest = VerificationSession(
+            keystore, spec,
             prover=HonestProver(keystore, DeterministicRandom(3).bytes),
-        )
+        ).run(routes)
         expected_index = complaint.context[0]
         response = next(
-            d for d in honest.transcript.recipient_view.disclosures
+            d for d in honest.transcript.detail.recipient_view.disclosures
             if d.index == expected_index
         )
-        vector = honest.transcript.recipient_view.vector
+        vector = honest.transcript.detail.recipient_view.vector
         ruling = judge.resolve_complaint(complaint, response, vector=vector)
         assert ruling.outcome == DISMISSED
 
     def test_disclosure_complaint_answered_with_wrong_bit_upheld(
-        self, keystore, config, routes, judge
+        self, keystore, spec, routes, judge
     ):
-        result = run_minimum_scenario(
-            keystore, config, routes, prover=NoDisclosureProver(keystore)
-        )
+        report = VerificationSession(
+            keystore, spec, prover=NoDisclosureProver(keystore)
+        ).run(routes)
         complaint = next(
-            c for c in result.all_complaints()
+            c for c in report.all_complaints()
             if c.claim == "missing-disclosure"
         )
         wrong_index = complaint.context[0] + 1
-        honest = run_minimum_scenario(keystore, config, routes)
+        honest = VerificationSession(keystore, spec).run(routes)
         response = next(
-            d for d in honest.transcript.recipient_view.disclosures
+            d for d in honest.transcript.detail.recipient_view.disclosures
             if d.index == wrong_index
         )
         ruling = judge.resolve_complaint(complaint, response)
         assert ruling.outcome == UPHELD
 
     def test_garbage_opening_response_becomes_evidence(
-        self, keystore, config, routes, judge
+        self, keystore, spec, routes, judge
     ):
-        result = run_minimum_scenario(keystore, config, routes)
-        vector = result.transcript.recipient_view.vector
-        genuine = result.transcript.recipient_view.disclosures[0]
+        report = VerificationSession(keystore, spec).run(routes)
+        vector = report.transcript.detail.recipient_view.vector
+        genuine = report.transcript.detail.recipient_view.disclosures[0]
         forged_opening = Opening(
             label=genuine.opening.label,
             value=1 - genuine.opening.value,
             nonce=genuine.opening.nonce,
         )
         response = make_disclosure(
-            keystore, "A", config.topic, config.round,
+            keystore, "A", spec.topic, report.round,
             genuine.index, forged_opening,
         )
         complaint = Complaint(
-            accuser="N1", accused="A", round=config.round,
+            accuser="N1", accused="A", round=report.round,
             claim="missing-disclosure", context=(genuine.index,),
         )
         ruling = judge.resolve_complaint(complaint, response, vector=vector)
@@ -131,18 +134,18 @@ class TestComplaintResolution:
         assert ruling.derived_evidence is not None
         assert judge.validate(ruling.derived_evidence)
 
-    def test_commitment_complaint(self, keystore, config, routes, judge):
-        result = run_minimum_scenario(keystore, config, routes)
-        vector = result.transcript.recipient_view.vector
-        complaint = Complaint(accuser="B", accused="A", round=config.round,
+    def test_commitment_complaint(self, keystore, spec, routes, judge):
+        report = VerificationSession(keystore, spec).run(routes)
+        vector = report.transcript.detail.recipient_view.vector
+        complaint = Complaint(accuser="B", accused="A", round=report.round,
                               claim="missing-commitment")
         assert judge.resolve_complaint(complaint, vector).outcome == DISMISSED
         assert judge.resolve_complaint(complaint, None).outcome == UPHELD
 
-    def test_attestation_complaint(self, keystore, config, routes, judge):
-        result = run_minimum_scenario(keystore, config, routes)
-        attestation = result.transcript.recipient_view.attestation
-        complaint = Complaint(accuser="B", accused="A", round=config.round,
+    def test_attestation_complaint(self, keystore, spec, routes, judge):
+        report = VerificationSession(keystore, spec).run(routes)
+        attestation = report.transcript.detail.recipient_view.attestation
+        complaint = Complaint(accuser="B", accused="A", round=report.round,
                               claim="missing-attestation")
         assert judge.resolve_complaint(complaint, attestation).outcome == DISMISSED
 
@@ -151,11 +154,11 @@ class TestComplaintResolution:
                               claim="weird-claim")
         assert judge.resolve_complaint(complaint, object()).outcome == UPHELD
 
-    def test_receipt_for_wrong_provider_upheld(self, keystore, config,
+    def test_receipt_for_wrong_provider_upheld(self, keystore, spec,
                                                routes, judge):
-        result = run_minimum_scenario(keystore, config, routes)
-        n2_receipt = result.transcript.provider_views["N2"].receipt
-        complaint = Complaint(accuser="N1", accused="A", round=config.round,
+        report = VerificationSession(keystore, spec).run(routes)
+        n2_receipt = report.transcript.detail.provider_views["N2"].receipt
+        complaint = Complaint(accuser="N1", accused="A", round=report.round,
                               claim="missing-receipt")
         ruling = judge.resolve_complaint(complaint, n2_receipt)
         assert ruling.outcome == UPHELD

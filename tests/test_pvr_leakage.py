@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.promises.spec import ShortestRoute
 from repro.pvr import leakage
+from repro.pvr.engine import VerificationSession
 from repro.pvr.minimum import RoundConfig
-from repro.pvr.properties import confidentiality_holds, run_minimum_scenario
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 MAX_LEN = 6
@@ -18,6 +20,12 @@ def route(neighbor, length):
     return Route(prefix=PFX,
                  as_path=ASPath(tuple(f"T{i}" for i in range(length))),
                  neighbor=neighbor)
+
+
+def spec_for(*providers):
+    return PromiseSpec(promise=ShortestRoute(), prover="A",
+                       providers=providers, recipients=("B",),
+                       max_length=MAX_LEN)
 
 
 class TestFactClosure:
@@ -70,25 +78,22 @@ class TestHonestProtocolLeaksNothing:
     @settings(max_examples=30, deadline=None)
     @given(scenario_routes)
     def test_zero_leakage_across_random_scenarios(self, keystore, lengths):
-        config = RoundConfig(prover="A", providers=("N1", "N2", "N3"),
-                             recipient="B", round=1, max_length=MAX_LEN)
+        spec = spec_for("N1", "N2", "N3")
         routes = {
             n: (route(n, l) if l is not None else None)
             for n, l in lengths.items()
         }
-        for n in config.providers:
+        for n in spec.providers:
             routes.setdefault(n, None)
-        result = run_minimum_scenario(keystore, config, routes)
-        assert confidentiality_holds(result, routes)
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.confidentiality_ok
 
     def test_provider_learns_only_what_it_knew(self, keystore):
-        config = RoundConfig(prover="A", providers=("N1", "N2"),
-                             recipient="B", round=1, max_length=MAX_LEN)
         routes = {"N1": route("N1", 2), "N2": route("N2", 5)}
-        result = run_minimum_scenario(keystore, config, routes)
+        report = VerificationSession(keystore, spec_for("N1", "N2")).run(routes)
         # N2 (the loser) must not learn that a shorter route existed
         learned = leakage.facts_learned_by_provider(
-            result.transcript.provider_views["N2"]
+            report.transcript.detail.provider_views["N2"]
         )
         assert ("exists-route-leq", 2) not in leakage._close_under_implication(
             learned, MAX_LEN
@@ -99,14 +104,13 @@ class TestHonestProtocolLeaksNothing:
         assert all(fact[0] != "no-route-leq" for fact in learned)
 
     def test_recipient_learns_exactly_the_promise_consequences(self, keystore):
-        config = RoundConfig(prover="A", providers=("N1", "N2"),
-                             recipient="B", round=1, max_length=MAX_LEN)
+        spec = spec_for("N1", "N2")
         routes = {"N1": route("N1", 2), "N2": route("N2", 5)}
-        result = run_minimum_scenario(keystore, config, routes)
+        report = VerificationSession(keystore, spec).run(routes)
         learned = leakage.facts_learned_by_recipient(
-            result.transcript.recipient_view
+            report.transcript.detail.recipient_view
         )
-        baseline = leakage.baseline_facts_recipient(config, 2)
+        baseline = leakage.baseline_facts_recipient(spec.round_config(1), 2)
         assert leakage.confidentiality_violations(learned, baseline,
                                                   MAX_LEN) == set()
         # B does NOT learn the losers' lengths: the fact "exists-route-leq-5"

@@ -5,15 +5,11 @@ import pytest
 from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.promises.spec import ShortestRoute
+from repro.pvr.engine import VerificationSession
 from repro.pvr.judge import Judge
 from repro.pvr.minimum import HonestProver, RoundConfig
-from repro.pvr.properties import (
-    accuracy_holds,
-    confidentiality_holds,
-    detection_holds,
-    evidence_holds,
-    run_minimum_scenario,
-)
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 
@@ -25,9 +21,10 @@ def route(neighbor, length):
 
 
 @pytest.fixture
-def config():
-    return RoundConfig(prover="A", providers=("N1", "N2", "N3"),
-                       recipient="B", round=1, max_length=8)
+def spec():
+    return PromiseSpec(promise=ShortestRoute(), prover="A",
+                       providers=("N1", "N2", "N3"), recipients=("B",),
+                       max_length=8)
 
 
 @pytest.fixture
@@ -53,84 +50,87 @@ class TestConfig:
 
 
 class TestHonestRound:
-    def test_all_verdicts_ok(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
-        assert accuracy_holds(result)
-        assert detection_holds(result, deviated=False)
+    def test_all_verdicts_ok(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.accuracy_ok
+        assert report.detection_ok(deviated=False)
 
-    def test_exports_the_minimum(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
-        att = result.transcript.recipient_view.attestation
+    def test_exports_the_minimum(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
+        att = report.transcript.detail.recipient_view.attestation
         assert att.exported_length() == 2
         assert att.provenance.origin == "N2"
 
-    def test_exported_path_prepended(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
-        att = result.transcript.recipient_view.attestation
+    def test_exported_path_prepended(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
+        att = report.transcript.detail.recipient_view.attestation
         assert att.route.as_path.first_hop == "A"
 
-    def test_confidentiality(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
-        assert confidentiality_holds(result, routes)
+    def test_confidentiality(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.confidentiality_ok
 
-    def test_no_routes_no_export(self, keystore, config):
+    def test_no_routes_no_export(self, keystore, spec):
         routes = {"N1": None, "N2": None, "N3": None}
-        result = run_minimum_scenario(keystore, config, routes)
-        assert accuracy_holds(result)
-        assert result.transcript.recipient_view.attestation.route is None
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.accuracy_ok
+        assert report.transcript.detail.recipient_view.attestation.route is None
 
     def test_single_provider(self, keystore):
-        config = RoundConfig(prover="A", providers=("N1",), recipient="B",
-                             round=1, max_length=8)
-        result = run_minimum_scenario(keystore, config, {"N1": route("N1", 3)})
-        assert accuracy_holds(result)
-        assert result.transcript.recipient_view.attestation.exported_length() == 3
+        spec = PromiseSpec(promise=ShortestRoute(), prover="A",
+                           providers=("N1",), recipients=("B",),
+                           max_length=8)
+        report = VerificationSession(keystore, spec).run(
+            {"N1": route("N1", 3)}
+        )
+        assert report.accuracy_ok
+        assert report.transcript.detail.recipient_view.attestation.exported_length() == 3
 
-    def test_tie_between_providers(self, keystore, config):
+    def test_tie_between_providers(self, keystore, spec):
         routes = {"N1": route("N1", 2), "N2": route("N2", 2), "N3": None}
-        result = run_minimum_scenario(keystore, config, routes)
-        assert accuracy_holds(result)
-        assert result.transcript.recipient_view.attestation.exported_length() == 2
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.accuracy_ok
+        assert report.transcript.detail.recipient_view.attestation.exported_length() == 2
 
-    def test_silent_provider_gets_no_disclosure(self, keystore, config):
+    def test_silent_provider_gets_no_disclosure(self, keystore, spec):
         routes = {"N1": route("N1", 2), "N2": None, "N3": None}
-        result = run_minimum_scenario(keystore, config, routes)
-        view = result.transcript.provider_views["N2"]
+        report = VerificationSession(keystore, spec).run(routes)
+        view = report.transcript.detail.provider_views["N2"]
         assert view.disclosure is None
         assert view.receipt is None
-        assert accuracy_holds(result)
+        assert report.accuracy_ok
 
-    def test_max_length_routes_handled(self, keystore, config):
+    def test_max_length_routes_handled(self, keystore, spec):
         routes = {"N1": route("N1", 8), "N2": None, "N3": None}
-        result = run_minimum_scenario(keystore, config, routes)
-        assert accuracy_holds(result)
-        assert result.transcript.recipient_view.attestation.exported_length() == 8
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.accuracy_ok
+        assert report.transcript.detail.recipient_view.attestation.exported_length() == 8
 
-    def test_overlong_route_treated_as_absent(self, keystore, config):
+    def test_overlong_route_treated_as_absent(self, keystore, spec):
         routes = {"N1": route("N1", 9), "N2": None, "N3": None}  # > max_length
-        result = run_minimum_scenario(keystore, config, routes)
+        report = VerificationSession(keystore, spec).run(routes)
         # the prover drops it; N1's announcement is out of protocol bounds
-        att = result.transcript.recipient_view.attestation
+        att = report.transcript.detail.recipient_view.attestation
         assert att.route is None
 
-    def test_deterministic_with_seeded_nonces(self, keystore, config, routes):
+    def test_deterministic_with_seeded_nonces(self, keystore, spec, routes):
         from repro.util.rng import DeterministicRandom
         p1 = HonestProver(keystore, DeterministicRandom(7).bytes)
         p2 = HonestProver(keystore, DeterministicRandom(7).bytes)
-        r1 = run_minimum_scenario(keystore, config, routes, prover=p1)
-        r2 = run_minimum_scenario(keystore, config, routes, prover=p2)
-        v1 = r1.transcript.recipient_view.vector
-        v2 = r2.transcript.recipient_view.vector
+        r1 = VerificationSession(keystore, spec, prover=p1).run(routes)
+        r2 = VerificationSession(keystore, spec, prover=p2).run(routes)
+        v1 = r1.transcript.detail.recipient_view.vector
+        v2 = r2.transcript.detail.recipient_view.vector
         assert [c.digest for c in v1.commitments] == [c.digest for c in v2.commitments]
 
 
 class TestEvidencePipeline:
-    def test_honest_round_produces_no_evidence(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
-        assert result.all_evidence() == ()
-        assert result.all_complaints() == ()
+    def test_honest_round_produces_no_evidence(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
+        assert report.all_evidence() == ()
+        assert report.all_complaints() == ()
 
-    def test_judge_validates_nothing_from_honest_round(self, keystore, config, routes):
-        result = run_minimum_scenario(keystore, config, routes)
+    def test_judge_validates_nothing_from_honest_round(self, keystore, spec, routes):
+        report = VerificationSession(keystore, spec).run(routes)
         judge = Judge(keystore)
-        assert evidence_holds(result, judge)  # vacuously
+        assert report.adjudicate(judge).evidence_ok()  # vacuously

@@ -13,15 +13,11 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.keystore import KeyStore
+from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import LongerRouteProver, LyingSuppressor, UnderstatingProver
+from repro.pvr.engine import VerificationSession
 from repro.pvr.judge import Judge
-from repro.pvr.minimum import RoundConfig
-from repro.pvr.properties import (
-    accuracy_holds,
-    confidentiality_holds,
-    evidence_holds,
-    run_minimum_scenario,
-)
+from repro.pvr.session import PromiseSpec
 
 PFX = Prefix.parse("10.0.0.0/8")
 MAX_LEN = 10
@@ -38,6 +34,7 @@ lengths_strategy = st.lists(
 
 
 def scenario(lengths, round_no, prover=None):
+    """The report of one round over a drawn announcement pattern."""
     providers = tuple(f"N{i}" for i in range(1, len(lengths) + 1))
     routes = {}
     for provider, length in zip(providers, lengths):
@@ -49,26 +46,28 @@ def scenario(lengths, round_no, prover=None):
                 as_path=ASPath(tuple(f"T{j}" for j in range(length))),
                 neighbor=provider,
             )
-    config = RoundConfig(prover="A", providers=providers, recipient="B",
-                         round=round_no, max_length=MAX_LEN)
-    result = run_minimum_scenario(_KEYSTORE, config, routes, prover=prover)
-    return result, routes
+    spec = PromiseSpec(promise=ShortestRoute(), prover="A",
+                       providers=providers, recipients=("B",),
+                       max_length=MAX_LEN)
+    return VerificationSession(
+        _KEYSTORE, spec, round=round_no, prover=prover
+    ).run(routes)
 
 
 class TestHonestUniversality:
     @settings(max_examples=40, deadline=None)
     @given(lengths_strategy, st.integers(min_value=1, max_value=10**6))
     def test_honest_rounds_always_clean(self, lengths, round_no):
-        result, routes = scenario(lengths, round_no)
-        assert accuracy_holds(result)
-        assert confidentiality_holds(result, routes)
+        report = scenario(lengths, round_no)
+        assert report.accuracy_ok
+        assert report.confidentiality_ok
 
     @settings(max_examples=40, deadline=None)
     @given(lengths_strategy, st.integers(min_value=1, max_value=10**6))
     def test_honest_export_is_the_minimum(self, lengths, round_no):
-        result, routes = scenario(lengths, round_no)
+        report = scenario(lengths, round_no)
         present = [l for l in lengths if l is not None]
-        attestation = result.transcript.recipient_view.attestation
+        attestation = report.transcript.detail.recipient_view.attestation
         if present:
             assert attestation.exported_length() == min(present)
         else:
@@ -81,31 +80,31 @@ class TestAdversarialUniversality:
     def test_longer_route_flagged_iff_visible(self, lengths, round_no):
         """Exporting the longest route violates the promise exactly when
         the longest differs from the shortest."""
-        result, _ = scenario(lengths, round_no,
-                             prover=LongerRouteProver(_KEYSTORE))
+        report = scenario(lengths, round_no,
+                          prover=LongerRouteProver(_KEYSTORE))
         present = [l for l in lengths if l is not None]
         semantically_wrong = bool(present) and max(present) != min(present)
-        assert result.violation_found() == semantically_wrong
-        assert evidence_holds(result, _JUDGE)
+        assert report.violation_found() == semantically_wrong
+        assert report.adjudicate(_JUDGE).evidence_ok()
 
     @settings(max_examples=25, deadline=None)
     @given(lengths_strategy, st.integers(min_value=1, max_value=10**6))
     def test_understating_flagged_iff_visible(self, lengths, round_no):
-        result, _ = scenario(lengths, round_no,
-                             prover=UnderstatingProver(_KEYSTORE))
+        report = scenario(lengths, round_no,
+                          prover=UnderstatingProver(_KEYSTORE))
         present = [l for l in lengths if l is not None]
         semantically_wrong = bool(present) and max(present) != min(present)
-        assert result.violation_found() == semantically_wrong
-        assert evidence_holds(result, _JUDGE)
+        assert report.violation_found() == semantically_wrong
+        assert report.adjudicate(_JUDGE).evidence_ok()
 
     @settings(max_examples=25, deadline=None)
     @given(lengths_strategy, st.integers(min_value=1, max_value=10**6))
     def test_lying_suppressor_flagged_iff_routes_exist(self, lengths, round_no):
-        result, _ = scenario(lengths, round_no,
-                             prover=LyingSuppressor(_KEYSTORE))
+        report = scenario(lengths, round_no,
+                          prover=LyingSuppressor(_KEYSTORE))
         present = [l for l in lengths if l is not None]
-        assert result.violation_found() == bool(present)
-        assert evidence_holds(result, _JUDGE)
+        assert report.violation_found() == bool(present)
+        assert report.adjudicate(_JUDGE).evidence_ok()
 
 
 class TestEvidenceTransferability:
@@ -115,8 +114,8 @@ class TestEvidenceTransferability:
         """Evidence validates at a judge built from a *fresh* keystore
         view holding only public keys (same key material, no session
         state)."""
-        result, _ = scenario(lengths, round_no,
-                             prover=UnderstatingProver(_KEYSTORE))
+        report = scenario(lengths, round_no,
+                          prover=UnderstatingProver(_KEYSTORE))
         fresh_judge = Judge(_KEYSTORE)
-        for item in result.all_evidence():
+        for item in report.all_evidence():
             assert fresh_judge.validate(item)

@@ -45,12 +45,14 @@ from repro.promises.spec import (
 )
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import (
+    bounce_session,
     flap_session,
     restore_session,
     serve_network,
 )
 from repro.serve import (
     LoadProfile,
+    Op,
     ServeWorkload,
     SimnetGateway,
     VerificationService,
@@ -1283,67 +1285,24 @@ class TestReadsAtTheDoor:
 
 
 class TestBurstSchedules:
-    def workload(self, prefixes):
-        return ServeWorkload(
-            prefixes=prefixes,
-            flappable=(("O", "N2"), ("X", "N1")),
-        )
-
-    def prefixes(self, count=4):
-        return tuple(
-            Prefix.parse(f"10.{i}.0.0/16") for i in range(count)
-        )
-
-    def test_flap_storm_shape(self):
-        from repro.serve.loadgen import flap_storm
-
-        ops = flap_storm(
-            self.workload(self.prefixes()),
-            storms=3, flaps_per_storm=4, spacing=0.001, gap=1.0,
-            queries_between=2,
-        )
-        churn = [op for op in ops if op.kind == "churn"]
-        queries = [op for op in ops if op.kind == "query"]
-        assert len(churn) == 12 and len(queries) == 6
-        ats = [op.at for op in ops]
-        assert ats == sorted(ats)
-        # bursts are dense, gaps are wide: the largest inter-arrival is
-        # the storm gap, orders of magnitude above the in-storm spacing
-        gaps = [b - a for a, b in zip(ats, ats[1:])]
-        assert max(gaps) >= 1.0 and min(gaps) <= 0.001
-        assert ops == flap_storm(
-            self.workload(self.prefixes()),
-            storms=3, flaps_per_storm=4, spacing=0.001, gap=1.0,
-            queries_between=2,
-        )  # deterministic
-
-    def test_table_reset_marks_every_prefix(self):
-        from repro.serve.loadgen import table_reset
-
-        prefixes = self.prefixes(5)
-        ops = table_reset(self.workload(prefixes), resets=2)
-        sweeps = [
-            op for op in ops
-            if op.kind == "churn" and op.request.marks
-        ]
-        assert len(sweeps) == 2
-        for sweep in sweeps:
-            assert len(sweep.request.marks) == len(prefixes)
-            assert {p for _, p in sweep.request.marks} == set(prefixes)
-
     def test_flap_storm_drives_the_service(self):
-        from repro.serve.loadgen import flap_storm, table_reset
+        """A same-tick burst of session bounces, then a full-table sweep
+        of the monitored AS — the shape real BGP churn has, written out
+        by hand."""
 
         async def go():
             net, prefixes = serve_network(4)
             service = make_service(net, shards=2)
             service.policy("A", ShortestRoute(), recipients=("B",),
                            max_length=8)
-            workload = ServeWorkload(
-                prefixes=prefixes, flappable=(("O", "N2"), ("X", "N1")),
-            )
-            ops = flap_storm(workload, storms=2, flaps_per_storm=3)
-            ops += table_reset(workload, start=ops[-1].at + 0.1)
+            sessions = (("O", "N2"), ("X", "N1"))
+            ops = [
+                Op(0.0, ChurnRequest(steps=((bounce_session, pair),)))
+                for pair in sessions * 3
+            ]
+            ops.append(Op(0.1, ChurnRequest(
+                marks=tuple(("A", prefix) for prefix in prefixes),
+            )))
             await service.start()
             report = await run_open_loop(service, ops, time_scale=0.0)
             await service.stop()
@@ -1355,7 +1314,7 @@ class TestBurstSchedules:
         # the storm coalesced: far fewer epochs than churn requests
         churn = service.metrics.type_metrics("churn").completed
         assert service.metrics.epochs < churn
-        # the table reset's settled sweep reused the cache
+        # the settled full-table sweep reused the cache
         assert service.metrics.reused > 0
 
     def test_serve_burst_scenario_registered(self):

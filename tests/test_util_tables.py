@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.bench.tables import format_table
+from repro.util.tables import format_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,7 +64,7 @@ class TestTables:
         assert len(header) == len(row) == len("wide-cell-value")
 
     def test_print_table_appends_to_path(self, tmp_path, capsys):
-        from repro.bench.tables import print_table
+        from repro.util.tables import print_table
 
         path = tmp_path / "tables.txt"
         print_table("one", ["x"], [(1,)], path=str(path))
