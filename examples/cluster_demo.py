@@ -32,27 +32,19 @@ import os
 import signal
 import tempfile
 
-from repro.bgp.prefix import Prefix
 from repro.cluster import (
     AdjudicateRequest,
     AuditProbe,
     ChaosSpec,
     ChurnRequest,
-    ClusterSpec,
-    PolicySpec,
     QueryRequest,
 )
-from repro.cluster.workload import drive_monitor, trail_mismatches
-from repro.promises.spec import ShortestRoute
+from repro.cluster.workload import reference_mismatches, serve_spec
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.scenarios import flap_session, restore_session, serve_network
+from repro.pvr.scenarios import flap_session, restore_session, serve_prefixes
 
 PREFIXES = 6
 WORKERS = 2
-
-
-def build_network():
-    return serve_network(PREFIXES)[0]
 
 
 def first_life(spec, requests) -> None:
@@ -74,20 +66,11 @@ def first_life(spec, requests) -> None:
 
 
 def main() -> None:
-    prefixes = tuple(
-        Prefix.parse(f"10.{i}.0.0/16") for i in range(PREFIXES)
-    )
+    prefixes = serve_prefixes(PREFIXES)
     with tempfile.TemporaryDirectory(prefix="cluster-demo-") as journal:
-        spec = ClusterSpec(
-            network=build_network,
-            policies=(
-                PolicySpec(
-                    "A",
-                    ShortestRoute(),
-                    {"recipients": ("B",), "name": "A/min->B",
-                     "max_length": 8},
-                ),
-            ),
+        # serve_network(PREFIXES) with A's shortest-route promise to B
+        spec = serve_spec(
+            PREFIXES,
             workers=WORKERS,
             transport="process",
             rng_seed=2011,
@@ -154,9 +137,9 @@ def main() -> None:
 
             # 5. the acceptance criterion, live: byte parity with an
             # unsharded monitor driven over the same script
-            monitor = spec.build_monitor()
-            drive_monitor(monitor, requests)
-            mismatches = trail_mismatches(cluster.evidence, monitor.evidence)
+            mismatches = reference_mismatches(
+                spec, requests, cluster.evidence
+            )
             print(f"  parity vs unsharded monitor: "
                   f"{'BYTE-IDENTICAL' if not mismatches else mismatches}")
 

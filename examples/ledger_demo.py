@@ -13,7 +13,7 @@ audits:
   record cites the exact event seqs that earned it;
 * **trust buys lighter verification**: once TRUSTED, the epoch planner
   samples the AS's tuples at rate r < 1 (deterministic seeded sampling
-  — every co-planning cluster replica skips the same tuples), so the
+  — a reference monitor skips the same tuples), so the
   honest steady state costs measurably fewer signatures;
 * **demotion is slashing, never drift**: a recorded violation *stops*
   promotion, but only a judge-confirmed adjudication — through the
@@ -25,40 +25,13 @@ audits:
 Run:  python examples/ledger_demo.py
 """
 
-from repro.audit.monitor import Monitor
-from repro.crypto.keystore import KeyStore
-from repro.cluster.workload import churn_script, drive_monitor
-from repro.ledger import (
-    LedgerPolicy,
-    TrustLedger,
-    TrustLevel,
-    VerificationIntensity,
-)
-from repro.promises.spec import ShortestRoute
+from repro.cluster import workload
+from repro.ledger import LedgerPolicy, TrustLevel
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.scenarios import apply_step, serve_network
+from repro.pvr.scenarios import serve_prefixes
 
 PREFIXES = 4
-SEED = 2011
 TRUSTED_RATE = 0.5
-
-
-def build_monitor(ledger_policy=None):
-    network, prefixes = serve_network(PREFIXES)
-    keystore = KeyStore(seed=SEED, key_bits=512)
-    monitor = Monitor(keystore, rng_seed=SEED)
-    ledger = None
-    if ledger_policy is not None:
-        ledger = TrustLedger(ledger_policy).attach(monitor.evidence)
-        monitor.intensity = VerificationIntensity(
-            ledger_policy, seed=SEED, ledger=ledger
-        )
-    monitor.attach(network)
-    monitor.policy(
-        "A", ShortestRoute(), recipients=("B",), name="A/min->B",
-        max_length=8,
-    )
-    return monitor, ledger, prefixes
 
 
 def main() -> None:
@@ -66,19 +39,16 @@ def main() -> None:
         clean_epochs_to_promote=2,
         sampling_rates={TrustLevel.TRUSTED: TRUSTED_RATE},
     )
-    monitor, ledger, prefixes = build_monitor(policy)
-    requests = churn_script(prefixes, rounds=8)
+    spec, requests = workload.get(
+        "serve-churn", prefixes=PREFIXES, rounds=8, ledger=policy
+    )
+    monitor = spec.build_monitor()
+    ledger = monitor.ledger
 
     print("== 1. climbing the ladder on clean evidence ==")
     seen_transitions = 0
     for request in requests:
-        for step in request.steps:
-            apply_step(step, monitor.network)
-        for asn, prefix in request.marks:
-            monitor.mark(asn, prefix)
-        monitor.network.run_to_quiescence()
-        while monitor.pending():
-            monitor.run_epoch()
+        workload.drive_monitor(monitor, [request])
         for record in ledger.history.records()[seen_transitions:]:
             print(
                 f"  epoch {record.epoch}: {record.asn} "
@@ -92,8 +62,9 @@ def main() -> None:
     print(f"  A now stands at {level.name}")
 
     print("== 2. trust buys lighter verification ==")
-    twin, _, _ = build_monitor()  # ledger-free, same seed, same script
-    drive_monitor(twin, requests)
+    # ledger-free, same seed, same script
+    twin = workload.serve_spec(PREFIXES).build_monitor()
+    workload.drive_monitor(twin, requests)
     saved = twin.keystore.sign_count - monitor.keystore.sign_count
     print(
         f"  ledger-free twin signed {twin.keystore.sign_count}; "
@@ -105,7 +76,8 @@ def main() -> None:
 
     print("== 3. a violation alone never demotes ==")
     monitor.audit_once(
-        "A", prefixes[0], "B", prover=LongerRouteProver(monitor.keystore)
+        "A", serve_prefixes(PREFIXES)[0], "B",
+        prover=LongerRouteProver(monitor.keystore),
     )
     ledger.settle()
     print(

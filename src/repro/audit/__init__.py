@@ -23,11 +23,10 @@ experiment.  This package is that plane:
   with its messages on the simulated links.
 
 Run ``python -m repro.audit`` for the CLI over the registered churn
-scenarios.
+workloads (:mod:`repro.cluster.workload`).
 """
 
 from repro.audit import choosers
-from repro.audit.churn import ChurnRunResult, run_churn
 from repro.audit.events import (
     EpochOutcome,
     EpochReport,
@@ -49,7 +48,6 @@ from repro.audit.wire import (
 __all__ = [
     "AnnouncePayload",
     "AuditPolicy",
-    "ChurnRunResult",
     "CommitPayload",
     "EpochOutcome",
     "EpochPlan",
@@ -63,6 +61,5 @@ __all__ = [
     "ViewPayload",
     "choosers",
     "round_randomness",
-    "run_churn",
     "run_wire_round",
 ]

@@ -7,13 +7,14 @@ Usage::
     python -m repro.audit --scenario churn-64as --max-work 8 --adjudicate
     python -m repro.audit --scenario churn-steady --json audit.json
 
-Runs a registered churn scenario through a continuous
-:class:`~repro.audit.monitor.Monitor`, printing one row per epoch
-(verified / reused / deferred / crypto cost) and the evidence-store
-summary; ``--adjudicate`` runs the third-party judge over every stored
+Drives a registered churn workload (:mod:`repro.cluster.workload`)
+through its spec's unsharded :class:`~repro.audit.monitor.Monitor` with
+the serial reference driver, printing one row per epoch (verified /
+reused / deferred / crypto cost) and the evidence-store summary;
+``--adjudicate`` runs the third-party judge over every stored
 violation.  Exit status (the shared :mod:`repro.util.cli` contract):
-0 on a violation-free run (or when violations were expected), 1 when
-unexpected violations were found, 2 on bad usage.
+0 on a violation-free run, 1 when violations were found, 2 on bad
+usage.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.audit.churn import run_churn
+from repro.audit.events import EpochOutcome
+from repro.cluster import workload
 from repro.obs import log as obs_log
 from repro.util.cli import (
     EXIT_OK,
@@ -59,15 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     obs_log.configure_logging(json_mode=args.log_json)
-    from repro.pvr import scenarios as registry
-
     if args.list_scenarios:
-        rows = [
-            (name, registry.get_churn(name).description)
-            for name in registry.churn_names()
-        ]
         print_table("registered churn scenarios", ["name", "description"],
-                    rows)
+                    list(workload.names().items()))
         return 0
 
     if args.max_work is not None and args.max_work < 1:
@@ -75,30 +71,50 @@ def main(argv=None) -> int:
             f"--max-work must be >= 1, got {args.max_work}"
         )
     try:
-        scenario = registry.get_churn(args.scenario)
+        spec, requests = workload.get(
+            args.scenario,
+            key_bits=args.key_bits,
+            rng_seed=args.seed,
+            max_work=args.max_work,
+        )
     except KeyError as exc:
         return usage_error(exc.args[0])
 
-    result = run_churn(
-        scenario,
-        key_bits=args.key_bits,
-        rng_seed=args.seed,
-        max_work=args.max_work,
-    )
+    monitor = spec.build_monitor()
+    # the whole run as one outcome: its accessors are the totals
+    run = EpochOutcome(reports=[
+        report
+        for outcome in workload.drive_monitor(monitor, requests)
+        for report in outcome.reports
+    ])
+    epochs = run.reports
+    store = monitor.evidence
+    violations = store.violations()
+    events = len(run.events)
+    summary = {
+        "scenario": args.scenario,
+        "epochs": len(epochs),
+        "events": events,
+        "verified": run.verified,
+        "reused": run.reused,
+        "reuse_ratio": run.reused / events if events else 0.0,
+        "signatures": run.signatures,
+        "verifications": run.verifications,
+        "violations": len(violations),
+        "pending": len(monitor.pending()),
+    }
 
     print_table(
-        f"audit epochs — {scenario.name}",
+        f"audit epochs — {args.scenario}",
         ["epoch", "events", "verified", "reused", "deferred",
          "signs", "verifies", "wall ms"],
         [
             (e.epoch, len(e.events), e.verified, e.reused, len(e.deferred),
              e.signatures, e.verifications, f"{e.wall_seconds * 1000:.1f}")
-            for e in result.epochs
+            for e in epochs
         ],
     )
 
-    store = result.monitor.evidence
-    summary = result.summary()
     print_table(
         "evidence store",
         ["events", "verified", "reused", "violations", "monitored ASes"],
@@ -107,7 +123,6 @@ def main(argv=None) -> int:
           ", ".join(sorted({e.asn for e in store.events()})))],
     )
 
-    violations = store.violations()
     if violations and args.adjudicate:
         rows = []
         rulings = store.adjudicate()
@@ -133,19 +148,18 @@ def main(argv=None) -> int:
             tag="audit", what="summary",
         )
 
-    if violations and not scenario.expect_violation:
+    if violations:
         return fail(
             "audit",
-            f"{len(violations)} unexpected violation event(s)",
+            f"{len(violations)} violation event(s)",
         )
     obs_log.emit(
         "audit",
-        f"{result.events} events across {len(result.epochs)} epochs; "
-        f"reuse ratio {result.reuse_ratio():.0%}; "
-        f"{'violations as expected' if violations else 'violation-free'}",
-        events=result.events,
-        epochs=len(result.epochs),
-        violations=len(violations),
+        f"{events} events across {len(epochs)} epochs; "
+        f"reuse ratio {summary['reuse_ratio']:.0%}; violation-free",
+        events=events,
+        epochs=len(epochs),
+        violations=0,
     )
     return EXIT_OK
 

@@ -7,12 +7,11 @@ Usage::
     python -m repro.cluster --transport inline --no-verify
     python -m repro.cluster --journal cluster-journal --checkpoint-every 4
 
-Builds the multi-prefix serving scenario, stands up a
-:class:`~repro.cluster.cluster.Cluster` — one planning Monitor over a
-pool of stateless round workers — from a
-:class:`~repro.cluster.spec.ClusterSpec`, and drives the deterministic
-churn script (:mod:`repro.cluster.workload`) through the admission
-plane, with an optional **deterministic chaos kill**
+Builds the ``serve-churn`` workload (:mod:`repro.cluster.workload`),
+stands up its spec's :class:`~repro.cluster.cluster.Cluster` — one
+planning Monitor over a pool of stateless round workers — and drives
+the script through the admission plane, with an optional
+**deterministic chaos kill**
 (``--kill-worker``/``--kill-at-epoch``): the chosen worker is SIGKILLed
 mid-batch at the chosen epoch (one in which it has rounds to run — an
 epoch served wholly from the cache involves no worker), its unfinished
@@ -42,7 +41,6 @@ import argparse
 import sys
 
 from repro.obs import log as obs_log
-from repro.promises.spec import ShortestRoute
 from repro.util.cli import (
     EXIT_OK,
     EXIT_FAILURE,
@@ -115,20 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    from repro.cluster import ClusterSpec, PolicySpec
+    from repro.cluster import workload
     from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
     from repro.cluster.spec import ChaosSpec
-    from repro.cluster.workload import (
-        churn_script,
-        drive_monitor,
-        trail_mismatches,
-    )
-    from repro.pvr.scenarios import serve_network
-
-    prefix_count = args.prefixes
-
-    def network():
-        return serve_network(prefix_count)[0]
 
     chaos = None
     if args.kill_worker is not None:
@@ -138,16 +125,11 @@ def run(args) -> int:
             after=args.kill_after,
         )
 
-    _, prefixes = serve_network(prefix_count)
-    spec = ClusterSpec(
-        network=network,
-        policies=(
-            PolicySpec(
-                "A",
-                ShortestRoute(),
-                {"recipients": ("B",), "name": "A/min->B", "max_length": 8},
-            ),
-        ),
+    spec, requests = workload.get(
+        "serve-churn",
+        prefixes=args.prefixes,
+        rounds=args.churns,
+        violation_every=args.violations,
         workers=args.workers,
         transport=args.transport,
         rng_seed=args.seed,
@@ -159,9 +141,6 @@ def run(args) -> int:
         flight_dump=args.flight_dump,
         journal=args.journal,
         journal_checkpoint_every=args.checkpoint_every,
-    )
-    requests = churn_script(
-        prefixes, rounds=args.churns, violation_every=args.violations
     )
 
     cluster = spec.build()
@@ -182,9 +161,9 @@ def run(args) -> int:
         snapshot = cluster.snapshot()
         mismatches = []
         if not args.no_verify:
-            monitor = spec.build_monitor()
-            drive_monitor(monitor, requests)
-            mismatches = trail_mismatches(cluster.evidence, monitor.evidence)
+            mismatches = workload.reference_mismatches(
+                spec, requests, cluster.evidence
+            )
     finally:
         cluster.stop()
 
@@ -221,11 +200,6 @@ def run(args) -> int:
             f"and was replaced",
             worker=respawn["worker"],
         )
-    if chaos is not None and not snapshot["respawns"]:
-        print(f"[cluster] FAIL: chaos kill of worker "
-              f"{chaos.worker} at epoch {chaos.epoch} never fired",
-              file=sys.stderr)
-
     for recovery in snapshot["recoveries"]:
         obs_log.emit(
             "cluster",
@@ -262,7 +236,11 @@ def run(args) -> int:
             f"{parity['failed']} online parity self-check(s) failed",
         )
     if chaos is not None and not snapshot["respawns"]:
-        status = EXIT_FAILURE
+        status = fail(
+            "cluster",
+            f"chaos kill of worker {chaos.worker} at epoch {chaos.epoch} "
+            f"never fired",
+        )
     if args.no_verify:
         obs_log.emit("cluster", "reference parity check skipped (--no-verify)")
     elif mismatches:

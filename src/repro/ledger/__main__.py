@@ -6,8 +6,9 @@ Usage::
     python -m repro.ledger --rounds 12 --rate 0.5 --promote-after 2
     python -m repro.ledger --violate-every 4 --json ledger.json
 
-Runs the multi-prefix serving scenario's churn script under a
-ledger-enabled :class:`~repro.audit.monitor.Monitor`: every epoch's
+Drives the ``serve-churn`` workload (:mod:`repro.cluster.workload`)
+through its spec's ledger-enabled reference
+:class:`~repro.audit.monitor.Monitor`: every epoch's
 verdicts feed the :class:`~repro.ledger.ledger.TrustLedger`, ASes climb
 the trust ladder on clean streaks, climbing changes the verification
 sampling rate mid-run, and (with ``--violate-every``) injected
@@ -29,12 +30,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.audit.monitor import Monitor
-from repro.cluster.workload import churn_script
+from repro.cluster import workload
 from repro.obs import log as obs_log
-from repro.crypto.keystore import KeyStore
-from repro.promises.spec import ShortestRoute
-from repro.pvr.scenarios import apply_step, serve_network
 from repro.util.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -44,9 +41,7 @@ from repro.util.cli import (
 )
 from repro.util.tables import print_table
 
-from repro.ledger.ledger import TrustLedger
 from repro.ledger.levels import LedgerPolicy, TrustLevel
-from repro.ledger.feedback import VerificationIntensity
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,44 +89,31 @@ def main(argv=None) -> int:
         clean_epochs_to_promote=args.promote_after,
         sampling_rates={TrustLevel.TRUSTED: args.rate},
     )
-    network, prefixes = serve_network(args.prefixes)
-    keystore = KeyStore(seed=args.seed, key_bits=args.key_bits)
-    monitor = Monitor(keystore, rng_seed=args.seed)
-    ledger = TrustLedger(policy).attach(monitor.evidence)
-    monitor.intensity = VerificationIntensity(
-        policy, seed=args.seed, ledger=ledger
+    spec, requests = workload.get(
+        "serve-churn",
+        prefixes=args.prefixes,
+        rounds=args.rounds,
+        violation_every=args.violate_every,
+        key_bits=args.key_bits,
+        rng_seed=args.seed,
+        ledger=policy,
     )
-    monitor.attach(network)
-    monitor.policy("A", ShortestRoute(), recipients=("B",),
-                   name="A/min->B", max_length=8)
-
-    requests = churn_script(
-        prefixes, rounds=args.rounds, violation_every=args.violate_every
-    )
+    monitor = spec.build_monitor()
+    ledger = monitor.ledger
     rows = []
     reports = []
+    # one request at a time, so each row reads the ladder as it stood
+    # when its epoch was planned (the trail is the same either way)
     for request in requests:
-        for step in request.steps:
-            apply_step(step, network)
-        for asn, prefix in request.marks:
-            monitor.mark(asn, prefix)
-        network.run_to_quiescence()
-        while monitor.pending():
-            outcome = monitor.run_epoch()
-            reports.append(outcome)
-            rows.append((
-                outcome.epoch, len(outcome.events), outcome.verified,
-                outcome.reused, outcome.signatures,
-                monitor.intensity.sampled_out,
-                ledger.trust_level("A").name,
-            ))
-        for probe in request.probes:
-            monitor.audit_once(
-                probe.asn, probe.prefix, probe.recipient,
-                prover=(probe.prover(keystore)
-                        if probe.prover is not None else None),
-                max_length=probe.max_length,
-            )
+        for outcome in workload.drive_monitor(monitor, [request]):
+            for report in outcome.reports:
+                reports.append(report)
+                rows.append((
+                    report.epoch, len(report.events), report.verified,
+                    report.reused, report.signatures,
+                    monitor.intensity.sampled_out,
+                    ledger.trust_level("A").name,
+                ))
     ledger.settle()
 
     print_table(

@@ -18,6 +18,10 @@ New workloads register themselves with the decorator::
     @scenarios.register("my-workload", "what it shows")
     def _build():
         return scenarios.Scenario(spec=..., routes=...)
+
+The churn-step and network builders at the bottom (``flap_session``,
+``serve_network``, ...) are what *network-level* workloads are scripted
+from; those are registered in :mod:`repro.cluster.workload`.
 """
 
 from __future__ import annotations
@@ -49,12 +53,7 @@ __all__ = [
     "names",
     "run",
     "build_session",
-    "ChurnScenario",
-    "register_churn",
-    "get_churn",
-    "churn_names",
     "apply_step",
-    "step_name",
     "figure1_network",
     "serve_network",
     "flap_session",
@@ -62,6 +61,7 @@ __all__ = [
     "bounce_session",
     "reoriginate",
     "reoriginate_origin",
+    "serve_prefixes",
 ]
 
 
@@ -367,82 +367,13 @@ def _register_scaling() -> None:
 _register_scaling()
 
 
-# -- churn scenarios: continuous-audit workloads -------------------------------
+# -- churn-step and network builders -------------------------------------------
 #
-# A churn scenario is a *network-level* workload for the audit plane
-# (:mod:`repro.audit`): a converged BGP network, promise policies per
-# monitored AS, and a script of churn steps.  The driver
-# (:func:`repro.audit.churn.run_churn`) attaches a Monitor, runs one
-# verification epoch after the initial convergence and one after each
-# churn step, and returns the epoch reports plus the evidence trail.
-# Scenario objects here are pure data — no audit imports — so the
-# registry stays import-cycle-free.
-
-
-@dataclass(frozen=True)
-class ChurnScenario:
-    """One continuous-audit workload.
-
-    ``build()`` returns a converged :class:`~repro.bgp.network.BGPNetwork`
-    carrying ``prefix``; ``policies`` is a tuple of
-    ``(asn, spec_source, options)`` triples handed to
-    :meth:`repro.audit.monitor.Monitor.policy`; ``churn`` is the script —
-    each step mutates the network (the driver quiesces and runs an epoch
-    after each).  ``resync_after`` appends a full re-audit sweep as a
-    final epoch, the steady-state reuse measurement.
-    """
-
-    build: Callable[[], "object"]
-    prefix: Prefix
-    policies: Tuple[Tuple[str, object, Dict[str, object]], ...]
-    churn: Tuple[Callable, ...] = ()
-    description: str = ""
-    name: str = ""
-    resync_after: bool = True
-    expect_violation: bool = False
-
-
-_CHURN_REGISTRY: Dict[str, Callable[[], ChurnScenario]] = {}
-_CHURN_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_churn(name: str, description: str = ""):
-    """Decorator: register a zero-argument churn-scenario factory."""
-
-    def wrap(factory: Callable[[], ChurnScenario]) -> Callable[[], ChurnScenario]:
-        if name in _CHURN_REGISTRY:
-            raise ValueError(f"churn scenario {name!r} already registered")
-        _CHURN_REGISTRY[name] = factory
-        _CHURN_DESCRIPTIONS[name] = description or (factory.__doc__ or "").strip()
-        return factory
-
-    return wrap
-
-
-def get_churn(name: str) -> ChurnScenario:
-    """Build the named churn scenario (fresh objects each call)."""
-    try:
-        factory = _CHURN_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown churn scenario {name!r}; "
-            f"known: {', '.join(sorted(_CHURN_REGISTRY))}"
-        ) from None
-    scenario = factory()
-    if not scenario.name:
-        scenario = dataclasses.replace(
-            scenario,
-            name=name,
-            description=scenario.description or _CHURN_DESCRIPTIONS[name],
-        )
-    return scenario
-
-
-def churn_names() -> Tuple[str, ...]:
-    return tuple(sorted(_CHURN_REGISTRY))
-
-
-# churn-step builders ----------------------------------------------------------
+# The substrate of every *network-level* workload: converged BGP
+# networks and the churn steps that disturb them.  The workloads
+# themselves — a network, promise policies and a script of churn
+# requests — are registered one layer up, in
+# :mod:`repro.cluster.workload`.
 
 
 def apply_step(step, net) -> None:
@@ -462,21 +393,12 @@ def apply_step(step, net) -> None:
     builder(*args)(net)
 
 
-def step_name(step) -> str:
-    """A human-readable name for either step form (logs and CLIs)."""
-    if callable(step):
-        return getattr(step, "__name__", repr(step))
-    builder, args = step
-    return f"{builder.__name__}({','.join(map(str, args))})"
-
-
 def flap_session(a: str, b: str):
     """Drop the a<->b BGP session and all routes learned over it."""
 
     def step(net) -> None:
         net.drop_session(a, b)
 
-    step.__name__ = f"flap_session({a},{b})"
     return step
 
 
@@ -486,7 +408,6 @@ def restore_session(a: str, b: str):
     def step(net) -> None:
         net.routers[a].start_session(net.transport, b)
 
-    step.__name__ = f"restore_session({a},{b})"
     return step
 
 
@@ -500,7 +421,6 @@ def bounce_session(a: str, b: str):
         net.run_to_quiescence()
         up(net)
 
-    step.__name__ = f"bounce_session({a},{b})"
     return step
 
 
@@ -512,11 +432,26 @@ def reoriginate(asn: str, prefix: Prefix):
         net.run_to_quiescence()
         net.originate(asn, prefix)
 
-    step.__name__ = f"reoriginate({asn})"
     return step
 
 
 _CHURN_PFX = Prefix.parse("10.0.0.0/8")
+
+
+def _figure1_topology(*customers: str):
+    """O - {X - {N1, N3}, N2} - A - customers, sessions established."""
+    from repro.bgp.network import BGPNetwork
+
+    net = BGPNetwork()
+    for asn in ("O", "X", "N1", "N2", "N3", "A", *customers):
+        net.add_as(asn)
+    for a, b in (("O", "X"), ("X", "N1"), ("X", "N3"), ("O", "N2"),
+                 ("N1", "A"), ("N2", "A"), ("N3", "A")):
+        net.connect(a, b)
+    for customer in customers:
+        net.connect("A", customer)
+    net.establish_sessions()
+    return net
 
 
 def figure1_network(prefix: Prefix = _CHURN_PFX):
@@ -524,25 +459,22 @@ def figure1_network(prefix: Prefix = _CHURN_PFX):
     ``prefix``; N2 hears it directly (2 hops at A), N1 and N3 via X
     (3 hops at A); all three feed A, and A exports to B.
 
-    The shared topology behind the churn scenarios, the audit examples
+    The shared topology behind the churn workloads, the audit examples
     and the monitor tests — one definition, so they cannot diverge.
     """
-    from repro.bgp.network import BGPNetwork
-
-    net = BGPNetwork()
-    for asn in ("O", "X", "N1", "N2", "N3", "A", "B"):
-        net.add_as(asn)
-    net.connect("O", "X")
-    net.connect("X", "N1")
-    net.connect("X", "N3")
-    net.connect("O", "N2")
-    for n in ("N1", "N2", "N3"):
-        net.connect(n, "A")
-    net.connect("A", "B")
-    net.establish_sessions()
+    net = _figure1_topology("B")
     net.originate("O", prefix)
     net.run_to_quiescence()
     return net
+
+
+def serve_prefixes(prefix_count: int) -> Tuple[Prefix, ...]:
+    """The prefixes :func:`serve_network` originates, in rank order."""
+    if prefix_count < 1:
+        raise ValueError(f"prefix_count must be >= 1, got {prefix_count}")
+    if prefix_count > 200:
+        raise ValueError("prefix_count > 200 leaves 10.x space")
+    return tuple(Prefix.parse(f"10.{i}.0.0/16") for i in range(prefix_count))
 
 
 def serve_network(prefix_count: int = 8):
@@ -557,169 +489,12 @@ def serve_network(prefix_count: int = 8):
     with ``prefixes`` in rank order (index 0 is the load generator's
     hot head).
     """
-    if prefix_count < 1:
-        raise ValueError(f"prefix_count must be >= 1, got {prefix_count}")
-    if prefix_count > 200:
-        raise ValueError("prefix_count > 200 leaves 10.x space")
-    from repro.bgp.network import BGPNetwork
-
-    net = BGPNetwork()
-    for asn in ("O", "X", "N1", "N2", "N3", "A", "B", "B2"):
-        net.add_as(asn)
-    net.connect("O", "X")
-    net.connect("X", "N1")
-    net.connect("X", "N3")
-    net.connect("O", "N2")
-    for n in ("N1", "N2", "N3"):
-        net.connect(n, "A")
-    net.connect("A", "B")
-    net.connect("A", "B2")
-    net.establish_sessions()
-    prefixes = tuple(
-        Prefix.parse(f"10.{i}.0.0/16") for i in range(prefix_count)
-    )
+    prefixes = serve_prefixes(prefix_count)
+    net = _figure1_topology("B", "B2")
     for prefix in prefixes:
         net.originate("O", prefix)
     net.run_to_quiescence()
     return net, prefixes
-
-
-@register_churn(
-    "churn-multiprefix",
-    "The serving substrate under churn: four prefixes at O, shortest-"
-    "route audited at A across a session flap and a re-origination",
-)
-def _churn_multiprefix() -> ChurnScenario:
-    def build():
-        return serve_network(4)[0]
-
-    return ChurnScenario(
-        build=build,
-        prefix=Prefix.parse("10.0.0.0/16"),
-        policies=((("A"), ShortestRoute(), {"max_length": 8}),),
-        churn=(
-            flap_session("O", "N2"),
-            restore_session("O", "N2"),
-            reoriginate("O", Prefix.parse("10.1.0.0/16")),
-        ),
-    )
-
-
-@register_churn(
-    "serve-burst",
-    "The serving substrate under burst churn: a flap storm across both "
-    "feed sessions followed by a full table reset",
-)
-def _serve_burst() -> ChurnScenario:
-    def build():
-        return serve_network(4)[0]
-
-    return ChurnScenario(
-        build=build,
-        prefix=Prefix.parse("10.0.0.0/16"),
-        policies=((("A"), ShortestRoute(), {"max_length": 8}),),
-        churn=(
-            # the storm: back-to-back bounces, no settling between
-            bounce_session("O", "N2"),
-            bounce_session("X", "N1"),
-            bounce_session("O", "N2"),
-            # the table reset: the origin feed drops and re-establishes,
-            # resending the full table through the resync hooks
-            flap_session("O", "X"),
-            restore_session("O", "X"),
-        ),
-    )
-
-
-@register_churn(
-    "churn-fig1",
-    "Figure 1 under churn: the O-N2 session flaps while A's shortest-"
-    "route promise is continuously audited",
-)
-def _churn_fig1() -> ChurnScenario:
-    return ChurnScenario(
-        build=figure1_network,
-        prefix=_CHURN_PFX,
-        policies=((("A"), ShortestRoute(), {"max_length": 8}),),
-        churn=(
-            flap_session("O", "N2"),
-            restore_session("O", "N2"),
-        ),
-    )
-
-
-@register_churn(
-    "churn-steady",
-    "Steady-state reuse: sessions bounce but every input settles back "
-    "unchanged, so epochs after the first are served from the cache",
-)
-def _churn_steady() -> ChurnScenario:
-    return ChurnScenario(
-        build=figure1_network,
-        prefix=_CHURN_PFX,
-        policies=((("A"), ShortestRoute(), {"max_length": 8}),),
-        churn=(
-            bounce_session("O", "N2"),
-            bounce_session("X", "N1"),
-        ),
-    )
-
-
-@register_churn(
-    "churn-variants",
-    "Per-neighbor policy overrides on Figure 1: promise 2 toward B plus "
-    "an existential promise audited in the same epochs",
-)
-def _churn_variants() -> ChurnScenario:
-    def existential(providers):
-        from repro.promises.spec import ExistentialPromise
-
-        return ExistentialPromise(providers)
-
-    return ChurnScenario(
-        build=figure1_network,
-        prefix=_CHURN_PFX,
-        policies=(
-            ("A", ShortestRoute(), {"max_length": 8, "recipients": ("B",)}),
-            ("A", existential, {"max_length": 8, "recipients": ("B",)}),
-        ),
-        churn=(flap_session("O", "N2"),),
-    )
-
-
-def _generated_churn_network(tier1: int, tier2: int, stubs: int, seed: int):
-    from repro.topology.generate import TopologyParams, generate, true_stub
-    from repro.topology.internet import build_bgp_network
-
-    graph = generate(
-        TopologyParams(tier1=tier1, tier2=tier2, stubs=stubs, seed=seed)
-    )
-    net = build_bgp_network(graph)
-    net.originate(true_stub(graph), _CHURN_PFX)
-    net.run_to_quiescence()
-    return net
-
-
-def _churn_64as_scenario(tier1=4, tier2=12, stubs=48, seed=2011,
-                         monitored=3) -> ChurnScenario:
-    def build():
-        return _generated_churn_network(tier1, tier2, stubs, seed)
-
-    # policies go on the tier-1 core: the ASes with the most neighbors,
-    # hence the most (provider, recipient) tuples per epoch
-    tier1_names = tuple(f"AS{i}" for i in range(min(monitored, tier1)))
-    policies = tuple(
-        (asn, ShortestRoute(), {"max_length": 16}) for asn in tier1_names
-    )
-    return ChurnScenario(
-        build=build,
-        prefix=_CHURN_PFX,
-        policies=policies,
-        churn=(
-            bounce_session("AS0", "AS1"),
-            reoriginate_origin(),
-        ),
-    )
 
 
 def reoriginate_origin(prefix: Prefix = _CHURN_PFX):
@@ -736,12 +511,4 @@ def reoriginate_origin(prefix: Prefix = _CHURN_PFX):
             raise ValueError(f"no router originates {prefix}")
         reoriginate(origin, prefix)(net)
 
-    step.__name__ = f"reoriginate_origin({prefix})"
     return step
-
-
-register_churn(
-    "churn-64as",
-    "A 64-AS synthetic Internet under churn: tier-1 policies audited "
-    "across session bounces and a prefix re-origination",
-)(_churn_64as_scenario)

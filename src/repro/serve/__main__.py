@@ -9,10 +9,9 @@ Usage::
     python -m repro.serve --shards 1 --rate 64 --requests 72 \\
         --queue-depth 16 --gate-p99 0.25 --json overload.json
 
-Builds the multi-prefix serving scenario
-(:func:`repro.pvr.scenarios.serve_network`), starts a
-:class:`~repro.serve.service.VerificationService` with the requested
-shard count, and drives the open-loop load generator against it —
+Builds the serving scenario (:func:`repro.cluster.workload.serve_spec`),
+starts a :class:`~repro.serve.service.VerificationService` over it with
+the requested shard count, and drives the open-loop load generator against it —
 optionally through a :class:`~repro.serve.loadgen.SimnetGateway` so
 link latency and drops perturb admission.  Prints per-request-type
 latency percentiles and the epoch/shard/parity counters; ``--json``
@@ -38,8 +37,9 @@ import asyncio
 import sys
 
 from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
+from repro.cluster.workload import serve_spec
 from repro.obs import log as obs_log
-from repro.promises.spec import ShortestRoute
+from repro.pvr.scenarios import serve_prefixes
 from repro.util.cli import (
     EXIT_OK,
     add_common_arguments,
@@ -111,11 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def serve_and_load(args) -> tuple:
-    from repro.pvr.scenarios import serve_network
-
-    network, prefixes = serve_network(args.prefixes)
+    scenario = serve_spec(args.prefixes)
     service = VerificationService(
-        network,
+        scenario.network(),
         shards=args.shards,
         key_bits=args.key_bits,
         rng_seed=args.seed,
@@ -124,11 +122,12 @@ async def serve_and_load(args) -> tuple:
         max_events=args.max_events,
         parity_sample=args.parity_sample,
     )
-    service.policy("A", ShortestRoute(), recipients=("B",), max_length=8)
+    for policy in scenario.policies:
+        policy.install(service.monitor)
 
     requests = args.requests
     if requests is None:
-        if args.duration is not None and args.rate is not None:
+        if args.duration is not None:
             requests = max(1, int(args.duration * args.rate))
         else:
             requests = 100
@@ -140,7 +139,7 @@ async def serve_and_load(args) -> tuple:
         seed=args.seed,
     )
     workload = ServeWorkload(
-        prefixes=prefixes,
+        prefixes=serve_prefixes(args.prefixes),
         flappable=(("O", "N2"), ("X", "N1")),
         violator=("A", "B") if args.violations else None,
     )
@@ -174,6 +173,10 @@ def main(argv=None) -> int:
         return usage_error(
             f"--prefixes must be >= 1, got {args.prefixes}"
         )
+    if args.rate is not None and args.rate <= 0:
+        return usage_error(f"--rate must be positive, got {args.rate}")
+    if args.duration is not None and args.rate is None:
+        return usage_error("--duration requires --rate")
     service, report = asyncio.run(serve_and_load(args))
     snapshot = service.metrics.snapshot()
 

@@ -94,6 +94,10 @@ class LoadProfile:
     violation_every: int = 0
     seed: int = 7
 
+    def __post_init__(self) -> None:
+        if self.rate is not None and self.rate <= 0:
+            raise ValueError(f"rate must be positive or None, got {self.rate}")
+
 
 @dataclass(frozen=True)
 class Op:

@@ -16,7 +16,10 @@ and ``repro.ledger`` — share the same contract:
   :mod:`repro.obs.log` emitter to structured output.
 
 This module is that contract in one place, so the CLIs stay consistent
-as flags accrete.
+as flags accrete.  What they run is in one place too: each builds its
+network, policies and churn script from :mod:`repro.cluster.workload`
+(``get(name, **spec_fields)`` / ``serve_spec``), and the three that
+drive a serial monitor do it through ``drive_monitor``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Test-only driver: one ``VerificationService`` under a generated
-schedule (``test_serve.py``)."""
+"""Test-only drivers: a ``VerificationService`` built from a
+``ClusterSpec``, and one under a generated schedule (``test_serve.py``)."""
 
 import asyncio
 
 from repro.cluster import AdmissionError
-from repro.promises.spec import ShortestRoute
-from repro.pvr.scenarios import serve_network
+from repro.cluster.workload import serve_spec
+from repro.pvr.scenarios import serve_prefixes
 from repro.serve import (
     LoadProfile,
     ServeWorkload,
@@ -13,6 +13,28 @@ from repro.serve import (
     build_schedule,
     run_open_loop,
 )
+
+
+def service_for(spec, **overrides):
+    """The asyncio door over what ``spec`` describes: its network and
+    policies, and every field the service has a keyword for."""
+    options = dict(
+        shards=spec.workers,
+        transport=spec.transport,
+        queue_depth=spec.queue_depth,
+        rng_seed=spec.rng_seed,
+        key_bits=spec.key_bits,
+        max_events=spec.max_events,
+        parity_sample=spec.parity_sample,
+        batch_max=spec.coalesce_max,
+        ledger=spec.ledger,
+        trace=spec.trace,
+    )
+    options.update(overrides)
+    service = VerificationService(spec.network(), **options)
+    for policy in spec.policies:
+        policy.install(service.monitor)
+    return service
 
 
 def run_workload(
@@ -25,20 +47,17 @@ def run_workload(
     schedule goes in fixed-size bursts, each awaited, so coalescing
     (hence epoch boundaries, event counts and reuse) is a pure function
     of the schedule; without, open-loop and back-to-back."""
-    network, prefix_list = serve_network(prefixes)
-    service = VerificationService(
-        network, shards=shards, rng_seed=seed, queue_depth=256,
+    service_options.setdefault("transport", None)  # the service's default
+    service = service_for(
+        serve_spec(prefixes, workers=shards, rng_seed=seed, queue_depth=256),
         **service_options,
-    )
-    service.policy(
-        "A", ShortestRoute(), recipients=("B",), name="A/min->B", max_length=8,
     )
     schedule = build_schedule(
         LoadProfile(
             requests=requests, violation_every=violation_every, seed=seed
         ),
         ServeWorkload(
-            prefixes=prefix_list,
+            prefixes=serve_prefixes(prefixes),
             flappable=(("O", "N2"), ("X", "N1")),
             violator=("A", "B") if violation_every else None,
         ),

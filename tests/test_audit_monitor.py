@@ -14,6 +14,7 @@ from repro.audit import Monitor, round_randomness
 from repro.audit.monitor import MonitorError
 from repro.audit.wire import ViewPayload
 from repro.bgp.prefix import Prefix
+from repro.cluster import workload
 from repro.crypto.keystore import KeyStore
 from repro.net.simnet import Message
 from repro.promises.spec import (
@@ -41,13 +42,10 @@ class TestAcceptance:
     """The redesign's headline property, on the 64-AS churn scenario."""
 
     def test_incremental_epoch_beats_cold_rerun_on_64as(self):
-        scenario = scenarios.get_churn("churn-64as")
-        net = scenario.build()
+        spec, _ = workload.get("churn-64as", rng_seed=SEED)
+        monitor = spec.build_monitor()
+        net = monitor.network
         assert len(net.as_names()) == 64
-
-        monitor = make_monitor(net)
-        for asn, spec, options in scenario.policies:
-            monitor.policy(asn, spec, **options)
         cold = monitor.run_epoch()
         assert cold.verified > 0 and cold.signatures > 0
         assert cold.violation_free()
@@ -63,8 +61,8 @@ class TestAcceptance:
 
         # a cold re-run of the same audit surface, for the baseline
         rerun = make_monitor(net, seed=SEED + 1)
-        for asn, spec, options in scenario.policies:
-            rerun.policy(asn, spec, **options)
+        for policy in spec.policies:
+            policy.install(rerun)
         sign_before = rerun.keystore.sign_count
         cold_rerun = rerun.run_epoch()
         cold_signatures = rerun.keystore.sign_count - sign_before
@@ -80,12 +78,8 @@ class TestAcceptance:
         """Every freshly verified event reproduces byte-for-byte through
         a one-shot VerificationSession with the same spec, round, inputs
         and nonce stream — on a fresh keystore with the same seed."""
-        scenario = scenarios.get_churn("churn-64as")
-        net = scenario.build()
-        monitor = make_monitor(net)
-        for asn, spec, options in scenario.policies:
-            monitor.policy(asn, spec, **options)
-        epoch = monitor.run_epoch()
+        spec, _ = workload.get("churn-64as", rng_seed=SEED)
+        epoch = spec.build_monitor().run_epoch()
         fresh = [e for e in epoch.events if not e.reused]
         assert fresh
 
@@ -633,29 +627,48 @@ class TestLongLivedHygiene:
 
 
 class TestChurnRunner:
+    @staticmethod
+    def run(name, **fields):
+        spec, requests = workload.get(name, key_bits=512, **fields)
+        monitor = spec.build_monitor()
+        return monitor, workload.drive_monitor(monitor, requests)
+
     def test_bounded_run_still_audits_every_policy(self):
         """A work bound defers — it must never leave part of the audit
         surface unverified at the end of a churn run."""
-        from repro.audit import run_churn
-
-        result = run_churn("churn-64as", key_bits=512, max_work=2)
-        assert not result.monitor.pending()
-        audited = {e.asn for e in result.monitor.events}
-        registered = {p.asn for p in result.monitor.policies()}
+        monitor, _ = self.run("churn-64as", max_work=2)
+        assert not monitor.pending()
+        audited = {e.asn for e in monitor.events}
+        registered = {p.asn for p in monitor.policies()}
         assert audited == registered
-        assert result.violation_free()
+        assert monitor.evidence.violation_free()
 
-    def test_run_churn_by_name(self):
-        from repro.audit import run_churn
-
-        result = run_churn("churn-steady", key_bits=512)
-        assert result.violation_free()
-        assert result.reused > 0
+    def test_run_by_name(self):
+        monitor, outcomes = self.run("churn-steady")
+        epochs = [r for o in outcomes for r in o.reports]
+        assert monitor.evidence.violation_free()
+        assert sum(e.reused for e in epochs) > 0
         # every epoch after the cold start is pure reuse
-        assert all(e.signatures == 0 for e in result.epochs[1:])
-        summary = result.summary()
-        assert summary["events"] == result.events
-        assert summary["pending"] == 0
+        assert all(e.signatures == 0 for e in epochs[1:])
+        assert sum(len(e.events) for e in epochs) == len(monitor.events)
+        assert not monitor.pending()
+
+    def test_request_by_request_leaves_the_same_trail(self):
+        """Driving a script whole or one request at a time is the same
+        run — what the ledger CLI's per-request rows rely on."""
+        spec, requests = workload.get(
+            "serve-churn", prefixes=3, rounds=6, violation_every=3,
+            max_work=2,
+        )
+        whole, stepped = spec.build_monitor(), spec.build_monitor()
+        outcomes = workload.drive_monitor(whole, requests)
+        for request in requests:
+            workload.drive_monitor(stepped, [request])
+        assert len(outcomes) == len(requests)
+        assert any(len(o.reports) > 1 for o in outcomes)  # the bound bit
+        assert workload.trail_mismatches(
+            whole.evidence, stepped.evidence, limit=None
+        ) == []
 
 
 class TestSimnetTransport:

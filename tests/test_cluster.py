@@ -16,21 +16,25 @@ from repro.cluster import (
     AdmissionError,
     AuditProbe,
     ChurnRequest,
-    ClusterSpec,
     PolicySpec,
     QueryRequest,
     ShedError,
 )
+from repro.cluster import workload
 from repro.cluster.requests import answer_adjudicate
-from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
+from repro.cluster.workload import (
+    churn_script,
+    drive_monitor,
+    reference_mismatches,
+    serve_spec,
+)
 from repro.promises.spec import (
     ExistentialPromise,
     NoLongerThanOthers,
     ShortestFromSubset,
-    ShortestRoute,
 )
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.scenarios import serve_network
+from repro.pvr.scenarios import serve_network, serve_prefixes
 
 SEED = 2011
 
@@ -83,10 +87,7 @@ def subset_factory(providers):
 
 
 VARIANT_POLICIES = {
-    "minimum": PolicySpec(
-        "A", ShortestRoute(),
-        {"recipients": ("B",), "name": "A/min->B", "max_length": 8},
-    ),
+    "minimum": serve_spec().policies[0],
     "existential": PolicySpec(
         "A", existential_factory,
         {"recipients": ("B",), "name": "A/exists->B", "max_length": 8},
@@ -101,15 +102,11 @@ VARIANT_POLICIES = {
 }
 
 PREFIX_COUNT = 3
-
-
-def _network():
-    return serve_network(PREFIX_COUNT)[0]
+PREFIXES = serve_prefixes(PREFIX_COUNT)
 
 
 def make_spec(variant, **overrides):
     options = dict(
-        network=_network,
         policies=(VARIANT_POLICIES[variant],),
         workers=3,
         placement="consistent",
@@ -118,7 +115,7 @@ def make_spec(variant, **overrides):
         parity_sample=1,
     )
     options.update(overrides)
-    return ClusterSpec(**options)
+    return serve_spec(PREFIX_COUNT, **options)
 
 
 def run_script(spec, requests):
@@ -131,36 +128,26 @@ def run_script(spec, requests):
         cluster.stop()
 
 
-def reference_trail(spec, requests):
-    monitor = spec.build_monitor()
-    drive_monitor(monitor, requests)
-    return monitor.evidence
-
-
 class TestClusterParity:
     """The acceptance suite: seq/round/verdict/crypto byte parity."""
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_POLICIES))
     def test_cluster_matches_unsharded_monitor(self, variant):
         spec = make_spec(variant)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=5)
+        requests = churn_script(PREFIXES, rounds=5)
         cluster, evidence = run_script(spec, requests)
         assert evidence.events()
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
         assert cluster.metrics.parity_failed == 0
 
     def test_parity_on_real_processes(self):
         """The full stack: forked worker processes, pipe IPC, results
         across the pickle boundary, Byzantine probes in between."""
         spec = make_spec("minimum", workers=2, transport="process")
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=3)
         cluster, evidence = run_script(spec, requests)
         assert any(e.violation_found() for e in evidence.events())
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
         assert cluster.metrics.parity_failed == 0
 
     @pytest.mark.parametrize("transport", ["inline", "process"])
@@ -171,11 +158,10 @@ class TestClusterParity:
         spec = make_spec(
             "minimum", workers=2, transport=transport, parity_sample=0
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
         requests = [
             ChurnRequest(),
             ChurnRequest(probes=(
-                AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
+                AuditProbe(asn="A", prefix=PREFIXES[0], recipient="B",
                            prover=LongerRouteProver),
             )),
         ]
@@ -207,12 +193,37 @@ class TestClusterParity:
              "chooser": "discriminating:B"},
         )
         spec = make_spec("crosscheck", policies=(policy,))
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=3)
+        requests = churn_script(PREFIXES, rounds=3)
         cluster, evidence = run_script(spec, requests)
         assert evidence.events()
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
+
+
+class TestRegisteredWorkloads:
+    """Every registered churn workload is data the serving stack
+    understands: its spec builds a cluster, its script crosses the
+    admission plane, and the trail matches the spec's own reference."""
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow)
+        if name == "churn-64as" else name
+        for name in workload.names()
+    ])
+    def test_serves_through_a_cluster_with_parity(self, name):
+        spec, requests = workload.get(
+            name, workers=2, transport="inline", parity_sample=1
+        )
+        assert requests[0] == ChurnRequest() and requests[-1].marks
+        cluster, evidence = run_script(spec, requests)
+        assert evidence.events()
+        assert reference_mismatches(spec, requests, evidence) == []
+        assert cluster.metrics.parity_failed == 0
+
+    def test_unknown_and_duplicate_names_are_refused(self):
+        with pytest.raises(KeyError, match="known: churn-64as"):
+            workload.get("no-such-workload")
+        with pytest.raises(ValueError, match="already registered"):
+            workload.register("churn-fig1", "again", lambda **fields: None)
 
 
 # -- the cluster admission plane -----------------------------------------------
@@ -234,16 +245,15 @@ class TestClusterAdmission:
 
     def test_queries_read_the_folded_trail(self):
         spec = make_spec("minimum")
-        _, prefixes = serve_network(PREFIX_COUNT)
         cluster = spec.build()
         try:
             cluster.request(ChurnRequest())
             summary = cluster.request(QueryRequest()).payload
             assert summary["events"] == PREFIX_COUNT
             events = cluster.request(
-                QueryRequest(what="events", prefix=prefixes[0])
+                QueryRequest(what="events", prefix=PREFIXES[0])
             ).payload
-            assert all(e.prefix == prefixes[0] for e in events)
+            assert all(e.prefix == PREFIXES[0] for e in events)
         finally:
             cluster.stop()
 
@@ -263,8 +273,7 @@ class TestClusterAdmission:
     def test_cluster_snapshot_carries_epoch_wall_and_batches(self):
         """Per-epoch wall clock and coalesced batch sizes surface on
         the snapshot (and hence on --json)."""
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
+        requests = churn_script(PREFIXES, rounds=4)
         spec = make_spec("minimum", workers=2, coalesce_max=4)
         cluster = spec.build()
         try:
@@ -325,9 +334,9 @@ class TestInjectedProverReplayability:
 class TestClusterSpecValidation:
     def test_bad_transport_and_depth(self):
         with pytest.raises(ValueError):
-            ClusterSpec(network=_network, transport="carrier-pigeon")
+            serve_spec(transport="carrier-pigeon")
         with pytest.raises(ValueError):
-            ClusterSpec(network=_network, queue_depth=0)
+            serve_spec(queue_depth=0)
 
     def test_placement_is_a_checked_no_op(self):
         for name in (None, "static", "consistent", "hotsplit"):

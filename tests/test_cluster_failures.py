@@ -21,16 +21,14 @@ from hypothesis import strategies as st
 from repro.cluster import ChurnRequest
 from repro.cluster.cluster import ClusterError
 from repro.cluster.spec import ChaosSpec
-from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
-from repro.pvr.scenarios import serve_network
-
-from test_cluster import (
-    PREFIX_COUNT,
-    VARIANT_POLICIES,
-    make_spec,
-    reference_trail,
-    run_script,
+from repro.cluster.workload import (
+    churn_script,
+    drive_monitor,
+    reference_mismatches,
+    trail_mismatches,
 )
+
+from test_cluster import PREFIXES, VARIANT_POLICIES, make_spec, run_script
 
 
 def chaos_spec(variant="minimum", **overrides):
@@ -52,12 +50,10 @@ class TestChaosKillParity:
     @pytest.mark.parametrize("variant", sorted(VARIANT_POLICIES))
     def test_kill_mid_slice_stays_byte_identical(self, variant):
         spec = chaos_spec(variant)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=5, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=5, violation_every=3)
         cluster, evidence = run_script(spec, requests)
         assert cluster.metrics.respawns, "the chaos kill never fired"
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
         assert cluster.metrics.parity_failed == 0
 
     @pytest.mark.parametrize("workers,after", [
@@ -72,19 +68,16 @@ class TestChaosKillParity:
             workers=workers,
             chaos=ChaosSpec(worker=0, epoch=2, after=after),
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=3)
         cluster, evidence = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert "chaos kill" in respawn["reason"]
         assert f"after {after} results" in respawn["reason"]
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
 
     def test_backfill_and_respawn_are_recorded(self):
         spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=2, after=0))
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=5, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=5, violation_every=3)
         cluster, _ = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert respawn["worker"] == 1
@@ -100,20 +93,17 @@ class TestChaosKillParity:
         """``after=0`` dies before its first round: every position the
         dead worker was sent is re-run, and parity still holds."""
         spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=2, after=0))
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
+        requests = churn_script(PREFIXES, rounds=4)
         cluster, evidence = run_script(spec, requests)
         assert cluster.metrics.respawns
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
 
     def test_respawned_worker_serves_from_migrated_cache(self):
         """The reuse cache is the coordinator's, so a worker death
         cannot lose it: a settled sweep right after the respawn costs
         zero fresh verifications."""
         spec = chaos_spec()
-        _, prefixes = serve_network(PREFIX_COUNT)
-        warm = churn_script(prefixes, rounds=4, resync_after=False)
+        warm = churn_script(PREFIXES, rounds=4, resync_after=False)
         cluster = spec.build()
         try:
             for request in warm:
@@ -121,7 +111,7 @@ class TestChaosKillParity:
             assert cluster.metrics.respawns
             before = cluster.metrics.verified
             outcome = cluster.request(ChurnRequest(
-                marks=tuple(("A", p) for p in prefixes),
+                marks=tuple(("A", p) for p in PREFIXES),
             )).payload
             assert cluster.metrics.verified == before  # pure reuse
             assert all(e.reused for e in outcome.events)
@@ -134,13 +124,11 @@ class TestProcessWorkerDeath:
 
     def test_sigkill_mid_epoch_stays_byte_identical(self):
         spec = chaos_spec(transport="process", workers=2)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
+        requests = churn_script(PREFIXES, rounds=4)
         cluster, evidence = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert "pipe closed" in respawn["reason"]
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
 
     def test_hang_past_deadline_is_reaped(self):
         """A worker that goes silent (hangs) without dying is declared
@@ -154,14 +142,12 @@ class TestProcessWorkerDeath:
                 worker=2, epoch=3, mode="hang", hang_seconds=60.0
             ),
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
+        requests = churn_script(PREFIXES, rounds=4)
         cluster, evidence = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert respawn["worker"] == 2
         assert "deadline" in respawn["reason"]
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
 
     def test_heartbeat_silence_is_reaped_without_a_deadline(self):
         """No epoch deadline at all: a hung worker stops sending result
@@ -176,14 +162,12 @@ class TestProcessWorkerDeath:
             ),
         )
         assert spec.epoch_deadline is None
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
+        requests = churn_script(PREFIXES, rounds=4)
         cluster, evidence = run_script(spec, requests)
         [respawn] = cluster.metrics.respawns
         assert respawn["worker"] == 2
         assert "heartbeat silent" in respawn["reason"]
-        reference = reference_trail(spec, requests)
-        assert trail_mismatches(evidence, reference) == []
+        assert reference_mismatches(spec, requests, evidence) == []
 
     def test_death_found_at_dispatch_is_survivable(self):
         """A worker whose process died *between* requests is discovered
@@ -196,8 +180,7 @@ class TestProcessWorkerDeath:
             transport="process",
             chaos=ChaosSpec(worker=1, epoch=2, after=0),
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=3)
+        requests = churn_script(PREFIXES, rounds=3)
         cluster = spec.build()
         try:
             # an out-of-band OS-level kill before the first request
@@ -212,8 +195,9 @@ class TestProcessWorkerDeath:
             }
             assert set(reasons) == {1, 2}
             assert "dispatch" in reasons[2]
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(cluster.evidence, reference) == []
+            assert reference_mismatches(
+                spec, requests, cluster.evidence
+            ) == []
         finally:
             cluster.stop()
 
@@ -257,8 +241,7 @@ class TestProcessWorkerDeath:
 
     def test_failure_budget_zero_makes_any_death_fatal(self):
         spec = chaos_spec(max_failures_per_epoch=0)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=3)
+        requests = churn_script(PREFIXES, rounds=3)
         cluster = spec.build()
         try:
             with pytest.raises(
@@ -303,9 +286,8 @@ class TestCoalescing:
         reference driven with the same ``coalesce`` factor stays
         byte-identical, and every ticket shares the group outcome."""
         spec = make_spec("minimum", coalesce_max=4)
-        _, prefixes = serve_network(PREFIX_COUNT)
         # initial + 6 churn rounds + resync sweep = 8 requests
-        requests = churn_script(prefixes, rounds=6)
+        requests = churn_script(PREFIXES, rounds=6)
         assert len(requests) == 8
         cluster = spec.build()
         try:
@@ -316,18 +298,15 @@ class TestCoalescing:
             assert len(groups) == 2  # 8 tickets / coalesce_max 4
             assert all(o.coalesced == 4 for o in groups.values())
             assert cluster.metrics.coalesced_requests == len(requests)
-            reference = spec.build_monitor()
-            drive_monitor(reference, requests, coalesce=4)
-            assert trail_mismatches(
-                cluster.evidence, reference.evidence
+            assert reference_mismatches(
+                spec, requests, cluster.evidence, coalesce=4
             ) == []
         finally:
             cluster.stop()
 
     def test_single_requests_do_not_coalesce(self):
         spec = make_spec("minimum", coalesce_max=4)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=3)
+        requests = churn_script(PREFIXES, rounds=3)
         cluster, _ = run_script(spec, requests)  # one at a time
         assert cluster.metrics.coalesced_requests == 0
 
@@ -359,8 +338,7 @@ class TestEpochOutcomeParity:
 
     def test_cluster_outcome_matches_legacy_integers(self):
         spec = make_spec("minimum")
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=3, violation_every=2)
+        requests = churn_script(PREFIXES, rounds=3, violation_every=2)
         cluster = spec.build()
         try:
             for request in requests:
@@ -434,9 +412,10 @@ class TestGeneratedFaults:
     @pytest.fixture(scope="class")
     def script(self):
         """The requests, and the reference trail they must produce."""
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4, violation_every=3)
-        return requests, reference_trail(make_spec("minimum"), requests)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=3)
+        reference = make_spec("minimum").build_monitor()
+        drive_monitor(reference, requests)
+        return requests, reference.evidence
 
     def check(self, script, worker, epoch, after, crash_at):
         requests, reference = script

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.spec import ChaosSpec
-from repro.cluster.workload import churn_script, trail_mismatches
+from repro.cluster.workload import churn_script, reference_mismatches
 from repro.journal import (
     BOUNDARY_TYPES,
     Journal,
@@ -32,15 +32,8 @@ from repro.journal import (
     recover_state,
     unpack,
 )
-from repro.pvr.scenarios import serve_network
 
-from test_cluster import (
-    PREFIX_COUNT,
-    VARIANT_POLICIES,
-    make_spec,
-    reference_trail,
-    run_script,
-)
+from test_cluster import PREFIXES, VARIANT_POLICIES, make_spec, run_script
 
 
 def journal_spec(tmp_path, variant="minimum", **overrides):
@@ -50,9 +43,8 @@ def journal_spec(tmp_path, variant="minimum", **overrides):
 
 
 def script(rounds=5, violation_every=0):
-    _, prefixes = serve_network(PREFIX_COUNT)
     return churn_script(
-        prefixes, rounds=rounds, violation_every=violation_every
+        PREFIXES, rounds=rounds, violation_every=violation_every
     )
 
 
@@ -296,8 +288,7 @@ class TestKillTheCoordinator:
             assert recovered.recovered_requests == crashed_at
             assert recovered.metrics.recoveries
             evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
             assert recovered.metrics.parity_failed == 0
         finally:
             recovered.stop()
@@ -321,8 +312,7 @@ class TestKillTheCoordinator:
         try:
             evidence = finish_recovered(recovered, requests)
             assert recovered.metrics.respawns, "the chaos kill never fired"
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
             assert recovered.metrics.parity_failed == 0
         finally:
             recovered.stop()
@@ -339,8 +329,7 @@ class TestKillTheCoordinator:
             record = recovered.metrics.recoveries[0]
             assert record["spawned_workers"] == 3
             evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
         finally:
             recovered.stop()
 
@@ -367,8 +356,7 @@ class TestKillTheCoordinator:
         try:
             assert recovered.journal.truncated_tail is True
             evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
         finally:
             recovered.stop()
 
@@ -384,8 +372,7 @@ class TestKillTheCoordinator:
             assert recovered.recovered_requests == crashed_at
             assert recovered.metrics.recoveries[0]["spawned_workers"] == 3
             evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
         finally:
             recovered.stop()
 
@@ -402,8 +389,7 @@ class TestKillTheCoordinator:
             assert recovered.recovered_requests == len(requests)
             assert finish_recovered(recovered, requests) is recovered.evidence
             assert [e.seq for e in recovered.evidence.events()] == baseline
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(recovered.evidence, reference) == []
+            assert reference_mismatches(spec, requests, recovered.evidence) == []
         finally:
             recovered.stop()
 
@@ -424,8 +410,8 @@ class TestCheckpointing:
             # without compaction this run rotates through many
             # 32-record segments; checkpoints keep the tail short
             assert stats["segments"] <= 2
-            assert trail_mismatches(
-                cluster.evidence, reference_trail(spec, requests)
+            assert reference_mismatches(
+                spec, requests, cluster.evidence
             ) == []
         finally:
             cluster.stop()
@@ -438,8 +424,7 @@ class TestCheckpointing:
         try:
             assert recovered.recovered_requests == crashed_at
             evidence = finish_recovered(recovered, requests)
-            reference = reference_trail(spec, requests)
-            assert trail_mismatches(evidence, reference) == []
+            assert reference_mismatches(spec, requests, evidence) == []
         finally:
             recovered.stop()
 

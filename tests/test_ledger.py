@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.bgp.prefix import Prefix
-from repro.cluster import ClusterSpec, PolicySpec
 from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
@@ -38,6 +37,8 @@ from repro.cluster.requests import (
 from repro.cluster.workload import (
     churn_script,
     drive_monitor,
+    reference_mismatches,
+    serve_spec,
     trail_mismatches,
 )
 from repro.crypto.keystore import KeyStore
@@ -50,17 +51,15 @@ from repro.ledger import (
     VerificationIntensity,
 )
 from repro.ledger.ledger import RULE_PROMOTE, RULE_SLASH
-from repro.promises.spec import (
-    ExistentialPromise,
-    NoLongerThanOthers,
-    ShortestFromSubset,
-    ShortestRoute,
-)
+from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.scenarios import serve_network
+from repro.pvr.scenarios import serve_network, serve_prefixes
+from serve_driver import service_for
+from test_cluster import VARIANT_POLICIES
 
 SEED = 2011
 PREFIX_COUNT = 3
+PREFIXES = serve_prefixes(PREFIX_COUNT)
 
 
 @dataclass
@@ -563,49 +562,8 @@ class TestStoreSatellites:
 # -- the rate-1.0 identity and the cluster -----------------------------------
 
 
-def existential_factory(providers):
-    """Module-level so it pickles by reference into worker processes."""
-    return ExistentialPromise(providers)
-
-
-def subset_factory(providers):
-    return ShortestFromSubset(providers[:2])
-
-
-VARIANT_POLICIES = {
-    "minimum": PolicySpec(
-        "A", ShortestRoute(),
-        {"recipients": ("B",), "name": "A/min->B", "max_length": 8},
-    ),
-    "existential": PolicySpec(
-        "A", existential_factory,
-        {"recipients": ("B",), "name": "A/exists->B", "max_length": 8},
-    ),
-    "graph": PolicySpec(
-        "A", subset_factory,
-        {"recipients": ("B",), "name": "A/subset->B", "max_length": 8},
-    ),
-    "crosscheck": PolicySpec(
-        "A", NoLongerThanOthers(), {"name": "A/p4", "max_length": 8},
-    ),
-}
-
-
-def _network():
-    return serve_network(PREFIX_COUNT)[0]
-
-
 def make_spec(**overrides):
     options = dict(
-        network=_network,
-        policies=(
-            PolicySpec(
-                "A",
-                ShortestRoute(),
-                {"recipients": ("B",), "name": "A/min->B",
-                 "max_length": 8},
-            ),
-        ),
         workers=2,
         placement="consistent",
         transport="inline",
@@ -613,7 +571,7 @@ def make_spec(**overrides):
         parity_sample=1,
     )
     options.update(overrides)
-    return ClusterSpec(**options)
+    return serve_spec(PREFIX_COUNT, **options)
 
 
 class TestRateOneIdentity:
@@ -621,38 +579,27 @@ class TestRateOneIdentity:
         "minimum", "existential", "graph", "crosscheck",
     ])
     def test_monitor_trail_byte_identical_at_rate_one(self, variant):
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4)
-        plain = ClusterSpec(
-            network=_network,
-            policies=(VARIANT_POLICIES[variant],),
-            rng_seed=SEED,
+        requests = churn_script(PREFIXES, rounds=4)
+        policies = (VARIANT_POLICIES[variant],)
+        ledgered = make_spec(
+            policies=policies, ledger=LedgerPolicy(),  # every rate 1.0
         ).build_monitor()
-        ledgered = ClusterSpec(
-            network=_network,
-            policies=(VARIANT_POLICIES[variant],),
-            rng_seed=SEED, ledger=LedgerPolicy(),  # every rate 1.0
-        ).build_monitor()
-        drive_monitor(plain, requests)
         drive_monitor(ledgered, requests)
         assert ledgered.ledger is not None
         assert ledgered.intensity.sampled_out == 0
-        assert trail_mismatches(
-            ledgered.evidence, plain.evidence
+        assert reference_mismatches(
+            make_spec(policies=policies), requests, ledgered.evidence
         ) == []
 
     def test_cluster_trail_byte_identical_at_rate_one(self):
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=3)
         spec = make_spec(transport="process", ledger=LedgerPolicy())
         cluster = spec.build()
         try:
             for request in requests:
                 cluster.request(request)
-            reference = make_spec().build_monitor()
-            drive_monitor(reference, requests)
-            assert trail_mismatches(
-                cluster.evidence, reference.evidence
+            assert reference_mismatches(
+                make_spec(), requests, cluster.evidence
             ) == []
             assert cluster.metrics.parity_failed == 0
         finally:
@@ -666,8 +613,7 @@ class TestRateOneIdentity:
             sampling_rates={TrustLevel.TRUSTED: 0.4,
                             TrustLevel.STANDARD: 0.7},
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=6)
+        requests = churn_script(PREFIXES, rounds=6)
         cluster = make_spec(ledger=policy).build()
         try:
             for request in requests:
@@ -686,8 +632,7 @@ class TestRateOneIdentity:
 
     def test_cluster_challenge_slashes_and_snapshots(self):
         policy = LedgerPolicy(clean_epochs_to_promote=1)
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=5, violation_every=4)
+        requests = churn_script(PREFIXES, rounds=5, violation_every=4)
         cluster = make_spec(ledger=policy).build()
         try:
             for request in requests:
@@ -714,14 +659,13 @@ class TestRateOneIdentity:
         settle."""
         from repro.cluster.requests import AuditProbe
 
-        _, prefixes = serve_network(PREFIX_COUNT)
         spec = make_spec(ledger=LedgerPolicy(clean_epochs_to_promote=1))
         cluster = spec.build()
         try:
-            for request in churn_script(prefixes, rounds=3):
+            for request in churn_script(PREFIXES, rounds=3):
                 cluster.request(request)
             cluster.request(ChurnRequest(probes=(
-                AuditProbe(asn="A", prefix=prefixes[0], recipient="B",
+                AuditProbe(asn="A", prefix=PREFIXES[0], recipient="B",
                            prover=LongerRouteProver),
             )))
             before = cluster.ledger.trust_level("A")
@@ -740,8 +684,7 @@ class TestSteadyStateReduction:
             clean_epochs_to_promote=2,
             sampling_rates={TrustLevel.TRUSTED: 0.5},
         )
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=8)
+        requests = churn_script(PREFIXES, rounds=8)
         plain = make_spec().build_monitor()
         ledgered = make_spec(ledger=policy).build_monitor()
         drive_monitor(plain, requests)
@@ -761,22 +704,15 @@ class TestServeLedger:
         import asyncio
 
         from repro.cluster.requests import AuditProbe
-        from repro.serve.service import VerificationService
 
         async def go():
-            network, prefixes = serve_network(PREFIX_COUNT)
-            service = VerificationService(
-                network,
-                shards=2,
-                transport="inline",
-                rng_seed=SEED,
+            service = service_for(make_spec(
+                parity_sample=0,
                 ledger=LedgerPolicy(clean_epochs_to_promote=1),
-            )
-            service.policy("A", ShortestRoute(), recipients=("B",),
-                           name="A/min->B", max_length=8)
+            ))
             await service.start()
             try:
-                for request in churn_script(prefixes, rounds=4):
+                for request in churn_script(PREFIXES, rounds=4):
                     await service.request(request)
                 service.ledger.settle()
                 assert service.ledger.trust_level("A") > (
@@ -784,7 +720,7 @@ class TestServeLedger:
                 )
                 # a violation probe + served adjudication slashes
                 await service.request(ChurnRequest(probes=(
-                    AuditProbe(asn="A", prefix=prefixes[0],
+                    AuditProbe(asn="A", prefix=PREFIXES[0],
                                recipient="B",
                                prover=LongerRouteProver),
                 )))

@@ -10,7 +10,6 @@ closed exactly once, every parent resolvable, pool slices opened in
 worker order) across randomized chaos kills.
 """
 
-import asyncio
 import json
 
 import pytest
@@ -20,7 +19,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import ChurnRequest
 from repro.cluster.spec import ChaosSpec
-from repro.cluster.workload import churn_script, trail_mismatches
+from repro.cluster.workload import (
+    churn_script,
+    drive_monitor,
+    reference_mismatches,
+    trail_mismatches,
+)
 from repro.obs import __main__ as obs_cli
 from repro.obs.log import LogEmitter, configure_logging, emit
 from repro.obs.recorder import FlightRecorder
@@ -32,19 +36,10 @@ from repro.obs.timeline import (
     render_timeline,
 )
 from repro.obs.trace import Stopwatch, TraceContext
-from repro.pvr.scenarios import serve_network
-from repro.serve import VerificationService
 from repro.util.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
 
-from test_cluster import (
-    PREFIX_COUNT,
-    SEED,
-    make_spec,
-    reference_trail,
-    run_script,
-)
-from test_serve import CHURN
-from test_serve import VARIANT_POLICIES as SERVE_POLICIES
+from test_cluster import PREFIXES, make_spec, run_script
+from test_serve import served, settle_script, variant_spec
 
 
 # -- TraceContext: deterministic ids, structure -------------------------------
@@ -310,8 +305,7 @@ def chaos_dump(tmp_path):
         chaos=ChaosSpec(worker=1, epoch=2, after=1),
         flight_dump=str(path),
     )
-    _, prefixes = serve_network(PREFIX_COUNT)
-    requests = churn_script(prefixes, rounds=4, violation_every=3)
+    requests = churn_script(PREFIXES, rounds=4, violation_every=3)
     cluster, _ = run_script(spec, requests)
     assert cluster.metrics.respawns, "the chaos kill never fired"
     assert path.exists(), "the reap did not dump the flight recorder"
@@ -378,13 +372,11 @@ class TestTraceParity:
 
     def test_serial_monitor_trail_is_trace_invariant(self):
         spec = make_spec("minimum")
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=4, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=3)
 
         def trail(enabled):
             monitor = spec.build_monitor()
             monitor.tracer = TraceContext("m", enabled=enabled)
-            from repro.cluster.workload import drive_monitor
             drive_monitor(monitor, requests)
             return monitor.evidence
 
@@ -394,30 +386,20 @@ class TestTraceParity:
 
     def test_serve_two_shard_trail_is_trace_invariant(self):
         def trail(trace):
-            async def go():
-                net, _ = serve_network(3)
-                service = VerificationService(
-                    net, shards=2, transport="inline", rng_seed=SEED,
+            return served(
+                variant_spec(
+                    "minimum", workers=2, transport="inline",
                     parity_sample=1, trace=trace,
-                )
-                SERVE_POLICIES["minimum"](service)
-                await service.start()
-                await service.request(ChurnRequest())
-                for step in CHURN:
-                    await service.request(ChurnRequest(steps=(step,)))
-                await service.stop()
-                assert service.metrics.parity_failed == 0
-                return service.evidence
-
-            return asyncio.run(go())
+                ),
+                settle_script()[:3],
+            ).evidence
 
         traced, untraced = trail(True), trail(False)
         assert traced.events()
         assert trail_mismatches(traced, untraced) == []
 
     def test_chaos_killed_process_cluster_is_trace_invariant(self):
-        _, prefixes = serve_network(PREFIX_COUNT)
-        requests = churn_script(prefixes, rounds=5, violation_every=3)
+        requests = churn_script(PREFIXES, rounds=5, violation_every=3)
 
         def trail(trace):
             spec = make_spec(
@@ -435,7 +417,7 @@ class TestTraceParity:
         _, untraced = trail(False)
         assert trail_mismatches(traced, untraced) == []
         # and both match the unsharded reference
-        assert trail_mismatches(traced, reference_trail(spec, requests)) == []
+        assert reference_mismatches(spec, requests, traced) == []
 
 
 # -- the forest property across chaos kills -----------------------------------
@@ -470,8 +452,7 @@ def test_coordinator_trace_is_a_well_formed_forest(worker, epoch, after):
     spec = make_spec(
         "minimum", chaos=ChaosSpec(worker=worker, epoch=epoch, after=after)
     )
-    _, prefixes = serve_network(PREFIX_COUNT)
-    requests = churn_script(prefixes, rounds=4, violation_every=3)
+    requests = churn_script(PREFIXES, rounds=4, violation_every=3)
     cluster, evidence = run_script(spec, requests)
     assert evidence.events()
     records = list(cluster.tracer.records)

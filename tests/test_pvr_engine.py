@@ -544,10 +544,10 @@ class TestScenarioRegistry:
 
 
 class TestLeafPackage:
-    def test_importing_pvr_loads_nothing_above_it(self):
-        """``repro.pvr`` is a leaf under the audit plane: importing it
-        (or the engine alone) in a fresh interpreter loads no module of
-        the layers that run rounds on a network."""
+    @staticmethod
+    def loaded(module, above):
+        """Modules under ``above`` that a fresh interpreter holds after
+        ``import module``."""
         import os
         import subprocess
         import sys
@@ -555,17 +555,33 @@ class TestLeafPackage:
 
         import repro
 
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        code = (
+            f"import sys, {module}\n"
+            f"print([m for m in sys.modules if m.startswith({above!r})])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip()
+
+    def test_importing_pvr_loads_nothing_above_it(self):
+        """``repro.pvr`` is a leaf under the audit plane: importing it
+        (or the engine, or the scenario registry with its network and
+        churn-step builders) in a fresh interpreter loads no module of
+        the layers that run rounds on a network."""
         above = ("repro.audit", "repro.obs", "repro.cluster",
                  "repro.serve", "repro.ledger", "repro.journal")
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        for module in ("repro.pvr", "repro.pvr.engine"):
-            code = (
-                f"import sys, {module}\n"
-                f"print([m for m in sys.modules if m.startswith({above!r})])"
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True, text=True, timeout=60, env=env,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.strip() == "[]", module
+        for module in ("repro.pvr", "repro.pvr.engine",
+                       "repro.pvr.scenarios"):
+            assert self.loaded(module, above) == "[]", module
+
+    def test_importing_audit_loads_nothing_above_it(self):
+        """The audit plane is the next layer up: the serving stack
+        builds on it (only ``python -m repro.audit`` reaches up, for
+        the workload registry)."""
+        above = ("repro.cluster", "repro.serve", "repro.ledger",
+                 "repro.journal")
+        assert self.loaded("repro.audit", above) == "[]"

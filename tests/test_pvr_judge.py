@@ -10,7 +10,7 @@ from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import NoDisclosureProver, NoReceiptProver
 from repro.pvr.commitments import make_disclosure
 from repro.pvr.engine import VerificationSession
-from repro.pvr.evidence import Complaint
+from repro.pvr.evidence import BadOpeningEvidence, Complaint
 from repro.pvr.judge import DISMISSED, UPHELD, Judge
 from repro.pvr.minimum import HonestProver
 from repro.pvr.session import PromiseSpec
@@ -162,3 +162,68 @@ class TestComplaintResolution:
                               claim="missing-receipt")
         ruling = judge.resolve_complaint(complaint, n2_receipt)
         assert ruling.outcome == UPHELD
+
+
+class TestBatchedComplaintResolution:
+    """Section 3.8 rounds: an honest ``BatchingProver`` answers with the
+    ``BatchedDisclosure`` it issued, and is judged like any other."""
+
+    @staticmethod
+    def batched(keystore, spec, routes, **options):
+        report = VerificationSession(
+            keystore, spec, batching=True, **options
+        ).run(routes)
+        return report, report.transcript.detail
+
+    def test_batched_answer_dismisses_false_complaint(
+        self, keystore, spec, routes, judge
+    ):
+        report, detail = self.batched(keystore, spec, routes)
+        answer = detail.provider_views["N1"].disclosure
+        for claim, context in (
+            ("missing-disclosure", (answer.index,)),
+            ("wrong-bit-disclosed", (answer.index + 1, answer.index)),
+            ("unsigned-disclosure", ()),
+        ):
+            complaint = Complaint(accuser="N1", accused="A",
+                                  round=report.round, claim=claim,
+                                  context=context)
+            ruling = judge.resolve_complaint(
+                complaint, answer, vector=detail.recipient_view.vector
+            )
+            assert ruling.outcome == DISMISSED, claim
+
+    def test_batched_answer_not_opening_the_vector_becomes_evidence(
+        self, keystore, spec, routes, judge
+    ):
+        from repro.util.rng import DeterministicRandom
+
+        report, detail = self.batched(keystore, spec, routes)
+        # validly signed by A for the same round and bit, but over
+        # another nonce stream: it cannot open this round's commitment
+        _, other = self.batched(
+            keystore, spec, routes,
+            random_bytes=DeterministicRandom(3).bytes,
+        )
+        answer = other.provider_views["N1"].disclosure
+        complaint = Complaint(accuser="N1", accused="A", round=report.round,
+                              claim="missing-disclosure",
+                              context=(answer.index,))
+        ruling = judge.resolve_complaint(
+            complaint, answer, vector=detail.recipient_view.vector
+        )
+        assert ruling.outcome == UPHELD
+        assert isinstance(ruling.derived_evidence, BadOpeningEvidence)
+        assert judge.validate(ruling.derived_evidence)
+
+    def test_batched_answer_for_the_wrong_bit_upheld(
+        self, keystore, spec, routes, judge
+    ):
+        report, detail = self.batched(keystore, spec, routes)
+        answer = detail.provider_views["N1"].disclosure
+        complaint = Complaint(accuser="N1", accused="A", round=report.round,
+                              claim="missing-disclosure",
+                              context=(answer.index + 1,))
+        ruling = judge.resolve_complaint(complaint, answer)
+        assert ruling.outcome == UPHELD
+        assert ruling.reason == "disclosure answers the wrong bit"

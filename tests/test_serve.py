@@ -30,25 +30,20 @@ from repro.cluster import (
     AuditProbe,
     ChurnRequest,
     ClusterMetrics,
-    ClusterSpec,
     LatencySeries,
     PolicySpec,
     QueryRequest,
     ServiceStopped,
 )
 from repro.crypto.keystore import KeyStore
-from repro.promises.spec import (
-    ExistentialPromise,
-    NoLongerThanOthers,
-    ShortestFromSubset,
-    ShortestRoute,
-)
+from repro.promises.spec import NoLongerThanOthers, ShortestRoute
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import (
     bounce_session,
     flap_session,
     restore_session,
     serve_network,
+    serve_prefixes,
 )
 from repro.serve import (
     LoadProfile,
@@ -64,10 +59,18 @@ from repro.cluster.metrics import nearest_rank
 from repro.cluster.pipeline import MergeError, fold_plan
 from repro.cluster.pool import ShardExecutor
 from repro.cluster.requests import answer_query
-from repro.cluster.workload import churn_script, drive_monitor, trail_mismatches
+from repro.cluster import workload
+from repro.cluster.workload import (
+    churn_script,
+    drive_monitor,
+    reference_mismatches,
+    serve_spec,
+    trail_mismatches,
+)
 from repro.obs.trace import TraceContext
 from repro.util.rng import DeterministicRandom
-from serve_driver import run_workload
+from serve_driver import run_workload, service_for
+from test_cluster import VARIANT_POLICIES
 
 SEED = 2011
 
@@ -86,46 +89,31 @@ def run_async(coro):
 # -- the acceptance criterion: sharded == unsharded, all four variants ---------
 
 
-VARIANT_POLICIES = {
-    "minimum": lambda svc: svc.policy(
-        "A", ShortestRoute(), recipients=("B",),
-        name="A/min->B", max_length=8,
-    ),
-    "existential": lambda svc: svc.policy(
-        "A", lambda providers: ExistentialPromise(providers),
-        recipients=("B",), name="A/exists->B", max_length=8,
-    ),
-    "graph": lambda svc: svc.policy(
-        "A", lambda providers: ShortestFromSubset(providers[:2]),
-        recipients=("B",), name="A/subset->B", max_length=8,
-    ),
-    "crosscheck": lambda svc: svc.policy(
-        "A", NoLongerThanOthers(), name="A/p4", max_length=8,
-    ),
-}
-
-CHURN = (
-    flap_session("O", "N2"),
-    restore_session("O", "N2"),
-)
+def variant_spec(variant, prefixes=3, **fields):
+    fields.setdefault("rng_seed", SEED)
+    return serve_spec(
+        prefixes, policies=(VARIANT_POLICIES[variant],), **fields
+    )
 
 
-def sharded_trail(variant, *, prefixes=3, shards=3, transport="inline"):
+def settle_script(prefixes=3):
+    """The converged state, a flap, its restore, then a full resync
+    sweep over settled state: pure cache reuse."""
+    return [
+        ChurnRequest(),
+        ChurnRequest(steps=((flap_session, ("O", "N2")),)),
+        ChurnRequest(steps=((restore_session, ("O", "N2")),)),
+        ChurnRequest(marks=tuple(("A", p) for p in serve_prefixes(prefixes))),
+    ]
+
+
+def served(spec, requests, **options):
+    """The stopped service that served ``requests`` one at a time."""
     async def go():
-        net, prefix_list = serve_network(prefixes)
-        service = VerificationService(
-            net, shards=shards, transport=transport, rng_seed=SEED,
-            parity_sample=1,
-        )
-        VARIANT_POLICIES[variant](service)
+        service = service_for(spec, **options)
         await service.start()
-        await service.request(ChurnRequest())
-        for step in CHURN:
-            await service.request(ChurnRequest(steps=(step,)))
-        # a full resync sweep over settled state: pure cache reuse
-        await service.request(ChurnRequest(
-            marks=tuple(("A", p) for p in prefix_list),
-        ))
+        for request in requests:
+            await service.request(request)
         await service.stop()
         assert service.metrics.parity_failed == 0
         return service
@@ -133,35 +121,22 @@ def sharded_trail(variant, *, prefixes=3, shards=3, transport="inline"):
     return run_async(go())
 
 
-def unsharded_trail(variant, *, prefixes=3):
-    net, prefix_list = serve_network(prefixes)
-    monitor = Monitor(
-        KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
-    ).attach(net)
-    VARIANT_POLICIES[variant](monitor)
-    monitor.run_epoch()
-    for step in CHURN:
-        step(net)
-        net.run_to_quiescence()
-        monitor.run_epoch()
-    for prefix in prefix_list:
-        monitor.mark("A", prefix)
-    monitor.run_epoch()
-    return monitor
+def sharded_trail(variant, *, shards=3, transport="inline"):
+    return served(
+        variant_spec(variant, workers=shards, transport=transport,
+                     parity_sample=1),
+        settle_script(),
+    )
 
 
-def assert_byte_identical(sharded_store, serial_store):
-    assert len(sharded_store) > 0
-    assert trail_mismatches(sharded_store, serial_store) == []
+def assert_byte_identical(service, spec, requests):
+    assert len(service.evidence) > 0
+    assert reference_mismatches(spec, requests, service.evidence) == []
 
 
 def planned_epoch(prefixes=7):
     """A monitor with one planned (unexecuted) epoch of fresh rounds."""
-    net, _ = serve_network(prefixes)
-    monitor = Monitor(
-        KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
-    ).attach(net)
-    VARIANT_POLICIES["minimum"](monitor)
+    monitor = variant_spec("minimum", prefixes).build_monitor()
     return monitor, monitor.plan_epoch()
 
 
@@ -258,9 +233,9 @@ class TestShardedParity:
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_POLICIES))
     def test_sharded_service_matches_unsharded_monitor(self, variant):
-        service = sharded_trail(variant)
-        monitor = unsharded_trail(variant)
-        assert_byte_identical(service.evidence, monitor.evidence)
+        assert_byte_identical(
+            sharded_trail(variant), variant_spec(variant), settle_script()
+        )
 
     @pytest.mark.parametrize("shards", [1, 2, 5])
     @pytest.mark.parametrize("variant", sorted(VARIANT_POLICIES))
@@ -268,20 +243,17 @@ class TestShardedParity:
         """Who runs a planned round cannot matter — including one
         inline shard, and more shards (5) than an epoch has fresh
         entries (3)."""
-        service = sharded_trail(variant, shards=shards)
-        monitor = unsharded_trail(variant)
-        assert_byte_identical(service.evidence, monitor.evidence)
+        assert_byte_identical(
+            sharded_trail(variant, shards=shards),
+            variant_spec(variant), settle_script(),
+        )
 
     @pytest.mark.parametrize(
         "prefixes,shards", [(7, 1), (7, 2), (7, 3), (7, 5), (3, 5)]
     )
     def test_fresh_entries_are_dealt_evenly(self, prefixes, shards):
-        net, _ = serve_network(prefixes)
-        monitor = Monitor(
-            KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
-        ).attach(net)
-        VARIANT_POLICIES["minimum"](monitor)
-        fresh = monitor.plan_epoch().fresh_entries()
+        monitor, plan = planned_epoch(prefixes)
+        fresh = plan.fresh_entries()
         assert len(fresh) == prefixes
         batches = ShardExecutor(
             shards, monitor.keystore, SEED, transport="inline"
@@ -296,9 +268,10 @@ class TestShardedParity:
 
     def test_parity_holds_on_process_workers(self):
         """The real process pool: results cross a pickle boundary."""
-        service = sharded_trail("minimum", shards=2, transport="process")
-        monitor = unsharded_trail("minimum")
-        assert_byte_identical(service.evidence, monitor.evidence)
+        assert_byte_identical(
+            sharded_trail("minimum", shards=2, transport="process"),
+            variant_spec("minimum"), settle_script(),
+        )
 
     def test_settled_churn_is_served_from_cache(self):
         service = sharded_trail("minimum")
@@ -318,46 +291,19 @@ class TestNamedChooserSharding:
     worker resolves it through the registry) instead of silently
     falling back to the monitor's local wire path."""
 
-    def build_trails(self):
-        def sharded():
-            async def go():
-                net, _ = serve_network(3)
-                service = VerificationService(
-                    net, shards=3, transport="inline", rng_seed=SEED,
-                    parity_sample=1,
-                )
-                service.policy(
-                    "A", NoLongerThanOthers(), name="A/p4",
-                    max_length=8, chooser="discriminating:B",
-                )
-                await service.start()
-                await service.request(ChurnRequest())
-                for step in CHURN:
-                    await service.request(ChurnRequest(steps=(step,)))
-                await service.stop()
-                return service
-
-            return run_async(go())
-
-        net, _ = serve_network(3)
-        monitor = Monitor(
-            KeyStore(seed=SEED, key_bits=512), rng_seed=SEED
-        ).attach(net)
-        monitor.policy("A", NoLongerThanOthers(), name="A/p4",
-                       max_length=8, chooser="discriminating:B")
-        monitor.run_epoch()
-        for step in CHURN:
-            step(net)
-            net.run_to_quiescence()
-            monitor.run_epoch()
-        return sharded(), monitor
-
     def test_named_chooser_entries_run_on_shards_with_parity(self):
-        service, monitor = self.build_trails()
+        spec = serve_spec(
+            3,
+            policies=(PolicySpec("A", NoLongerThanOthers(), dict(
+                name="A/p4", max_length=8, chooser="discriminating:B",
+            )),),
+            workers=3, transport="inline", rng_seed=SEED, parity_sample=1,
+        )
+        requests = settle_script()[:3]
+        service = served(spec, requests)
         # the work actually went through the shard pool
         assert sum(service.metrics.worker_events.values()) > 0
-        assert service.metrics.parity_failed == 0
-        assert_byte_identical(service.evidence, monitor.evidence)
+        assert_byte_identical(service, spec, requests)
 
 
 # -- merge safety --------------------------------------------------------------
@@ -624,6 +570,26 @@ class TestLoadgen:
         assert ats == sorted(ats)
         assert ats[-1] > 0
 
+    @pytest.mark.parametrize("rate", [0, 0.0, -2.5])
+    def test_a_non_positive_rate_is_refused(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            LoadProfile(rate=rate)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate", "0"], "--rate must be positive"),
+        (["--duration", "5"], "--duration requires --rate"),
+    ])
+    def test_cli_refuses_a_rate_it_cannot_schedule(
+        self, argv, message, capsys
+    ):
+        """``--rate 0`` used to divide by zero inside the schedule
+        builder, and ``--duration`` without ``--rate`` was dropped in
+        silence (100 requests ran): both are usage errors."""
+        from repro.serve.__main__ import main
+
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 # -- the service ---------------------------------------------------------------
 
@@ -837,17 +803,15 @@ class TestOneOracleThreeHosts:
         """12 requests submitted as one burst (-> three coalesced
         groups of four): flaps, restores, re-originations, bounces, two
         Byzantine probes and the closing resync sweep."""
-        _, prefixes = serve_network(4)
-        requests = churn_script(prefixes, rounds=10, violation_every=4)
+        requests = churn_script(
+            serve_prefixes(4), rounds=10, violation_every=4
+        )
         assert len(requests) == 12
         return requests
 
     def spec(self, transport):
-        return ClusterSpec(
-            network=_serve_network_only,
-            policies=(PolicySpec("A", ShortestRoute(), dict(
-                recipients=("B",), name="A/min->B", max_length=8,
-            )),),
+        return serve_spec(
+            4,
             workers=self.WORKERS,
             transport=transport,
             rng_seed=SEED,
@@ -863,12 +827,7 @@ class TestOneOracleThreeHosts:
 
     def drive_service(self):
         async def go():
-            service = VerificationService(
-                _serve_network_only(), shards=self.WORKERS,
-                rng_seed=SEED, batch_max=self.COALESCE,
-            )
-            service.policy("A", ShortestRoute(), recipients=("B",),
-                           name="A/min->B", max_length=8)
+            service = service_for(self.spec("process"))
             await service.start()
             futures = [service.submit_nowait(r) for r in self.script()]
             await service.drain()
@@ -909,10 +868,6 @@ class TestOneOracleThreeHosts:
 # -- one admission plane under both front-ends ---------------------------------
 
 
-def _serve_network_only():
-    return serve_network(4)[0]
-
-
 class TestOneAdmissionPlane:
     """`VerificationService` is a door of a `Cluster`, not a second
     coordinator: the same script yields the same admission accounting
@@ -921,7 +876,6 @@ class TestOneAdmissionPlane:
 
     DEPTH = 8
     COALESCE = 3
-    POLICY = dict(recipients=("B",), name="A/min->B", max_length=8)
 
     @staticmethod
     def script():
@@ -932,7 +886,7 @@ class TestOneAdmissionPlane:
         that fills the queue (8 writes), a third query — admitted all
         the same — and a ninth write that finds the queue at depth.
         Then a 2-churn burst and an adjudication."""
-        _, prefixes = serve_network(4)
+        prefixes = serve_prefixes(4)
         marks = [
             ChurnRequest(marks=(("A", prefix),)) for prefix in prefixes
         ]
@@ -961,17 +915,18 @@ class TestOneAdmissionPlane:
         "coalesced_batches": {"count": 4, "max_size": 3, "mean_size": 2.25},
     }
 
-    def drive_cluster(self):
-        spec = ClusterSpec(
-            network=_serve_network_only,
-            policies=(PolicySpec("A", ShortestRoute(), self.POLICY),),
+    def spec(self):
+        return serve_spec(
+            4,
             workers=2,
             transport="inline",
             rng_seed=SEED,
             queue_depth=self.DEPTH,
             coalesce_max=self.COALESCE,
         )
-        with spec.build() as cluster:
+
+    def drive_cluster(self):
+        with self.spec().build() as cluster:
             for wave in self.script():
                 for request in wave:
                     try:
@@ -983,13 +938,7 @@ class TestOneAdmissionPlane:
 
     def drive_service(self):
         async def go():
-            service = make_service(
-                _serve_network_only(),
-                shards=2,
-                queue_depth=self.DEPTH,
-                batch_max=self.COALESCE,
-            )
-            service.policy("A", ShortestRoute(), **self.POLICY)
+            service = service_for(self.spec())
             await service.start()
             for wave in self.script():
                 futures = []
@@ -1028,7 +977,7 @@ class TestOneAdmissionPlane:
         assert snapshot["requests"]["query"]["queue_delay"]["max_s"] == 0
 
     def test_the_service_exposes_the_coordinators_objects(self):
-        service = make_service(_serve_network_only(), shards=2)
+        service = service_for(self.spec())
         cluster = service.cluster
         try:
             for name in ("monitor", "evidence", "metrics", "executor",
@@ -1060,12 +1009,10 @@ class TestReadsAtTheDoor:
 
     DEPTH = 2
     COALESCE = 3
-    POLICY = dict(recipients=("B",), name="A/min->B", max_length=8)
 
     def spec(self, **options):
-        return ClusterSpec(
-            network=_serve_network_only,
-            policies=(PolicySpec("A", ShortestRoute(), self.POLICY),),
+        return serve_spec(
+            4,
             workers=2,
             transport="inline",
             rng_seed=SEED,
@@ -1074,12 +1021,7 @@ class TestReadsAtTheDoor:
         )
 
     def service(self, **options):
-        service = make_service(
-            _serve_network_only(), shards=2, batch_max=self.COALESCE,
-            **options,
-        )
-        service.policy("A", ShortestRoute(), **self.POLICY)
-        return service
+        return service_for(self.spec(**options))
 
     # (a) the asyncio door, while a write group is in flight
 
@@ -1203,8 +1145,7 @@ class TestReadsAtTheDoor:
 
     @staticmethod
     def script():
-        _, prefixes = serve_network(4)
-        return churn_script(prefixes, rounds=6, violation_every=3)
+        return churn_script(serve_prefixes(4), rounds=6, violation_every=3)
 
     def cluster_reads(self, waves):
         payloads = []
@@ -1318,11 +1259,10 @@ class TestBurstSchedules:
         assert service.metrics.reused > 0
 
     def test_serve_burst_scenario_registered(self):
-        from repro.pvr.scenarios import churn_names, get_churn
-
-        assert "serve-burst" in churn_names()
-        scenario = get_churn("serve-burst")
-        assert scenario.churn  # storm + table reset steps
+        assert "serve-burst" in workload.names()
+        _, requests = workload.get("serve-burst")
+        # storm + table reset steps
+        assert sum(len(r.steps) for r in requests) == 5
 
 
 # -- the bench driver ----------------------------------------------------------
