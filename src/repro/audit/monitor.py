@@ -18,7 +18,8 @@ the accumulated churn into one verification epoch:
 * **deterministic replay** — commitment nonces derive from
   ``(rng_seed, round)``, so any emitted event can be reproduced by a
   one-shot :class:`~repro.pvr.engine.VerificationSession` with the same
-  spec, round, inputs and randomness, byte for byte.
+  spec, round, inputs and randomness (and ``batching=True``, the audit
+  plane's §3.8 protocol), byte for byte.
 
 Usage::
 

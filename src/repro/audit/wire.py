@@ -23,13 +23,23 @@ party regardless of variant):
 4. parties verify locally from the received views and gossip the
    statements pairwise.
 
-Crypto cost is measured via the keystore's operation counters and wall
-clock; transport cost via the network's byte/message counters.
+Every monitored round runs the Section 3.8 batched-disclosure prover
+(``batching=True`` in both round functions below — a constant of the
+audit plane, not a knob): a minimum-variant round signs its k + L
+disclosures under one :class:`~repro.pvr.batching.DisclosureBatch`
+root, 2k + 3 signatures instead of 3k + 2 + L.  The serial
+:func:`run_wire_round` and the off-wire :func:`run_offwire_round` are
+the only places the serving stack builds a round, so every host's trail
+stays byte-identical to the reference ``Monitor``'s.  An injected
+``prover`` (a Byzantine probe) runs as given; the engine's own default
+stays the paper's per-disclosure protocol.
+
+Crypto cost is measured via the keystore's operation counters and the
+obs clock; transport cost via the network's byte/message counters.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -95,8 +105,9 @@ def round_randomness(seed, round: int) -> Callable[[int], bytes]:
     Deriving nonces deterministically from ``(seed, round)`` makes every
     monitored round *replayable*: a one-shot
     :class:`~repro.pvr.engine.VerificationSession` constructed with the
-    same spec, round and randomness reproduces the monitor's transcript
-    byte for byte — the property the incremental-reuse tests pin down.
+    same spec, round and randomness (and ``batching=True``, like every
+    monitored round) reproduces the monitor's transcript byte for byte —
+    the property the incremental-reuse tests pin down.
     """
     return DeterministicRandom(seed).fork(f"audit-round:{round}").bytes
 
@@ -192,6 +203,7 @@ def _run_wire_round(
         round=round,
         prover=prover,
         chooser=chooser,
+        batching=True,
         random_bytes=random_bytes,
     )
 
@@ -199,31 +211,31 @@ def _run_wire_round(
     verify_before = keystore.verify_count
     bytes_before = transport.bytes_sent
     messages_before = transport.delivered
-    started = time.perf_counter()
+    with Stopwatch() as watch:
+        # 1. providers announce over the wire
+        announcements = session.announce(routes)
+        for party, ann in _announcement_senders(session, announcements):
+            transport.send(party, spec.prover, AnnouncePayload(ann))
+        transport.run()
 
-    # 1. providers announce over the wire
-    announcements = session.announce(routes)
-    for party, ann in _announcement_senders(session, announcements):
-        transport.send(party, spec.prover, AnnouncePayload(ann))
-    transport.run()
+        # 2. the prover commits (accept + decide + sign)
+        statement = session.commit()
 
-    # 2. the prover commits (accept + decide + sign)
-    statement = session.commit()
+        # 3. distribute commitment + views over the wire
+        views = session.disclose()
+        for party in views:
+            transport.send(spec.prover, party, ViewPayload(views[party]))
+        if statement is not None:
+            for neighbor in transport.neighbors(spec.prover):
+                transport.send(spec.prover, neighbor, CommitPayload(statement))
+        transport.run()
 
-    # 3. distribute commitment + views over the wire
-    views = session.disclose()
-    for party in views:
-        transport.send(spec.prover, party, ViewPayload(views[party]))
-    if statement is not None:
-        for neighbor in transport.neighbors(spec.prover):
-            transport.send(spec.prover, neighbor, CommitPayload(statement))
-    transport.run()
-
-    # 4. collective verification from what actually ARRIVED (a dropped
-    # or tampered wire message must affect the verdicts), incl. gossip
-    received = _collect_views(network, spec.prover, tuple(views))
-    _drain_round(network, spec.prover)
-    report = session.verify(received=received)
+        # 4. collective verification from what actually ARRIVED (a
+        # dropped or tampered wire message must affect the verdicts),
+        # incl. gossip
+        received = _collect_views(network, spec.prover, tuple(views))
+        _drain_round(network, spec.prover)
+        report = session.verify(received=received)
 
     return report, _round_stats(
         report,
@@ -231,7 +243,7 @@ def _run_wire_round(
         bytes=transport.bytes_sent - bytes_before,
         signatures=keystore.sign_count - sign_before,
         verifications=keystore.verify_count - verify_before,
-        wall_seconds=time.perf_counter() - started,
+        wall_seconds=watch.seconds,
     )
 
 
@@ -316,6 +328,7 @@ def run_offwire_round(
             spec,
             round=round,
             chooser=resolve_chooser(chooser),
+            batching=True,
             random_bytes=round_randomness(rng_seed, round),
         )
         announcements = session.announce(routes)

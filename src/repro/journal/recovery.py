@@ -57,7 +57,8 @@ __all__ = [
 #: decisions on events, no ``reshard``/``replace`` records.  (Format 1,
 #: which carried all of those, was never stamped.)
 #: 3: prefix-indexed RIBs inside the checkpointed network.
-JOURNAL_FORMAT = 3
+#: 4: monitored minimum rounds carry §3.8 batched disclosures.
+JOURNAL_FORMAT = 4
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group

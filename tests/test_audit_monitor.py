@@ -8,6 +8,8 @@ keystore counters), while verdicts and evidence stay byte-identical to
 the one-shot VerificationSession path for the same inputs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.audit import Monitor, round_randomness
@@ -25,8 +27,12 @@ from repro.promises.spec import (
 )
 from repro.pvr import scenarios
 from repro.pvr.adversary import LongerRouteProver
+from repro.pvr.batching import BatchedDisclosure
 from repro.pvr.engine import VerificationSession
+from repro.pvr.evidence import Complaint
+from repro.pvr.judge import DISMISSED, Judge
 from repro.pvr.scenarios import figure1_network
+from repro.util.encoding import canonical_encode
 
 PFX = Prefix.parse("10.0.0.0/8")
 SEED = 2011
@@ -36,6 +42,14 @@ def make_monitor(net, seed=SEED, **options) -> Monitor:
     return Monitor(
         KeyStore(seed=seed, key_bits=512), rng_seed=seed, **options
     ).attach(net)
+
+
+def view_bytes(view) -> bytes:
+    """A round view's canonical bytes: its fields in declaration order
+    (every signed artifact a view carries has a ``canonical()`` hook)."""
+    return canonical_encode(
+        tuple(getattr(view, f.name) for f in dataclasses.fields(view))
+    )
 
 
 class TestAcceptance:
@@ -89,12 +103,41 @@ class TestAcceptance:
                 replay_keystore,
                 event.spec,
                 round=event.round,
+                batching=True,
                 random_bytes=round_randomness(SEED, event.round),
             )
             report = session.run(event.routes)
             assert report.verdicts == event.report.verdicts
             assert report.all_evidence() == event.report.all_evidence()
             assert report.all_complaints() == event.report.all_complaints()
+            # what was signed and sent, not only what was concluded:
+            # honest verdicts read the same under either protocol
+            views = event.report.transcript.views
+            assert report.transcript.views.keys() == views.keys()
+            for party, view in report.transcript.views.items():
+                assert view_bytes(view) == view_bytes(views[party]), party
+            assert report.crypto == event.report.crypto
+            assert report.crypto.signatures == event.stats.signatures
+
+    def test_monitored_rounds_sign_one_disclosure_batch(self):
+        """Section 3.8 on the audit plane: every disclosure of a fresh
+        minimum round hangs off one signed batch root, so the round
+        signs k announcements + k receipts + commitment + attestation +
+        root — 2k + 3 — and still leaks nothing beyond the baseline."""
+        epoch = workload.serve_spec(8).build_monitor().run_epoch()
+        fresh = [e for e in epoch.events if not e.reused]
+        assert len(fresh) == 8
+        for event in fresh:
+            view = event.report.transcript.views[event.spec.recipient]
+            assert view.disclosures
+            assert all(
+                isinstance(d, BatchedDisclosure) for d in view.disclosures
+            )
+            assert len({d.root for d in view.disclosures}) == 1
+            routed = sum(r is not None for r in event.routes.values())
+            assert routed > 0
+            assert event.stats.signatures == 2 * routed + 3
+            assert event.report.confidentiality_ok is True
 
     def test_violation_evidence_byte_identical_to_one_shot(self):
         """The parity holds for violating rounds too: the monitor's
@@ -478,6 +521,53 @@ class TestEvidenceStore:
         monitor.policy("A", ShortestRoute(), max_length=8)
         epoch = monitor.run_epoch()
         assert seen == list(epoch.events) == list(monitor.events)
+
+
+class TestBatchedTrail:
+    """The judge over a monitored trail whose honest rounds are
+    Section 3.8 batched and whose probes are Byzantine provers."""
+
+    @pytest.fixture(scope="class")
+    def driven(self):
+        spec, requests = workload.get(
+            "serve-churn", prefixes=3, rounds=6, violation_every=3,
+            key_bits=512,
+        )
+        monitor = spec.build_monitor()
+        return monitor, workload.drive_monitor(monitor, requests)
+
+    def test_probes_upheld_and_no_honest_round_ruled_against(self, driven):
+        monitor, outcomes = driven
+        probes = [e for o in outcomes for e in o.probe_events]
+        honest = [e for o in outcomes for e in o.events if not e.reused]
+        assert len(probes) == 2 and honest
+        rulings = monitor.evidence.adjudicate()
+        assert set(rulings) == {e.seq for e in probes}
+        for ruling in rulings.values():
+            assert ruling.guilty() and ruling.evidence_ok()
+        for event in honest:
+            ruling = monitor.evidence.adjudicate(event)[event.seq]
+            assert ruling.guilty() == ()
+            assert ruling.upheld_complaints() == ()
+
+    def test_false_disclosure_complaint_dismissed_by_the_batch(self, driven):
+        monitor, outcomes = driven
+        event = next(e for o in outcomes for e in o.events if not e.reused)
+        detail = event.report.transcript.detail
+        provider, view = next(
+            (name, view) for name, view in detail.provider_views.items()
+            if view.disclosure is not None
+        )
+        answer = view.disclosure
+        assert isinstance(answer, BatchedDisclosure)
+        complaint = Complaint(
+            accuser=provider, accused=event.asn, round=event.round,
+            claim="missing-disclosure", context=(answer.index,),
+        )
+        ruling = Judge(monitor.keystore).resolve_complaint(
+            complaint, answer, vector=detail.recipient_view.vector
+        )
+        assert ruling.outcome == DISMISSED
 
 
 class TestMultipleDecisionHooks:

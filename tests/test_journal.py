@@ -446,16 +446,16 @@ class TestJournalFormat:
             })
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 1, this build reads 3"
+            JournalError, match="journal format 1, this build reads 4"
         ):
             spec.build()
 
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 4})
+            journal.append("genesis", {"format": 7})
             with pytest.raises(
-                JournalError, match="journal format 4, this build reads 3"
+                JournalError, match="journal format 7, this build reads 4"
             ):
                 recover_state(spec, journal)
 
@@ -467,7 +467,20 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 2})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 2, this build reads 3"
+            JournalError, match="journal format 2, this build reads 4"
+        ):
+            spec.build()
+
+    def test_a_format_3_journal_is_refused_by_name(self, tmp_path):
+        # format 3 trails hold per-disclosure-signed monitored rounds;
+        # this build's rounds sign one batch root, so replaying a
+        # format-3 trail next to fresh rounds would mix two protocols
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 3})
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 3, this build reads 4"
         ):
             spec.build()
 
@@ -487,7 +500,7 @@ class TestJournalFormat:
         run_script(spec, script(rounds=1))
         with Journal(spec.journal) as journal:
             seq, rtype, data = journal.records[0]
-        assert (rtype, data["format"]) == ("genesis", 3)
+        assert (rtype, data["format"]) == ("genesis", 4)
         assert "workers" not in data
 
 
