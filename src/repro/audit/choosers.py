@@ -1,18 +1,14 @@
-"""The named chooser registry: export policies that survive pickling.
+"""The named chooser registry: the audit plane's export policies.
 
 A cross-check *chooser* (:mod:`repro.pvr.crosscheck`) is the prover's
-per-recipient export policy — a live callable.  Live callables cannot
-cross a process boundary by pickle, which is why the sharded service
-historically ran every custom-chooser policy on the monitor's local
-wire path instead of the shard pool (a ROADMAP open item), and why a
-callable chooser makes an incremental-cache fingerprint compare by
-object *identity* — useless across cluster workers that each built
-their own copy.
-
-Registering a chooser under a **name** fixes both: policies reference
-the chooser as a string (``chooser="discriminating:B1"``), the string
-rides the wire/pickle for free, and every worker resolves it back to
-the same callable through this registry.
+per-recipient export policy — a callable.  The engine's own
+:class:`~repro.pvr.engine.VerificationSession` takes the callable; an
+audit policy takes only a registered **name**
+(``chooser="discriminating:B1"``).  The name pickles, so every fresh
+round of the policy runs on the round pool, and every worker resolves
+it back to the same callable here; and the name is what the reuse
+cache's fingerprint compares, so it means the same thing in every
+process.  To audit with a chooser of your own, register it first.
 
 Two kinds of entry:
 
@@ -26,7 +22,7 @@ The built-ins mirror the scenario gallery: ``"honest"``, and the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.pvr.crosscheck import (
     discriminating_chooser,
@@ -43,9 +39,9 @@ __all__ = [
     "resolve",
 ]
 
-#: what policy/session call sites accept: a live callable, a registered
-#: name, or None (the honest default)
-ChooserRef = Union[None, str, Callable]
+#: what an audit policy accepts: a registered name, or None (the honest
+#: default)
+ChooserRef = Optional[str]
 
 _CHOOSERS: Dict[str, Callable] = {}
 _FACTORIES: Dict[str, Callable[[str], Callable]] = {}
@@ -98,11 +94,18 @@ def names() -> Tuple[str, ...]:
 
 
 def resolve(chooser: ChooserRef) -> Optional[Callable]:
-    """A call-site-ready chooser: names resolve through the registry,
-    callables (and None) pass through unchanged."""
-    if isinstance(chooser, str):
-        return get(chooser)
-    return chooser
+    """The callable a chooser name stands for (None stays None).  An
+    unknown name raises :class:`KeyError`; a callable raises
+    :class:`TypeError` — register it and pass its name."""
+    if chooser is None:
+        return None
+    if not isinstance(chooser, str):
+        raise TypeError(
+            f"an audit chooser is a registry name, not {chooser!r}; "
+            f"register it with repro.audit.choosers.register() and pass "
+            f"the name"
+        )
+    return get(chooser)
 
 
 register("honest", honest_chooser)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.bgp.network import BGPNetwork
 from repro.bgp.prefix import Prefix
@@ -62,7 +62,12 @@ from repro.audit.policy import (
     single_recipient_item,
 )
 from repro.audit.store import EvidenceStore
-from repro.audit.wire import RoundStats, round_randomness, run_wire_round
+from repro.audit.wire import (
+    RoundResult,
+    RoundStats,
+    round_randomness,
+    run_wire_round,
+)
 from repro.obs.trace import TraceContext
 
 #: cache key: one (AS, prefix, policy, recipients) audited tuple
@@ -138,6 +143,10 @@ def absorb_verdict(
 class MonitorError(RuntimeError):
     """The monitor was used before :meth:`Monitor.attach`, or a policy
     could not be materialized."""
+
+
+class MergeError(RuntimeError):
+    """A plan entry has no outcome, or an outcome contradicts its plan."""
 
 
 def _check_work_bound(max_work: Optional[int]) -> Optional[int]:
@@ -240,16 +249,17 @@ class Monitor:
         ``spec`` is a promise template, a ``providers -> Promise``
         factory, or a full :class:`~repro.pvr.session.PromiseSpec`;
         ``recipients`` restricts the neighbors covered (per-neighbor
-        overrides).  ``chooser`` may be a live callable or a name from
-        the :mod:`repro.audit.choosers` registry — named choosers
-        pickle, so the policy can run on shard and cluster workers
-        instead of the monitor's local wire path.  With ``audit_now``
-        (the default) every prefix the AS currently routes is marked
-        dirty so the first epoch audits the present state;
-        ``audit_now=False`` only arms the hook, so epochs cover
+        overrides).  ``chooser`` is a name from the
+        :mod:`repro.audit.choosers` registry, resolved here: an unknown
+        name raises :class:`KeyError` and a callable :class:`TypeError`
+        before anything is registered, not in the middle of an epoch.
+        With ``audit_now`` (the default) every prefix the AS currently
+        routes is marked dirty so the first epoch audits the present
+        state; ``audit_now=False`` only arms the hook, so epochs cover
         decisions made from now on.
         """
         network = self._require_network()
+        resolve_chooser(chooser)
         router = network.router(asn)
         if name is None:
             # a monotonic counter, so names (the evidence-store and
@@ -430,7 +440,7 @@ class Monitor:
         — all state the scheduler owns is updated here.  The plan can
         then be executed serially (:meth:`execute_plan`) or fanned out
         across pool workers (:mod:`repro.cluster.pipeline`): both record
-        through the same code path, so verdicts, rounds and sequence
+        through :func:`fold_plan`, so verdicts, rounds and sequence
         numbers cannot depend on who executes.
         """
         network = self._require_network()
@@ -522,33 +532,43 @@ class Monitor:
         return plan
 
     def execute_plan(self, plan: EpochPlan) -> EpochReport:
-        """Execute a plan serially, in order, over the live network."""
-        report = EpochReport(epoch=plan.epoch)
-        report.deferred.extend(plan.deferred)
-        sign0 = self.keystore.sign_count
-        verify0 = self.keystore.verify_count
+        """Execute a plan serially over the live network: every fresh
+        entry's wire round, in plan order, then :func:`fold_plan` — the
+        one fold the round pool's results go through too.  Rounds are
+        collected before anything is recorded, so a round that raises
+        leaves no event behind; the plan's pairs go back on the queue
+        (:meth:`requeue`)."""
         span = self.tracer.begin(
             "execute", component="audit", epoch=plan.epoch,
             entries=len(plan.entries),
         )
         try:
-            for entry in plan.entries:
-                if entry.fresh:
-                    session_report, stats = self.run_planned_round(entry)
-                    event = self.record_planned(
-                        entry, session_report, stats, epoch=plan.epoch
-                    )
-                else:
-                    event = self.emit_reused(entry, epoch=plan.epoch)
-                report.events.append(event)
+            outcomes = {
+                position: self._wire_round(
+                    entry.item, entry.round, chooser=entry.chooser
+                )
+                for position, entry in plan.fresh_entries()
+            }
+            report = fold_plan(self, plan, outcomes)
         except BaseException:
+            self.requeue(plan)
             self.tracer.finish(span, status="error")
             raise
-        report.signatures = self.keystore.sign_count - sign0
-        report.verifications = self.keystore.verify_count - verify0
         self.tracer.finish(span)
         report.wall_seconds = span.duration
         return report
+
+    def requeue(self, plan: EpochPlan) -> None:
+        """Mark every pair of a plan whose execution failed dirty again.
+
+        Planning consumed the dirty marks; without this a failed epoch
+        would leave an audit hole — the paper's §2.3 Detection property
+        silently lost for those pairs.  A later epoch re-audits them
+        from scratch: at-least-once, never silently-never.  Both
+        executors (:meth:`execute_plan` and the cluster pipeline) call
+        it."""
+        for entry in plan.entries:
+            self.mark(entry.item.asn, entry.item.prefix)
 
     def run_until_idle(self, max_epochs: int = 64) -> List[EpochOutcome]:
         """Run epochs until the dirty queue drains (work bounds can make
@@ -570,117 +590,48 @@ class Monitor:
         self._round_counter += 1
         return self._round_counter
 
-    def emit_reused(self, entry: PlannedItem, *, epoch: int) -> VerdictEvent:
-        """Serve an unchanged plan entry from the cache: same report,
-        same round, zero crypto operations."""
-        return self.evidence.record(
-            reused_event(
-                entry.previous,
-                seq=self.evidence.next_seq(),
-                epoch=epoch,
-            )
-        )
-
-    def record_planned(
-        self,
-        entry: PlannedItem,
-        report: SessionReport,
-        stats: RoundStats,
-        *,
-        epoch: int,
-    ) -> VerdictEvent:
-        """Record one externally executed fresh plan entry.
-
-        The sharded service's merger calls this in plan order, so the
-        evidence store's sequence numbers, the reuse cache and the
-        violation-never-cached rule behave exactly as a serial
-        :meth:`execute_plan` — the sharding layer cannot invent its own
-        recording semantics.
-        """
-        item = entry.item
-        event = VerdictEvent(
-            seq=self.evidence.next_seq(),
-            epoch=epoch,
-            asn=item.asn,
-            prefix=item.prefix,
-            policy=item.policy,
-            spec=item.spec,
-            round=entry.round,
-            routes=dict(item.routes),
-            report=report,
-            stats=stats,
-        )
-        self.evidence.record(event)
-        absorb_verdict(self._cache, item, entry.fingerprint, event)
-        return event
-
-    def run_planned_round(
-        self, entry: PlannedItem
-    ) -> Tuple[SessionReport, RoundStats]:
-        """One fresh plan entry's wire round, *without* recording.
-
-        The sharded service uses this for entries it cannot ship to a
-        worker (custom-chooser policies); the merger records the result
-        in plan order alongside the shard outcomes."""
-        network = self._require_network()
-        return run_wire_round(
-            network,
-            self.keystore,
-            entry.item.spec,
-            entry.item.routes,
-            round=entry.round,
-            chooser=resolve_chooser(entry.chooser),
-            random_bytes=round_randomness(self.rng_seed, entry.round),
-        )
-
-    def _verify_round(
+    def _wire_round(
         self,
         item: WorkItem,
-        round_no: int,
-        *,
+        round: int,
         prover: object = None,
         chooser: ChooserRef = None,
-        epoch: Optional[int] = None,
-    ) -> VerdictEvent:
-        network = self._require_network()
-        report, stats = run_wire_round(
-            network,
+    ) -> RoundResult:
+        """One wire round over the live network on the round's
+        deterministic nonce stream, not yet recorded."""
+        return run_wire_round(
+            self._require_network(),
             self.keystore,
             item.spec,
             item.routes,
-            round=round_no,
+            round=round,
             prover=prover,
             chooser=resolve_chooser(chooser),
-            random_bytes=round_randomness(self.rng_seed, round_no),
+            random_bytes=round_randomness(self.rng_seed, round),
         )
-        event = VerdictEvent(
-            seq=self.evidence.next_seq(),
-            epoch=epoch,
-            asn=item.asn,
-            prefix=item.prefix,
-            policy=item.policy,
-            spec=item.spec,
-            round=round_no,
-            routes=dict(item.routes),
-            report=report,
-            stats=stats,
-        )
-        return self.evidence.record(event)
 
-    def _verify(
+    def _record_round(
         self,
         item: WorkItem,
+        round: int,
+        report: SessionReport,
+        stats: RoundStats,
         *,
-        prover: object = None,
-        chooser: Optional[Callable] = None,
-        epoch: Optional[int] = None,
+        epoch: Optional[int],
     ) -> VerdictEvent:
-        return self._verify_round(
-            item,
-            self._next_round(),
-            prover=prover,
-            chooser=chooser,
-            epoch=epoch,
+        return self.evidence.record(
+            VerdictEvent(
+                seq=self.evidence.next_seq(),
+                epoch=epoch,
+                asn=item.asn,
+                prefix=item.prefix,
+                policy=item.policy,
+                spec=item.spec,
+                round=round,
+                routes=dict(item.routes),
+                report=report,
+                stats=stats,
+            )
         )
 
     # -- one-shot audits -----------------------------------------------------
@@ -694,7 +645,6 @@ class Monitor:
         promise: Optional[Promise] = None,
         spec: Optional[PromiseSpec] = None,
         prover: object = None,
-        chooser: Optional[Callable] = None,
         max_length: int = DEFAULT_MAX_LENGTH,
     ) -> VerdictEvent:
         """Run one wire round right now, outside the epoch scheduler.
@@ -731,4 +681,61 @@ class Monitor:
                     f"{asn} has no providers for {prefix} "
                     f"(besides the recipient)"
                 )
-        return self._verify(item, prover=prover, chooser=chooser)
+        round_no = self._next_round()
+        report, stats = self._wire_round(item, round_no, prover=prover)
+        return self._record_round(item, round_no, report, stats, epoch=None)
+
+
+def fold_plan(
+    monitor: Monitor,
+    plan: EpochPlan,
+    outcomes: Mapping[int, RoundResult],
+) -> EpochReport:
+    """Record one executed plan into the monitor's evidence store.
+
+    The one fold, whoever ran the rounds: :meth:`Monitor.execute_plan`
+    over the live network, or the cluster pipeline's round pool.  The
+    evidence store is append-only and its sequence numbers are the
+    audit trail's spine, so the fold walks the *plan* — the canonical
+    order — and records each entry from the reuse cache or from the
+    ``(report, stats)`` of its round, applying the cache rule
+    (:func:`absorb_verdict`) as it goes.  Every fresh entry must appear
+    in ``outcomes``: a hole, or an outcome whose round/spec disagrees
+    with the plan, raises :class:`MergeError` rather than silently
+    corrupting the trail.
+    """
+    evidence = monitor.evidence
+    report = EpochReport(epoch=plan.epoch)
+    report.deferred.extend(plan.deferred)
+    for position, entry in enumerate(plan.entries):
+        if not entry.fresh:
+            event = evidence.record(
+                reused_event(
+                    entry.previous, seq=evidence.next_seq(), epoch=plan.epoch
+                )
+            )
+        else:
+            if position not in outcomes:
+                raise MergeError(
+                    f"plan position {position} "
+                    f"({entry.item.asn}, {entry.item.prefix}) has no outcome"
+                )
+            session_report, stats = outcomes[position]
+            if session_report.round != entry.round:
+                raise MergeError(
+                    f"outcome round {session_report.round} != "
+                    f"planned {entry.round}"
+                )
+            if session_report.spec != entry.item.spec:
+                raise MergeError(
+                    f"outcome spec diverged from plan at position {position}"
+                )
+            event = monitor._record_round(
+                entry.item, entry.round, session_report, stats,
+                epoch=plan.epoch,
+            )
+            absorb_verdict(monitor._cache, entry.item, entry.fingerprint, event)
+        report.events.append(event)
+    report.signatures = sum(e.stats.signatures for e in report.events)
+    report.verifications = sum(e.stats.verifications for e in report.events)
+    return report

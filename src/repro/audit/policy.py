@@ -106,8 +106,8 @@ class AuditPolicy:
     prefixes: Optional[Tuple[Prefix, ...]] = None
     variant: str = "auto"
     max_length: int = DEFAULT_MAX_LENGTH
-    #: a live callable, or a :mod:`repro.audit.choosers` registry name
-    #: (names pickle, so the policy ships to shard/cluster workers)
+    #: a :mod:`repro.audit.choosers` registry name (it pickles, so the
+    #: policy's rounds run on pool workers)
     chooser: ChooserRef = None
 
     def covers(self, prefix: Prefix) -> bool:

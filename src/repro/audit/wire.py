@@ -99,6 +99,10 @@ class RoundStats:
     reused: bool = False
 
 
+#: what one executed round yields, on or off the wire
+RoundResult = Tuple[SessionReport, RoundStats]
+
+
 def round_randomness(seed, round: int) -> Callable[[int], bytes]:
     """The audit plane's commitment-nonce source for one round.
 
@@ -148,7 +152,7 @@ def run_wire_round(
     prover: object = None,
     chooser: object = None,
     random_bytes: Callable[[int], bytes] | None = None,
-) -> Tuple[SessionReport, RoundStats]:
+) -> RoundResult:
     """One verification round with every protocol message on the wire.
 
     ``routes`` is the prover's current Adj-RIB-In slice (party -> Route
@@ -195,7 +199,7 @@ def _run_wire_round(
     prover: object,
     chooser: object,
     random_bytes: Callable[[int], bytes] | None,
-) -> Tuple[SessionReport, RoundStats]:
+) -> RoundResult:
     transport = network.transport
     session = VerificationSession(
         keystore,
@@ -307,7 +311,7 @@ def run_offwire_round(
     rng_seed: object,
     chooser: ChooserRef = None,
     neighbor_count: int = 0,
-) -> Tuple[SessionReport, RoundStats]:
+) -> RoundResult:
     """Replay one planned round in memory: the same pair
     :func:`run_wire_round` returns, computed without a network.
 

@@ -207,18 +207,20 @@ class BGPRouter(Node):
                 touched.append(prefix)
         if update.announced is not None:
             route = update.announced.with_neighbor(peer)
-            if route.as_path.has_loop_for(self.asn):
-                pass  # loop prevention: silently discard
-            else:
-                imported = self.import_policies[peer].apply(route)
-                if imported is not None:
-                    self.adj_rib_in.insert(peer, imported)
-                    touched.append(imported.prefix)
-                else:
-                    # policy rejected it; an implicit withdraw of any
-                    # previous announcement for that prefix
-                    if self.adj_rib_in.withdraw(peer, route.prefix) is not None:
-                        touched.append(route.prefix)
+            # loop prevention discards the route, as does an import policy
+            # that rejects it
+            imported = (
+                None
+                if route.as_path.has_loop_for(self.asn)
+                else self.import_policies[peer].apply(route)
+            )
+            if imported is not None:
+                self.adj_rib_in.insert(peer, imported)
+                touched.append(imported.prefix)
+            # a discarded announcement still replaces the peer's previous
+            # one for that prefix: an implicit withdraw
+            elif self.adj_rib_in.withdraw(peer, route.prefix) is not None:
+                touched.append(route.prefix)
         for prefix in dict.fromkeys(touched):
             self._rerun_decision(network, prefix)
 

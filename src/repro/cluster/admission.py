@@ -23,10 +23,11 @@ metrics row.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
+
+from repro.obs.trace import CLOCK
 
 from repro.cluster.requests import (
     AdmissionError,
@@ -46,7 +47,6 @@ class Ticket:
 
     request: object
     enqueued: float
-    net_delay: float = 0.0
     #: when the queue handed the request to its host (dispatch time;
     #: a read's is its admission time — it never waits)
     started: float = 0.0
@@ -93,20 +93,14 @@ class AdmissionQueue:
     def submit(
         self,
         request,
-        net_delay: float = 0.0,
         on_done: Optional[Callable[[Ticket], None]] = None,
     ) -> Ticket:
         """Admit one request.  A read comes back settled; a write is
         queued, or refused with :class:`AdmissionError` when the queue
         is at depth."""
         kind = request.kind
-        now = time.perf_counter()
-        ticket = Ticket(
-            request=request,
-            enqueued=now,
-            net_delay=net_delay,
-            on_done=on_done,
-        )
+        now = CLOCK()
+        ticket = Ticket(request=request, enqueued=now, on_done=on_done)
         if isinstance(request, QueryRequest):
             self.metrics.admit(kind)
             ticket.started = now
@@ -142,14 +136,14 @@ class AdmissionQueue:
                 and isinstance(pending[0].request, ChurnRequest)
             ):
                 group.append(pending.popleft())
-        now = time.perf_counter()
+        now = CLOCK()
         for ticket in group:
             ticket.started = now
         return group
 
     def resolve(self, tickets: List[Ticket], payload) -> None:
         """Settle a served group with its (shared) payload."""
-        finished = time.perf_counter()
+        finished = CLOCK()
         for ticket in tickets:
             completion = ticket.completion = Completion(
                 request=ticket.request,
@@ -157,7 +151,6 @@ class AdmissionQueue:
                 enqueued=ticket.enqueued,
                 started=ticket.started,
                 finished=finished,
-                net_delay=ticket.net_delay,
             )
             self.metrics.complete(
                 ticket.request.kind,

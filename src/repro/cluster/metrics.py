@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from typing import Dict, List, Optional
+
+from repro.obs.trace import CLOCK
 
 __all__ = [
     "ClusterMetrics",
@@ -40,7 +41,8 @@ SCHEMA = "repro.cluster/metrics"
 #: version 8 follows reads leaving the queue: the ``admission`` and
 #: ``control`` sections are gone (one admission rule, no controller);
 #: a ``query`` record's ``queue_delay`` is all zeros; every request
-#: record's ``shed`` is a constant 0.
+#: record's ``shed`` is a constant 0 (and ``dropped`` too, since the
+#: simulated client gateway went).
 #: Version 7 followed the single round pool: ``placement.reshards``,
 #: ``replacements`` and the respawn records' ``installed_cache_entries``
 #: are gone (stateless workers have nothing to move or install),
@@ -141,9 +143,8 @@ class TypeMetrics:
     def __init__(self) -> None:
         self.admitted = 0
         self.rejected = 0
-        self.dropped = 0  # lost in transit (the simnet gateway's drops)
         self.completed = 0
-        self.latency = LatencySeries()  # enqueue (+ net delay) -> done
+        self.latency = LatencySeries()  # enqueue -> done
         self.queue_delay = LatencySeries()  # enqueue -> dispatch
         self.service = LatencySeries()  # dispatch -> done
 
@@ -152,9 +153,9 @@ class TypeMetrics:
         return {
             "admitted": self.admitted,
             "rejected": self.rejected,
-            "dropped": self.dropped,
-            # nothing sheds; the key stays only because the frozen
-            # ``benchmarks/e2e`` sums it (ROADMAP item 4)
+            # nothing drops or sheds; the keys stay only because the
+            # frozen ``benchmarks/e2e`` sums them (ROADMAP item 1)
+            "dropped": 0,
             "shed": 0,
             "completed": self.completed,
             "throughput_rps": (
@@ -170,7 +171,7 @@ class ClusterMetrics:
     """The service-wide ledger of one serving front-end."""
 
     def __init__(self) -> None:
-        self.started = time.perf_counter()
+        self.started = CLOCK()
         self._types: Dict[str, TypeMetrics] = {}
         #: what ``snapshot()`` describes (anything with ``describe()`` —
         #: the ``ShardExecutor``)
@@ -215,10 +216,6 @@ class ClusterMetrics:
 
     def reject(self, kind: str) -> None:
         self.type_metrics(kind).rejected += 1
-
-    def drop(self, kind: str) -> None:
-        """A request lost in transit (the simnet gateway's drops)."""
-        self.type_metrics(kind).dropped += 1
 
     def complete(
         self,
@@ -309,7 +306,7 @@ class ClusterMetrics:
         """The schema-versioned, JSON-serializable metrics document.
         Round-tripped through :func:`json.dumps` so a non-serializable
         value fails loudly at the producer, not in a CI artifact step."""
-        window = time.perf_counter() - self.started
+        window = CLOCK() - self.started
         sizes = self.batch_sizes
         placement = self.placement
         document = {
@@ -370,7 +367,7 @@ class ClusterMetrics:
 
 
 REQUEST_COLUMNS = [
-    "type", "admitted", "rejected", "dropped", "completed",
+    "type", "admitted", "rejected", "completed",
     "p50 ms", "p90 ms", "p99 ms", "max ms",
 ]
 
@@ -387,7 +384,6 @@ def request_rows(snapshot: Dict[str, object]) -> List[tuple]:
             kind,
             record["admitted"],
             record["rejected"],
-            record["dropped"],
             record["completed"],
             ms(record["latency"]["p50_s"]),
             ms(record["latency"]["p90_s"]),

@@ -5,17 +5,18 @@ dispatched" and "its verdicts are in the evidence store", over one
 :class:`~repro.audit.monitor.Monitor` and one
 :class:`~repro.cluster.pool.ShardExecutor`:
 
-    apply steps and marks → run_to_quiescence → plan_epoch → deal the
-    fresh, shippable entries evenly in plan order → one
-    run_offwire_round per task on the pool → fold_plan in plan order →
-    probes by audit_once
+    apply steps and marks → run_to_quiescence → plan_epoch → deal
+    every fresh entry evenly in plan order → one run_offwire_round per
+    task on the pool → fold_plan in plan order → probes by audit_once
 
 Planning happens once, here: :meth:`~repro.audit.monitor.Monitor.plan_epoch`
 fixes every fresh round's number and nonce stream before any round
 runs, so the pool's workers need no state and who runs a round cannot
-matter.  Entries whose chooser is a live callable (which may not
-pickle) stay on the monitor's own wire path, as do probes — Byzantine
-deviations are live behaviours that must see real transport.
+matter.  A policy's chooser is a registry name, so every fresh round
+ships; the fold is :func:`~repro.audit.monitor.fold_plan`, the same
+one the serial monitor records through.  Only probes stay on the
+monitor's own wire path — Byzantine deviations are live behaviours
+that must see real transport.
 
 The coordinator (:class:`~repro.cluster.cluster.Cluster`) builds the
 one pipeline and journals around it; both doors — ``Cluster.pump()``
@@ -25,11 +26,11 @@ reach it through ``Cluster.serve_group``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.audit.events import EpochOutcome, EpochReport, SliceStats
-from repro.audit.monitor import EpochPlan, Monitor
-from repro.audit.wire import reports_match, run_offwire_round
+from repro.audit.monitor import EpochPlan, Monitor, fold_plan
+from repro.audit.wire import RoundResult, reports_match, run_offwire_round
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
 from repro.pvr.scenarios import apply_step
@@ -41,69 +42,8 @@ from repro.cluster.requests import (
     ChurnRequest,
     answer_adjudicate,
 )
-from repro.cluster.worker import RoundResult
 
-__all__ = ["MergeError", "Pipeline", "fold_plan"]
-
-
-class MergeError(RuntimeError):
-    """A plan entry has no outcome, or an outcome contradicts its plan."""
-
-
-def fold_plan(
-    monitor: Monitor,
-    plan: EpochPlan,
-    outcomes: Mapping[int, RoundResult],
-) -> EpochReport:
-    """Record one executed plan into the monitor's evidence store.
-
-    The evidence store is append-only and its sequence numbers are the
-    audit trail's spine, so the fold walks the *plan* — the canonical
-    order — and records each entry from whichever source produced it:
-    the reuse cache, or the ``(report, stats)`` of its round (pool
-    results and the monitor's local wire rounds alike).  Recording goes
-    through :meth:`~repro.audit.monitor.Monitor.record_planned` /
-    :meth:`~repro.audit.monitor.Monitor.emit_reused`, so the store is
-    byte-identical to what a serial
-    :meth:`~repro.audit.monitor.Monitor.run_epoch` would have written.
-    Every fresh entry must appear in ``outcomes``: a hole, or an
-    outcome whose round/spec disagrees with the plan, raises
-    :class:`MergeError` rather than silently corrupting the trail.
-    """
-    report = EpochReport(epoch=plan.epoch)
-    report.deferred.extend(plan.deferred)
-    for position, entry in enumerate(plan.entries):
-        if not entry.fresh:
-            event = monitor.emit_reused(entry, epoch=plan.epoch)
-        else:
-            if position not in outcomes:
-                raise MergeError(
-                    f"plan position {position} "
-                    f"({entry.item.asn}, {entry.item.prefix}) has no outcome"
-                )
-            session_report, stats = outcomes[position]
-            if session_report.round != entry.round:
-                raise MergeError(
-                    f"outcome round {session_report.round} != "
-                    f"planned {entry.round}"
-                )
-            if session_report.spec != entry.item.spec:
-                raise MergeError(
-                    f"outcome spec diverged from plan at position {position}"
-                )
-            event = monitor.record_planned(
-                entry, session_report, stats, epoch=plan.epoch
-            )
-        report.events.append(event)
-    report.signatures = sum(e.stats.signatures for e in report.events)
-    report.verifications = sum(e.stats.verifications for e in report.events)
-    return report
-
-
-def _ships_to_pool(chooser) -> bool:
-    """Whether a plan entry's chooser ref can cross the worker boundary:
-    no chooser, or a :mod:`repro.audit.choosers` registry name."""
-    return chooser is None or isinstance(chooser, str)
+__all__ = ["Pipeline"]
 
 
 class Pipeline:
@@ -218,39 +158,24 @@ class Pipeline:
         try:
             if self.on_plan is not None:
                 self.on_plan(plan)
-            shippable, local = [], []
-            for position, entry in plan.fresh_entries():
-                ships = _ships_to_pool(entry.chooser)
-                (shippable if ships else local).append((position, entry))
+            fresh = plan.fresh_entries()
             neighbors = monitor.network.transport.neighbors
             outcomes, slices, reaped = self.executor.execute(
-                shippable,
+                fresh,
                 {
                     entry.item.spec.prover: len(
                         neighbors(entry.item.spec.prover)
                     )
-                    for _, entry in shippable
+                    for _, entry in fresh
                 },
                 epoch=plan.epoch,
                 tracer=tracer,
                 on_reap=self.dump_flight,
             )
-            shipped = sorted(outcomes)
-            with tracer.span(
-                "local", component="cluster", epoch=plan.epoch,
-                tasks=len(local),
-            ):
-                for position, entry in local:
-                    outcomes[position] = monitor.run_planned_round(entry)
             with tracer.span("merge", component="cluster", epoch=plan.epoch):
                 report = fold_plan(monitor, plan, outcomes)
         except Exception as exc:
-            # planning consumed the dirty marks; a failed execution must
-            # not leave an audit hole, so the planned pairs go back on
-            # the queue (a later epoch re-audits them from scratch —
-            # at-least-once, never silently-never)
-            for entry in plan.entries:
-                monitor.mark(entry.item.asn, entry.item.prefix)
+            monitor.requeue(plan)
             tracer.finish(epoch_span, status="error")
             if isinstance(exc, ClusterError):
                 self.dump_flight(f"ClusterError: {exc}")
@@ -266,14 +191,11 @@ class Pipeline:
                 self.metrics.note_worker(stats.worker, stats.fresh)
         for worker, reason in reaped:
             self.metrics.note_respawn(worker=worker, reason=reason)
-        self._parity_check(plan, outcomes, shipped)
+        self._parity_check(plan, outcomes)
         return report, slices, len(reaped)
 
     def _parity_check(
-        self,
-        plan: EpochPlan,
-        outcomes: Dict[int, RoundResult],
-        shipped: List[int],
+        self, plan: EpochPlan, outcomes: Dict[int, RoundResult]
     ) -> None:
         """Re-prove a sample of the pool's verdicts in-process and
         compare — catches anything that could make a worker diverge
@@ -282,7 +204,7 @@ class Pipeline:
         if self.parity_sample < 1:
             return
         checked = failed = 0
-        for position in shipped[:: self.parity_sample]:
+        for position in sorted(outcomes)[:: self.parity_sample]:
             entry = plan.entries[position]
             replay, _ = run_offwire_round(
                 self.monitor.keystore,

@@ -1,8 +1,7 @@
 """The one round pool: dealing a plan's fresh rounds to stateless
 workers, and surviving the loss of any of them.
 
-:class:`ShardExecutor` turns an epoch plan's fresh, shippable entries
-into :class:`~repro.cluster.worker.ShardTask` batches — dealt evenly,
+:class:`ShardExecutor` turns an epoch plan's fresh entries into :class:`~repro.cluster.worker.ShardTask` batches — dealt evenly,
 contiguous in plan order, sizes differing by at most one — and hands
 them to its :class:`ShardPool`.  Workers hold no per-pair state, so
 there is nothing to place and nothing to rebalance.
@@ -28,15 +27,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.audit.events import SliceStats
 from repro.audit.monitor import PlannedItem
+from repro.audit.wire import RoundResult
 from repro.crypto.keystore import KeyStore
 from repro.obs.trace import CLOCK, Span, TraceContext
 
-from repro.cluster.worker import (
-    RoundResult,
-    ShardTask,
-    _InlineWorker,
-    _ProcessWorker,
-)
+from repro.cluster.worker import ShardTask, _InlineWorker, _ProcessWorker
 
 __all__ = ["ClusterError", "ShardExecutor", "ShardPool"]
 

@@ -132,12 +132,11 @@ class Completion:
     enqueued: float
     started: float = 0.0
     finished: float = 0.0
-    net_delay: float = 0.0
 
     @property
     def latency(self) -> float:
-        """Client-observed latency: network transit + queue + service."""
-        return (self.finished - self.enqueued) + self.net_delay
+        """Latency at the door: queue delay + service time."""
+        return self.finished - self.enqueued
 
     @property
     def queue_delay(self) -> float:

@@ -66,9 +66,11 @@ class ChaosSpec:
 class PolicySpec:
     """One promise policy, as data: ``monitor.policy(asn, spec, **options)``.
 
-    Policies live on the coordinator's monitor only.  *Named* choosers
-    (:mod:`repro.audit.choosers`) in ``options`` ship to pool workers;
-    a live callable keeps its rounds on the coordinator's wire path.
+    Policies live on the coordinator's monitor only.  A ``chooser`` in
+    ``options`` is a :mod:`repro.audit.choosers` registry name, which
+    pool workers resolve for themselves; ``install`` raises
+    :class:`TypeError` for a callable and :class:`KeyError` for an
+    unknown name.
     """
 
     asn: str

@@ -36,10 +36,7 @@ from repro.audit.wire import RoundStats, run_offwire_round
 from repro.crypto.keystore import KeyStore
 from repro.pvr.session import PromiseSpec, SessionReport
 
-__all__ = ["Batch", "RoundResult", "ShardTask", "WorkerDied", "worker_main"]
-
-#: what one executed round yields, on or off the wire
-RoundResult = Tuple[SessionReport, RoundStats]
+__all__ = ["Batch", "ShardTask", "WorkerDied", "worker_main"]
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,7 @@ class ShardTask:
 
     ``position`` is the entry's index in the epoch plan — the key that
     puts out-of-order results back into canonical order; ``chooser`` is
-    a :mod:`repro.audit.choosers` registry name (named choosers ship,
-    live callables stay on the monitor's wire path); ``neighbors`` is
+    a :mod:`repro.audit.choosers` registry name; ``neighbors`` is
     the prover's neighbor count, the commit-broadcast fan-out the
     replayed wire cost model prices.
     """

@@ -34,11 +34,11 @@ import base64
 import json
 import os
 import pickle
-import time
 import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import log as obs_log
+from repro.obs.trace import Stopwatch
 
 __all__ = ["Journal", "JournalError", "pack", "unpack"]
 
@@ -270,12 +270,9 @@ class Journal:
         if self._handle is None:
             self._open_segment(self._segment_id or 1)
 
-    def append(self, rtype: str, data: object) -> int:
-        """Durably order one record; returns its sequence number."""
-        started = time.perf_counter()
-        self._ensure_open()
-        if self._segment_records >= self.segment_max_records:
-            self._open_segment(self._segment_id + 1)
+    def _write(self, rtype: str, data: object) -> int:
+        """Write one record line to the open segment (flushed, not yet
+        fsynced); returns its sequence number."""
         self._seq += 1
         seq = self._seq
         line = json.dumps(
@@ -292,13 +289,22 @@ class Journal:
         self._handle.write("\n")
         self._handle.flush()
         self._segment_records += 1
-        self.records.append((seq, rtype, data))
         self.appended += 1
         self.bytes_written += len(line) + 1
         self._unsynced += 1
-        if self._unsynced >= self.fsync_batch:
-            self._fsync()
-        self.wall_seconds += time.perf_counter() - started
+        return seq
+
+    def append(self, rtype: str, data: object) -> int:
+        """Durably order one record; returns its sequence number."""
+        with Stopwatch() as watch:
+            self._ensure_open()
+            if self._segment_records >= self.segment_max_records:
+                self._open_segment(self._segment_id + 1)
+            seq = self._write(rtype, data)
+            self.records.append((seq, rtype, data))
+            if self._unsynced >= self.fsync_batch:
+                self._fsync()
+        self.wall_seconds += watch.seconds
         return seq
 
     def _fsync(self) -> None:
@@ -309,11 +315,11 @@ class Journal:
 
     def sync(self) -> None:
         """Force the journal to stable storage — the commit barrier."""
-        started = time.perf_counter()
-        if self._handle is not None:
-            self._handle.flush()
-            self._fsync()
-        self.wall_seconds += time.perf_counter() - started
+        with Stopwatch() as watch:
+            if self._handle is not None:
+                self._handle.flush()
+                self._fsync()
+        self.wall_seconds += watch.seconds
 
     def checkpoint(self, data: object) -> int:
         """Write ``data`` as a checkpoint and compact: the checkpoint
@@ -321,25 +327,7 @@ class Journal:
         segment is unlinked — replay restarts from it."""
         retired = self._segment_ids()
         self._open_segment((retired[-1] if retired else 0) + 1)
-        self._seq += 1
-        seq = self._seq
-        line = json.dumps(
-            {
-                "n": seq,
-                "t": "checkpoint",
-                "d": data,
-                "c": _checksum(seq, "checkpoint", data),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self._handle.write(line)
-        self._handle.write("\n")
-        self._handle.flush()
-        self._segment_records += 1
-        self.appended += 1
-        self.bytes_written += len(line) + 1
-        self._unsynced += 1
+        seq = self._write("checkpoint", data)
         self._fsync()
         self.records = [(seq, "checkpoint", data)]
         for segment_id in retired:

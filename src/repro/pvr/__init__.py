@@ -29,168 +29,17 @@ All four protocol variants run behind one promise-driven API — the
   ``adjudicate(judge).evidence_ok()``);
 * :mod:`repro.pvr.scenarios` is the registry of named workloads.
 
+The package namespace holds those three plus
+:class:`~repro.pvr.judge.Judge`; import anything else from its module.
+
 This package is a leaf under :mod:`repro.audit`: it imports nothing from
 the audit plane or anything above it.  Running rounds on a live network
 is :class:`repro.audit.monitor.Monitor`'s job.
 """
 
-from repro.pvr.access import AccessPolicy, opaque_alpha, paper_alpha
-from repro.pvr.announcements import (
-    Receipt,
-    SignedAnnouncement,
-    make_announcement,
-    make_receipt,
-)
-from repro.pvr.commitments import (
-    BitVectorOpenings,
-    CommittedBitVector,
-    ExportAttestation,
-    SignedDisclosure,
-    commit_bits,
-    compute_length_bits,
-    make_attestation,
-    make_disclosure,
-)
-from repro.pvr.evidence import (
-    BadOpeningEvidence,
-    BadProvenanceEvidence,
-    Complaint,
-    EquivocationEvidence,
-    Evidence,
-    ExistsFalseBitEvidence,
-    ExistsPhantomEvidence,
-    FalseBitEvidence,
-    MonotonicityEvidence,
-    PhantomExportEvidence,
-    ShorterAvailableEvidence,
-    SuppressionEvidence,
-    UnequalTreatmentEvidence,
-    Verdict,
-    Violation,
-)
-from repro.pvr.judge import ComplaintRuling, Judge
-from repro.pvr.minimum import (
-    HonestProver,
-    ProviderView,
-    RecipientView,
-    RoundConfig,
-    RoundTranscript,
-    announce,
-    verify_as_provider,
-    verify_as_recipient,
-)
-from repro.pvr.batching import BatchedDisclosure, BatchingProver, DisclosureBatch
-from repro.pvr.crosscheck import (
-    cross_check,
-    discriminating_chooser,
-    honest_chooser,
-    withholding_chooser,
-)
-from repro.pvr.navigation import (
-    NavigationError,
-    Navigator,
-    OperatorSkeleton,
-    owner_check_operators,
-    verify_as_input_owner,
-    verify_as_output_recipient,
-)
-from repro.pvr.protocol import (
-    AccessDenied,
-    GraphProver,
-    GraphRoundConfig,
-    RecordResponse,
-)
-from repro.pvr.session import (
-    Adjudication,
-    CryptoCounters,
-    PromiseSpec,
-    SessionError,
-    SessionReport,
-    SessionTranscript,
-)
-from repro.pvr.engine import VerificationSession, derive_skeleton
+from repro.pvr.engine import VerificationSession
+from repro.pvr.judge import Judge
+from repro.pvr.session import PromiseSpec
 from repro.pvr import scenarios
-from repro.pvr.vertex_info import VertexRecord, make_vertex_record
 
-__all__ = [
-    # access
-    "AccessPolicy",
-    "opaque_alpha",
-    "paper_alpha",
-    # announcements
-    "Receipt",
-    "SignedAnnouncement",
-    "make_announcement",
-    "make_receipt",
-    # commitments
-    "BitVectorOpenings",
-    "CommittedBitVector",
-    "ExportAttestation",
-    "SignedDisclosure",
-    "commit_bits",
-    "compute_length_bits",
-    "make_attestation",
-    "make_disclosure",
-    # evidence
-    "BadOpeningEvidence",
-    "BadProvenanceEvidence",
-    "Complaint",
-    "EquivocationEvidence",
-    "Evidence",
-    "ExistsFalseBitEvidence",
-    "ExistsPhantomEvidence",
-    "FalseBitEvidence",
-    "MonotonicityEvidence",
-    "PhantomExportEvidence",
-    "ShorterAvailableEvidence",
-    "SuppressionEvidence",
-    "UnequalTreatmentEvidence",
-    "Verdict",
-    "Violation",
-    # judge
-    "ComplaintRuling",
-    "Judge",
-    # minimum protocol
-    "HonestProver",
-    "ProviderView",
-    "RecipientView",
-    "RoundConfig",
-    "RoundTranscript",
-    "announce",
-    "verify_as_provider",
-    "verify_as_recipient",
-    # batching
-    "BatchedDisclosure",
-    "BatchingProver",
-    "DisclosureBatch",
-    # promise-4 cross-check
-    "cross_check",
-    "discriminating_chooser",
-    "honest_chooser",
-    "withholding_chooser",
-    # navigation (generalized protocol, verifier side)
-    "NavigationError",
-    "Navigator",
-    "OperatorSkeleton",
-    "owner_check_operators",
-    "verify_as_input_owner",
-    "verify_as_output_recipient",
-    # generalized protocol, prover side
-    "AccessDenied",
-    "GraphProver",
-    "GraphRoundConfig",
-    "RecordResponse",
-    # unified engine
-    "Adjudication",
-    "CryptoCounters",
-    "PromiseSpec",
-    "SessionError",
-    "SessionReport",
-    "SessionTranscript",
-    "VerificationSession",
-    "derive_skeleton",
-    "scenarios",
-    # vertex records
-    "VertexRecord",
-    "make_vertex_record",
-]
+__all__ = ["Judge", "PromiseSpec", "VerificationSession", "scenarios"]

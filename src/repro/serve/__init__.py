@@ -16,7 +16,7 @@ whole churn → verdict pipeline with its worker pool
   ``Cluster.request``;
 * :mod:`~repro.serve.loadgen` — deterministic open-loop workloads
   (churn bursts, query storms, violation injection, Zipf hot-prefix
-  skew), optionally routed over :mod:`repro.net.simnet` links.
+  skew) and their real-time asyncio driver.
 
 Run ``python -m repro.serve`` for the service + load-generator CLI.
 """
@@ -26,7 +26,6 @@ from repro.serve.loadgen import (
     LoadReport,
     Op,
     ServeWorkload,
-    SimnetGateway,
     ZipfSampler,
     build_schedule,
     run_open_loop,
@@ -38,7 +37,6 @@ __all__ = [
     "LoadReport",
     "Op",
     "ServeWorkload",
-    "SimnetGateway",
     "VerificationService",
     "ZipfSampler",
     "build_schedule",

@@ -5,17 +5,15 @@ Usage::
     python -m repro.serve --shards 4 --requests 200
     python -m repro.serve --shards 2 --duration 10 --rate 40 \\
         --violations 10 --json serve-metrics.json
-    python -m repro.serve --simnet-latency 0.05 --drop-rate 0.1
     python -m repro.serve --shards 1 --rate 64 --requests 72 \\
         --queue-depth 16 --gate-p99 0.25 --json overload.json
 
 Builds the serving scenario (:func:`repro.cluster.workload.serve_spec`),
 starts a :class:`~repro.serve.service.VerificationService` over it with
-the requested shard count, and drives the open-loop load generator against it —
-optionally through a :class:`~repro.serve.loadgen.SimnetGateway` so
-link latency and drops perturb admission.  Prints per-request-type
-latency percentiles and the epoch/shard/parity counters; ``--json``
-writes the schema-versioned metrics snapshot.
+the requested shard count, and drives the open-loop load generator
+against it.  Prints per-request-type latency percentiles and the
+epoch/shard/parity counters; ``--json`` writes the schema-versioned
+metrics snapshot.
 
 Queries never queue — the admission plane answers them at the door
 from the trail as of the last committed write group — so overload shows
@@ -52,7 +50,6 @@ from repro.util.tables import print_table
 from repro.serve.loadgen import (
     LoadProfile,
     ServeWorkload,
-    SimnetGateway,
     build_schedule,
     run_open_loop,
 )
@@ -91,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "requests (default: never)")
     parser.add_argument("--zipf", type=float, default=1.1, metavar="S",
                         help="hot-prefix skew exponent (default: 1.1)")
-    parser.add_argument("--simnet-latency", type=float, default=None,
-                        metavar="S", help="route requests over a simnet "
-                        "link with this latency")
-    parser.add_argument("--drop-rate", type=float, default=0.0, metavar="P",
-                        help="simnet gateway drop probability "
-                        "(implies a gateway)")
     parser.add_argument("--parity-sample", type=int, default=4, metavar="K",
                         help="re-prove every Kth fresh verdict as a "
                         "parity self-check; 0 disables (default: 4)")
@@ -143,22 +134,10 @@ async def serve_and_load(args) -> tuple:
         flappable=(("O", "N2"), ("X", "N1")),
         violator=("A", "B") if args.violations else None,
     )
-    gateway = None
-    if args.simnet_latency is not None or args.drop_rate > 0:
-        gateway = SimnetGateway(
-            latency=(
-                args.simnet_latency
-                if args.simnet_latency is not None
-                else 0.02
-            ),
-            drop_rate=args.drop_rate,
-            seed=args.seed,
-        )
-
     await service.start()
     try:
         schedule = build_schedule(profile, workload)
-        report = await run_open_loop(service, schedule, gateway=gateway)
+        report = await run_open_loop(service, schedule)
     finally:
         await service.stop()
     return service, report
@@ -214,8 +193,8 @@ def main(argv=None) -> int:
     obs_log.emit(
         "serve",
         f"{report.delivered}/{report.offered} requests admitted "
-        f"({report.rejected} rejected, {report.dropped} dropped in "
-        f"transit); parity checks: {parity['checked']} run, "
+        f"({report.rejected} rejected); parity checks: "
+        f"{parity['checked']} run, "
         f"{parity['failed']} failed",
         delivered=report.delivered,
         offered=report.offered,

@@ -14,9 +14,7 @@ head of the prefix set, so some shards run hot while others idle — and
 periodic **violation injection** (an import-policy flip that makes the
 monitored AS *honestly* prefer a longer route, violating its
 shortest-route promise on the wire, no Byzantine prover object needed).
-:func:`run_open_loop` is the real-time asyncio driver (the CLI),
-optionally pushing every request through a :class:`SimnetGateway` first
-so link latency and drops perturb admission.
+:func:`run_open_loop` is the real-time asyncio driver (the CLI).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.cluster.requests import (
     ChurnRequest,
     QueryRequest,
 )
-from repro.net import simnet
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import bounce_session, reoriginate_origin
 from repro.util.rng import DeterministicRandom
@@ -46,7 +43,6 @@ __all__ = [
     "LoadReport",
     "Op",
     "ServeWorkload",
-    "SimnetGateway",
     "ZipfSampler",
     "build_schedule",
     "run_open_loop",
@@ -221,55 +217,6 @@ def build_schedule(
     return ops
 
 
-class SimnetGateway:
-    """Route requests over a simulated client→service link first.
-
-    Every request crosses one :mod:`repro.net.simnet` link before
-    admission: link latency is added to the request's client-observed
-    latency, and an interceptor drops a deterministic fraction outright
-    — dropped requests never reach the admission queue, so transport
-    loss visibly perturbs what the service serves.
-    """
-
-    def __init__(
-        self,
-        latency: float = 0.02,
-        drop_rate: float = 0.0,
-        seed: int = 11,
-    ) -> None:
-        if not 0 <= drop_rate < 1:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
-        self.network = simnet.Network()
-        self.client = self.network.add_node(simnet.Node("client"))
-        self.server = self.network.add_node(simnet.Node("service"))
-        self.network.add_link("client", "service", latency=latency)
-        self.dropped = 0
-        if drop_rate > 0:
-            rng = DeterministicRandom(seed).fork("serve-gateway")
-
-            def lossy(message):
-                if rng.random() < drop_rate:
-                    return None
-                return message
-
-            self.network.set_interceptor("client", lossy)
-
-    def offer(self, request) -> Tuple[bool, float]:
-        """Push one request over the link.
-
-        Returns ``(delivered, transit_seconds)``; an undelivered request
-        was dropped by the link."""
-        before = self.network.simulator.now
-        self.network.send("client", "service", request)
-        self.network.run()
-        transit = self.network.simulator.now - before
-        if self.server.inbox:
-            self.server.inbox.clear()
-            return True, transit
-        self.dropped += 1
-        return False, 0.0
-
-
 @dataclass
 class LoadReport:
     """What one load-generation run observed."""
@@ -277,7 +224,6 @@ class LoadReport:
     offered: int = 0
     delivered: int = 0
     rejected: int = 0
-    dropped: int = 0
     completions: List[object] = field(default_factory=list)
     errors: List[BaseException] = field(default_factory=list)
 
@@ -286,15 +232,14 @@ async def run_open_loop(
     service: VerificationService,
     ops: Sequence[Op],
     *,
-    gateway: Optional[SimnetGateway] = None,
     time_scale: float = 1.0,
 ) -> LoadReport:
     """Fire the schedule open-loop against a started service.
 
     Arrival times are honored on the wall clock (scaled by
     ``time_scale``; pass 0 to fire as fast as the loop allows).
-    Rejections and drops are counted and *not* retried — open loop
-    means the schedule never adapts to the service.
+    Rejections are counted and *not* retried — open loop means the
+    schedule never adapts to the service.
     """
     report = LoadReport()
     futures = []
@@ -311,17 +256,8 @@ async def run_open_loop(
         else:
             await asyncio.sleep(0)
         report.offered += 1
-        net_delay = 0.0
-        if gateway is not None:
-            delivered, net_delay = gateway.offer(op.request)
-            if not delivered:
-                service.metrics.drop(op.kind)
-                report.dropped += 1
-                continue
         try:
-            futures.append(
-                service.submit_nowait(op.request, net_delay=net_delay)
-            )
+            futures.append(service.submit_nowait(op.request))
             report.delivered += 1
         except AdmissionError:
             report.rejected += 1

@@ -116,21 +116,21 @@ class VerificationService:
         if self._dispatcher is not None:
             await self._idle.wait()
 
-    def submit_nowait(self, request, *, net_delay: float = 0.0) -> asyncio.Future:
+    def submit_nowait(self, request) -> asyncio.Future:
         """Admit one request, or raise :class:`AdmissionError` (a write
         at a full queue); the future resolves to its
         :class:`Completion` — a read's already has."""
         if self._dispatcher is None:
             raise RuntimeError("service is not running")
         future = asyncio.get_running_loop().create_future()
-        self._queue.submit(request, net_delay, functools.partial(_settle, future))
+        self._queue.submit(request, functools.partial(_settle, future))
         self._idle.clear()
         self._wakeup.set()
         return future
 
-    async def request(self, request, *, net_delay: float = 0.0) -> Completion:
+    async def request(self, request) -> Completion:
         """Admit one request and await its completion."""
-        return await self.submit_nowait(request, net_delay=net_delay)
+        return await self.submit_nowait(request)
 
     async def _dispatch_loop(self) -> None:
         queue, serve = self._queue, self.cluster.serve_group

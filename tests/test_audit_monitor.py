@@ -8,15 +8,17 @@ keystore counters), while verdicts and evidence stay byte-identical to
 the one-shot VerificationSession path for the same inputs.
 """
 
+import asyncio
 import dataclasses
 
 import pytest
 
 from repro.audit import Monitor, round_randomness
+from repro.audit import monitor as monitor_module
 from repro.audit.monitor import MonitorError
 from repro.audit.wire import ViewPayload
 from repro.bgp.prefix import Prefix
-from repro.cluster import workload
+from repro.cluster import PolicySpec, workload
 from repro.crypto.keystore import KeyStore
 from repro.net.simnet import Message
 from repro.promises.spec import (
@@ -32,6 +34,7 @@ from repro.pvr.engine import VerificationSession
 from repro.pvr.evidence import Complaint
 from repro.pvr.judge import DISMISSED, Judge
 from repro.pvr.scenarios import figure1_network
+from repro.serve import VerificationService
 from repro.util.encoding import canonical_encode
 
 PFX = Prefix.parse("10.0.0.0/8")
@@ -674,8 +677,6 @@ class TestLongLivedHygiene:
         """The export chooser is part of the contract's behaviour: a
         re-registered same-name policy with a cheating chooser must be
         re-verified, never served the honest chooser's cached verdicts."""
-        from repro.pvr.crosscheck import discriminating_chooser
-
         net = figure1_network()
         net.add_as("B2")
         net.connect("A", "B2")
@@ -687,7 +688,7 @@ class TestLongLivedHygiene:
         assert monitor.run_epoch().violation_free()
         monitor.remove_policy(honest)
         monitor.policy("A", NoLongerThanOthers(), name="p4", max_length=8,
-                       chooser=discriminating_chooser("B"))
+                       chooser="discriminating:B")
         monitor.resync()
         epoch = monitor.run_epoch()
         assert epoch.reused == 0
@@ -714,6 +715,70 @@ class TestLongLivedHygiene:
         assert monitor.evidence.by_epoch(epoch.epoch)
         with pytest.raises(MonitorError):
             monitor.attach(net)
+
+
+class TestChooserNames:
+    """A policy's chooser is a registry name, checked when the policy is
+    registered — a bad one must fail there, not in an epoch that has
+    already consumed the dirty marks."""
+
+    def test_misspelt_name_fails_at_registration(self):
+        monitor = workload.serve_spec(3).build_monitor()
+        pending, policies = monitor.pending(), monitor.policies()
+        with pytest.raises(KeyError, match="unknown chooser 'no-such'.*known"):
+            monitor.policy("A", NoLongerThanOthers(), chooser="no-such")
+        assert monitor.policies() == policies
+        assert monitor.pending() == pending
+        assert len(monitor.run_epoch().events) == len(pending) == 3
+
+    def test_callable_chooser_is_refused_at_every_door(self):
+        from repro.pvr.crosscheck import discriminating_chooser
+
+        chooser = discriminating_chooser("B")
+        spec = workload.serve_spec(3)
+        monitor = spec.build_monitor()
+        with pytest.raises(TypeError, match="register"):
+            monitor.policy("A", NoLongerThanOthers(), chooser=chooser)
+        with pytest.raises(TypeError, match="register"):
+            PolicySpec(
+                "A", NoLongerThanOthers(), {"chooser": chooser}
+            ).install(monitor)
+        service = VerificationService(spec.network(), shards=1)
+        try:
+            with pytest.raises(TypeError, match="register"):
+                service.policy("A", NoLongerThanOthers(), chooser=chooser)
+        finally:
+            asyncio.run(service.stop())
+        assert len(monitor.policies()) == 1
+
+
+class TestFailedEpoch:
+    def test_failed_serial_epoch_leaves_no_audit_hole(self, monkeypatch):
+        """A round that raises mid-epoch records nothing and puts every
+        pair of the plan back on the queue; the next epoch audits them
+        all (the paper's §2.3 Detection property is never silently
+        dropped for a pair)."""
+        monitor = workload.serve_spec(3).build_monitor()
+        pairs = set(monitor.pending())
+        assert len(pairs) == 3
+        real, calls = monitor_module.run_wire_round, []
+
+        def second_round_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("transport fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            monitor_module, "run_wire_round", second_round_fails
+        )
+        with pytest.raises(RuntimeError, match="transport fault"):
+            monitor.run_epoch()
+        assert set(monitor.pending()) == pairs
+        assert monitor.events == ()
+        outcome = monitor.run_epoch()
+        assert {(e.asn, e.prefix) for e in outcome.events} == pairs
+        assert len(monitor.events) == 3 and not monitor.pending()
 
 
 class TestChurnRunner:

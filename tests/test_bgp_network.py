@@ -10,8 +10,10 @@ from repro.bgp.policy import (
     Prepend,
     SetLocalPref,
 )
+from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
-from repro.bgp.messages import Notification
+from repro.bgp.messages import Notification, Update
+from repro.bgp.route import Route
 
 PFX = Prefix.parse("10.0.0.0/8")
 
@@ -110,6 +112,19 @@ class TestPropagation:
         # A must not have learned its own route back
         assert net.best_route("A", PFX).neighbor is None
         assert net.router("A").adj_rib_in.candidates(PFX) == []
+
+    def test_looped_announcement_replaces_the_previous_one(self):
+        # A holds B's route to C's prefix; B then re-announces a path
+        # through A, which A must treat as B withdrawing the old route
+        net = line_network("A", "B", "C")
+        net.originate("C", PFX)
+        net.run_to_quiescence()
+        assert list(net.best_route("A", PFX).as_path) == ["B", "C"]
+        looped = Route(prefix=PFX, as_path=ASPath(("B", "A", "C")))
+        net.transport.send("B", "A", Update(announced=looped))
+        net.run_to_quiescence()
+        assert net.router("A").adj_rib_in.candidates(PFX) == []
+        assert net.best_route("A", PFX) is None
 
 
 class TestPolicyEffects:

@@ -62,7 +62,8 @@ class TestChooserRegistry:
         assert callable(favored)
         assert choosers.resolve("honest") is honest_chooser
         assert choosers.resolve(None) is None
-        assert choosers.resolve(honest_chooser) is honest_chooser
+        with pytest.raises(TypeError, match="register"):
+            choosers.resolve(honest_chooser)
 
     def test_names_and_errors(self):
         assert "honest" in choosers.names()

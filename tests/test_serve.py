@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import Monitor, choosers
+from repro.audit.monitor import MergeError, fold_plan
 from repro.audit.store import EvidenceStore
 from repro.bgp.prefix import Prefix
 from repro.cluster import (
@@ -49,14 +50,12 @@ from repro.serve import (
     LoadProfile,
     Op,
     ServeWorkload,
-    SimnetGateway,
     VerificationService,
     ZipfSampler,
     build_schedule,
     run_open_loop,
 )
 from repro.cluster.metrics import nearest_rank
-from repro.cluster.pipeline import MergeError, fold_plan
 from repro.cluster.pool import ShardExecutor
 from repro.cluster.requests import answer_query
 from repro.cluster import workload
@@ -287,9 +286,9 @@ class TestShardedParity:
 
 
 class TestNamedChooserSharding:
-    """A policy with a *named* chooser ships to the shard pool (the
-    worker resolves it through the registry) instead of silently
-    falling back to the monitor's local wire path."""
+    """A policy's chooser is a registry name, so every fresh round of
+    it runs on the pool (the worker resolves the name itself): there
+    is no second executor on the coordinator's wire path."""
 
     def test_named_chooser_entries_run_on_shards_with_parity(self):
         spec = serve_spec(
@@ -301,8 +300,12 @@ class TestNamedChooserSharding:
         )
         requests = settle_script()[:3]
         service = served(spec, requests)
-        # the work actually went through the shard pool
-        assert sum(service.metrics.worker_events.values()) > 0
+        # every fresh round went through the pool
+        fresh = [e for e in service.evidence.events() if not e.reused]
+        assert fresh
+        assert sum(service.metrics.worker_events.values()) == len(fresh)
+        names = {r["name"] for r in service.cluster.tracer.records}
+        assert "merge" in names and "local" not in names
         assert_byte_identical(service, spec, requests)
 
 
@@ -756,35 +759,6 @@ class TestService:
         audited = {(e.asn, e.prefix) for e in outcome.events}
         assert audited == {("A", prefix) for prefix in prefix_list}
         assert all(not e.reused and e.ok() for e in outcome.events)
-
-    def test_gateway_latency_and_drops_perturb_admission(self):
-        async def go():
-            net, prefixes = serve_network(3)
-            service = make_service(net, shards=1)
-            service.policy("A", ShortestRoute(), recipients=("B",),
-                           max_length=8)
-            gateway = SimnetGateway(latency=0.04, drop_rate=0.4, seed=5)
-            profile = LoadProfile(requests=30, seed=5,
-                                  churn_weight=0.0, query_weight=1.0,
-                                  adjudicate_weight=0.0)
-            workload = ServeWorkload(prefixes=prefixes)
-            ops = build_schedule(profile, workload)
-            await service.start()
-            report = await run_open_loop(
-                service, ops, gateway=gateway, time_scale=0.0
-            )
-            await service.stop()
-            return service, report
-
-        service, report = run_async(go())
-        assert report.dropped > 0
-        assert report.delivered == report.offered - report.dropped
-        assert service.metrics.type_metrics("query").dropped == (
-            report.dropped
-        )
-        # link transit shows up in client-observed latency
-        latency = service.metrics.type_metrics("query").latency
-        assert latency.percentile(50) >= 0.04
 
 
 # -- one oracle, three hosts ---------------------------------------------------
