@@ -9,8 +9,9 @@ D3  sparse MHT vs flat list commitment: the flat list leaks the vertex
     count; the blinded sparse tree does not.
 D4  gossip: disabling it lets a split-view (equivocation) attack pass
     the cross-check that would otherwise catch it.
-D5  batch signing: the BatchingProver signs one Merkle root per round
-    instead of one signature per disclosure (crypto microbenchmarks in
+D5  batch signing: the prover signs every message of its round as a
+    salted leaf under one Merkle root signature, k + 1 signatures a
+    round instead of 3k + 2 + L (crypto microbenchmarks in
     bench_overhead_sec38).
 """
 
@@ -159,10 +160,11 @@ class TestD4Gossip:
         assert result.equivocations
 
 
-class TestD5BatchedDisclosures:
+class TestD5BatchSigning:
     def test_signature_reduction_table(self, benchmark, bench_keystore):
-        """One batch-root signature replaces k + L per-disclosure ones —
-        batching is an engine option, not a separate code path."""
+        """One batch-root signature replaces the prover's 2k + 2 + L
+        per-message ones — batching is an engine option, not a separate
+        code path."""
         routes = {"N1": route("N1", 4), "N2": route("N2", 2),
                   "N3": route("N3", 6)}
         spec = PromiseSpec(promise=ShortestRoute(), prover="A",

@@ -23,11 +23,13 @@ party regardless of variant):
 4. parties verify locally from the received views and gossip the
    statements pairwise.
 
-Every monitored round runs the Section 3.8 batched-disclosure prover
-(``batching=True`` in both round functions below — a constant of the
-audit plane, not a knob): a minimum-variant round signs its k + L
-disclosures under one :class:`~repro.pvr.batching.DisclosureBatch`
-root, 2k + 3 signatures instead of 3k + 2 + L.  The serial
+Every monitored round is Section 3.8 batched (``batching=True`` in both
+round functions below — a constant of the audit plane, not a knob): a
+minimum-variant prover signs its receipts, commitment statement,
+attestation and disclosures as salted leaves under one
+:class:`~repro.crypto.batch.RoundSigner` root, so the round signs
+k + 1 times (the providers' k announcements plus that root) instead of
+3k + 2 + L.  The serial
 :func:`run_wire_round` and the off-wire :func:`run_offwire_round` are
 the only places the serving stack builds a round, so every host's trail
 stays byte-identical to the reference ``Monitor``'s.  An injected
@@ -104,7 +106,8 @@ RoundResult = Tuple[SessionReport, RoundStats]
 
 
 def round_randomness(seed, round: int) -> Callable[[int], bytes]:
-    """The audit plane's commitment-nonce source for one round.
+    """The audit plane's commitment-nonce and leaf-salt source for one
+    round.
 
     Deriving nonces deterministically from ``(seed, round)`` makes every
     monitored round *replayable*: a one-shot

@@ -9,7 +9,9 @@ The paper's three PVR building blocks (Section 3.4) map onto this package:
   siblings (:class:`repro.crypto.merkle.SparseMerkleTree`);
 * **verification** — RSA signatures (:mod:`repro.crypto.rsa`) over
   commitments and evidence, plus RST ring signatures
-  (:mod:`repro.crypto.ring`) for the link-state variant of Section 3.2.
+  (:mod:`repro.crypto.ring`) for the link-state variant of Section 3.2,
+  and Section 3.8's batch signatures (:mod:`repro.crypto.batch`): one
+  RSA signature over a round's salted Merkle leaves.
 
 Only the Python standard library (``hashlib``, ``secrets``) is used; RSA
 key generation, Miller-Rabin and the Feistel permutation are implemented

@@ -14,6 +14,7 @@ import threading
 from typing import Dict, Iterable
 
 from repro.crypto import rsa
+from repro.crypto.batch import BatchSignature
 from repro.util.rng import DeterministicRandom
 
 
@@ -92,14 +93,22 @@ class KeyStore:
         self.sign_count += 1
         return rsa.sign(self.private_key(asn), message)
 
-    def verify(self, asn: str, message: bytes, signature: bytes) -> bool:
-        """Verify a signature against AS ``asn``'s registered public key."""
+    def verify(self, asn: str, message: bytes, signature) -> bool:
+        """Verify a signature against AS ``asn``'s registered public key.
+
+        ``signature`` is RSA bytes or a sealed
+        :class:`~repro.crypto.batch.BatchSignature`, whose path must
+        lead from ``message`` to the root ``asn`` signed.  Either way
+        it is one RSA verification.
+        """
+        if isinstance(signature, BatchSignature):
+            message, signature = signature.root_claim(asn, message)
         self.verify_count += 1
         try:
             key = self.public_key(asn)
         except UnknownKeyError:
             return False
-        return rsa.verify(key, message, signature)
+        return message is not None and rsa.verify(key, message, signature)
 
     # -- worker support -----------------------------------------------------
 

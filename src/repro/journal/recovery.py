@@ -58,7 +58,8 @@ __all__ = [
 #: which carried all of those, was never stamped.)
 #: 3: prefix-indexed RIBs inside the checkpointed network.
 #: 4: monitored minimum rounds carry §3.8 batched disclosures.
-JOURNAL_FORMAT = 4
+#: 5: the prover's round messages are leaves under one batch root.
+JOURNAL_FORMAT = 5
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group

@@ -116,18 +116,24 @@ class GossipLayer:
         self._evidence: List[EquivocationRecord] = []
 
     def observe(self, statement: SignedStatement) -> EquivocationRecord | None:
-        """Merge one statement; returns equivocation evidence if detected."""
+        """Merge one statement; returns equivocation evidence if detected.
+
+        A statement whose value equals the one already held for its slot
+        is ignored unverified: valid or forged, it proves nothing new.
+        """
+        slot = (statement.author, statement.topic, statement.round)
+        existing = self._seen.get(slot)
+        if existing is not None and (
+            canonical_encode(existing.value) == canonical_encode(statement.value)
+        ):
+            return None  # consistent duplicate
         if not self._keystore.verify(
             statement.author, statement.signed_bytes(), statement.signature
         ):
             return None  # forged relay; ignore
-        slot = (statement.author, statement.topic, statement.round)
-        existing = self._seen.get(slot)
         if existing is None:
             self._seen[slot] = statement
             return None
-        if canonical_encode(existing.value) == canonical_encode(statement.value):
-            return None  # consistent duplicate
         record = EquivocationRecord(first=existing, second=statement)
         self._evidence.append(record)
         return record

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.crypto.commitment import Opening
+from repro.crypto.hashing import hash_bytes
 from repro.pvr.announcements import Receipt, SignedAnnouncement
 from repro.pvr.commitments import commit_bits, make_disclosure
 from repro.pvr.minimum import (
@@ -219,12 +220,15 @@ class ForgedProvenanceProver(HonestProver):
     def choose_winner(self, config, accepted):
         from repro.pvr.announcements import announcement_bytes
 
-        # sign the forged announcement with *our own* key (we do not have
-        # the provider's); verification against the provider's key fails
+        # we do not have the provider's key, so the "signature" is
+        # made-up bytes; verification against the provider's key fails.
+        # (Not a signature of our own: the attestation covers this
+        # announcement's digest, so it cannot hold a batch leaf that is
+        # sealed only after the attestation is signed.)
         body = announcement_bytes(
             self.forged_route, self.claimed_provider, config.prover, config.round
         )
-        signature = self.keystore.sign(config.prover, body)
+        signature = hash_bytes("repro.pvr.forged-signature", body)
         return SignedAnnouncement(
             route=self.forged_route,
             origin=self.claimed_provider,

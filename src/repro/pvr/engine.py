@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.bgp.route import Route
+from repro.crypto.batch import RoundSigner
 from repro.crypto.keystore import KeyStore
 from repro.net.gossip import GossipLayer, exchange
 from repro.pvr import existential as existential_mod
@@ -45,7 +46,6 @@ from repro.pvr import leakage
 from repro.pvr import minimum as minimum_mod
 from repro.pvr.access import paper_alpha
 from repro.pvr.announcements import SignedAnnouncement, make_announcement
-from repro.pvr.batching import BatchingProver
 from repro.pvr.commitments import ExportAttestation, make_attestation
 from repro.pvr.crosscheck import ExportChooser, cross_check, honest_chooser
 from repro.pvr.evidence import Complaint, Verdict, Violation
@@ -136,9 +136,10 @@ class VerificationSession:
     single-operator variants, a :class:`~repro.pvr.protocol.GraphProver`
     factory ``(keystore, plan, alpha, config) -> GraphProver`` for the
     graph variant; ``chooser`` is the cross-check's per-recipient export
-    policy; ``batching=True`` swaps in the Section 3.8
-    :class:`~repro.pvr.batching.BatchingProver`; ``gossip=False`` is the
-    D4 ablation.  The graph variant runs under the paper's access
+    policy; ``batching=True`` gives the minimum variant's prover a
+    Section 3.8 :class:`~repro.crypto.batch.RoundSigner`, so everything
+    it signs in the round hangs off one root signature; ``gossip=False``
+    is the D4 ablation.  The graph variant runs under the paper's access
     policy α (:func:`repro.pvr.access.paper_alpha`).
     """
 
@@ -361,6 +362,10 @@ class _SingleRecipientDriver:
     def commit(self) -> object:
         prover = self._resolve_prover()
         self.transcript = prover.run(self.config, self.announcements)
+        # a prover built over a round signer has handed out unsealed
+        # signatures: one root signature completes them all
+        if isinstance(getattr(prover, "keystore", None), RoundSigner):
+            prover.keystore.seal()
         vector = self.transcript.recipient_view.vector
         if vector is None:
             for view in self.transcript.provider_views.values():
@@ -433,8 +438,12 @@ class _MinimumDriver(_SingleRecipientDriver):
 
     def _resolve_prover(self) -> HonestProver:
         if self.s.prover is None:
-            cls = BatchingProver if self.s.batching else HonestProver
-            self.s.prover = cls(self.s.keystore, self.s.random_bytes)
+            signer = self.s.keystore
+            if self.s.batching:
+                signer = RoundSigner(
+                    signer, self.config.prover, self.s.random_bytes
+                )
+            self.s.prover = HonestProver(signer, self.s.random_bytes)
         return self.s.prover
 
     def _verify_recipient(self, view) -> Verdict:

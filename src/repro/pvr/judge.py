@@ -21,21 +21,15 @@ from typing import Optional
 
 from repro.crypto.keystore import KeyStore
 from repro.pvr.announcements import Receipt
-from repro.pvr.commitments import CommittedBitVector, ExportAttestation
+from repro.pvr.commitments import (
+    CommittedBitVector,
+    ExportAttestation,
+    SignedDisclosure,
+)
 from repro.pvr.evidence import BadOpeningEvidence, Complaint, Evidence
 
 UPHELD = "upheld"
 DISMISSED = "dismissed"
-
-#: what ``SignedDisclosure`` and the Section 3.8 ``BatchedDisclosure``
-#: share — an honest batching prover answers with the latter
-_DISCLOSURE_INTERFACE = (
-    "author", "round", "index", "opening", "verify_signature", "matches",
-)
-
-
-def _is_disclosure(response: object) -> bool:
-    return all(hasattr(response, name) for name in _DISCLOSURE_INTERFACE)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class Judge:
             "wrong-bit-disclosed",
             "missing-disclosures",
         ):
-            if not _is_disclosure(response):
+            if not isinstance(response, SignedDisclosure):
                 return ComplaintRuling(UPHELD, reason="response is not a disclosure")
             if not response.verify_signature(self._keystore) or (
                 response.author != complaint.accused

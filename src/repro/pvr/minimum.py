@@ -153,6 +153,10 @@ class HonestProver:
     ``build_provider_view`` …) are override points for the adversary
     library — a Byzantine prover is an ``HonestProver`` subclass that
     deviates in exactly one documented way.
+
+    The prover signs and verifies through ``keystore``; a
+    :class:`~repro.crypto.batch.RoundSigner` in its place makes every
+    signature of the round a leaf under one root (Section 3.8).
     """
 
     def __init__(

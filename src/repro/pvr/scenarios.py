@@ -71,7 +71,7 @@ class Scenario:
 
     ``prover_factory`` builds the (possibly Byzantine) prover from the
     keystore at run time; ``chooser`` is the cross-check export policy;
-    ``batching`` runs the Section 3.8 batching prover.
+    ``batching`` has the prover sign the round as one Section 3.8 batch.
     """
 
     spec: PromiseSpec
@@ -210,7 +210,7 @@ def _fig1_cheat() -> Scenario:
     )
 
 
-@register("fig1-batched", "Figure 1 with Section 3.8 batched disclosures")
+@register("fig1-batched", "Figure 1 with the prover's Section 3.8 batch signature")
 def _fig1_batched() -> Scenario:
     return Scenario(
         spec=PromiseSpec(

@@ -240,7 +240,7 @@ class Adjudication:
 
     def upheld_complaints(self) -> Tuple[Complaint, ...]:
         return tuple(
-            c for c, ruling in self.complaint_rulings if ruling.upheld()
+            c for c, ruling in self.complaint_rulings if ruling.upheld
         )
 
 

@@ -18,6 +18,7 @@ from repro.audit import monitor as monitor_module
 from repro.audit.monitor import MonitorError
 from repro.audit.wire import ViewPayload
 from repro.bgp.prefix import Prefix
+from repro.crypto.batch import BatchSignature
 from repro.cluster import PolicySpec, workload
 from repro.crypto.keystore import KeyStore
 from repro.net.simnet import Message
@@ -29,7 +30,6 @@ from repro.promises.spec import (
 )
 from repro.pvr import scenarios
 from repro.pvr.adversary import LongerRouteProver
-from repro.pvr.batching import BatchedDisclosure
 from repro.pvr.engine import VerificationSession
 from repro.pvr.evidence import Complaint
 from repro.pvr.judge import DISMISSED, Judge
@@ -122,24 +122,32 @@ class TestAcceptance:
             assert report.crypto == event.report.crypto
             assert report.crypto.signatures == event.stats.signatures
 
-    def test_monitored_rounds_sign_one_disclosure_batch(self):
-        """Section 3.8 on the audit plane: every disclosure of a fresh
-        minimum round hangs off one signed batch root, so the round
-        signs k announcements + k receipts + commitment + attestation +
-        root — 2k + 3 — and still leaks nothing beyond the baseline."""
+    def test_monitored_rounds_sign_one_root(self):
+        """Section 3.8 on the audit plane: everything the prover of a
+        fresh minimum round signs is a leaf under one signed root, so
+        the round signs the k announcements + that root — k + 1 — and
+        still leaks nothing beyond the baseline."""
         epoch = workload.serve_spec(8).build_monitor().run_epoch()
         fresh = [e for e in epoch.events if not e.reused]
         assert len(fresh) == 8
         for event in fresh:
-            view = event.report.transcript.views[event.spec.recipient]
-            assert view.disclosures
-            assert all(
-                isinstance(d, BatchedDisclosure) for d in view.disclosures
-            )
-            assert len({d.root for d in view.disclosures}) == 1
+            signatures = []
+            for view in event.report.transcript.views.values():
+                signatures.append(view.vector.statement.signature)
+                if hasattr(view, "receipt"):  # a provider's view
+                    if view.receipt is not None:
+                        signatures.append(view.receipt.signature)
+                        signatures.append(view.disclosure.signature)
+                else:
+                    signatures.append(view.attestation.signature)
+                    signatures.extend(d.signature for d in view.disclosures)
+            assert all(isinstance(s, BatchSignature) for s in signatures)
+            assert len({(s.root, s.root_signature) for s in signatures}) == 1
             routed = sum(r is not None for r in event.routes.values())
             assert routed > 0
-            assert event.stats.signatures == 2 * routed + 3
+            # k receipts and disclosures, statement ×(k+1), attestation, L
+            assert len(signatures) >= 3 * routed + 2 + event.spec.max_length
+            assert event.stats.signatures == routed + 1
             assert event.report.confidentiality_ok is True
 
     def test_violation_evidence_byte_identical_to_one_shot(self):
@@ -554,6 +562,8 @@ class TestBatchedTrail:
             assert ruling.upheld_complaints() == ()
 
     def test_false_disclosure_complaint_dismissed_by_the_batch(self, driven):
+        """False missing-receipt / -disclosure / -attestation complaints
+        against an honest batched prover: its batched answers clear it."""
         monitor, outcomes = driven
         event = next(e for o in outcomes for e in o.events if not e.reused)
         detail = event.report.transcript.detail
@@ -561,16 +571,24 @@ class TestBatchedTrail:
             (name, view) for name, view in detail.provider_views.items()
             if view.disclosure is not None
         )
-        answer = view.disclosure
-        assert isinstance(answer, BatchedDisclosure)
-        complaint = Complaint(
-            accuser=provider, accused=event.asn, round=event.round,
-            claim="missing-disclosure", context=(answer.index,),
-        )
-        ruling = Judge(monitor.keystore).resolve_complaint(
-            complaint, answer, vector=detail.recipient_view.vector
-        )
-        assert ruling.outcome == DISMISSED
+        recipient_view = detail.recipient_view
+        judge = Judge(monitor.keystore)
+        for accuser, claim, context, answer in (
+            (provider, "missing-receipt", (), view.receipt),
+            (provider, "missing-disclosure", (view.disclosure.index,),
+             view.disclosure),
+            (event.spec.recipient, "missing-attestation", (),
+             recipient_view.attestation),
+        ):
+            assert isinstance(answer.signature, BatchSignature)
+            complaint = Complaint(
+                accuser=accuser, accused=event.asn, round=event.round,
+                claim=claim, context=context,
+            )
+            ruling = judge.resolve_complaint(
+                complaint, answer, vector=recipient_view.vector
+            )
+            assert ruling.outcome == DISMISSED, claim
 
 
 class TestMultipleDecisionHooks:

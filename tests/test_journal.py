@@ -446,7 +446,7 @@ class TestJournalFormat:
             })
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 1, this build reads 4"
+            JournalError, match="journal format 1, this build reads 5"
         ):
             spec.build()
 
@@ -455,7 +455,7 @@ class TestJournalFormat:
         with Journal(spec.journal) as journal:
             journal.append("genesis", {"format": 7})
             with pytest.raises(
-                JournalError, match="journal format 7, this build reads 4"
+                JournalError, match="journal format 7, this build reads 5"
             ):
                 recover_state(spec, journal)
 
@@ -467,7 +467,7 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 2})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 2, this build reads 4"
+            JournalError, match="journal format 2, this build reads 5"
         ):
             spec.build()
 
@@ -480,7 +480,19 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 3})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 3, this build reads 4"
+            JournalError, match="journal format 3, this build reads 5"
+        ):
+            spec.build()
+
+    def test_a_format_4_journal_is_refused_by_name(self, tmp_path):
+        # format 4 rounds sign receipts, statement and attestation one by
+        # one; this build's prover signs them all as leaves of one root
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 4})
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 4, this build reads 5"
         ):
             spec.build()
 
@@ -500,7 +512,7 @@ class TestJournalFormat:
         run_script(spec, script(rounds=1))
         with Journal(spec.journal) as journal:
             seq, rtype, data = journal.records[0]
-        assert (rtype, data["format"]) == ("genesis", 4)
+        assert (rtype, data["format"]) == ("genesis", 5)
         assert "workers" not in data
 
 

@@ -1,13 +1,18 @@
 """Tests for gossip-based equivocation detection."""
 
+import dataclasses
+
 import pytest
 
+from repro.crypto.batch import RoundSigner
 from repro.net.gossip import (
     EquivocationRecord,
     GossipLayer,
     exchange,
     make_statement,
 )
+from repro.pvr.evidence import EquivocationEvidence
+from repro.pvr.judge import Judge
 
 
 @pytest.fixture
@@ -110,6 +115,56 @@ class TestExchange:
         for layer in layers:
             layer.observe(statement)
         assert exchange(layers) == []
+
+
+class TestHeldStatements:
+    """A layer checks the slot before the signature: a statement equal
+    to the one it already holds proves nothing new, valid or not."""
+
+    @staticmethod
+    def layers_holding(parties, statement):
+        layers = [GossipLayer(name, parties) for name in ("N1", "N2", "B")]
+        for layer in layers:
+            layer.observe(statement)
+        return layers
+
+    def test_exchange_does_not_reverify_held_statements(self, parties):
+        s = make_statement(parties, "A", "c", 1, b"\x01" * 32)
+        layers = self.layers_holding(parties, s)
+        before = parties.verify_count
+        assert exchange(layers) == []
+        assert parties.verify_count == before
+
+    def test_garbled_relay_of_the_held_value_ignored(self, parties):
+        s = make_statement(parties, "A", "c", 1, b"\x01" * 32)
+        garbled = dataclasses.replace(
+            s, signature=bytes(len(s.signature))
+        )
+        layer = self.layers_holding(parties, s)[0]
+        assert layer.observe(garbled) is None
+        assert layer.statement("A", "c", 1) is s
+        assert layer.evidence == ()
+        # with nothing held, the same relay is checked and rejected
+        fresh = GossipLayer("N3", parties)
+        assert fresh.observe(garbled) is None
+        assert fresh.statement("A", "c", 1) is None
+
+    def test_conflict_under_one_signed_root_convicts(self, parties):
+        signer = RoundSigner(parties, "A")
+        s1 = make_statement(signer, "A", "c", 1, b"\x01" * 32)
+        s2 = make_statement(signer, "A", "c", 1, b"\x02" * 32)
+        signer.seal()
+        layers = self.layers_holding(parties, s1)
+        split = GossipLayer("N3", parties)  # shown the other value
+        split.observe(s2)
+        records = exchange(layers + [split])
+        assert records and all(
+            isinstance(r, EquivocationRecord) for r in records
+        )
+        judge = Judge(parties)
+        assert all(
+            judge.validate(EquivocationEvidence(record=r)) for r in records
+        )
 
 
 class TestJudgeValidation:

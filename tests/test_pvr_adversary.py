@@ -11,6 +11,7 @@ import pytest
 from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.crypto.batch import BatchSignature, RoundSigner
 from repro.promises.spec import ShortestRoute
 from repro.pvr.adversary import (
     BadOpeningProver,
@@ -267,3 +268,65 @@ class TestAccuracyAgainstFabrication:
         )
         # the attestation shows a route was exported, so suppression fails
         assert not judge.validate(fabricated)
+
+
+#: every adversary class -> the finding its deviation must produce
+#: ("equivocation": a gossip record; "leak": the confidentiality check)
+DEVIATIONS = {
+    LongerRouteProver: "shorter-available",
+    UnderstatingProver: "false-bit",
+    SuppressingProver: "suppression",
+    LyingSuppressor: "false-bit",
+    NonMonotoneProver: "non-monotone",
+    EquivocatingProver: "equivocation",
+    BadOpeningProver: "bad-opening",
+    NoReceiptProver: "missing-receipt",
+    NoDisclosureProver: "missing-disclosure",
+    ForgedProvenanceProver: "bad-provenance",
+    LeakyProver: "leak",
+}
+
+
+def findings(report):
+    found = {
+        v.kind for verdict in report.verdicts.values()
+        for v in verdict.violations
+    }
+    if report.equivocations:
+        found.add("equivocation")
+    if report.confidentiality_ok is False:
+        found.add("leak")
+    return found
+
+
+class TestUnderBatchSigning:
+    """The Byzantine table holds whether the prover signs message by
+    message or as one Section 3.8 batch: each deviation is still found,
+    all transferable evidence convicts before a judge holding only the
+    keystore, and nothing is upheld against an honest party."""
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("cls", list(DEVIATIONS),
+                             ids=lambda cls: cls.__name__)
+    def test_detected_attributable_and_accurate(self, keystore, spec,
+                                                routes, cls, batched):
+        signer = RoundSigner(keystore, "A") if batched else keystore
+        if cls is ForgedProvenanceProver:
+            prover = cls(signer, route("N9", 1), "N2")
+        else:
+            prover = cls(signer)
+        report = VerificationSession(keystore, spec, prover=prover).run(
+            routes
+        )
+        attestation = report.transcript.detail.recipient_view.attestation
+        assert isinstance(attestation.signature, BatchSignature) == batched
+
+        assert DEVIATIONS[cls] in findings(report)
+
+        adjudication = report.adjudicate(Judge(keystore))
+        assert adjudication.evidence_ok()
+        convicted = adjudication.guilty() + adjudication.upheld_complaints()
+        assert {item.accused for item in convicted} <= {"A"}
+        if cls not in (NoReceiptProver, NoDisclosureProver, LeakyProver):
+            assert adjudication.guilty()

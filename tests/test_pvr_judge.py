@@ -165,8 +165,9 @@ class TestComplaintResolution:
 
 
 class TestBatchedComplaintResolution:
-    """Section 3.8 rounds: an honest ``BatchingProver`` answers with the
-    ``BatchedDisclosure`` it issued, and is judged like any other."""
+    """Section 3.8 rounds: an honest batched prover answers with the
+    disclosure it issued under its batch signature, and is judged like
+    any other."""
 
     @staticmethod
     def batched(keystore, spec, routes, **options):
