@@ -16,9 +16,9 @@ audits:
   — a reference monitor skips the same tuples), so the
   honest steady state costs measurably fewer signatures;
 * **demotion is slashing, never drift**: a recorded violation *stops*
-  promotion, but only a judge-confirmed adjudication — through the
-  challenge desk — demotes, and the hash-chained history row cites the
-  adjudicated evidence;
+  promotion, but only a judge-confirmed adjudication — the judge's
+  rulings folded into the ledger — demotes, and the hash-chained
+  history row cites the adjudicated evidence;
 * the transition history is **append-only and tamper-evident**: every
   row's digest chains over the previous one, verified at the end.
 
@@ -26,7 +26,7 @@ Run:  python examples/ledger_demo.py
 """
 
 from repro.cluster import workload
-from repro.ledger import LedgerPolicy, TrustLevel
+from repro.ledger import LedgerPolicy, TrustLevel, confirmed
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import serve_prefixes
 
@@ -88,11 +88,15 @@ def main() -> None:
     )
 
     print("== 4. the challenge desk: adjudicated slashing ==")
-    for outcome in ledger.challenge():
-        verdict = "CONFIRMED" if outcome.confirmed else "dismissed"
-        print(f"  seq {outcome.seq} ({outcome.asn}): judge says {verdict}")
-        if outcome.transition is not None:
-            t = outcome.transition
+    rulings = monitor.evidence.adjudicate()
+    slashes = {
+        t.evidence_seqs[0]: t for t in ledger.fold_adjudications(rulings)
+    }
+    for event in monitor.evidence.violations():
+        verdict = "CONFIRMED" if confirmed(rulings[event.seq]) else "dismissed"
+        print(f"  seq {event.seq} ({event.asn}): judge says {verdict}")
+        if event.seq in slashes:
+            t = slashes[event.seq]
             print(
                 f"  slashed: {t.from_level.name} -> {t.to_level.name} "
                 f"citing adjudicated seqs "

@@ -8,9 +8,9 @@ verification it reuses).  An :class:`EpochReport` aggregates one epoch:
 what ran, what was reused, what was deferred by the work bound.
 
 :class:`EpochOutcome` is the **unified epoch-driving result**: the one
-shape :meth:`~repro.audit.monitor.Monitor.run_epoch` and the serving
-pipeline (:class:`~repro.cluster.pipeline.Pipeline`, behind either door)
-return.  It aggregates one *driving step* — one or more epoch reports
+shape :meth:`~repro.audit.monitor.Monitor.run_epoch` and the cluster
+coordinator (:class:`~repro.cluster.cluster.Cluster`, behind either
+door) return.  It aggregates one *driving step* — one or more epoch reports
 (a work bound or a coalesced churn group can span several), the
 out-of-epoch probe events that rode along, per-worker
 :class:`SliceStats`, and the pool's respawn count — while forwarding
@@ -131,9 +131,8 @@ class SliceStats:
 
     worker: int
     epoch: int
+    #: fresh rounds this worker ran (a worker never sees a reused one)
     events: int
-    fresh: int
-    reused: int
     #: rounds this worker re-ran on behalf of a dead worker
     backfilled: int = 0
     wall_seconds: float = 0.0

@@ -439,7 +439,7 @@ class Monitor:
         round-number allocation for fresh work, and work-bound deferral
         — all state the scheduler owns is updated here.  The plan can
         then be executed serially (:meth:`execute_plan`) or fanned out
-        across pool workers (:mod:`repro.cluster.pipeline`): both record
+        across pool workers (:class:`~repro.cluster.cluster.Cluster`): both record
         through :func:`fold_plan`, so verdicts, rounds and sequence
         numbers cannot depend on who executes.
         """
@@ -565,7 +565,7 @@ class Monitor:
         would leave an audit hole — the paper's §2.3 Detection property
         silently lost for those pairs.  A later epoch re-audits them
         from scratch: at-least-once, never silently-never.  Both
-        executors (:meth:`execute_plan` and the cluster pipeline) call
+        executors (:meth:`execute_plan` and the cluster coordinator) call
         it."""
         for entry in plan.entries:
             self.mark(entry.item.asn, entry.item.prefix)
@@ -694,7 +694,7 @@ def fold_plan(
     """Record one executed plan into the monitor's evidence store.
 
     The one fold, whoever ran the rounds: :meth:`Monitor.execute_plan`
-    over the live network, or the cluster pipeline's round pool.  The
+    over the live network, or the cluster coordinator's round pool.  The
     evidence store is append-only and its sequence numbers are the
     audit trail's spine, so the fold walks the *plan* — the canonical
     order — and records each entry from the reuse cache or from the

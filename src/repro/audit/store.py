@@ -223,8 +223,8 @@ class EvidenceStore:
         prefix: Optional[Prefix] = None,
     ) -> Tuple[VerdictEvent, ...]:
         """Every event whose report flags a violation or equivocation,
-        optionally narrowed to one prover AS and/or one prefix (the
-        challenge desk's query shape)."""
+        optionally narrowed to one prover AS and/or one prefix — what
+        :meth:`adjudicate` rules on by default."""
         return tuple(
             e for e in self._all()
             if e.violation_found()

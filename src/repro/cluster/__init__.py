@@ -1,22 +1,24 @@
 """``repro.cluster``: the serving substrate, and its durable host.
 
-One pipeline turns churn into verdicts, and it is written once, here:
-:class:`~repro.cluster.pipeline.Pipeline` applies a coalesced churn
-group to the one :class:`~repro.audit.monitor.Monitor`, plans each
-epoch centrally and deals the plan's fresh rounds to **one pool** of
-stateless workers (:mod:`repro.cluster.pool`,
+One coordinator class turns churn into verdicts, and it is written
+once, here: :class:`~repro.cluster.cluster.Cluster` applies a coalesced
+churn group to the one :class:`~repro.audit.monitor.Monitor`, plans
+each epoch centrally and deals the plan's fresh rounds to **one pool**
+of stateless workers (:mod:`repro.cluster.pool`,
 :mod:`repro.cluster.worker`) — a round is a pure function of what the
 plan fixed, so workers hold keys and nothing else — then folds the
 results back in plan order, byte-identical to an unsharded monitor.
-One coordinator owns it, behind two doors:
+A served ``AdjudicateRequest`` is the one path from a recorded
+violation to a ledger slash.  The coordinator has two doors:
 
-* :class:`~repro.cluster.cluster.Cluster`, built from a declarative
-  :class:`~repro.cluster.spec.ClusterSpec` — the coordinator and its
+* :class:`~repro.cluster.cluster.Cluster` itself, built from a
+  declarative :class:`~repro.cluster.spec.ClusterSpec` — the
   synchronous door; failure injectable
   (:class:`~repro.cluster.spec.ChaosSpec`) and, with
   ``ClusterSpec.journal`` set, durable: it write-ahead-journals its
   state changes (:mod:`repro.journal`) and a coordinator killed mid-run
-  restarts at the last commit boundary with a byte-identical trail;
+  restarts at the last commit boundary with a byte-identical trail,
+  the same rulings and the same trust ladder;
 * :class:`~repro.serve.service.VerificationService` — the asyncio
   door: futures and a dispatcher task over a private ``Cluster``.
 

@@ -7,29 +7,36 @@ store, the ledger-bound sampling policy).  It is the only coordinator:
 its own synchronous door (``submit`` / ``pump`` / ``request``) and the
 asyncio door (:class:`~repro.serve.service.VerificationService`) both
 loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
-``queue.resolve()`` / ``queue.fail()`` over the same three layers:
+``queue.resolve()`` / ``queue.fail()`` over the same layers:
 
 * **admission** — writes (churn, adjudication) queue in the
   :class:`~repro.cluster.admission.AdmissionQueue`, refused at the door
   past ``spec.queue_depth``; up to ``spec.coalesce_max`` adjacent churn
   requests ride a single epoch sequence and share one
   :class:`~repro.audit.events.EpochOutcome`;
-* **the pipeline** — :class:`~repro.cluster.pipeline.Pipeline` plans
-  each epoch once, here, and deals its fresh rounds to the stateless
-  worker pool (:mod:`repro.cluster.pool`: forked processes for the
-  ``"process"`` transport, the same loop in-process for ``"inline"``).
-  The trail is byte-identical to an unsharded monitor's — seq for seq,
-  round for round, verdict for verdict, crypto count for crypto count —
-  whoever ran what, and across worker deaths: a dead worker's
-  unfinished rounds are re-run on a survivor and a fresh worker is
-  forked in its place;
+* **churn → verdict** — a churn group is applied as one burst, then
+  each epoch is planned once, here, its fresh rounds dealt evenly in
+  plan order to the stateless worker pool (:mod:`repro.cluster.pool`:
+  forked processes for the ``"process"`` transport, the same loop
+  in-process for ``"inline"``) and folded back by
+  :func:`~repro.audit.monitor.fold_plan`, the fold the serial monitor
+  records through; probes run last, on the monitor's own wire path
+  (Byzantine deviations must see real transport).  The trail is
+  byte-identical to an unsharded monitor's — seq for seq, round for
+  round, verdict for verdict, crypto count for crypto count — whoever
+  ran what, and across worker deaths: a dead worker's unfinished rounds
+  are re-run on a survivor and a fresh worker is forked in its place;
+* **adjudication** — an ``AdjudicateRequest`` runs the judge over the
+  trail and folds the rulings into the ledger: the one path from a
+  recorded violation to a slash, queued and journaled like any write;
 * **durability** — with ``spec.journal`` set the coordinator keeps a
   write-ahead journal (:mod:`repro.journal`) of its own state changes —
   churn admissions, epoch plans, recorded events, commits,
   adjudications — fsynced at each commit boundary, so a coordinator
   killed mid-run restarts at the last boundary with a byte-identical
-  trail: the replacement ``Cluster`` replays the journal into a rebuilt
-  monitor and forks a fresh pool.
+  trail, the same rulings and the same trust ladder: the replacement
+  ``Cluster`` replays the journal into a rebuilt monitor and forks a
+  fresh pool.
 
 Queries never reach ``serve_group``: the queue answers them at the
 door from the evidence store's committed view, whose watermark
@@ -40,10 +47,12 @@ waiting for the one in flight.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.audit.events import EpochOutcome
+from repro.audit.monitor import EpochPlan, fold_plan
 from repro.audit.store import EvidenceStore
+from repro.audit.wire import RoundResult, reports_match, run_offwire_round
 from repro.journal.journal import Journal, pack
 from repro.journal.recovery import (
     JOURNAL_FORMAT,
@@ -52,15 +61,16 @@ from repro.journal.recovery import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext
+from repro.pvr.scenarios import apply_step
 
 from repro.cluster.admission import AdmissionQueue, Ticket
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.pipeline import Pipeline
 from repro.cluster.pool import ClusterError, ShardExecutor
 from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
     Completion,
+    answer_adjudicate,
 )
 from repro.cluster.spec import ClusterSpec
 
@@ -122,17 +132,7 @@ class Cluster:
             max_failures_per_epoch=spec.max_failures_per_epoch,
             chaos=spec.chaos,
         )
-        self._pipeline = Pipeline(
-            self.monitor,
-            self.executor,
-            self.metrics,
-            self.recorder,
-            self.tracer,
-            ledger=self.ledger,
-            parity_sample=spec.parity_sample,
-            flight_dump=spec.flight_dump,
-            on_plan=self._journal_plan,
-        )
+        self.metrics.placement = self.executor
         #: how many committed requests a recovery replayed (0 on a
         #: fresh start) — the CLI skips this many script entries
         self.recovered_requests = (
@@ -199,14 +199,6 @@ class Cluster:
         self.stop()
 
     # -- durability (the write-ahead journal) --------------------------------
-
-    def _journal_plan(self, plan) -> None:
-        """One plan record per epoch: replay settles the ledger here,
-        where the live planner just did."""
-        if self.journal is not None:
-            self.journal.append(
-                "plan", {"epoch": plan.epoch, "entries": len(plan.entries)}
-            )
 
     def _commit(self, requests: int) -> None:
         """Mark a commit boundary: ``requests`` mutating requests are
@@ -294,17 +286,55 @@ class Cluster:
         return payload
 
     def _serve_churn_group(self, requests: List[ChurnRequest]) -> EpochOutcome:
+        """Apply a coalesced group's churn as one burst, run epochs
+        until nothing is pending (a work bound may defer pairs), then
+        every request's probes in admission order.  Metrics absorb each
+        epoch as it lands, so a failure later in the group cannot leave
+        recorded evidence unaccounted for."""
+        monitor = self.monitor
+        network = monitor.network
         steps = tuple(s for request in requests for s in request.steps)
         if steps and self.journal is not None:
             # write-ahead: one churn record for the whole group, which
-            # a recovery re-applies exactly as the pipeline is about to
+            # a recovery re-applies exactly as the loop below does
             self.journal.append("churn", {"steps": pack(steps)})
-        outcome = self._pipeline.serve_churn_group(requests)
+        for request in requests:
+            for step in request.steps:
+                apply_step(step, network)
+            for asn, prefix in request.marks:
+                monitor.mark(asn, prefix)
+        network.run_to_quiescence()
+        outcome = EpochOutcome(coalesced=len(requests))
+        coalesced = len(requests)
+        while monitor.pending():
+            self._run_epoch(outcome, coalesced=coalesced)
+            coalesced = 0  # count the group against its first epoch only
+        for request in requests:
+            for probe in request.probes:
+                outcome.probe_events.append(
+                    monitor.audit_once(
+                        probe.asn,
+                        probe.prefix,
+                        probe.recipient,
+                        prover=(
+                            probe.prover(monitor.keystore)
+                            if probe.prover is not None
+                            else None
+                        ),
+                        max_length=probe.max_length,
+                    )
+                )
+        if outcome.probe_events:
+            self.metrics.note_probes(outcome.probe_events)
         self._commit(len(requests))
         return outcome
 
     def _answer_adjudicate(self, request: AdjudicateRequest):
-        payload = self._pipeline.answer_adjudicate(request)
+        """Run the judge and fold its rulings into the ledger: the one
+        path from a recorded violation to a slash."""
+        payload = answer_adjudicate(self.evidence, request)
+        if self.ledger is not None:
+            self.ledger.fold_adjudications(payload)
         self._committed += 1
         if self.journal is not None:
             # a boundary record of its own: rulings and ledger
@@ -313,17 +343,108 @@ class Cluster:
             self.journal.sync()
         return payload
 
-    # -- the ledger desk and the metrics document ----------------------------
+    # -- one epoch -----------------------------------------------------------
 
-    def challenge(self, seq: Optional[int] = None, *, judge=None):
-        """Run the ledger's challenge/adjudicate desk over the trail:
-        adjudicate recorded violations (all of them, or one by ``seq``)
-        and slash the ASes whose evidence is upheld."""
-        if self.ledger is None:
-            raise ClusterError("cluster has no ledger configured")
-        from repro.ledger import run_challenge
+    def _run_epoch(self, outcome: EpochOutcome, *, coalesced: int) -> None:
+        """Plan centrally, verify on the pool, fold in plan order, and
+        add the epoch's report, per-worker slices and respawns to
+        ``outcome``.  Spans are the coordinator's (``component=
+        "cluster"``) whichever door the request came through."""
+        monitor, tracer = self.monitor, self.tracer
+        epoch_span = tracer.begin(
+            "epoch", component="cluster", coalesced=coalesced
+        )
+        try:
+            plan = monitor.plan_epoch()
+        except Exception:
+            # nothing was planned, so there are no entries to re-mark
+            tracer.finish(epoch_span, status="error")
+            raise
+        epoch_span.epoch = plan.epoch
+        try:
+            if self.journal is not None:
+                # replay settles the ledger here, where the planner just did
+                self.journal.append(
+                    "plan",
+                    {"epoch": plan.epoch, "entries": len(plan.entries)},
+                )
+            fresh = plan.fresh_entries()
+            neighbors = monitor.network.transport.neighbors
+            outcomes, slices, reaped = self.executor.execute(
+                fresh,
+                {
+                    entry.item.spec.prover: len(
+                        neighbors(entry.item.spec.prover)
+                    )
+                    for _, entry in fresh
+                },
+                epoch=plan.epoch,
+                tracer=tracer,
+                on_reap=self._dump_flight,
+            )
+            with tracer.span("merge", component="cluster", epoch=plan.epoch):
+                report = fold_plan(monitor, plan, outcomes)
+        except Exception as exc:
+            monitor.requeue(plan)
+            tracer.finish(epoch_span, status="error")
+            if isinstance(exc, ClusterError):
+                self._dump_flight(f"ClusterError: {exc}")
+            raise
+        # the one obs timer: the epoch span both frames the trace and
+        # pins the report's wall
+        tracer.finish(epoch_span)
+        report.wall_seconds = epoch_span.duration
+        self.metrics.note_epoch(report, coalesced=coalesced)
+        for stats in slices:
+            self.metrics.note_slice(stats)
+        for worker, reason in reaped:
+            self.metrics.note_respawn(worker=worker, reason=reason)
+        outcome.reports.append(report)
+        outcome.slices.extend(slices)
+        outcome.respawns += len(reaped)
+        self._parity_check(plan, outcomes)
 
-        return run_challenge(self.ledger, seq=seq, judge=judge)
+    def _parity_check(
+        self, plan: EpochPlan, outcomes: Dict[int, RoundResult]
+    ) -> None:
+        """Re-prove every ``spec.parity_sample``-th shipped verdict
+        in-process and compare — catches anything that could make a
+        worker diverge from the planner's promise (pickling loss,
+        nondeterminism, a bad fold) without paying for a full shadow
+        monitor.  Failures are counted, never raised: the CI smoke jobs
+        gate on the counter staying zero."""
+        sample = self.spec.parity_sample
+        if sample < 1:
+            return
+        checked = failed = 0
+        for position in sorted(outcomes)[::sample]:
+            entry = plan.entries[position]
+            replay, _ = run_offwire_round(
+                self.monitor.keystore,
+                entry.item.spec,
+                entry.item.routes,
+                round=entry.round,
+                rng_seed=self.monitor.rng_seed,
+                chooser=entry.chooser,
+            )
+            checked += 1
+            if not reports_match(replay, outcomes[position][0]):
+                failed += 1
+        self.metrics.note_parity(checked, failed)
+        if failed:
+            self.tracer.event(
+                "parity-failure", component="cluster",
+                epoch=plan.epoch, checked=checked, failed=failed,
+            )
+            self._dump_flight(
+                f"{failed} of {checked} parity self-checks failed"
+            )
+
+    def _dump_flight(self, reason: str) -> None:
+        if self.spec.flight_dump:
+            self.recorder.dump(self.spec.flight_dump, reason)
+
+    # -- the metrics document ------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """The schema-versioned cluster metrics document (with the

@@ -259,6 +259,10 @@ class ClusterMetrics:
         self.slice_events[stats.worker] = (
             self.slice_events.get(stats.worker, 0) + stats.events
         )
+        if stats.events:
+            self.worker_events[stats.worker] = (
+                self.worker_events.get(stats.worker, 0) + stats.events
+            )
         if stats.backfilled:
             self.backfilled[stats.worker] = (
                 self.backfilled.get(stats.worker, 0) + stats.backfilled
@@ -290,11 +294,6 @@ class ClusterMetrics:
     def note_probes(self, events) -> None:
         self.probes += len(events)
         self.probe_violations += sum(1 for e in events if e.violation_found())
-
-    def note_worker(self, worker: int, fresh: int) -> None:
-        self.worker_events[worker] = (
-            self.worker_events.get(worker, 0) + fresh
-        )
 
     def note_parity(self, checked: int, failed: int) -> None:
         self.parity_checked += checked

@@ -220,8 +220,6 @@ class ShardPool:
                 worker=piece.worker,
                 epoch=drive.epoch,
                 events=piece.got,
-                fresh=piece.got,
-                reused=0,
                 backfilled=piece.got if drive.backfill else 0,
                 wall_seconds=piece.span.duration,
             )

@@ -18,8 +18,11 @@ fold over the record stream:
   ok caches, violation evicts, reused and probe events leave it
   untouched;
 * ``commit``       — a request group completed: the recovery boundary;
-* ``adjudicate``   — a served adjudication request (judge rulings and
-  ledger slashing re-derive deterministically).
+* ``adjudicate``   — a served ``AdjudicateRequest``, the one path from
+  a violation to a slash: the judge re-rules from the seq and the ledger
+  re-folds the rulings, so a recovered coordinator holds the rulings,
+  slashes and history head the live one did (every replayed event's
+  parties have their keys registered first, checkpointed ones included).
 
 Everything after the **last boundary record** (genesis, checkpoint,
 commit, adjudicate) is an interrupted request group: recovery truncates
@@ -183,6 +186,8 @@ class JournalReplayer:
             self.keystore, max_events=self.spec.max_events
         )
         self.store.restore(state["store"])
+        for event in self.store.events():
+            self._register(event)
         self.ledger = state["ledger"]
         if self.ledger is not None:
             self.ledger.attach(self.store)
@@ -200,8 +205,16 @@ class JournalReplayer:
             self.ledger.settle()
         self.epoch = max(self.epoch, data["epoch"])
 
+    def _register(self, event) -> None:
+        """Register the keys of ``event``'s parties.  The replayed
+        keystore starts empty — the network that registers every AS is
+        attached only after replay — and a judge holding no key rules
+        every signature invalid."""
+        self.keystore.register_all(event.spec.parties)
+
     def _on_event(self, seq: int, data: object) -> None:
         event = self.store.adopt(unpack(data["e"]))
+        self._register(event)
         self.round_counter = max(self.round_counter, event.round)
         if event.epoch is not None and not event.reused:
             item = WorkItem(

@@ -10,32 +10,31 @@ trust ladder per AS (:class:`TrustLevel`:
   (``clean_epochs_to_promote`` consecutive covered epochs), every
   transition an append-only, hash-chained
   :class:`~repro.ledger.history.TransitionHistory` row;
-* levels fall only through slashing — and slashing only through the
-  challenge desk (:mod:`repro.ledger.challenge`), which routes disputes
-  through the third-party judge via ``EvidenceStore.adjudicate``;
+* levels fall only through slashing — and slashing only through
+  :meth:`TrustLedger.fold_adjudications`, which takes the third-party
+  judge's rulings (``EvidenceStore.adjudicate``); on a cluster the one
+  caller is the queued, journaled ``AdjudicateRequest``;
 * trust feeds back (:mod:`repro.ledger.feedback`): high-trust ASes get
   deterministically *sampled* verification
   (:class:`VerificationIntensity`, rate 1.0 = byte-identical to no
   ledger at all).
 
 ``python -m repro.ledger`` runs a churn scenario under a ledger-enabled
-monitor and prints the ladder's life: promotions, challenges, slashes,
+monitor and prints the ladder's life: promotions, adjudicated slashes
 and the verified hash chain.
 """
 
-from repro.ledger.challenge import ChallengeOutcome, run_challenge
 from repro.ledger.feedback import VerificationIntensity
 from repro.ledger.history import (
     GENESIS,
     TransitionHistory,
     TransitionRecord,
 )
-from repro.ledger.ledger import ASRecord, TrustLedger
+from repro.ledger.ledger import ASRecord, TrustLedger, confirmed
 from repro.ledger.levels import LedgerPolicy, TrustLevel
 
 __all__ = [
     "ASRecord",
-    "ChallengeOutcome",
     "GENESIS",
     "LedgerPolicy",
     "TransitionHistory",
@@ -43,5 +42,5 @@ __all__ = [
     "TrustLedger",
     "TrustLevel",
     "VerificationIntensity",
-    "run_challenge",
+    "confirmed",
 ]

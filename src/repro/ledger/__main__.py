@@ -11,9 +11,9 @@ through its spec's ledger-enabled reference
 :class:`~repro.audit.monitor.Monitor`: every epoch's
 verdicts feed the :class:`~repro.ledger.ledger.TrustLedger`, ASes climb
 the trust ladder on clean streaks, climbing changes the verification
-sampling rate mid-run, and (with ``--violate-every``) injected
-Byzantine probes are challenged through the judge at the end —
-confirmed violations slash.  Prints the per-epoch cost table, the
+sampling rate mid-run, and (with ``--violate-every``) every recorded
+violation goes to the judge at the end — the ledger folds its rulings,
+and confirmed violations slash.  Prints the per-epoch cost table, the
 final ladder and the hash-chain-verified transition history.
 
 ``--json PATH`` writes the schema-versioned ledger snapshot
@@ -41,6 +41,7 @@ from repro.util.cli import (
 )
 from repro.util.tables import print_table
 
+from repro.ledger.ledger import confirmed
 from repro.ledger.levels import LedgerPolicy, TrustLevel
 
 
@@ -123,16 +124,31 @@ def main(argv=None) -> int:
         rows,
     )
 
-    outcomes = ()
-    if monitor.evidence.violations():
-        outcomes = ledger.challenge()
+    # every recorded violation goes to the judge; its rulings are the
+    # only thing that slashes
+    challenges = []
+    violations = monitor.evidence.violations()
+    if violations:
+        rulings = monitor.evidence.adjudicate()
+        demoted = {
+            t.evidence_seqs[0] for t in ledger.fold_adjudications(rulings)
+        }
+        challenges = [
+            {
+                "seq": event.seq,
+                "asn": event.asn,
+                "confirmed": confirmed(rulings[event.seq]),
+                "demoted": event.seq in demoted,
+            }
+            for event in violations
+        ]
         print_table(
             "challenge desk",
             ["seq", "asn", "judge says", "demoted"],
-            [(o.seq, o.asn,
-              "CONFIRMED" if o.confirmed else "dismissed",
-              "yes" if o.transition is not None else "no")
-             for o in outcomes],
+            [(c["seq"], c["asn"],
+              "CONFIRMED" if c["confirmed"] else "dismissed",
+              "yes" if c["demoted"] else "no")
+             for c in challenges],
         )
 
     print_table(
@@ -170,7 +186,7 @@ def main(argv=None) -> int:
             "reused": sum(r.reused for r in reports),
             "signatures": sum(r.signatures for r in reports),
             "sampled_out": monitor.intensity.sampled_out,
-            "challenges": [o.describe() for o in outcomes],
+            "challenges": challenges,
         }
         write_json(args.json, document, tag="ledger", what="snapshot")
 

@@ -17,11 +17,13 @@ and folds every verdict event into per-AS accounting:
   durable totals immediately; a probe violation resets the streak but
   — like every unadjudicated violation — never demotes;
 * demotion happens in exactly one place: :meth:`TrustLedger.slash`,
-  reached only through the challenge/adjudication path
-  (:mod:`repro.ledger.challenge`), which requires the third-party judge
-  to confirm the violation first.  Slashing is monotone within an
-  epoch: once an AS is slashed at epoch E, no promotion settles at an
-  epoch <= E.
+  reached only through :meth:`TrustLedger.fold_adjudications`, which
+  takes the third-party judge's rulings
+  (:meth:`~repro.audit.store.EvidenceStore.adjudicate`) and slashes
+  only for a confirmed violation.  On a cluster the journaled
+  ``AdjudicateRequest`` is the one caller.  Slashing is monotone within
+  an epoch: once an AS is slashed at epoch E, no promotion settles at
+  an epoch <= E.
 
 The ledger's durable counters survive evidence-store eviction (the
 store's ``on_evict`` callback) and the whole object pickles — minus its
@@ -37,11 +39,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.ledger.history import TransitionHistory
 from repro.ledger.levels import LedgerPolicy, TrustLevel
 
-__all__ = ["ASRecord", "TrustLedger"]
+__all__ = ["ASRecord", "TrustLedger", "confirmed"]
 
 #: transition rule names, as recorded in history rows
 RULE_PROMOTE = "clean-streak"
 RULE_SLASH = "slash:adjudicated"
+
+
+def confirmed(adjudication) -> bool:
+    """Whether a judge's ruling slashes: some transferable evidence
+    validated, or some complaint was upheld.  A dismissed accusation
+    changes nothing."""
+    return bool(adjudication.guilty() or adjudication.upheld_complaints())
 
 
 @dataclass
@@ -99,8 +108,8 @@ class TrustLedger:
         # epoch -> asn -> bucket, settled in epoch order
         self._open: Dict[int, Dict[str, _Bucket]] = {}
         self._max_epoch = 0
-        # violation seq -> (asn, epoch): the attribution index the
-        # challenge path resolves adjudications through
+        # violation seq -> (asn, epoch): the attribution index
+        # fold_adjudications resolves rulings through
         self._violation_index: Dict[int, Tuple[str, Optional[int]]] = {}
         self._slashed_seqs: set = set()
         self._store = None
@@ -239,8 +248,8 @@ class TrustLedger:
     ) -> Optional[object]:
         """Demote ``asn`` to the policy's ``slash_to`` level.
 
-        Only the challenge/adjudication path calls this, and only with
-        the seqs of judge-confirmed violations — ``evidence_seqs`` must
+        Only :meth:`fold_adjudications` calls this, and only with the
+        seqs of judge-confirmed violations — ``evidence_seqs`` must
         be non-empty, so even a slash is evidence-gated.  Returns the
         history record (``None`` when the AS already sits at or below
         the slash floor — the streak and counters still take the hit).
@@ -280,10 +289,7 @@ class TrustLedger:
         for seq in sorted(rulings):
             if seq in self._slashed_seqs:
                 continue
-            adjudication = rulings[seq]
-            if not (
-                adjudication.guilty() or adjudication.upheld_complaints()
-            ):
+            if not confirmed(rulings[seq]):
                 continue
             attribution = self._violation_index.get(seq)
             if attribution is None:
@@ -296,14 +302,6 @@ class TrustLedger:
             if transition is not None:
                 transitions.append(transition)
         return transitions
-
-    def challenge(self, seq: Optional[int] = None, *, judge=None):
-        """Dispute recorded violations through the attached store's
-        judge; confirmed rulings slash.  See
-        :func:`repro.ledger.challenge.run_challenge`."""
-        from repro.ledger.challenge import run_challenge
-
-        return run_challenge(self, seq=seq, judge=judge)
 
     # -- queries --------------------------------------------------------------
 

@@ -5,8 +5,7 @@ coordinator (:class:`~repro.cluster.cluster.Cluster`) serves; this
 package is the coordinator's asyncio door.  The request vocabulary, the
 admission plane (:class:`~repro.cluster.admission.AdmissionQueue`), the
 metrics ledger (:class:`~repro.cluster.metrics.ClusterMetrics`) and the
-whole churn → verdict pipeline with its worker pool
-(:class:`~repro.cluster.pipeline.Pipeline`,
+whole churn → verdict path with its worker pool (``Cluster`` itself and
 :class:`~repro.cluster.pool.ShardExecutor`) are :mod:`repro.cluster`'s
 — import them from there; this package exports what it defines:
 

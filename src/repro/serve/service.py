@@ -1,7 +1,7 @@
 """The verification service: the asyncio door of a cluster coordinator.
 
 Everything that verifies — monitor, evidence store, ledger, round pool,
-pipeline, admission queue, metrics — belongs to one private
+admission queue, metrics — belongs to one private
 :class:`~repro.cluster.cluster.Cluster`; this module adds only what is
 asyncio: requests resolve futures, and a dispatcher task runs
 ``Cluster.serve_group`` in a helper thread, one write group at a time

@@ -21,8 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.requests import AdjudicateRequest
 from repro.cluster.spec import ChaosSpec
-from repro.cluster.workload import churn_script, reference_mismatches
+from repro.cluster.workload import (
+    churn_script,
+    reference_mismatches,
+    serve_spec,
+)
 from repro.journal import (
     BOUNDARY_TYPES,
     Journal,
@@ -32,6 +37,8 @@ from repro.journal import (
     recover_state,
     unpack,
 )
+from repro.ledger import TrustLevel, confirmed
+from repro.pvr.scenarios import serve_prefixes
 
 from test_cluster import PREFIXES, VARIANT_POLICIES, make_spec, run_script
 
@@ -425,6 +432,46 @@ class TestCheckpointing:
             assert recovered.recovered_requests == crashed_at
             evidence = finish_recovered(recovered, requests)
             assert reference_mismatches(spec, requests, evidence) == []
+        finally:
+            recovered.stop()
+
+
+class TestRecoveredRulings:
+    """§2.3 Evidence: a violation the judge upheld stays upheld.  A
+    recovered coordinator adjudicates and slashes exactly as the live
+    one did — its replay judges with every event's keys registered."""
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 1])
+    def test_recovered_adjudication_matches_the_live_one(
+        self, tmp_path, checkpoint_every
+    ):
+        spec = serve_spec(
+            4,
+            ledger=True,
+            transport="inline",
+            journal=str(tmp_path / "journal"),
+            journal_checkpoint_every=checkpoint_every,
+        )
+        requests = churn_script(
+            serve_prefixes(4), rounds=5, violation_every=4
+        )
+        cluster = spec.build()
+        try:
+            for request in requests:
+                cluster.request(request)
+            live = cluster.request(AdjudicateRequest()).payload
+            assert any(confirmed(ruling) for ruling in live.values())
+            assert cluster.ledger.trust_level("A") is TrustLevel.QUARANTINED
+            trust, head = cluster.ledger.trust_map(), cluster.ledger.history.head
+        finally:
+            cluster.stop()
+        recovered = spec.build()
+        try:
+            assert recovered.recovered_requests == len(requests) + 1
+            again = recovered.request(AdjudicateRequest()).payload
+            assert again == live
+            assert recovered.ledger.trust_map() == trust
+            assert recovered.ledger.history.head == head
         finally:
             recovered.stop()
 

@@ -49,6 +49,7 @@ from repro.ledger import (
     TrustLedger,
     TrustLevel,
     VerificationIntensity,
+    confirmed,
 )
 from repro.ledger.ledger import RULE_PROMOTE, RULE_SLASH
 from repro.promises.spec import ShortestRoute
@@ -630,15 +631,15 @@ class TestRateOneIdentity:
         finally:
             cluster.stop()
 
-    def test_cluster_challenge_slashes_and_snapshots(self):
+    def test_cluster_adjudication_slashes_and_snapshots(self):
         policy = LedgerPolicy(clean_epochs_to_promote=1)
         requests = churn_script(PREFIXES, rounds=5, violation_every=4)
         cluster = make_spec(ledger=policy).build()
         try:
             for request in requests:
                 cluster.request(request)
-            outcomes = cluster.challenge()
-            assert any(o.confirmed for o in outcomes)
+            rulings = cluster.request(AdjudicateRequest()).payload
+            assert any(confirmed(ruling) for ruling in rulings.values())
             assert cluster.ledger.trust_level("A") is (
                 TrustLevel.QUARANTINED
             )
