@@ -209,9 +209,6 @@ class EvidenceStore:
     def by_prefix(self, prefix: Prefix) -> Tuple[VerdictEvent, ...]:
         return tuple(e for e in self._all() if e.prefix == prefix)
 
-    def by_policy(self, policy: str) -> Tuple[VerdictEvent, ...]:
-        return tuple(e for e in self._all() if e.policy == policy)
-
     def by_epoch(self, epoch: Optional[int]) -> Tuple[VerdictEvent, ...]:
         """Events of one epoch; ``None`` selects out-of-epoch audits
         (:meth:`~repro.audit.monitor.Monitor.audit_once` rounds)."""

@@ -75,9 +75,6 @@ class Route:
     def with_neighbor(self, neighbor: Optional[str]) -> "Route":
         return replace(self, neighbor=neighbor)
 
-    def with_communities(self, communities) -> "Route":
-        return replace(self, communities=frozenset(communities))
-
     def add_community(self, community: str) -> "Route":
         return replace(self, communities=self.communities | {community})
 

@@ -79,14 +79,6 @@ class BGPRouter(Node):
         self.import_policies[peer_as] = import_policy
         self.export_policies[peer_as] = export_policy
 
-    def set_import_policy(self, peer_as: str, policy: Policy) -> None:
-        self._require_peer(peer_as)
-        self.import_policies[peer_as] = policy
-
-    def set_export_policy(self, peer_as: str, policy: Policy) -> None:
-        self._require_peer(peer_as)
-        self.export_policies[peer_as] = policy
-
     def _require_peer(self, peer_as: str) -> None:
         if peer_as not in self.sessions:
             raise KeyError(f"{self.asn}: unknown peer {peer_as}")

@@ -214,11 +214,10 @@ def run(args) -> int:
     if journal_stats:
         obs_log.emit(
             "cluster",
-            f"journal: {journal_stats['appended']} record(s) appended "
-            f"across {journal_stats['segments']} segment(s), "
+            f"journal: {journal_stats['appended']} record(s) appended, "
             f"{journal_stats['fsyncs']} fsync(s)",
             appended=journal_stats["appended"],
-            segments=journal_stats["segments"],
+            fsyncs=journal_stats["fsyncs"],
         )
 
     parity = snapshot["parity"]

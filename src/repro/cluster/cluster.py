@@ -88,10 +88,7 @@ class Cluster:
         self.journal = None
         recovered = None
         if spec.journal:
-            self.journal = Journal(
-                spec.journal,
-                segment_max_records=spec.journal_segment_records,
-            )
+            self.journal = Journal(spec.journal)
             try:
                 recovered = recover_state(spec, self.journal)
             except BaseException:

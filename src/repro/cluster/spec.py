@@ -148,10 +148,8 @@ class ClusterSpec:
     #: makes every state change durable and lets a restarted
     #: coordinator recover to the last commit boundary
     journal: Optional[str] = None
-    #: records per journal segment before rotation
-    journal_segment_records: int = 4096
-    #: checkpoint (full state capture + segment compaction) every N
-    #: commits; 0 disables checkpointing
+    #: checkpoint (a full state capture that replaces the journal
+    #: file) every N commits; 0 disables checkpointing
     journal_checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -176,8 +174,6 @@ class ClusterSpec:
             raise ValueError("max_failures_per_epoch must be >= 0")
         if self.coalesce_max < 1:
             raise ValueError("coalesce_max must be >= 1")
-        if self.journal_segment_records < 2:
-            raise ValueError("journal_segment_records must be >= 2")
         if self.journal_checkpoint_every < 0:
             raise ValueError("journal_checkpoint_every must be >= 0")
         if (

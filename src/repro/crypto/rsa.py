@@ -26,10 +26,6 @@ PUBLIC_EXPONENT = 65537
 _SIG_DOMAIN = "repro.rsa.fdh"
 
 
-class SignatureError(Exception):
-    """Raised when a signature fails structural validation."""
-
-
 @dataclass(frozen=True)
 class PublicKey:
     """RSA public key (n, e)."""

@@ -5,14 +5,14 @@ replaced — but the coordinator's monitor (the network, the reuse cache,
 the :class:`~repro.audit.store.EvidenceStore`, the ledger) lives in one
 process.  This package makes that state durable:
 
-* :class:`~repro.journal.journal.Journal` — a segmented, checksummed
-  JSONL write-ahead log.  The coordinator appends a record at every
-  state change (admitted churn, epoch plans, recorded events, commit
-  boundaries, adjudications) and fsyncs at commit boundaries; segments
-  rotate at a size bound and a checkpoint compacts everything older
-  away.  Opening a journal validates every record's CRC and sequence; a
-  torn final record (the crash write) is truncated with a loud log
-  line.
+* :class:`~repro.journal.journal.Journal` — a checksummed JSONL
+  write-ahead log in one file, ``journal.jsonl``.  The coordinator
+  appends a record at every state change (admitted churn, epoch plans,
+  recorded events, commit boundaries, adjudications) and fsyncs only at
+  those boundaries; a checkpoint replaces the file by atomic rename.
+  Opening a journal validates every record's CRC and sequence; a torn
+  final record (the crash write) is truncated with a loud log line, and
+  a directory in the old segmented layout is refused by name.
 
 * :func:`~repro.journal.recovery.recover_state` — deterministic replay.
   A restarted coordinator rebuilds its evidence store (seq for seq),
@@ -21,7 +21,8 @@ process.  This package makes that state durable:
   recovered trail is byte-identical to an uncrashed run's, which is
   exactly what the kill-the-coordinator tests pin.  Records carry a
   format number (:data:`~repro.journal.recovery.JOURNAL_FORMAT`); a
-  journal written in another dialect is refused by name.
+  journal written in another dialect, or headed by neither, is refused
+  by name.
 """
 
 from repro.journal.journal import Journal, JournalError, pack, unpack

@@ -6,7 +6,7 @@ fold over the record stream:
 * ``genesis``      — journal format + spec fingerprint (refuses a
   different dialect, or a different cluster's journal);
 * ``checkpoint``   — a full coordinator state capture: replay restarts
-  from it (the journal compacts everything older away);
+  from it (it replaces the journal file, so it is the first record);
 * ``churn``        — one admitted churn group's steps, in order (what
   :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
   the restored — or factory-built — network);
@@ -301,16 +301,22 @@ def recover_state(
 ) -> Optional[RecoveredState]:
     """Replay ``journal`` up to its last boundary record, truncating
     the interrupted suffix, and return the coordinator state — or
-    ``None`` for a journal with no records (a fresh start)."""
+    ``None`` for a journal with no records (a fresh start).  A journal
+    headed by anything but a ``genesis`` or ``checkpoint`` carries no
+    format to check and is refused."""
     if not journal.records:
         return None
-    boundary = None
-    for seq, rtype, _data in journal.records:
-        if rtype in BOUNDARY_TYPES:
-            boundary = seq
-    if boundary is None:
-        # nothing ever committed: recover to the empty cluster
-        boundary = journal.records[0][0] - 1
+    head_seq, head_type, _data = journal.records[0]
+    if head_type not in ("genesis", "checkpoint"):
+        raise JournalError(
+            f"journal {journal.directory} starts with record {head_seq} "
+            f"of type {head_type!r}, not a genesis or checkpoint — "
+            f"refusing to recover a journal whose format is unknown"
+        )
+    boundary = max(
+        seq for seq, rtype, _data in journal.records
+        if rtype in BOUNDARY_TYPES
+    )
     replayer = JournalReplayer(spec, keystore=keystore)
     for seq, rtype, data in list(journal.records):
         if seq > boundary:

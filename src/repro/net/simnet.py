@@ -40,9 +40,6 @@ class Link:
     b: str
     latency: float = 0.01
 
-    def endpoints(self) -> frozenset:
-        return frozenset((self.a, self.b))
-
 
 class Node:
     """Base class for protocol participants.
@@ -157,9 +154,6 @@ class Network:
     def neighbors(self, name: str) -> tuple:
         """Names of nodes adjacent to ``name``, sorted for determinism."""
         return self._adjacent.get(name, ())
-
-    def has_link(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._links
 
     # -- adversarial hooks ---------------------------------------------
 

@@ -80,9 +80,6 @@ class Circuit:
     def input_word(self, owner: str, bits: int, label: str = "") -> List[int]:
         return [self.input(owner, f"{label}[{i}]") for i in range(bits)]
 
-    def const_word(self, value: int, bits: int) -> List[int]:
-        return [self.const((value >> i) & 1) for i in range(bits)]
-
     def mux_word(self, select: int, when_true: Sequence[int],
                  when_false: Sequence[int]) -> List[int]:
         if len(when_true) != len(when_false):

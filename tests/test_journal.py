@@ -5,8 +5,9 @@ arbitrary point — mid-epoch, with a torn final journal line —
 restarts from the journal at the last commit boundary, re-drives
 only the uncommitted suffix of the script, and leaves an evidence trail
 **byte-identical** to a run that never crashed.  :mod:`repro.journal`
-unit tests pin the on-disk format (checksummed JSONL segments, torn-tail
-truncation, checkpoint compaction); Hypothesis drives arbitrary
+unit tests pin the on-disk format (one checksummed JSONL file, torn-tail
+truncation, checkpoint by atomic rename, fsyncs only at boundaries,
+the old segmented layout refused by name); Hypothesis drives arbitrary
 byte-level tears and arbitrary replay splits.
 """
 
@@ -86,31 +87,36 @@ class TestJournal:
         assert reopened.truncated_tail is False
         reopened.close()
 
-    def test_segments_rotate_and_reload_in_order(self, tmp_path):
-        directory = str(tmp_path / "j")
-        with Journal(directory, segment_max_records=3) as journal:
-            for index in range(10):
+    def test_only_sync_fsyncs(self, tmp_path):
+        """An append is flushed, not fsynced: a hundred of them and one
+        :meth:`Journal.sync` cost one fsync."""
+        with Journal(str(tmp_path / "j")) as journal:
+            for index in range(100):
                 journal.append("event", {"index": index})
-            assert journal.stats()["segments"] == 4
-        reopened = Journal(directory)
-        assert [data["index"] for _, _, data in reopened.records] == list(
-            range(10)
-        )
-        reopened.close()
+            assert journal.stats()["fsyncs"] == 0
+            journal.sync()
+            assert journal.stats()["fsyncs"] == 1
+            journal.sync()  # nothing new to make durable
+            assert journal.stats()["fsyncs"] == 1
 
-    def test_checkpoint_compacts_older_segments(self, tmp_path):
+    def test_checkpoint_replaces_the_file(self, tmp_path):
         directory = str(tmp_path / "j")
-        journal = Journal(directory, segment_max_records=3)
+        journal = Journal(directory)
         for index in range(8):
             journal.append("event", {"index": index})
+        journal.sync()
+        fsyncs = journal.stats()["fsyncs"]
         journal.checkpoint(pack({"upto": 8}))
+        # the staged file and the directory, each fsynced once
+        assert journal.stats()["fsyncs"] == fsyncs + 2
+        assert os.listdir(directory) == ["journal.jsonl"]
         journal.append("event", {"index": 8})
         # everything before the checkpoint is gone from disk and from
         # the replay suffix
         assert journal.records[0][1] == "checkpoint"
         assert unpack(journal.records[0][2]) == {"upto": 8}
         assert [r[1] for r in journal.records] == ["checkpoint", "event"]
-        assert journal.stats()["segments"] <= 2
+        assert [r[0] for r in journal.records] == [9, 10]
         reopened = Journal(directory)
         assert [r[:2] for r in reopened.records] == [
             r[:2] for r in journal.records
@@ -131,13 +137,37 @@ class TestJournal:
         # appends continue from the truncated sequence
         assert journal.append("event", {"index": "next"}) == 5
         journal.close()
+        # the cut is physical: the file holds exactly what is kept
+        reopened = Journal(directory)
+        assert [data["index"] for _, _, data in reopened.records] == [
+            0, 1, 2, 3, "next",
+        ]
+        assert reopened.truncated_tail is False
+        reopened.close()
+
+    def test_a_checkpoint_that_died_before_its_rename_is_discarded(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "j")
+        with Journal(directory) as journal:
+            for index in range(3):
+                journal.append("event", {"index": index})
+            before = list(journal.records)
+        staged = os.path.join(directory, "journal.jsonl.tmp")
+        with open(staged, "wb") as handle:
+            handle.write(b'{"n": 4, "t": "checkpo')
+        reopened = Journal(directory)
+        assert reopened.records == before
+        assert reopened.truncated_tail is False
+        assert os.listdir(directory) == ["journal.jsonl"]
+        reopened.close()
 
     def test_torn_final_line_is_truncated_loudly(self, tmp_path):
         directory = str(tmp_path / "j")
         with Journal(directory) as journal:
             for index in range(4):
                 journal.append("event", {"index": index})
-        path = os.path.join(directory, "segment-000001.jsonl")
+        path = os.path.join(directory, "journal.jsonl")
         with open(path, "rb") as handle:
             payload = handle.read()
         with open(path, "wb") as handle:
@@ -164,7 +194,7 @@ class TestJournal:
         with Journal(directory) as journal:
             for index in range(4):
                 journal.append("event", {"index": index})
-        path = os.path.join(directory, "segment-000001.jsonl")
+        path = os.path.join(directory, "journal.jsonl")
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
@@ -178,7 +208,7 @@ class TestJournal:
         with Journal(directory) as journal:
             journal.append("event", {"index": 0})
             journal.append("event", {"index": 1})
-        path = os.path.join(directory, "segment-000001.jsonl")
+        path = os.path.join(directory, "journal.jsonl")
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         with open(path, "w", encoding="utf-8") as handle:
@@ -186,11 +216,15 @@ class TestJournal:
         with pytest.raises(JournalError):
             Journal(directory)
 
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            Journal(str(tmp_path / "a"), fsync_batch=0)
-        with pytest.raises(ValueError):
-            Journal(str(tmp_path / "b"), segment_max_records=1)
+    def test_the_old_segmented_layout_is_refused(self, tmp_path):
+        """A journal directory written before the journal was one file
+        is refused by name — never read as empty and restarted."""
+        directory = tmp_path / "j"
+        directory.mkdir()
+        (directory / "segment-000001.jsonl").write_text("")
+        with pytest.raises(JournalError, match="segment-000001.jsonl"):
+            Journal(str(directory))
+        assert os.listdir(directory) == ["segment-000001.jsonl"]
 
 
 class TestTornTailProperty:
@@ -198,7 +232,7 @@ class TestTornTailProperty:
     @given(cut=st.integers(min_value=1, max_value=200))
     def test_any_tail_tear_recovers_a_clean_prefix(self, tmp_path_factory,
                                                    cut):
-        """Chop ``cut`` bytes off the end of the final segment: the
+        """Chop ``cut`` bytes off the end of the journal file: the
         journal reopens to an exact prefix of the original records and
         stays appendable."""
         base = tmp_path_factory.mktemp("torn")
@@ -207,7 +241,7 @@ class TestTornTailProperty:
             for index in range(12):
                 journal.append("event", {"index": index})
             original = list(journal.records)
-        path = os.path.join(directory, "segment-000001.jsonl")
+        path = os.path.join(directory, "journal.jsonl")
         with open(path, "rb") as handle:
             payload = handle.read()
         cut = min(cut, len(payload) - 1)
@@ -349,12 +383,7 @@ class TestKillTheCoordinator:
         spec = journal_spec(tmp_path)
         requests = script(rounds=5)
         crash_run(spec, requests)
-        directory = str(tmp_path / "journal")
-        segments = sorted(
-            name for name in os.listdir(directory)
-            if name.endswith(".jsonl")
-        )
-        path = os.path.join(directory, segments[-1])
+        path = str(tmp_path / "journal" / "journal.jsonl")
         with open(path, "rb") as handle:
             payload = handle.read()
         with open(path, "wb") as handle:
@@ -403,23 +432,41 @@ class TestKillTheCoordinator:
 
 class TestCheckpointing:
     def test_checkpoints_compact_the_journal(self, tmp_path):
-        spec = journal_spec(
-            tmp_path,
-            journal_checkpoint_every=2,
-            journal_segment_records=32,
-        )
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
         requests = script(rounds=6)
         cluster = spec.build()
         try:
             for request in requests:
                 cluster.request(request)
-            stats = cluster.journal.stats()
-            # without compaction this run rotates through many
-            # 32-record segments; checkpoints keep the tail short
-            assert stats["segments"] <= 2
+            journal = cluster.journal
+            # checkpoints keep the replay suffix shorter than the run
+            assert journal.records[0][1] == "checkpoint"
+            assert len(journal.records) < journal.appended
+            assert os.listdir(spec.journal) == ["journal.jsonl"]
             assert reference_mismatches(
                 spec, requests, cluster.evidence
             ) == []
+        finally:
+            cluster.stop()
+
+    def test_only_boundaries_fsync(self, tmp_path):
+        """One fsync for the genesis and for each commit, two for each
+        checkpoint (the staged file and the directory) — never one for
+        an event, a plan or a churn record."""
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
+        requests = script(rounds=5, violation_every=3)
+        cluster = spec.build()
+        try:
+            for request in requests:
+                cluster.request(request)
+            cluster.request(AdjudicateRequest())
+            # each churn request commits alone; every second commit
+            # checkpoints, and an adjudication is a boundary of its own
+            checkpoints = len(requests) // 2
+            assert checkpoints >= 2
+            assert cluster.journal.stats()["fsyncs"] == (
+                1 + len(requests) + 1 + 2 * checkpoints
+            )
         finally:
             cluster.stop()
 
@@ -552,6 +599,28 @@ class TestJournalFormat:
         with pytest.raises(
             JournalError, match="unknown journal record type 'reshard'"
         ):
+            spec.build()
+
+    def test_a_journal_without_a_genesis_head_is_refused(self, tmp_path):
+        """Regression: a journal headed by neither a genesis nor a
+        checkpoint was emptied and then reused with no format check."""
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("churn", {"steps": pack(())})
+            journal.append("event", {"e": pack(None)})
+        with pytest.raises(
+            JournalError, match="starts with record 1 of type 'churn'"
+        ):
+            spec.build()
+
+    def test_a_segmented_journal_is_refused_by_the_cluster(self, tmp_path):
+        spec = journal_spec(tmp_path)
+        os.makedirs(spec.journal)
+        with open(
+            os.path.join(spec.journal, "segment-000001.jsonl"), "w"
+        ) as handle:
+            handle.write("")
+        with pytest.raises(JournalError, match="segment-000001.jsonl"):
             spec.build()
 
     def test_genesis_stamps_the_format(self, tmp_path):
