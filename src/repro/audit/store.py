@@ -130,16 +130,19 @@ class EvidenceStore:
             self._seq = event.seq
         return self.record(event)
 
-    def checkpoint_state(self) -> Dict[str, object]:
-        """A picklable capture of the full store state (events in
-        recording order, the pinned/tail split point, the eviction
-        tally and the seq allocator) for :meth:`restore`."""
+    def counters(self) -> Dict[str, int]:
+        """The store's state without its events: the pinned/tail split
+        point, the eviction tally and the seq allocator."""
         return {
-            "events": tuple(self._all()),
             "pinned": len(self._pinned),
             "evicted": self.evicted,
             "seq": self._seq,
         }
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """A picklable capture of the full store state (events in
+        recording order plus :meth:`counters`) for :meth:`restore`."""
+        return {"events": tuple(self._all()), **self.counters()}
 
     def restore(self, state: Dict[str, object]) -> None:
         """Silently load a :meth:`checkpoint_state` capture: no

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "coordinator durable, and re-running the same "
                         "command recovers from it after a crash")
     parser.add_argument("--checkpoint-every", type=int, default=0,
-                        metavar="N", help="checkpoint + compact the "
-                        "journal every N committed requests "
+                        metavar="N", help="checkpoint the coordinator "
+                        "into the journal every N commit boundaries "
                         "(default: 0 = never)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the unsharded-reference parity check")

@@ -139,7 +139,7 @@ class Cluster:
         #: journaled at each commit boundary so a recovered run knows
         #: how much of its script already happened
         self._committed = self.recovered_requests
-        self._commits_since_checkpoint = 0
+        self._boundaries_since_checkpoint = 0
         self.executor.warm()
         if recovered is not None:
             self.metrics.note_recovery(
@@ -197,40 +197,59 @@ class Cluster:
 
     # -- durability (the write-ahead journal) --------------------------------
 
-    def _commit(self, requests: int) -> None:
+    def _commit(self, requests: int, rtype: str, data: dict) -> None:
         """Mark a commit boundary: ``requests`` mutating requests are
         now fully served.  With a journal this is the durable cut
-        recovery rolls forward to — the commit record fsyncs, and
-        every ``spec.journal_checkpoint_every`` commits the full
-        coordinator state checkpoints (compacting the journal)."""
+        recovery rolls forward to — the boundary record (``commit`` for
+        a churn group, ``adjudicate`` for a ruling) fsyncs, and every
+        ``spec.journal_checkpoint_every`` boundaries a checkpoint
+        follows."""
         self._committed += requests
         if self.journal is None:
             return
-        self.journal.append("commit", {"requests": requests})
+        self.journal.append(rtype, data)
         self.journal.sync()
-        self._commits_since_checkpoint += 1
+        self._boundaries_since_checkpoint += 1
         every = self.spec.journal_checkpoint_every
-        if every > 0 and self._commits_since_checkpoint >= every:
+        if every > 0 and self._boundaries_since_checkpoint >= every:
             self._write_checkpoint()
 
     def _write_checkpoint(self) -> None:
-        """Capture the coordinator's state into the journal and
-        compact: replay restarts from here.  The pickled network bakes
-        in every churn step so far, so the replay suffix stays bounded
-        by the checkpoint interval, not the cluster's lifetime."""
+        """Capture the coordinator's state into the journal: replay
+        restarts from here.  The pickled network bakes in every churn
+        step so far, so the replay suffix stays bounded by the
+        checkpoint interval.  An unbounded store's trail is not in it —
+        the ``event`` records hold it — so the checkpoint is appended
+        and fsynced once, and costs the same however long the trail
+        grows.  A ``max_events`` store's checkpoint carries the whole
+        (bounded) store and compacts the journal to itself, so the
+        file holds at most the bound plus one interval's events."""
+        evidence = self.evidence
+        compact = evidence.max_events is not None
         with self.tracer.span("checkpoint", component="cluster") as span:
-            network = self.monitor.pickled_network()
-            state = {
+            store = (
+                evidence.checkpoint_state() if compact
+                else evidence.counters()
+            )
+            record = pack({
                 "format": JOURNAL_FORMAT,
-                "store": self.evidence.checkpoint_state(),
+                "store": store,
                 "planning": self.monitor.planning_state(),
                 "ledger": self.ledger,
-                "network": network,
+                "network": self.monitor.pickled_network(),
                 "committed": self._committed,
-            }
-            self.journal.checkpoint(pack(state))
-            span.attrs["bytes"] = len(network)
-        self._commits_since_checkpoint = 0
+            })
+            if compact:
+                self.journal.checkpoint(record)
+            else:
+                self.journal.append("checkpoint", record)
+                self.journal.sync()
+            span.attrs.update(
+                bytes=len(record),
+                events=len(store.get("events", ())),
+                compacted=compact,
+            )
+        self._boundaries_since_checkpoint = 0
 
     # -- admission -----------------------------------------------------------
 
@@ -323,7 +342,7 @@ class Cluster:
                 )
         if outcome.probe_events:
             self.metrics.note_probes(outcome.probe_events)
-        self._commit(len(requests))
+        self._commit(len(requests), "commit", {"requests": len(requests)})
         return outcome
 
     def _answer_adjudicate(self, request: AdjudicateRequest):
@@ -332,12 +351,9 @@ class Cluster:
         payload = answer_adjudicate(self.evidence, request)
         if self.ledger is not None:
             self.ledger.fold_adjudications(payload)
-        self._committed += 1
-        if self.journal is not None:
-            # a boundary record of its own: rulings and ledger
-            # slashing re-derive deterministically from the seq
-            self.journal.append("adjudicate", {"seq": request.seq})
-            self.journal.sync()
+        # a boundary record of its own: rulings and ledger slashing
+        # re-derive deterministically from the seq
+        self._commit(1, "adjudicate", {"seq": request.seq})
         return payload
 
     # -- one epoch -----------------------------------------------------------

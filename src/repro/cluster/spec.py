@@ -148,8 +148,11 @@ class ClusterSpec:
     #: makes every state change durable and lets a restarted
     #: coordinator recover to the last commit boundary
     journal: Optional[str] = None
-    #: checkpoint (a full state capture that replaces the journal
-    #: file) every N commits; 0 disables checkpointing
+    #: checkpoint the coordinator every N commit boundaries (a churn
+    #: group or an adjudication), appended without the trail — the
+    #: event records carry it; under ``max_events`` each checkpoint
+    #: carries the bounded store and rewrites the file; 0 disables
+    #: checkpointing
     journal_checkpoint_every: int = 0
 
     def __post_init__(self) -> None:

@@ -8,16 +8,20 @@ process.  This package makes that state durable:
 * :class:`~repro.journal.journal.Journal` — a checksummed JSONL
   write-ahead log in one file, ``journal.jsonl``.  The coordinator
   appends a record at every state change (admitted churn, epoch plans,
-  recorded events, commit boundaries, adjudications) and fsyncs only at
-  those boundaries; a checkpoint replaces the file by atomic rename.
+  recorded events, commit boundaries, adjudications, checkpoints) and
+  fsyncs only at those boundaries; the ``event`` records are the
+  trail's one durable copy, so a checkpoint is appended without it; only
+  a ``max_events`` store's checkpoint carries the (bounded) trail and
+  compacts the file by atomic rename.
   Opening a journal validates every record's CRC and sequence; a torn
   final record (the crash write) is truncated with a loud log line, and
   a directory in the old segmented layout is refused by name.
 
 * :func:`~repro.journal.recovery.recover_state` — deterministic replay.
-  A restarted coordinator rebuilds its evidence store (seq for seq),
-  ledger, reuse cache, churn suffix and epoch/round counters to the
-  exact last *commit boundary* and builds its monitor from them — the
+  A restarted coordinator rebuilds its evidence store (seq for seq,
+  from the event records), ledger, reuse cache, churn suffix and
+  epoch/round counters to the exact last *commit boundary* and builds
+  its monitor from them — the
   recovered trail is byte-identical to an uncrashed run's, which is
   exactly what the kill-the-coordinator tests pin.  Records carry a
   format number (:data:`~repro.journal.recovery.JOURNAL_FORMAT`); a

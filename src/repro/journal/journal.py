@@ -17,13 +17,13 @@ ever appends.
 Durability contract: :meth:`Journal.append` flushes to the OS and no
 further; :meth:`Journal.sync` is the fsync — callers invoke it at their
 boundaries, and recovery drops everything after the last boundary, so
-an append never needs one of its own.  :meth:`Journal.checkpoint`
-writes the checkpoint alone to ``journal.jsonl.tmp``, fsyncs it, renames
-it over the journal and fsyncs the directory — replay cost is bounded by
-the inter-checkpoint interval, not the journal's lifetime, and a crash
-on either side of the rename leaves one whole journal (a leftover
-``.tmp`` is deleted on open).  A directory in the old multi-file layout
-(``segment-*.jsonl``) is refused by name.
+an append never needs one of its own.  A checkpoint is normally just
+another appended record; :meth:`Journal.checkpoint` is the compaction:
+it writes one record alone to ``journal.jsonl.tmp``, fsyncs it, renames
+it over the journal and fsyncs the directory — a crash on either side
+of the rename leaves one whole journal (a leftover ``.tmp`` is deleted
+on open).  A directory in the old multi-file layout (``segment-*.jsonl``)
+is refused by name.
 
 Binary payloads (pickled events, network snapshots) travel through
 :func:`pack`/:func:`unpack` — zlib-compressed pickle, base64-armored so
@@ -83,16 +83,16 @@ def _fsync_directory(directory: str) -> None:
 class Journal:
     """One coordinator's write-ahead log, open for appending.
 
-    ``records`` holds the validated replay suffix — every record from
-    the most recent checkpoint (inclusive) onward, as ``(seq, type,
-    data)`` tuples — which is exactly what
-    :func:`~repro.journal.recovery.recover_state` consumes.
+    ``records`` holds what was read at open — every validated record of
+    the file, as ``(seq, type, data)`` tuples — which is exactly what
+    :func:`~repro.journal.recovery.recover_state` consumes (and then
+    releases).  Appends are written, never kept.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.path = os.path.join(directory, JOURNAL_FILE)
-        #: validated (seq, type, data) replay suffix, last checkpoint on
+        #: validated (seq, type, data) records read at open
         self.records: List[Tuple[int, str, object]] = []
         # write-side counters, surfaced in the cluster metrics snapshot
         self.appended = 0
@@ -130,49 +130,49 @@ class Journal:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
+        last_seq = None
+        offset = 0
+        blob = b"\n"
+        # line by line: a long journal's bytes are never held beside
+        # the records parsed from them
         with open(self.path, "rb") as handle:
-            raw = handle.read()
-        if raw and not raw.endswith(b"\n"):
+            for number, blob in enumerate(handle, 1):
+                if not blob.strip():
+                    offset += len(blob)
+                    continue
+                try:
+                    seq, rtype, data = self._parse_line(blob.decode("utf-8"))
+                    if last_seq is not None and seq != last_seq + 1:
+                        raise ValueError(f"sequence gap: {last_seq} -> {seq}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    if any(rest.strip() for rest in handle):
+                        raise JournalError(
+                            f"journal {self.directory} is corrupt at record "
+                            f"{number}: {exc}"
+                        ) from exc
+                    # the torn tail: the crash write.  Truncate the
+                    # published bytes at its start and carry on.
+                    os.truncate(self.path, offset)
+                    self.truncated_tail = True
+                    obs_log.emit(
+                        "journal",
+                        f"truncated torn tail of {JOURNAL_FILE} at byte "
+                        f"{offset} ({exc}); the interrupted record is "
+                        f"discarded and will be re-driven",
+                        level="warning",
+                        offset=offset,
+                    )
+                    blob = b"\n"
+                    break
+                last_seq = seq
+                self.records.append((seq, rtype, data))
+                offset += len(blob)
+        if not blob.endswith(b"\n"):
             # a tear that took only the trailing newline: the last
             # record's bytes are whole, but an append would land on
             # the same line and corrupt it — restore the newline
-            # before parsing (a torn *record* below re-truncates)
             with open(self.path, "ab") as whole:
                 whole.write(b"\n")
-            raw += b"\n"
-        last_seq = None
-        offset = 0
-        lines = raw.split(b"\n")
-        for index, blob in enumerate(lines):
-            if not blob.strip():
-                offset += len(blob) + 1
-                continue
-            try:
-                seq, rtype, data = self._parse_line(blob.decode("utf-8"))
-                if last_seq is not None and seq != last_seq + 1:
-                    raise ValueError(f"sequence gap: {last_seq} -> {seq}")
-            except (ValueError, KeyError, TypeError) as exc:
-                if any(rest.strip() for rest in lines[index + 1:]):
-                    raise JournalError(
-                        f"journal {self.directory} is corrupt at record "
-                        f"{index + 1}: {exc}"
-                    ) from exc
-                # the torn tail: the crash write.  Truncate the
-                # published bytes at its start and carry on.
-                os.truncate(self.path, offset)
-                self.truncated_tail = True
-                obs_log.emit(
-                    "journal",
-                    f"truncated torn tail of {JOURNAL_FILE} at byte "
-                    f"{offset} ({exc}); the interrupted record is "
-                    f"discarded and will be re-driven",
-                    level="warning",
-                    offset=offset,
-                )
-                break
-            last_seq = seq
-            self.records.append((seq, rtype, data))
-            offset += len(blob) + 1
         self._seq = last_seq or 0
 
     # -- appending -----------------------------------------------------------
@@ -206,7 +206,6 @@ class Journal:
             self._handle.write(line)
             self._handle.flush()
             self._unsynced = True
-            self.records.append((seq, rtype, data))
         self.wall_seconds += watch.seconds
         return seq
 
@@ -220,9 +219,10 @@ class Journal:
         self.wall_seconds += watch.seconds
 
     def checkpoint(self, data: object) -> int:
-        """Replace the journal by ``data`` as its one record: written
-        alone to ``journal.jsonl.tmp`` and fsynced, renamed over the
-        journal, then the directory fsynced — replay restarts from it."""
+        """Compact: replace the journal by ``data`` as its one
+        ``checkpoint`` record — written alone to ``journal.jsonl.tmp``
+        and fsynced, renamed over the journal, then the directory
+        fsynced.  ``data`` must stand for everything it replaces."""
         seq, line = self._line("checkpoint", data)
         staged = self.path + ".tmp"
         with open(staged, "w", encoding="utf-8") as handle:
@@ -235,7 +235,6 @@ class Journal:
         self._handle.close()
         self._handle = open(self.path, "a", encoding="utf-8")
         self._unsynced = False
-        self.records = [(seq, "checkpoint", data)]
         return seq
 
     def truncate(self, last_seq: int) -> int:
@@ -243,8 +242,8 @@ class Journal:
         suffix recovery is abandoning): the file is cut at the first
         dropped record's byte offset, durable at the next :meth:`sync`.
         Returns how many were dropped."""
-        kept = [record for record in self.records if record[0] <= last_seq]
-        dropped = len(self.records) - len(kept)
+        # sequence numbers are contiguous, so the count needs no scan
+        dropped = max(0, self._seq - last_seq)
         if dropped:
             offset = 0
             with open(self.path, "rb") as handle:
@@ -254,7 +253,6 @@ class Journal:
                     offset += len(line)
             os.truncate(self.path, offset)
             self._unsynced = True
-        self.records = kept
         self._seq = min(self._seq, last_seq)
         return dropped
 

@@ -5,8 +5,12 @@ fold over the record stream:
 
 * ``genesis``      — journal format + spec fingerprint (refuses a
   different dialect, or a different cluster's journal);
-* ``checkpoint``   — a full coordinator state capture: replay restarts
-  from it (it replaces the journal file, so it is the first record);
+* ``checkpoint``   — the coordinator's state at a boundary: planning
+  state, ledger, pickled network, committed count and the store's
+  counters.  Appended on the cadence, it carries no events — the
+  ``event`` records before it are the trail, and replay checks them
+  against its counters; a compaction (the journal's head, what every
+  checkpoint of a ``max_events`` store is) carries the whole store;
 * ``churn``        — one admitted churn group's steps, in order (what
   :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
   the restored — or factory-built — network);
@@ -27,7 +31,11 @@ fold over the record stream:
 Everything after the **last boundary record** (genesis, checkpoint,
 commit, adjudicate) is an interrupted request group: recovery truncates
 it from the journal and the client re-drives the request — which is why
-the recovered trail is byte-identical to an uncrashed run's.
+the recovered trail is byte-identical to an uncrashed run's.  Before the
+last checkpoint, :func:`recover_state` replays only the trail — the
+head and the ``event`` records, adopted into a store no ledger or reuse
+cache watches: the checkpoint holds everything else, so the judge never
+re-rules an adjudication it covers.
 
 :class:`JournalReplayer` is deliberately *stateful and incremental*
 (``feed`` one record at a time): the Hypothesis suite replays every
@@ -62,11 +70,16 @@ __all__ = [
 #: 3: prefix-indexed RIBs inside the checkpointed network.
 #: 4: monitored minimum rounds carry §3.8 batched disclosures.
 #: 5: the prover's round messages are leaves under one batch root.
-JOURNAL_FORMAT = 5
+#: 6: a checkpoint may omit the trail (the event records carry it).
+JOURNAL_FORMAT = 6
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
 BOUNDARY_TYPES = ("genesis", "checkpoint", "commit", "adjudicate")
+
+#: record types that carry the trail — all a checkpoint's predecessors
+#: replay (``JournalReplayer.trail_until``)
+TRAIL_TYPES = ("genesis", "checkpoint", "event")
 
 
 def policy_choosers(spec) -> Dict[str, object]:
@@ -123,12 +136,50 @@ class RecoveredState:
     replayed_records: int = 0
     truncated_records: int = 0
 
+    def digest(self) -> Dict[str, object]:
+        """A comparable fingerprint of the state — what the replay
+        properties check for split- and skip-independence."""
+        return {
+            "events": [
+                (
+                    e.seq,
+                    e.epoch,
+                    e.round,
+                    e.asn,
+                    str(e.prefix),
+                    e.policy,
+                    e.reused,
+                    e.report.verdicts,
+                )
+                for e in self.store.events()
+            ],
+            "evicted": self.store.evicted,
+            "seq": self.store._seq,
+            "cache": sorted(
+                (str(key), entry[1].seq)
+                for key, entry in self.cache.items()
+            ),
+            "epoch": self.epoch,
+            "round": self.round_counter,
+            "committed": self.committed_requests,
+            "churn_groups": len(self.churn_suffix),
+            "trust": (
+                sorted(self.ledger.trust_map().items())
+                if self.ledger is not None
+                else None
+            ),
+        }
+
 
 class JournalReplayer:
     """Fold journal records back into coordinator state, one at a time."""
 
-    def __init__(self, spec, *, keystore=None) -> None:
+    def __init__(self, spec, *, keystore=None, trail_until: int = 0) -> None:
         self.spec = spec
+        #: the seq of a checkpoint that supersedes every record before
+        #: it: of those only the trail replays (no ledger, reuse cache
+        #: or judge — the checkpoint carries them).  0 folds every record
+        self.trail_until = trail_until
         self.keystore = (
             keystore if keystore is not None else spec.build_keystore()
         )
@@ -137,7 +188,7 @@ class JournalReplayer:
             self.keystore, max_events=spec.max_events
         )
         self.ledger = None
-        if spec.ledger is not None:
+        if spec.ledger is not None and not trail_until:
             from repro.ledger import TrustLedger
 
             self.ledger = TrustLedger(spec.ledger).attach(self.store)
@@ -152,6 +203,8 @@ class JournalReplayer:
     # -- replay --------------------------------------------------------------
 
     def feed(self, seq: int, rtype: str, data: object) -> None:
+        if seq < self.trail_until and rtype not in TRAIL_TYPES:
+            return  # superseded: its effect is in the checkpoint
         handler = getattr(self, f"_on_{rtype}", None)
         if handler is None:
             raise JournalError(f"unknown journal record type {rtype!r}")
@@ -182,12 +235,34 @@ class JournalReplayer:
         # compaction dropped the genesis, so the checkpoint speaks for
         # the journal's format
         _check_format(state.get("format"))
+        captured = state["store"]
+        compacted = "events" in captured
+        if compacted:
+            # a compaction: the whole store, and the journal's head
+            for event in captured["events"]:
+                self._register(event)
+        else:
+            # appended: the event records before it are the trail
+            for field_name, value in self.store.counters().items():
+                if value != captured[field_name]:
+                    raise JournalError(
+                        f"journal record {seq}: checkpoint has store "
+                        f"{field_name} {captured[field_name]}, the event "
+                        f"records replay to {value}"
+                    )
+        if seq < self.trail_until:
+            # superseded by a later checkpoint: only its trail counts
+            if compacted:
+                self.store.restore(captured)
+            return
+        if not compacted:
+            captured = self.store.checkpoint_state()
+        # a fresh store: the checkpointed ledger replaces the one the
+        # replayed store was feeding
         self.store = EvidenceStore(
             self.keystore, max_events=self.spec.max_events
         )
-        self.store.restore(state["store"])
-        for event in self.store.events():
-            self._register(event)
+        self.store.restore(captured)
         self.ledger = state["ledger"]
         if self.ledger is not None:
             self.ledger.attach(self.store)
@@ -215,6 +290,8 @@ class JournalReplayer:
     def _on_event(self, seq: int, data: object) -> None:
         event = self.store.adopt(unpack(data["e"]))
         self._register(event)
+        if seq < self.trail_until:
+            return  # the checkpoint carries the counters and the cache
         self.round_counter = max(self.round_counter, event.round)
         if event.epoch is not None and not event.reused:
             item = WorkItem(
@@ -262,38 +339,8 @@ class JournalReplayer:
         )
 
     def digest(self) -> Dict[str, object]:
-        """A comparable fingerprint of the replayed state — what the
-        prefix-closure Hypothesis property checks for split-independence."""
-        return {
-            "events": [
-                (
-                    e.seq,
-                    e.epoch,
-                    e.round,
-                    e.asn,
-                    str(e.prefix),
-                    e.policy,
-                    e.reused,
-                    e.report.verdicts,
-                )
-                for e in self.store.events()
-            ],
-            "evicted": self.store.evicted,
-            "seq": self.store._seq,
-            "cache": sorted(
-                (str(key), entry[1].seq)
-                for key, entry in self.cache.items()
-            ),
-            "epoch": self.epoch,
-            "round": self.round_counter,
-            "committed": self.committed,
-            "churn_groups": len(self.churn),
-            "trust": (
-                sorted(self.ledger.trust_map().items())
-                if self.ledger is not None
-                else None
-            ),
-        }
+        """:meth:`RecoveredState.digest` of the replayed state."""
+        return self.state().digest()
 
 
 def recover_state(
@@ -303,10 +350,13 @@ def recover_state(
     the interrupted suffix, and return the coordinator state — or
     ``None`` for a journal with no records (a fresh start).  A journal
     headed by anything but a ``genesis`` or ``checkpoint`` carries no
-    format to check and is refused."""
-    if not journal.records:
+    format to check and is refused.  Before the last checkpoint only
+    the trail replays (``trail_until``); the journal's records are
+    released afterwards."""
+    records = journal.records
+    if not records:
         return None
-    head_seq, head_type, _data = journal.records[0]
+    head_seq, head_type, _data = records[0]
     if head_type not in ("genesis", "checkpoint"):
         raise JournalError(
             f"journal {journal.directory} starts with record {head_seq} "
@@ -314,15 +364,22 @@ def recover_state(
             f"refusing to recover a journal whose format is unknown"
         )
     boundary = max(
-        seq for seq, rtype, _data in journal.records
-        if rtype in BOUNDARY_TYPES
+        seq for seq, rtype, _data in records if rtype in BOUNDARY_TYPES
     )
-    replayer = JournalReplayer(spec, keystore=keystore)
-    for seq, rtype, data in list(journal.records):
+    last_checkpoint = max(
+        (seq for seq, rtype, _data in records if rtype == "checkpoint"),
+        default=0,
+    )
+    replayer = JournalReplayer(
+        spec, keystore=keystore, trail_until=last_checkpoint
+    )
+    for seq, rtype, data in records:
         if seq > boundary:
             break
         replayer.feed(seq, rtype, data)
     truncated = journal.truncate(boundary)
+    # released before the coordinator forks its pool
+    journal.records = []
     state = replayer.state()
     state.truncated_records = truncated
     return state

@@ -6,15 +6,16 @@ restarts from the journal at the last commit boundary, re-drives
 only the uncommitted suffix of the script, and leaves an evidence trail
 **byte-identical** to a run that never crashed.  :mod:`repro.journal`
 unit tests pin the on-disk format (one checksummed JSONL file, torn-tail
-truncation, checkpoint by atomic rename, fsyncs only at boundaries,
-the old segmented layout refused by name); Hypothesis drives arbitrary
-byte-level tears and arbitrary replay splits.
+truncation, appended checkpoints and compaction by atomic rename, fsyncs
+only at boundaries, the old segmented layout refused by name);
+Hypothesis drives arbitrary byte-level tears and arbitrary replay splits.
 """
 
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -26,11 +27,13 @@ from repro.cluster.requests import AdjudicateRequest
 from repro.cluster.spec import ChaosSpec
 from repro.cluster.workload import (
     churn_script,
+    drive_monitor,
     reference_mismatches,
     serve_spec,
 )
 from repro.journal import (
     BOUNDARY_TYPES,
+    JOURNAL_FORMAT,
     Journal,
     JournalError,
     JournalReplayer,
@@ -54,6 +57,16 @@ def script(rounds=5, violation_every=0):
     return churn_script(
         PREFIXES, rounds=rounds, violation_every=violation_every
     )
+
+
+def refusal(found):
+    return f"journal format {found}, this build reads {JOURNAL_FORMAT}"
+
+
+def read_back(directory):
+    """The records a journal holds on disk, read by reopening it."""
+    with Journal(directory) as journal:
+        return list(journal.records)
 
 
 @pytest.mark.parametrize("module", ["repro.journal", "repro.journal.recovery"])
@@ -99,6 +112,17 @@ class TestJournal:
             journal.sync()  # nothing new to make durable
             assert journal.stats()["fsyncs"] == 1
 
+    def test_appends_are_not_kept_in_memory(self, tmp_path):
+        """``records`` is what was read at open: a long-lived writer's
+        appends are on disk, not resident."""
+        directory = str(tmp_path / "j")
+        with Journal(directory) as journal:
+            journal.append("event", {"index": 0})
+        with Journal(directory) as journal:
+            journal.append("event", {"index": 1})
+            assert journal.records == [(1, "event", {"index": 0})]
+        assert len(read_back(directory)) == 2
+
     def test_checkpoint_replaces_the_file(self, tmp_path):
         directory = str(tmp_path / "j")
         journal = Journal(directory)
@@ -111,18 +135,11 @@ class TestJournal:
         assert journal.stats()["fsyncs"] == fsyncs + 2
         assert os.listdir(directory) == ["journal.jsonl"]
         journal.append("event", {"index": 8})
-        # everything before the checkpoint is gone from disk and from
-        # the replay suffix
-        assert journal.records[0][1] == "checkpoint"
-        assert unpack(journal.records[0][2]) == {"upto": 8}
-        assert [r[1] for r in journal.records] == ["checkpoint", "event"]
-        assert [r[0] for r in journal.records] == [9, 10]
-        reopened = Journal(directory)
-        assert [r[:2] for r in reopened.records] == [
-            r[:2] for r in journal.records
-        ]
         journal.close()
-        reopened.close()
+        # everything before the checkpoint is gone from disk
+        records = read_back(directory)
+        assert [r[:2] for r in records] == [(9, "checkpoint"), (10, "event")]
+        assert unpack(records[0][2]) == {"upto": 8}
 
     def test_truncate_drops_the_suffix_after_a_boundary(self, tmp_path):
         directory = str(tmp_path / "j")
@@ -131,9 +148,6 @@ class TestJournal:
             journal.append("event", {"index": index})
         dropped = journal.truncate(4)
         assert dropped == 2
-        assert [data["index"] for _, _, data in journal.records] == [
-            0, 1, 2, 3,
-        ]
         # appends continue from the truncated sequence
         assert journal.append("event", {"index": "next"}) == 5
         journal.close()
@@ -152,7 +166,7 @@ class TestJournal:
         with Journal(directory) as journal:
             for index in range(3):
                 journal.append("event", {"index": index})
-            before = list(journal.records)
+        before = read_back(directory)
         staged = os.path.join(directory, "journal.jsonl.tmp")
         with open(staged, "wb") as handle:
             handle.write(b'{"n": 4, "t": "checkpo')
@@ -240,7 +254,7 @@ class TestTornTailProperty:
         with Journal(directory) as journal:
             for index in range(12):
                 journal.append("event", {"index": index})
-            original = list(journal.records)
+        original = read_back(directory)
         path = os.path.join(directory, "journal.jsonl")
         with open(path, "rb") as handle:
             payload = handle.read()
@@ -430,29 +444,68 @@ class TestKillTheCoordinator:
             recovered.stop()
 
 
+def checkpoint_spans(cluster):
+    return [
+        record["attrs"] for record in cluster.tracer.records
+        if record["kind"] == "span" and record["name"] == "checkpoint"
+    ]
+
+
 class TestCheckpointing:
     def test_checkpoints_compact_the_journal(self, tmp_path):
-        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
-        requests = script(rounds=6)
+        """Under ``max_events`` every checkpoint carries the bounded
+        store and compacts the journal to itself: the replay suffix is
+        shorter than the run."""
+        spec = journal_spec(
+            tmp_path, max_events=8, journal_checkpoint_every=2
+        )
+        requests = script(rounds=24, violation_every=5)
         cluster = spec.build()
         try:
             for request in requests:
                 cluster.request(request)
-            journal = cluster.journal
-            # checkpoints keep the replay suffix shorter than the run
-            assert journal.records[0][1] == "checkpoint"
-            assert len(journal.records) < journal.appended
-            assert os.listdir(spec.journal) == ["journal.jsonl"]
+            appended = cluster.journal.appended
             assert reference_mismatches(
                 spec, requests, cluster.evidence
             ) == []
         finally:
             cluster.stop()
+        records = read_back(spec.journal)
+        assert records[0][1] == "checkpoint"
+        assert len(records) < appended
+        assert os.listdir(spec.journal) == ["journal.jsonl"]
+        assert any(span["compacted"] for span in checkpoint_spans(cluster))
+
+    def test_checkpoints_append_to_the_journal(self, tmp_path):
+        """On the unbounded store a checkpoint never compacts: it is
+        appended without the trail, which the event records carry."""
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
+        requests = script(rounds=6)
+        cluster, evidence = run_script(spec, requests)
+        assert reference_mismatches(spec, requests, evidence) == []
+        records = read_back(spec.journal)
+        assert records[0][1] == "genesis"
+        assert os.listdir(spec.journal) == ["journal.jsonl"]
+        checkpoints = [
+            unpack(data) for _, rtype, data in records
+            if rtype == "checkpoint"
+        ]
+        assert len(checkpoints) == len(requests) // 2
+        assert all("events" not in state["store"] for state in checkpoints)
+        assert sum(rtype == "event" for _, rtype, _ in records) == len(
+            evidence
+        )
+        spans = checkpoint_spans(cluster)
+        assert len(spans) == len(checkpoints)
+        assert all(
+            span["events"] == 0 and span["compacted"] is False
+            for span in spans
+        )
 
     def test_only_boundaries_fsync(self, tmp_path):
-        """One fsync for the genesis and for each commit, two for each
-        checkpoint (the staged file and the directory) — never one for
-        an event, a plan or a churn record."""
+        """One fsync for the genesis, for each commit and adjudication,
+        and one for each appended checkpoint — never one for an event,
+        a plan or a churn record."""
         spec = journal_spec(tmp_path, journal_checkpoint_every=2)
         requests = script(rounds=5, violation_every=3)
         cluster = spec.build()
@@ -460,15 +513,56 @@ class TestCheckpointing:
             for request in requests:
                 cluster.request(request)
             cluster.request(AdjudicateRequest())
-            # each churn request commits alone; every second commit
-            # checkpoints, and an adjudication is a boundary of its own
-            checkpoints = len(requests) // 2
+            # each churn request commits alone and an adjudication is a
+            # boundary of its own; every second boundary checkpoints
+            checkpoints = (len(requests) + 1) // 2
             assert checkpoints >= 2
             assert cluster.journal.stats()["fsyncs"] == (
-                1 + len(requests) + 1 + 2 * checkpoints
+                1 + len(requests) + 1 + checkpoints
             )
         finally:
             cluster.stop()
+
+    def test_an_adjudication_advances_the_cadence(self, tmp_path):
+        """Regression: only churn commits counted toward the cadence,
+        so after the last one every adjudication stayed in the replay
+        suffix and a recovery re-ran the judge for each."""
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
+        cluster = spec.build()
+        try:
+            for request in script(rounds=1)[:2]:
+                cluster.request(request)
+            for _ in range(6):
+                cluster.request(AdjudicateRequest())
+        finally:
+            cluster.stop()
+        boundaries = [
+            rtype for _, rtype, _ in read_back(spec.journal)
+            if rtype in ("commit", "adjudicate", "checkpoint")
+        ]
+        assert boundaries == (
+            ["commit", "commit", "checkpoint"]
+            + ["adjudicate", "adjudicate", "checkpoint"] * 3
+        )
+
+    def test_a_checkpoint_costs_the_same_however_long_the_trail(
+        self, tmp_path
+    ):
+        """Count, not clock: the last checkpoint of a three-times-longer
+        run carries no more events and is hardly larger."""
+        sizes = {}
+        for rounds in (4, 12):
+            spec = journal_spec(
+                tmp_path / str(rounds), journal_checkpoint_every=2
+            )
+            run_script(spec, script(rounds=rounds))
+            *_, data = [
+                data for _, rtype, data in read_back(spec.journal)
+                if rtype == "checkpoint"
+            ]
+            assert "events" not in unpack(data)["store"]
+            sizes[rounds] = len(data)
+        assert sizes[12] <= 1.1 * sizes[4]
 
     def test_recovery_from_a_checkpointed_journal(self, tmp_path):
         spec = journal_spec(tmp_path, journal_checkpoint_every=2)
@@ -479,6 +573,111 @@ class TestCheckpointing:
             assert recovered.recovered_requests == crashed_at
             evidence = finish_recovered(recovered, requests)
             assert reference_mismatches(spec, requests, evidence) == []
+        finally:
+            recovered.stop()
+
+    def test_a_checkpoint_that_disagrees_with_the_event_records_is_refused(
+        self, tmp_path
+    ):
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
+        run_script(spec, script(rounds=2))
+        records = read_back(spec.journal)
+        shutil.rmtree(spec.journal)
+        with Journal(spec.journal) as journal:
+            for _, rtype, data in records:
+                if rtype == "checkpoint":
+                    state = unpack(data)
+                    state["store"]["evicted"] += 1
+                    data = pack(state)
+                journal.append(rtype, data)
+        with pytest.raises(
+            JournalError,
+            match="checkpoint has store evicted 1, the event records "
+                  "replay to 0",
+        ):
+            spec.build()
+
+
+class TestBoundedJournal:
+    """Under ``max_events`` every checkpoint compacts the journal, so
+    it stays within a bound of the store — and still recovers
+    byte-identically."""
+
+    MAX_EVENTS = 8
+
+    def spec(self, tmp_path):
+        return journal_spec(
+            tmp_path,
+            max_events=self.MAX_EVENTS,
+            journal_checkpoint_every=2,
+        )
+
+    def requests(self):
+        return script(rounds=24, violation_every=5)
+
+    @staticmethod
+    def events_held(records):
+        """The events a journal holds: its event records plus those a
+        compacted head carries."""
+        _, head_type, head = records[0]
+        carried = (
+            len(unpack(head)["store"]["events"])
+            if head_type == "checkpoint" else 0
+        )
+        return carried + sum(rtype == "event" for _, rtype, _ in records)
+
+    def test_the_journal_stays_within_three_times_the_bound(self, tmp_path):
+        spec = self.spec(tmp_path)
+        requests = self.requests()
+        assert len(requests) >= 20
+        # a request writes at most one checkpoint, so reading the file
+        # after each one sees every checkpoint record ever written
+        held, written = [], {}
+        cluster = spec.build()
+        try:
+            for request in requests:
+                cluster.request(request)
+                records = read_back(spec.journal)
+                held.append(self.events_held(records))
+                written.update(
+                    (seq, data) for seq, rtype, data in records
+                    if rtype == "checkpoint"
+                )
+        finally:
+            cluster.stop()
+        assert max(held) < 3 * self.MAX_EVENTS
+        assert cluster.evidence.evicted > 0
+        assert reference_mismatches(spec, requests, cluster.evidence) == []
+        # the span reports the packed record it wrote, and what it holds
+        expected = []
+        for seq in sorted(written):
+            store = unpack(written[seq])["store"]
+            expected.append((
+                len(written[seq]),
+                len(store.get("events", ())),
+                "events" in store,
+            ))
+        assert [
+            (span["bytes"], span["events"], span["compacted"])
+            for span in checkpoint_spans(cluster)
+        ] == expected
+        assert expected and all(compacted for _, _, compacted in expected)
+
+    def test_a_crash_after_compaction_recovers_byte_identical(
+        self, tmp_path
+    ):
+        spec = self.spec(tmp_path)
+        requests = self.requests()
+        reference = spec.build_monitor()
+        drive_monitor(reference, requests)
+        crashed_at = crash_run(spec, requests, crash_after_events=60)
+        assert read_back(spec.journal)[0][1] == "checkpoint"
+        recovered = spec.build()
+        try:
+            assert recovered.recovered_requests == crashed_at
+            evidence = finish_recovered(recovered, requests)
+            assert reference_mismatches(spec, requests, evidence) == []
+            assert evidence.evicted == reference.evidence.evicted
         finally:
             recovered.stop()
 
@@ -523,6 +722,55 @@ class TestRecoveredRulings:
             recovered.stop()
 
 
+    def test_recovery_does_not_redo_what_a_checkpoint_covers(
+        self, tmp_path, monkeypatch
+    ):
+        """Before the last checkpoint only the trail replays: the judge
+        never re-rules a covered adjudication, and no ledger or reuse
+        cache folds an event the checkpoint already counted."""
+        spec = serve_spec(
+            4,
+            ledger=True,
+            transport="inline",
+            journal=str(tmp_path / "journal"),
+            journal_checkpoint_every=1,
+        )
+        requests = churn_script(
+            serve_prefixes(4), rounds=5, violation_every=4
+        )
+        cluster = spec.build()
+        try:
+            for request in requests:
+                cluster.request(request)
+            cluster.request(AdjudicateRequest())
+            trust = cluster.ledger.trust_map()
+        finally:
+            cluster.stop()
+        records = read_back(spec.journal)
+        assert records[-1][1] == "checkpoint"
+        assert any(rtype == "adjudicate" for _, rtype, _ in records)
+        redone = []
+        monkeypatch.setattr(
+            "repro.cluster.requests.answer_adjudicate",
+            lambda *args: redone.append("judge"),
+        )
+        monkeypatch.setattr(
+            "repro.journal.recovery.absorb_verdict",
+            lambda *args: redone.append("cache"),
+        )
+        monkeypatch.setattr(
+            "repro.ledger.TrustLedger.observe",
+            lambda *args: redone.append("ledger"),
+        )
+        with Journal(spec.journal) as journal:
+            state = recover_state(spec, journal)
+        assert redone == []
+        assert len(state.store) == sum(
+            rtype == "event" for _, rtype, _ in records
+        )
+        assert state.ledger.trust_map() == trust
+
+
 class TestJournalFormat:
     """A journal says which dialect it speaks, and a build refuses the
     ones it does not read — by name, before replaying anything."""
@@ -539,18 +787,15 @@ class TestJournalFormat:
                 "placement": {"strategy": "ConsistentHash", "shards": 3},
             })
             journal.append("commit", {"requests": 1})
-        with pytest.raises(
-            JournalError, match="journal format 1, this build reads 5"
-        ):
+        with pytest.raises(JournalError, match=refusal(1)):
             spec.build()
 
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
             journal.append("genesis", {"format": 7})
-            with pytest.raises(
-                JournalError, match="journal format 7, this build reads 5"
-            ):
+        with Journal(spec.journal) as journal:
+            with pytest.raises(JournalError, match=refusal(7)):
                 recover_state(spec, journal)
 
     def test_a_flat_rib_journal_is_refused(self, tmp_path):
@@ -560,9 +805,7 @@ class TestJournalFormat:
         with Journal(spec.journal) as journal:
             journal.append("genesis", {"format": 2})
             journal.append("commit", {"requests": 1})
-        with pytest.raises(
-            JournalError, match="journal format 2, this build reads 5"
-        ):
+        with pytest.raises(JournalError, match=refusal(2)):
             spec.build()
 
     def test_a_format_3_journal_is_refused_by_name(self, tmp_path):
@@ -573,9 +816,7 @@ class TestJournalFormat:
         with Journal(spec.journal) as journal:
             journal.append("genesis", {"format": 3})
             journal.append("commit", {"requests": 1})
-        with pytest.raises(
-            JournalError, match="journal format 3, this build reads 5"
-        ):
+        with pytest.raises(JournalError, match=refusal(3)):
             spec.build()
 
     def test_a_format_4_journal_is_refused_by_name(self, tmp_path):
@@ -585,8 +826,19 @@ class TestJournalFormat:
         with Journal(spec.journal) as journal:
             journal.append("genesis", {"format": 4})
             journal.append("commit", {"requests": 1})
+        with pytest.raises(JournalError, match=refusal(4)):
+            spec.build()
+
+    def test_a_format_5_journal_is_refused_by_name(self, tmp_path):
+        # format 5 checkpoints always carry the whole trail; this build
+        # reads it from the event records, so a format-5 journal with an
+        # appended checkpoint would replay its events twice
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 5})
+            journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 4, this build reads 5"
+            JournalError, match="journal format 5, this build reads 6"
         ):
             spec.build()
 
@@ -626,43 +878,51 @@ class TestJournalFormat:
     def test_genesis_stamps_the_format(self, tmp_path):
         spec = journal_spec(tmp_path)
         run_script(spec, script(rounds=1))
-        with Journal(spec.journal) as journal:
-            seq, rtype, data = journal.records[0]
-        assert (rtype, data["format"]) == ("genesis", 5)
+        seq, rtype, data = read_back(spec.journal)[0]
+        assert (rtype, data["format"]) == ("genesis", 6)
         assert "workers" not in data
 
 
 # -- replay properties --------------------------------------------------------
 
 
-def journaled_records(tmp_path_factory):
-    base = tmp_path_factory.mktemp("replay")
-    spec = make_spec("minimum", journal=str(base / "journal"))
+def journaled_records(tmp_path_factory, checkpoint_every=0):
+    directory = str(tmp_path_factory.mktemp("replay") / "journal")
+    spec = make_spec(
+        "minimum",
+        journal=directory,
+        journal_checkpoint_every=checkpoint_every,
+    )
     requests = script(rounds=4, violation_every=3)
-    cluster, _ = run_script(spec, requests)
-    journal = Journal(str(base / "journal"))
-    records = list(journal.records)
-    journal.close()
-    return spec, records
+    run_script(spec, requests)
+    return spec, read_back(directory), directory
 
 
 class TestReplayProperties:
-    @pytest.fixture(scope="class")
-    def replay_input(self, tmp_path_factory):
-        return journaled_records(tmp_path_factory)
+    """Every property runs over two journals of one script: one with no
+    checkpoint, and one whose appended checkpoints sit mid-stream."""
 
-    def test_the_journal_ends_on_a_commit_boundary(self, replay_input):
-        _, records = replay_input
-        assert records[-1][1] in BOUNDARY_TYPES
-        assert records[0][1] in ("genesis", "checkpoint")
+    @pytest.fixture(scope="class")
+    def replay_inputs(self, tmp_path_factory):
+        return [
+            journaled_records(tmp_path_factory, checkpoint_every=every)
+            for every in (0, 2)
+        ]
+
+    def test_the_journal_ends_on_a_commit_boundary(self, replay_inputs):
+        for _, records, _ in replay_inputs:
+            assert records[-1][1] in BOUNDARY_TYPES
+            assert records[0][1] == "genesis"
+        _, checkpointed, _ = replay_inputs[1]
+        assert any(rtype == "checkpoint" for _, rtype, _ in checkpointed)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_replay_is_split_invariant(self, replay_input, data):
+    def test_replay_is_split_invariant(self, replay_inputs, data):
         """Feeding the record stream in two arbitrary chunks reaches
         the same state digest as feeding it whole — replay carries no
         hidden cross-call state."""
-        spec, records = replay_input
+        spec, records, _ = data.draw(st.sampled_from(replay_inputs))
         split = data.draw(
             st.integers(min_value=0, max_value=len(records))
         )
@@ -678,12 +938,12 @@ class TestReplayProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_replay_is_prefix_closed(self, replay_input, data):
+    def test_replay_is_prefix_closed(self, replay_inputs, data):
         """Every prefix that ends on a commit boundary is itself a
         valid recovery point: replaying it, then the remainder, equals
         replaying everything (the torn-tail truncation rule is safe at
         *any* boundary, not just the final one)."""
-        spec, records = replay_input
+        spec, records, _ = data.draw(st.sampled_from(replay_inputs))
         boundaries = [
             index
             for index, (_, rtype, _) in enumerate(records)
@@ -702,3 +962,36 @@ class TestReplayProperties:
         for seq, rtype, payload in records:
             whole.feed(seq, rtype, payload)
         assert replayer.digest() == whole.digest()
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_recovery_skips_only_what_a_checkpoint_covers(
+        self, replay_inputs, data
+    ):
+        """At any boundary, :func:`recover_state` — which replays only
+        the trail before the last checkpoint, into a store no ledger or
+        reuse cache watches — reaches the state that feeding every
+        record reaches."""
+        spec, records, directory = data.draw(st.sampled_from(replay_inputs))
+        boundaries = [
+            index
+            for index, (_, rtype, _) in enumerate(records)
+            if rtype in BOUNDARY_TYPES
+        ]
+        cut = boundaries[
+            data.draw(st.integers(min_value=0, max_value=len(boundaries) - 1))
+        ] + 1
+        whole = JournalReplayer(spec)
+        for seq, rtype, payload in records[:cut]:
+            whole.feed(seq, rtype, payload)
+        copy = os.path.join(tempfile.mkdtemp(), "journal")
+        try:
+            shutil.copytree(directory, copy)
+            with Journal(copy) as journal:
+                journal.truncate(records[cut - 1][0])
+            with Journal(copy) as journal:
+                recovered = recover_state(spec, journal)
+                assert journal.records == []  # released once replayed
+        finally:
+            shutil.rmtree(os.path.dirname(copy))
+        assert recovered.digest() == whole.digest()
