@@ -214,7 +214,10 @@ class Monitor:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, network: BGPNetwork) -> "Monitor":
-        """Bind this monitor to ``network`` and register every AS's key."""
+        """Bind this monitor to ``network``.  No key is made here: an
+        AS holds a keypair once it is a party of a round —
+        :meth:`policy` registers the parties its policy's current work
+        items name, :meth:`plan_epoch` those of every fresh entry."""
         if self.network is not None:
             raise MonitorError("monitor is already attached")
         if self._detached:
@@ -222,8 +225,6 @@ class Monitor:
                 "a detached monitor cannot re-attach; build a fresh one"
             )
         self.network = network
-        for asn in network.as_names():
-            self.keystore.register(asn)
         return self
 
     def _require_network(self) -> BGPNetwork:
@@ -256,7 +257,9 @@ class Monitor:
         With ``audit_now`` (the default) every prefix the AS currently
         routes is marked dirty so the first epoch audits the present
         state; ``audit_now=False`` only arms the hook, so epochs cover
-        decisions made from now on.
+        decisions made from now on.  Either way the parties of the work
+        items the AS's current RIBs give get their keys now, before a
+        cluster coordinator forks or deals to its pool.
         """
         network = self._require_network()
         resolve_chooser(chooser)
@@ -295,9 +298,11 @@ class Monitor:
             router.add_decision_hook(on_decision)
             router.add_resync_hook(on_resync)
             self._hooked[asn] = (on_decision, on_resync)
-        if audit_now:
-            for prefix in self._known_prefixes(asn):
-                if policy.covers(prefix):
+        for prefix in self._known_prefixes(asn):
+            if policy.covers(prefix):
+                for item in policy.work_items(router, prefix):
+                    self.keystore.register_all(item.spec.parties)
+                if audit_now:
                     self.mark(asn, prefix)
         return policy
 
@@ -504,6 +509,8 @@ class Monitor:
                         planned.previous = cached[1]
                     else:
                         planned.round = self._next_round()
+                        # a lookup unless churn brought a new party
+                        self.keystore.register_all(item.spec.parties)
                         fresh += 1
                     done.add(key)
                     plan.entries.append(planned)

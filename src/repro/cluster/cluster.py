@@ -56,7 +56,7 @@ from repro.audit.wire import RoundResult, reports_match, run_offwire_round
 from repro.journal.journal import Journal, pack
 from repro.journal.recovery import (
     JOURNAL_FORMAT,
-    genesis_fingerprint,
+    genesis,
     recover_state,
 )
 from repro.obs.recorder import FlightRecorder
@@ -148,6 +148,7 @@ class Cluster:
                 committed=recovered.committed_requests,
                 epoch=recovered.epoch,
                 spawned=spec.workers,
+                keys_generated=self.monitor.keystore.generated,
             )
             self.tracer.event(
                 "recover", component="cluster",
@@ -156,7 +157,9 @@ class Cluster:
                 epoch=recovered.epoch, round=recovered.round_counter,
             )
         elif self.journal is not None:
-            self.journal.append("genesis", genesis_fingerprint(spec))
+            self.journal.append(
+                "genesis", genesis(spec, self.monitor.keystore)
+            )
             self.journal.sync()
         if self.journal is not None:
             # subscribed after replay, so adopted events are not
@@ -222,8 +225,9 @@ class Cluster:
         the ``event`` records hold it — so the checkpoint is appended
         and fsynced once, and costs the same however long the trail
         grows.  A ``max_events`` store's checkpoint carries the whole
-        (bounded) store and compacts the journal to itself, so the
-        file holds at most the bound plus one interval's events."""
+        (bounded) store and the key table and compacts the journal to
+        itself, so the file holds at most the bound plus one interval's
+        events."""
         evidence = self.evidence
         compact = evidence.max_events is not None
         with self.tracer.span("checkpoint", component="cluster") as span:
@@ -231,14 +235,18 @@ class Cluster:
                 evidence.checkpoint_state() if compact
                 else evidence.counters()
             )
-            record = pack({
+            state = {
                 "format": JOURNAL_FORMAT,
                 "store": store,
                 "planning": self.monitor.planning_state(),
                 "ledger": self.ledger,
                 "network": self.monitor.pickled_network(),
                 "committed": self._committed,
-            })
+            }
+            if compact:
+                # the new head speaks for the genesis it replaces
+                state["keys"] = self.monitor.keystore.table()
+            record = pack(state)
             if compact:
                 self.journal.checkpoint(record)
             else:
@@ -464,6 +472,9 @@ class Cluster:
         ledger's own schema-versioned snapshot under ``"ledger"`` when
         one is configured)."""
         document = self.metrics.snapshot()
+        # keypairs this coordinator made: its round parties' at a fresh
+        # build, none after a recovery that loaded them
+        document["keys_generated"] = self.monitor.keystore.generated
         if self.ledger is not None:
             document["ledger"] = self.ledger.snapshot()
         if self.journal is not None:

@@ -279,6 +279,7 @@ class ClusterMetrics:
         committed: int,
         epoch: int,
         spawned: int,
+        keys_generated: int,
     ) -> None:
         self.recoveries.append({
             "replayed_records": records,
@@ -289,6 +290,9 @@ class ClusterMetrics:
             # stays only because ``benchmarks/e2e`` reads it
             "adopted_workers": 0,
             "spawned_workers": spawned,
+            # keypairs the recovery made: 0 once the journal's head
+            # carried the coordinator's table
+            "keys_generated": keys_generated,
         })
 
     def note_probes(self, events) -> None:

@@ -13,9 +13,10 @@ worker is declared dead when its pipe closes, when it has not finished
 result frame for ``5 × heartbeat_interval`` seconds.  The positions it
 left without a result are re-run on a survivor under the same round
 number and nonce seed — byte-identical by construction — and a fresh
-worker is forked in its place: there is nothing to snapshot, replay or
-install.  More than ``max_failures_per_epoch`` deaths in one epoch is a
-loud :class:`ClusterError`.
+worker is forked in its place, holding the coordinator's whole key
+table: there is nothing to snapshot, replay or install.  More than
+``max_failures_per_epoch`` deaths in one epoch is a loud
+:class:`ClusterError`.
 """
 
 from __future__ import annotations

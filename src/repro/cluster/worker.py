@@ -4,12 +4,19 @@ A PVR round is a pure function of (keys, spec, routes, round number,
 nonce seed), and :meth:`~repro.audit.monitor.Monitor.plan_epoch` fixes
 all of them before any round runs — so *who* executes a round cannot
 matter, and nothing but keys needs to live in a worker.  A worker
-holds a :class:`~repro.crypto.keystore.KeyStore` (inherited at fork, or
-shared in-process) and the nonce seed, takes batches of
-:class:`ShardTask`, and streams one ``(position, report, stats)`` frame
-per finished round: a result frame *is* the liveness signal, so there
-is no heartbeat, no plan header and no summary — a worker is done when
-every position it was sent has a frame.
+holds a :class:`~repro.crypto.keystore.KeyStore` and the nonce seed,
+takes batches of :class:`ShardTask`, and streams one ``(position,
+report, stats)`` frame per finished round: a result frame *is* the
+liveness signal, so there is no heartbeat, no plan header and no
+summary — a worker is done when every position it was sent has a
+frame.
+
+A worker never makes a key.  Its keys are the coordinator's, inherited
+at fork, or dealt with a batch: a batch carries the keypairs the
+coordinator registered since the worker last heard from it (a policy
+installed after the fork, a party new after churn), and
+:func:`run_tasks` adopts them before its first round.  The inline
+transport shares the coordinator's store, so its batches carry none.
 
 Two transports run the one loop, :func:`run_tasks`:
 
@@ -58,8 +65,9 @@ class ShardTask:
     neighbors: int = 0
 
 
-#: what a worker is sent: the epoch (for chaos) and its tasks
-Batch = Tuple[int, Sequence[ShardTask]]
+#: what a worker is sent: the epoch (for chaos), its tasks, and the
+#: coordinator's keypairs it does not hold yet
+Batch = Tuple[int, Sequence[ShardTask], Tuple[Tuple[str, object], ...]]
 
 
 class WorkerDied(RuntimeError):
@@ -77,11 +85,13 @@ def run_tasks(
     *,
     hard_kill: bool,
 ) -> Iterator[Tuple[int, SessionReport, RoundStats]]:
-    """Run one batch serially on the nonce streams ``rng_seed`` promised
-    the planner, yielding each round as it finishes.  An armed chaos
-    spec fails the worker once exactly ``chaos.after`` results are out
-    (deterministic on both transports)."""
-    epoch, tasks = batch
+    """Adopt the batch's keys, then run its tasks serially on the nonce
+    streams ``rng_seed`` promised the planner, yielding each round as
+    it finishes.  An armed chaos spec fails the worker once exactly
+    ``chaos.after`` results are out (deterministic on both
+    transports)."""
+    epoch, tasks, keys = batch
+    keystore.adopt(keys)
     armed = (
         chaos is not None and chaos.worker == index and chaos.epoch == epoch
     )
@@ -157,8 +167,9 @@ class _InlineWorker:
         self.frames: List[tuple] = []
         self.died: Optional[str] = None
 
-    def post(self, batch: Batch) -> None:
+    def post(self, deal: Tuple[int, Sequence[ShardTask]]) -> None:
         self.frames = []
+        batch = (*deal, ())  # it reads the coordinator's own key table
         try:
             for frame in run_tasks(*self._args, batch, hard_kill=False):
                 self.frames.append(frame)
@@ -176,12 +187,17 @@ class _InlineWorker:
 
 class _ProcessWorker:
     """One forked worker process plus the coordinator's pipe end.  The
-    keystore reaches the child through the fork, never through a
-    pickle."""
+    child gets the key table as the fork copied it; what the coordinator
+    registers later rides the next batch down the pipe (``_keys_held``
+    counts the table entries the child has)."""
 
     def __init__(
         self, context, keystore, rng_seed, index, chaos, siblings
     ) -> None:
+        self._keystore = keystore
+        # counted before the fork: a key registered meanwhile is at
+        # worst dealt again, and adopting it twice is a no-op
+        self._keys_held = len(keystore.table())
         self.conn, child = context.Pipe()
         self.process = context.Process(
             target=worker_main,
@@ -194,8 +210,10 @@ class _ProcessWorker:
         self.process.start()
         child.close()
 
-    def post(self, batch: Batch) -> None:
-        self.conn.send(batch)
+    def post(self, deal: Tuple[int, Sequence[ShardTask]]) -> None:
+        keys = self._keystore.table(self._keys_held)
+        self.conn.send((*deal, keys))
+        self._keys_held += len(keys)
 
     def kill(self) -> None:
         """Hard-stop a worker declared dead."""

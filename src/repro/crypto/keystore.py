@@ -2,16 +2,16 @@
 
 PVR assumes every participating network holds a signing keypair whose
 public half is known to its neighbors (the paper piggybacks on the same
-PKI assumptions as S-BGP).  :class:`KeyStore` is that PKI substrate: it
-generates per-AS keypairs deterministically from a seed (so experiments
-are replayable) and acts as the trusted directory the *judge* consults
-when validating evidence.
+PKI assumptions as S-BGP, where a key lives for years).  :class:`KeyStore`
+is that PKI substrate: it generates per-AS keypairs deterministically
+from a seed (so experiments are replayable) and acts as the trusted
+directory the *judge* consults when validating evidence.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.crypto import rsa
 from repro.crypto.batch import BatchSignature
@@ -29,12 +29,16 @@ class KeyStore:
     1024 bits to match the paper's "RSA-1024" overhead discussion, while
     unit tests use smaller keys for speed.
 
-    The store is safe to hand to shard and cluster workers: key
-    derivation depends only on the seed material (a lazily-generated key
-    is identical wherever it is generated), registration is locked,
-    pickling carries the key table to process workers, and
-    :meth:`worker_view` gives each unit of work its own operation
-    counters to merge back via :meth:`add_counts`.
+    A key is made once per deployment, for an AS that takes part in a
+    round: the audit monitor registers its round parties, and a cluster
+    coordinator hands its table on rather than have anyone derive a key
+    again — to a pool worker by fork or with a dealt batch, to a
+    recovery through the journal (:meth:`table` / :meth:`adopt`).
+    ``generated`` counts the keypairs this store made itself.  Key
+    derivation depends only on the seed material, so a key is identical
+    wherever it is made; registration is locked, and :meth:`worker_view`
+    gives each unit of work its own operation counters to merge back via
+    :meth:`add_counts`.
     """
 
     def __init__(self, seed=0, key_bits: int = 1024) -> None:
@@ -46,6 +50,8 @@ class KeyStore:
         # signatures/verifications per protocol round from these
         self.sign_count = 0
         self.verify_count = 0
+        #: keypairs this store generated (adopted ones are not counted)
+        self.generated = 0
 
     @property
     def key_bits(self) -> int:
@@ -63,11 +69,26 @@ class KeyStore:
             keypair = rsa.generate_keypair(self._key_bits, stream.bytes)
             with self._lock:
                 self._private.setdefault(asn, keypair)
+                self.generated += 1
         return self._private[asn].public
 
     def register_all(self, asns: Iterable[str]) -> None:
         for asn in asns:
             self.register(asn)
+
+    def table(self, start: int = 0) -> Tuple[Tuple[str, rsa.PrivateKey], ...]:
+        """The ``(asn, private key)`` table in registration order, from
+        entry ``start`` on.  Entries are only ever appended, so a holder
+        of the first ``start`` lacks exactly these."""
+        with self._lock:
+            return tuple(self._private.items())[start:]
+
+    def adopt(self, table: Iterable[Tuple[str, rsa.PrivateKey]]) -> None:
+        """Install keypairs another store made (a :meth:`table`); a key
+        already held is kept."""
+        with self._lock:
+            for asn, key in table:
+                self._private.setdefault(asn, key)
 
     def private_key(self, asn: str) -> rsa.PrivateKey:
         """The private key — only the AS itself (or a test) may call this."""
@@ -127,6 +148,7 @@ class KeyStore:
         view._lock = self._lock
         view.sign_count = 0
         view.verify_count = 0
+        view.generated = 0
         return view
 
     def add_counts(self, signatures: int, verifications: int) -> None:

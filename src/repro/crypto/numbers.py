@@ -90,12 +90,34 @@ def is_probable_prime(n: int, random_bytes: Callable[[int], bytes] | None = None
     return True
 
 
+def _odd_primes_below(bound: int) -> Tuple[int, ...]:
+    """The odd primes below ``bound`` (sieve of Eratosthenes)."""
+    flags = bytearray([1]) * bound
+    flags[:2] = b"\x00\x00"
+    for i in range(2, int(bound ** 0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return tuple(i for i in range(3, bound, 2) if flags[i])
+
+
+#: the primes a prime window is sieved by before any Miller-Rabin test
+_SIEVE_PRIMES = _odd_primes_below(1 << 14)
+
+
 def generate_prime(bits: int, random_bytes: Callable[[int], bytes]) -> int:
     """Generate a ``bits``-bit probable prime using the given byte source.
 
     The top two bits are forced to 1 so that the product of two such primes
     has exactly ``2 * bits`` bits, and the low bit is forced to 1 so the
-    candidate is odd.
+    candidate is odd.  From each draw a window of up to 256 odd numbers
+    is scanned upward; it is sieved once by the odd primes below 2**14,
+    so only candidates with no small factor reach
+    :func:`is_probable_prime`.  A struck candidate is one the test's
+    trial division or fixed bases reject without drawing on
+    ``random_bytes`` — unless it is a strong pseudoprime to all twelve
+    fixed bases, which a random draw is astronomically unlikely to be —
+    so the sieve changes no prime a seed yields (pinned against the
+    unsieved loop in ``tests/test_crypto_keystore.py``).
     """
     if bits < 16:
         raise ValueError("prime size below 16 bits is not supported")
@@ -104,14 +126,19 @@ def generate_prime(bits: int, random_bytes: Callable[[int], bytes]) -> int:
         candidate = int.from_bytes(random_bytes(nbytes), "big")
         candidate &= (1 << bits) - 1
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        # Skip forward over a window of odd numbers: much cheaper than
-        # drawing fresh randomness for every composite.
-        for offset in range(0, 512, 2):
-            n = candidate + offset
-            if n.bit_length() != bits:
-                break
-            if is_probable_prime(n, random_bytes):
-                return n
+        # slot k holds candidate + 2k; the window stops short of the
+        # first number that outgrows ``bits``
+        slots = min(256, ((1 << bits) - candidate + 1) // 2)
+        alive = bytearray([1]) * slots
+        for p in _SIEVE_PRIMES:
+            # p divides candidate + 2k exactly when k = -candidate / 2
+            # (mod p); (p + 1) / 2 is the inverse of 2
+            first = (-(candidate % p) * ((p + 1) >> 1)) % p
+            if first < slots:
+                alive[first::p] = bytes(len(range(first, slots, p)))
+        for k in range(slots):
+            if alive[k] and is_probable_prime(candidate + 2 * k, random_bytes):
+                return candidate + 2 * k
 
 
 def crt_combine(mp: int, mq: int, p: int, q: int, q_inv: int) -> int:

@@ -4,13 +4,15 @@ The coordinator journals its own state changes, so replay is a pure
 fold over the record stream:
 
 * ``genesis``      — journal format + spec fingerprint (refuses a
-  different dialect, or a different cluster's journal);
+  different dialect, or a different cluster's journal) + the
+  coordinator's key table, which replay adopts before anything else;
 * ``checkpoint``   — the coordinator's state at a boundary: planning
   state, ledger, pickled network, committed count and the store's
   counters.  Appended on the cadence, it carries no events — the
   ``event`` records before it are the trail, and replay checks them
   against its counters; a compaction (the journal's head, what every
-  checkpoint of a ``max_events`` store is) carries the whole store;
+  checkpoint of a ``max_events`` store is) carries the whole store and,
+  in the genesis's place, the key table;
 * ``churn``        — one admitted churn group's steps, in order (what
   :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
   the restored — or factory-built — network);
@@ -26,7 +28,7 @@ fold over the record stream:
   a violation to a slash: the judge re-rules from the seq and the ledger
   re-folds the rulings, so a recovered coordinator holds the rulings,
   slashes and history head the live one did (every replayed event's
-  parties have their keys registered first, checkpointed ones included).
+  parties hold their keys first, checkpointed ones included).
 
 Everything after the **last boundary record** (genesis, checkpoint,
 commit, adjudicate) is an interrupted request group: recovery truncates
@@ -51,13 +53,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.audit.monitor import Monitor, absorb_verdict
 from repro.audit.policy import WorkItem
 from repro.audit.store import EvidenceStore
-from repro.journal.journal import Journal, JournalError, unpack
+from repro.journal.journal import Journal, JournalError, pack, unpack
 
 __all__ = [
     "BOUNDARY_TYPES",
     "JOURNAL_FORMAT",
     "JournalReplayer",
     "RecoveredState",
+    "genesis",
     "genesis_fingerprint",
     "policy_choosers",
     "recover_state",
@@ -71,7 +74,9 @@ __all__ = [
 #: 4: monitored minimum rounds carry §3.8 batched disclosures.
 #: 5: the prover's round messages are leaves under one batch root.
 #: 6: a checkpoint may omit the trail (the event records carry it).
-JOURNAL_FORMAT = 6
+#: 7: the head (genesis, or a compacting checkpoint) carries the key
+#: table, and recovery makes no key the coordinator had made.
+JOURNAL_FORMAT = 7
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
@@ -104,6 +109,13 @@ def genesis_fingerprint(spec) -> Dict[str, object]:
         "seed": repr(spec.rng_seed),
         "policies": sorted(policy_choosers(spec)),
     }
+
+
+def genesis(spec, keystore) -> Dict[str, object]:
+    """The journal's first record: :func:`genesis_fingerprint` plus
+    ``keystore``'s table.  The seed it names already fixes every key,
+    so the table adds no secret — it saves a recovery re-making them."""
+    return {**genesis_fingerprint(spec), "keys": pack(keystore.table())}
 
 
 def _check_format(found: object) -> None:
@@ -222,6 +234,7 @@ class JournalReplayer:
                     f"{expected[field_name]!r} — refusing to recover a "
                     f"different cluster's journal"
                 )
+        self.keystore.adopt(unpack(data["keys"]))
 
     def _on_checkpoint(self, seq: int, data: object) -> None:
         try:
@@ -239,6 +252,7 @@ class JournalReplayer:
         compacted = "events" in captured
         if compacted:
             # a compaction: the whole store, and the journal's head
+            self.keystore.adopt(state["keys"])
             for event in captured["events"]:
                 self._register(event)
         else:
@@ -281,10 +295,11 @@ class JournalReplayer:
         self.epoch = max(self.epoch, data["epoch"])
 
     def _register(self, event) -> None:
-        """Register the keys of ``event``'s parties.  The replayed
-        keystore starts empty — the network that registers every AS is
-        attached only after replay — and a judge holding no key rules
-        every signature invalid."""
+        """Make sure ``event``'s parties hold keys: a judge holding no
+        key rules every signature invalid.  The journal's head carried
+        the coordinator's key table, so this is a lookup; only a party
+        the coordinator first registered after the head (new after
+        churn) has its key derived again, identically, from the seed."""
         self.keystore.register_all(event.spec.parties)
 
     def _on_event(self, seq: int, data: object) -> None:

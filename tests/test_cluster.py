@@ -6,7 +6,9 @@ for all four protocol variants, and whose served adjudications match
 the reference's.
 """
 
+import asyncio
 import json
+import os
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.cluster.workload import (
     reference_mismatches,
     serve_spec,
 )
+from repro.crypto import rsa
 from repro.promises.spec import (
     ExistentialPromise,
     NoLongerThanOthers,
@@ -349,3 +352,120 @@ class TestClusterSpecValidation:
         spec = make_spec("minimum")
         monitor = spec.build_monitor()
         assert [p.name for p in monitor.policies()] == ["A/min->B"]
+
+
+# -- keys: made once, by the coordinator ---------------------------------------
+
+
+@pytest.fixture
+def coordinator_keygen(monkeypatch):
+    """Make ``rsa.generate_keypair`` raise in any process but this one.
+    Installed before a pool forks, so every worker inherits it: a worker
+    that derives a key fails its round with an ``error`` frame."""
+    coordinator = os.getpid()
+    make = rsa.generate_keypair
+
+    def guarded(*args, **kwargs):
+        if os.getpid() != coordinator:
+            raise AssertionError(f"worker {os.getpid()} generated a key")
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(rsa, "generate_keypair", guarded)
+
+
+def join_provider(asn):
+    """``asn`` appears, peered with A only (module-level: it pickles)."""
+
+    def step(net):
+        net.add_as(asn)
+        net.connect(asn, "A")
+        net.routers[asn].start_all_sessions(net.transport)
+
+    return step
+
+
+def announce(asn, prefix):
+    def step(net):
+        net.originate(asn, prefix)
+
+    return step
+
+
+@pytest.mark.usefixtures("coordinator_keygen")
+class TestNoWorkerMakesAKey:
+    """Keys are made by the coordinator, for the round parties; a
+    worker gets them by fork or with its batch.  Each scenario runs on
+    forked workers with no respawn and a trail byte-identical to the
+    serial monitor's (a worker's key error would fail the request)."""
+
+    def test_a_policy_installed_after_the_fork(self):
+        from serve_driver import service_for
+
+        spec = serve_spec(
+            4, workers=2, transport="process", rng_seed=SEED
+        )
+        requests = churn_script(serve_prefixes(4), rounds=4)
+
+        async def serve():
+            # service_for installs the policy after the pool forked
+            service = service_for(spec)
+            assert len(service.monitor.keystore.table()) == 5
+            await service.start()
+            for request in requests:
+                await service.request(request)
+            await service.stop()
+            return service
+
+        service = asyncio.run(serve())
+        assert service.metrics.respawns == []
+        assert service.monitor.keystore.generated == 5
+        assert reference_mismatches(spec, requests, service.evidence) == []
+
+    def test_the_durable_cluster_shape(self, tmp_path):
+        spec = serve_spec(
+            4, workers=2, transport="process", rng_seed=SEED,
+            journal=str(tmp_path / "journal"), journal_checkpoint_every=4,
+        )
+        requests = churn_script(serve_prefixes(4), rounds=6, violation_every=3)
+        cluster = spec.build()
+        try:
+            assert cluster.snapshot()["keys_generated"] == 5
+            for request in requests:
+                cluster.request(request)
+            assert cluster.metrics.respawns == []
+            evidence = cluster.evidence
+        finally:
+            cluster.stop()
+        assert reference_mismatches(spec, requests, evidence) == []
+        recovered = spec.build()
+        try:
+            assert recovered.metrics.recoveries[0]["keys_generated"] == 0
+        finally:
+            recovered.stop()
+
+    def test_a_provider_that_joins_after_the_fork(self):
+        spec = serve_spec(
+            4, workers=2, transport="process", rng_seed=SEED
+        )
+        prefix = serve_prefixes(4)[0]
+        requests = [
+            ChurnRequest(),
+            ChurnRequest(steps=((join_provider, ("N4",)),)),
+            ChurnRequest(steps=((announce, ("N4", prefix)),)),
+        ]
+        cluster = spec.build()
+        try:
+            assert "N4" not in cluster.monitor.keystore
+            for request in requests:
+                cluster.request(request)
+            assert cluster.metrics.respawns == []
+            # the coordinator made N4's key when a round first named it
+            assert cluster.monitor.keystore.generated == 6
+            assert any(
+                "N4" in event.spec.providers
+                for event in cluster.evidence.events()
+            )
+            evidence = cluster.evidence
+        finally:
+            cluster.stop()
+        assert reference_mismatches(spec, requests, evidence) == []

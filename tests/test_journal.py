@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.requests import AdjudicateRequest
 from repro.cluster.spec import ChaosSpec
+from repro.crypto import rsa
 from repro.cluster.workload import (
     churn_script,
     drive_monitor,
@@ -771,6 +772,53 @@ class TestRecoveredRulings:
         assert state.ledger.trust_map() == trust
 
 
+class TestRecoveryMakesNoKey:
+    """The journal's head carries the coordinator's key table, so a
+    recovery loads every key instead of making it — and, holding them,
+    still upholds a violation (an empty keystore once un-slashed a
+    guilty AS)."""
+
+    @pytest.mark.parametrize("max_events", [None, 8])
+    def test_recovery_loads_the_keys_and_still_convicts(
+        self, tmp_path, monkeypatch, max_events
+    ):
+        spec = serve_spec(
+            4,
+            ledger=True,
+            transport="inline",
+            max_events=max_events,
+            journal=str(tmp_path / "journal"),
+            journal_checkpoint_every=2,
+        )
+        requests = churn_script(
+            serve_prefixes(4), rounds=8, violation_every=4
+        )
+        cluster = spec.build()
+        try:
+            assert cluster.snapshot()["keys_generated"] == 5
+            for request in requests:
+                cluster.request(request)
+        finally:
+            cluster.stop()
+        head = "genesis" if max_events is None else "checkpoint"
+        assert read_back(spec.journal)[0][1] == head
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recovery generated a key")
+
+        monkeypatch.setattr(rsa, "generate_keypair", refuse)
+        recovered = spec.build()
+        try:
+            assert recovered.recovered_requests == len(requests)
+            assert recovered.metrics.recoveries[0]["keys_generated"] == 0
+            assert recovered.snapshot()["keys_generated"] == 0
+            rulings = recovered.request(AdjudicateRequest()).payload
+            assert any(confirmed(ruling) for ruling in rulings.values())
+            assert recovered.ledger.trust_level("A") is TrustLevel.QUARANTINED
+        finally:
+            recovered.stop()
+
+
 class TestJournalFormat:
     """A journal says which dialect it speaks, and a build refuses the
     ones it does not read — by name, before replaying anything."""
@@ -793,9 +841,9 @@ class TestJournalFormat:
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 7})
+            journal.append("genesis", {"format": 8})
         with Journal(spec.journal) as journal:
-            with pytest.raises(JournalError, match=refusal(7)):
+            with pytest.raises(JournalError, match=refusal(8)):
                 recover_state(spec, journal)
 
     def test_a_flat_rib_journal_is_refused(self, tmp_path):
@@ -838,7 +886,19 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 5})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 5, this build reads 6"
+            JournalError, match="journal format 5, this build reads 7"
+        ):
+            spec.build()
+
+    def test_a_format_6_journal_is_refused_by_name(self, tmp_path):
+        # a format-6 head carries no key table, so its recovery would
+        # make every key again
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 6})
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 6, this build reads 7"
         ):
             spec.build()
 
@@ -879,8 +939,11 @@ class TestJournalFormat:
         spec = journal_spec(tmp_path)
         run_script(spec, script(rounds=1))
         seq, rtype, data = read_back(spec.journal)[0]
-        assert (rtype, data["format"]) == ("genesis", 6)
+        assert (rtype, data["format"]) == ("genesis", 7)
         assert "workers" not in data
+        assert [asn for asn, _ in unpack(data["keys"])] == [
+            "A", "N1", "N2", "N3", "B",
+        ]
 
 
 # -- replay properties --------------------------------------------------------
