@@ -163,17 +163,6 @@ class Monitor:
     ``max_work_per_epoch`` bounds fresh verifications per epoch
     (``None`` = unbounded); ``rng_seed`` roots the deterministic
     commitment-nonce stream.
-
-    ``intensity`` is the optional trust-aware sampling policy
-    (:class:`~repro.ledger.feedback.VerificationIntensity`, duck-typed:
-    ``begin_epoch(epoch)`` + ``should_verify(asn, prefix, policy,
-    recipients, epoch=)``).  :meth:`plan_epoch` consults it per fresh
-    tuple: a sampled-out tuple allocates no round, emits no event and
-    spends no crypto this epoch (it is treated as audited for the churn
-    burst).  Cache reuse is free and therefore never sampled away.  At
-    sampling rate 1.0 the hook is a strict identity — the plan and the
-    evidence trail are byte-for-byte those of a monitor with no
-    intensity installed.
     """
 
     def __init__(
@@ -183,7 +172,6 @@ class Monitor:
         max_work_per_epoch: Optional[int] = None,
         rng_seed: object = 2011,
         store: Optional[EvidenceStore] = None,
-        intensity: object = None,
         tracer: Optional[TraceContext] = None,
     ) -> None:
         self.keystore = keystore if keystore is not None else KeyStore(
@@ -191,7 +179,6 @@ class Monitor:
         )
         self.max_work_per_epoch = _check_work_bound(max_work_per_epoch)
         self.rng_seed = rng_seed
-        self.intensity = intensity
         # the obs seam: hosts (serve service, cluster coordinator) hand
         # the monitor their own context so plan/epoch spans share one trace
         self.tracer = tracer if tracer is not None else TraceContext("m")
@@ -458,10 +445,6 @@ class Monitor:
         plan_span = self.tracer.begin(
             "plan", component="audit", epoch=self.epoch
         )
-        if self.intensity is not None:
-            # epoch boundary: the intensity settles its ledger (when it
-            # owns one) so sampling sees trust as of epochs < this one
-            self.intensity.begin_epoch(self.epoch)
         plan = EpochPlan(epoch=self.epoch)
 
         queue = list(self._dirty.items())
@@ -482,21 +465,6 @@ class Monitor:
                     fingerprint = (item.fingerprint(), policy.chooser)
                     cached = self._cache.get(key)
                     reusable = cached is not None and cached[0] == fingerprint
-                    if (
-                        not reusable
-                        and self.intensity is not None
-                        and not self.intensity.should_verify(
-                            item.asn,
-                            item.prefix,
-                            item.policy,
-                            item.spec.recipients,
-                            epoch=self.epoch,
-                        )
-                    ):
-                        # trust-sampled out: no round, no entry, no
-                        # budget spent — but done for this churn burst
-                        done.add(key)
-                        continue
                     if budget is not None and fresh >= budget and not reusable:
                         exhausted = True
                         break

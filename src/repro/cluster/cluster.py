@@ -3,7 +3,7 @@
 A :class:`Cluster` is built from a :class:`~repro.cluster.spec.ClusterSpec`
 and owns **the** :class:`~repro.audit.monitor.Monitor`
 (``spec.build_monitor()``: the network, the reuse cache, the evidence
-store, the ledger-bound sampling policy).  It is the only coordinator:
+store, the ledger that listens to it).  It is the only coordinator:
 its own synchronous door (``submit`` / ``pump`` / ``request``) and the
 asyncio door (:class:`~repro.serve.service.VerificationService`) both
 loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
@@ -31,9 +31,9 @@ loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
   recorded violation to a slash, queued and journaled like any write;
 * **durability** — with ``spec.journal`` set the coordinator keeps a
   write-ahead journal (:mod:`repro.journal`) of its own state changes —
-  churn admissions, epoch plans, recorded events, commits,
-  adjudications — fsynced at each commit boundary, so a coordinator
-  killed mid-run restarts at the last boundary with a byte-identical
+  churn admissions, recorded events, commits (each with the epoch
+  counter), adjudications — fsynced at each commit boundary, so a
+  coordinator killed mid-run restarts at the last boundary with a byte-identical
   trail, the same rulings and the same trust ladder: the replacement
   ``Cluster`` replays the journal into a rebuilt monitor and forks a
   fresh pool.
@@ -350,7 +350,11 @@ class Cluster:
                 )
         if outcome.probe_events:
             self.metrics.note_probes(outcome.probe_events)
-        self._commit(len(requests), "commit", {"requests": len(requests)})
+        self._commit(
+            len(requests),
+            "commit",
+            {"requests": len(requests), "epoch": monitor.epoch},
+        )
         return outcome
 
     def _answer_adjudicate(self, request: AdjudicateRequest):
@@ -383,12 +387,6 @@ class Cluster:
             raise
         epoch_span.epoch = plan.epoch
         try:
-            if self.journal is not None:
-                # replay settles the ledger here, where the planner just did
-                self.journal.append(
-                    "plan",
-                    {"epoch": plan.epoch, "entries": len(plan.entries)},
-                )
             fresh = plan.fresh_entries()
             neighbors = monitor.network.transport.neighbors
             outcomes, slices, reaped = self.executor.execute(

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Optional, Tuple
 from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.crypto.keystore import KeyStore
+from repro.ledger import LedgerPolicy, TrustLedger
 from repro.pvr.scenarios import apply_step
 
 __all__ = ["ChaosSpec", "ClusterSpec", "PolicySpec"]
@@ -131,9 +132,8 @@ class ClusterSpec:
     chaos: Optional[ChaosSpec] = None
     #: accountability ledger: ``None`` (off), ``True`` (default
     #: :class:`~repro.ledger.levels.LedgerPolicy`), or a ``LedgerPolicy``
-    #: instance.  When set, the monitor records into a
-    #: :class:`~repro.ledger.ledger.TrustLedger` and plans with a bound
-    #: :class:`~repro.ledger.feedback.VerificationIntensity`
+    #: instance.  When set, a :class:`~repro.ledger.ledger.TrustLedger`
+    #: subscribes to the monitor's evidence store
     ledger: object = None
     #: causal tracing (:mod:`repro.obs`): spans and events on the
     #: coordinator.  Timing is trace metadata only — the evidence trail
@@ -190,9 +190,14 @@ class ClusterSpec:
             )
         object.__setattr__(self, "policies", tuple(self.policies))
         if self.ledger is True:
-            from repro.ledger.levels import LedgerPolicy
-
             object.__setattr__(self, "ledger", LedgerPolicy())
+        elif self.ledger is not None and not isinstance(
+            self.ledger, LedgerPolicy
+        ):
+            raise TypeError(
+                f"ledger must be None, True or a LedgerPolicy, "
+                f"got {self.ledger!r}"
+            )
 
     # -- construction --------------------------------------------------------
 
@@ -212,9 +217,7 @@ class ClusterSpec:
         seeds: the coordinator's planner, and — driven serially — the
         parity oracle.  With a ``ledger`` configured, the monitor gets
         a :class:`~repro.ledger.ledger.TrustLedger` over its store
-        (exposed as ``monitor.ledger``, ``None`` otherwise) plus a bound
-        :class:`~repro.ledger.feedback.VerificationIntensity`, settling
-        at every plan.
+        (exposed as ``monitor.ledger``, ``None`` otherwise).
 
         ``recovered`` (a :class:`~repro.journal.recovery.RecoveredState`)
         rebuilds the monitor at a journal's last commit boundary
@@ -234,23 +237,13 @@ class ClusterSpec:
             )
             ledger = None
             if self.ledger is not None:
-                from repro.ledger import TrustLedger
-
                 ledger = TrustLedger(self.ledger).attach(store)
             network = self.network()
-        intensity = None
-        if ledger is not None:
-            from repro.ledger import VerificationIntensity
-
-            intensity = VerificationIntensity(
-                self.ledger, seed=self.rng_seed, ledger=ledger
-            )
         monitor = Monitor(
             store.keystore,
             rng_seed=self.rng_seed,
             max_work_per_epoch=self.max_work,
             store=store,
-            intensity=intensity,
         ).attach(network)
         monitor.ledger = ledger
         for policy in self.policies:

@@ -68,8 +68,10 @@ class KeyStore:
             stream = self._rng.fork(f"as:{asn}")
             keypair = rsa.generate_keypair(self._key_bits, stream.bytes)
             with self._lock:
-                self._private.setdefault(asn, keypair)
-                self.generated += 1
+                # two threads may both have generated it: count the one
+                # whose keypair was installed
+                if self._private.setdefault(asn, keypair) is keypair:
+                    self.generated += 1
         return self._private[asn].public
 
     def register_all(self, asns: Iterable[str]) -> None:

@@ -7,8 +7,8 @@ process.  This package makes that state durable:
 
 * :class:`~repro.journal.journal.Journal` — a checksummed JSONL
   write-ahead log in one file, ``journal.jsonl``.  The coordinator
-  appends a record at every state change (admitted churn, epoch plans,
-  recorded events, commit boundaries, adjudications, checkpoints) and
+  appends a record at every state change (admitted churn, recorded
+  events, commit boundaries, adjudications, checkpoints) and
   fsyncs only at those boundaries; the ``event`` records are the
   trail's one durable copy, so a checkpoint is appended without it; only
   a ``max_events`` store's checkpoint carries the (bounded) trail and

@@ -16,14 +16,14 @@ fold over the record stream:
 * ``churn``        — one admitted churn group's steps, in order (what
   :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
   the restored — or factory-built — network);
-* ``plan``         — an epoch began: the ledger settles, exactly where
-  the live planner settled it;
 * ``event``        — one recorded verdict event, seq-preserved into the
   store (subscribers — the ledger — fire in the original order) and
   folded into the reuse cache by the rule the live monitor applies:
   ok caches, violation evicts, reused and probe events leave it
   untouched;
-* ``commit``       — a request group completed: the recovery boundary;
+* ``commit``       — a request group completed: the recovery boundary.
+  It carries the epoch counter, which the events cannot rebuild: an
+  epoch may plan nothing and record no event;
 * ``adjudicate``   — a served ``AdjudicateRequest``, the one path from
   a violation to a slash: the judge re-rules from the seq and the ledger
   re-folds the rulings, so a recovered coordinator holds the rulings,
@@ -76,7 +76,8 @@ __all__ = [
 #: 6: a checkpoint may omit the trail (the event records carry it).
 #: 7: the head (genesis, or a compacting checkpoint) carries the key
 #: table, and recovery makes no key the coordinator had made.
-JOURNAL_FORMAT = 7
+#: 8: no ``plan`` record; the ``commit`` record carries the epoch.
+JOURNAL_FORMAT = 8
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
@@ -289,11 +290,6 @@ class JournalReplayer:
     def _on_churn(self, seq: int, data: object) -> None:
         self.churn.append(tuple(unpack(data["steps"])))
 
-    def _on_plan(self, seq: int, data: object) -> None:
-        if self.ledger is not None:
-            self.ledger.settle()
-        self.epoch = max(self.epoch, data["epoch"])
-
     def _register(self, event) -> None:
         """Make sure ``event``'s parties hold keys: a judge holding no
         key rules every signature invalid.  The journal's head carried
@@ -325,6 +321,7 @@ class JournalReplayer:
 
     def _on_commit(self, seq: int, data: object) -> None:
         self.committed += data["requests"]
+        self.epoch = data["epoch"]
 
     def _on_adjudicate(self, seq: int, data: object) -> None:
         # imported here: repro.cluster's package init imports this module

@@ -13,18 +13,17 @@ trust ladder per AS (:class:`TrustLevel`:
 * levels fall only through slashing — and slashing only through
   :meth:`TrustLedger.fold_adjudications`, which takes the third-party
   judge's rulings (``EvidenceStore.adjudicate``); on a cluster the one
-  caller is the queued, journaled ``AdjudicateRequest``;
-* trust feeds back (:mod:`repro.ledger.feedback`): high-trust ASes get
-  deterministically *sampled* verification
-  (:class:`VerificationIntensity`, rate 1.0 = byte-identical to no
-  ledger at all).
+  caller is the queued, journaled ``AdjudicateRequest``.
+
+The ledger only listens: nothing the audit plane plans or verifies
+depends on a trust level, so every deviation on a monitored tuple is
+still checked (the paper's Detection property).
 
 ``python -m repro.ledger`` runs a churn scenario under a ledger-enabled
 monitor and prints the ladder's life: promotions, adjudicated slashes
 and the verified hash chain.
 """
 
-from repro.ledger.feedback import VerificationIntensity
 from repro.ledger.history import (
     GENESIS,
     TransitionHistory,
@@ -41,6 +40,5 @@ __all__ = [
     "TransitionRecord",
     "TrustLedger",
     "TrustLevel",
-    "VerificationIntensity",
     "confirmed",
 ]

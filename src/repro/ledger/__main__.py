@@ -3,21 +3,20 @@
 Usage::
 
     python -m repro.ledger
-    python -m repro.ledger --rounds 12 --rate 0.5 --promote-after 2
+    python -m repro.ledger --rounds 12 --promote-after 2
     python -m repro.ledger --violate-every 4 --json ledger.json
 
 Drives the ``serve-churn`` workload (:mod:`repro.cluster.workload`)
 through its spec's ledger-enabled reference
 :class:`~repro.audit.monitor.Monitor`: every epoch's
 verdicts feed the :class:`~repro.ledger.ledger.TrustLedger`, ASes climb
-the trust ladder on clean streaks, climbing changes the verification
-sampling rate mid-run, and (with ``--violate-every``) every recorded
-violation goes to the judge at the end — the ledger folds its rulings,
-and confirmed violations slash.  Prints the per-epoch cost table, the
-final ladder and the hash-chain-verified transition history.
+the trust ladder on clean streaks, and (with ``--violate-every``) every
+recorded violation goes to the judge at the end — the ledger folds its
+rulings, and confirmed violations slash.  Prints the per-epoch cost
+table, the final ladder and the hash-chain-verified transition history.
 
 ``--json PATH`` writes the schema-versioned ledger snapshot
-(``schema: repro.ledger/snapshot``, ``schema_version: 1`` — the exact
+(``schema: repro.ledger/snapshot``, ``schema_version: 2`` — the exact
 :meth:`~repro.ledger.ledger.TrustLedger.snapshot` document, consistent
 with the serve/cluster metrics documents) augmented with a ``run``
 section of epoch/cost totals.  Exit status (the shared
@@ -42,24 +41,20 @@ from repro.util.cli import (
 from repro.util.tables import print_table
 
 from repro.ledger.ledger import confirmed
-from repro.ledger.levels import LedgerPolicy, TrustLevel
+from repro.ledger.levels import LedgerPolicy
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ledger",
         description="Run churn under a ledger-enabled monitor and "
-        "report the trust ladder, its transition history and the "
-        "verification-cost effect of trust-sampled intensity.",
+        "report the trust ladder and its transition history.",
     )
     parser.add_argument("--prefixes", type=int, default=4, metavar="N",
                         help="prefix count of the serving scenario "
                         "(default: 4)")
     parser.add_argument("--rounds", type=int, default=10, metavar="N",
                         help="churn rounds to script (default: 10)")
-    parser.add_argument("--rate", type=float, default=0.5, metavar="R",
-                        help="sampling rate for TRUSTED ASes "
-                        "(default: 0.5; 1.0 = ledger-free behaviour)")
     parser.add_argument("--promote-after", type=int, default=2,
                         metavar="N",
                         help="consecutive clean covered epochs per "
@@ -70,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "request (default: 0 = honest run)")
     add_common_arguments(
         parser,
-        seed_help="keystore / nonce / sampling seed (default: 2011)",
+        seed_help="keystore / nonce seed (default: 2011)",
         json_help="write the schema-versioned ledger snapshot here",
     )
     return parser
@@ -81,15 +76,10 @@ def main(argv=None) -> int:
     obs_log.configure_logging(json_mode=args.log_json)
     if args.prefixes < 1 or args.rounds < 1:
         return usage_error("--prefixes and --rounds must be >= 1")
-    if not 0.0 <= args.rate <= 1.0:
-        return usage_error(f"--rate must be in [0, 1], got {args.rate}")
     if args.promote_after < 1:
         return usage_error("--promote-after must be >= 1")
 
-    policy = LedgerPolicy(
-        clean_epochs_to_promote=args.promote_after,
-        sampling_rates={TrustLevel.TRUSTED: args.rate},
-    )
+    policy = LedgerPolicy(clean_epochs_to_promote=args.promote_after)
     spec, requests = workload.get(
         "serve-churn",
         prefixes=args.prefixes,
@@ -112,7 +102,6 @@ def main(argv=None) -> int:
                 rows.append((
                     report.epoch, len(report.events), report.verified,
                     report.reused, report.signatures,
-                    monitor.intensity.sampled_out,
                     ledger.trust_level("A").name,
                 ))
     ledger.settle()
@@ -120,7 +109,7 @@ def main(argv=None) -> int:
     print_table(
         "ledger-enabled audit epochs",
         ["epoch", "events", "verified", "reused", "signs",
-         "sampled out (cum)", "A level at plan"],
+         "A level at plan"],
         rows,
     )
 
@@ -185,7 +174,6 @@ def main(argv=None) -> int:
             "verified": sum(r.verified for r in reports),
             "reused": sum(r.reused for r in reports),
             "signatures": sum(r.signatures for r in reports),
-            "sampled_out": monitor.intensity.sampled_out,
             "challenges": challenges,
         }
         write_json(args.json, document, tag="ledger", what="snapshot")

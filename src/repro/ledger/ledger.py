@@ -27,8 +27,7 @@ and folds every verdict event into per-AS accounting:
 
 The ledger's durable counters survive evidence-store eviction (the
 store's ``on_evict`` callback) and the whole object pickles — minus its
-live store subscription — so cluster coordinators can snapshot it and
-workers can receive consistent per-epoch trust maps.
+live store subscription — so a cluster coordinator can checkpoint it.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class _Bucket:
 
 
 SCHEMA = "repro.ledger/snapshot"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class TrustLedger:
@@ -183,9 +182,10 @@ class TrustLedger:
         """Close every open epoch bucket older than ``before`` (all of
         them when ``None``), running the promotion rule per epoch in
         ascending order.  Returns the number of epochs settled.  Called
-        automatically when a newer epoch's events arrive; callers that
-        plan on current trust (the audit plane, the cluster
-        coordinator) settle explicitly at epoch boundaries."""
+        automatically when a newer epoch's events arrive — the one rule
+        a live coordinator and a journal replay both follow; a reader
+        that wants the still-open last epoch counted settles it
+        explicitly."""
         settled = 0
         for epoch in sorted(self._open):
             if before is not None and epoch >= before:
@@ -319,7 +319,7 @@ class TrustLedger:
         )
 
     def trust_map(self) -> Dict[str, TrustLevel]:
-        """The picklable per-AS level snapshot workers plan with."""
+        """The picklable per-AS level snapshot."""
         return {
             asn: record.level
             for asn, record in sorted(self._records.items())

@@ -19,10 +19,7 @@ under two rules, both evidence-gated:
   failed verification — which may be a dropped wire message — resets
   the clean streak but never demotes; attribution is the judge's job.
 
-:class:`LedgerPolicy` also carries the feedback knob: per-level
-verification sampling rates (``sampling_rates``, consumed by
-:class:`~repro.ledger.feedback.VerificationIntensity`).  The policy is
-a frozen, picklable value — it rides inside the
+:class:`LedgerPolicy` is a frozen, picklable value — it rides inside the
 :class:`~repro.cluster.spec.ClusterSpec` and the coordinator's
 checkpoints.
 """
@@ -30,8 +27,8 @@ checkpoints.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+from typing import Dict
 
 __all__ = ["LedgerPolicy", "TrustLevel"]
 
@@ -52,20 +49,12 @@ class TrustLevel(enum.IntEnum):
 
 @dataclass(frozen=True)
 class LedgerPolicy:
-    """The ledger's promotion/slashing/feedback parameters, as data.
-
-    ``sampling_rates`` maps trust levels to the fraction of *fresh*
-    epoch work the audit plane actually verifies for ASes at that level
-    (missing levels default to 1.0 — full verification).  A rate of 1.0
-    is a strict identity: the plan, the rounds and the evidence trail
-    are byte-for-byte those of a ledger-free monitor.
-    """
+    """The ledger's promotion and slashing parameters, as data."""
 
     initial_level: TrustLevel = TrustLevel.PROBATIONARY
     clean_epochs_to_promote: int = 3
     min_coverage: int = 1
     slash_to: TrustLevel = TrustLevel.QUARANTINED
-    sampling_rates: Mapping[TrustLevel, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.clean_epochs_to_promote < 1:
@@ -77,21 +66,6 @@ class LedgerPolicy:
             raise ValueError(
                 f"min_coverage must be >= 1, got {self.min_coverage}"
             )
-        rates = {
-            TrustLevel(level): float(rate)
-            for level, rate in self.sampling_rates.items()
-        }
-        for level, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"sampling rate for {level.name} must be in [0, 1], "
-                    f"got {rate}"
-                )
-        object.__setattr__(self, "sampling_rates", rates)
-
-    def rate_for(self, level: TrustLevel) -> float:
-        """The verification sampling rate at ``level`` (default 1.0)."""
-        return self.sampling_rates.get(TrustLevel(level), 1.0)
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -99,8 +73,4 @@ class LedgerPolicy:
             "clean_epochs_to_promote": self.clean_epochs_to_promote,
             "min_coverage": self.min_coverage,
             "slash_to": self.slash_to.name,
-            "sampling_rates": {
-                level.name: rate
-                for level, rate in sorted(self.sampling_rates.items())
-            },
         }

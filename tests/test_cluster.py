@@ -348,6 +348,21 @@ class TestClusterSpecValidation:
         with pytest.raises(ValueError):
             make_spec("minimum", placement="rendezvous")
 
+    def test_ledger_is_none_true_or_a_policy(self):
+        """Regression: ``ledger=False`` built a ledger whose policy was
+        ``False``, which died in the middle of an epoch."""
+        from repro.ledger import LedgerPolicy
+
+        assert make_spec("minimum", ledger=None).ledger is None
+        assert make_spec("minimum", ledger=True).ledger == LedgerPolicy()
+        policy = LedgerPolicy(clean_epochs_to_promote=1)
+        assert make_spec("minimum", ledger=policy).ledger is policy
+        for value in (False, 1, "on", {}):
+            with pytest.raises(
+                TypeError, match="None, True or a LedgerPolicy"
+            ):
+                make_spec("minimum", ledger=value)
+
     def test_reference_monitor_matches_workers_construction(self):
         spec = make_spec("minimum")
         monitor = spec.build_monitor()

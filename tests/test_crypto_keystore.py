@@ -178,6 +178,34 @@ class TestKeyTable:
         assert broken == []
         assert len(store.table()) == store.generated == 12
 
+    def test_a_key_two_threads_race_to_make_counts_once(
+        self, store, monkeypatch
+    ):
+        """Two threads that register the same AS both get past the
+        not-held test and both generate; only the keypair installed
+        counts as generated."""
+        from repro.crypto import rsa
+
+        generate = rsa.generate_keypair
+        both_inside = threading.Barrier(2, timeout=30)
+
+        def generate_together(*args, **kwargs):
+            keypair = generate(*args, **kwargs)
+            both_inside.wait()
+            return keypair
+
+        monkeypatch.setattr(rsa, "generate_keypair", generate_together)
+        threads = [
+            threading.Thread(target=store.register, args=("AS1",))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(store.table()) == store.generated == 1
+
     def test_adopting_keeps_a_key_already_held(self, store):
         mine = store.register("AS1")
         stranger = KeyStore(seed=8, key_bits=512)

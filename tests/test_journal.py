@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.requests import AdjudicateRequest
-from repro.cluster.spec import ChaosSpec
+from repro.cluster.requests import AdjudicateRequest, ChurnRequest
+from repro.cluster.spec import ChaosSpec, PolicySpec
 from repro.crypto import rsa
 from repro.cluster.workload import (
     churn_script,
@@ -43,7 +43,8 @@ from repro.journal import (
     unpack,
 )
 from repro.ledger import TrustLevel, confirmed
-from repro.pvr.scenarios import serve_prefixes
+from repro.promises.spec import ShortestRoute
+from repro.pvr.scenarios import reoriginate, serve_prefixes
 
 from test_cluster import PREFIXES, VARIANT_POLICIES, make_spec, run_script
 
@@ -444,6 +445,46 @@ class TestKillTheCoordinator:
         finally:
             recovered.stop()
 
+    def test_an_epoch_that_plans_nothing_survives_a_crash(self, tmp_path):
+        """A mark on a prefix no policy covers runs an epoch that plans
+        no entry and records no event, so replay cannot count epochs
+        from the events: the commit carries the counter, and a
+        recovered coordinator numbers its next epoch as the live one."""
+        p0, p1 = serve_prefixes(2)
+        spec = serve_spec(
+            2,
+            policies=(PolicySpec("A", ShortestRoute(), {
+                "recipients": ("B",),
+                "prefixes": (p0,),
+                "name": "A/min->B",
+            }),),
+            transport="inline",
+            journal=str(tmp_path / "journal"),
+        )
+        requests = [
+            ChurnRequest(),  # audits P0, the one covered prefix
+            ChurnRequest(marks=(("A", p1),)),  # an epoch with no entry
+            ChurnRequest(steps=((reoriginate, ("O", p0)),)),
+        ]
+        cluster = spec.build()
+        try:
+            for request in requests[:2]:
+                cluster.request(request)
+            live_epoch = cluster.monitor.epoch
+            assert live_epoch == 2
+            assert {e.epoch for e in cluster.evidence.events()} == {1}
+        finally:
+            cluster.stop()
+        recovered = spec.build()
+        try:
+            assert recovered.recovered_requests == 2
+            assert recovered.monitor.epoch == live_epoch
+            evidence = finish_recovered(recovered, requests)
+            assert {e.epoch for e in evidence.events()} == {1, 3}
+            assert reference_mismatches(spec, requests, evidence) == []
+        finally:
+            recovered.stop()
+
 
 def checkpoint_spans(cluster):
     return [
@@ -505,8 +546,8 @@ class TestCheckpointing:
 
     def test_only_boundaries_fsync(self, tmp_path):
         """One fsync for the genesis, for each commit and adjudication,
-        and one for each appended checkpoint — never one for an event,
-        a plan or a churn record."""
+        and one for each appended checkpoint — never one for an event
+        or a churn record."""
         spec = journal_spec(tmp_path, journal_checkpoint_every=2)
         requests = script(rounds=5, violation_every=3)
         cluster = spec.build()
@@ -841,9 +882,9 @@ class TestJournalFormat:
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 8})
+            journal.append("genesis", {"format": 9})
         with Journal(spec.journal) as journal:
-            with pytest.raises(JournalError, match=refusal(8)):
+            with pytest.raises(JournalError, match=refusal(9)):
                 recover_state(spec, journal)
 
     def test_a_flat_rib_journal_is_refused(self, tmp_path):
@@ -886,7 +927,7 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 5})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 5, this build reads 7"
+            JournalError, match="journal format 5, this build reads 8"
         ):
             spec.build()
 
@@ -898,7 +939,21 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 6})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 6, this build reads 7"
+            JournalError, match="journal format 6, this build reads 8"
+        ):
+            spec.build()
+
+    def test_a_format_7_journal_is_refused_by_name(self, tmp_path):
+        # a format-7 journal writes a plan record per epoch and commits
+        # without the epoch counter, which this build reads from the
+        # commit
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 7})
+            journal.append("plan", {"epoch": 1, "entries": 0})
+            journal.append("commit", {"requests": 1})
+        with pytest.raises(
+            JournalError, match="journal format 7, this build reads 8"
         ):
             spec.build()
 
@@ -938,12 +993,19 @@ class TestJournalFormat:
     def test_genesis_stamps_the_format(self, tmp_path):
         spec = journal_spec(tmp_path)
         run_script(spec, script(rounds=1))
-        seq, rtype, data = read_back(spec.journal)[0]
-        assert (rtype, data["format"]) == ("genesis", 7)
+        records = read_back(spec.journal)
+        seq, rtype, data = records[0]
+        assert (rtype, data["format"]) == ("genesis", 8)
         assert "workers" not in data
         assert [asn for asn, _ in unpack(data["keys"])] == [
             "A", "N1", "N2", "N3", "B",
         ]
+        # the commit carries the epoch counter; no record plans
+        assert {rtype for _, rtype, _ in records} == {
+            "genesis", "churn", "event", "commit",
+        }
+        commits = [data for _, t, data in records if t == "commit"]
+        assert [data["epoch"] for data in commits] == [1, 2, 3]
 
 
 # -- replay properties --------------------------------------------------------

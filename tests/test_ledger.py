@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
-from repro.bgp.prefix import Prefix
 from repro.cluster.requests import (
     AdjudicateRequest,
     ChurnRequest,
@@ -48,7 +47,6 @@ from repro.ledger import (
     TransitionHistory,
     TrustLedger,
     TrustLevel,
-    VerificationIntensity,
     confirmed,
 )
 from repro.ledger.ledger import RULE_PROMOTE, RULE_SLASH
@@ -100,13 +98,16 @@ class TestLevels:
             LedgerPolicy(clean_epochs_to_promote=0)
         with pytest.raises(ValueError):
             LedgerPolicy(min_coverage=0)
-        with pytest.raises(ValueError):
-            LedgerPolicy(sampling_rates={TrustLevel.TRUSTED: 1.5})
 
     def test_policy_normalizes_and_defaults(self):
-        policy = LedgerPolicy(sampling_rates={3: 0.25})
-        assert policy.rate_for(TrustLevel.TRUSTED) == 0.25
-        assert policy.rate_for(TrustLevel.STANDARD) == 1.0
+        # the policy holds the promotion and slashing rules and nothing
+        # else: no level changes how an AS is verified
+        assert LedgerPolicy().describe() == {
+            "initial_level": "PROBATIONARY",
+            "clean_epochs_to_promote": 3,
+            "min_coverage": 1,
+            "slash_to": "QUARANTINED",
+        }
 
 
 class TestPromotion:
@@ -460,57 +461,6 @@ class TestLedgerProperties:
         assert ledger.history.verify()
 
 
-# -- feedback: intensity -------------------------------------------
-
-
-class TestVerificationIntensity:
-    def test_sampling_is_deterministic(self):
-        policy = LedgerPolicy(sampling_rates={TrustLevel.TRUSTED: 0.5})
-        trust = {"A": TrustLevel.TRUSTED}
-        a = VerificationIntensity(policy, seed=SEED, trust=trust)
-        b = VerificationIntensity(policy, seed=SEED, trust=trust)
-        prefix = Prefix.parse("10.0.0.0/16")
-        decisions_a = [
-            a.should_verify("A", prefix, "p", ("B",), epoch=e)
-            for e in range(1, 40)
-        ]
-        decisions_b = [
-            b.should_verify("A", prefix, "p", ("B",), epoch=e)
-            for e in range(1, 40)
-        ]
-        assert decisions_a == decisions_b
-        assert True in decisions_a and False in decisions_a
-        assert a.sampled_out == decisions_a.count(False)
-
-    def test_rate_bounds_short_circuit(self):
-        from repro.crypto import hashing
-
-        policy = LedgerPolicy(sampling_rates={
-            TrustLevel.TRUSTED: 0.0,
-        })
-        intensity = VerificationIntensity(
-            policy, seed=SEED,
-            trust={"A": TrustLevel.TRUSTED, "B": TrustLevel.STANDARD},
-        )
-        prefix = Prefix.parse("10.0.0.0/16")
-        before = hashing.hash_count()
-        # rate 1.0 (STANDARD default) and rate 0.0 both decide without
-        # hashing — the 1.0 identity is what byte-parity rests on
-        assert intensity.should_verify("B", prefix, "p", ("B",), epoch=1)
-        assert not intensity.should_verify(
-            "A", prefix, "p", ("B",), epoch=1
-        )
-        assert hashing.hash_count() == before
-
-    def test_unknown_as_uses_initial_level(self):
-        policy = LedgerPolicy(
-            initial_level=TrustLevel.TRUSTED,
-            sampling_rates={TrustLevel.TRUSTED: 0.0},
-        )
-        intensity = VerificationIntensity(policy, seed=SEED)
-        assert intensity.rate_for("never-seen") == 0.0
-
-
 # -- evidence-store satellites ------------------------------------------------
 
 
@@ -583,11 +533,10 @@ class TestRateOneIdentity:
         requests = churn_script(PREFIXES, rounds=4)
         policies = (VARIANT_POLICIES[variant],)
         ledgered = make_spec(
-            policies=policies, ledger=LedgerPolicy(),  # every rate 1.0
+            policies=policies, ledger=LedgerPolicy(),
         ).build_monitor()
         drive_monitor(ledgered, requests)
         assert ledgered.ledger is not None
-        assert ledgered.intensity.sampled_out == 0
         assert reference_mismatches(
             make_spec(policies=policies), requests, ledgered.evidence
         ) == []
@@ -606,14 +555,10 @@ class TestRateOneIdentity:
         finally:
             cluster.stop()
 
-    def test_cluster_trust_sampling_matches_ledgered_reference(self):
-        """r < 1: the cluster and a ledger-enabled reference monitor
-        sample identically, so the trails still match byte for byte."""
-        policy = LedgerPolicy(
-            clean_epochs_to_promote=1,
-            sampling_rates={TrustLevel.TRUSTED: 0.4,
-                            TrustLevel.STANDARD: 0.7},
-        )
+    def test_cluster_ledger_matches_ledgered_reference(self):
+        """The cluster's ledger and a ledger-enabled reference monitor's
+        settle by the same rule, so trails and trust maps match."""
+        policy = LedgerPolicy(clean_epochs_to_promote=1)
         requests = churn_script(PREFIXES, rounds=6)
         cluster = make_spec(ledger=policy).build()
         try:
@@ -621,7 +566,7 @@ class TestRateOneIdentity:
                 cluster.request(request)
             reference = make_spec(ledger=policy).build_monitor()
             drive_monitor(reference, requests)
-            assert reference.intensity.sampled_out > 0
+            assert reference.ledger.trust_level("A") is TrustLevel.TRUSTED
             assert trail_mismatches(
                 cluster.evidence, reference.evidence
             ) == []
@@ -647,7 +592,7 @@ class TestRateOneIdentity:
             assert document["ledger"]["schema"] == (
                 "repro.ledger/snapshot"
             )
-            assert document["ledger"]["schema_version"] == 1
+            assert document["ledger"]["schema_version"] == 2
             assert document["ledger"]["history"]["verified"]
             json.dumps(document)
         finally:
@@ -677,24 +622,6 @@ class TestRateOneIdentity:
             )
         finally:
             cluster.stop()
-
-
-class TestSteadyStateReduction:
-    def test_trust_sampling_strictly_reduces_signatures(self):
-        policy = LedgerPolicy(
-            clean_epochs_to_promote=2,
-            sampling_rates={TrustLevel.TRUSTED: 0.5},
-        )
-        requests = churn_script(PREFIXES, rounds=8)
-        plain = make_spec().build_monitor()
-        ledgered = make_spec(ledger=policy).build_monitor()
-        drive_monitor(plain, requests)
-        drive_monitor(ledgered, requests)
-        assert ledgered.ledger.trust_level("A") is TrustLevel.TRUSTED
-        assert ledgered.intensity.sampled_out > 0
-        assert (
-            ledgered.keystore.sign_count < plain.keystore.sign_count
-        )
 
 
 # -- the serve layer ---------------------------------------------------------
@@ -753,7 +680,7 @@ class TestLedgerCLI:
 
         out = tmp_path / "ledger.json"
         code = main([
-            "--prefixes", "3", "--rounds", "6", "--rate", "0.5",
+            "--prefixes", "3", "--rounds", "6",
             "--promote-after", "2", "--violate-every", "4",
             "--json", str(out),
         ])
@@ -762,16 +689,21 @@ class TestLedgerCLI:
         assert "history chain verified: True" in stdout
         document = json.loads(out.read_text())
         assert document["schema"] == "repro.ledger/snapshot"
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert document["levels"]["A"] == "QUARANTINED"
         assert document["history"]["verified"] is True
-        assert document["run"]["sampled_out"] > 0
+        assert set(document["run"]) == {
+            "epochs", "events", "verified", "reused", "signatures",
+            "challenges",
+        }
         assert document["run"]["challenges"]
 
     def test_main_rejects_bad_usage(self, capsys):
         from repro.ledger.__main__ import main
 
-        assert main(["--rate", "1.5"]) == 2
+        with pytest.raises(SystemExit) as refused:
+            main(["--rate", "1.0"])  # trust no longer buys a rate
+        assert refused.value.code == 2
         assert main(["--rounds", "0"]) == 2
         assert main(["--promote-after", "0"]) == 2
         capsys.readouterr()

@@ -472,8 +472,8 @@ def test_coordinator_trace_is_a_well_formed_forest(worker, epoch, after):
 
 
 def test_a_failed_plan_closes_its_epoch_span(monkeypatch):
-    """Planning raises (a policy that cannot materialise, a ledger
-    ``begin_epoch`` error): the ``epoch`` span closes with
+    """Planning raises (a policy that cannot materialise): the
+    ``epoch`` span closes with
     ``status="error"`` instead of staying open for good and adopting
     every later epoch as its child."""
     with make_spec("minimum").build() as cluster:
