@@ -125,9 +125,7 @@ def absorb_verdict(
 ) -> None:
     """Fold one freshly verified tuple into a reuse cache: an ok
     verdict caches (under ``fingerprint``, the planner's
-    ``(item.fingerprint(), chooser)``), a violation evicts.  The one
-    rule, applied live by the monitor and by journal replay rebuilding
-    a monitor's cache."""
+    ``(item.fingerprint(), chooser)``), a violation evicts."""
     key = tuple_key(item)
     if event.ok():
         cache[key] = (fingerprint, event)
@@ -365,24 +363,24 @@ class Monitor:
 
     # -- durability (what a host checkpoints beside the evidence store) ------
 
-    def planning_state(self) -> Tuple[int, int, Dict]:
-        """The scheduler's own state: epoch counter, round counter and
-        the reuse cache."""
-        return (self.epoch, self._round_counter, dict(self._cache))
+    def planning_state(self) -> Tuple[int, int, Dict, Dict]:
+        """The scheduler's own state: epoch counter, round counter, the
+        reuse cache and the dirty queue (what a failed epoch re-marked,
+        and a deferred pair's resume state)."""
+        return (
+            self.epoch, self._round_counter, dict(self._cache),
+            dict(self._dirty),
+        )
 
     def restore_planning(
-        self, epoch: int, round_counter: int, cache: Dict
+        self, epoch: int, round_counter: int, cache: Dict, dirty: Dict
     ) -> None:
-        """Adopt a :meth:`planning_state` taken between requests.  Once
-        any epoch has run, every pair marked on the way here (policy
-        registration, replayed churn) was audited by the epochs being
-        restored, so the dirty queue empties; a monitor that never
-        planned keeps its registration marks for its first epoch."""
+        """Adopt a :meth:`planning_state`; the dirty queue replaces the
+        marks attaching and policy registration made."""
         self.epoch = epoch
         self._round_counter = round_counter
         self._cache = dict(cache)
-        if epoch:
-            self._dirty.clear()
+        self._dirty = dict(dirty)
 
     def pickled_network(self) -> bytes:
         """Pickle the network with this monitor's churn hooks unhooked —

@@ -139,6 +139,16 @@ class EvidenceStore:
             "seq": self._seq,
         }
 
+    def since(self, seq: int) -> Tuple[VerdictEvent, ...]:
+        """The events recorded after ``seq``, in recording order — read
+        from the trail's newer end, so it costs what it returns."""
+        newer: List[VerdictEvent] = []
+        for event in chain(reversed(self._tail), reversed(self._pinned)):
+            if event.seq <= seq:
+                break
+            newer.append(event)
+        return tuple(reversed(newer))
+
     def checkpoint_state(self) -> Dict[str, object]:
         """A picklable capture of the full store state (events in
         recording order plus :meth:`counters`) for :meth:`restore`."""

@@ -203,9 +203,9 @@ def run(args) -> int:
     for recovery in snapshot["recoveries"]:
         obs_log.emit(
             "cluster",
-            f"journal recovery: replayed "
-            f"{recovery['replayed_records']} record(s) to epoch "
-            f"{recovery['epoch']} / request boundary "
+            f"journal recovery: read {recovery['replayed_records']} "
+            f"record(s), re-served {recovery['re_served']} command(s) "
+            f"to epoch {recovery['epoch']} / request boundary "
             f"{recovery['committed_requests']} "
             f"({recovery['spawned_workers']} worker(s) forked)",
             committed=recovery["committed_requests"],

@@ -30,13 +30,14 @@ loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
   trail and folds the rulings into the ledger: the one path from a
   recorded violation to a slash, queued and journaled like any write;
 * **durability** — with ``spec.journal`` set the coordinator keeps a
-  write-ahead journal (:mod:`repro.journal`) of its own state changes —
-  churn admissions, recorded events, commits (each with the epoch
-  counter), adjudications — fsynced at each commit boundary, so a
-  coordinator killed mid-run restarts at the last boundary with a byte-identical
-  trail, the same rulings and the same trust ladder: the replacement
-  ``Cluster`` replays the journal into a rebuilt monitor and forks a
-  fresh pool.
+  write-ahead journal (:mod:`repro.journal`) of the commands it serves —
+  each churn group whole, commits (each with the epoch counter),
+  adjudications — and of checkpoints, fsynced at each commit boundary,
+  so a coordinator killed mid-run restarts at the last boundary with a
+  byte-identical trail, the same rulings and the same trust ladder: the
+  replacement ``Cluster`` restores the last checkpoint, forks a fresh
+  pool and re-serves the commands committed after it, through the same
+  code, before it attaches the journal.
 
 Queries never reach ``serve_group``: the queue answers them at the
 door from the evidence store's committed view, whose watermark
@@ -53,7 +54,7 @@ from repro.audit.events import EpochOutcome
 from repro.audit.monitor import EpochPlan, fold_plan
 from repro.audit.store import EvidenceStore
 from repro.audit.wire import RoundResult, reports_match, run_offwire_round
-from repro.journal.journal import Journal, pack
+from repro.journal.journal import Journal, JournalError, pack
 from repro.journal.recovery import (
     JOURNAL_FORMAT,
     genesis,
@@ -84,33 +85,48 @@ class Cluster:
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
         #: the coordinator's write-ahead log (:mod:`repro.journal`);
-        #: ``None`` unless the spec names a journal directory
+        #: ``None`` unless the spec names a journal directory, and until
+        #: a recovery has re-served what the journal committed
         self.journal = None
-        recovered = None
-        if spec.journal:
-            self.journal = Journal(spec.journal)
-            try:
-                recovered = recover_state(spec, self.journal)
-            except BaseException:
-                self.journal.close()  # refused: another format or spec
+        self.executor = None
+        journal = Journal(spec.journal) if spec.journal else None
+        try:
+            recovered = recover_state(spec, journal) if journal else None
+            self._build(recovered)
+        except BaseException:
+            # refused (another format or spec) or failed part-way
+            if self.executor is not None:
+                self.executor.backend.close()
+            if journal is not None:
+                journal.close()
+            raise
+        self.journal = journal
+        if journal is not None and recovered is None:
+            journal.append("genesis", genesis(spec, self.monitor.keystore))
+            journal.sync()
+        self._stopped = False
+
+    def _build(self, recovered) -> None:
+        """Assemble the coordinator, fresh or at ``recovered``'s last
+        checkpoint, and fork the pool; a recovery then re-serves the
+        commands journaled after the checkpoint."""
+        spec = self.spec
+        try:
+            #: the one monitor — fresh, or rebuilt at the journal's
+            #: last checkpoint
+            self.monitor = spec.build_monitor(recovered)
+        except Exception as exc:
+            if recovered is None or not recovered.checkpoint:
                 raise
-        #: the one monitor — fresh, or rebuilt at the journal's last
-        #: commit boundary
-        self.monitor = spec.build_monitor(recovered)
+            raise JournalError(
+                f"journal record {recovered.checkpoint}: checkpoint does "
+                f"not restore ({type(exc).__name__}: {exc})"
+            ) from exc
         #: accountability ledger over the trail (None when the spec
         #: leaves it off)
         self.ledger = self.monitor.ledger
-        # a recovered trail is committed by definition: readers see it
-        # from the first request on (a no-op on a fresh, empty store)
-        self.evidence.commit()
-        self.metrics = ClusterMetrics()
-        #: the admission plane a door submits into and dispatches from
-        self.queue = AdmissionQueue(
-            self.metrics,
-            self.evidence,
-            depth=spec.queue_depth,
-            coalesce_max=spec.coalesce_max,
-        )
+        # the seq the next checkpoint's events start after
+        self._checkpointed_seq = self.evidence.counters()["seq"]
         #: causal tracing + crash forensics (:mod:`repro.obs`): every
         #: closed record rings through the flight recorder, which dumps
         #: JSONL at the failure sites (worker reap, parity failure,
@@ -129,24 +145,33 @@ class Cluster:
             max_failures_per_epoch=spec.max_failures_per_epoch,
             chaos=spec.chaos,
         )
-        self.metrics.placement = self.executor
-        #: how many committed requests a recovery replayed (0 on a
-        #: fresh start) — the CLI skips this many script entries
-        self.recovered_requests = (
-            recovered.committed_requests if recovered is not None else 0
-        )
+        self.executor.warm()
+        self.metrics = ClusterMetrics()
         #: mutating (churn/adjudicate) requests committed so far —
         #: journaled at each commit boundary so a recovered run knows
         #: how much of its script already happened
-        self._committed = self.recovered_requests
-        self._boundaries_since_checkpoint = 0
-        self.executor.warm()
+        self._committed = 0
+        commands = recovered.commands if recovered is not None else ()
         if recovered is not None:
+            self._committed = recovered.committed_requests
+            for seq, requests in commands:
+                # the journal is not attached yet: nothing is appended
+                try:
+                    self._serve(list(requests))
+                except Exception as exc:
+                    raise JournalError(
+                        f"journal record {seq}: the command does not "
+                        f"re-serve ({type(exc).__name__}: {exc})"
+                    ) from exc
+            # re-served epochs count in the recovery record, not in the
+            # metrics of the run that follows
+            self.metrics = ClusterMetrics()
             self.metrics.note_recovery(
                 records=recovered.replayed_records,
                 truncated=recovered.truncated_records,
-                committed=recovered.committed_requests,
-                epoch=recovered.epoch,
+                committed=self._committed,
+                epoch=self.monitor.epoch,
+                re_served=len(commands),
                 spawned=spec.workers,
                 keys_generated=self.monitor.keystore.generated,
             )
@@ -154,21 +179,24 @@ class Cluster:
                 "recover", component="cluster",
                 records=recovered.replayed_records,
                 truncated=recovered.truncated_records,
-                epoch=recovered.epoch, round=recovered.round_counter,
+                epoch=self.monitor.epoch, re_served=len(commands),
             )
-        elif self.journal is not None:
-            self.journal.append(
-                "genesis", genesis(spec, self.monitor.keystore)
-            )
-            self.journal.sync()
-        if self.journal is not None:
-            # subscribed after replay, so adopted events are not
-            # journaled twice — and after the ledger, which folds each
-            # event before it is durable, exactly as replay re-folds it
-            self.evidence.subscribe(
-                lambda event: self.journal.append("event", {"e": pack(event)})
-            )
-        self._stopped = False
+        self.metrics.placement = self.executor
+        #: how many committed requests the journal held (0 on a fresh
+        #: start) — the CLI skips this many script entries
+        self.recovered_requests = self._committed
+        # the checkpoint cadence continues across the crash
+        self._boundaries_since_checkpoint = len(commands)
+        # a recovered trail is committed by definition: readers see it
+        # from the first request on (a no-op on a fresh, empty store)
+        self.evidence.commit()
+        #: the admission plane a door submits into and dispatches from
+        self.queue = AdmissionQueue(
+            self.metrics,
+            self.evidence,
+            depth=spec.queue_depth,
+            coalesce_max=spec.coalesce_max,
+        )
 
     # -- accessors -----------------------------------------------------------
 
@@ -218,45 +246,43 @@ class Cluster:
             self._write_checkpoint()
 
     def _write_checkpoint(self) -> None:
-        """Capture the coordinator's state into the journal: replay
-        restarts from here.  The pickled network bakes in every churn
-        step so far, so the replay suffix stays bounded by the
-        checkpoint interval.  An unbounded store's trail is not in it —
-        the ``event`` records hold it — so the checkpoint is appended
-        and fsynced once, and costs the same however long the trail
-        grows.  A ``max_events`` store's checkpoint carries the whole
-        (bounded) store and the key table and compacts the journal to
-        itself, so the file holds at most the bound plus one interval's
-        events."""
+        """Capture the coordinator's state into the journal: recovery
+        restores it and re-serves only the commands after it.  The
+        pickled network bakes in every churn step so far.  An unbounded
+        store's checkpoint carries only the events recorded since the
+        previous one, so it is appended and fsynced once and costs the
+        same however long the trail grows.  A ``max_events`` store's
+        checkpoint carries the whole (bounded) store and compacts the
+        journal to itself, so the file holds at most the bound plus one
+        interval's commands."""
         evidence = self.evidence
         compact = evidence.max_events is not None
         with self.tracer.span("checkpoint", component="cluster") as span:
-            store = (
-                evidence.checkpoint_state() if compact
-                else evidence.counters()
-            )
-            state = {
+            if compact:
+                store = evidence.checkpoint_state()
+                events = store["events"]
+            else:
+                store = evidence.counters()
+                events = evidence.since(self._checkpointed_seq)
+            record = pack({
                 "format": JOURNAL_FORMAT,
                 "store": store,
+                "events": () if compact else events,
                 "planning": self.monitor.planning_state(),
                 "ledger": self.ledger,
                 "network": self.monitor.pickled_network(),
                 "committed": self._committed,
-            }
-            if compact:
-                # the new head speaks for the genesis it replaces
-                state["keys"] = self.monitor.keystore.table()
-            record = pack(state)
+                "keys": self.monitor.keystore.table(),
+            })
             if compact:
                 self.journal.checkpoint(record)
             else:
                 self.journal.append("checkpoint", record)
                 self.journal.sync()
             span.attrs.update(
-                bytes=len(record),
-                events=len(store.get("events", ())),
-                compacted=compact,
+                bytes=len(record), events=len(events), compacted=compact
             )
+        self._checkpointed_seq = store["seq"]
         self._boundaries_since_checkpoint = 0
 
     # -- admission -----------------------------------------------------------
@@ -299,15 +325,17 @@ class Cluster:
         asyncio one) to settle.  A group that raises advances nothing:
         whatever it recorded becomes readable with the next group that
         commits."""
-        request = group[0].request
-        if isinstance(request, ChurnRequest):
-            payload = self._serve_churn_group([t.request for t in group])
-        elif isinstance(request, AdjudicateRequest):
-            payload = self._answer_adjudicate(request)
-        else:
-            raise TypeError(f"unknown request type {type(request).__name__}")
+        payload = self._serve([ticket.request for ticket in group])
         self.evidence.commit()
         return payload
+
+    def _serve(self, requests: List[object]):
+        request = requests[0]
+        if isinstance(request, ChurnRequest):
+            return self._serve_churn_group(requests)
+        if isinstance(request, AdjudicateRequest):
+            return self._answer_adjudicate(request)
+        raise TypeError(f"unknown request type {type(request).__name__}")
 
     def _serve_churn_group(self, requests: List[ChurnRequest]) -> EpochOutcome:
         """Apply a coalesced group's churn as one burst, run epochs
@@ -317,37 +345,50 @@ class Cluster:
         recorded evidence unaccounted for."""
         monitor = self.monitor
         network = monitor.network
-        steps = tuple(s for request in requests for s in request.steps)
-        if steps and self.journal is not None:
-            # write-ahead: one churn record for the whole group, which
-            # a recovery re-applies exactly as the loop below does
-            self.journal.append("churn", {"steps": pack(steps)})
-        for request in requests:
-            for step in request.steps:
-                apply_step(step, network)
-            for asn, prefix in request.marks:
-                monitor.mark(asn, prefix)
-        network.run_to_quiescence()
+        if self.journal is not None:
+            # write-ahead: the whole group, which a recovery re-serves
+            # through this method — so only what pickles is admitted
+            try:
+                record = pack(tuple(requests))
+            except Exception as exc:
+                raise JournalError(
+                    f"churn group cannot be journaled ({type(exc).__name__}"
+                    f": {exc})"
+                ) from exc
+            self.journal.append("churn", {"requests": record})
         outcome = EpochOutcome(coalesced=len(requests))
-        coalesced = len(requests)
-        while monitor.pending():
-            self._run_epoch(outcome, coalesced=coalesced)
-            coalesced = 0  # count the group against its first epoch only
-        for request in requests:
-            for probe in request.probes:
-                outcome.probe_events.append(
-                    monitor.audit_once(
-                        probe.asn,
-                        probe.prefix,
-                        probe.recipient,
-                        prover=(
-                            probe.prover(monitor.keystore)
-                            if probe.prover is not None
-                            else None
-                        ),
-                        max_length=probe.max_length,
+        try:
+            for request in requests:
+                for step in request.steps:
+                    apply_step(step, network)
+                for asn, prefix in request.marks:
+                    monitor.mark(asn, prefix)
+            network.run_to_quiescence()
+            coalesced = len(requests)
+            while monitor.pending():
+                self._run_epoch(outcome, coalesced=coalesced)
+                coalesced = 0  # count the group against its first epoch only
+            for request in requests:
+                for probe in request.probes:
+                    outcome.probe_events.append(
+                        monitor.audit_once(
+                            probe.asn,
+                            probe.prefix,
+                            probe.recipient,
+                            prover=(
+                                probe.prover(monitor.keystore)
+                                if probe.prover is not None
+                                else None
+                            ),
+                            max_length=probe.max_length,
+                        )
                     )
-                )
+        except Exception:
+            if self.journal is not None:
+                # what a failed group did is no command a recovery can
+                # re-serve: checkpoint it before the failure is reported
+                self._write_checkpoint()
+            raise
         if outcome.probe_events:
             self.metrics.note_probes(outcome.probe_events)
         self._commit(

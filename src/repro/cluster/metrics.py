@@ -278,6 +278,7 @@ class ClusterMetrics:
         truncated: int,
         committed: int,
         epoch: int,
+        re_served: int,
         spawned: int,
         keys_generated: int,
     ) -> None:
@@ -286,6 +287,8 @@ class ClusterMetrics:
             "truncated_records": truncated,
             "committed_requests": committed,
             "epoch": epoch,
+            # commands committed after the last checkpoint, served again
+            "re_served": re_served,
             # always 0: workers hold nothing worth adopting.  The key
             # stays only because ``benchmarks/e2e`` reads it
             "adopted_workers": 0,

@@ -50,7 +50,7 @@ class AdmissionError(RuntimeError):
 class ShedError(AdmissionError):
     """Never raised: nothing is shed once admitted.  The name survives
     only because the frozen ``benchmarks/e2e`` imports it from
-    ``repro.cluster`` (ROADMAP item 4 removes it there, then here)."""
+    ``repro.cluster`` (ROADMAP item B(b) removes it there, then here)."""
 
 
 class ServiceStopped(RuntimeError):

@@ -25,7 +25,6 @@ from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.crypto.keystore import KeyStore
 from repro.ledger import LedgerPolicy, TrustLedger
-from repro.pvr.scenarios import apply_step
 
 __all__ = ["ChaosSpec", "ClusterSpec", "PolicySpec"]
 
@@ -93,8 +92,8 @@ class ClusterSpec:
     :class:`~repro.bgp.network.BGPNetwork` substrate — called once for
     the coordinator's monitor (and again by a recovery that has no
     checkpointed network to restore) and once for a reference monitor.
-    It must be deterministic: a recovered coordinator re-applies
-    journaled churn to a freshly built network.
+    It must be deterministic: a recovered coordinator re-serves
+    journaled churn on a freshly built network.
     """
 
     network: Callable[[], object]
@@ -149,10 +148,11 @@ class ClusterSpec:
     #: coordinator recover to the last commit boundary
     journal: Optional[str] = None
     #: checkpoint the coordinator every N commit boundaries (a churn
-    #: group or an adjudication), appended without the trail — the
-    #: event records carry it; under ``max_events`` each checkpoint
-    #: carries the bounded store and rewrites the file; 0 disables
-    #: checkpointing
+    #: group or an adjudication), appended with the events recorded
+    #: since the previous one; under ``max_events`` each checkpoint
+    #: carries the bounded store and rewrites the file.  0 checkpoints
+    #: only after a failed group, so a recovery re-serves every group
+    #: since the genesis: the cadence bounds the re-serve
     journal_checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -220,10 +220,10 @@ class ClusterSpec:
         (exposed as ``monitor.ledger``, ``None`` otherwise).
 
         ``recovered`` (a :class:`~repro.journal.recovery.RecoveredState`)
-        rebuilds the monitor at a journal's last commit boundary
-        instead: the replayed store and ledger, the checkpointed network
-        (or a factory-built one) with the journaled churn suffix
-        re-applied, and the replayed planning state."""
+        rebuilds the monitor at a journal's last checkpoint instead: the
+        restored store and ledger, the checkpointed network (or a
+        factory-built one) and planning state.  The commands journaled
+        after it are the coordinator's to re-serve."""
         if recovered is not None:
             store, ledger = recovered.store, recovered.ledger
             network = (
@@ -248,12 +248,6 @@ class ClusterSpec:
         monitor.ledger = ledger
         for policy in self.policies:
             policy.install(monitor)
-        if recovered is not None:
-            for steps in recovered.churn_suffix:
-                for step in steps:
-                    apply_step(step, network)
-                network.run_to_quiescence()
-            monitor.restore_planning(
-                recovered.epoch, recovered.round_counter, recovered.cache
-            )
+        if recovered is not None and recovered.planning is not None:
+            monitor.restore_planning(*recovered.planning)
         return monitor

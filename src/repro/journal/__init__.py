@@ -7,26 +7,24 @@ process.  This package makes that state durable:
 
 * :class:`~repro.journal.journal.Journal` — a checksummed JSONL
   write-ahead log in one file, ``journal.jsonl``.  The coordinator
-  appends a record at every state change (admitted churn, recorded
-  events, commit boundaries, adjudications, checkpoints) and
-  fsyncs only at those boundaries; the ``event`` records are the
-  trail's one durable copy, so a checkpoint is appended without it; only
-  a ``max_events`` store's checkpoint carries the (bounded) trail and
-  compacts the file by atomic rename.
+  journals the commands it serves (each admitted churn group whole,
+  commit boundaries, adjudications) and checkpoints, and fsyncs only at
+  boundaries; a checkpoint carries the events recorded since the
+  previous one, and only a ``max_events`` store's checkpoint carries the
+  (bounded) trail whole and compacts the file by atomic rename.
   Opening a journal validates every record's CRC and sequence; a torn
   final record (the crash write) is truncated with a loud log line, and
   a directory in the old segmented layout is refused by name.
 
-* :func:`~repro.journal.recovery.recover_state` — deterministic replay.
-  A restarted coordinator rebuilds its evidence store (seq for seq,
-  from the event records), ledger, reuse cache, churn suffix and
-  epoch/round counters to the exact last *commit boundary* and builds
-  its monitor from them — the
-  recovered trail is byte-identical to an uncrashed run's, which is
-  exactly what the kill-the-coordinator tests pin.  Records carry a
-  format number (:data:`~repro.journal.recovery.JOURNAL_FORMAT`); a
-  journal written in another dialect, or headed by neither, is refused
-  by name.
+* :func:`~repro.journal.recovery.recover_state` — the recovery point.
+  A restarted coordinator restores its evidence store (seq for seq, from
+  the checkpoints' events), ledger, network and planning state at the
+  last checkpoint, then re-serves every command committed after it
+  through the code that served it live — so the recovered trail is
+  byte-identical to an uncrashed run's, which is exactly what the
+  kill-the-coordinator tests pin.  Records carry a format number
+  (:data:`~repro.journal.recovery.JOURNAL_FORMAT`); a journal written in
+  another dialect, or headed by neither, is refused by name.
 """
 
 from repro.journal.journal import Journal, JournalError, pack, unpack
@@ -35,7 +33,6 @@ from repro.journal.recovery import (
     JOURNAL_FORMAT,
     JournalReplayer,
     RecoveredState,
-    policy_choosers,
     recover_state,
 )
 
@@ -47,7 +44,6 @@ __all__ = [
     "JournalReplayer",
     "RecoveredState",
     "pack",
-    "policy_choosers",
     "recover_state",
     "unpack",
 ]

@@ -25,7 +25,7 @@ of the rename leaves one whole journal (a leftover ``.tmp`` is deleted
 on open).  A directory in the old multi-file layout (``segment-*.jsonl``)
 is refused by name.
 
-Binary payloads (pickled events, network snapshots) travel through
+Binary payloads (churn groups, checkpoints) travel through
 :func:`pack`/:func:`unpack` — zlib-compressed pickle, base64-armored so
 the journal stays one-JSON-object-per-line throughout.
 """

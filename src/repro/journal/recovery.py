@@ -1,46 +1,42 @@
-"""Deterministic journal replay: rebuild the coordinator at a boundary.
+"""Journal recovery: restore the last checkpoint, return the commands after it.
 
-The coordinator journals its own state changes, so replay is a pure
-fold over the record stream:
+The coordinator journals the commands it serves, not what they record:
 
 * ``genesis``      — journal format + spec fingerprint (refuses a
   different dialect, or a different cluster's journal) + the
-  coordinator's key table, which replay adopts before anything else;
-* ``checkpoint``   — the coordinator's state at a boundary: planning
-  state, ledger, pickled network, committed count and the store's
-  counters.  Appended on the cadence, it carries no events — the
-  ``event`` records before it are the trail, and replay checks them
-  against its counters; a compaction (the journal's head, what every
-  checkpoint of a ``max_events`` store is) carries the whole store and,
-  in the genesis's place, the key table;
-* ``churn``        — one admitted churn group's steps, in order (what
-  :meth:`~repro.cluster.spec.ClusterSpec.build_monitor` re-applies to
-  the restored — or factory-built — network);
-* ``event``        — one recorded verdict event, seq-preserved into the
-  store (subscribers — the ledger — fire in the original order) and
-  folded into the reuse cache by the rule the live monitor applies:
-  ok caches, violation evicts, reused and probe events leave it
-  untouched;
-* ``commit``       — a request group completed: the recovery boundary.
-  It carries the epoch counter, which the events cannot rebuild: an
-  epoch may plan nothing and record no event;
-* ``adjudicate``   — a served ``AdjudicateRequest``, the one path from
-  a violation to a slash: the judge re-rules from the seq and the ledger
-  re-folds the rulings, so a recovered coordinator holds the rulings,
-  slashes and history head the live one did (every replayed event's
-  parties hold their keys first, checkpointed ones included).
+  coordinator's key table, which recovery adopts before anything else;
+* ``churn``        — one coalesced churn group, whole (every request's
+  steps, marks and probes), appended before any of it is applied;
+* ``commit``       — that group completed: its request count and the
+  epoch counter;
+* ``adjudicate``   — a served ``AdjudicateRequest``'s seq, the one path
+  from a violation to a slash;
+* ``checkpoint``   — the coordinator's state at a boundary (planning
+  state, ledger, pickled network, key table, committed count, store
+  counters) plus the events recorded since the previous checkpoint, as
+  one blob.  It never carries the unbounded store; under ``max_events``
+  every checkpoint carries the whole (bounded) store instead and
+  compacts the file to itself, so it heads the journal.
+
+:func:`recover_state` concatenates the checkpoints' events into the
+store, restores the last checkpoint's ledger, network and planning
+state, and returns the commands committed after it.
+:class:`~repro.cluster.cluster.Cluster` re-serves each of them through
+the code that served it live, before its journal is attached — so the
+recording rules live in one place, :mod:`repro.audit.monitor`, and the
+recovered trail is byte-identical to an uncrashed run's.  With no
+checkpoint (``journal_checkpoint_every=0``) that is every group since
+the genesis: the checkpoint cadence is what bounds the re-serve.
 
 Everything after the **last boundary record** (genesis, checkpoint,
 commit, adjudicate) is an interrupted request group: recovery truncates
-it from the journal and the client re-drives the request — which is why
-the recovered trail is byte-identical to an uncrashed run's.  Before the
-last checkpoint, :func:`recover_state` replays only the trail — the
-head and the ``event`` records, adopted into a store no ledger or reuse
-cache watches: the checkpoint holds everything else, so the judge never
-re-rules an adjudication it covers.
+it from the journal and the client re-drives the request.  A group
+that failed live left a churn record with no commit; the coordinator
+checkpoints before it reports the failure, so a journal in which
+another command follows such a record is refused.
 
 :class:`JournalReplayer` is deliberately *stateful and incremental*
-(``feed`` one record at a time): the Hypothesis suite replays every
+(``feed`` one record at a time): the Hypothesis suite feeds every
 prefix/suffix split of a real journal and checks the state digest is
 independent of where the split fell.
 """
@@ -50,8 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.audit.monitor import Monitor, absorb_verdict
-from repro.audit.policy import WorkItem
+from repro.audit.monitor import Monitor
 from repro.audit.store import EvidenceStore
 from repro.journal.journal import Journal, JournalError, pack, unpack
 
@@ -62,7 +57,6 @@ __all__ = [
     "RecoveredState",
     "genesis",
     "genesis_fingerprint",
-    "policy_choosers",
     "recover_state",
 ]
 
@@ -77,28 +71,13 @@ __all__ = [
 #: 7: the head (genesis, or a compacting checkpoint) carries the key
 #: table, and recovery makes no key the coordinator had made.
 #: 8: no ``plan`` record; the ``commit`` record carries the epoch.
-JOURNAL_FORMAT = 8
+#: 9: a command log: no ``event`` record, a ``churn`` record carries the
+#: whole group, and a checkpoint carries its interval's events.
+JOURNAL_FORMAT = 9
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
 BOUNDARY_TYPES = ("genesis", "checkpoint", "commit", "adjudicate")
-
-#: record types that carry the trail — all a checkpoint's predecessors
-#: replay (``JournalReplayer.trail_until``)
-TRAIL_TYPES = ("genesis", "checkpoint", "event")
-
-
-def policy_choosers(spec) -> Dict[str, object]:
-    """Policy name -> chooser ref, mirroring monitor registration
-    (auto-names included) — what replay reconstructs reuse-cache
-    fingerprints with."""
-    mapping: Dict[str, object] = {}
-    for counter, policy in enumerate(spec.policies):
-        name = policy.options.get("name") or (
-            f"{policy.asn}/{Monitor._describe(policy.spec)}#{counter}"
-        )
-        mapping[name] = policy.options.get("chooser")
-    return mapping
 
 
 def genesis_fingerprint(spec) -> Dict[str, object]:
@@ -108,7 +87,12 @@ def genesis_fingerprint(spec) -> Dict[str, object]:
         "format": JOURNAL_FORMAT,
         "key_bits": spec.key_bits,
         "seed": repr(spec.rng_seed),
-        "policies": sorted(policy_choosers(spec)),
+        # policy names as the monitor registers them, auto-names included
+        "policies": sorted(
+            policy.options.get("name")
+            or f"{policy.asn}/{Monitor._describe(policy.spec)}#{counter}"
+            for counter, policy in enumerate(spec.policies)
+        ),
     }
 
 
@@ -127,31 +111,45 @@ def _check_format(found: object) -> None:
         )
 
 
+def _load(seq: int, rtype: str, text: str) -> object:
+    try:
+        return unpack(text)
+    except Exception as exc:
+        # e.g. a capture naming classes this build dropped
+        raise JournalError(
+            f"journal record {seq}: {rtype} does not load in this build "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 @dataclass
 class RecoveredState:
-    """Everything that rebuilds the coordinator's monitor at the last
-    boundary (:meth:`~repro.cluster.spec.ClusterSpec.build_monitor`)."""
+    """The coordinator at its last checkpoint
+    (:meth:`~repro.cluster.spec.ClusterSpec.build_monitor` rebuilds the
+    monitor from it) and the commands to re-serve on top."""
 
     store: EvidenceStore
     ledger: Optional[object]
-    #: the reuse cache as of the boundary
-    cache: Dict[tuple, tuple]
-    epoch: int
-    round_counter: int
+    #: the checkpointed :meth:`~repro.audit.monitor.Monitor.planning_state`
+    #: (``None``: no checkpoint, the monitor starts fresh)
+    planning: Optional[tuple]
     #: the network pickled at the last checkpoint (``None`` = rebuild
-    #: from the spec's factory: no checkpoint has run yet)
+    #: from the spec's factory)
     network: Optional[bytes]
-    #: churn groups journaled since the network capture, in order
-    churn_suffix: Tuple[Tuple[object, ...], ...]
-    #: mutating requests committed before the boundary (the CLI skips
-    #: this many script entries on re-drive)
+    #: seq of the checkpoint restored (0: none)
+    checkpoint: int
+    #: ``(seq, requests)`` committed after it, in order: a churn group
+    #: or a lone ``AdjudicateRequest``, as ``Cluster`` served it
+    commands: Tuple[Tuple[int, tuple], ...]
+    #: mutating requests committed at the checkpoint (re-serving the
+    #: commands adds theirs)
     committed_requests: int
     replayed_records: int = 0
     truncated_records: int = 0
 
     def digest(self) -> Dict[str, object]:
         """A comparable fingerprint of the state — what the replay
-        properties check for split- and skip-independence."""
+        properties check for split-independence."""
         return {
             "events": [
                 (
@@ -166,16 +164,10 @@ class RecoveredState:
                 )
                 for e in self.store.events()
             ],
-            "evicted": self.store.evicted,
-            "seq": self.store._seq,
-            "cache": sorted(
-                (str(key), entry[1].seq)
-                for key, entry in self.cache.items()
-            ),
-            "epoch": self.epoch,
-            "round": self.round_counter,
+            "counters": self.store.counters(),
+            "checkpoint": self.checkpoint,
+            "commands": self.commands,
             "committed": self.committed_requests,
-            "churn_groups": len(self.churn_suffix),
             "trust": (
                 sorted(self.ledger.trust_map().items())
                 if self.ledger is not None
@@ -185,39 +177,27 @@ class RecoveredState:
 
 
 class JournalReplayer:
-    """Fold journal records back into coordinator state, one at a time."""
+    """Fold journal records into a recovery point, one at a time."""
 
-    def __init__(self, spec, *, keystore=None, trail_until: int = 0) -> None:
+    def __init__(self, spec, *, keystore=None) -> None:
         self.spec = spec
-        #: the seq of a checkpoint that supersedes every record before
-        #: it: of those only the trail replays (no ledger, reuse cache
-        #: or judge — the checkpoint carries them).  0 folds every record
-        self.trail_until = trail_until
         self.keystore = (
             keystore if keystore is not None else spec.build_keystore()
         )
-        self.choosers = policy_choosers(spec)
-        self.store = EvidenceStore(
-            self.keystore, max_events=spec.max_events
-        )
-        self.ledger = None
-        if spec.ledger is not None and not trail_until:
-            from repro.ledger import TrustLedger
-
-            self.ledger = TrustLedger(spec.ledger).attach(self.store)
-        self.cache: Dict[tuple, tuple] = {}
-        self.epoch = 0
-        self.round_counter = 0
-        self.network: Optional[bytes] = None
-        self.churn: List[Tuple[object, ...]] = []
+        #: the trail: every checkpoint's events, concatenated
+        self.events: List[object] = []
+        #: the last checkpoint's unpacked state (``None``: none yet)
+        self.last: Optional[Dict[str, object]] = None
+        self.checkpoint = 0
+        self.commands: List[Tuple[int, tuple]] = []
+        #: the churn record awaiting its commit
+        self.pending: Optional[Tuple[int, tuple]] = None
         self.committed = 0
         self.replayed = 0
 
     # -- replay --------------------------------------------------------------
 
     def feed(self, seq: int, rtype: str, data: object) -> None:
-        if seq < self.trail_until and rtype not in TRAIL_TYPES:
-            return  # superseded: its effect is in the checkpoint
         handler = getattr(self, f"_on_{rtype}", None)
         if handler is None:
             raise JournalError(f"unknown journal record type {rtype!r}")
@@ -238,114 +218,81 @@ class JournalReplayer:
         self.keystore.adopt(unpack(data["keys"]))
 
     def _on_checkpoint(self, seq: int, data: object) -> None:
-        try:
-            state = unpack(data)
-        except Exception as exc:
-            # e.g. a format-1 capture naming classes this build dropped
-            raise JournalError(
-                f"journal record {seq}: checkpoint does not load in "
-                f"this build ({type(exc).__name__}: {exc})"
-            ) from exc
+        state = _load(seq, "checkpoint", data)
         # compaction dropped the genesis, so the checkpoint speaks for
         # the journal's format
         _check_format(state.get("format"))
+        self.keystore.adopt(state["keys"])
         captured = state["store"]
-        compacted = "events" in captured
-        if compacted:
-            # a compaction: the whole store, and the journal's head
-            self.keystore.adopt(state["keys"])
-            for event in captured["events"]:
-                self._register(event)
+        if "events" in captured:
+            # a compaction: the whole (bounded) store
+            self.events = list(captured["events"])
         else:
-            # appended: the event records before it are the trail
-            for field_name, value in self.store.counters().items():
-                if value != captured[field_name]:
-                    raise JournalError(
-                        f"journal record {seq}: checkpoint has store "
-                        f"{field_name} {captured[field_name]}, the event "
-                        f"records replay to {value}"
-                    )
-        if seq < self.trail_until:
-            # superseded by a later checkpoint: only its trail counts
-            if compacted:
-                self.store.restore(captured)
-            return
-        if not compacted:
-            captured = self.store.checkpoint_state()
-        # a fresh store: the checkpointed ledger replaces the one the
-        # replayed store was feeding
-        self.store = EvidenceStore(
-            self.keystore, max_events=self.spec.max_events
-        )
-        self.store.restore(captured)
-        self.ledger = state["ledger"]
-        if self.ledger is not None:
-            self.ledger.attach(self.store)
-        self.epoch, self.round_counter, cache = state["planning"]
-        self.cache = dict(cache)
-        self.network = state["network"]
-        self.churn = []
+            ended = self.last["store"]["seq"] if self.last else 0
+            interval = state["events"]
+            if [e.seq for e in interval] != list(
+                range(ended + 1, captured["seq"] + 1)
+            ):
+                first = interval[0].seq if interval else None
+                raise JournalError(
+                    f"journal record {seq}: checkpoint events start at "
+                    f"seq {first}, the previous checkpoint ended at seq "
+                    f"{ended}"
+                )
+            self.events.extend(interval)
+        self.last, self.checkpoint = state, seq
+        self.commands, self.pending = [], None
         self.committed = state["committed"]
 
+    def _abandoned(self, seq: int) -> None:
+        if self.pending is not None:
+            raise JournalError(
+                f"journal record {seq}: the churn group of record "
+                f"{self.pending[0]} was neither committed nor "
+                f"checkpointed — refusing to re-serve past it"
+            )
+
     def _on_churn(self, seq: int, data: object) -> None:
-        self.churn.append(tuple(unpack(data["steps"])))
-
-    def _register(self, event) -> None:
-        """Make sure ``event``'s parties hold keys: a judge holding no
-        key rules every signature invalid.  The journal's head carried
-        the coordinator's key table, so this is a lookup; only a party
-        the coordinator first registered after the head (new after
-        churn) has its key derived again, identically, from the seed."""
-        self.keystore.register_all(event.spec.parties)
-
-    def _on_event(self, seq: int, data: object) -> None:
-        event = self.store.adopt(unpack(data["e"]))
-        self._register(event)
-        if seq < self.trail_until:
-            return  # the checkpoint carries the counters and the cache
-        self.round_counter = max(self.round_counter, event.round)
-        if event.epoch is not None and not event.reused:
-            item = WorkItem(
-                asn=event.asn,
-                prefix=event.prefix,
-                policy=event.policy,
-                spec=event.spec,
-                routes=event.routes,
-            )
-            absorb_verdict(
-                self.cache,
-                item,
-                (item.fingerprint(), self.choosers.get(event.policy)),
-                event,
-            )
+        self._abandoned(seq)
+        self.pending = (seq, _load(seq, "churn", data["requests"]))
 
     def _on_commit(self, seq: int, data: object) -> None:
-        self.committed += data["requests"]
-        self.epoch = data["epoch"]
+        if self.pending is None:
+            raise JournalError(f"journal record {seq}: commit of no group")
+        self.commands.append(self.pending)
+        self.pending = None
 
     def _on_adjudicate(self, seq: int, data: object) -> None:
         # imported here: repro.cluster's package init imports this module
         # back, so a module-level import fails when repro.journal loads first
-        from repro.cluster.requests import AdjudicateRequest, answer_adjudicate
+        from repro.cluster.requests import AdjudicateRequest
 
-        rulings = answer_adjudicate(
-            self.store, AdjudicateRequest(seq=data["seq"])
-        )
-        if self.ledger is not None:
-            self.ledger.fold_adjudications(rulings)
-        self.committed += 1
+        self._abandoned(seq)
+        self.commands.append((seq, (AdjudicateRequest(seq=data["seq"]),)))
 
     # -- results -------------------------------------------------------------
 
     def state(self) -> RecoveredState:
+        store = EvidenceStore(self.keystore, max_events=self.spec.max_events)
+        last = self.last
+        if last is not None:
+            store.restore({**last["store"], "events": tuple(self.events)})
+            ledger = last["ledger"]
+            if ledger is not None:
+                ledger.attach(store)
+        else:
+            ledger = None
+            if self.spec.ledger is not None:
+                from repro.ledger import TrustLedger
+
+                ledger = TrustLedger(self.spec.ledger).attach(store)
         return RecoveredState(
-            store=self.store,
-            ledger=self.ledger,
-            cache=dict(self.cache),
-            epoch=self.epoch,
-            round_counter=self.round_counter,
-            network=self.network,
-            churn_suffix=tuple(self.churn),
+            store=store,
+            ledger=ledger,
+            planning=last["planning"] if last else None,
+            network=last["network"] if last else None,
+            checkpoint=self.checkpoint,
+            commands=tuple(self.commands),
             committed_requests=self.committed,
             replayed_records=self.replayed,
         )
@@ -359,12 +306,11 @@ def recover_state(
     spec, journal: Journal, *, keystore=None
 ) -> Optional[RecoveredState]:
     """Replay ``journal`` up to its last boundary record, truncating
-    the interrupted suffix, and return the coordinator state — or
-    ``None`` for a journal with no records (a fresh start).  A journal
-    headed by anything but a ``genesis`` or ``checkpoint`` carries no
-    format to check and is refused.  Before the last checkpoint only
-    the trail replays (``trail_until``); the journal's records are
-    released afterwards."""
+    the interrupted suffix, and return the recovery point — or ``None``
+    for a journal with no records (a fresh start).  A journal headed by
+    anything but a ``genesis`` or ``checkpoint`` carries no format to
+    check and is refused.  The journal's records are released
+    afterwards."""
     records = journal.records
     if not records:
         return None
@@ -378,13 +324,7 @@ def recover_state(
     boundary = max(
         seq for seq, rtype, _data in records if rtype in BOUNDARY_TYPES
     )
-    last_checkpoint = max(
-        (seq for seq, rtype, _data in records if rtype == "checkpoint"),
-        default=0,
-    )
-    replayer = JournalReplayer(
-        spec, keystore=keystore, trail_until=last_checkpoint
-    )
+    replayer = JournalReplayer(spec, keystore=keystore)
     for seq, rtype, data in records:
         if seq > boundary:
             break

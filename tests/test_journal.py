@@ -11,11 +11,14 @@ only at boundaries, the old segmented layout refused by name);
 Hypothesis drives arbitrary byte-level tears and arbitrary replay splits.
 """
 
+import itertools
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.requests import AdjudicateRequest, ChurnRequest
+from repro.cluster.cluster import ClusterError
+from repro.cluster.requests import AdjudicateRequest, AuditProbe, ChurnRequest
 from repro.cluster.spec import ChaosSpec, PolicySpec
 from repro.crypto import rsa
 from repro.cluster.workload import (
@@ -31,6 +35,7 @@ from repro.cluster.workload import (
     drive_monitor,
     reference_mismatches,
     serve_spec,
+    trail_mismatches,
 )
 from repro.journal import (
     BOUNDARY_TYPES,
@@ -296,25 +301,20 @@ class SimulatedCrash(BaseException):
 
 
 def crash_run(spec, requests, *, crash_after_events=2):
-    """Drive ``requests`` until the journal has absorbed
-    ``crash_after_events`` folded-event appends, then kill the
-    coordinator mid-epoch.  Returns the script index it died in, or
-    ``None`` if the script finished first (quiescent tails fold no
-    events).  The cluster object is abandoned exactly as a crash would
-    leave it — no ``stop()``, no journal close."""
+    """Drive ``requests`` until the coordinator has recorded
+    ``crash_after_events`` events, then kill it mid-epoch.  Returns the
+    script index it died in, or ``None`` if the script finished first
+    (quiescent tails record no events).  The cluster object is abandoned
+    exactly as a crash would leave it — no ``stop()``, no journal
+    close."""
     cluster = spec.build()
-    original = cluster.journal.append
-    state = {"events": 0}
+    recorded = itertools.count(1)
 
-    def crashing_append(rtype, data):
-        seq = original(rtype, data)
-        if rtype == "event":
-            state["events"] += 1
-            if state["events"] >= crash_after_events:
-                raise SimulatedCrash()
-        return seq
+    def crash(event):
+        if next(recorded) >= crash_after_events:
+            raise SimulatedCrash()
 
-    cluster.journal.append = crashing_append
+    cluster.evidence.subscribe(crash)
     for index, request in enumerate(requests):
         try:
             cluster.request(request)
@@ -486,6 +486,171 @@ class TestKillTheCoordinator:
             recovered.stop()
 
 
+def refuse_to_prove(keystore):
+    raise RuntimeError("the prover is gone")
+
+
+class TestFailedGroups:
+    """A group that fails part-way has applied its churn and may have
+    recorded events: no command re-serves that.  The coordinator
+    checkpoints before it reports the failure, so a recovery restores
+    what the group did and re-serves only the commits after it."""
+
+    @pytest.mark.parametrize("failure", ["probe", "epoch"])
+    def test_a_failed_group_survives_a_recovery(self, tmp_path, failure):
+        requests = script(rounds=5, violation_every=3)
+        if failure == "probe":
+            # the epoch records its events, then the probe fails
+            spec = journal_spec(tmp_path)
+            failing = ChurnRequest(
+                steps=requests[1].steps,
+                probes=(AuditProbe(
+                    "A", PREFIXES[0], "B", prover=refuse_to_prove
+                ),),
+            )
+        else:
+            # the epoch fails, and its pairs wait dirty for the next one
+            spec = journal_spec(
+                tmp_path,
+                max_failures_per_epoch=0,
+                chaos=ChaosSpec(worker=0, epoch=2),
+            )
+            failing = requests[1]
+        # an empty group first: only what the failure left dirty plans
+        after = [ChurnRequest(), *requests[2:]]
+        live = spec.build()
+        try:
+            live.request(requests[0])
+            with pytest.raises((RuntimeError, ClusterError)):
+                live.request(failing)
+            for request in after:
+                live.request(request)
+            trail = live.evidence
+        finally:
+            live.stop()
+        recovered = replace(spec, chaos=None).build()
+        try:
+            assert recovered.metrics.recoveries[0]["re_served"] == len(after)
+            assert trail_mismatches(recovered.evidence, trail) == []
+        finally:
+            recovered.stop()
+
+    def test_a_command_after_an_unsettled_group_is_refused(self, tmp_path):
+        """A churn record that neither a commit nor a checkpoint settles,
+        followed by another command, is a group a recovery cannot
+        re-serve past: refused, naming the record."""
+        spec = journal_spec(tmp_path)
+        run_script(spec, script(rounds=2))
+        records = read_back(spec.journal)
+        unsettled = next(
+            seq for seq, rtype, _ in records if rtype == "churn"
+        )
+        shutil.rmtree(spec.journal)
+        with Journal(spec.journal) as journal:
+            for seq, rtype, data in records:
+                if not (rtype == "commit" and seq == unsettled + 1):
+                    journal.append(rtype, data)
+        with pytest.raises(
+            JournalError,
+            match=f"the churn group of record {unsettled} was neither "
+                  f"committed nor checkpointed",
+        ):
+            spec.build()
+
+    @pytest.mark.parametrize("group", [
+        ChurnRequest(steps=(lambda network: None,)),
+        ChurnRequest(probes=(AuditProbe(
+            "A", PREFIXES[0], "B", prover=lambda keystore: None
+        ),)),
+    ], ids=["step", "probe"])
+    def test_an_unjournalable_group_is_refused_by_name(self, tmp_path, group):
+        """A live callable cannot be re-served, so a journaled cluster
+        refuses it before anything is applied or appended."""
+        spec = journal_spec(tmp_path)
+        requests = script(rounds=2)
+        cluster = spec.build()
+        try:
+            cluster.request(requests[0])
+            before = (cluster.journal.seq, len(cluster.evidence))
+            with pytest.raises(
+                JournalError, match="churn group cannot be journaled .*lambda"
+            ):
+                cluster.request(group)
+            assert (cluster.journal.seq, len(cluster.evidence)) == before
+            for request in requests[1:]:
+                cluster.request(request)
+            assert reference_mismatches(
+                spec, requests, cluster.evidence
+            ) == []
+        finally:
+            cluster.stop()
+
+
+class TestFailedRecovery:
+    """A recovery that fails stops the pool it forked and closes the
+    journal it opened, and names the record it failed on."""
+
+    @staticmethod
+    def track_closes(monkeypatch):
+        closed, close = [], Journal.close
+
+        def tracked(journal):
+            closed.append(journal.directory)
+            close(journal)
+
+        monkeypatch.setattr(Journal, "close", tracked)
+        return closed
+
+    def test_a_checkpoint_whose_network_does_not_load(
+        self, tmp_path, monkeypatch
+    ):
+        spec = journal_spec(
+            tmp_path, transport="process", journal_checkpoint_every=2
+        )
+        run_script(spec, script(rounds=2))
+        records = read_back(spec.journal)
+        shutil.rmtree(spec.journal)
+        with Journal(spec.journal) as journal:
+            for seq, rtype, data in records:
+                if rtype == "checkpoint":
+                    state = unpack(data)
+                    state["network"] = b"not a pickle"
+                    data, broken = pack(state), seq
+                journal.append(rtype, data)
+        closed = self.track_closes(monkeypatch)
+        with pytest.raises(
+            JournalError,
+            match=f"journal record {broken}: checkpoint does not restore "
+                  f"\\(UnpicklingError",
+        ):
+            spec.build()
+        assert closed == [spec.journal]
+
+    def test_a_command_that_does_not_re_serve(self, tmp_path, monkeypatch):
+        spec = journal_spec(tmp_path, transport="process")
+        run_script(spec, script(rounds=2))
+        churn = next(
+            seq for seq, rtype, data in read_back(spec.journal)
+            if rtype == "churn"
+            and any(r.steps for r in unpack(data["requests"]))
+        )
+        closed = self.track_closes(monkeypatch)
+
+        def refuse(step, network):
+            raise RuntimeError("the network refused")
+
+        monkeypatch.setattr("repro.cluster.cluster.apply_step", refuse)
+        forked = set(multiprocessing.active_children())
+        with pytest.raises(
+            JournalError,
+            match=f"journal record {churn}: the command does not "
+                  f"re-serve \\(RuntimeError: the network refused\\)",
+        ):
+            spec.build()
+        assert closed == [spec.journal]
+        assert set(multiprocessing.active_children()) <= forked
+
+
 def checkpoint_spans(cluster):
     return [
         record["attrs"] for record in cluster.tracer.records
@@ -520,7 +685,7 @@ class TestCheckpointing:
 
     def test_checkpoints_append_to_the_journal(self, tmp_path):
         """On the unbounded store a checkpoint never compacts: it is
-        appended without the trail, which the event records carry."""
+        appended with the events recorded since the previous one."""
         spec = journal_spec(tmp_path, journal_checkpoint_every=2)
         requests = script(rounds=6)
         cluster, evidence = run_script(spec, requests)
@@ -534,15 +699,31 @@ class TestCheckpointing:
         ]
         assert len(checkpoints) == len(requests) // 2
         assert all("events" not in state["store"] for state in checkpoints)
-        assert sum(rtype == "event" for _, rtype, _ in records) == len(
+        # the last checkpoint follows the last request: between them the
+        # checkpoints carry the whole trail
+        assert sum(len(state["events"]) for state in checkpoints) == len(
             evidence
         )
         spans = checkpoint_spans(cluster)
         assert len(spans) == len(checkpoints)
-        assert all(
-            span["events"] == 0 and span["compacted"] is False
-            for span in spans
-        )
+        assert [
+            (span["events"], span["compacted"]) for span in spans
+        ] == [(len(state["events"]), False) for state in checkpoints]
+
+    def test_a_checkpoint_carries_only_its_interval(self, tmp_path):
+        """No checkpoint carries an event recorded before the previous
+        checkpoint: each holds exactly the seqs after the one before."""
+        spec = journal_spec(tmp_path, journal_checkpoint_every=2)
+        _, evidence = run_script(spec, script(rounds=6, violation_every=3))
+        ended, carried = 0, []
+        for _, rtype, data in read_back(spec.journal):
+            if rtype == "checkpoint":
+                state = unpack(data)
+                seqs = [event.seq for event in state["events"]]
+                assert seqs == list(range(ended + 1, state["store"]["seq"] + 1))
+                ended = state["store"]["seq"]
+                carried.extend(seqs)
+        assert carried == [event.seq for event in evidence.events()]
 
     def test_only_boundaries_fsync(self, tmp_path):
         """One fsync for the genesis, for each commit and adjudication,
@@ -618,24 +799,59 @@ class TestCheckpointing:
         finally:
             recovered.stop()
 
-    def test_a_checkpoint_that_disagrees_with_the_event_records_is_refused(
-        self, tmp_path
-    ):
+    def test_the_cadence_survives_a_recovery(self, tmp_path):
+        """A recovery that re-serves k boundaries past the last
+        checkpoint leaves the next one N − k boundaries away — at the
+        commit an uncrashed run checkpoints at — so a second crash never
+        re-serves N groups or more."""
+        requests = script(rounds=6)[:8]
+        assert len(requests) == 8
+
+        def boundaries(directory):
+            return [
+                rtype for _, rtype, _ in read_back(directory)
+                if rtype in ("commit", "checkpoint")
+            ]
+
+        whole = journal_spec(tmp_path / "whole", journal_checkpoint_every=4)
+        run_script(whole, requests)
+        spec = journal_spec(tmp_path / "crashed", journal_checkpoint_every=4)
+        cluster = spec.build()
+        for request in requests[:6]:
+            cluster.request(request)
+        # abandoned two boundaries past its checkpoint, as a crash leaves it
+        recovered = spec.build()
+        try:
+            assert recovered.metrics.recoveries[0]["re_served"] == 2
+            finish_recovered(recovered, requests)
+        finally:
+            recovered.stop()
+        assert boundaries(spec.journal) == boundaries(whole.journal)
+
+    def test_a_checkpoint_that_skips_events_is_refused(self, tmp_path):
+        """A checkpoint's events must continue the previous checkpoint's
+        seq: one that drops its first event is refused, naming both."""
         spec = journal_spec(tmp_path, journal_checkpoint_every=2)
         run_script(spec, script(rounds=2))
         records = read_back(spec.journal)
         shutil.rmtree(spec.journal)
+        checkpoints = 0
         with Journal(spec.journal) as journal:
             for _, rtype, data in records:
                 if rtype == "checkpoint":
+                    checkpoints += 1
                     state = unpack(data)
-                    state["store"]["evicted"] += 1
-                    data = pack(state)
+                    if checkpoints == 2:
+                        ended = state["events"][0].seq - 1
+                        first = state["events"][1].seq
+                        state["events"] = state["events"][1:]
+                        data = pack(state)
                 journal.append(rtype, data)
+        assert checkpoints >= 2
         with pytest.raises(
             JournalError,
-            match="checkpoint has store evicted 1, the event records "
-                  "replay to 0",
+            match=f"checkpoint events start at seq {first}, the previous "
+                  f"checkpoint ended at seq {ended}",
         ):
             spec.build()
 
@@ -767,9 +983,10 @@ class TestRecoveredRulings:
     def test_recovery_does_not_redo_what_a_checkpoint_covers(
         self, tmp_path, monkeypatch
     ):
-        """Before the last checkpoint only the trail replays: the judge
-        never re-rules a covered adjudication, and no ledger or reuse
-        cache folds an event the checkpoint already counted."""
+        """A checkpoint supersedes every command before it: recovery
+        re-serves none of them — the judge never re-rules a covered
+        adjudication, and no ledger or reuse cache folds an event the
+        checkpoint already counted."""
         spec = serve_spec(
             4,
             ledger=True,
@@ -786,6 +1003,7 @@ class TestRecoveredRulings:
                 cluster.request(request)
             cluster.request(AdjudicateRequest())
             trust = cluster.ledger.trust_map()
+            trail = len(cluster.evidence)
         finally:
             cluster.stop()
         records = read_back(spec.journal)
@@ -797,7 +1015,7 @@ class TestRecoveredRulings:
             lambda *args: redone.append("judge"),
         )
         monkeypatch.setattr(
-            "repro.journal.recovery.absorb_verdict",
+            "repro.audit.monitor.absorb_verdict",
             lambda *args: redone.append("cache"),
         )
         monkeypatch.setattr(
@@ -807,9 +1025,8 @@ class TestRecoveredRulings:
         with Journal(spec.journal) as journal:
             state = recover_state(spec, journal)
         assert redone == []
-        assert len(state.store) == sum(
-            rtype == "event" for _, rtype, _ in records
-        )
+        assert state.commands == ()
+        assert len(state.store) == trail
         assert state.ledger.trust_map() == trust
 
 
@@ -882,9 +1099,9 @@ class TestJournalFormat:
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 9})
+            journal.append("genesis", {"format": 10})
         with Journal(spec.journal) as journal:
-            with pytest.raises(JournalError, match=refusal(9)):
+            with pytest.raises(JournalError, match=refusal(10)):
                 recover_state(spec, journal)
 
     def test_a_flat_rib_journal_is_refused(self, tmp_path):
@@ -927,7 +1144,7 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 5})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 5, this build reads 8"
+            JournalError, match="journal format 5, this build reads 9"
         ):
             spec.build()
 
@@ -939,7 +1156,7 @@ class TestJournalFormat:
             journal.append("genesis", {"format": 6})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 6, this build reads 8"
+            JournalError, match="journal format 6, this build reads 9"
         ):
             spec.build()
 
@@ -953,7 +1170,22 @@ class TestJournalFormat:
             journal.append("plan", {"epoch": 1, "entries": 0})
             journal.append("commit", {"requests": 1})
         with pytest.raises(
-            JournalError, match="journal format 7, this build reads 8"
+            JournalError, match="journal format 7, this build reads 9"
+        ):
+            spec.build()
+
+    def test_a_format_8_journal_is_refused_by_name(self, tmp_path):
+        # a format-8 journal keeps the trail in per-event records and
+        # journals a churn group's steps alone, so its commands cannot
+        # be re-served
+        spec = journal_spec(tmp_path)
+        with Journal(spec.journal) as journal:
+            journal.append("genesis", {"format": 8})
+            journal.append("churn", {"steps": pack(())})
+            journal.append("event", {"e": pack(None)})
+            journal.append("commit", {"requests": 1, "epoch": 1})
+        with pytest.raises(
+            JournalError, match="journal format 8, this build reads 9"
         ):
             spec.build()
 
@@ -995,14 +1227,15 @@ class TestJournalFormat:
         run_script(spec, script(rounds=1))
         records = read_back(spec.journal)
         seq, rtype, data = records[0]
-        assert (rtype, data["format"]) == ("genesis", 8)
+        assert (rtype, data["format"]) == ("genesis", 9)
         assert "workers" not in data
         assert [asn for asn, _ in unpack(data["keys"])] == [
             "A", "N1", "N2", "N3", "B",
         ]
-        # the commit carries the epoch counter; no record plans
+        # a command log: the commit carries the epoch counter, and no
+        # record plans or holds an event
         assert {rtype for _, rtype, _ in records} == {
-            "genesis", "churn", "event", "commit",
+            "genesis", "churn", "commit",
         }
         commits = [data for _, t, data in records if t == "commit"]
         assert [data["epoch"] for data in commits] == [1, 2, 3]
@@ -1045,8 +1278,9 @@ class TestReplayProperties:
     @given(data=st.data())
     def test_replay_is_split_invariant(self, replay_inputs, data):
         """Feeding the record stream in two arbitrary chunks reaches
-        the same state digest as feeding it whole — replay carries no
-        hidden cross-call state."""
+        the same recovery point — trail, checkpoint and command list —
+        as feeding it whole: replay carries no hidden cross-call
+        state."""
         spec, records, _ = data.draw(st.sampled_from(replay_inputs))
         split = data.draw(
             st.integers(min_value=0, max_value=len(records))
@@ -1061,14 +1295,17 @@ class TestReplayProperties:
             chunked.feed(seq, rtype, payload)
         assert chunked.digest() == whole.digest()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_replay_is_prefix_closed(self, replay_inputs, data):
         """Every prefix that ends on a commit boundary is itself a
-        valid recovery point: replaying it, then the remainder, equals
-        replaying everything (the torn-tail truncation rule is safe at
-        *any* boundary, not just the final one)."""
-        spec, records, _ = data.draw(st.sampled_from(replay_inputs))
+        valid recovery point: a coordinator recovered from it re-serves
+        the commands after its last checkpoint, the client re-drives
+        the rest of the script, and the trail is the uncrashed run's
+        (the torn-tail truncation rule is safe at *any* boundary, not
+        just the final one)."""
+        spec, records, directory = data.draw(st.sampled_from(replay_inputs))
+        requests = script(rounds=4, violation_every=3)
         boundaries = [
             index
             for index, (_, rtype, _) in enumerate(records)
@@ -1078,25 +1315,34 @@ class TestReplayProperties:
             st.integers(min_value=0, max_value=len(boundaries) - 1)
         )
         cut = boundaries[pick] + 1
-        replayer = JournalReplayer(spec)
-        for seq, rtype, payload in records[:cut]:
-            replayer.feed(seq, rtype, payload)
-        for seq, rtype, payload in records[cut:]:
-            replayer.feed(seq, rtype, payload)
-        whole = JournalReplayer(spec)
-        for seq, rtype, payload in records:
-            whole.feed(seq, rtype, payload)
-        assert replayer.digest() == whole.digest()
+        committed = sum(
+            payload["requests"]
+            for _, rtype, payload in records[:cut] if rtype == "commit"
+        )
+        copy = os.path.join(tempfile.mkdtemp(), "journal")
+        try:
+            shutil.copytree(directory, copy)
+            with Journal(copy) as journal:
+                journal.truncate(records[cut - 1][0])
+            recovered = replace(spec, journal=copy).build()
+            try:
+                assert recovered.recovered_requests == committed
+                evidence = finish_recovered(recovered, requests)
+            finally:
+                recovered.stop()
+        finally:
+            shutil.rmtree(os.path.dirname(copy))
+        assert reference_mismatches(spec, requests, evidence) == []
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_recovery_skips_only_what_a_checkpoint_covers(
         self, replay_inputs, data
     ):
-        """At any boundary, :func:`recover_state` — which replays only
-        the trail before the last checkpoint, into a store no ledger or
-        reuse cache watches — reaches the state that feeding every
-        record reaches."""
+        """At any boundary, :func:`recover_state` — which truncates the
+        interrupted suffix and releases the records — reaches the
+        recovery point that feeding every record to that boundary
+        reaches."""
         spec, records, directory = data.draw(st.sampled_from(replay_inputs))
         boundaries = [
             index
