@@ -216,9 +216,8 @@ def _run_wire_round(
 
     sign_before = keystore.sign_count
     verify_before = keystore.verify_count
-    bytes_before = transport.bytes_sent
     messages_before = transport.delivered
-    with Stopwatch() as watch:
+    with Stopwatch() as watch, transport.metered() as meter:
         # 1. providers announce over the wire
         announcements = session.announce(routes)
         for party, ann in _announcement_senders(session, announcements):
@@ -247,7 +246,7 @@ def _run_wire_round(
     return report, _round_stats(
         report,
         messages=transport.delivered - messages_before,
-        bytes=transport.bytes_sent - bytes_before,
+        bytes=meter.bytes,
         signatures=keystore.sign_count - sign_before,
         verifications=keystore.verify_count - verify_before,
         wall_seconds=watch.seconds,
@@ -283,8 +282,8 @@ def modeled_wire_stats(
     The model mirrors the wire round exactly — one message per signed
     announcement, one view per party, the commitment statement broadcast
     to every neighbor of the prover — and prices each payload with
-    :func:`repro.net.simnet.estimate_size`, the same function the
-    network's byte counter uses.  It is exact when the network is
+    :func:`repro.net.simnet.estimate_size`, the same function a wire
+    round's meter uses.  It is exact when the network is
     quiescent and no interceptor is armed (both true on the serve path:
     epochs only run at quiescence, and Byzantine probes never ship to
     workers).

@@ -73,7 +73,9 @@ __all__ = [
 #: 8: no ``plan`` record; the ``commit`` record carries the epoch.
 #: 9: a command log: no ``event`` record, a ``churn`` record carries the
 #: whole group, and a checkpoint carries its interval's events.
-JOURNAL_FORMAT = 9
+#: 10: the checkpointed network prices bytes only inside a metered round
+#: (a format-9 network unpickles without its meter slot).
+JOURNAL_FORMAT = 10
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group

@@ -7,8 +7,8 @@ semantics between BGP speakers).  A node is any object exposing
 their router objects directly.
 
 Byzantine behaviour is modelled with *interceptors*: a function attached
-to a node that may drop, delay, modify or substitute outbound messages on
-a per-destination basis.  This is how the adversary library of
+to a node that may drop, modify or substitute outbound messages on a
+per-destination basis.  This is how the adversary library of
 :mod:`repro.pvr.adversary` injects equivocation and lies without the
 honest-path code knowing anything about faults.
 """
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.encoding import CanonicalEncodeError, canonical_encode
 
@@ -99,8 +100,16 @@ class Simulator:
 
 
 # An interceptor sees (message) and returns the possibly-modified message,
-# None to drop it, or a list of messages to substitute.
+# None to drop it, or a list of messages to substitute.  A substitute is
+# sent by the intercepted node, to any of its neighbours.
 Interceptor = Callable[[Message], Optional[Any]]
+
+
+@dataclass
+class Meter:
+    """The wire bytes of the messages sent while it was open."""
+
+    bytes: int = 0
 
 
 class Network:
@@ -118,7 +127,7 @@ class Network:
         self._adjacent: Dict[str, Tuple[str, ...]] = {}
         self._interceptors: Dict[str, Interceptor] = {}
         self.delivered: int = 0
-        self.bytes_sent: int = 0
+        self._meter: Meter | None = None
 
     # -- topology -----------------------------------------------------
 
@@ -170,29 +179,49 @@ class Network:
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Queue ``payload`` for delivery from ``src`` to ``dst``."""
-        key = frozenset((src, dst))
-        if key not in self._links:
-            raise ValueError(f"no link between {src!r} and {dst!r}")
+        link = self._link(src, dst)
         message = Message(src=src, dst=dst, payload=payload)
         interceptor = self._interceptors.get(src)
-        if interceptor is not None:
-            result = interceptor(message)
-            if result is None:
-                return  # dropped
-            messages = result if isinstance(result, list) else [result]
-        else:
-            messages = [message]
-        link = self._links[key]
-        for msg in messages:
-            self._schedule_delivery(link, msg)
+        if interceptor is None:
+            self._schedule_delivery(link, message)
+            return
+        result = interceptor(message)
+        if result is None:
+            return  # dropped
+        for msg in result if isinstance(result, list) else [result]:
+            if msg.src != src:
+                raise ValueError(
+                    f"an interceptor at {src!r} cannot send as {msg.src!r}"
+                )
+            self._schedule_delivery(self._link(src, msg.dst), msg)
 
     def broadcast(self, src: str, payload: Any) -> None:
         """Send ``payload`` to every neighbor of ``src``."""
         for neighbor in self.neighbors(src):
             self.send(src, neighbor, payload)
 
+    @contextmanager
+    def metered(self) -> Iterator[Meter]:
+        """Price every message sent inside the block with
+        :func:`estimate_size`; outside one, nothing is priced.  One meter
+        at a time: opening a second raises."""
+        if self._meter is not None:
+            raise RuntimeError("the network is already metered")
+        meter = self._meter = Meter()
+        try:
+            yield meter
+        finally:
+            self._meter = None
+
+    def _link(self, src: str, dst: str) -> Link:
+        link = self._links.get(frozenset((src, dst)))
+        if link is None:
+            raise ValueError(f"no link between {src!r} and {dst!r}")
+        return link
+
     def _schedule_delivery(self, link: Link, message: Message) -> None:
-        self.bytes_sent += _estimate_size(message.payload)
+        if self._meter is not None:
+            self._meter.bytes += estimate_size(message.payload)
 
         def deliver() -> None:
             self.delivered += 1
@@ -208,16 +237,13 @@ def estimate_size(payload: Any) -> int:
     """Wire-size accounting for the overhead benchmarks and the serve
     layer's replayed transport cost model: the canonical encoding's
     length where one exists, a deterministic repr fallback otherwise.
-    This is the single definition of "bytes on the wire" — the network's
-    ``bytes_sent`` counter and any off-wire cost replay both use it, so
-    the two can never disagree."""
+    This is the single definition of "bytes on the wire" — a wire
+    round's meter and any off-wire cost replay both use it, so the two
+    can never disagree."""
     try:
         return len(canonical_encode(payload))
     except CanonicalEncodeError:
         return len(repr(payload).encode("utf-8"))
-
-
-_estimate_size = estimate_size
 
 
 def build_network(

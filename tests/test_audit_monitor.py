@@ -949,3 +949,59 @@ class TestSimnetTransport:
         assert not epoch.violation_free()
         assert not epoch.events[0].report.verdicts["B"].ok
         assert net.transport.simulator.now > before
+
+    def test_a_duplicated_view_is_priced_once_more(self):
+        """The live wire round meters what interceptors put on the wire,
+        not the cost model: a second copy of one view adds exactly that
+        payload's size to the round's bytes."""
+        from repro.net.simnet import estimate_size
+
+        copies = []
+
+        def duplicate_view_to_b(message: Message):
+            if message.dst == "B" and isinstance(message.payload, ViewPayload):
+                copies.append(message.payload)
+                return [message, message]
+            return message
+
+        def audit(duplicate: bool):
+            net = figure1_network()
+            monitor = make_monitor(net)
+            monitor.policy("A", ShortestRoute(), recipients=("B",),
+                           max_length=8)
+            if duplicate:
+                net.transport.set_interceptor("A", duplicate_view_to_b)
+            epoch = monitor.run_epoch()
+            net.transport.clear_interceptor("A")
+            return epoch.events[0]
+
+        clean, doubled = audit(duplicate=False), audit(duplicate=True)
+        assert len(copies) == 1
+        assert doubled.report.verdicts == clean.report.verdicts
+        assert doubled.stats.messages == clean.stats.messages + 1
+        assert doubled.stats.bytes == (
+            clean.stats.bytes + estimate_size(copies[0])
+        )
+
+    def test_bgp_churn_outside_a_round_prices_nothing(self, monkeypatch):
+        """Only a wire round reads bytes, so plain BGP UPDATEs are never
+        encoded to be counted.  Every ``estimate_size`` call makes one
+        ``canonical_encode`` call in ``simnet``; that is what is counted,
+        so an alias of ``estimate_size`` cannot hide one."""
+        from repro.net import simnet
+
+        calls = []
+        real = simnet.canonical_encode
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(simnet, "canonical_encode", counting)
+        net, prefixes = scenarios.serve_network(16)
+        scenarios.bounce_session("X", "N1")(net)
+        scenarios.reoriginate("O", prefixes[0])(net)
+        delivered = net.transport.delivered
+        net.run_to_quiescence()
+        assert net.transport.delivered > delivered
+        assert calls == []

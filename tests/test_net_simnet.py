@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.net.simnet import Message, Network, Node, Simulator, build_network
+from repro.net.simnet import (
+    Message, Network, Node, Simulator, build_network, estimate_size,
+)
 
 
 class TestSimulator:
@@ -132,10 +134,43 @@ class TestNetwork:
 
     def test_bytes_accounting_monotonic(self):
         net = self._two_nodes()
-        net.send("A", "B", "hello")
-        before = net.bytes_sent
-        net.send("A", "B", "hello again, this is longer")
-        assert net.bytes_sent > before
+        with net.metered() as meter:
+            net.send("A", "B", "hello")
+            before = meter.bytes
+            net.send("A", "B", "hello again, this is longer")
+            assert meter.bytes > before
+
+
+class TestMeter:
+    def _net(self):
+        return build_network(["A", "B"], [("A", "B")])
+
+    def test_prices_only_what_is_sent_inside(self):
+        net = self._net()
+        net.send("A", "B", "before")
+        with net.metered() as meter:
+            net.send("A", "B", "inside")
+            net.send("B", "A", ("a", 1))
+        net.send("A", "B", "after")
+        net.run()
+        assert meter.bytes == estimate_size("inside") + estimate_size(("a", 1))
+        assert net.delivered == 4
+
+    def test_a_nested_meter_raises(self):
+        net = self._net()
+        with net.metered():
+            with pytest.raises(RuntimeError, match="already metered"):
+                with net.metered():
+                    pass  # pragma: no cover
+
+    def test_a_meter_whose_block_raised_is_closed(self):
+        net = self._net()
+        with pytest.raises(KeyError):
+            with net.metered():
+                raise KeyError("boom")
+        with net.metered() as meter:
+            net.send("A", "B", "x")
+        assert meter.bytes == estimate_size("x")
 
 
 class TestInterceptors:
@@ -170,6 +205,39 @@ class TestInterceptors:
         net.send("A", "B", "x")
         net.run()
         assert [m.payload for m in net.node("B").inbox] == ["one", "two"]
+
+    def test_redirect_to_another_neighbour_takes_its_link(self):
+        net = build_network(
+            ["A", "B", "C"], [("A", "B", 0.01), ("A", "C", 0.5)]
+        )
+        net.set_interceptor(
+            "A", lambda m: Message(src=m.src, dst="C", payload=m.payload)
+        )
+        net.send("A", "B", "x")
+        net.run()
+        assert net.node("B").inbox == []
+        assert [m.payload for m in net.node("C").inbox] == ["x"]
+        assert net.simulator.now == 0.5
+
+    def test_redirect_to_a_non_neighbour_raises(self):
+        net = build_network(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        net.set_interceptor(
+            "A", lambda m: Message(src=m.src, dst="C", payload=m.payload)
+        )
+        with pytest.raises(ValueError, match="'A' and 'C'"):
+            net.send("A", "B", "x")
+        net.run()
+        assert net.node("C").inbox == []
+
+    def test_a_spoofed_source_raises(self):
+        net = build_network(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        net.set_interceptor(
+            "A", lambda m: Message(src="C", dst=m.dst, payload=m.payload)
+        )
+        with pytest.raises(ValueError, match="'A' cannot send as 'C'"):
+            net.send("A", "B", "x")
+        net.run()
+        assert net.node("B").inbox == []
 
     def test_clear_interceptor(self):
         net = self._net()

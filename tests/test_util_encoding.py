@@ -255,7 +255,7 @@ class TestAgainstTheRecursiveEncoder:
             assert str(raised.value) == str(expected.value)
 
     def test_golden_update_bytes(self):
-        """The bytes under ``Network.bytes_sent`` and under every BGP
+        """The bytes a wire round's meter prices and under every BGP
         signature, by value: the UPDATE carrying Figure 1's 3-hop route
         N1-X-O as A hears it, captured before the encoder was rewritten."""
         route = Route(
