@@ -40,12 +40,12 @@ def converged_network(params):
     return net
 
 
-def armed_monitor(net, keystore):
+def armed_monitor(net, keystore, max_work):
     """A monitor whose next epoch is the whole-network sweep: a
     shortest-route policy on every AS marks each (AS, PFX) pair dirty,
-    so ``run_epoch(max_work=N)`` runs one round per (AS, exporting
-    neighbor) pair that has providers for PFX, capped at N rounds."""
-    monitor = Monitor(keystore).attach(net)
+    so ``run_epoch()`` runs one round per (AS, exporting neighbor) pair
+    that has providers for PFX, capped at ``max_work`` rounds."""
+    monitor = Monitor(keystore, max_work_per_epoch=max_work).attach(net)
     for asn in net.as_names():
         monitor.policy(asn, ShortestRoute(), prefixes=(PFX,))
     return monitor
@@ -56,14 +56,14 @@ def scale_case(request):
     params = SIZES[request.param]
     net = converged_network(params)
     keystore = KeyStore(seed=params.seed, key_bits=1024)
-    return request.param, params, net, armed_monitor(net, keystore)
+    return request.param, params, net, armed_monitor(net, keystore, 10)
 
 
 def test_pvr_sweep(benchmark, scale_case):
     name, params, net, monitor = scale_case
 
     def sweep():
-        return monitor.run_epoch(max_work=10)
+        return monitor.run_epoch()
 
     epoch = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert epoch.events
@@ -78,7 +78,7 @@ def test_scale_table(benchmark):
         for name, params in SIZES.items():
             net = converged_network(params)
             keystore = KeyStore(seed=params.seed, key_bits=1024)
-            epoch = armed_monitor(net, keystore).run_epoch(max_work=12)
+            epoch = armed_monitor(net, keystore, 12).run_epoch()
             assert epoch.violation_free()
             n_rounds = len(epoch.events)
             rows.append((

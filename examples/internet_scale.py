@@ -68,11 +68,11 @@ def main(argv=None) -> None:
     # (AS, prefix) pair dirty; one epoch then runs a round per (AS,
     # exporting neighbor) pair that has providers, capped at max_rounds
     keystore = KeyStore(seed=SEED, key_bits=key_bits)
-    monitor = Monitor(keystore).attach(net)
+    monitor = Monitor(keystore, max_work_per_epoch=max_rounds).attach(net)
     started = time.perf_counter()
     for asn in net.as_names():
         monitor.policy(asn, ShortestRoute(), prefixes=(prefix,))
-    epoch = monitor.run_epoch(max_work=max_rounds)
+    epoch = monitor.run_epoch()
     sweep_seconds = time.perf_counter() - started
     if not epoch.events or not epoch.violation_free():
         sys.exit("PVR audit of an honest network was not clean")

@@ -6,11 +6,11 @@ are registered per AS; every BGP decision change at a monitored AS marks
 its (AS, prefix) tuple *dirty*; and :meth:`Monitor.run_epoch` coalesces
 the accumulated churn into one verification epoch:
 
-* **bounded work** — an epoch freshly verifies at most ``max_work``
-  tuples; overflow stays queued and the next epoch resumes exactly
-  where this one stopped (already-audited tuples of a deferred pair
-  are neither revisited nor re-emitted, so deferral never repeats
-  work — it only spreads it across epochs);
+* **bounded work** — an epoch freshly verifies at most
+  ``max_work_per_epoch`` tuples; overflow stays queued and the next
+  epoch resumes exactly where this one stopped (already-audited tuples
+  of a deferred pair are neither revisited nor re-emitted, so deferral
+  never repeats work — it only spreads it across epochs);
 * **incremental reuse** — a tuple whose contract and announced inputs
   are unchanged since its last verification is served from the cache
   with *zero* signature/verification operations, the paper's answer to
@@ -147,14 +147,6 @@ class MergeError(RuntimeError):
     """A plan entry has no outcome, or an outcome contradicts its plan."""
 
 
-def _check_work_bound(max_work: Optional[int]) -> Optional[int]:
-    """A work bound of zero (or less) would make every epoch a no-op
-    and livelock ``run_until_idle`` — reject it up front."""
-    if max_work is not None and max_work < 1:
-        raise ValueError(f"work bound must be >= 1, got {max_work}")
-    return max_work
-
-
 class Monitor:
     """A long-lived, policy-driven verification monitor.
 
@@ -175,7 +167,13 @@ class Monitor:
         self.keystore = keystore if keystore is not None else KeyStore(
             seed=rng_seed, key_bits=512
         )
-        self.max_work_per_epoch = _check_work_bound(max_work_per_epoch)
+        if max_work_per_epoch is not None and max_work_per_epoch < 1:
+            # a zero bound would make every epoch a no-op and livelock
+            # run_until_idle
+            raise ValueError(
+                f"work bound must be >= 1, got {max_work_per_epoch}"
+            )
+        self.max_work_per_epoch = max_work_per_epoch
         self.rng_seed = rng_seed
         # the obs seam: hosts (serve service, cluster coordinator) hand
         # the monitor their own context so plan/epoch spans share one trace
@@ -402,13 +400,12 @@ class Monitor:
 
     # -- the epoch scheduler -------------------------------------------------
 
-    def run_epoch(self, max_work: Optional[int] = None) -> EpochOutcome:
+    def run_epoch(self) -> EpochOutcome:
         """Coalesce accumulated churn into one verification epoch.
 
-        At most ``max_work`` (default: the monitor's
-        ``max_work_per_epoch``) tuples are *freshly* verified; cache
-        reuse is free and never counts against the bound.  Work beyond
-        the bound is deferred to the next epoch, which resumes exactly
+        At most ``max_work_per_epoch`` tuples are *freshly* verified;
+        cache reuse is free and never counts against the bound.  Work
+        beyond it is deferred to the next epoch, which resumes exactly
         where this one stopped — already-audited tuples of a deferred
         pair are not revisited (and not re-emitted) unless new churn
         marks the pair again.
@@ -417,11 +414,9 @@ class Monitor:
         (one report; every :class:`~repro.audit.events.EpochReport`
         accessor is forwarded, so existing callers read it unchanged).
         """
-        return EpochOutcome.single(
-            self.execute_plan(self.plan_epoch(max_work))
-        )
+        return EpochOutcome.single(self.execute_plan(self.plan_epoch()))
 
-    def plan_epoch(self, max_work: Optional[int] = None) -> EpochPlan:
+    def plan_epoch(self) -> EpochPlan:
         """Turn the accumulated churn into a deterministic epoch plan.
 
         Planning does everything but the crypto: the dirty-pair scan,
@@ -434,11 +429,7 @@ class Monitor:
         numbers cannot depend on who executes.
         """
         network = self._require_network()
-        budget = (
-            _check_work_bound(max_work)
-            if max_work is not None
-            else self.max_work_per_epoch
-        )
+        budget = self.max_work_per_epoch
         self.epoch += 1
         plan_span = self.tracer.begin(
             "plan", component="audit", epoch=self.epoch

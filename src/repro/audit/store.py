@@ -118,18 +118,6 @@ class EvidenceStore:
     def _all(self) -> Iterator[VerdictEvent]:
         return chain(self._pinned, self._tail)
 
-    def adopt(self, event: VerdictEvent) -> VerdictEvent:
-        """Re-record ``event`` under its *existing* sequence number —
-        the journal-replay primitive.  Adoption preserves the trail
-        exactly as it was recorded, advancing the seq allocator past it so post-recovery
-        events continue the original numbering.  Subscribers fire and
-        the eviction bound applies, so derived state (the ledger's
-        counters, pinned violations, the evicted tally) re-folds to
-        what the original run held."""
-        if event.seq > self._seq:
-            self._seq = event.seq
-        return self.record(event)
-
     def counters(self) -> Dict[str, int]:
         """The store's state without its events: the pinned/tail split
         point, the eviction tally and the seq allocator."""

@@ -61,7 +61,6 @@ from repro.bgp.route import (
 from repro.bgp.router import BGPRouter
 from repro.bgp.relationships import (
     Relationship,
-    RelationshipConfig,
     export_policy,
     import_policy,
     is_valley_free,
@@ -114,7 +113,6 @@ __all__ = [
     "Route",
     "BGPRouter",
     "Relationship",
-    "RelationshipConfig",
     "export_policy",
     "import_policy",
     "is_valley_free",

@@ -20,7 +20,6 @@ realistic policy structures to work from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
@@ -48,13 +47,6 @@ class Relationship(Enum):
     CUSTOMER = "customer"
     PEER = "peer"
     PROVIDER = "provider"
-
-    def inverse(self) -> "Relationship":
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return Relationship.PEER
 
 
 _IMPORT_SETTINGS: Dict[Relationship, Tuple[str, int]] = {
@@ -123,19 +115,6 @@ def export_policy(relationship: Relationship) -> Policy:
         default_permit=True,
         name=f"gao-rexford-export-to-{relationship.value}",
     )
-
-
-@dataclass(frozen=True)
-class RelationshipConfig:
-    """Both directions of policy for one side of a peering."""
-
-    relationship: Relationship
-
-    def import_policy(self) -> Policy:
-        return import_policy(self.relationship)
-
-    def export_policy(self) -> Policy:
-        return export_policy(self.relationship)
 
 
 def is_valley_free(path_relationships) -> bool:

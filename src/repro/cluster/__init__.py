@@ -29,9 +29,9 @@ coalesce into one epoch sequence; reads never queue — they are answered
 at the door from the trail as of the last committed write group) and
 reads its one metrics ledger
 (:class:`~repro.cluster.metrics.ClusterMetrics`).
-A worker that crashes, closes its pipe, misses the epoch deadline or
-goes silent costs a retry of its unfinished rounds on a survivor and a
-fresh fork — never the epoch.
+A worker that crashes, closes its pipe or goes silent while it owes
+results costs a retry of its unfinished rounds on a survivor and a
+fresh fork — never the epoch (a second death in it is fatal).
 
 Run ``python -m repro.cluster`` for the cluster CLI (drives a churn
 workload through N workers, optionally killing one, and checks parity

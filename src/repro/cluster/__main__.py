@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kill-after", type=int, default=1, metavar="N",
                         help="chaos: results the dying worker "
                         "streams out first (default: 1)")
-    parser.add_argument("--epoch-deadline", type=float, default=None,
-                        metavar="S", help="declare a worker dead when "
-                        "its batch misses this per-epoch deadline")
     parser.add_argument("--journal", metavar="DIR", default=None,
                         help="write-ahead journal directory: makes the "
                         "coordinator durable, and re-running the same "
@@ -136,7 +133,6 @@ def run(args) -> int:
         key_bits=args.key_bits,
         max_work=args.max_work,
         parity_sample=args.parity_sample,
-        epoch_deadline=args.epoch_deadline,
         chaos=chaos,
         flight_dump=args.flight_dump,
         journal=args.journal,

@@ -140,9 +140,6 @@ class Cluster:
             self.monitor.keystore,
             spec.rng_seed,
             transport=spec.transport,
-            epoch_deadline=spec.epoch_deadline,
-            heartbeat_interval=spec.heartbeat_interval,
-            max_failures_per_epoch=spec.max_failures_per_epoch,
             chaos=spec.chaos,
         )
         self.executor.warm()
@@ -313,9 +310,6 @@ class Cluster:
         ticket = self.submit(request)
         self.pump()
         return ticket.result()
-
-    def drain(self) -> None:
-        self.pump()
 
     def serve_group(self, group: List[Ticket]):
         """Do one unit of work the queue dispatched — a coalesced churn

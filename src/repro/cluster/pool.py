@@ -7,16 +7,15 @@ them to its :class:`ShardPool`.  Workers hold no per-pair state, so
 there is nothing to place and nothing to rebalance.
 
 :class:`ShardPool` owns the workers (``"inline"``: in-process;
-``"process"``: forked, one pipe each) and the failure handling.  A
-worker is declared dead when its pipe closes, when it has not finished
-``epoch_deadline`` seconds after dispatch, or when it has sent no
-result frame for ``5 × heartbeat_interval`` seconds.  The positions it
-left without a result are re-run on a survivor under the same round
-number and nonce seed — byte-identical by construction — and a fresh
-worker is forked in its place, holding the coordinator's whole key
-table: there is nothing to snapshot, replay or install.  More than
-``max_failures_per_epoch`` deaths in one epoch is a loud
-:class:`ClusterError`.
+``"process"``: forked, one pipe each) and the failure handling, which
+has no settings.  A process worker is declared dead when its pipe
+closes, or when it still owes results and has sent no frame for
+:data:`SILENCE_LIMIT_S`.  The positions it left without a result are
+re-run on a survivor under the same round number and nonce seed —
+byte-identical by construction — and a fresh worker is forked in its
+place, holding the coordinator's whole key table: there is nothing to
+snapshot, replay or install.  More than :data:`DEATHS_PER_EPOCH`
+deaths in one epoch is a loud :class:`ClusterError`.
 """
 
 from __future__ import annotations
@@ -36,6 +35,18 @@ from repro.cluster.worker import ShardTask, _InlineWorker, _ProcessWorker
 
 __all__ = ["ClusterError", "ShardExecutor", "ShardPool"]
 
+#: how long a process worker that still owes results may send no frame
+#: before it is reaped.  Every finished round is a frame, so the gap
+#: between frames is one round's wall.  On a 2-vCPU host, the 40 fresh
+#: rounds of ``serve-churn`` (8 prefixes, 2 process workers) took a
+#: median of 10 ms at 512-bit keys, 22 ms at 1024 and 58 ms at 2048,
+#: the slowest 0.15 s.  30 s is 200 times that, so only a hung worker
+#: reaches it
+SILENCE_LIMIT_S = 30.0
+
+#: worker deaths one epoch survives; one more raises :class:`ClusterError`
+DEATHS_PER_EPOCH = 1
+
 #: what one pool run hands back: ``position → (report, stats)``, the
 #: per-worker execution stats, and ``(worker, reason)`` per death
 PoolRun = Tuple[
@@ -44,8 +55,8 @@ PoolRun = Tuple[
 
 
 class ClusterError(RuntimeError):
-    """A worker failed unrecoverably, or more workers died in one
-    epoch than the failure budget allows."""
+    """A worker failed unrecoverably, or more than
+    :data:`DEATHS_PER_EPOCH` workers died in one epoch."""
 
 
 @dataclass
@@ -83,9 +94,6 @@ class ShardPool:
         keystore: KeyStore,
         rng_seed: object,
         *,
-        epoch_deadline: Optional[float] = None,
-        heartbeat_interval: float = 0.0,
-        max_failures_per_epoch: int = 1,
         chaos=None,
     ) -> None:
         if transport not in ("process", "inline"):
@@ -100,9 +108,6 @@ class ShardPool:
             multiprocessing.get_context("fork") if transport == "process" else None
         )
         self._worker_args = (keystore, rng_seed)
-        self.epoch_deadline = epoch_deadline
-        self.heartbeat_interval = heartbeat_interval
-        self.max_failures_per_epoch = max_failures_per_epoch
         self.chaos = chaos
         self._workers: list = []
 
@@ -178,11 +183,11 @@ class ShardPool:
         return drive.results, drive.slices, sorted(drive.reaped.items())
 
     def _check_budget(self, drive: _Drive) -> None:
-        if len(drive.reaped) > self.max_failures_per_epoch:
+        if len(drive.reaped) > DEATHS_PER_EPOCH:
             raise ClusterError(
                 f"{len(drive.reaped)} workers ({sorted(drive.reaped)}) "
-                f"died in one epoch, above max_failures_per_epoch="
-                f"{self.max_failures_per_epoch}: "
+                f"died in one epoch; a pool survives at most "
+                f"{DEATHS_PER_EPOCH} death per epoch: "
                 + "; ".join(
                     f"worker {i}: {reason}"
                     for i, reason in sorted(drive.reaped.items())
@@ -252,8 +257,10 @@ class ShardPool:
 
     def _drive_process(self, drive: _Drive, assigned) -> None:
         """Process collection: post every batch, then take frames as
-        pipes become readable.  A closed pipe, a missed epoch deadline
-        or result silence reaps the worker."""
+        pipes become readable.  A closed pipe, or :data:`SILENCE_LIMIT_S`
+        without a frame from a worker that still owes results, reaps the
+        worker.  The wait sleeps until a frame or the earliest silence
+        expiry, so a healthy epoch wakes only for frames."""
         waiting: Dict[object, _Slice] = {}
         for index, tasks in sorted(assigned.items()):
             piece = self._open(drive, index, tasks)
@@ -266,14 +273,12 @@ class ShardPool:
                 )
             else:
                 waiting[self._workers[index].conn] = piece
-        start = CLOCK()
-        deadline = self.epoch_deadline
-        silence = 5 * self.heartbeat_interval
-        last_heard = {conn: start for conn in waiting}
-        timed = deadline is not None or silence > 0
+        limit = SILENCE_LIMIT_S
+        last_heard = dict.fromkeys(waiting, CLOCK())
         while waiting:
+            expiry = min(last_heard[conn] for conn in waiting) + limit
             for conn in _connection_wait(
-                list(waiting), timeout=0.05 if timed else None
+                list(waiting), timeout=max(0.0, expiry - CLOCK())
             ):
                 piece = waiting[conn]
                 try:
@@ -292,27 +297,25 @@ class ShardPool:
                     self._close(drive, piece)
             now = CLOCK()
             for conn, piece in list(waiting.items()):
-                if deadline is not None and now - start > deadline:
-                    reason = f"missed the {deadline:.3f}s epoch deadline"
-                elif 0 < silence < now - last_heard[conn]:
-                    reason = (
-                        f"heartbeat silent for "
-                        f"{now - last_heard[conn]:.3f}s (interval "
-                        f"{self.heartbeat_interval:.3f}s)"
-                    )
-                else:
+                silent = now - last_heard[conn]
+                if silent < limit:
                     continue
                 del waiting[conn]
-                self._reap(drive, piece, reason)
+                self._reap(
+                    drive, piece,
+                    f"silent for {silent:.3f}s owing {len(piece.want)} "
+                    f"results (limit {limit:g}s)",
+                )
 
 
 class ShardExecutor:
     """Fan an epoch plan's fresh entries out across the round pool.
 
     ``shards`` is both the number of batches a plan is dealt into and
-    the pool's worker count; ``transport`` and the failure knobs are
-    the :class:`~repro.cluster.spec.ClusterSpec` fields of the same
-    names.
+    the pool's worker count; ``transport`` and ``chaos`` are the
+    :class:`~repro.cluster.spec.ClusterSpec` fields of the same names.
+    A lost worker is the pool's to detect and replace: there is nothing
+    to configure.
     """
 
     def __init__(
@@ -322,22 +325,12 @@ class ShardExecutor:
         rng_seed: object,
         *,
         transport: str,
-        epoch_deadline: Optional[float] = None,
-        heartbeat_interval: float = 0.0,
-        max_failures_per_epoch: int = 1,
         chaos=None,
     ) -> None:
         self.shards = shards
         self.keystore = keystore
         self.backend = ShardPool(
-            transport,
-            shards,
-            keystore,
-            rng_seed,
-            epoch_deadline=epoch_deadline,
-            heartbeat_interval=heartbeat_interval,
-            max_failures_per_epoch=max_failures_per_epoch,
-            chaos=chaos,
+            transport, shards, keystore, rng_seed, chaos=chaos
         )
 
     def describe(self) -> Dict[str, object]:

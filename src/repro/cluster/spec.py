@@ -39,17 +39,16 @@ class ChaosSpec:
     survivor); a worker sent fewer than ``after`` rounds that epoch
     never fails.  ``mode="kill"`` dies instantly (SIGKILL on the
     process transport, a :class:`~repro.cluster.worker.WorkerDied`
-    unwind inline); ``mode="hang"`` sleeps ``hang_seconds`` mid-batch so
-    only the coordinator's deadline/silence detector can reap it —
-    process transport only (an inline worker would hang the coordinator
-    too).
+    unwind inline); ``mode="hang"`` sleeps mid-batch, longer than the
+    pool's :data:`~repro.cluster.pool.SILENCE_LIMIT_S`, so only the
+    coordinator's silence rule can reap it — process transport only (an
+    inline worker would hang the coordinator too).
     """
 
     worker: int
     epoch: int
     mode: str = "kill"  # "kill" | "hang"
     after: int = 0
-    hang_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("kill", "hang"):
@@ -114,17 +113,6 @@ class ClusterSpec:
     #: eviction bound of the evidence trail (violations stay pinned)
     max_events: Optional[int] = None
     parity_sample: int = 0
-    #: per-epoch wall-clock budget: a worker that has not returned its
-    #: whole batch this many seconds after it was posted is declared
-    #: dead, killed, and replaced (``None`` disables)
-    epoch_deadline: Optional[float] = None
-    #: when > 0, a busy worker that sends no result frame for five
-    #: intervals is reaped even before the epoch deadline (every
-    #: finished round is a frame, so a frame is the heartbeat)
-    heartbeat_interval: float = 0.0
-    #: more than this many worker deaths in a single epoch is a loud
-    #: :class:`~repro.cluster.cluster.ClusterError` instead of a respawn
-    max_failures_per_epoch: int = 1
     #: how many queued churn requests may ride a single epoch sequence
     coalesce_max: int = 16
     #: deterministic failure injection (tests / CI chaos gate)
@@ -169,16 +157,15 @@ class ClusterSpec:
             )
         if self.parity_sample < 0:
             raise ValueError("parity_sample must be >= 0")
-        if self.epoch_deadline is not None and self.epoch_deadline <= 0:
-            raise ValueError("epoch_deadline must be positive or None")
-        if self.heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be >= 0")
-        if self.max_failures_per_epoch < 0:
-            raise ValueError("max_failures_per_epoch must be >= 0")
         if self.coalesce_max < 1:
             raise ValueError("coalesce_max must be >= 1")
         if self.journal_checkpoint_every < 0:
             raise ValueError("journal_checkpoint_every must be >= 0")
+        if self.chaos is not None and self.chaos.worker >= self.workers:
+            raise ValueError(
+                f"chaos names worker {self.chaos.worker}, but the cluster "
+                f"has only {self.workers} workers"
+            )
         if (
             self.chaos is not None
             and self.chaos.mode == "hang"

@@ -69,6 +69,10 @@ class ShardTask:
 #: coordinator's keypairs it does not hold yet
 Batch = Tuple[int, Sequence[ShardTask], Tuple[Tuple[str, object], ...]]
 
+#: how long a ``ChaosSpec(mode="hang")`` worker sleeps: twice the pool's
+#: silence limit, so the coordinator reaps (and kills) it first
+CHAOS_HANG_S = 60.0
+
 
 class WorkerDied(RuntimeError):
     """An inline worker's injected death: unwinds out of the round loop
@@ -100,8 +104,7 @@ def run_tasks(
         if not armed or done != chaos.after:
             return
         if chaos.mode == "hang":
-            # reaped by the coordinator's deadline long before this ends
-            time.sleep(chaos.hang_seconds)
+            time.sleep(CHAOS_HANG_S)
         elif hard_kill:
             os.kill(os.getpid(), signal.SIGKILL)
         else:

@@ -182,9 +182,6 @@ class SparseMerkleTree:
         assert self._root.digest is not None
         return self._root.digest
 
-    def addresses(self) -> tuple:
-        return tuple(sorted(self._leaves.keys()))
-
     def payload(self, address: BitString) -> bytes:
         return self._leaves[address]
 

@@ -330,10 +330,6 @@ class TrustLedger:
             self._records[asn] for asn in sorted(self._records)
         )
 
-    @property
-    def current_epoch(self) -> int:
-        return self._max_epoch
-
     def snapshot(self) -> Dict[str, object]:
         """The schema-versioned, JSON-serializable ledger document
         (the shape ``python -m repro.ledger --json`` emits)."""

@@ -157,9 +157,6 @@ class Network:
     def node(self, name: str) -> Node:
         return self._nodes[name]
 
-    def nodes(self) -> tuple:
-        return tuple(self._nodes.values())
-
     def neighbors(self, name: str) -> tuple:
         """Names of nodes adjacent to ``name``, sorted for determinism."""
         return self._adjacent.get(name, ())

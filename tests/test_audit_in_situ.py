@@ -172,21 +172,26 @@ class TestNetworkSweep:
     epoch bounded to N fresh rounds."""
 
     @pytest.fixture
-    def sweep(self, monitor, figure1_network):
-        for asn in figure1_network.as_names():
-            monitor.policy(asn, ShortestRoute(), prefixes=(PFX,),
-                           max_length=8)
-        return monitor.run_epoch
+    def sweep(self, figure1_network):
+        def run(max_work):
+            monitor = Monitor(
+                KeyStore(seed=5, key_bits=512), max_work_per_epoch=max_work
+            ).attach(figure1_network)
+            for asn in figure1_network.as_names():
+                monitor.policy(asn, ShortestRoute(), prefixes=(PFX,),
+                               max_length=8)
+            return monitor.run_epoch()
+        return run
 
     def test_sweep_clean_on_honest_network(self, sweep):
-        epoch = sweep(max_work=6)
+        epoch = sweep(6)
         assert epoch.events
         assert epoch.violation_free()
 
     def test_round_budget_respected(self, sweep):
-        assert len(sweep(max_work=2).events) == 2
+        assert len(sweep(2).events) == 2
 
     def test_totals(self, sweep):
-        epoch = sweep(max_work=3)
+        epoch = sweep(3)
         assert epoch.messages == sum(e.stats.messages for e in epoch.events)
         assert epoch.bytes > 0

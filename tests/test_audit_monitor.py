@@ -316,9 +316,6 @@ class TestEpochScheduler:
         net = figure1_network()
         with pytest.raises(ValueError):
             make_monitor(net, max_work_per_epoch=0)
-        monitor = make_monitor(net)
-        with pytest.raises(ValueError):
-            monitor.run_epoch(max_work=0)
 
     def test_detached_monitor_refuses_to_run(self):
         monitor = Monitor(KeyStore(seed=1, key_bits=512))

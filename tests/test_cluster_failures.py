@@ -4,32 +4,39 @@ worker kill combined with a coordinator crash at any journal record or
 recorded event.
 
 The invariant under test everywhere: a worker lost mid-batch — killed
-between streamed results, SIGKILLed at the OS level, or hung past the
-epoch deadline — leaves the evidence trail **byte-identical** to an
+between streamed results, SIGKILLed at the OS level, or hung until the
+pool's one liveness rule (no frame for ``SILENCE_LIMIT_S`` while it owes
+results) reaps it — leaves the evidence trail **byte-identical** to an
 unsharded reference monitor, because its unfinished rounds are re-run
 on a survivor under the same round numbers and nonces, and a fresh
-worker is forked in its place.
+worker is forked in its place.  More than one death in one epoch is a
+loud :class:`ClusterError`.
 """
 
+import asyncio
+import functools
 import itertools
 import shutil
 import tempfile
+import threading
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ChurnRequest
+from repro.cluster import ChurnRequest, pool
 from repro.cluster.cluster import ClusterError
-from repro.cluster.spec import ChaosSpec
+from repro.cluster.spec import ChaosSpec, ClusterSpec
 from repro.cluster.workload import (
     churn_script,
     drive_monitor,
     reference_mismatches,
     trail_mismatches,
 )
+from repro.serve import service as service_module
 
+from serve_driver import service_for
 from test_cluster import PREFIXES, VARIANT_POLICIES, make_spec, run_script
 
 
@@ -41,6 +48,91 @@ def chaos_spec(variant="minimum", **overrides):
     )
     options.update(overrides)
     return make_spec(variant, **options)
+
+
+#: the double-death ClusterError states the one-death rule
+DOUBLE_DEATH = "died in one epoch; a pool survives at most 1 death"
+
+
+def finish_within(seconds, drive, backend):
+    """Run ``drive`` in a thread, and fail if it has not returned after
+    ``seconds``: a worker nothing reaps must fail the test, not stall
+    the suite.  On the timeout every worker of ``backend`` is SIGKILLed,
+    so the thread unwinds before the failure is reported."""
+    outcome = {}
+
+    def run():
+        try:
+            drive()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        for worker in list(backend._workers):
+            worker.process.kill()
+        thread.join(30)
+        pytest.fail(f"a hung worker was not reaped within {seconds:g}s")
+    if "error" in outcome:
+        raise outcome["error"]
+
+
+def reap_a_hung_worker(monkeypatch, door):
+    """Drive a script on ``door`` ("cluster" or "service") while one
+    worker hangs without dying: it owes results and sends no frame, so
+    the pool's one liveness rule must reap it, re-run its rounds on a
+    survivor and fork a replacement, with no setting on either door.
+    The limit is shortened so the run takes seconds."""
+    monkeypatch.setattr(pool, "SILENCE_LIMIT_S", 1.0)
+    requests = churn_script(PREFIXES, rounds=4)
+    if door == "cluster":
+        spec = make_spec(
+            "minimum",
+            transport="process",
+            chaos=ChaosSpec(worker=2, epoch=3, mode="hang"),
+        )
+        host = spec.build()
+
+        def drive():
+            try:
+                for request in requests:
+                    host.request(request)
+            finally:
+                host.stop()
+    else:
+        spec = make_spec(
+            "minimum",
+            transport="process",
+            workers=2,
+            chaos=ChaosSpec(worker=1, epoch=3, mode="hang"),
+        )
+        # the service has no chaos keyword: hand it to the spec the
+        # service builds its private cluster from
+        monkeypatch.setattr(
+            service_module,
+            "ClusterSpec",
+            functools.partial(ClusterSpec, chaos=spec.chaos),
+        )
+        host = service_for(spec)
+
+        async def serve():
+            await host.start()
+            try:
+                for request in requests:
+                    await host.request(request)
+            finally:
+                await host.stop()
+
+        def drive():
+            asyncio.run(serve())
+
+    finish_within(20.0, drive, host.executor.backend)
+    [respawn] = host.metrics.respawns
+    assert respawn["worker"] == spec.chaos.worker
+    assert "silent for" in respawn["reason"]
+    assert reference_mismatches(spec, requests, host.evidence) == []
 
 
 # -- chaos kills across the protocol variants ---------------------------------
@@ -132,44 +224,19 @@ class TestProcessWorkerDeath:
         assert "pipe closed" in respawn["reason"]
         assert reference_mismatches(spec, requests, evidence) == []
 
-    def test_hang_past_deadline_is_reaped(self):
-        """A worker that goes silent (hangs) without dying is declared
-        dead when the epoch deadline passes, then retried and replaced
-        like a crash."""
-        spec = make_spec(
-            "minimum",
-            transport="process",
-            epoch_deadline=3.0,
-            chaos=ChaosSpec(
-                worker=2, epoch=3, mode="hang", hang_seconds=60.0
-            ),
-        )
-        requests = churn_script(PREFIXES, rounds=4)
-        cluster, evidence = run_script(spec, requests)
-        [respawn] = cluster.metrics.respawns
-        assert respawn["worker"] == 2
-        assert "deadline" in respawn["reason"]
-        assert reference_mismatches(spec, requests, evidence) == []
+    def test_hang_past_deadline_is_reaped(self, monkeypatch):
+        """A worker that hangs without dying, on a cluster built with no
+        liveness setting, is reaped once it has been silent past the
+        pool's one deadline, then retried and replaced like a crash."""
+        reap_a_hung_worker(monkeypatch, "cluster")
 
-    def test_heartbeat_silence_is_reaped_without_a_deadline(self):
-        """No epoch deadline at all: a hung worker stops sending result
-        frames, and five silent intervals are enough to reap, retry
-        and replace it."""
-        spec = make_spec(
-            "minimum",
-            transport="process",
-            heartbeat_interval=0.2,
-            chaos=ChaosSpec(
-                worker=2, epoch=3, mode="hang", hang_seconds=60.0
-            ),
-        )
-        assert spec.epoch_deadline is None
-        requests = churn_script(PREFIXES, rounds=4)
-        cluster, evidence = run_script(spec, requests)
-        [respawn] = cluster.metrics.respawns
-        assert respawn["worker"] == 2
-        assert "heartbeat silent" in respawn["reason"]
-        assert reference_mismatches(spec, requests, evidence) == []
+    def test_heartbeat_silence_is_reaped_without_a_deadline(
+        self, monkeypatch
+    ):
+        """The service door has no deadline keyword at all: a hung worker
+        behind it stops sending frames, and that silence alone reaps,
+        retries and replaces it."""
+        reap_a_hung_worker(monkeypatch, "service")
 
     def test_death_found_at_dispatch_is_survivable(self):
         """A worker whose process died *between* requests is discovered
@@ -204,9 +271,9 @@ class TestProcessWorkerDeath:
             cluster.stop()
 
     def test_two_workers_found_dead_together_fails_loud(self):
-        """Losing more workers than ``max_failures_per_epoch`` in one
-        epoch is not survivable-by-retry territory — the cluster
-        refuses to guess and raises."""
+        """Losing more than one worker in one epoch is not
+        survivable-by-retry territory — the cluster refuses to guess
+        and raises."""
         spec = make_spec("minimum", transport="process")
         cluster = spec.build()
         try:
@@ -214,16 +281,14 @@ class TestProcessWorkerDeath:
                 victim = cluster.executor.backend._workers[index].process
                 victim.kill()
                 victim.join()
-            with pytest.raises(
-                ClusterError, match="max_failures_per_epoch"
-            ):
+            with pytest.raises(ClusterError, match=DOUBLE_DEATH):
                 cluster.request(ChurnRequest())
         finally:
             cluster.stop()
 
     def test_two_deaths_in_one_epoch_fails_loud(self):
         """The in-epoch budget: a chaos kill plus a second worker dying
-        mid-epoch exceeds ``max_failures_per_epoch=1``."""
+        mid-epoch is one death more than an epoch survives."""
         spec = chaos_spec(chaos=ChaosSpec(worker=1, epoch=1, after=0))
         cluster = spec.build()
         try:
@@ -234,23 +299,8 @@ class TestProcessWorkerDeath:
                 worker.died = "induced: second death in the epoch"
 
             worker.post = dying_post
-            with pytest.raises(
-                ClusterError, match="max_failures_per_epoch"
-            ):
+            with pytest.raises(ClusterError, match=DOUBLE_DEATH):
                 cluster.request(ChurnRequest())
-        finally:
-            cluster.stop()
-
-    def test_failure_budget_zero_makes_any_death_fatal(self):
-        spec = chaos_spec(max_failures_per_epoch=0)
-        requests = churn_script(PREFIXES, rounds=3)
-        cluster = spec.build()
-        try:
-            with pytest.raises(
-                ClusterError, match="max_failures_per_epoch"
-            ):
-                for request in requests:
-                    cluster.request(request)
         finally:
             cluster.stop()
 
@@ -274,8 +324,14 @@ class TestChaosSpecValidation:
             make_spec(
                 "minimum",
                 transport="inline",
-                epoch_deadline=1.0,
                 chaos=ChaosSpec(worker=0, epoch=1, mode="hang"),
+            )
+
+    def test_rejects_a_worker_the_cluster_does_not_have(self):
+        """A chaos spec naming a missing worker would never fire."""
+        with pytest.raises(ValueError, match="worker 5.* only 2 workers"):
+            make_spec(
+                "minimum", workers=2, chaos=ChaosSpec(worker=5, epoch=1)
             )
 
 

@@ -509,11 +509,10 @@ class TestFailedGroups:
                 ),),
             )
         else:
-            # the epoch fails, and its pairs wait dirty for the next one
+            # the epoch fails — its only worker dies, leaving no
+            # survivor — and its pairs wait dirty for the next one
             spec = journal_spec(
-                tmp_path,
-                max_failures_per_epoch=0,
-                chaos=ChaosSpec(worker=0, epoch=2),
+                tmp_path, workers=1, chaos=ChaosSpec(worker=0, epoch=2)
             )
             failing = requests[1]
         # an empty group first: only what the failure left dirty plans

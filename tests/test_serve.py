@@ -796,7 +796,7 @@ class TestOneOracleThreeHosts:
         with self.spec(transport).build() as cluster:
             for request in self.script():
                 cluster.submit(request)
-            cluster.drain()
+            cluster.pump()
             return cluster.evidence, cluster.snapshot()
 
     def drive_service(self):
@@ -907,7 +907,7 @@ class TestOneAdmissionPlane:
                         cluster.submit(request)
                     except AdmissionError:
                         pass
-                cluster.drain()
+                cluster.pump()
             return cluster.snapshot()
 
     def drive_service(self):
@@ -1081,7 +1081,7 @@ class TestReadsAtTheDoor:
         with self.spec(queue_depth=self.DEPTH).build() as cluster:
             reads = self.fill(cluster.submit, cluster.queue._pending)
             assert all(t.completion is not None for t in reads)
-            cluster.drain()
+            cluster.pump()
             record = cluster.snapshot()["requests"]
         assert record["query"]["rejected"] == 0
         assert record["query"]["completed"] == 3
@@ -1130,7 +1130,7 @@ class TestReadsAtTheDoor:
                     t.result().payload for t in tickets
                     if isinstance(t.request, QueryRequest)
                 ]
-                cluster.drain()
+                cluster.pump()
             return payloads, cluster.evidence
 
     def service_reads(self, waves):
