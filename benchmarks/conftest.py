@@ -5,7 +5,7 @@ deterministic keystore, so runs are comparable across machines up to a
 constant factor.
 
 Table rendering lives in :mod:`repro.util.tables` (shared with the
-serve / cluster / audit / ledger CLIs); this conftest binds it to the
+serve and cluster CLIs); this conftest binds it to the
 session's ``benchmark_tables.txt`` output file.
 """
 

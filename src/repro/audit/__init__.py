@@ -22,8 +22,9 @@ experiment.  This package is that plane:
   verification shares: one :class:`~repro.pvr.engine.VerificationSession`
   with its messages on the simulated links.
 
-Run ``python -m repro.audit`` for the CLI over the registered churn
-workloads (:mod:`repro.cluster.workload`).
+The churn workloads that drive it are registered in
+:mod:`repro.cluster.workload`; ``python -m repro.cluster`` runs any of
+them.
 """
 
 from repro.audit import choosers

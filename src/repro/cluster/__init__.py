@@ -33,9 +33,10 @@ A worker that crashes, closes its pipe or goes silent while it owes
 results costs a retry of its unfinished rounds on a survivor and a
 fresh fork — never the epoch (a second death in it is fatal).
 
-Run ``python -m repro.cluster`` for the cluster CLI (drives a churn
-workload through N workers, optionally killing one, and checks parity
-against the unsharded reference).
+Run ``python -m repro.cluster`` for the one churn CLI: it drives any
+registered workload through N workers with the ledger on, optionally
+killing one, closes with a served adjudication, and checks parity
+against the unsharded reference.
 """
 
 from repro.cluster.admission import AdmissionQueue, Ticket

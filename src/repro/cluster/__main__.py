@@ -1,38 +1,47 @@
-"""The cluster CLI: ``python -m repro.cluster``.
+"""The churn CLI: ``python -m repro.cluster``.
 
 Usage::
 
-    python -m repro.cluster --workers 2 --churns 12
+    python -m repro.cluster --list
+    python -m repro.cluster --scenario churn-fig1
+    python -m repro.cluster --workers 2 --churns 8 --violations 4
     python -m repro.cluster --kill-worker 1 --kill-at-epoch 3
     python -m repro.cluster --transport inline --no-verify
     python -m repro.cluster --journal cluster-journal --checkpoint-every 4
 
-Builds the ``serve-churn`` workload (:mod:`repro.cluster.workload`),
-stands up its spec's :class:`~repro.cluster.cluster.Cluster` — one
-planning Monitor over a pool of stateless round workers — and drives
-the script through the admission plane, with an optional
-**deterministic chaos kill**
-(``--kill-worker``/``--kill-at-epoch``): the chosen worker is SIGKILLed
-mid-batch at the chosen epoch (one in which it has rounds to run — an
-epoch served wholly from the cache involves no worker), its unfinished
-rounds are re-run on a survivor, and a fresh worker is forked in its
-place.  Afterwards the evidence trail is checked byte-for-byte against
-a freshly driven unsharded Monitor (``--no-verify`` skips it) — so with
-a kill the gate is literally "the trail survives a worker death
-unchanged" — and ``--json`` writes the schema-versioned cluster metrics
-snapshot.
+Builds a registered churn workload (:mod:`repro.cluster.workload`;
+``--scenario``, default ``serve-churn``, the one workload that
+``--prefixes`` / ``--churns`` / ``--violations`` size) with the
+accountability ledger on, stands up its spec's
+:class:`~repro.cluster.cluster.Cluster` and drives the script through
+the admission plane, closing with one served ``AdjudicateRequest``:
+the judge rules on every stored violation, and confirmed rulings slash.
+It prints one row per epoch, the rulings, the trust ladder and the
+hash-chained transition history.
+
+A **deterministic chaos kill** (``--kill-worker``/``--kill-at-epoch``)
+SIGKILLs the chosen worker mid-batch at the chosen epoch (one in which
+it has rounds to run — an epoch served wholly from the cache involves
+no worker); a survivor re-runs its rounds and a fresh worker is forked.
+Afterwards the evidence trail is checked byte-for-byte against a
+freshly driven unsharded Monitor (``--no-verify`` skips it), and
+``--json`` writes the cluster metrics snapshot, with the ledger's own
+snapshot under ``"ledger"``.
 
 With ``--journal DIR`` the coordinator write-ahead-journals every state
 change.  Re-running the *same* command after a crash (or a SIGKILL —
 the CI durability gate does exactly that) recovers to the last commit
-boundary, logs how many requests were already committed, re-drives only
-the remainder, and still checks byte-parity over the *whole* trail —
-replayed prefix included.  The worker count is not part of the
-journal: the re-run may use a different ``--workers``.
+boundary, logs how many requests were already committed, serves only
+the remainder (the closing adjudication included), and still checks
+byte-parity over the *whole* trail — replayed prefix included.  The
+worker count is not part of the journal: the re-run may use a different
+``--workers``.
 
-Exit status (the shared :mod:`repro.util.cli` contract): 0 on success,
-1 on any parity mismatch or failed online parity self-check, 2 on bad
-usage.
+Exit status (the shared :mod:`repro.util.cli` contract): 0 on success;
+1 on a parity mismatch, a failed online parity self-check, a chaos kill
+that never fired, a history chain that fails to verify or a violation
+found in an audit epoch (a planted ``--violations`` probe is expected
+to be caught, so it fails nothing); 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -40,6 +49,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.audit.events import EpochOutcome
+from repro.cluster import workload
+from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
+from repro.cluster.requests import AdjudicateRequest
+from repro.cluster.spec import ChaosSpec
+from repro.ledger import confirmed
+from repro.ledger.ledger import RULE_SLASH
 from repro.obs import log as obs_log
 from repro.util.cli import (
     EXIT_OK,
@@ -51,27 +67,35 @@ from repro.util.cli import (
 )
 from repro.util.tables import print_table
 
+#: the one workload the sizing flags apply to
+SIZED = "serve-churn"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
-        description="Drive a churn workload through a multi-process "
-        "verification cluster, optionally killing a worker, and check "
+        description="Drive a registered churn workload through a "
+        "verification cluster with the accountability ledger, optionally "
+        "killing a worker, adjudicate every violation, and check "
         "byte-parity against an unsharded monitor.",
     )
+    parser.add_argument("--scenario", default=SIZED, metavar="NAME",
+                        help=f"registered churn workload (default: {SIZED})")
+    parser.add_argument("--list", action="store_true", dest="list_scenarios",
+                        help="list the registered churn workloads and exit")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes (default: 2)")
     parser.add_argument("--transport", default="process",
                         choices=["process", "inline"],
                         help="worker isolation (default: process)")
-    parser.add_argument("--prefixes", type=int, default=8, metavar="P",
-                        help="prefixes originated in the scenario "
+    parser.add_argument("--prefixes", type=int, metavar="P",
+                        help=f"{SIZED}: prefixes originated (default: 8)")
+    parser.add_argument("--churns", type=int, metavar="N",
+                        help=f"{SIZED}: churn rounds in the script "
                         "(default: 8)")
-    parser.add_argument("--churns", type=int, default=12, metavar="N",
-                        help="churn rounds in the script (default: 12)")
-    parser.add_argument("--violations", type=int, default=0, metavar="N",
-                        help="Byzantine probe every N churn rounds "
-                        "(default: never)")
+    parser.add_argument("--violations", type=int, metavar="N",
+                        help=f"{SIZED}: a Byzantine probe every N churn "
+                        "rounds (default: never)")
     parser.add_argument("--max-work", type=int, default=None, metavar="N",
                         help="fresh verifications per epoch bound")
     parser.add_argument("--parity-sample", type=int, default=1, metavar="K",
@@ -109,11 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args) -> int:
-    from repro.cluster import workload
-    from repro.cluster.metrics import REQUEST_COLUMNS, request_rows
-    from repro.cluster.spec import ChaosSpec
-
+def build_workload(args):
+    """The chosen workload's ledger-enabled spec and its churn script.
+    Every range check is the spec's own: a bad value raises
+    ``ValueError`` / ``TypeError`` here."""
+    sizing = {"prefixes": args.prefixes, "rounds": args.churns,
+              "violation_every": args.violations}
+    sizing = {k: v for k, v in sizing.items() if v is not None}
+    if sizing and args.scenario != SIZED:
+        raise ValueError(
+            f"--prefixes, --churns and --violations size only the "
+            f"{SIZED} workload, not {args.scenario!r}"
+        )
     chaos = None
     if args.kill_worker is not None:
         chaos = ChaosSpec(
@@ -121,12 +152,9 @@ def run(args) -> int:
             epoch=args.kill_at_epoch,
             after=args.kill_after,
         )
-
-    spec, requests = workload.get(
-        "serve-churn",
-        prefixes=args.prefixes,
-        rounds=args.churns,
-        violation_every=args.violations,
+    return workload.get(
+        args.scenario,
+        **sizing,
         workers=args.workers,
         transport=args.transport,
         rng_seed=args.seed,
@@ -134,11 +162,18 @@ def run(args) -> int:
         max_work=args.max_work,
         parity_sample=args.parity_sample,
         chaos=chaos,
+        ledger=True,
         flight_dump=args.flight_dump,
         journal=args.journal,
         journal_checkpoint_every=args.checkpoint_every,
     )
 
+
+def run(args, spec, requests) -> int:
+    adjudicate = AdjudicateRequest()
+    script = (*requests, adjudicate)
+    served = EpochOutcome()
+    rulings = {}
     cluster = spec.build()
     try:
         skip = cluster.recovered_requests
@@ -146,15 +181,21 @@ def run(args) -> int:
             obs_log.emit(
                 "cluster",
                 f"recovered from journal at request boundary {skip} — "
-                f"skipping {min(skip, len(requests))} already-committed "
+                f"skipping {min(skip, len(script))} already-committed "
                 f"request(s)",
                 recovered_requests=skip,
             )
-        for request in requests[skip:]:
-            cluster.request(request)
+        for request in script[skip:]:
+            payload = cluster.request(request).payload
+            if request is adjudicate:
+                rulings = payload
+            else:
+                served.reports.extend(payload.reports)
         if args.flight_dump and not cluster.recorder.dumped:
             cluster.recorder.dump(args.flight_dump, "end of run")
         snapshot = cluster.snapshot()
+        ledger = cluster.ledger
+        violations = cluster.evidence.violations()
         mismatches = []
         if not args.no_verify:
             mismatches = workload.reference_mismatches(
@@ -163,14 +204,23 @@ def run(args) -> int:
     finally:
         cluster.stop()
 
+    print_table(
+        f"audit epochs — {args.scenario}, {args.transport} transport",
+        ["epoch", "events", "verified", "reused", "deferred",
+         "signs", "verifies", "wall ms"],
+        [(e.epoch, len(e.events), e.verified, e.reused, len(e.deferred),
+          e.signatures, e.verifications, f"{e.wall_seconds * 1000:.1f}")
+         for e in served.reports],
+    )
     placement = snapshot["placement"]
     epochs = snapshot["epochs"]
     print_table(
-        f"cluster — {args.transport} transport",
-        ["workers", "epochs", "events", "verified", "reused",
-         "violations", "probes caught"],
+        "cluster totals",
+        ["workers", "epochs", "events", "verified", "reused", "signs",
+         "verifies", "violations", "probes caught"],
         [(placement["spec"]["shards"], epochs["count"], epochs["events"],
-          epochs["verified"], epochs["reused"], epochs["violations"],
+          epochs["verified"], epochs["reused"], served.signatures,
+          served.verifications, epochs["violations"],
           snapshot["probes"]["violations"])],
     )
     worker_rows = sorted(
@@ -185,6 +235,37 @@ def run(args) -> int:
     latency_rows = request_rows(snapshot)
     if latency_rows:
         print_table("request latency", REQUEST_COLUMNS, latency_rows)
+
+    if rulings:
+        # every slash in the history is a served adjudication's
+        demoted = {
+            r.evidence_seqs[0] for r in ledger.history.records()
+            if r.rule == RULE_SLASH
+        }
+        print_table(
+            "judge rulings",
+            ["seq", "asn", "judge says", "demoted"],
+            [(event.seq, event.asn,
+              "CONFIRMED" if confirmed(rulings[event.seq]) else "dismissed",
+              "yes" if event.seq in demoted else "no")
+             for event in violations],
+        )
+    print_table(
+        "trust ladder",
+        ["asn", "level", "streak", "clean", "violations", "slashes"],
+        [(r.asn, r.level.name, r.streak, r.clean_events,
+          r.violation_events, r.slashes) for r in ledger.records()],
+    )
+    print_table(
+        "transition history (hash-chained)",
+        ["#", "asn", "epoch", "transition", "rule", "evidence seqs",
+         "digest"],
+        [(r.index, r.asn, r.epoch,
+          f"{r.from_level.name}->{r.to_level.name}", r.rule,
+          ",".join(str(s) for s in r.evidence_seqs),
+          r.digest[:12] + "…")
+         for r in ledger.history.records()],
+    )
 
     if args.json:
         write_json(args.json, snapshot, tag="cluster")
@@ -215,7 +296,15 @@ def run(args) -> int:
             appended=journal_stats["appended"],
             fsyncs=journal_stats["fsyncs"],
         )
-
+    history = snapshot["ledger"]["history"]
+    obs_log.emit(
+        "ledger",
+        f"history chain verified: {history['verified']} "
+        f"(head {ledger.history.head[:16]}…, "
+        f"{len(ledger.history)} transitions)",
+        verified=history["verified"],
+        transitions=len(ledger.history),
+    )
     parity = snapshot["parity"]
     obs_log.emit(
         "cluster",
@@ -224,17 +313,25 @@ def run(args) -> int:
         checked=parity["checked"],
         failed=parity["failed"],
     )
+
     status = EXIT_OK
     if parity["failed"]:
         status = fail(
             "cluster",
             f"{parity['failed']} online parity self-check(s) failed",
         )
-    if chaos is not None and not snapshot["respawns"]:
+    if spec.chaos is not None and not snapshot["respawns"]:
         status = fail(
             "cluster",
-            f"chaos kill of worker {chaos.worker} at epoch {chaos.epoch} "
-            f"never fired",
+            f"chaos kill of worker {spec.chaos.worker} at epoch "
+            f"{spec.chaos.epoch} never fired",
+        )
+    if not history["verified"]:
+        status = fail("ledger", "the transition history chain is broken")
+    if epochs["violations"]:
+        status = fail(
+            "cluster",
+            f"{epochs['violations']} violation event(s) in the audit epochs",
         )
     if args.no_verify:
         obs_log.emit("cluster", "reference parity check skipped (--no-verify)")
@@ -257,37 +354,23 @@ def run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     obs_log.configure_logging(json_mode=args.log_json)
-    if args.workers < 1:
-        return usage_error(f"--workers must be >= 1, got {args.workers}")
-    if args.prefixes < 1:
-        return usage_error(
-            f"--prefixes must be >= 1, got {args.prefixes}"
-        )
-    if args.checkpoint_every < 0:
-        return usage_error(
-            f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"
-        )
+    if args.list_scenarios:
+        print_table("registered churn workloads", ["name", "description"],
+                    list(workload.names().items()))
+        return EXIT_OK
     if args.checkpoint_every and not args.journal:
         return usage_error("--checkpoint-every requires --journal")
     if (args.kill_worker is None) != (args.kill_at_epoch is None):
         return usage_error(
             "--kill-worker and --kill-at-epoch must be given together"
         )
-    if args.kill_worker is not None:
-        if not 0 <= args.kill_worker < args.workers:
-            return usage_error(
-                f"--kill-worker must name one of the {args.workers} "
-                f"workers, got {args.kill_worker}"
-            )
-        if args.kill_at_epoch < 1:
-            return usage_error(
-                f"--kill-at-epoch must be >= 1, got {args.kill_at_epoch}"
-            )
-        if args.kill_after < 0:
-            return usage_error(
-                f"--kill-after must be >= 0, got {args.kill_after}"
-            )
-    return run(args)
+    try:
+        spec, requests = build_workload(args)
+    except KeyError as exc:
+        return usage_error(exc.args[0])
+    except (TypeError, ValueError) as exc:
+        return usage_error(str(exc))
+    return run(args, spec, requests)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,9 @@ loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
   ran what, and across worker deaths: a dead worker's unfinished rounds
   are re-run on a survivor and a fresh worker is forked in its place;
 * **adjudication** — an ``AdjudicateRequest`` runs the judge over the
-  trail and folds the rulings into the ledger: the one path from a
-  recorded violation to a slash, queued and journaled like any write;
+  trail and folds the rulings into the (settled) ledger: the one path
+  from a recorded violation to a slash, queued and journaled like any
+  write;
 * **durability** — with ``spec.journal`` set the coordinator keeps a
   write-ahead journal (:mod:`repro.journal`) of the commands it serves —
   each churn group whole, commits (each with the epoch counter),
@@ -394,9 +395,12 @@ class Cluster:
 
     def _answer_adjudicate(self, request: AdjudicateRequest):
         """Run the judge and fold its rulings into the ledger: the one
-        path from a recorded violation to a slash."""
+        path from a recorded violation to a slash.  Served between
+        groups, when every recorded epoch is complete: the ledger
+        settles them all before the rulings fold."""
         payload = answer_adjudicate(self.evidence, request)
         if self.ledger is not None:
+            self.ledger.settle()
             self.ledger.fold_adjudications(payload)
         # a boundary record of its own: rulings and ledger slashing
         # re-derive deterministically from the seq

@@ -151,6 +151,10 @@ class ClusterSpec:
             )
         if self.placement not in (None, "static", "consistent", "hotsplit"):
             raise ValueError(f"unknown placement {self.placement!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.max_work is not None and self.max_work < 1:
+            raise ValueError(f"max_work must be >= 1, got {self.max_work}")
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"

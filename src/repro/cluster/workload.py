@@ -136,6 +136,10 @@ def churn_script(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if violation_every < 0:
+        raise ValueError(
+            f"violation_every must be >= 0, got {violation_every}"
+        )
     requests: List[ChurnRequest] = [ChurnRequest()]  # audit the converged state
     for index in range(rounds):
         prefix = prefixes[index % len(prefixes)]

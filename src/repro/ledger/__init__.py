@@ -19,9 +19,9 @@ The ledger only listens: nothing the audit plane plans or verifies
 depends on a trust level, so every deviation on a monitored tuple is
 still checked (the paper's Detection property).
 
-``python -m repro.ledger`` runs a churn scenario under a ledger-enabled
-monitor and prints the ladder's life: promotions, adjudicated slashes
-and the verified hash chain.
+``python -m repro.cluster`` runs every churn workload with a ledger and
+a closing adjudication, and prints the ladder's life: promotions,
+adjudicated slashes and the verified hash chain.
 """
 
 from repro.ledger.history import (

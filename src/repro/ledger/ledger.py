@@ -182,7 +182,8 @@ class TrustLedger:
         """Close every open epoch bucket older than ``before`` (all of
         them when ``None``), running the promotion rule per epoch in
         ascending order.  Returns the number of epochs settled.  Called
-        automatically when a newer epoch's events arrive — the one rule
+        automatically when a newer epoch's events arrive, and by a
+        cluster's served adjudication before its rulings fold — rules
         a live coordinator and a journal replay both follow; a reader
         that wants the still-open last epoch counted settles it
         explicitly."""
@@ -332,7 +333,8 @@ class TrustLedger:
 
     def snapshot(self) -> Dict[str, object]:
         """The schema-versioned, JSON-serializable ledger document
-        (the shape ``python -m repro.ledger --json`` emits)."""
+        (``"ledger"`` in the cluster snapshot that
+        ``python -m repro.cluster --json`` writes)."""
         import json
 
         snapshot = {

@@ -1,7 +1,7 @@
 """Shared plumbing for the ``python -m repro.*`` command lines.
 
-Four entry points — ``repro.audit``, ``repro.serve``, ``repro.cluster``
-and ``repro.ledger`` — share the same contract:
+The two drivers — ``repro.serve`` and ``repro.cluster`` — share the
+same contract (``repro.obs`` uses its exit codes and JSON writer):
 
 * exit status **0** on success, **1** when the run's own acceptance
   check failed (parity mismatch, errored requests, a broken hash
@@ -16,10 +16,9 @@ and ``repro.ledger`` — share the same contract:
   :mod:`repro.obs.log` emitter to structured output.
 
 This module is that contract in one place, so the CLIs stay consistent
-as flags accrete.  What they run is in one place too: each builds its
-network, policies and churn script from :mod:`repro.cluster.workload`
-(``get(name, **spec_fields)`` / ``serve_spec``), and the three that
-drive a serial monitor do it through ``drive_monitor``.
+as flags accrete.  What they run is in one place too: both build their
+network and policies from :mod:`repro.cluster.workload`
+(``get(name, **spec_fields)`` / ``serve_spec``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Paper-style text tables for benchmark and CLI output.
 
-The human-readable rendering the ``benchmarks/`` series and the serve /
-cluster / audit / ledger CLIs print, kept byte-compatible so existing
-series remain comparable.
+The human-readable rendering the ``benchmarks/`` series and the serve
+and cluster CLIs print, kept byte-compatible so existing series remain
+comparable.
 """
 
 from __future__ import annotations

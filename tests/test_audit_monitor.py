@@ -825,7 +825,7 @@ class TestChurnRunner:
 
     def test_request_by_request_leaves_the_same_trail(self):
         """Driving a script whole or one request at a time is the same
-        run — what the ledger CLI's per-request rows rely on."""
+        run — what the churn CLI's per-request epoch rows rely on."""
         spec, requests = workload.get(
             "serve-churn", prefixes=3, rounds=6, violation_every=3,
             max_work=2,

@@ -342,6 +342,16 @@ class TestClusterSpecValidation:
         with pytest.raises(ValueError):
             serve_spec(queue_depth=0)
 
+    def test_workers_and_max_work_are_checked_at_the_spec(self):
+        """Regression: ``workers=0`` constructed and failed only in
+        ``Cluster(spec)``, inside the pool; ``max_work=0`` failed only
+        when a monitor was built from the spec."""
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            serve_spec(workers=0)
+        with pytest.raises(ValueError, match="max_work must be >= 1"):
+            serve_spec(max_work=0)
+        assert serve_spec(workers=1, max_work=1).max_work == 1
+
     def test_placement_is_a_checked_no_op(self):
         for name in (None, "static", "consistent", "hotsplit"):
             assert make_spec("minimum", placement=name).placement == name
@@ -484,3 +494,83 @@ class TestNoWorkerMakesAKey:
         finally:
             cluster.stop()
         assert reference_mismatches(spec, requests, evidence) == []
+
+
+# -- the churn CLI -------------------------------------------------------------
+
+
+class TestChurnCLI:
+    """``python -m repro.cluster`` is the one churn driver: any
+    registered workload, with the ledger on and a closing adjudication
+    served through the coordinator."""
+
+    @staticmethod
+    def main(*argv):
+        from repro.cluster.__main__ import main
+
+        return main(["--transport", "inline", *argv])
+
+    def test_ledger_json_snapshot(self, tmp_path, capsys):
+        out = tmp_path / "cluster.json"
+        code = self.main(
+            "--prefixes", "3", "--churns", "6", "--violations", "4",
+            "--json", str(out),
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "history chain verified: True" in stdout
+        assert "CONFIRMED" in stdout
+        document = json.loads(out.read_text())
+        assert document["probes"]["violations"] == 1
+        assert document["epochs"]["violations"] == 0
+        ledger = document["ledger"]
+        assert ledger["schema"] == "repro.ledger/snapshot"
+        assert ledger["schema_version"] == 2
+        assert ledger["levels"]["A"] == "QUARANTINED"
+        assert ledger["history"]["verified"] is True
+        assert document["requests"]["adjudicate"]["completed"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--promote-after", "3"),
+        ("--rounds", "3"),
+        ("--churns", "0"),
+        ("--workers", "0"),
+        ("--scenario", "nope"),
+        ("--scenario", "churn-fig1", "--prefixes", "3"),
+        ("--kill-worker", "1"),
+        ("--checkpoint-every", "2"),
+    ], ids=["promote-after", "rounds", "churns-0", "workers-0",
+            "unknown-scenario", "sized-fixed-scenario", "kill-unpaired",
+            "checkpoint-without-journal"])
+    def test_bad_usage_exits_2(self, argv, capsys):
+        try:
+            code = self.main(*argv)
+        except SystemExit as refused:  # argparse: an unknown flag
+            code = refused.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_list_prints_every_registered_name(self, capsys):
+        assert self.main("--list") == 0
+        stdout = capsys.readouterr().out
+        for name in workload.names():
+            assert name in stdout
+
+    def test_a_cheating_policy_fails_the_run(self, monkeypatch, capsys):
+        """A violation found in an audit epoch exits 1 (a planted probe
+        does not: the run expects to catch it)."""
+        policy = PolicySpec(
+            "A", NoLongerThanOthers(),
+            {"name": "A/p4", "max_length": 8,
+             "chooser": "discriminating:B"},
+        )
+        monkeypatch.setitem(
+            workload._REGISTRY, "cheating-p4", ("test only", lambda **f: (
+                serve_spec(PREFIX_COUNT, policies=(policy,), **f),
+                churn_script(PREFIXES, rounds=2),
+            )),
+        )
+        assert self.main("--scenario", "cheating-p4") == 1
+        assert "violation event(s) in the audit epochs" in (
+            capsys.readouterr().err
+        )

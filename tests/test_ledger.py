@@ -599,6 +599,29 @@ class TestRateOneIdentity:
             cluster.stop()
 
 
+    def test_served_adjudication_settles_before_it_slashes(self):
+        """The judge rules on a settled ladder: every epoch a served
+        adjudication follows is complete, so its clean streak counts
+        before the slash resets it (as a serial run that settles, then
+        folds the same rulings, counts it)."""
+        policy = LedgerPolicy(clean_epochs_to_promote=3)
+        requests = churn_script(PREFIXES, rounds=4, violation_every=4)
+        cluster = make_spec(ledger=policy).build()
+        try:
+            for request in requests:
+                cluster.request(request)
+            assert cluster.ledger.snapshot()["open_epochs"]
+            cluster.request(AdjudicateRequest())
+            ledger = cluster.ledger
+        finally:
+            cluster.stop()
+        reference = make_spec(ledger=policy).build_monitor()
+        drive_monitor(reference, requests)
+        reference.ledger.settle()
+        reference.ledger.fold_adjudications(reference.evidence.adjudicate())
+        assert ledger.snapshot()["open_epochs"] == []
+        assert ledger.snapshot() == reference.ledger.snapshot()
+
     def test_cluster_adjudication_slashes_at_once(self):
         """Slashing is folded in by the served ``AdjudicateRequest``
         itself (as on the serve host), not at the next epoch's
@@ -669,41 +692,3 @@ class TestServeLedger:
                 await service.stop()
 
         asyncio.run(go())
-
-
-# -- the CLI -----------------------------------------------------------------
-
-
-class TestLedgerCLI:
-    def test_main_json_snapshot(self, tmp_path, capsys):
-        from repro.ledger.__main__ import main
-
-        out = tmp_path / "ledger.json"
-        code = main([
-            "--prefixes", "3", "--rounds", "6",
-            "--promote-after", "2", "--violate-every", "4",
-            "--json", str(out),
-        ])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "history chain verified: True" in stdout
-        document = json.loads(out.read_text())
-        assert document["schema"] == "repro.ledger/snapshot"
-        assert document["schema_version"] == 2
-        assert document["levels"]["A"] == "QUARANTINED"
-        assert document["history"]["verified"] is True
-        assert set(document["run"]) == {
-            "epochs", "events", "verified", "reused", "signatures",
-            "challenges",
-        }
-        assert document["run"]["challenges"]
-
-    def test_main_rejects_bad_usage(self, capsys):
-        from repro.ledger.__main__ import main
-
-        with pytest.raises(SystemExit) as refused:
-            main(["--rate", "1.0"])  # trust no longer buys a rate
-        assert refused.value.code == 2
-        assert main(["--rounds", "0"]) == 2
-        assert main(["--promote-after", "0"]) == 2
-        capsys.readouterr()

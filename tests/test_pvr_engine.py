@@ -580,8 +580,9 @@ class TestLeafPackage:
 
     def test_importing_audit_loads_nothing_above_it(self):
         """The audit plane is the next layer up: the serving stack
-        builds on it (only ``python -m repro.audit`` reaches up, for
-        the workload registry)."""
+        builds on it, and no module of ``repro.audit`` reaches up (the
+        churn CLI, which reads the workload registry, is
+        ``python -m repro.cluster``)."""
         above = ("repro.cluster", "repro.serve", "repro.ledger",
                  "repro.journal")
         assert self.loaded("repro.audit", above) == "[]"
