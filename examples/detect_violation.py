@@ -97,7 +97,8 @@ def main() -> None:
 
     smear = Complaint(accuser="N1", accused="A", round=honest.round,
                       claim="missing-receipt")
-    response = honest.report.transcript.views["N1"].receipt
+    # the trail keeps receipts; the replay re-derives what A sent N1
+    response = monitor.replay(honest).transcript.views["N1"].receipt
     ruling = judge.resolve_complaint(smear, response)
     print(f"  N1 claims its receipt was withheld; A produces it -> "
           f"{ruling.outcome}")

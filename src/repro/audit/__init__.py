@@ -14,7 +14,9 @@ experiment.  This package is that plane:
   whose inputs are unchanged since its last verification is *reused*
   (zero crypto operations) instead of re-proved;
 * :class:`~repro.audit.events.VerdictEvent` — the monitor's output
-  stream, one event per audited tuple per epoch;
+  stream, one event per audited tuple per epoch: a receipt (verdicts,
+  evidence, a digest of what was sent) whose transcript
+  :meth:`~repro.audit.monitor.Monitor.replay` re-derives;
 * :class:`~repro.audit.store.EvidenceStore` — the queryable evidence
   trail (``by_asn``, ``by_prefix``, ``violations()``, judge
   adjudication on demand);
@@ -34,7 +36,7 @@ from repro.audit.events import (
     SliceStats,
     VerdictEvent,
 )
-from repro.audit.monitor import EpochPlan, Monitor, PlannedItem
+from repro.audit.monitor import EpochPlan, Monitor, PlannedItem, ReplayError
 from repro.audit.policy import AuditPolicy
 from repro.audit.store import EvidenceStore
 from repro.audit.wire import (
@@ -56,6 +58,7 @@ __all__ = [
     "EvidenceStore",
     "Monitor",
     "PlannedItem",
+    "ReplayError",
     "RoundStats",
     "SliceStats",
     "VerdictEvent",

@@ -3,9 +3,10 @@
 A :class:`VerdictEvent` is one audited (AS, prefix, policy, recipients)
 tuple in one epoch — either freshly verified (``reused=False``, with a
 full wire round behind it) or served from the incremental cache
-(``reused=True``, zero crypto operations, same report object as the
-verification it reuses).  An :class:`EpochReport` aggregates one epoch:
-what ran, what was reused, what was deferred by the work bound.
+(``reused=True``, zero crypto operations, same report object and wire
+digest as the verification it reuses).  An :class:`EpochReport`
+aggregates one epoch: what ran, what was reused, what was deferred by
+the work bound.
 
 :class:`EpochOutcome` is the **unified epoch-driving result**: the one
 shape :meth:`~repro.audit.monitor.Monitor.run_epoch` and the cluster
@@ -34,8 +35,10 @@ class VerdictEvent:
     """One audited tuple's outcome, as emitted on the monitor's stream.
 
     ``routes`` is the exact Adj-RIB-In slice the session verified (the
-    replay inputs); ``report`` is the engine's full session report;
-    ``stats`` the wire-round cost accounting (zeroed for reused events).
+    replay inputs); ``report`` is a receipt — the session report
+    without its transcript (:meth:`~repro.audit.monitor.Monitor.replay`
+    re-derives it); ``stats`` the wire-round cost accounting (zeroed for
+    reused events) and the digest of what the round sent.
     ``epoch`` is ``None`` for out-of-epoch audits
     (:meth:`~repro.audit.monitor.Monitor.audit_once`).
     """
@@ -101,7 +104,7 @@ def reused_event(
     previous: VerdictEvent, *, seq: int, epoch: int
 ) -> VerdictEvent:
     """Build the cache-served re-emission of ``previous`` for ``epoch``:
-    same report, same round, zero crypto operations."""
+    same report, same round and wire digest, zero crypto operations."""
     return VerdictEvent(
         seq=seq,
         epoch=epoch,
@@ -120,6 +123,7 @@ def reused_event(
             violations=previous.stats.violations,
             equivocations=previous.stats.equivocations,
             reused=True,
+            wire_digest=previous.stats.wire_digest,
         ),
         reused=True,
     )

@@ -19,7 +19,11 @@ the accumulated churn into one verification epoch:
   ``(rng_seed, round)``, so any emitted event can be reproduced by a
   one-shot :class:`~repro.pvr.engine.VerificationSession` with the same
   spec, round, inputs and randomness (and ``batching=True``, the audit
-  plane's §3.8 protocol), byte for byte.
+  plane's §3.8 protocol), byte for byte;
+* **receipts** — an event records the verdicts, the evidence and a
+  digest of what its round sent, not the transcript:
+  :meth:`Monitor.replay` re-derives the transcript off the wire and
+  checks it against the digest.
 
 Usage::
 
@@ -65,6 +69,7 @@ from repro.audit.store import EvidenceStore
 from repro.audit.wire import (
     RoundResult,
     RoundStats,
+    replay_round,
     round_randomness,
     run_wire_round,
 )
@@ -145,6 +150,12 @@ class MonitorError(RuntimeError):
 
 class MergeError(RuntimeError):
     """A plan entry has no outcome, or an outcome contradicts its plan."""
+
+
+class ReplayError(RuntimeError):
+    """A recorded event's round cannot be re-derived: it ran an
+    injected prover, or the replay sent other bytes than the round
+    recorded (:attr:`~repro.audit.wire.RoundStats.wire_digest`)."""
 
 
 class Monitor:
@@ -648,6 +659,54 @@ class Monitor:
         round_no = self._next_round()
         report, stats = self._wire_round(item, round_no, prover=prover)
         return self._record_round(item, round_no, report, stats, epoch=None)
+
+    def replay(self, event: VerdictEvent) -> SessionReport:
+        """Re-derive a recorded event's full report, transcript included.
+
+        An event is a receipt: its report keeps the verdicts and the
+        evidence, its ``stats.wire_digest`` what the round sent.  This
+        re-runs the round off the wire from the event's spec, routes and
+        round, on this monitor's keys and nonce stream and its policy's
+        chooser — what a pool worker runs — and returns the report with
+        its transcript.  Crypto runs on a worker view, so the monitor's
+        counters do not move.
+
+        Raises :class:`ReplayError` if the replay's wire digest differs
+        from the recorded one (other keys or seed, or a live round whose
+        messages an interceptor dropped or changed), and — refusing it
+        by name — for a probe that ran an injected prover
+        (:meth:`audit_once` with ``prover=``): the deviation is an
+        object the trail does not record, so only its receipt exists.
+        """
+        if event.stats.injected:
+            raise ReplayError(
+                f"event {event.seq} ran an injected prover: its "
+                f"transcript cannot be re-derived"
+            )
+        network = self._require_network()
+        chooser = next(
+            (p.chooser for p in self._policies if p.name == event.policy),
+            None,
+        )
+        report, stats = replay_round(
+            self.keystore,
+            event.spec,
+            event.routes,
+            round=event.round,
+            rng_seed=self.rng_seed,
+            chooser=chooser,
+            neighbor_count=len(
+                network.transport.neighbors(event.spec.prover)
+            ),
+        )
+        if stats.wire_digest != event.stats.wire_digest:
+            raise ReplayError(
+                f"event {event.seq}: the replayed round sent other bytes "
+                f"than the recorded one (wire digest "
+                f"{stats.wire_digest.hex()[:16]} != "
+                f"{event.stats.wire_digest.hex()[:16]})"
+            )
+        return report
 
 
 def fold_plan(

@@ -36,6 +36,15 @@ stays byte-identical to the reference ``Monitor``'s.  An injected
 ``prover`` (a Byzantine probe) runs as given; the engine's own default
 stays the paper's per-disclosure protocol.
 
+Both return the report's receipt
+(:meth:`~repro.pvr.session.SessionReport.receipt`), not its transcript:
+it keeps the verdicts, equivocations and evidence the judge needs, and
+the stats carry ``wire_digest``, one SHA-256 over what the round sent.
+A worker's result frame and the serial monitor's event strip the
+transcript at the same point, so parity holds by construction;
+:meth:`~repro.audit.monitor.Monitor.replay` re-derives a transcript off
+the wire (:func:`replay_round`) and checks it against the digest.
+
 Crypto cost is measured via the keystore's operation counters and the
 obs clock; transport cost via the network's byte/message counters.
 """
@@ -48,6 +57,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 from repro.audit.choosers import ChooserRef, resolve as resolve_chooser
 from repro.bgp.network import BGPNetwork
 from repro.crypto.keystore import KeyStore
+from repro.net.simnet import Meter
 from repro.obs.trace import Stopwatch
 from repro.pvr.engine import VerificationSession
 from repro.pvr.session import PromiseSpec, SessionReport
@@ -80,11 +90,17 @@ class ViewPayload:
 
 @dataclass
 class RoundStats:
-    """Cost accounting for one wire round.
+    """Cost accounting for one wire round, and a digest of what it sent.
 
     ``recipients`` carries the full recipient set (plural under the
     promise-4 cross-check); ``recipient`` is its first member, a field
-    of every journaled event.
+    of every journaled event.  ``wire_digest`` is the round's
+    :meth:`~repro.net.simnet.Meter.digest`: one SHA-256 over the
+    canonical encodings of every payload it put on the wire (interceptor
+    substitutes included), in a canonical order and with multiplicity —
+    the same on or off the wire, and kept by a reused event.
+    ``injected`` marks a round that ran an injected prover (a Byzantine
+    probe), which :meth:`~repro.audit.monitor.Monitor.replay` refuses.
     """
 
     prover: str
@@ -99,6 +115,8 @@ class RoundStats:
     violations: int = 0
     equivocations: int = 0
     reused: bool = False
+    wire_digest: bytes = b""
+    injected: bool = False
 
 
 #: what one executed round yields, on or off the wire
@@ -160,8 +178,8 @@ def run_wire_round(
 
     ``routes`` is the prover's current Adj-RIB-In slice (party -> Route
     or None) — what each provider will re-announce.  Returns the
-    engine's :class:`~repro.pvr.session.SessionReport` plus the round's
-    cost accounting.
+    round's :meth:`~repro.pvr.session.SessionReport.receipt` plus its
+    cost accounting and wire digest.
     """
     # an injected prover instance (a Byzantine deviation) that was built
     # without a nonce source adopts the round's deterministic stream for
@@ -177,7 +195,7 @@ def run_wire_round(
     if seeded_prover:
         prover.random_bytes = random_bytes
     try:
-        return _run_wire_round(
+        report, stats = _run_wire_round(
             network,
             keystore,
             spec,
@@ -187,6 +205,7 @@ def run_wire_round(
             chooser=chooser,
             random_bytes=random_bytes,
         )
+        return report.receipt(), stats
     finally:
         if seeded_prover:
             prover.random_bytes = None
@@ -247,9 +266,11 @@ def _run_wire_round(
         report,
         messages=transport.delivered - messages_before,
         bytes=meter.bytes,
+        wire_digest=meter.digest(),
         signatures=keystore.sign_count - sign_before,
         verifications=keystore.verify_count - verify_before,
         wall_seconds=watch.seconds,
+        injected=prover is not None,
     )
 
 
@@ -272,39 +293,38 @@ def modeled_wire_stats(
     views: Mapping[str, object],
     statement: object,
     neighbor_count: int,
-) -> Tuple[int, int]:
-    """The (messages, bytes) a :func:`run_wire_round` of this session
-    would have recorded, computed without a network.
+) -> Tuple[int, Meter]:
+    """The message count and :class:`~repro.net.simnet.Meter` (bytes
+    and wire digest) a :func:`run_wire_round` of this session would
+    have recorded, computed without a network.
 
     :func:`run_offwire_round` verifies in memory; replaying the
     transport cost model here is what makes a sharded round report the
-    *same* byte/message counts as the serial wire path instead of zero.
-    The model mirrors the wire round exactly — one message per signed
-    announcement, one view per party, the commitment statement broadcast
-    to every neighbor of the prover — and prices each payload with
-    :func:`repro.net.simnet.estimate_size`, the same function a wire
-    round's meter uses.  It is exact when the network is
-    quiescent and no interceptor is armed (both true on the serve path:
-    epochs only run at quiescence, and Byzantine probes never ship to
-    workers).
+    *same* byte/message counts and digest as the serial wire path
+    instead of zero.  The model mirrors the wire round exactly — one
+    message per signed announcement, one view per party, the commitment
+    statement broadcast to every neighbor of the prover — and prices
+    each payload once with :meth:`~repro.net.simnet.Meter.price`, what
+    a wire round's meter does per message.  It is exact when the network
+    is quiescent and no interceptor is armed (both true on the serve
+    path: epochs only run at quiescence, and Byzantine probes never ship
+    to workers).
     """
-    from repro.net.simnet import estimate_size
-
+    meter = Meter()
     messages = 0
-    total = 0
     for _, ann in _announcement_senders(session, announcements):
         messages += 1
-        total += estimate_size(AnnouncePayload(ann))
+        meter.price(AnnouncePayload(ann))
     for view in views.values():
         messages += 1
-        total += estimate_size(ViewPayload(view))
+        meter.price(ViewPayload(view))
     if statement is not None and neighbor_count > 0:
         messages += neighbor_count
-        total += neighbor_count * estimate_size(CommitPayload(statement))
-    return messages, total
+        meter.price(CommitPayload(statement), copies=neighbor_count)
+    return messages, meter
 
 
-def run_offwire_round(
+def replay_round(
     keystore: KeyStore,
     spec: PromiseSpec,
     routes: Mapping[str, object],
@@ -314,14 +334,14 @@ def run_offwire_round(
     chooser: ChooserRef = None,
     neighbor_count: int = 0,
 ) -> RoundResult:
-    """Replay one planned round in memory: the same pair
-    :func:`run_wire_round` returns, computed without a network.
+    """One planned round in memory, its report's transcript kept: what
+    :func:`run_offwire_round` computes before it keeps the receipt, and
+    what :meth:`~repro.audit.monitor.Monitor.replay` re-derives a
+    recorded event's transcript with.
 
     Same spec, round, inputs and ``round_randomness(rng_seed, round)``
-    nonce stream ⇒ same bytes as the monitor's wire round, which is why
-    shard workers execute fresh plan entries through this and the serve
-    and cluster parity self-checks re-prove sampled verdicts through it.
-    The session is driven phase by phase so its artifacts feed
+    nonce stream ⇒ same bytes as the monitor's wire round.  The session
+    is driven phase by phase so its artifacts feed
     :func:`modeled_wire_stats`.  Crypto runs on a fresh worker view of
     ``keystore``: the round's counts land in the returned stats and the
     caller's counters do not move (fold them in with
@@ -341,28 +361,60 @@ def run_offwire_round(
         statement = session.commit()
         views = session.disclose()
         report = session.verify()
-        messages, wire_bytes = modeled_wire_stats(
+        messages, meter = modeled_wire_stats(
             session, announcements, views, statement, neighbor_count
         )
     return report, _round_stats(
         report,
         messages=messages,
-        bytes=wire_bytes,
+        bytes=meter.bytes,
+        wire_digest=meter.digest(),
         signatures=view.sign_count,
         verifications=view.verify_count,
         wall_seconds=watch.seconds,
     )
 
 
-def reports_match(replay: SessionReport, report: SessionReport) -> bool:
-    """Whether a replayed round proved exactly what the recorded one
-    did: verdicts, equivocations, evidence and complaints — the
-    comparison the online parity self-checks count failures of."""
+def run_offwire_round(
+    keystore: KeyStore,
+    spec: PromiseSpec,
+    routes: Mapping[str, object],
+    *,
+    round: int,
+    rng_seed: object,
+    chooser: ChooserRef = None,
+    neighbor_count: int = 0,
+) -> RoundResult:
+    """One planned round in memory: the same pair
+    :func:`run_wire_round` returns — the receipt, the cost
+    accounting and the wire digest — computed without a network by
+    :func:`replay_round`.  Shard workers execute fresh plan entries
+    through this, and the cluster's parity self-check re-proves sampled
+    verdicts through it."""
+    report, stats = replay_round(
+        keystore,
+        spec,
+        routes,
+        round=round,
+        rng_seed=rng_seed,
+        chooser=chooser,
+        neighbor_count=neighbor_count,
+    )
+    return report.receipt(), stats
+
+
+def reports_match(replay: RoundResult, recorded: RoundResult) -> bool:
+    """Whether a replayed round proved and sent exactly what the
+    recorded one did: verdicts, equivocations, evidence, complaints and
+    the wire digest — the comparison the online parity self-checks
+    count failures of."""
+    (replayed, replayed_stats), (report, stats) = replay, recorded
     return (
-        replay.verdicts == report.verdicts
-        and replay.equivocations == report.equivocations
-        and replay.all_evidence() == report.all_evidence()
-        and replay.all_complaints() == report.all_complaints()
+        replayed.verdicts == report.verdicts
+        and replayed.equivocations == report.equivocations
+        and replayed.all_evidence() == report.all_evidence()
+        and replayed.all_complaints() == report.all_complaints()
+        and replayed_stats.wire_digest == stats.wire_digest
     )
 
 

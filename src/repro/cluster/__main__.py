@@ -70,6 +70,21 @@ from repro.util.tables import print_table
 #: the one workload the sizing flags apply to
 SIZED = "serve-churn"
 
+#: the flag that sets each field the spec, the script and the chaos
+#: spec range-check: a usage error names the flag the user typed
+FLAGS = {
+    "workers": "--workers",
+    "max_work": "--max-work",
+    "parity_sample": "--parity-sample",
+    "journal_checkpoint_every": "--checkpoint-every",
+    "prefix_count": "--prefixes",
+    "rounds": "--churns",
+    "violation_every": "--violations",
+    "worker": "--kill-worker",
+    "epoch": "--kill-at-epoch",
+    "after": "--kill-after",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -369,7 +384,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         return usage_error(exc.args[0])
     except (TypeError, ValueError) as exc:
-        return usage_error(str(exc))
+        # "rounds must be >= 1, got 0" -> "--churns must be >= 1, got 0"
+        field, _, rest = str(exc).partition(" ")
+        return usage_error(f"{FLAGS.get(field, field)} {rest}")
     return run(args, spec, requests)
 
 

@@ -36,9 +36,17 @@ loop ``queue.next_group()`` → :meth:`Cluster.serve_group` →
   adjudications — and of checkpoints, fsynced at each commit boundary,
   so a coordinator killed mid-run restarts at the last boundary with a
   byte-identical trail, the same rulings and the same trust ladder: the
-  replacement ``Cluster`` restores the last checkpoint, forks a fresh
-  pool and re-serves the commands committed after it, through the same
-  code, before it attaches the journal.
+  replacement ``Cluster`` forks a fresh pool, restores the last
+  checkpoint and re-serves the commands committed after it, through the
+  same code, before it attaches the journal.
+
+The pool forks first, whether the coordinator starts fresh or recovers:
+on an empty key table, before the monitor, the network or the journal
+exist in the parent, so a stateless worker inherits nothing of the
+coordinator's, and its keys ride its first batch.  What travels back is
+a receipt per round (:meth:`~repro.pvr.session.SessionReport.receipt`):
+verdicts, evidence and a digest of what was sent, never the
+transcript.
 
 Queries never reach ``serve_group``: the queue answers them at the
 door from the evidence store's committed view, whose watermark
@@ -89,15 +97,28 @@ class Cluster:
         #: ``None`` unless the spec names a journal directory, and until
         #: a recovery has re-served what the journal committed
         self.journal = None
-        self.executor = None
-        journal = Journal(spec.journal) if spec.journal else None
+        # the pool forks first, from a coordinator that holds nothing
+        # yet: its keys reach the workers with their first batch
+        keystore = spec.build_keystore()
+        self.executor = ShardExecutor(
+            spec.workers,
+            keystore,
+            spec.rng_seed,
+            transport=spec.transport,
+            chaos=spec.chaos,
+        )
+        self.executor.warm()
+        journal = None
         try:
-            recovered = recover_state(spec, journal) if journal else None
-            self._build(recovered)
+            journal = Journal(spec.journal) if spec.journal else None
+            recovered = (
+                recover_state(spec, journal, keystore=keystore)
+                if journal else None
+            )
+            self._build(recovered, keystore)
         except BaseException:
             # refused (another format or spec) or failed part-way
-            if self.executor is not None:
-                self.executor.backend.close()
+            self.executor.backend.close()
             if journal is not None:
                 journal.close()
             raise
@@ -107,15 +128,15 @@ class Cluster:
             journal.sync()
         self._stopped = False
 
-    def _build(self, recovered) -> None:
-        """Assemble the coordinator, fresh or at ``recovered``'s last
-        checkpoint, and fork the pool; a recovery then re-serves the
-        commands journaled after the checkpoint."""
+    def _build(self, recovered, keystore) -> None:
+        """Assemble the coordinator on the pool's ``keystore``, fresh or
+        at ``recovered``'s last checkpoint; a recovery then re-serves
+        the commands journaled after the checkpoint."""
         spec = self.spec
         try:
             #: the one monitor — fresh, or rebuilt at the journal's
             #: last checkpoint
-            self.monitor = spec.build_monitor(recovered)
+            self.monitor = spec.build_monitor(recovered, keystore=keystore)
         except Exception as exc:
             if recovered is None or not recovered.checkpoint:
                 raise
@@ -136,14 +157,6 @@ class Cluster:
         self.tracer = self.monitor.tracer = self.recorder.attach(
             TraceContext("c", enabled=spec.trace)
         )
-        self.executor = ShardExecutor(
-            spec.workers,
-            self.monitor.keystore,
-            spec.rng_seed,
-            transport=spec.transport,
-            chaos=spec.chaos,
-        )
-        self.executor.warm()
         self.metrics = ClusterMetrics()
         #: mutating (churn/adjudicate) requests committed so far —
         #: journaled at each commit boundary so a recovered run knows
@@ -428,14 +441,13 @@ class Cluster:
         try:
             fresh = plan.fresh_entries()
             neighbors = monitor.network.transport.neighbors
+            fanout = {
+                entry.item.spec.prover: len(neighbors(entry.item.spec.prover))
+                for _, entry in fresh
+            }
             outcomes, slices, reaped = self.executor.execute(
                 fresh,
-                {
-                    entry.item.spec.prover: len(
-                        neighbors(entry.item.spec.prover)
-                    )
-                    for _, entry in fresh
-                },
+                fanout,
                 epoch=plan.epoch,
                 tracer=tracer,
                 on_reap=self._dump_flight,
@@ -460,33 +472,37 @@ class Cluster:
         outcome.reports.append(report)
         outcome.slices.extend(slices)
         outcome.respawns += len(reaped)
-        self._parity_check(plan, outcomes)
+        self._parity_check(plan, outcomes, fanout)
 
     def _parity_check(
-        self, plan: EpochPlan, outcomes: Dict[int, RoundResult]
+        self,
+        plan: EpochPlan,
+        outcomes: Dict[int, RoundResult],
+        fanout: Dict[str, int],
     ) -> None:
         """Re-prove every ``spec.parity_sample``-th shipped verdict
         in-process and compare — catches anything that could make a
         worker diverge from the planner's promise (pickling loss,
-        nondeterminism, a bad fold) without paying for a full shadow
-        monitor.  Failures are counted, never raised: the CI smoke jobs
-        gate on the counter staying zero."""
+        nondeterminism, a bad fold, other bytes sent) without paying for
+        a full shadow monitor.  Failures are counted, never raised: the
+        CI smoke jobs gate on the counter staying zero."""
         sample = self.spec.parity_sample
         if sample < 1:
             return
         checked = failed = 0
         for position in sorted(outcomes)[::sample]:
             entry = plan.entries[position]
-            replay, _ = run_offwire_round(
+            replay = run_offwire_round(
                 self.monitor.keystore,
                 entry.item.spec,
                 entry.item.routes,
                 round=entry.round,
                 rng_seed=self.monitor.rng_seed,
                 chooser=entry.chooser,
+                neighbor_count=fanout[entry.item.spec.prover],
             )
             checked += 1
-            if not reports_match(replay, outcomes[position][0]):
+            if not reports_match(replay, outcomes[position]):
                 failed += 1
         self.metrics.note_parity(checked, failed)
         if failed:

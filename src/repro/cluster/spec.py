@@ -55,10 +55,10 @@ class ChaosSpec:
             raise ValueError(
                 f"chaos mode must be 'kill' or 'hang', got {self.mode!r}"
             )
-        if self.worker < 0 or self.epoch < 1 or self.after < 0:
-            raise ValueError(
-                "chaos needs worker >= 0, epoch >= 1 and after >= 0"
-            )
+        for name, least in (("worker", 0), ("epoch", 1), ("after", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,18 @@ class ClusterSpec:
                 f"queue_depth must be >= 1, got {self.queue_depth}"
             )
         if self.parity_sample < 0:
-            raise ValueError("parity_sample must be >= 0")
+            raise ValueError(
+                f"parity_sample must be >= 0, got {self.parity_sample}"
+            )
         if self.coalesce_max < 1:
-            raise ValueError("coalesce_max must be >= 1")
+            raise ValueError(
+                f"coalesce_max must be >= 1, got {self.coalesce_max}"
+            )
         if self.journal_checkpoint_every < 0:
-            raise ValueError("journal_checkpoint_every must be >= 0")
+            raise ValueError(
+                f"journal_checkpoint_every must be >= 0, "
+                f"got {self.journal_checkpoint_every}"
+            )
         if self.chaos is not None and self.chaos.worker >= self.workers:
             raise ValueError(
                 f"chaos names worker {self.chaos.worker}, but the cluster "
@@ -203,7 +210,7 @@ class ClusterSpec:
         holds (derived from the shared seed)."""
         return KeyStore(seed=self.rng_seed, key_bits=self.key_bits)
 
-    def build_monitor(self, recovered=None) -> Monitor:
+    def build_monitor(self, recovered=None, *, keystore=None) -> Monitor:
         """One plain monitor over the spec's network, policies and
         seeds: the coordinator's planner, and — driven serially — the
         parity oracle.  With a ``ledger`` configured, the monitor gets
@@ -214,7 +221,12 @@ class ClusterSpec:
         rebuilds the monitor at a journal's last checkpoint instead: the
         restored store and ledger, the checkpointed network (or a
         factory-built one) and planning state.  The commands journaled
-        after it are the coordinator's to re-serve."""
+        after it are the coordinator's to re-serve.
+
+        ``keystore`` (default: a fresh :meth:`build_keystore`) is the
+        store a fresh monitor registers its parties in: the coordinator
+        passes the one its pool forked with.  A recovered monitor uses
+        the store recovery adopted the journal's keys into."""
         if recovered is not None:
             store, ledger = recovered.store, recovered.ledger
             network = (
@@ -224,7 +236,8 @@ class ClusterSpec:
             )
         else:
             store = EvidenceStore(
-                self.build_keystore(), max_events=self.max_events
+                keystore if keystore is not None else self.build_keystore(),
+                max_events=self.max_events,
             )
             ledger = None
             if self.ledger is not None:

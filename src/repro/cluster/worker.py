@@ -9,13 +9,19 @@ takes batches of :class:`ShardTask`, and streams one ``(position,
 report, stats)`` frame per finished round: a result frame *is* the
 liveness signal, so there is no heartbeat, no plan header and no
 summary — a worker is done when every position it was sent has a
-frame.
+frame.  The report is a receipt (no transcript; the stats carry the
+round's wire digest), stripped by
+:func:`~repro.audit.wire.run_offwire_round` where the serial monitor
+strips its own.
 
-A worker never makes a key.  Its keys are the coordinator's, inherited
-at fork, or dealt with a batch: a batch carries the keypairs the
-coordinator registered since the worker last heard from it (a policy
-installed after the fork, a party new after churn), and
-:func:`run_tasks` adopts them before its first round.  The inline
+A worker never makes a key.  The coordinator forks its pool before it
+builds its monitor or reads its journal, so a worker starts with an
+empty key table and nothing else of the coordinator's: its keys ride
+its batches.  A batch carries the keypairs the coordinator registered
+since the worker last heard from it (all of them, the first time; then
+a policy installed later, a party new after churn), and
+:func:`run_tasks` adopts them before its first round.  A worker forked
+to replace a dead one inherits the table as it stands.  The inline
 transport shares the coordinator's store, so its batches carry none.
 
 Two transports run the one loop, :func:`run_tasks`:
@@ -190,9 +196,10 @@ class _InlineWorker:
 
 class _ProcessWorker:
     """One forked worker process plus the coordinator's pipe end.  The
-    child gets the key table as the fork copied it; what the coordinator
-    registers later rides the next batch down the pipe (``_keys_held``
-    counts the table entries the child has)."""
+    child gets the key table as the fork copied it (empty, for the pool
+    a coordinator starts with); what the coordinator registers later
+    rides the next batch down the pipe (``_keys_held`` counts the table
+    entries the child has)."""
 
     def __init__(
         self, context, keystore, rng_seed, index, chaos, siblings

@@ -340,8 +340,10 @@ def trail_mismatches(
     """Byte-parity oracle: every way two evidence trails can differ.
 
     Compares the full event streams — sequence numbers, epochs, rounds,
-    identities, verdict/evidence/complaint bytes, and crypto *and*
-    transport cost counters.  Returns human-readable mismatch
+    identities, verdict/evidence/complaint bytes, crypto *and*
+    transport cost counters, and the digest of what each round sent
+    (so two executors that send different views but reach the same
+    verdicts differ).  Returns human-readable mismatch
     descriptions (empty = byte-identical), at most ``limit`` of them.
     """
     problems: List[str] = []
@@ -376,7 +378,8 @@ def trail_mismatches(
         if a.report.all_complaints() != b.report.all_complaints():
             if note(f"{head}: complaints differ"):
                 return problems
-        for counter in ("signatures", "verifications", "messages", "bytes"):
+        for counter in ("signatures", "verifications", "messages", "bytes",
+                        "wire_digest"):
             if getattr(a.stats, counter) != getattr(b.stats, counter):
                 if note(f"{head}: stats.{counter} differs"):
                     return problems

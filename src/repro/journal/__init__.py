@@ -17,10 +17,11 @@ process.  This package makes that state durable:
   a directory in the old segmented layout is refused by name.
 
 * :func:`~repro.journal.recovery.recover_state` — the recovery point.
-  A restarted coordinator restores its evidence store (seq for seq, from
-  the checkpoints' events), ledger, network and planning state at the
-  last checkpoint, then re-serves every command committed after it
-  through the code that served it live — so the recovered trail is
+  A restarted coordinator forks its pool, then restores its keys,
+  evidence store (seq for seq, from the checkpoints' events), ledger,
+  network and planning state at the last checkpoint, and re-serves
+  every command committed after it through the code that served it
+  live — so the recovered trail is
   byte-identical to an uncrashed run's, which is exactly what the
   kill-the-coordinator tests pin.  Records carry a format number
   (:data:`~repro.journal.recovery.JOURNAL_FORMAT`); a journal written in

@@ -75,7 +75,9 @@ __all__ = [
 #: whole group, and a checkpoint carries its interval's events.
 #: 10: the checkpointed network prices bytes only inside a metered round
 #: (a format-9 network unpickles without its meter slot).
-JOURNAL_FORMAT = 10
+#: 11: a recorded event is a receipt: its report carries no transcript,
+#: and its stats carry the round's wire digest.
+JOURNAL_FORMAT = 11
 
 #: record types after which the coordinator is between requests — the
 #: points recovery may stop at; anything later is an interrupted group
@@ -311,8 +313,10 @@ def recover_state(
     the interrupted suffix, and return the recovery point — or ``None``
     for a journal with no records (a fresh start).  A journal headed by
     anything but a ``genesis`` or ``checkpoint`` carries no format to
-    check and is refused.  The journal's records are released
-    afterwards."""
+    check and is refused.  The journal's key tables are adopted into
+    ``keystore`` (default: a fresh ``spec.build_keystore()``) — the
+    coordinator passes the one its pool already forked with.  The
+    journal's records are released afterwards."""
     records = journal.records
     if not records:
         return None
@@ -332,7 +336,7 @@ def recover_state(
             break
         replayer.feed(seq, rtype, data)
     truncated = journal.truncate(boundary)
-    # released before the coordinator forks its pool
+    # released: the recovered state holds all it needs of them
     journal.records = []
     state = replayer.state()
     state.truncated_records = truncated

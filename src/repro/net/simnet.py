@@ -15,10 +15,11 @@ honest-path code knowing anything about faults.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.encoding import CanonicalEncodeError, canonical_encode
@@ -107,9 +108,24 @@ Interceptor = Callable[[Message], Optional[Any]]
 
 @dataclass
 class Meter:
-    """The wire bytes of the messages sent while it was open."""
+    """The wire bytes of the messages sent while it was open, and the
+    SHA-256 of each one's encoding (:meth:`digest` folds them)."""
 
     bytes: int = 0
+    digests: List[bytes] = field(default_factory=list)
+
+    def price(self, payload: Any, copies: int = 1) -> None:
+        """Count ``copies`` messages carrying ``payload``, encoding it
+        once."""
+        encoded = wire_encoding(payload)
+        self.bytes += copies * len(encoded)
+        self.digests.extend([hashlib.sha256(encoded).digest()] * copies)
+
+    def digest(self) -> bytes:
+        """One SHA-256 over every priced message: the per-message
+        digests sorted, so the send order does not matter and each copy
+        counts."""
+        return hashlib.sha256(b"".join(sorted(self.digests))).digest()
 
 
 class Network:
@@ -199,9 +215,9 @@ class Network:
 
     @contextmanager
     def metered(self) -> Iterator[Meter]:
-        """Price every message sent inside the block with
-        :func:`estimate_size`; outside one, nothing is priced.  One meter
-        at a time: opening a second raises."""
+        """Price and digest every message sent inside the block
+        (:meth:`Meter.price`); outside one, nothing is encoded.  One
+        meter at a time: opening a second raises."""
         if self._meter is not None:
             raise RuntimeError("the network is already metered")
         meter = self._meter = Meter()
@@ -218,7 +234,7 @@ class Network:
 
     def _schedule_delivery(self, link: Link, message: Message) -> None:
         if self._meter is not None:
-            self._meter.bytes += estimate_size(message.payload)
+            self._meter.price(message.payload)
 
         def deliver() -> None:
             self.delivered += 1
@@ -230,17 +246,16 @@ class Network:
         return self.simulator.run(until=until, max_events=max_events)
 
 
-def estimate_size(payload: Any) -> int:
-    """Wire-size accounting for the overhead benchmarks and the serve
-    layer's replayed transport cost model: the canonical encoding's
-    length where one exists, a deterministic repr fallback otherwise.
-    This is the single definition of "bytes on the wire" — a wire
-    round's meter and any off-wire cost replay both use it, so the two
-    can never disagree."""
+def wire_encoding(payload: Any) -> bytes:
+    """A payload's bytes on the wire: its canonical encoding where one
+    exists, a deterministic repr fallback otherwise.  This is the single
+    definition of "bytes on the wire" — a wire round's :class:`Meter`
+    and the off-wire cost model both price and digest through it, so
+    the two can never disagree."""
     try:
-        return len(canonical_encode(payload))
+        return canonical_encode(payload)
     except CanonicalEncodeError:
-        return len(repr(payload).encode("utf-8"))
+        return repr(payload).encode("utf-8")
 
 
 def build_network(

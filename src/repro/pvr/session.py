@@ -25,7 +25,7 @@ The engine itself lives in :mod:`repro.pvr.engine`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.net.gossip import EquivocationRecord
@@ -253,11 +253,20 @@ class SessionReport:
     round: int
     verdicts: Dict[str, Verdict]
     equivocations: Tuple[EquivocationRecord, ...]
-    transcript: SessionTranscript
+    #: ``None`` on the audit plane's recorded events, which keep the
+    #: verdicts and evidence only (``Monitor.replay`` re-derives it)
+    transcript: Optional[SessionTranscript]
     honest_chosen_length: Optional[int]
     confidentiality_ok: Optional[bool]
     crypto: CryptoCounters
     adjudication: Optional[Adjudication] = None
+
+    def receipt(self) -> "SessionReport":
+        """This report without its transcript: what the audit plane
+        records of a round.  The verdicts, equivocations and evidence —
+        everything the judge checks — stay; the views go, and
+        ``Monitor.replay`` re-derives them."""
+        return replace(self, transcript=None)
 
     # -- aggregates ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.audit import Monitor, round_randomness
 from repro.audit import monitor as monitor_module
-from repro.audit.monitor import MonitorError
+from repro.audit.monitor import MonitorError, ReplayError
 from repro.audit.wire import ViewPayload
 from repro.bgp.prefix import Prefix
 from repro.crypto.batch import BatchSignature
@@ -94,9 +94,11 @@ class TestAcceptance:
     def test_monitor_verdicts_byte_identical_to_one_shot_sessions(self):
         """Every freshly verified event reproduces byte-for-byte through
         a one-shot VerificationSession with the same spec, round, inputs
-        and nonce stream — on a fresh keystore with the same seed."""
+        and nonce stream — on a fresh keystore with the same seed — and
+        its views are the ones ``Monitor.replay`` re-derives."""
         spec, _ = workload.get("churn-64as", rng_seed=SEED)
-        epoch = spec.build_monitor().run_epoch()
+        monitor = spec.build_monitor()
+        epoch = monitor.run_epoch()
         fresh = [e for e in epoch.events if not e.reused]
         assert fresh
 
@@ -115,7 +117,7 @@ class TestAcceptance:
             assert report.all_complaints() == event.report.all_complaints()
             # what was signed and sent, not only what was concluded:
             # honest verdicts read the same under either protocol
-            views = event.report.transcript.views
+            views = monitor.replay(event).transcript.views
             assert report.transcript.views.keys() == views.keys()
             for party, view in report.transcript.views.items():
                 assert view_bytes(view) == view_bytes(views[party]), party
@@ -127,12 +129,13 @@ class TestAcceptance:
         fresh minimum round signs is a leaf under one signed root, so
         the round signs the k announcements + that root — k + 1 — and
         still leaks nothing beyond the baseline."""
-        epoch = workload.serve_spec(8).build_monitor().run_epoch()
+        monitor = workload.serve_spec(8).build_monitor()
+        epoch = monitor.run_epoch()
         fresh = [e for e in epoch.events if not e.reused]
         assert len(fresh) == 8
         for event in fresh:
             signatures = []
-            for view in event.report.transcript.views.values():
+            for view in monitor.replay(event).transcript.views.values():
                 signatures.append(view.vector.statement.signature)
                 if hasattr(view, "receipt"):  # a provider's view
                     if view.receipt is not None:
@@ -563,7 +566,7 @@ class TestBatchedTrail:
         against an honest batched prover: its batched answers clear it."""
         monitor, outcomes = driven
         event = next(e for o in outcomes for e in o.events if not e.reused)
-        detail = event.report.transcript.detail
+        detail = monitor.replay(event).transcript.detail
         provider, view = next(
             (name, view) for name, view in detail.provider_views.items()
             if view.disclosure is not None
@@ -586,6 +589,80 @@ class TestBatchedTrail:
                 complaint, answer, vector=recipient_view.vector
             )
             assert ruling.outcome == DISMISSED, claim
+
+
+class TestReplay:
+    """A recorded event is a receipt: ``Monitor.replay`` re-derives its
+    transcript off the wire, checked against the recorded wire digest,
+    or refuses by name."""
+
+    def test_replay_rederives_the_transcript(self):
+        monitor = workload.serve_spec(2).build_monitor()
+        event = monitor.run_epoch().events[0]
+        assert event.report.transcript is None
+        counts = (monitor.keystore.sign_count, monitor.keystore.verify_count)
+        report = monitor.replay(event)
+        assert set(report.transcript.views) == set(event.spec.parties) - {
+            event.spec.prover
+        }
+        assert report.verdicts == event.report.verdicts
+        assert report.all_evidence() == event.report.all_evidence()
+        # the replay runs on a worker view: the monitor's counts stay
+        assert (
+            monitor.keystore.sign_count, monitor.keystore.verify_count
+        ) == counts
+
+    def test_a_reused_event_replays_the_round_it_reuses(self):
+        monitor = workload.serve_spec(2).build_monitor()
+        fresh = monitor.run_epoch().events
+        monitor.resync()
+        reused = monitor.run_epoch().events
+        assert all(e.reused for e in reused)
+        for old, new in zip(fresh, reused):
+            assert new.stats.wire_digest == old.stats.wire_digest
+            views = monitor.replay(new).transcript.views
+            assert {p: view_bytes(v) for p, v in views.items()} == {
+                p: view_bytes(v)
+                for p, v in monitor.replay(old).transcript.views.items()
+            }
+
+    def test_an_injected_prover_is_refused_by_name(self):
+        monitor = workload.serve_spec(2).build_monitor()
+        prefix = scenarios.serve_prefixes(2)[0]
+        honest = monitor.audit_once("A", prefix, "B", max_length=8)
+        assert monitor.replay(honest).verdicts == honest.report.verdicts
+        probe = monitor.audit_once(
+            "A", prefix, "B", prover=LongerRouteProver(monitor.keystore),
+            max_length=8,
+        )
+        assert probe.stats.injected and not honest.stats.injected
+        with pytest.raises(ReplayError, match="injected prover"):
+            monitor.replay(probe)
+
+    def test_other_keys_send_other_bytes(self):
+        event = workload.serve_spec(2).build_monitor().run_epoch().events[0]
+        other = workload.serve_spec(2, rng_seed=SEED + 1).build_monitor()
+        with pytest.raises(ReplayError, match="wire digest"):
+            other.replay(event)
+
+    def test_a_live_round_an_interceptor_changed_does_not_replay(self):
+        """The digest is what the live round put on the wire: a second
+        copy of one view is in it, so the honest replay disagrees."""
+        net = figure1_network()
+        monitor = make_monitor(net)
+        monitor.policy("A", ShortestRoute(), recipients=("B",), max_length=8)
+
+        def duplicate_view_to_b(message: Message):
+            if message.dst == "B" and isinstance(message.payload, ViewPayload):
+                return [message, message]
+            return message
+
+        net.transport.set_interceptor("A", duplicate_view_to_b)
+        event = monitor.run_epoch().events[0]
+        net.transport.clear_interceptor("A")
+        assert event.ok()
+        with pytest.raises(ReplayError, match="wire digest"):
+            monitor.replay(event)
 
 
 class TestMultipleDecisionHooks:
@@ -950,8 +1027,8 @@ class TestSimnetTransport:
     def test_a_duplicated_view_is_priced_once_more(self):
         """The live wire round meters what interceptors put on the wire,
         not the cost model: a second copy of one view adds exactly that
-        payload's size to the round's bytes."""
-        from repro.net.simnet import estimate_size
+        payload's size to the round's bytes, and changes its digest."""
+        from repro.net.simnet import wire_encoding
 
         copies = []
 
@@ -977,14 +1054,15 @@ class TestSimnetTransport:
         assert doubled.report.verdicts == clean.report.verdicts
         assert doubled.stats.messages == clean.stats.messages + 1
         assert doubled.stats.bytes == (
-            clean.stats.bytes + estimate_size(copies[0])
+            clean.stats.bytes + len(wire_encoding(copies[0]))
         )
+        assert doubled.stats.wire_digest != clean.stats.wire_digest
 
     def test_bgp_churn_outside_a_round_prices_nothing(self, monkeypatch):
         """Only a wire round reads bytes, so plain BGP UPDATEs are never
-        encoded to be counted.  Every ``estimate_size`` call makes one
+        encoded to be counted.  Every ``wire_encoding`` call makes one
         ``canonical_encode`` call in ``simnet``; that is what is counted,
-        so an alias of ``estimate_size`` cannot hide one."""
+        so an alias of ``wire_encoding`` cannot hide one."""
         from repro.net import simnet
 
         calls = []

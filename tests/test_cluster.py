@@ -38,6 +38,7 @@ from repro.promises.spec import (
 )
 from repro.pvr.adversary import LongerRouteProver
 from repro.pvr.scenarios import serve_network, serve_prefixes
+from repro.pvr.session import VARIANTS
 
 SEED = 2011
 
@@ -201,6 +202,65 @@ class TestClusterParity:
         cluster, evidence = run_script(spec, requests)
         assert evidence.events()
         assert reference_mismatches(spec, requests, evidence) == []
+
+
+class TestWireDigest:
+    """``RoundStats.wire_digest`` is what a round sent: the serial wire
+    round and a pool worker's off-wire round agree on it, and the
+    parity oracle sees a change that leaves the verdicts alone."""
+
+    def test_serial_and_pooled_rounds_send_the_same_bytes(self):
+        spec = make_spec(
+            "minimum", policies=tuple(VARIANT_POLICIES.values()),
+            workers=2, transport="process",
+        )
+        requests = churn_script(PREFIXES, rounds=2)
+        cluster, evidence = run_script(spec, requests)
+        assert cluster.metrics.parity_failed == 0
+        reference = spec.build_monitor()
+        drive_monitor(reference, requests)
+        pooled = [e for e in evidence.events() if not e.reused]
+        serial = [e for e in reference.events if not e.reused]
+        assert [e.seq for e in pooled] == [e.seq for e in serial]
+        for ours, theirs in zip(pooled, serial):
+            assert len(ours.stats.wire_digest) == 32
+            assert ours.stats.wire_digest == theirs.stats.wire_digest
+        assert {e.report.variant for e in pooled} == set(VARIANTS)
+        assert len({e.stats.wire_digest for e in pooled}) == len(pooled)
+
+    def test_a_view_changed_on_the_worker_side_is_a_mismatch(
+        self, monkeypatch
+    ):
+        """One view's bytes change in one worker round — the recipient's
+        disclosures reversed, so its size does not — while what the
+        round verifies does not: only the digest can tell."""
+        from dataclasses import replace
+
+        from repro.pvr.engine import VerificationSession
+        from repro.pvr.minimum import RecipientView
+
+        disclose = VerificationSession.disclose
+        changed = []
+
+        def reorder_one_view(session):
+            views = dict(disclose(session))
+            for party, view in views.items():
+                if not changed and isinstance(view, RecipientView):
+                    views[party] = replace(
+                        view, disclosures=view.disclosures[::-1]
+                    )
+                    changed.append(session.round)
+            return views
+
+        spec = make_spec("minimum", parity_sample=0)
+        requests = churn_script(PREFIXES, rounds=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(VerificationSession, "disclose", reorder_one_view)
+            _, evidence = run_script(spec, requests)
+        [event] = [e for e in evidence.events() if e.round == changed[0]]
+        assert reference_mismatches(spec, requests, evidence) == [
+            f"seq {event.seq}: stats.wire_digest differs"
+        ]
 
 
 class TestRegisteredWorkloads:
@@ -496,6 +556,62 @@ class TestNoWorkerMakesAKey:
         assert reference_mismatches(spec, requests, evidence) == []
 
 
+class TestThePoolForksFirst:
+    """A coordinator forks its pool before it builds its monitor or
+    reads its journal: a worker inherits no trail, and holds only the
+    keys its batches bring."""
+
+    def test_a_recovering_coordinator_forks_before_it_reads_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cluster import cluster as cluster_module
+        from repro.cluster import worker as worker_module
+
+        spec = serve_spec(
+            4, workers=2, transport="process", rng_seed=SEED,
+            journal=str(tmp_path / "journal"), journal_checkpoint_every=2,
+        )
+        requests = churn_script(serve_prefixes(4), rounds=6, violation_every=3)
+        half = len(requests) // 2
+        first = spec.build()
+        try:
+            for request in requests[:half]:
+                first.request(request)
+        finally:
+            first.stop()
+
+        forked = []  # (worker, keys it held at fork)
+        init = worker_module._ProcessWorker.__init__
+
+        def counting_init(worker, *args):
+            init(worker, *args)
+            forked.append((worker, worker._keys_held))
+
+        alive = []  # per recover_state call: is each forked worker up?
+        recover = cluster_module.recover_state
+
+        def watched_recover(*args, **kwargs):
+            alive.append([worker.process.is_alive() for worker, _ in forked])
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(
+            worker_module._ProcessWorker, "__init__", counting_init
+        )
+        monkeypatch.setattr(cluster_module, "recover_state", watched_recover)
+        recovered = spec.build()
+        try:
+            assert alive == [[True] * spec.workers]
+            assert [held for _, held in forked] == [0] * spec.workers
+            assert recovered.recovered_requests == half
+            for request in requests[half:]:
+                recovered.request(request)
+            assert recovered.metrics.respawns == []
+            evidence = recovered.evidence
+        finally:
+            recovered.stop()
+        assert reference_mismatches(spec, requests, evidence) == []
+
+
 # -- the churn CLI -------------------------------------------------------------
 
 
@@ -549,6 +665,23 @@ class TestChurnCLI:
             code = refused.code
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--churns", "0"), "--churns must be >= 1, got 0"),
+        (("--checkpoint-every", "-1", "--journal", "{journal}"),
+         "--checkpoint-every must be >= 0, got -1"),
+        (("--kill-at-epoch", "0", "--kill-worker", "0"),
+         "--kill-at-epoch must be >= 1, got 0"),
+    ], ids=["churns", "checkpoint-every", "kill-at-epoch"])
+    def test_a_usage_error_names_the_flag(
+        self, argv, message, tmp_path, capsys
+    ):
+        """The range checks live in ``churn_script``, ``ClusterSpec``
+        and ``ChaosSpec``; the CLI names the flag that set the field."""
+        journal = tmp_path / "journal"
+        assert self.main(*(a.format(journal=journal) for a in argv)) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not journal.exists()
 
     def test_list_prints_every_registered_name(self, capsys):
         assert self.main("--list") == 0

@@ -1098,9 +1098,9 @@ class TestJournalFormat:
     def test_a_different_format_number_is_refused(self, tmp_path):
         spec = journal_spec(tmp_path)
         with Journal(spec.journal) as journal:
-            journal.append("genesis", {"format": 11})
+            journal.append("genesis", {"format": 12})
         with Journal(spec.journal) as journal:
-            with pytest.raises(JournalError, match=refusal(11)):
+            with pytest.raises(JournalError, match=refusal(12)):
                 recover_state(spec, journal)
 
     @pytest.mark.parametrize("found, records", [
@@ -1135,6 +1135,10 @@ class TestJournalFormat:
         # a format-9 checkpoint pickles a network without a meter slot,
         # so the first message it sent after a recovery would raise
         pytest.param(9, (), id="9"),
+        # a format-10 trail's events carry transcripts and no wire
+        # digest, so every recovered event would differ from a fresh
+        # run's in the digest the parity oracle compares
+        pytest.param(10, (), id="10"),
     ])
     def test_an_old_format_journal_is_refused_by_name(
         self, tmp_path, found, records
@@ -1186,7 +1190,7 @@ class TestJournalFormat:
         run_script(spec, script(rounds=1))
         records = read_back(spec.journal)
         seq, rtype, data = records[0]
-        assert (rtype, data["format"]) == ("genesis", 10)
+        assert (rtype, data["format"]) == ("genesis", 11)
         assert "workers" not in data
         assert [asn for asn, _ in unpack(data["keys"])] == [
             "A", "N1", "N2", "N3", "B",

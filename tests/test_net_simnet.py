@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.simnet import (
-    Message, Network, Node, Simulator, build_network, estimate_size,
+    Message, Meter, Network, Node, Simulator, build_network, wire_encoding,
 )
 
 
@@ -153,7 +153,9 @@ class TestMeter:
             net.send("B", "A", ("a", 1))
         net.send("A", "B", "after")
         net.run()
-        assert meter.bytes == estimate_size("inside") + estimate_size(("a", 1))
+        assert meter.bytes == (
+            len(wire_encoding("inside")) + len(wire_encoding(("a", 1)))
+        )
         assert net.delivered == 4
 
     def test_a_nested_meter_raises(self):
@@ -170,7 +172,27 @@ class TestMeter:
                 raise KeyError("boom")
         with net.metered() as meter:
             net.send("A", "B", "x")
-        assert meter.bytes == estimate_size("x")
+        assert meter.bytes == len(wire_encoding("x"))
+
+    def test_the_digest_ignores_order_and_counts_copies(self):
+        def digest(*payloads):
+            net = self._net()
+            with net.metered() as meter:
+                for payload in payloads:
+                    net.send("A", "B", payload)
+            return meter.digest()
+
+        assert digest("x", "y") == digest("y", "x")
+        assert digest("x", "y") != digest("x", "y", "y")
+        assert digest("x") != digest("y")
+        # the off-wire cost model prices copies it never sends
+        modeled = Meter()
+        modeled.price("y", copies=2)
+        modeled.price("x")
+        assert modeled.digest() == digest("y", "x", "y")
+        assert modeled.bytes == len(wire_encoding("x")) + 2 * len(
+            wire_encoding("y")
+        )
 
 
 class TestInterceptors:
